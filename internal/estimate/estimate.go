@@ -9,8 +9,8 @@
 // The steady-state path — decode, estimate, partition search, encode — is
 // allocation-free: requests and responses are flat structs recycled through
 // a pooled Scratch, the wire codec is hand-rolled (codec.go), and the model
-// calls are the *Into/*Scratch variants of core and sched. The alloc-budget
-// test in service_test.go holds the line at 0 allocs/op.
+// calls are core's *Into variant and a Scratch-owned sched.PartitionSearch.
+// The alloc-budget test in service_test.go holds the line at 0 allocs/op.
 package estimate
 
 import (
@@ -104,7 +104,8 @@ type Options struct {
 	MaxBatch int
 	// MaxPartitions bounds the candidate partitions one request may make
 	// the search enumerate — the knob that keeps a hostile num_sms from
-	// turning the exhaustive search into a CPU sink. Default 200000.
+	// turning the search into a CPU sink (its worst case visits them all).
+	// Default 200000.
 	MaxPartitions float64
 }
 
@@ -164,8 +165,8 @@ type Scratch struct {
 	det   []core.AppEstimate
 	slow  []float64
 	cur   []int
-	best  []int
-	cand  []int
+	// search owns the partition search's reciprocal table and partitions.
+	search sched.PartitionSearch
 	// LineScanner state for NDJSON streams (stream.go).
 	scan lineScanner
 }
@@ -422,8 +423,6 @@ func (s *Service) estimateOne(req *Request, resp *Response, sc *Scratch) {
 
 	sc.slow = resizeFloats(sc.slow, n)
 	sc.cur = resizeInts(sc.cur, n)
-	sc.best = resizeInts(sc.best, n)
-	sc.cand = resizeInts(sc.cand, n)
 	for i := range sc.det {
 		sc.slow[i] = sc.det[i].Slowdown
 		sc.cur[i] = req.Apps[i].SMs
@@ -444,7 +443,7 @@ func (s *Service) estimateOne(req *Request, resp *Response, sc *Scratch) {
 		})
 	}
 	resp.Unfairness = sched.EstimatedUnfairness(sc.slow, sc.cur, sc.cur, req.NumSMs)
-	best, bestUnf := sched.SearchBestPartitionScratch(sc.slow, sc.cur, req.NumSMs, req.MinSMs, sc.best, sc.cand)
+	best, bestUnf := sc.search.Fair(sc.slow, sc.cur, req.NumSMs, req.MinSMs)
 	resp.Partition = resp.Partition[:0]
 	resp.Partition = append(resp.Partition, best...)
 	resp.PartitionUnfairness = bestUnf

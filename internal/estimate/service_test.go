@@ -199,20 +199,40 @@ func TestProcessZeroAlloc(t *testing.T) {
 	batch = append(batch, AppendRequest(nil, &r2)...)
 	batch = append(batch, ']')
 
+	// The partition search's table lives in the Scratch, so the budget holds
+	// at any shape the validator admits: the bench's 4 apps × 16 SMs, a wide
+	// table (3 apps × 256 SMs: 762 entries, 32385 candidates), and MaxApps
+	// apps on a big machine (8 × 128 SMs at min_sms 15).
+	shape := func(numSMs, minSMs, apps int) []byte {
+		r := sampleRequest(13)
+		r.NumSMs, r.MinSMs = numSMs, minSMs
+		for len(r.Apps) < apps {
+			a := r.Apps[len(r.Apps)%2]
+			a.Alpha /= float64(len(r.Apps)) // distinct slowdowns
+			r.Apps = append(r.Apps, a)
+		}
+		for i := range r.Apps {
+			r.Apps[i].SMs = numSMs / apps
+		}
+		return AppendRequest(nil, &r)
+	}
+	bodies := map[string][]byte{
+		"single": single, "batch": batch,
+		"4x16": shape(16, 1, 4), "3x256": shape(256, 1, 3), "8x128": shape(128, 15, 8),
+	}
+
 	sc := svc.Get()
 	defer svc.Put(sc)
-	warm := func(body []byte) {
-		sc.Body = append(sc.Body[:0], body...)
-		if err := svc.Process(sc); err != nil {
-			t.Fatalf("Process: %v", err)
+	// Warm every buffer, alternating shapes so all are at capacity.
+	for i := 0; i < 4; i++ {
+		for _, body := range bodies {
+			sc.Body = append(sc.Body[:0], body...)
+			if err := svc.Process(sc); err != nil {
+				t.Fatalf("Process: %v", err)
+			}
 		}
 	}
-	// Warm every buffer, alternating shapes so both are at capacity.
-	for i := 0; i < 4; i++ {
-		warm(single)
-		warm(batch)
-	}
-	for name, body := range map[string][]byte{"single": single, "batch": batch} {
+	for name, body := range bodies {
 		body := body
 		allocs := testing.AllocsPerRun(100, func() {
 			sc.Body = append(sc.Body[:0], body...)

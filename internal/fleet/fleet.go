@@ -5,8 +5,8 @@
 // fleet of simulated GPUs; a time-aware fair-share policy tracks each
 // tenant's allocation history over a sliding window and places jobs onto
 // GPUs using DASE estimated slowdowns as the contention signal, then
-// partitions each GPU's SMs among its residents with the paper's exhaustive
-// partition search (sched.SearchBestPartitionScratch).
+// partitions each GPU's SMs among its residents with the paper's partition
+// search (sched.PartitionSearch).
 //
 // The scheduler is fully deterministic: tenants are kept in submission
 // order, every sort has an explicit tie-breaker, all randomness derives
@@ -151,8 +151,7 @@ type gpuState struct {
 	estScratch []core.AppEstimate
 	slowBuf    []float64
 	curBuf     []int
-	bestBuf    []int
-	candBuf    []int
+	search     sched.PartitionSearch
 }
 
 // reservedSMs is the sum of the residents' admission demands.
@@ -492,7 +491,7 @@ func (f *Fleet) predictContention(g *gpuState, j *job) float64 {
 // repartition splits the GPU's SMs among its residents for the coming
 // interval: DASE slowdown estimates from the previous interval's ground
 // truth (or the placement prediction for newcomers) feed the paper's
-// exhaustive partition search, and the winning partition is clamped so no
+// partition search, and the winning partition is clamped so no
 // job drops below its admission demand. A lone resident gets every SM.
 func (f *Fleet) repartition(g *gpuState) {
 	n := len(g.jobs)
@@ -508,8 +507,6 @@ func (f *Fleet) repartition(g *gpuState) {
 	if cap(g.slowBuf) < n {
 		g.slowBuf = make([]float64, n)
 		g.curBuf = make([]int, n)
-		g.bestBuf = make([]int, n)
-		g.candBuf = make([]int, n)
 	}
 	slow, cur := g.slowBuf[:n], g.curBuf[:n]
 	for i, j := range g.jobs {
@@ -520,7 +517,7 @@ func (f *Fleet) repartition(g *gpuState) {
 		slow[i] = s
 		cur[i] = g.alloc[i]
 	}
-	best, _ := sched.SearchBestPartitionScratch(slow, cur, total, 1, g.bestBuf[:n], g.candBuf[:n])
+	best, _ := g.search.Fair(slow, cur, total, 1)
 	if best == nil {
 		best = sim.EvenAllocation(total, n)
 	}

@@ -4,7 +4,8 @@
 // open-addressed mshrIndex), a fresh-allocation request source (vs
 // memreq.Pool), a from-scratch per-bank queue recount (vs the incremental
 // queuedPerBank counters), and a row-recomputing FR-FCFS pick (vs the
-// cached-Row scheduler path).
+// cached-Row scheduler path); and, for the scheduler's partition search, the
+// score-every-candidate loop it replaced (partition.go).
 //
 // Nothing here is fast, and that is the point: each model is written to be
 // obviously correct so that native fuzz targets can drive it in lockstep with

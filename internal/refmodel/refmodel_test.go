@@ -1,6 +1,7 @@
 package refmodel
 
 import (
+	"math"
 	"testing"
 
 	"dasesim/internal/memreq"
@@ -118,5 +119,65 @@ func TestFRFCFSPickPrefersRowHitThenOldest(t *testing.T) {
 	banksClosed := []FRFCFSBank{{Free: true, Queue: []FRFCFSReq{{App: 0, Addr: addrOld, Seq: 1}}}}
 	if b, _ := FRFCFSPick(amap, banksClosed, memreq.InvalidApp, 1, true, 8); b != -1 {
 		t.Fatalf("pick found a request for an app with none queued (bank %d)", b)
+	}
+}
+
+// TestExhaustivePartition pins the oracle itself on hand-checked cases: the
+// optimum, the tie rule, the starved sentinel, and the degenerate shapes.
+func TestExhaustivePartition(t *testing.T) {
+	// Reciprocals 1/3 and 1/1.2 at 8/8, interpolated to 11 and 5 SMs.
+	third, sixth := 1/3.0, 1/1.2
+	r11, r5 := third+3.0/8*(1-third), sixth-3.0/8*sixth
+	for _, tc := range []struct {
+		name          string
+		slow          []float64
+		cur           []int
+		total, minSMs int
+		want          []int
+		wantUnf       float64
+	}{
+		{"more SMs to the slowed app", []float64{3, 1.2}, []int{8, 8}, 16, 1, []int{11, 5}, r11 / r5},
+		{"equal apps keep the even split", []float64{2, 2}, []int{8, 8}, 16, 1, []int{8, 8}, 1},
+		{"ties keep the earliest", []float64{2, 2, 2}, []int{5, 5, 5}, 16, 1, []int{5, 5, 6}, (0.5 + 0.5/11) / 0.5},
+		{"slowdowns below 1 clamp", []float64{0.2, 0.5}, []int{8, 8}, 16, 1, []int{8, 8}, 1},
+		{"a zero-SM app starves every candidate", []float64{2, 2}, []int{0, 8}, 8, 1, []int{1, 7}, 1e18},
+		{"single app", []float64{3}, []int{4}, 16, 1, []int{16}, 1},
+		{"minimum respected", []float64{100, 1}, []int{8, 8}, 16, 7, []int{9, 7}, 0},
+		{"infeasible", []float64{2, 2}, []int{1, 1}, 3, 2, nil, 0},
+		{"no apps", nil, nil, 16, 1, nil, 0},
+	} {
+		got, unf := ExhaustivePartition(tc.slow, tc.cur, tc.total, tc.minSMs)
+		if len(got) != len(tc.want) || (got == nil) != (tc.want == nil) {
+			t.Fatalf("%s: partition %v, want %v", tc.name, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: partition %v, want %v", tc.name, got, tc.want)
+			}
+		}
+		if tc.wantUnf != 0 && unf != tc.wantUnf {
+			t.Errorf("%s: unfairness %v, want %v", tc.name, unf, tc.wantUnf)
+		}
+	}
+}
+
+func TestExhaustiveThroughput(t *testing.T) {
+	// Two apps at reciprocal 1/4 gain more per SM above the current share
+	// (3/4 over 8 SMs) than they lose below it (1/4 over 8), so throughput
+	// starves one of them; of the two mirror-image optima the earlier wins.
+	got, ws := ExhaustiveThroughput([]float64{4, 4}, []int{8, 8}, 16, 1)
+	if len(got) != 2 || got[0] != 1 || got[1] != 15 {
+		t.Fatalf("partition %v, want [1 15]", got)
+	}
+	q := 0.25
+	if want := (q - 7.0/8*q) + (q + 7.0/8*(1-q)); ws != want {
+		t.Errorf("weighted speedup %v, want %v", ws, want)
+	}
+	if got, _ := ExhaustiveThroughput([]float64{2, 2}, []int{1, 1}, 3, 2); got != nil {
+		t.Errorf("infeasible search returned %v", got)
+	}
+	// Every sum is NaN, none beats the −1 floor: no partition.
+	if got, _ := ExhaustiveThroughput([]float64{math.NaN(), 2}, []int{4, 4}, 8, 1); got != nil {
+		t.Errorf("all-NaN search returned %v", got)
 	}
 }

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"dasesim/internal/core"
-	"dasesim/internal/sim"
-)
+import "dasesim/internal/sim"
 
 // DASEPerf is the throughput-oriented counterpart of DASE-Fair (in the
 // spirit of the weighted-speedup schedulers of Jog et al. that the paper's
@@ -11,101 +8,15 @@ import (
 // partitions for the one maximising estimated weighted speedup
 // (Σ 1/slowdown) instead of minimising unfairness. Fairness-agnostic: it
 // will happily starve an app whose marginal SMs yield less throughput.
-type DASEPerf struct {
-	Est                  *core.DASE
-	WarmupIntervals      int
-	ImprovementThreshold float64
-	MinSMs               int
-
-	intervals     int
-	Reallocations int
-}
+type DASEPerf struct{ partitionPolicy }
 
 // NewDASEPerf builds the policy with defaults mirroring DASE-Fair's.
-func NewDASEPerf() *DASEPerf {
-	return &DASEPerf{
-		Est:                  core.New(core.Options{}),
-		WarmupIntervals:      1,
-		ImprovementThreshold: 0.05,
-		MinSMs:               1,
-	}
-}
+func NewDASEPerf() *DASEPerf { return &DASEPerf{newPartitionPolicy()} }
 
 // Name implements Policy.
 func (p *DASEPerf) Name() string { return "DASE-Perf" }
 
 // OnInterval implements Policy.
 func (p *DASEPerf) OnInterval(g *sim.GPU, snap *sim.IntervalSnapshot) {
-	p.intervals++
-	if p.intervals <= p.WarmupIntervals {
-		return
-	}
-	slow := tracedEstimates(p.Est, g, snap, p.Name())
-	cur := make([]int, len(snap.Apps))
-	for i := range snap.Apps {
-		cur[i] = snap.Apps[i].SMs
-	}
-	best, bestWS := searchBestThroughput(slow, cur, snap.NumSMs, p.MinSMs)
-	curWS := estimatedWeightedSpeedup(slow, cur, cur, snap.NumSMs)
-	realloc := best != nil &&
-		bestWS > curWS*(1+p.ImprovementThreshold) &&
-		!equalInts(best, cur)
-	if realloc {
-		realloc = g.SetAllocation(best) == nil
-		if realloc {
-			p.Reallocations++
-		}
-	}
-	emitDecision(g.Tracer(), snap, p.Name(), curWS, bestWS, best, realloc)
-}
-
-// estimatedWeightedSpeedup predicts Σ reciprocal for a candidate allocation
-// using the Eq. 29/30 interpolation.
-func estimatedWeightedSpeedup(slow []float64, cur, cand []int, total int) float64 {
-	var ws float64
-	for i := range slow {
-		s := slow[i]
-		if s < 1 {
-			s = 1
-		}
-		ws += ReciprocalAt(1/s, cur[i], cand[i], total)
-	}
-	return ws
-}
-
-// searchBestThroughput enumerates compositions like SearchBestPartition but
-// maximises predicted weighted speedup.
-func searchBestThroughput(slow []float64, cur []int, total, minSMs int) ([]int, float64) {
-	n := len(slow)
-	if n == 0 || minSMs*n > total {
-		return nil, 0
-	}
-	best := make([]int, n)
-	bestWS := -1.0
-	cand := make([]int, n)
-	var rec func(i, left int)
-	rec = func(i, left int) {
-		if i == n-1 {
-			if left < minSMs {
-				return
-			}
-			cand[i] = left
-			ws := estimatedWeightedSpeedup(slow, cur, cand, total)
-			if ws > bestWS {
-				bestWS = ws
-				copy(best, cand)
-			}
-			return
-		}
-		maxHere := left - minSMs*(n-1-i)
-		for v := minSMs; v <= maxHere; v++ {
-			cand[i] = v
-			rec(i+1, left-v)
-		}
-	}
-	rec(0, total)
-	if bestWS < 0 {
-		return nil, 0
-	}
-	return best, bestWS
+	p.onInterval(g, snap, p.Name(), false)
 }

@@ -13,7 +13,8 @@ func TestSearchBestThroughputFavoursScalableApp(t *testing.T) {
 	// App 0 slows 4x (lots of headroom from more SMs under the linear
 	// model); app 1 barely slows. Throughput search gives app 0 more SMs
 	// because its reciprocal gains more per SM.
-	best, ws := searchBestThroughput([]float64{4, 1.05}, []int{8, 8}, 16, 1)
+	var ps PartitionSearch
+	best, ws := ps.search([]float64{4, 1.05}, []int{8, 8}, 16, 1, false)
 	if best == nil {
 		t.Fatal("no partition")
 	}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"dasesim/internal/core"
 	"dasesim/internal/sim"
 )
@@ -57,10 +59,7 @@ func (p *DASEQoS) OnInterval(g *sim.GPU, snap *sim.IntervalSnapshot) {
 		return
 	}
 	slow := p.Est.Estimate(snap)
-	cur := make([]int, len(snap.Apps))
-	for i := range snap.Apps {
-		cur[i] = snap.Apps[i].SMs
-	}
+	cur := currentSMs(nil, snap)
 	total := snap.NumSMs
 	others := len(snap.Apps) - 1
 
@@ -125,7 +124,7 @@ func (p *DASEQoS) OnInterval(g *sim.GPU, snap *sim.IntervalSnapshot) {
 		}
 	}
 
-	if equalInts(alloc, cur) {
+	if slices.Equal(alloc, cur) {
 		return
 	}
 	if err := g.SetAllocation(alloc); err == nil {

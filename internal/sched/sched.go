@@ -6,6 +6,7 @@ package sched
 
 import (
 	"context"
+	"slices"
 
 	"dasesim/internal/config"
 	"dasesim/internal/core"
@@ -81,31 +82,29 @@ func LeftoverAllocation(cfg config.Config, ps []kernels.Profile) []int {
 	return out
 }
 
-// DASEFair is the paper's fairness-oriented SM partition policy (§7): each
-// interval it estimates every application's all-SM slowdown with DASE,
-// converts to reciprocals (Eq. 28), linearly interpolates each app's
-// reciprocal as a function of its SM count (Eqs. 29-30), exhaustively
-// searches all SM partitions for the one minimising estimated unfairness,
-// and re-partitions via SM draining when the predicted improvement exceeds
-// the hysteresis threshold.
-type DASEFair struct {
+// partitionPolicy is the interval loop DASE-Fair and DASE-Perf share:
+// estimate every app's slowdown with DASE, search the SM partitions for the
+// objective's optimum (search.go), and re-partition via SM draining when
+// the predicted improvement clears the hysteresis threshold.
+type partitionPolicy struct {
 	Est *core.DASE
 	// WarmupIntervals skipped before the first reallocation.
 	WarmupIntervals int
-	// ImprovementThreshold is the minimum predicted relative unfairness
-	// reduction required to trigger a reallocation (hysteresis).
+	// ImprovementThreshold is the minimum predicted relative improvement
+	// of the objective required to trigger a reallocation (hysteresis).
 	ImprovementThreshold float64
 	// MinSMs per application.
 	MinSMs int
-
-	intervals int
 	// Reallocations counts how many times the policy moved SMs.
 	Reallocations int
+
+	intervals int
+	cur       []int
+	search    PartitionSearch
 }
 
-// NewDASEFair returns the policy with the paper's defaults.
-func NewDASEFair() *DASEFair {
-	return &DASEFair{
+func newPartitionPolicy() partitionPolicy {
+	return partitionPolicy{
 		Est:                  core.New(core.Options{}),
 		WarmupIntervals:      1,
 		ImprovementThreshold: 0.05,
@@ -113,32 +112,46 @@ func NewDASEFair() *DASEFair {
 	}
 }
 
+func (p *partitionPolicy) onInterval(g *sim.GPU, snap *sim.IntervalSnapshot, name string, fair bool) {
+	p.intervals++
+	if p.intervals <= p.WarmupIntervals {
+		return
+	}
+	slow := tracedEstimates(p.Est, g, snap, name)
+	p.cur = currentSMs(p.cur, snap)
+	cur := p.cur
+	best, bestScore := p.search.search(slow, cur, snap.NumSMs, p.MinSMs, fair)
+	var curScore float64
+	var worth bool
+	if fair {
+		curScore = EstimatedUnfairness(slow, cur, cur, snap.NumSMs)
+		worth = bestScore < curScore*(1-p.ImprovementThreshold)
+	} else {
+		curScore = estimatedWeightedSpeedup(slow, cur, cur, snap.NumSMs)
+		worth = bestScore > curScore*(1+p.ImprovementThreshold)
+	}
+	realloc := best != nil && worth && !slices.Equal(best, cur) && g.SetAllocation(best) == nil
+	if realloc {
+		p.Reallocations++
+	}
+	emitDecision(g.Tracer(), snap, name, curScore, bestScore, best, realloc)
+}
+
+// DASEFair is the paper's fairness-oriented SM partition policy (§7): it
+// converts the DASE estimates to reciprocals (Eq. 28), linearly
+// interpolates each app's reciprocal as a function of its SM count
+// (Eqs. 29-30), and picks the partition minimising estimated unfairness.
+type DASEFair struct{ partitionPolicy }
+
+// NewDASEFair returns the policy with the paper's defaults.
+func NewDASEFair() *DASEFair { return &DASEFair{newPartitionPolicy()} }
+
 // Name implements Policy.
 func (p *DASEFair) Name() string { return "DASE-Fair" }
 
 // OnInterval implements Policy.
 func (p *DASEFair) OnInterval(g *sim.GPU, snap *sim.IntervalSnapshot) {
-	p.intervals++
-	if p.intervals <= p.WarmupIntervals {
-		return
-	}
-	slow := tracedEstimates(p.Est, g, snap, p.Name())
-	cur := make([]int, len(snap.Apps))
-	for i := range snap.Apps {
-		cur[i] = snap.Apps[i].SMs
-	}
-	best, bestUnf := SearchBestPartition(slow, cur, snap.NumSMs, p.MinSMs)
-	curUnf := EstimatedUnfairness(slow, cur, cur, snap.NumSMs)
-	realloc := best != nil &&
-		bestUnf < curUnf*(1-p.ImprovementThreshold) &&
-		!equalInts(best, cur)
-	if realloc {
-		realloc = g.SetAllocation(best) == nil
-		if realloc {
-			p.Reallocations++
-		}
-	}
-	emitDecision(g.Tracer(), snap, p.Name(), curUnf, bestUnf, best, realloc)
+	p.onInterval(g, snap, p.Name(), true)
 }
 
 // tracedEstimates runs the interval's DASE estimation, emitting one dase.app
@@ -187,122 +200,11 @@ func emitDecision(tr *telemetry.Tracer, snap *sim.IntervalSnapshot, policy strin
 	tr.Emit(e)
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// currentSMs refills buf with the snapshot's per-app SM counts.
+func currentSMs(buf []int, snap *sim.IntervalSnapshot) []int {
+	buf = buf[:0]
+	for i := range snap.Apps {
+		buf = append(buf, snap.Apps[i].SMs)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ReciprocalAt interpolates the reciprocal of an app's slowdown at x SMs
-// from its current estimate at cur SMs out of total (Eqs. 29-30): linear to
-// reciprocal 1 at all SMs and to 0 at zero SMs.
-func ReciprocalAt(recipCur float64, cur, x, total int) float64 {
-	if cur <= 0 {
-		return 0
-	}
-	if x == cur {
-		return recipCur
-	}
-	if x > cur {
-		if total == cur {
-			return recipCur
-		}
-		return recipCur + float64(x-cur)/float64(total-cur)*(1-recipCur)
-	}
-	return recipCur - float64(cur-x)/float64(cur)*recipCur
-}
-
-// EstimatedUnfairness predicts MAX/MIN slowdown for a candidate allocation
-// given the current estimates (taken at allocation cur).
-func EstimatedUnfairness(slow []float64, cur, cand []int, total int) float64 {
-	var minR, maxR float64
-	for i := range slow {
-		s := slow[i]
-		if s < 1 {
-			s = 1
-		}
-		r := ReciprocalAt(1/s, cur[i], cand[i], total)
-		if r <= 0 {
-			return 1e18 // an app starved entirely: infinitely unfair
-		}
-		if i == 0 || r < minR {
-			minR = r
-		}
-		if i == 0 || r > maxR {
-			maxR = r
-		}
-	}
-	return maxR / minR
-}
-
-// SearchBestPartition exhaustively enumerates all compositions of total SMs
-// into len(slow) parts (each >= minSMs) and returns the allocation with the
-// lowest predicted unfairness, along with that unfairness.
-func SearchBestPartition(slow []float64, cur []int, total, minSMs int) ([]int, float64) {
-	n := len(slow)
-	if n == 0 {
-		return nil, 0
-	}
-	return SearchBestPartitionScratch(slow, cur, total, minSMs, make([]int, n), make([]int, n))
-}
-
-// SearchBestPartitionScratch is SearchBestPartition with caller-provided
-// scratch: best and cand must each hold at least len(slow) entries, and the
-// returned partition aliases best. It allocates nothing, which makes it
-// usable on per-request serving hot paths. Candidates are enumerated in
-// ascending lexicographic order (ties keep the earliest candidate), exactly
-// matching SearchBestPartition.
-func SearchBestPartitionScratch(slow []float64, cur []int, total, minSMs int, best, cand []int) ([]int, float64) {
-	n := len(slow)
-	if n == 0 || minSMs*n > total || len(best) < n || len(cand) < n {
-		return nil, 0
-	}
-	best, cand = best[:n], cand[:n]
-	for i := 0; i < n-1; i++ {
-		cand[i] = minSMs
-	}
-	cand[n-1] = total - minSMs*(n-1)
-	bestUnf := -1.0
-	for {
-		u := EstimatedUnfairness(slow, cur, cand, total)
-		if bestUnf < 0 || u < bestUnf {
-			bestUnf = u
-			copy(best, cand)
-		}
-		if !nextComposition(cand, total, minSMs) {
-			break
-		}
-	}
-	return best, bestUnf
-}
-
-// nextComposition advances cand to the next composition of total into
-// len(cand) parts, each at least minSMs, in ascending lexicographic order of
-// the first len(cand)-1 positions (the last position is the remainder). It
-// reports false when cand already was the final composition.
-func nextComposition(cand []int, total, minSMs int) bool {
-	n := len(cand)
-	for j := n - 2; j >= 0; j-- {
-		pre := 1 // sum of cand[0..j] after incrementing cand[j]
-		for i := 0; i <= j; i++ {
-			pre += cand[i]
-		}
-		// Positions j+1..n-1 must each still get minSMs.
-		if total-pre < minSMs*(n-1-j) {
-			continue
-		}
-		cand[j]++
-		for i := j + 1; i < n-1; i++ {
-			cand[i] = minSMs
-		}
-		cand[n-1] = total - pre - minSMs*(n-2-j)
-		return true
-	}
-	return false
+	return buf
 }

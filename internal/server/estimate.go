@@ -46,11 +46,7 @@ func readBody(r *http.Request, buf []byte, max int64) ([]byte, error) {
 
 // isDraining reports whether shutdown has begun; estimation is refused then
 // so the listener can close promptly.
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) isDraining() bool { return s.draining.Load() }
 
 // writeEstimateError maps a Process failure onto 400 with the service's
 // error body, counting the rejection.

@@ -257,12 +257,9 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
 	status := "ok"
 	code := http.StatusOK
-	if draining {
+	if s.isDraining() {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}

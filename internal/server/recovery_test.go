@@ -28,11 +28,7 @@ func crash(t *testing.T, s *Server) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-		close(s.drainCh)
-	}
+	s.beginDrainLocked()
 	s.mu.Unlock()
 	s.baseCancel()
 	s.wg.Wait()

@@ -114,7 +114,7 @@ func (s *Server) finishJob(job *Job, res *JobResult, cacheHit bool, err error) {
 		s.finalizeLocked(job, StatusCanceled, "canceled", nil, false)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.finalizeLocked(job, StatusFailed, fmt.Sprintf("timeout after %v", job.plan.timeout), nil, false)
-	case isTransient(err) && job.Attempts <= s.opts.MaxRetries && !s.draining:
+	case isTransient(err) && job.Attempts <= s.opts.MaxRetries && !s.draining.Load():
 		job.Status = StatusQueued
 		job.LastError = err.Error()
 		attempt := job.Attempts
@@ -235,7 +235,7 @@ func (s *Server) requeueAfterBackoff(job *Job, delay time.Duration) {
 		if job.Status != StatusQueued {
 			return // canceled while backing off
 		}
-		if s.draining || len(s.queue) == cap(s.queue) {
+		if s.draining.Load() || len(s.queue) == cap(s.queue) {
 			s.finalizeLocked(job, StatusFailed, "retry abandoned: "+job.LastError, nil, false)
 			return
 		}
@@ -252,7 +252,7 @@ func (s *Server) requeueAfterBackoff(job *Job, delay time.Duration) {
 func (s *Server) TrySteal(thief string) (JobRequest, string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.draining.Load() {
 		return JobRequest{}, "", false
 	}
 	for {

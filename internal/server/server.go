@@ -34,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dasesim/internal/config"
@@ -240,13 +241,16 @@ type Server struct {
 	drainCh    chan struct{} // closed when draining begins; wakes retry backoffs
 	wg         sync.WaitGroup
 
+	// draining is set once, under mu (which orders it with the queue), and
+	// read lock-free by the estimate path, which touches nothing else here.
+	draining atomic.Bool
+
 	mu          sync.Mutex
 	rng         *rand.Rand                        // backoff jitter; guarded by mu
 	jitterFn    func(time.Duration) time.Duration // test hook; nil means full jitter
 	jobs        map[string]*Job
 	jobOrder    []string // submission order, for listing and record eviction
 	nextID      uint64
-	draining    bool
 	started     bool
 	readyChecks []readyCheck // extra readiness conditions (cluster quorum)
 }
@@ -665,6 +669,15 @@ func (s *Server) SLOStatuses() []slo.Status {
 	return s.sloEval.Statuses()
 }
 
+// beginDrainLocked starts the drain, once: submissions are refused from here
+// on, workers see the queue close, and retry backoffs wake. Callers hold mu.
+func (s *Server) beginDrainLocked() {
+	if s.draining.CompareAndSwap(false, true) {
+		close(s.queue)
+		close(s.drainCh)
+	}
+}
+
 // Shutdown gracefully stops the server: no new submissions are accepted,
 // queued and running jobs are drained (jobs waiting in retry backoff are
 // failed), and when ctx expires before the drain completes the remaining
@@ -672,11 +685,7 @@ func (s *Server) SLOStatuses() []slo.Status {
 // if any, is closed last. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-		close(s.drainCh)
-	}
+	s.beginDrainLocked()
 	started := s.started
 	s.mu.Unlock()
 	if !started {
@@ -739,7 +748,7 @@ func (s *Server) submitSpan(req JobRequest, parent telemetry.SpanContext) (*Job,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.draining.Load() {
 		return nil, ErrDraining
 	}
 	if len(s.queue) == cap(s.queue) {
@@ -971,7 +980,7 @@ func (s *Server) AddReadinessCheck(name string, fn func() error) {
 // alive but must not be routed to.
 func (s *Server) Ready() error {
 	s.mu.Lock()
-	started, draining := s.started, s.draining
+	started, draining := s.started, s.draining.Load()
 	checks := append([]readyCheck(nil), s.readyChecks...)
 	s.mu.Unlock()
 	if !started {
@@ -1004,11 +1013,7 @@ func (s *Server) Kill() {
 		_ = s.journal.Close()
 	}
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-		close(s.drainCh)
-	}
+	s.beginDrainLocked()
 	s.mu.Unlock()
 	s.baseCancel()
 	s.wg.Wait()

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dasesim/internal/telemetry"
 )
@@ -178,13 +179,22 @@ func TestTracedJobEndToEnd(t *testing.T) {
 		t.Fatalf("served chrome trace invalid: %v", err)
 	}
 
-	// The trace file landed in TraceDir and validates too.
-	data, err := os.ReadFile(filepath.Join(dir, v.ID+".trace.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := telemetry.ValidateChromeTrace(data); err != nil {
-		t.Fatalf("trace file invalid: %v", err)
+	// The trace file lands in TraceDir and validates too. The runner writes
+	// it after the job is visibly done (file I/O stays off the job path), so
+	// wait for the complete file rather than read it mid-write.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		data, err := os.ReadFile(filepath.Join(dir, v.ID+".trace.json"))
+		if err == nil {
+			err = telemetry.ValidateChromeTrace(data)
+		}
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace file invalid: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Slowdowns were computed, so the estimation-error histogram filled.

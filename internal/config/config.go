@@ -192,6 +192,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: RequestMaxFactor %v out of (0,1]", c.RequestMaxFactor)
 	case c.Mem.NumBanks <= 0 || c.Mem.RowBytes <= 0:
 		return errors.New("config: DRAM bank parameters must be positive")
+	case c.Mem.NumBanks > 64:
+		// The DRAM controller keeps one bit per bank in 64-bit masks (pending
+		// banks, per-app BLP); a 65th bank would silently drop out of both.
+		return fmt.Errorf("config: Mem.NumBanks %d exceeds the 64 banks a controller's masks hold", c.Mem.NumBanks)
 	case c.Mem.TBurst == 0:
 		return errors.New("config: Mem.TBurst must be positive")
 	case c.Mem.QueueDepth <= 0 || c.Mem.L2QueueDepth <= 0:

@@ -108,6 +108,7 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"atd-too-big", func(c *Config) { c.ATDSampledSets = 1 << 20 }, "exceeds"},
 		{"reqmax", func(c *Config) { c.RequestMaxFactor = 0 }, "RequestMaxFactor"},
 		{"banks", func(c *Config) { c.Mem.NumBanks = 0 }, "bank"},
+		{"banks-over-mask", func(c *Config) { c.Mem.NumBanks = 65 }, "64 banks"},
 		{"burst", func(c *Config) { c.Mem.TBurst = 0 }, "TBurst"},
 		{"queues", func(c *Config) { c.Mem.QueueDepth = 0 }, "queue"},
 		{"flits", func(c *Config) { c.ICNT.FlitBytes = 0 }, "packet"},
@@ -127,6 +128,16 @@ func TestValidateCatchesEachField(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestValidateBankMaskBound: 64 banks is the most a controller's bank masks
+// describe, and it is accepted.
+func TestValidateBankMaskBound(t *testing.T) {
+	c := Default()
+	c.Mem.NumBanks = 64
+	if err := c.Validate(); err != nil {
+		t.Fatalf("64 banks rejected: %v", err)
 	}
 }
 

@@ -3,6 +3,13 @@
 // and tRCD/tRP/CAS timing, and a shared data bus that moves one cache line
 // per TBurst core cycles.
 //
+// The scheduler is event-driven: what a cycle needs to know about a bank —
+// its first row hit inside the lookahead window, whether it is free with work
+// queued, when the next transfer completes, which banks an app queues or
+// executes on — is kept current at the four events that change it (Enqueue,
+// schedule, completion, refresh) and read, not rescanned, every cycle. DESIGN.md §10.1 lists which event invalidates which field;
+// CheckInvariants recomputes each of them from scratch.
+//
 // Besides timing, the controller maintains the per-application hardware
 // counters the paper's estimators read (Table I): served-request counters,
 // total bank-occupancy time (TimeRequest), bank-level-parallelism samples
@@ -106,12 +113,21 @@ func (b BusCounters) Wasted(totalData uint64) uint64 {
 
 type bank struct {
 	openRow   uint64
-	rowOpen   bool
 	readyAt   uint64 // earliest cycle the next command may start
 	busyUntil uint64 // current request completes (data fully transferred)
 	cur       *memreq.Request
+	rowOpen   bool
 	curRowHit bool
+	// hit is the queue index of the first request inside the lookahead
+	// window whose row is the open row, or -1 (always -1 while the row is
+	// closed). It changes only when the bank's queue or open row does.
+	hit int8
 }
+
+// maxApps bounds the applications one controller serves: the per-app bank
+// masks are fixed arrays so sampling BLP allocates nothing. sim.New rejects
+// larger workloads before a controller is built.
+const maxApps = 16
 
 // Controller is one memory partition's DRAM controller.
 type Controller struct {
@@ -129,6 +145,18 @@ type Controller struct {
 	// per bank, maintained incrementally so BLP sampling never rescans the
 	// queues.
 	queuedPerBank []int32
+
+	// Bank masks, bit i = bank i (config.Validate caps NumBanks at 64).
+	// pending: no request in service and a non-empty queue — the only banks
+	// the scheduler visits. busy: a request in service. queuedMask[app]:
+	// queuedPerBank > 0. execMask[app]: in service for that app.
+	pending    uint64
+	busy       uint64
+	queuedMask [maxApps]uint64
+	execMask   [maxApps]uint64
+	// nextDone is the earliest busyUntil over the busy banks; the completion
+	// sweep is skipped until now reaches it. Meaningless while busy == 0.
+	nextDone uint64
 
 	// lastRow[app*NumBanks+bank] is the app's last accessed row in bank
 	// (the last-access-row registers of Table I).
@@ -163,12 +191,19 @@ type Controller struct {
 
 // NewController builds a controller for partition id serving numApps apps.
 func NewController(cfg config.MemConfig, amap memreq.AddrMap, id, numApps int) *Controller {
+	if numApps > maxApps || cfg.NumBanks > 64 {
+		panic(fmt.Sprintf("dram: %d apps x %d banks exceeds the %d x 64 the bank masks hold", numApps, cfg.NumBanks, maxApps))
+	}
+	banks := make([]bank, cfg.NumBanks)
+	for i := range banks {
+		banks[i].hit = -1
+	}
 	return &Controller{
 		cfg:           cfg,
 		amap:          amap,
 		id:            id,
 		numApps:       numApps,
-		banks:         make([]bank, cfg.NumBanks),
+		banks:         banks,
 		queues:        make([][]*memreq.Request, cfg.NumBanks),
 		queuedPerBank: make([]int32, numApps*cfg.NumBanks),
 		lastRow:       make([]uint64, numApps*cfg.NumBanks),
@@ -194,9 +229,21 @@ func (c *Controller) Enqueue(r *memreq.Request) {
 	// open rows for every queued candidate every cycle, and AddrMap.Row's
 	// divisions dominated the controller's profile when recomputed there.
 	r.Row = c.amap.Row(r.Addr)
+	bnk := &c.banks[b]
+	bit := uint64(1) << uint(b)
+	if pos := len(c.queues[b]); bnk.hit < 0 && pos < rowHitLookahead && bnk.rowOpen && r.Row == bnk.openRow {
+		bnk.hit = int8(pos)
+	}
 	c.queues[b] = append(c.queues[b], r)
 	c.queued++
-	c.queuedPerBank[int(r.App)*c.cfg.NumBanks+b]++
+	if bnk.cur == nil {
+		c.pending |= bit
+	}
+	qi := int(r.App)*c.cfg.NumBanks + b
+	if c.queuedPerBank[qi] == 0 {
+		c.queuedMask[r.App] |= bit
+	}
+	c.queuedPerBank[qi]++
 	c.outstanding[r.App]++
 	c.apps[r.App].Enqueued++
 }
@@ -255,6 +302,7 @@ func (c *Controller) Cycle(now uint64) {
 		for i := range c.banks {
 			b := &c.banks[i]
 			b.rowOpen = false
+			b.hit = -1
 			if b.readyAt < end {
 				b.readyAt = end
 			}
@@ -264,22 +312,8 @@ func (c *Controller) Cycle(now uint64) {
 	}
 
 	// 1. Complete requests whose data transfer has finished.
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.cur != nil && now >= b.busyUntil {
-			r := b.cur
-			ac := &c.apps[r.App]
-			ac.Served++
-			ac.TimeInBanks += b.busyUntil - r.BankEnter
-			if b.curRowHit {
-				ac.RowHits++
-			} else {
-				ac.RowMisses++
-			}
-			c.outstanding[r.App]--
-			c.replies = append(c.replies, r)
-			b.cur = nil
-		}
+	if c.busy != 0 && now >= c.nextDone {
+		c.complete(now)
 	}
 
 	// 2. FR-FCFS: pick one request to schedule into its bank this cycle.
@@ -291,7 +325,7 @@ func (c *Controller) Cycle(now uint64) {
 	// request anywhere); data is accounted at scheduling time and waste is
 	// derived (see BusCounters).
 	c.bus.Cycles++
-	if now >= c.busBusyUntil && !c.busyOrPending() {
+	if now >= c.busBusyUntil && c.queued == 0 && c.busy == 0 {
 		c.bus.Idle++
 	}
 
@@ -301,16 +335,39 @@ func (c *Controller) Cycle(now uint64) {
 	}
 }
 
-func (c *Controller) busyOrPending() bool {
-	if c.queued > 0 {
-		return true
-	}
-	for i := range c.banks {
-		if c.banks[i].cur != nil {
-			return true
+// complete retires, in ascending bank order, every in-service request whose
+// transfer has finished, and resets nextDone to the earliest one left.
+func (c *Controller) complete(now uint64) {
+	next := ^uint64(0)
+	for m := c.busy; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b := &c.banks[i]
+		if now < b.busyUntil {
+			if b.busyUntil < next {
+				next = b.busyUntil
+			}
+			continue
+		}
+		r := b.cur
+		ac := &c.apps[r.App]
+		ac.Served++
+		ac.TimeInBanks += b.busyUntil - r.BankEnter
+		if b.curRowHit {
+			ac.RowHits++
+		} else {
+			ac.RowMisses++
+		}
+		c.outstanding[r.App]--
+		c.replies = append(c.replies, r)
+		b.cur = nil
+		bit := uint64(1) << uint(i)
+		c.busy &^= bit
+		c.execMask[r.App] &^= bit
+		if len(c.queues[i]) > 0 {
+			c.pending |= bit
 		}
 	}
-	return false
+	c.nextDone = next
 }
 
 // actAllowed reports whether a row activation may issue at now (tRRD from
@@ -340,7 +397,7 @@ const rowHitLookahead = 8
 // pickRequest selects the (bank, queue index) of the request to schedule,
 // or (-1, -1), according to the active scheduling policy.
 func (c *Controller) pickRequest(now uint64) (int, int) {
-	if c.queued == 0 {
+	if c.pending == 0 {
 		return -1, -1
 	}
 	if !c.cfg.AppAwareRR || c.numApps <= 1 {
@@ -366,23 +423,34 @@ func (c *Controller) pickRequest(now uint64) (int, int) {
 // within the lookahead window, else the head; across banks the order is
 // priority app > row hit > oldest arrival. Requests needing an activation
 // are ineligible while the tRRD/tFAW window forbids one.
+//
+// Only pending banks are visited, in ascending bank order, and a later bank
+// replaces the incumbent only on strict improvement — the order and rule of
+// a loop over every bank. The unrestricted row-hit candidate is the bank's
+// cached hit index; the restricted picks (a priority app, a round-robin app)
+// ask for the first match of one app, which the cache does not hold, so they
+// scan the window.
 func (c *Controller) pickFRFCFS(now uint64, only memreq.AppID) (int, int) {
 	bestBank, bestIdx := -1, -1
 	var bestSeq uint64
 	bestHit := false
 	bestPrio := false
 	actOK := c.actAllowed(now)
-	for bi := range c.banks {
+	// The prioritized app's oldest request in a bank preempts the bank-local
+	// FR-FCFS choice (MISE/ASM's highest-priority epochs).
+	scanPrio := c.prio != memreq.InvalidApp && (only == memreq.InvalidApp || only == c.prio)
+	for m := c.pending; m != 0; m &= m - 1 {
+		bi := bits.TrailingZeros64(m)
 		bnk := &c.banks[bi]
-		if bnk.cur != nil || now < bnk.readyAt || len(c.queues[bi]) == 0 {
+		// Without a row hit in its window every candidate of this bank —
+		// the priority app's included — needs an activation.
+		if now < bnk.readyAt || (bnk.hit < 0 && !actOK) {
 			continue
 		}
 		q := c.queues[bi]
 		idx := -1
 		hit := false
-		// The prioritized app's oldest request in this bank preempts the
-		// bank-local FR-FCFS choice (MISE/ASM's highest-priority epochs).
-		if c.prio != memreq.InvalidApp && (only == memreq.InvalidApp || only == c.prio) {
+		if scanPrio {
 			for k := 0; k < len(q) && k < rowHitLookahead; k++ {
 				if q[k].App == c.prio {
 					h := bnk.rowOpen && q[k].Row == bnk.openRow
@@ -394,15 +462,16 @@ func (c *Controller) pickFRFCFS(now uint64, only memreq.AppID) (int, int) {
 				}
 			}
 		}
-		if idx == -1 && bnk.rowOpen {
-			row := bnk.openRow
-			for k := 0; k < len(q) && k < rowHitLookahead; k++ {
-				if only != memreq.InvalidApp && q[k].App != only {
-					continue
-				}
-				if q[k].Row == row {
-					idx, hit = k, true
-					break
+		if idx == -1 && bnk.hit >= 0 {
+			if only == memreq.InvalidApp {
+				idx, hit = int(bnk.hit), true
+			} else {
+				// No request ahead of the cached index is a hit for anyone.
+				for k := int(bnk.hit); k < len(q) && k < rowHitLookahead; k++ {
+					if q[k].App == only && q[k].Row == bnk.openRow {
+						idx, hit = k, true
+						break
+					}
 				}
 			}
 		}
@@ -442,9 +511,16 @@ func (c *Controller) pickFRFCFS(now uint64, only memreq.AppID) (int, int) {
 func (c *Controller) schedule(bi, idx int, now uint64) {
 	q := c.queues[bi]
 	r := q[idx]
-	c.queues[bi] = append(q[:idx], q[idx+1:]...)
+	q = append(q[:idx], q[idx+1:]...)
+	c.queues[bi] = q
 	c.queued--
-	c.queuedPerBank[int(r.App)*c.cfg.NumBanks+bi]--
+	bit := uint64(1) << uint(bi)
+	li := int(r.App)*c.cfg.NumBanks + bi
+	c.queuedPerBank[li]--
+	if c.queuedPerBank[li] == 0 {
+		c.queuedMask[r.App] &^= bit
+	}
+	c.pending &^= bit
 
 	row := r.Row
 	b := &c.banks[bi]
@@ -466,7 +542,6 @@ func (c *Controller) schedule(bi, idx int, now uint64) {
 
 	// Extra-row-buffer-miss detection (Eq. 10): the app re-opens the row it
 	// accessed last in this bank, so the intervening close was interference.
-	li := int(r.App)*c.cfg.NumBanks + bi
 	if !rowHit && c.lastRowValid[li] && c.lastRow[li] == row {
 		c.apps[r.App].ERBMiss++
 	}
@@ -475,6 +550,9 @@ func (c *Controller) schedule(bi, idx int, now uint64) {
 
 	b.rowOpen = true
 	b.openRow = row
+	// The queue shrank and the open row may have changed: find the bank's
+	// first row hit again (the one place a cached index can shift or die).
+	b.hit = firstRowHit(q, row)
 
 	// Data-bus reservation: the burst starts when both the bank commands
 	// have completed and the bus is free.
@@ -490,48 +568,43 @@ func (c *Controller) schedule(bi, idx int, now uint64) {
 	b.busyUntil = dataEnd
 	b.readyAt = dataEnd // next command to this bank after data completes
 	r.BankEnter = now
+	if c.busy == 0 {
+		// Transfers share one data bus, so this one ends after every
+		// transfer already in service and only an idle controller needs a
+		// new earliest completion.
+		c.nextDone = dataEnd
+	}
+	c.busy |= bit
+	c.execMask[r.App] |= bit
 
 	c.apps[r.App].DataBusCycles += c.cfg.TBurst
 }
 
-// sampleBLP takes one bank-level-parallelism sample for every app with
-// outstanding work.
-func (c *Controller) sampleBLP() {
-	// execCount[app] = banks executing app's request; busyMask = banks the
-	// app is executing on; the queued-bank masks come from the incremental
-	// queuedPerBank counts, so no queue is rescanned.
-	var execCount [16]int // supports up to 16 apps without allocation
-	var busyMask [16]uint64
-	nApps := c.numApps
-	if nApps > len(execCount) {
-		nApps = len(execCount)
-	}
-	var anyBusy uint64
-	for i := range c.banks {
-		if r := c.banks[i].cur; r != nil && int(r.App) < nApps {
-			execCount[r.App]++
-			busyMask[r.App] |= 1 << uint(i)
-			anyBusy |= 1 << uint(i)
+// firstRowHit returns the index of the first request within the lookahead
+// window of q whose row is row, or -1.
+func firstRowHit(q []*memreq.Request, row uint64) int8 {
+	for k := 0; k < len(q) && k < rowHitLookahead; k++ {
+		if q[k].Row == row {
+			return int8(k)
 		}
 	}
-	for a := 0; a < nApps; a++ {
+	return -1
+}
+
+// sampleBLP takes one bank-level-parallelism sample for every app with
+// outstanding work, from the per-app bank masks.
+func (c *Controller) sampleBLP() {
+	for a := 0; a < c.numApps; a++ {
 		if c.outstanding[a] == 0 {
 			continue
 		}
-		var queuedMask uint64
-		base := a * c.cfg.NumBanks
-		for bi := 0; bi < c.cfg.NumBanks; bi++ {
-			if c.queuedPerBank[base+bi] > 0 {
-				queuedMask |= 1 << uint(bi)
-			}
-		}
+		queued, exec := c.queuedMask[a], c.execMask[a]
 		ac := &c.apps[a]
 		ac.BLPSamples++
-		ac.BLPAccessSum += uint64(execCount[a])
-		ac.BLPSum += uint64(popcount(busyMask[a] | queuedMask))
+		ac.BLPAccessSum += uint64(popcount(exec))
+		ac.BLPSum += uint64(popcount(exec | queued))
 		// Banks the app waits on that are busy with someone else's work.
-		blockedByOther := queuedMask & anyBusy &^ busyMask[a]
-		ac.BLPBlockedSum += uint64(popcount(blockedByOther))
+		ac.BLPBlockedSum += uint64(popcount(queued & c.busy &^ exec))
 	}
 }
 
@@ -567,7 +640,12 @@ func (c *Controller) ForEachInFlight(fn func(*memreq.Request)) {
 //   - every buffered request sits in the bank queue its address maps to and
 //     carries Row equal to a fresh AddrMap.Row of its address (the cached-row
 //     optimization never diverges from recomputation);
-//   - a bank with a request in service has its row open.
+//   - a bank with a request in service has its row open;
+//   - every bank's cached hit index equals a fresh scan of its lookahead
+//     window against the open row, and is -1 while the row is closed;
+//   - the pending and busy masks and every app's queuedMask and execMask
+//     equal masks rebuilt from the banks and the recount;
+//   - nextDone is no later than any in-service request's completion.
 //
 // It is O(requests) and meant for debug runs (sim.WithInvariantChecks), not
 // the per-cycle hot path.
@@ -602,10 +680,27 @@ func (c *Controller) CheckInvariants() error {
 				c.id, i/c.cfg.NumBanks, i%c.cfg.NumBanks, got, want)
 		}
 	}
+	var pending, busy uint64
+	var execMask [maxApps]uint64
 	for bi := range c.banks {
 		b := &c.banks[bi]
+		bit := uint64(1) << uint(bi)
+		want := int8(-1)
+		if b.rowOpen {
+			want = firstRowHit(c.queues[bi], b.openRow)
+		}
+		if b.hit != want {
+			return fmt.Errorf("dram %d: bank %d caches hit index %d, fresh scan finds %d", c.id, bi, b.hit, want)
+		}
 		if b.cur == nil {
+			if len(c.queues[bi]) > 0 {
+				pending |= bit
+			}
 			continue
+		}
+		busy |= bit
+		if b.busyUntil < c.nextDone {
+			return fmt.Errorf("dram %d: nextDone %d is past bank %d's completion at %d", c.id, c.nextDone, bi, b.busyUntil)
 		}
 		// An all-bank refresh closes rows under an in-flight transfer: the
 		// burst finishes (cur stays, busyUntil unchanged) while readyAt is
@@ -618,14 +713,31 @@ func (c *Controller) CheckInvariants() error {
 			return fmt.Errorf("dram %d: bank %d serves request with app %d outside [0,%d)", c.id, bi, b.cur.App, c.numApps)
 		}
 		inService[b.cur.App]++
+		execMask[b.cur.App] |= bit
+	}
+	if c.pending != pending {
+		return fmt.Errorf("dram %d: pending mask %#x, free banks with queued work are %#x", c.id, c.pending, pending)
+	}
+	if c.busy != busy {
+		return fmt.Errorf("dram %d: busy mask %#x, banks in service are %#x", c.id, c.busy, busy)
 	}
 	for a := 0; a < c.numApps; a++ {
 		want := inService[a]
+		var queuedMask uint64
 		for bi := 0; bi < c.cfg.NumBanks; bi++ {
-			want += int(counts[a*c.cfg.NumBanks+bi])
+			if n := counts[a*c.cfg.NumBanks+bi]; n > 0 {
+				want += int(n)
+				queuedMask |= 1 << uint(bi)
+			}
 		}
 		if got := c.outstanding[a]; got != want {
 			return fmt.Errorf("dram %d: outstanding[%d] = %d, queues+banks hold %d", c.id, a, got, want)
+		}
+		if got := c.queuedMask[a]; got != queuedMask {
+			return fmt.Errorf("dram %d: queuedMask[%d] = %#x, recount gives %#x", c.id, a, got, queuedMask)
+		}
+		if got := c.execMask[a]; got != execMask[a] {
+			return fmt.Errorf("dram %d: execMask[%d] = %#x, banks serve it on %#x", c.id, a, got, execMask[a])
 		}
 	}
 	return nil

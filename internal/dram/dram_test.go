@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -327,5 +328,78 @@ func TestAllRequestsEventuallyServedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsCatchesEventState corrupts, one at a time, each field
+// the event-driven scheduler maintains incrementally and expects
+// CheckInvariants to name it. The state has bank 0 in service on row 0 with a
+// conflict and then a row hit queued behind it (cached hit index 1), and
+// bank 1 free with work it cannot start inside the tRRD window.
+func TestCheckInvariantsCatchesEventState(t *testing.T) {
+	build := func() *Controller {
+		c := NewController(fuzzMemConfig(), fuzzAddrMap(), 0, 2)
+		c.Enqueue(&memreq.Request{App: 0, Addr: fuzzAddr(0)}) // bank 0, row 0
+		c.Cycle(0)
+		c.Enqueue(&memreq.Request{App: 1, Addr: fuzzAddr(64)}) // bank 0, row 4
+		c.Enqueue(&memreq.Request{App: 1, Addr: fuzzAddr(1)})  // bank 0, row 0
+		c.Enqueue(&memreq.Request{App: 1, Addr: fuzzAddr(16)}) // bank 1
+		c.Cycle(1)
+		return c
+	}
+	c := build()
+	if c.banks[0].hit != 1 || c.busy != 1 || c.pending != 2 || c.queuedMask[1] != 3 || c.execMask[0] != 1 {
+		t.Fatalf("unexpected state: hit %d busy %#x pending %#x queuedMask[1] %#x execMask[0] %#x",
+			c.banks[0].hit, c.busy, c.pending, c.queuedMask[1], c.execMask[0])
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("uncorrupted controller: %v", err)
+	}
+	for _, tc := range []struct {
+		field   string
+		corrupt func(*Controller)
+	}{
+		{"hit index", func(c *Controller) { c.banks[0].hit = -1 }},
+		{"hit index", func(c *Controller) { c.banks[1].hit = 0 }}, // row closed
+		{"pending", func(c *Controller) { c.pending = 0 }},
+		{"busy", func(c *Controller) { c.busy |= 2 }},
+		{"nextDone", func(c *Controller) { c.nextDone = c.banks[0].busyUntil + 1 }},
+		{"queuedMask", func(c *Controller) { c.queuedMask[1] &^= 1 }},
+		{"execMask", func(c *Controller) { c.execMask[0] = 0 }},
+	} {
+		c := build()
+		tc.corrupt(c)
+		err := c.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("corrupted %s: got %v", tc.field, err)
+		}
+	}
+}
+
+// TestNewControllerRejectsMaskOverflow: the bank and app masks are fixed
+// width, and building a controller they cannot describe is a caller bug
+// (config.Validate and sim.New reject both sizes first).
+func TestNewControllerRejectsMaskOverflow(t *testing.T) {
+	cfg, amap := testSetup()
+	wide := cfg
+	wide.NumBanks = 65
+	for _, tc := range []struct {
+		name    string
+		cfg     config.MemConfig
+		numApps int
+		panics  bool
+	}{
+		{"16 apps, 64 banks", func() config.MemConfig { c := cfg; c.NumBanks = 64; return c }(), 16, false},
+		{"17 apps", cfg, 17, true},
+		{"65 banks", wide, 1, true},
+	} {
+		func() {
+			defer func() {
+				if got := recover() != nil; got != tc.panics {
+					t.Errorf("%s: panicked %v, want %v", tc.name, got, tc.panics)
+				}
+			}()
+			NewController(tc.cfg, amap, 0, tc.numApps)
+		}()
 	}
 }

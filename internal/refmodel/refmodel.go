@@ -3,8 +3,9 @@
 // slice-based FIFO (vs ring.Buffer), a map-based MSHR address index (vs the
 // open-addressed mshrIndex), a fresh-allocation request source (vs
 // memreq.Pool), a from-scratch per-bank queue recount (vs the incremental
-// queuedPerBank counters), and a row-recomputing FR-FCFS pick (vs the
-// cached-Row scheduler path); and, for the scheduler's partition search, the
+// queuedPerBank counters and per-app bank masks), and a scan-every-bank,
+// row-recomputing FR-FCFS pick (vs the DRAM controller's cached rows, cached
+// per-bank hit index and pending-bank mask); and, for the scheduler's partition search, the
 // score-every-candidate loop it replaced (partition.go).
 //
 // Nothing here is fast, and that is the point: each model is written to be
@@ -154,7 +155,10 @@ type FRFCFSReq struct {
 	Seq  uint64 // arrival sequence number (FCFS tiebreak)
 }
 
-// FRFCFSPick is the naive row-scanning FR-FCFS selection: per free bank the
+// FRFCFSPick is the naive row-scanning FR-FCFS selection, the only
+// from-scratch scan in the tree: every bank is visited and every lookahead
+// window re-read on every call, where dram.Controller reads state it keeps
+// current at enqueue, schedule, completion and refresh. Per free bank the
 // candidate is the prioritized app's oldest request within the lookahead
 // window if one exists, else the first row hit within the window, else the
 // head; across banks the order is priority app > row hit > oldest arrival.

@@ -136,15 +136,24 @@ func WithTracer(tr *telemetry.Tracer) Option {
 // disabled. Policies use this to emit into the same stream as the engine.
 func (g *GPU) Tracer() *telemetry.Tracer { return g.tracer }
 
+// maxApps is the most applications one GPU runs: each DRAM controller keeps
+// its per-app bank masks in arrays of this size (dram.NewController panics
+// beyond it), and app 16 of a larger workload used to go unsampled, reading
+// BLP 0 into DASE.
+const maxApps = 16
+
 // New builds a GPU running the given application profiles with alloc[i] SMs
-// initially assigned to app i. The sum of alloc must not exceed the SM
-// count; SMs are assigned contiguously in order.
+// initially assigned to app i, at most maxApps of them. The sum of alloc must
+// not exceed the SM count; SMs are assigned contiguously in order.
 func New(cfg config.Config, profiles []kernels.Profile, alloc []int, seed uint64, opts ...Option) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("sim: no applications")
+	}
+	if len(profiles) > maxApps {
+		return nil, fmt.Errorf("sim: %d applications, at most %d are supported", len(profiles), maxApps)
 	}
 	if len(alloc) != len(profiles) {
 		return nil, fmt.Errorf("sim: %d allocations for %d apps", len(alloc), len(profiles))

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"dasesim/internal/config"
+	"dasesim/internal/dram"
 	"dasesim/internal/kernels"
+	"dasesim/internal/memreq"
 )
 
 func twoApps(t *testing.T) []kernels.Profile {
@@ -28,6 +30,15 @@ func TestNewRejectsBadInputs(t *testing.T) {
 		build func() error
 	}{
 		{"no apps", func() error { _, err := New(cfg, nil, nil, 1); return err }},
+		{"17 apps", func() error {
+			many, alloc := make([]kernels.Profile, 17), make([]int, 17)
+			for i := range many {
+				many[i] = ps[i%2]
+			}
+			alloc[0] = 16
+			_, err := New(cfg, many, alloc, 1)
+			return err
+		}},
 		{"alloc mismatch", func() error { _, err := New(cfg, ps, []int{8}, 1); return err }},
 		{"negative alloc", func() error { _, err := New(cfg, ps, []int{17, -1}, 1); return err }},
 		{"empty alloc", func() error { _, err := New(cfg, ps, []int{0, 0}, 1); return err }},
@@ -49,6 +60,49 @@ func TestNewRejectsBadInputs(t *testing.T) {
 		if tc.build() == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestNewAcceptsSixteenApps: sixteen applications is the supported maximum
+// (the DRAM controllers' per-app mask arrays), and every one of them is
+// BLP-sampled.
+func TestNewAcceptsSixteenApps(t *testing.T) {
+	cfg := config.Default()
+	ps := twoApps(t)
+	many, alloc := make([]kernels.Profile, 16), make([]int, 16)
+	for i := range many {
+		many[i], alloc[i] = ps[0], 1
+	}
+	g, err := New(cfg, many, alloc, 1)
+	if err != nil {
+		t.Fatalf("16 apps rejected: %v", err)
+	}
+	g.Run(5_000)
+	var samples uint64
+	for _, p := range g.parts {
+		samples += p.mc.Counters(15).BLPSamples
+	}
+	if samples == 0 {
+		t.Fatal("app 15 never BLP-sampled")
+	}
+}
+
+// TestMaxAppsMatchesController: sim.maxApps and the controller's own bound
+// are two constants; this fails if they drift, before New can accept a
+// workload that panics inside dram.NewController.
+func TestMaxAppsMatchesController(t *testing.T) {
+	cfg := config.Default()
+	amap := memreq.NewAddrMap(cfg.L2.LineBytes, cfg.NumMCs, cfg.Mem.NumBanks, cfg.Mem.RowBytes)
+	panics := func(apps int) (p bool) {
+		defer func() { p = recover() != nil }()
+		dram.NewController(cfg.Mem, amap, 0, apps)
+		return
+	}
+	if panics(maxApps) {
+		t.Errorf("dram.NewController rejects %d apps, which sim.New accepts", maxApps)
+	}
+	if !panics(maxApps + 1) {
+		t.Errorf("dram.NewController accepts %d apps, which sim.New rejects", maxApps+1)
 	}
 }
 

@@ -27,7 +27,8 @@ import (
 // currently available (kernel fully dispatched). BlockFinished is called
 // when every warp of a previously dispatched block has retired.
 // WarpsPerBlock exposes the block width so an SM can check residency limits
-// before consuming a block.
+// before consuming a block; it is a constant of the source, read once when
+// the SM is assigned.
 type BlockSource interface {
 	NextBlock() (warps []*kernels.WarpStream, ok bool)
 	BlockFinished()
@@ -108,6 +109,11 @@ type SM struct {
 	owner    memreq.AppID
 	source   BlockSource
 	draining bool
+	// The owner's block width and how many of its blocks fit (MaxBlocks and
+	// warp capacity), fixed by Assign so the per-cycle dispatch check is two
+	// integer compares.
+	warpsPerBlock int
+	blockCap      int
 
 	// deferFinish redirects BlockFinished notifications into a counter that
 	// the caller replays later with ReplayFinishes. The parallel cycle engine
@@ -195,6 +201,16 @@ func (sm *SM) Assign(app memreq.AppID, src BlockSource) {
 	sm.owner = app
 	sm.source = src
 	sm.draining = false
+	if src != nil {
+		sm.warpsPerBlock = src.WarpsPerBlock()
+		sm.blockCap = sm.cfg.SM.MaxWarps / sm.warpsPerBlock
+		if sm.blockCap < 1 {
+			sm.blockCap = 1
+		}
+		if sm.blockCap > sm.maxResident {
+			sm.blockCap = sm.maxResident
+		}
+	}
 	sm.l1.Reset() // context switch flushes the private cache
 }
 
@@ -239,18 +255,6 @@ func (sm *SM) PopOutbox() *memreq.Request {
 	return sm.outbox.PopFront()
 }
 
-// maxBlocksByWarps returns how many blocks of the given width fit.
-func (sm *SM) maxBlocksFor(warpsPerBlock int) int {
-	byWarps := sm.cfg.SM.MaxWarps / warpsPerBlock
-	if byWarps < 1 {
-		byWarps = 1
-	}
-	if byWarps > sm.maxResident {
-		byWarps = sm.maxResident
-	}
-	return byWarps
-}
-
 // tryDispatch fills free block slots from the source, respecting the
 // residency limits (MaxBlocks and warp capacity). It reports whether the SM
 // still had room for a block the source could not supply ("hungry") — the
@@ -260,8 +264,7 @@ func (sm *SM) tryDispatch() (hungry bool) {
 	if sm.draining || sm.source == nil {
 		return false
 	}
-	wpb := sm.source.WarpsPerBlock()
-	for sm.resident < sm.maxBlocksFor(wpb) && len(sm.freeSlots) >= wpb {
+	for sm.resident < sm.blockCap && len(sm.freeSlots) >= sm.warpsPerBlock {
 		slot := -1
 		for i := 0; i < sm.maxResident; i++ {
 			if sm.blockWarps[i] == 0 {

@@ -101,6 +101,26 @@ func TestResidencyLimits(t *testing.T) {
 	if sm2.ResidentBlocks() != 2 {
 		t.Fatalf("wide resident blocks = %d, want 2", sm2.ResidentBlocks())
 	}
+	// The limits are fixed per assignment, not per SM: an idle SM handed a
+	// source of another width dispatches to that source's cap.
+	sm3 := newSM()
+	sm3.Assign(0, &fakeSource{p: wide, blocks: 0})
+	sm3.Cycle(0)
+	sm3.Assign(1, &fakeSource{p: computeProfile(), blocks: 100})
+	sm3.Cycle(1)
+	if sm3.ResidentBlocks() != 8 {
+		t.Fatalf("resident blocks after reassignment = %d, want 8", sm3.ResidentBlocks())
+	}
+	// A block wider than the SM's warp capacity never becomes resident.
+	sm4 := newSM()
+	huge := computeProfile()
+	huge.WarpsPerBlock = 64
+	src4 := &fakeSource{p: huge, blocks: 100}
+	sm4.Assign(0, src4)
+	sm4.Cycle(0)
+	if sm4.ResidentBlocks() != 0 || src4.next != 0 {
+		t.Fatalf("oversized block dispatched: resident %d, consumed %d", sm4.ResidentBlocks(), src4.next)
+	}
 }
 
 func TestMemoryRequestsFlow(t *testing.T) {

@@ -284,6 +284,18 @@ func (c *Cache) AccessIdx(app memreq.AppID, set int, addr uint64, write bool) (A
 	return Miss, int(slot)
 }
 
+// NoteBlocked books what a Blocked access does to the cache — one LRU stamp
+// and app's Accesses and Blockings — without the lookup. It is for a caller
+// that already knows the verdict: the cache state a Blocked verdict depends
+// on (line absent; no free MSHR, or the line's MSHR at its merge cap) only
+// changes on a Fill or Reset, so a retry before either is Blocked again.
+func (c *Cache) NoteBlocked(app memreq.AppID) {
+	c.stamp++
+	st := &c.stats[app]
+	st.Accesses++
+	st.Blockings++
+}
+
 // Probe reports whether the line is present without updating LRU or stats.
 func (c *Cache) Probe(set int, addr uint64) bool {
 	ways := c.setSlice(set)

@@ -77,6 +77,49 @@ func TestMSHRExhaustion(t *testing.T) {
 	}
 }
 
+// TestNoteBlockedMatchesBlockedAccess: two caches driven identically except
+// that one replaces each Blocked access by NoteBlocked end in the same state
+// — per-app stats, and the LRU stamp as witnessed by the next eviction.
+func TestNoteBlockedMatchesBlockedAccess(t *testing.T) {
+	a, b := smallCache(), smallCache()
+	for _, c := range []*Cache{a, b} {
+		for i := uint64(0); i < 4; i++ { // all four MSHRs
+			if res := c.Access(1, 0, 0x1000+i*0x200); res != Miss {
+				t.Fatalf("setup access %d = %v", i, res)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if res := a.Access(1, 0, 0x9000); res != Blocked {
+			t.Fatalf("access with no free MSHR = %v, want blocked", res)
+		}
+		b.NoteBlocked(1)
+	}
+	for _, c := range []*Cache{a, b} {
+		for i := uint64(0); i < 4; i++ {
+			c.Fill(1, 0, 0x1000+i*0x200)
+		}
+		c.Access(1, 0, 0x1000) // make line 0 the most recent
+		c.Access(1, 0, 0x9000)
+		c.Fill(1, 0, 0x9000) // evicts the oldest of the other three
+	}
+	if a.stamp != b.stamp {
+		t.Fatalf("LRU stamp %d after blocked accesses, %d after NoteBlocked", a.stamp, b.stamp)
+	}
+	if sa, sb := a.Stats(1), b.Stats(1); sa != sb || sa.Blockings != 3 {
+		t.Fatalf("stats %+v after blocked accesses, %+v after NoteBlocked", sa, sb)
+	}
+	if sa, sb := a.Stats(0), b.Stats(0); sa != sb || sa != (Stats{}) {
+		t.Fatalf("the other app's stats moved: %+v, %+v", sa, sb)
+	}
+	for i := uint64(0); i < 4; i++ {
+		addr := 0x1000 + i*0x200
+		if pa, pb := a.Probe(0, addr), b.Probe(0, addr); pa != pb {
+			t.Fatalf("line %#x resident %v after blocked accesses, %v after NoteBlocked", addr, pa, pb)
+		}
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := smallCache()
 	// Fill set 2 with 4 lines, touching them in order.

@@ -173,6 +173,18 @@ func Large() Config {
 	return c
 }
 
+// WheelHorizon is the span, in core cycles, of an SM's timing wheel: a warp
+// wake scheduled d cycles ahead lands in slot (now+d) % WheelHorizon, so any
+// latency an SM schedules by — L1.HitLatency here, a kernel's ComputeLat in
+// kernels.Profile.Validate — must be below it or the wake aliases to an
+// earlier cycle. maxWheelWarps is what the wheel's packed 16-bit entry
+// (warp<<1 | kind, smcore.wheelEntry) leaves for the warp index, the bound on
+// SM.MaxWarps.
+const (
+	WheelHorizon  = 128
+	maxWheelWarps = 1 << 15
+)
+
 // Validate reports the first structural problem with the configuration.
 func (c Config) Validate() error {
 	switch {
@@ -182,6 +194,8 @@ func (c Config) Validate() error {
 		return errors.New("config: NumMCs must be positive")
 	case c.SM.MaxWarps <= 0 || c.SM.WarpSize <= 0 || c.SM.IssueWidth <= 0:
 		return errors.New("config: SM warp parameters must be positive")
+	case c.SM.MaxWarps > maxWheelWarps:
+		return fmt.Errorf("config: SM.MaxWarps %d exceeds the %d warps a timing-wheel entry can name", c.SM.MaxWarps, maxWheelWarps)
 	case c.SM.MaxBlocks <= 0:
 		return errors.New("config: SM.MaxBlocks must be positive")
 	case c.IntervalCycles == 0:
@@ -216,6 +230,10 @@ func (c Config) Validate() error {
 		if err := cc.c.validate(); err != nil {
 			return fmt.Errorf("config: %s: %w", cc.name, err)
 		}
+	}
+	if c.L1.HitLatency >= WheelHorizon {
+		// The SM would wake the warp HitLatency % WheelHorizon cycles later.
+		return fmt.Errorf("config: L1.HitLatency %d must be below the SM timing-wheel horizon %d", c.L1.HitLatency, WheelHorizon)
 	}
 	if c.L1.LineBytes != c.L2.LineBytes {
 		return errors.New("config: L1 and L2 line sizes must match")

@@ -102,7 +102,10 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"sms", func(c *Config) { c.NumSMs = 0 }, "NumSMs"},
 		{"mcs", func(c *Config) { c.NumMCs = 0 }, "NumMCs"},
 		{"warps", func(c *Config) { c.SM.MaxWarps = 0 }, "warp"},
+		{"warps-over-wheel-entry", func(c *Config) { c.SM.MaxWarps = maxWheelWarps + 1 }, "timing-wheel entry"},
 		{"blocks", func(c *Config) { c.SM.MaxBlocks = 0 }, "MaxBlocks"},
+		{"l1-hit-latency-at-horizon", func(c *Config) { c.L1.HitLatency = WheelHorizon }, "timing-wheel horizon"},
+		{"l1-hit-latency-past-horizon", func(c *Config) { c.L1.HitLatency = 200 }, "timing-wheel horizon"},
 		{"interval", func(c *Config) { c.IntervalCycles = 0 }, "Interval"},
 		{"atd", func(c *Config) { c.ATDSampledSets = 0 }, "ATD"},
 		{"atd-too-big", func(c *Config) { c.ATDSampledSets = 1 << 20 }, "exceeds"},
@@ -138,6 +141,19 @@ func TestValidateBankMaskBound(t *testing.T) {
 	c.Mem.NumBanks = 64
 	if err := c.Validate(); err != nil {
 		t.Fatalf("64 banks rejected: %v", err)
+	}
+}
+
+// TestValidateWheelBounds: the largest latency and warp count the SM's timing
+// wheel represents are accepted, and the L2's hit latency (not scheduled on
+// the wheel) is not bounded by it.
+func TestValidateWheelBounds(t *testing.T) {
+	c := Default()
+	c.L1.HitLatency = WheelHorizon - 1
+	c.L2.HitLatency = 4 * WheelHorizon
+	c.SM.MaxWarps = maxWheelWarps
+	if err := c.Validate(); err != nil {
+		t.Fatalf("in-bounds wheel configuration rejected: %v", err)
 	}
 }
 

@@ -8,7 +8,11 @@
 // DESIGN.md §2 for why this substitution preserves the evaluated behaviour).
 package kernels
 
-import "fmt"
+import (
+	"fmt"
+
+	"dasesim/internal/config"
+)
 
 // Pattern selects how a kernel's warps generate addresses.
 type Pattern uint8
@@ -110,6 +114,9 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("kernel %s: MemFrac %v out of [0,1]", p.Abbr, p.MemFrac)
 	case p.ComputeLat <= 0:
 		return fmt.Errorf("kernel %s: ComputeLat must be positive", p.Abbr)
+	case p.ComputeLat >= config.WheelHorizon:
+		// The SM would wake the warp ComputeLat % WheelHorizon cycles later.
+		return fmt.Errorf("kernel %s: ComputeLat %d must be below the SM timing-wheel horizon %d", p.Abbr, p.ComputeLat, config.WheelHorizon)
 	case p.CoalescedLines <= 0 || p.CoalescedLines > MaxLinesPerOp:
 		return fmt.Errorf("kernel %s: CoalescedLines %d out of [1,%d]", p.Abbr, p.CoalescedLines, MaxLinesPerOp)
 	case p.SeqRun <= 0:
@@ -183,6 +190,38 @@ func NewWarpStream(p *Profile, base uint64, blockID uint64, warp int, seed uint6
 
 // Remaining returns the instructions the warp has yet to execute.
 func (ws *WarpStream) Remaining() int { return ws.remain }
+
+// ComputeRun consumes the maximal run of compute instructions at the head of
+// the stream — every instruction up to, not including, the first one Next
+// would decode as a memory operation, a barrier or the end of the stream —
+// and returns its length and the run's dependent-issue latency. The stream
+// is left exactly where n calls to Next would leave it (the same memAcc
+// additions in the same order), so callers may mix the two freely; an SM
+// issues a whole run by counting down instead of decoding n times. n is 0
+// when the next instruction is not a compute instruction.
+func (ws *WarpStream) ComputeRun() (n int, lat uint32) {
+	p := ws.p
+	limit := ws.remain
+	if p.BarrierEvery > 0 {
+		// Instructions left before issuedCount next lands on a multiple.
+		if d := p.BarrierEvery - 1 - ws.issuedCount%p.BarrierEvery; d < limit {
+			limit = d
+		}
+	}
+	acc := ws.memAcc
+	for n < limit {
+		a := acc + p.MemFrac
+		if !(a < 1) {
+			break // Next repeats this addition and decodes the memory op
+		}
+		acc = a
+		n++
+	}
+	ws.memAcc = acc
+	ws.remain -= n
+	ws.issuedCount += n
+	return n, uint32(p.ComputeLat)
+}
 
 // Next decodes the warp's next instruction into op. It returns false when
 // the warp has finished its block's work.

@@ -1,8 +1,11 @@
 package kernels
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"dasesim/internal/config"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -48,6 +51,8 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		func(p *Profile) { p.MemFrac = -0.1 },
 		func(p *Profile) { p.MemFrac = 1.5 },
 		func(p *Profile) { p.ComputeLat = 0 },
+		func(p *Profile) { p.ComputeLat = config.WheelHorizon },
+		func(p *Profile) { p.ComputeLat = 200 },
 		func(p *Profile) { p.CoalescedLines = 0 },
 		func(p *Profile) { p.CoalescedLines = MaxLinesPerOp + 1 },
 		func(p *Profile) { p.SeqRun = 0 },
@@ -62,6 +67,20 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: bad profile accepted", i)
 		}
+	}
+}
+
+// TestValidateComputeLatBound: the longest latency the SM's timing wheel can
+// schedule is accepted, and the horizon error names the field.
+func TestValidateComputeLatBound(t *testing.T) {
+	p, _ := ByAbbr("SB")
+	p.ComputeLat = config.WheelHorizon - 1
+	if err := p.Validate(); err != nil {
+		t.Fatalf("ComputeLat %d rejected: %v", p.ComputeLat, err)
+	}
+	p.ComputeLat = config.WheelHorizon
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "ComputeLat") {
+		t.Fatalf("ComputeLat at the horizon: got %v, want an error naming ComputeLat", err)
 	}
 }
 

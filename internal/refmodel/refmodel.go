@@ -5,8 +5,10 @@
 // memreq.Pool), a from-scratch per-bank queue recount (vs the incremental
 // queuedPerBank counters and per-app bank masks), and a scan-every-bank,
 // row-recomputing FR-FCFS pick (vs the DRAM controller's cached rows, cached
-// per-bank hit index and pending-bank mask); and, for the scheduler's partition search, the
-// score-every-candidate loop it replaced (partition.go).
+// per-bank hit index and pending-bank mask); for the scheduler's partition search, the
+// score-every-candidate loop it replaced (partition.go); and a whole streaming
+// multiprocessor that decodes every instruction, keeps a slice per timer slot
+// and asks its L1 again on every blocked retry (sm.go, vs smcore.SM).
 //
 // Nothing here is fast, and that is the point: each model is written to be
 // obviously correct so that native fuzz targets can drive it in lockstep with

@@ -9,6 +9,14 @@
 // (from L1 after HitLatency, or from L2/DRAM via the interconnect); stores
 // are fire-and-forget. When no warp can issue and at least one warp is
 // waiting on memory, the cycle is a memory-stall cycle.
+//
+// The issue path is laid out for locality (DESIGN §10.2): a compute
+// instruction is one decrement in a 24-byte warp record plus a 2-byte push
+// into a timing wheel stored inside the SM; the instruction stream and the
+// decoded memory op sit in a parallel array only memory instructions touch;
+// and a warp that found a structural hazard is turned away without an L1
+// lookup until something that could clear the hazard has happened.
+// internal/refmodel keeps the straight per-instruction SM as the oracle.
 package smcore
 
 import (
@@ -45,20 +53,63 @@ const (
 	warpBarrierWait
 )
 
-const wheelSize = 128 // > L1 hit latency and any ComputeLat
+// The timing wheel: slot (now+d) % wheelSize holds the wakes due d cycles
+// ahead, so every latency the SM schedules by must be below wheelSize —
+// config.Validate and kernels.Profile.Validate reject the rest, New and
+// issueWarp panic on what slips past them. Each slot stores its first
+// wheelInline entries in the SM itself, count and entries in one 16-byte
+// record; the rare slot that takes more (a barrier releasing a wide block
+// into now+1) continues in sm.spill.
+const (
+	wheelSize   = config.WheelHorizon
+	wheelInline = 7
+)
 
-type wheelEntry struct {
-	warp int
-	kind uint8 // 0 = compute wake, 1 = line arrival
+// wheelEntry is warp<<1 | kind; maxWheelWarp is the largest warp index that
+// leaves room for (config.Validate bounds SM.MaxWarps to match).
+type wheelEntry uint16
+
+const maxWheelWarp = int(^wheelEntry(0) >> 1)
+
+const (
+	wakeCompute wheelEntry = 0 // the warp's dependent-issue latency elapsed
+	wakeLine    wheelEntry = 1 // one L1-hit line of the warp's load arrived
+)
+
+// wheelSlot holds the first wheelInline wakes due at one cycle, in push order.
+type wheelSlot struct {
+	n uint8
+	e [wheelInline]wheelEntry
 }
 
+// spilledEntry is a wheel entry that did not fit its slot's inline array.
+type spilledEntry struct {
+	slot uint8
+	e    wheelEntry
+}
+
+// warp is the hot half of a warp slot: all that Cycle reads or writes for a
+// compute instruction, a wake or a blocked retry. The instruction stream and
+// the decoded memory op are in SM.cold, same index.
 type warp struct {
 	state       warpState
-	stream      *kernels.WarpStream
-	block       int // resident-block slot
-	outstanding int // memory lines still in flight for the blocking load
-	pendingOp   kernels.Op
-	pendingIdx  int // next line of pendingOp to process; -1 = no pending op
+	memoL1      bool   // the memoised verdict came from l1.AccessIdx
+	pendingIdx  int8   // next line of the pending memory op; -1 = no pending op
+	outstanding uint8  // lines still in flight for the blocking load
+	block       uint16 // resident-block slot
+	computeLat  uint16 // dependent-issue latency of the current compute run
+	computeLeft int    // compute instructions of the run not yet issued
+	// memoEpoch is the SM's hazardEpoch when the pending line was last found
+	// blocked (0 = never): while the two are equal nothing that could clear
+	// the hazard has happened, so issueWarp returns issueBlocked unasked.
+	memoEpoch uint64
+}
+
+// warpCold is the half of a warp slot only memory instructions, run
+// boundaries and dispatch touch.
+type warpCold struct {
+	stream kernels.WarpStream // copied out of the block source's stream
+	op     kernels.Op         // the pending memory op (or last barrier)
 }
 
 // Stats is a snapshot of per-SM activity counters. All counters accumulate
@@ -127,9 +178,24 @@ type SM struct {
 	pool *memreq.Pool // shared per-GPU request recycler
 
 	warps     []warp
+	cold      []warpCold
 	freeSlots []int
 	runnable  *ring.Buffer[int32] // ready warp indices, issued round-robin
-	wheel     [wheelSize][]wheelEntry
+
+	// Slot s's wakes are wheel[s].e[:wheel[s].n] followed by the entries of
+	// spill tagged s, both in push order; an entry spills only while its slot
+	// is full (n == wheelInline). Wake order is push order, which is what the
+	// runnable queue's order — and so every result digest — depends on.
+	wheel [wheelSize]wheelSlot
+	spill []spilledEntry
+
+	// hazardEpoch advances at the only events that can clear a structural
+	// hazard: DeliverReply (frees an MSHR, installs a line), PopOutbox and
+	// Assign. Between two advances MSHRs are only allocated, merge counts
+	// only rise, the outbox only fills and the L1's contents do not change,
+	// so a blocked verdict stays blocked (see warp.memoEpoch). 64 bits: a
+	// 32-bit epoch would wrap inside a long run and match a stale memo.
+	hazardEpoch uint64
 
 	resident   int // resident thread blocks
 	blockWarps []int
@@ -158,6 +224,11 @@ func New(id int, cfg config.Config, amap memreq.AddrMap, pool *memreq.Pool) *SM 
 	if pool == nil {
 		pool = &memreq.Pool{}
 	}
+	if cfg.SM.MaxWarps-1 > maxWheelWarp || cfg.L1.HitLatency >= wheelSize {
+		// config.Validate rejects both; aliasing a wake would be silent.
+		panic(fmt.Sprintf("smcore: MaxWarps %d / L1.HitLatency %d outside the timing wheel (warp index <= %d, horizon %d)",
+			cfg.SM.MaxWarps, cfg.L1.HitLatency, maxWheelWarp, wheelSize))
+	}
 	maxRes := cfg.SM.MaxBlocks
 	sm := &SM{
 		ID:             id,
@@ -167,7 +238,10 @@ func New(id int, cfg config.Config, amap memreq.AddrMap, pool *memreq.Pool) *SM 
 		amap:           amap,
 		pool:           pool,
 		warps:          make([]warp, cfg.SM.MaxWarps),
+		cold:           make([]warpCold, cfg.SM.MaxWarps),
 		runnable:       ring.New[int32](cfg.SM.MaxWarps),
+		spill:          make([]spilledEntry, 0, cfg.SM.MaxWarps),
+		hazardEpoch:    1,
 		maxResident:    maxRes,
 		blockWarps:     make([]int, maxRes),
 		blockAtBarrier: make([]int, maxRes),
@@ -212,6 +286,7 @@ func (sm *SM) Assign(app memreq.AppID, src BlockSource) {
 		}
 	}
 	sm.l1.Reset() // context switch flushes the private cache
+	sm.hazardEpoch++
 }
 
 // Drain stops new thread-block dispatch; the SM becomes idle once resident
@@ -252,6 +327,7 @@ func (sm *SM) PeekOutbox() *memreq.Request {
 
 // PopOutbox removes and returns the head outbound request.
 func (sm *SM) PopOutbox() *memreq.Request {
+	sm.hazardEpoch++
 	return sm.outbox.PopFront()
 }
 
@@ -287,12 +363,8 @@ func (sm *SM) tryDispatch() (hungry bool) {
 		for _, ws := range streams {
 			wi := sm.freeSlots[len(sm.freeSlots)-1]
 			sm.freeSlots = sm.freeSlots[:len(sm.freeSlots)-1]
-			w := &sm.warps[wi]
-			w.state = warpReady
-			w.stream = ws
-			w.block = slot
-			w.outstanding = 0
-			w.pendingIdx = -1
+			sm.warps[wi] = warp{state: warpReady, block: uint16(slot), pendingIdx: -1}
+			sm.cold[wi].stream = *ws
 			sm.runnable.PushBack(int32(wi))
 		}
 	}
@@ -304,7 +376,6 @@ func (sm *SM) retireWarp(wi int) {
 	w := &sm.warps[wi]
 	slot := w.block
 	w.state = warpFree
-	w.stream = nil
 	sm.freeSlots = append(sm.freeSlots, wi)
 	sm.blockWarps[slot]--
 	if sm.blockWarps[slot] == 0 {
@@ -330,23 +401,54 @@ func (sm *SM) Cycle(now uint64) {
 	sm.issueAndAccount(now, hasResident)
 }
 
+// pushWheel schedules a wake of warp wi at cycle at (< now + wheelSize).
+func (sm *SM) pushWheel(at uint64, wi int, kind wheelEntry) {
+	e := wheelEntry(wi)<<1 | kind
+	s := at % wheelSize
+	slot := &sm.wheel[s]
+	if n := slot.n; n < wheelInline {
+		slot.e[n] = e
+		slot.n = n + 1
+		return
+	}
+	sm.spill = append(sm.spill, spilledEntry{uint8(s), e})
+}
+
 // wakeWheel wakes warps whose timer expired at now.
 func (sm *SM) wakeWheel(now uint64) {
-	slotIdx := now % wheelSize
-	if entries := sm.wheel[slotIdx]; len(entries) > 0 {
-		for _, e := range entries {
-			w := &sm.warps[e.warp]
-			switch e.kind {
-			case 0: // compute wake
-				if w.state == warpComputeWait {
-					w.state = warpReady
-					sm.runnable.PushBack(int32(e.warp))
-				}
-			case 1: // L1-hit line arrival
-				sm.lineArrived(e.warp)
+	s := now % wheelSize
+	slot := &sm.wheel[s]
+	n := slot.n
+	if n == 0 {
+		return
+	}
+	slot.n = 0
+	for _, e := range slot.e[:n] {
+		sm.wake(e)
+	}
+	if n == wheelInline && len(sm.spill) > 0 {
+		// Wake this slot's spilled entries in push order, keep the rest.
+		kept := sm.spill[:0]
+		for _, sp := range sm.spill {
+			if sp.slot == uint8(s) {
+				sm.wake(sp.e)
+			} else {
+				kept = append(kept, sp)
 			}
 		}
-		sm.wheel[slotIdx] = sm.wheel[slotIdx][:0]
+		sm.spill = kept
+	}
+}
+
+func (sm *SM) wake(e wheelEntry) {
+	wi := int(e >> 1)
+	if e&1 == wakeLine {
+		sm.lineArrived(wi)
+		return
+	}
+	if w := &sm.warps[wi]; w.state == warpComputeWait {
+		w.state = warpReady
+		sm.runnable.PushBack(int32(wi))
 	}
 }
 
@@ -355,8 +457,8 @@ func (sm *SM) wakeWheel(now uint64) {
 func (sm *SM) issueAndAccount(now uint64, hasResident bool) {
 	issued := 0
 	blocked := false
-	attempts := sm.runnable.Len()
-	for issued < sm.cfg.SM.IssueWidth && attempts > 0 && !sm.runnable.Empty() {
+	width := sm.cfg.SM.IssueWidth
+	for attempts := sm.runnable.Len(); issued < width && attempts > 0; {
 		attempts--
 		wi := int(sm.runnable.PopFront())
 		switch sm.issueWarp(wi, now) {
@@ -373,11 +475,11 @@ func (sm *SM) issueAndAccount(now uint64, hasResident bool) {
 		}
 	}
 
-	if hasResident && issued < sm.cfg.SM.IssueWidth {
+	if hasResident && issued < width {
 		// Attribute lost issue slots to memory in proportion to the warps
 		// blocked on loads vs compute latency; memory back-pressure
 		// (blocked outbox/MSHRs) is fully memory-attributable.
-		lost := float64(sm.cfg.SM.IssueWidth-issued) / float64(sm.cfg.SM.IssueWidth)
+		lost := float64(width-issued) / float64(width)
 		if blocked {
 			sm.stats.StallUnits += lost
 		} else {
@@ -488,35 +590,62 @@ const (
 func (sm *SM) issueWarp(wi int, now uint64) issueResult {
 	w := &sm.warps[wi]
 	if w.pendingIdx < 0 {
-		if !w.stream.Next(&w.pendingOp) {
-			sm.retireWarp(wi)
-			return issueRetired
-		}
-		sm.stats.Issued++
-		op := &w.pendingOp
-		if op.Barrier {
-			return sm.arriveBarrier(wi, now)
-		}
-		if !op.Mem {
-			w.state = warpComputeWait
-			lat := uint64(op.ComputeLat)
+		if w.computeLeft == 0 {
+			// Run boundary: decode the next compute run in one go, or the
+			// memory instruction, barrier or stream end that follows one.
+			c := &sm.cold[wi]
+			n, lat := c.stream.ComputeRun()
+			if n == 0 {
+				if !c.stream.Next(&c.op) {
+					sm.retireWarp(wi)
+					return issueRetired
+				}
+				sm.stats.Issued++
+				if c.op.Barrier {
+					return sm.arriveBarrier(wi, now)
+				}
+				// ComputeRun is maximal, so this is a memory instruction.
+				sm.stats.MemInsts++
+				w.pendingIdx = 0
+				return sm.issueMem(w, c, wi, now)
+			}
 			if lat == 0 {
 				lat = 1
 			}
-			sm.wheel[(now+lat)%wheelSize] = append(sm.wheel[(now+lat)%wheelSize], wheelEntry{wi, 0})
-			return issueOK
+			if lat >= wheelSize {
+				panic(fmt.Sprintf("smcore: ComputeLat %d at or past the timing-wheel horizon %d", lat, wheelSize))
+			}
+			w.computeLeft, w.computeLat = n, uint16(lat)
 		}
-		sm.stats.MemInsts++
-		w.pendingIdx = 0
+		w.computeLeft--
+		sm.stats.Issued++
+		w.state = warpComputeWait
+		sm.pushWheel(now+uint64(w.computeLat), wi, wakeCompute)
+		return issueOK
 	}
+	if w.memoEpoch == sm.hazardEpoch {
+		// Still blocked. A retry that would have reached the L1 — the outbox
+		// may have filled since, which turns it away first — books what the
+		// blocked access books there, so L1 stats and LRU stamps match.
+		if w.memoL1 && sm.outbox.Len() < outboxLimit {
+			sm.l1.NoteBlocked(0)
+		}
+		return issueBlocked
+	}
+	return sm.issueMem(w, &sm.cold[wi], wi, now)
+}
 
-	op := &w.pendingOp
-	for w.pendingIdx < op.NLines {
+// issueMem processes the lines of warp wi's pending memory op from
+// pendingIdx on, until the op completes or a line meets a structural hazard.
+func (sm *SM) issueMem(w *warp, c *warpCold, wi int, now uint64) issueResult {
+	op := &c.op
+	for int(w.pendingIdx) < op.NLines {
 		addr := sm.amap.LineAddr(op.Lines[w.pendingIdx])
 		if op.Write {
 			// Write-through, no-allocate: stores bypass L1 and do not
 			// block the warp, but need outbox space.
 			if sm.outbox.Len() >= outboxLimit {
+				w.memoEpoch, w.memoL1 = sm.hazardEpoch, false
 				return issueBlocked
 			}
 			r := sm.pool.Get()
@@ -529,6 +658,7 @@ func (sm *SM) issueWarp(wi int, now uint64) issueResult {
 		set := sm.amap.CacheSet(addr, sm.l1.Sets())
 		// Peek outbox space before a potentially mutating access.
 		if sm.outbox.Len() >= outboxLimit && !sm.l1.Probe(set, addr) {
+			w.memoEpoch, w.memoL1 = sm.hazardEpoch, false
 			return issueBlocked
 		}
 		res, slot := sm.l1.AccessIdx(0, set, addr, false)
@@ -536,8 +666,7 @@ func (sm *SM) issueWarp(wi int, now uint64) issueResult {
 		case cache.Hit:
 			sm.stats.LoadsL1Hit++
 			w.outstanding++
-			lat := sm.cfg.L1.HitLatency
-			sm.wheel[(now+lat)%wheelSize] = append(sm.wheel[(now+lat)%wheelSize], wheelEntry{wi, 1})
+			sm.pushWheel(now+sm.cfg.L1.HitLatency, wi, wakeLine)
 		case cache.Miss:
 			sm.stats.LoadsL1Miss++
 			w.outstanding++
@@ -551,6 +680,7 @@ func (sm *SM) issueWarp(wi int, now uint64) issueResult {
 			w.outstanding++
 			sm.waiters[slot] = append(sm.waiters[slot], int32(wi))
 		case cache.Blocked:
+			w.memoEpoch, w.memoL1 = sm.hazardEpoch, true
 			return issueBlocked
 		}
 		w.pendingIdx++
@@ -564,7 +694,7 @@ func (sm *SM) issueWarp(wi int, now uint64) issueResult {
 	}
 	// Pure-store instruction: warp continues next cycle.
 	w.state = warpComputeWait
-	sm.wheel[(now+1)%wheelSize] = append(sm.wheel[(now+1)%wheelSize], wheelEntry{wi, 0})
+	sm.pushWheel(now+1, wi, wakeCompute)
 	return issueOK
 }
 
@@ -584,11 +714,11 @@ func (sm *SM) arriveBarrier(wi int, now uint64) issueResult {
 		o := &sm.warps[i]
 		if o.state == warpBarrierWait && o.block == slot {
 			o.state = warpComputeWait
-			sm.wheel[(now+1)%wheelSize] = append(sm.wheel[(now+1)%wheelSize], wheelEntry{i, 0})
+			sm.pushWheel(now+1, i, wakeCompute)
 		}
 	}
 	w.state = warpComputeWait
-	sm.wheel[(now+1)%wheelSize] = append(sm.wheel[(now+1)%wheelSize], wheelEntry{wi, 0})
+	sm.pushWheel(now+1, wi, wakeCompute)
 	return issueOK
 }
 
@@ -622,6 +752,7 @@ func (sm *SM) DeliverReply(r *memreq.Request, now uint64) {
 		}
 		sm.waiters[slot] = sm.waiters[slot][:0]
 	}
+	sm.hazardEpoch++
 	sm.pool.Put(r)
 }
 
@@ -638,9 +769,11 @@ func (sm *SM) ForEachOutbox(fn func(*memreq.Request)) { sm.outbox.Do(fn) }
 //     the free state;
 //   - every non-empty L1 waiter list sits on an allocated MSHR whose merge
 //     count matches the list length, every allocated MSHR has waiters, and
-//     the L1's own MSHR views agree.
+//     the L1's own MSHR views agree;
+//   - the timing wheel, the per-warp counters and the blocked-verdict memos
+//     agree with a from-scratch recount (checkIssueState).
 //
-// It is O(warps + MSHRs) and mutates nothing; meant for debug runs under
+// It is O(warps + MSHRs + wheel) and mutates nothing; meant for debug runs under
 // sim.WithInvariantChecks, not the per-cycle hot path.
 func (sm *SM) CheckInvariants() error {
 	if err := sm.outbox.CheckInvariants(func(r *memreq.Request) bool { return r == nil }); err != nil {
@@ -734,5 +867,120 @@ func (sm *SM) CheckInvariants() error {
 	if err := sm.l1.CheckInvariants(); err != nil {
 		return fmt.Errorf("smcore %d: %w", sm.ID, err)
 	}
+	return sm.checkIssueState()
+}
+
+// checkIssueState recomputes from scratch what the issue path keeps
+// incrementally (DESIGN §10.2) and compares:
+//
+//   - a wheel slot holds at most wheelInline entries inline, and an entry is
+//     spilled only for a slot that is full;
+//   - a warp has a compute wake pending (inline or spilled) exactly when it
+//     is in the compute-wait state, and then exactly one;
+//   - a warp's outstanding count is its line wakes on the wheel plus its
+//     places in the L1 waiter lists;
+//   - computeLeft is never negative, and positive only with no memory op
+//     pending;
+//   - a memo is never from a later epoch than the SM's, and a warp whose
+//     memo matches the current hazardEpoch is blocked right now — judged
+//     from the outbox length, l1.Probe and the L1's MSHR views, none of
+//     which the check mutates.
+func (sm *SM) checkIssueState() error {
+	computeWakes := make([]int, len(sm.warps))
+	lineWakes := make([]int, len(sm.warps))
+	count := func(where string, e wheelEntry) error {
+		wi := int(e >> 1)
+		if wi >= len(sm.warps) {
+			return fmt.Errorf("smcore %d: wheel %s names warp %d of %d", sm.ID, where, wi, len(sm.warps))
+		}
+		if e&1 == wakeLine {
+			lineWakes[wi]++
+		} else {
+			computeWakes[wi]++
+		}
+		return nil
+	}
+	for s := range sm.wheel {
+		slot := &sm.wheel[s]
+		if slot.n > wheelInline {
+			return fmt.Errorf("smcore %d: wheel slot %d counts %d entries, holds %d inline", sm.ID, s, slot.n, wheelInline)
+		}
+		for _, e := range slot.e[:slot.n] {
+			if err := count(fmt.Sprintf("slot %d", s), e); err != nil {
+				return err
+			}
+		}
+	}
+	for _, sp := range sm.spill {
+		if int(sp.slot) >= wheelSize || sm.wheel[sp.slot].n != wheelInline {
+			return fmt.Errorf("smcore %d: spill holds an entry for wheel slot %d, which is not full", sm.ID, sp.slot)
+		}
+		if err := count("spill", sp.e); err != nil {
+			return err
+		}
+	}
+	waiting := make([]int, len(sm.warps))
+	for _, ws := range sm.waiters {
+		for _, wi := range ws {
+			waiting[wi]++ // range-checked by CheckInvariants
+		}
+	}
+	if sm.hazardEpoch == 0 {
+		return fmt.Errorf("smcore %d: hazardEpoch is 0, the no-memo value", sm.ID)
+	}
+	for wi := range sm.warps {
+		w := &sm.warps[wi]
+		want := 0
+		if w.state == warpComputeWait {
+			want = 1
+		}
+		if computeWakes[wi] != want {
+			return fmt.Errorf("smcore %d: warp %d in state %d has %d compute wakes on the wheel, want %d", sm.ID, wi, w.state, computeWakes[wi], want)
+		}
+		if got := lineWakes[wi] + waiting[wi]; int(w.outstanding) != got {
+			return fmt.Errorf("smcore %d: warp %d outstanding %d, but %d line wakes + %d waiter entries", sm.ID, wi, w.outstanding, lineWakes[wi], waiting[wi])
+		}
+		if w.computeLeft < 0 || (w.computeLeft > 0 && w.pendingIdx >= 0) {
+			return fmt.Errorf("smcore %d: warp %d computeLeft %d with pendingIdx %d", sm.ID, wi, w.computeLeft, w.pendingIdx)
+		}
+		if w.memoEpoch > sm.hazardEpoch {
+			return fmt.Errorf("smcore %d: warp %d memo epoch %d ahead of hazardEpoch %d", sm.ID, wi, w.memoEpoch, sm.hazardEpoch)
+		}
+		if w.memoEpoch != sm.hazardEpoch {
+			continue
+		}
+		c := &sm.cold[wi]
+		if !sm.blockedNow(w, c) {
+			return fmt.Errorf("smcore %d: warp %d memo matches hazardEpoch %d but its pending line (idx %d) is not blocked", sm.ID, wi, sm.hazardEpoch, w.pendingIdx)
+		}
+		// An L1 verdict is a load's; any other comes from a full outbox,
+		// which stays full until the epoch moves.
+		if (w.memoL1 && c.op.Write) || (!w.memoL1 && sm.outbox.Len() < outboxLimit) {
+			return fmt.Errorf("smcore %d: warp %d memoL1 %v on a blocked op (store %v) with %d in the outbox", sm.ID, wi, w.memoL1, c.op.Write, sm.outbox.Len())
+		}
+	}
 	return nil
+}
+
+// blockedNow re-derives, without touching LRU state or counters, whether the
+// warp's pending line would meet a structural hazard if issued now.
+func (sm *SM) blockedNow(w *warp, c *warpCold) bool {
+	if w.pendingIdx < 0 || int(w.pendingIdx) >= c.op.NLines {
+		return false
+	}
+	full := sm.outbox.Len() >= outboxLimit
+	if c.op.Write {
+		return full
+	}
+	addr := sm.amap.LineAddr(c.op.Lines[w.pendingIdx])
+	switch {
+	case sm.l1.Probe(sm.amap.CacheSet(addr, sm.l1.Sets()), addr):
+		return false
+	case full:
+		return true
+	}
+	if slot := sm.l1.MSHRSlot(addr); slot >= 0 {
+		return sm.l1.MSHRMerged(slot) >= sm.cfg.L1.MSHRMerge
+	}
+	return sm.l1.MSHRsInUse() == sm.cfg.L1.MSHRs
 }

@@ -17,12 +17,6 @@ import (
 // workload; the pooled engine spends ~40. The budget of 500 leaves room for
 // benign drift while still failing loudly if a hot path starts allocating
 // per request or per cycle again.
-//
-// The parallel variant holds the phased engine to the same budget: workers
-// are spawned once per Run (a handful of allocations for goroutine stacks and
-// closures), the barrier is two atomics, and the per-entity request pools
-// recycle exactly like the shared one — so steady-state cycles must stay free
-// of per-cycle channel, closure or slice garbage.
 func TestSteadyStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard runs full simulation windows")
@@ -36,26 +30,19 @@ func TestSteadyStateAllocations(t *testing.T) {
 	if !ok {
 		t.Fatal("kernel SD missing")
 	}
-	for _, tc := range []struct {
-		name string
-		opts []sim.Option
-	}{
-		{"sequential", nil},
-		{"parallel-p2", []sim.Option{sim.WithParallelism(2)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, err := sim.New(cfg, []KernelProfile{sb, sd}, []int{8, 8}, 1, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.Run(20_000) // warm up: pools, queues and worker stacks reach steady state
+	// One subtest, under the name the tier-1 floor list records it by.
+	t.Run("sequential", func(t *testing.T) {
+		g, err := sim.New(cfg, []KernelProfile{sb, sd}, []int{8, 8}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Run(20_000) // warm up: pool and queues reach steady state
 
-			avg := testing.AllocsPerRun(5, func() { g.Run(10_000) })
-			const budget = 500
-			if avg > budget {
-				t.Fatalf("steady-state GPU.Run(10k cycles) allocates %.0f objects, budget %d — a hot path regressed to per-request allocation", avg, budget)
-			}
-			t.Logf("steady-state allocations per 10k cycles: %.1f (budget %d)", avg, budget)
-		})
-	}
+		avg := testing.AllocsPerRun(5, func() { g.Run(10_000) })
+		const budget = 500
+		if avg > budget {
+			t.Fatalf("steady-state GPU.Run(10k cycles) allocates %.0f objects, budget %d — a hot path regressed to per-request allocation", avg, budget)
+		}
+		t.Logf("steady-state allocations per 10k cycles: %.1f (budget %d)", avg, budget)
+	})
 }

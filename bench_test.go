@@ -388,38 +388,23 @@ func BenchmarkAblationFullATD(b *testing.B) {
 // --- Engine microbenchmarks.
 
 // BenchmarkGPUCycle measures raw simulation speed (ns/op / 10000 is the cost
-// per simulated cycle). The seq sub-benchmark is the sequential engine; the
-// pN variants run the bulk-synchronous parallel engine (WithParallelism) on N
-// shards — byte-identical results, so the delta is pure engine speed. pN
-// numbers only beat seq when GOMAXPROCS provides real cores; on fewer cores
-// than shards they measure barrier overhead instead (see BENCH_cycles.json
-// notes).
+// per simulated cycle). The one sub-benchmark keeps the name seq because
+// scripts/bench.sh and the BENCH_cycles.json keys parse it.
 func BenchmarkGPUCycle(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		opts []sim.Option
-	}{
-		{"seq", nil},
-		{"p1", []sim.Option{sim.WithParallelism(1)}},
-		{"p2", []sim.Option{sim.WithParallelism(2)}},
-		{"p4", []sim.Option{sim.WithParallelism(4)}},
-		{"p8", []sim.Option{sim.WithParallelism(8)}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			sb, _ := KernelByAbbr("SB")
-			sd, _ := KernelByAbbr("SD")
-			g, err := sim.New(cfg, []KernelProfile{sb, sd}, []int{8, 8}, 1, bc.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.Run(10_000) // warm up
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Run(10_000)
-			}
-		})
-	}
+	b.Run("seq", func(b *testing.B) {
+		cfg := DefaultConfig()
+		sb, _ := KernelByAbbr("SB")
+		sd, _ := KernelByAbbr("SD")
+		g, err := sim.New(cfg, []KernelProfile{sb, sd}, []int{8, 8}, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Run(10_000) // warm up
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.Run(10_000)
+		}
+	})
 }
 
 // BenchmarkDASEEstimate measures one estimator invocation on a live

@@ -88,7 +88,6 @@ func main() {
 	kernelsPath := flag.String("kernels", "", "load custom kernel profiles from this JSON file")
 	snapRetention := flag.Int("snapshot-retention", 0, "interval snapshots kept per result (0: 4096, negative: unlimited)")
 	checkInvariants := flag.Bool("check-invariants", false, "run the engine's periodic invariant sweep in every simulation (debug; a violation fails the job)")
-	parallelism := flag.Int("parallelism", 0, "cycle-engine shards per simulation (0: sequential, n: n bulk-synchronous workers, negative: GOMAXPROCS); results are byte-identical at any value")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logFormat := flag.String("log-format", "text", "log output format: text | json")
 	traceEvents := flag.Int("trace-events", 0, "per-job trace ring capacity in events; 0 disables tracing unless -trace-dir is set")
@@ -131,7 +130,6 @@ func main() {
 		ShedHighWater:     *shedHighWater,
 		SnapshotRetention: *snapRetention,
 		CheckInvariants:   *checkInvariants,
-		Parallelism:       *parallelism,
 		Logger:            logger,
 		TraceEvents:       *traceEvents,
 		TraceDir:          *traceDir,

@@ -30,7 +30,6 @@ func main() {
 	policy := flag.String("policy", "even", "SM policy: even | fair")
 	csvPath := flag.String("csv", "", "write per-interval counters to this CSV file")
 	seeds := flag.Int("seeds", 1, "run this many seeds and report mean±spread of the slowdowns")
-	parallelism := flag.Int("parallelism", -1, "cycle-engine shards per simulation (-1: DASESIM_PARALLEL env default, else sequential; 0: GOMAXPROCS; n: n shards); results are byte-identical at any value")
 	configPath := flag.String("config", "", "load the GPU configuration from this JSON file")
 	kernelsPath := flag.String("kernels", "", "load custom kernel profiles from this JSON file")
 	dumpConfig := flag.String("dump-config", "", "write the active configuration as JSON and exit")
@@ -117,17 +116,12 @@ func main() {
 		log.Fatalf("unknown policy %q (even | fair)", *policy)
 	}
 
-	var simOpts []dasesim.Option
-	if *parallelism >= 0 {
-		simOpts = append(simOpts, dasesim.WithParallelism(*parallelism))
-	}
-
 	if *seeds > 1 {
-		reportMultiSeed(cfg, profiles, alloc, *cycles, *seed, *seeds, *policy, simOpts)
+		reportMultiSeed(cfg, profiles, alloc, *cycles, *seed, *seeds, *policy)
 		return
 	}
 
-	shared, err := dasesim.RunWithPolicy(cfg, profiles, alloc, *cycles, *seed, pol, simOpts...)
+	shared, err := dasesim.RunWithPolicy(cfg, profiles, alloc, *cycles, *seed, pol)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -153,7 +147,7 @@ func main() {
 	fmt.Println("app  IPC(shared)  alpha  DRAM-req   BW-share  rowhit  mem-lat(p95)  DASE-est  alone-IPC  slowdown")
 	var slowdowns []float64
 	for i, a := range shared.Apps {
-		alone, err := dasesim.RunAlone(cfg, profiles[i], *cycles, *seed, simOpts...)
+		alone, err := dasesim.RunAlone(cfg, profiles[i], *cycles, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -185,19 +179,19 @@ func main() {
 // reportMultiSeed reruns the workload across several seeds and prints the
 // mean and spread of each application's slowdown — simulation-methodology
 // hygiene for checking that a conclusion is not a single-seed artefact.
-func reportMultiSeed(cfg dasesim.Config, profiles []dasesim.KernelProfile, alloc []int, cycles, seed uint64, n int, policy string, simOpts []dasesim.Option) {
+func reportMultiSeed(cfg dasesim.Config, profiles []dasesim.KernelProfile, alloc []int, cycles, seed uint64, n int, policy string) {
 	slow := make([][]float64, len(profiles))
 	for s := uint64(0); s < uint64(n); s++ {
 		var pol dasesim.Policy = dasesim.EvenPolicy{}
 		if policy == "fair" {
 			pol = dasesim.NewDASEFair()
 		}
-		shared, err := dasesim.RunWithPolicy(cfg, profiles, alloc, cycles, seed+s, pol, simOpts...)
+		shared, err := dasesim.RunWithPolicy(cfg, profiles, alloc, cycles, seed+s, pol)
 		if err != nil {
 			log.Fatal(err)
 		}
 		for i := range profiles {
-			alone, err := dasesim.RunAlone(cfg, profiles[i], cycles, seed+s, simOpts...)
+			alone, err := dasesim.RunAlone(cfg, profiles[i], cycles, seed+s)
 			if err != nil {
 				log.Fatal(err)
 			}

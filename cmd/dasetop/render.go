@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"dasesim/internal/stats"
 	"dasesim/internal/telemetry"
 )
 
@@ -140,7 +141,7 @@ func (m *Model) renderTenants(sb *strings.Builder) {
 			ratios = append(ratios, r.alloc/r.deserved)
 		}
 	}
-	fmt.Fprintf(sb, "Jain fairness index: %.3f\n\n", jain(ratios))
+	fmt.Fprintf(sb, "Jain fairness index: %.3f\n\n", stats.Jain(ratios))
 }
 
 // renderSLO draws per-objective burn rates, worst node wins.
@@ -192,24 +193,6 @@ func latestInterval(events []telemetry.Event) []tenantRow {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	return rows
-}
-
-// jain is Jain's fairness index (Σx)²/(n·Σx²): 1 when every tenant gets the
-// same normalized share, →1/n under maximal skew. Empty input reads as
-// perfectly fair.
-func jain(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
 // perNodeValue flattens one by-node family into node → summed value (the

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -195,24 +194,6 @@ func TestRenderEmptyFrame(t *testing.T) {
 	for _, absent := range []string{"ESTIMATE LATENCY", "TENANT", "SLO"} {
 		if strings.Contains(out, absent) {
 			t.Errorf("empty frame should not render %q section:\n%s", absent, out)
-		}
-	}
-}
-
-func TestJain(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want float64
-	}{
-		{nil, 1},
-		{[]float64{1, 1, 1}, 1},
-		{[]float64{1, 0.5}, 0.9},
-		{[]float64{1, 0, 0, 0}, 0.25},
-		{[]float64{0, 0}, 1},
-	}
-	for _, c := range cases {
-		if got := jain(c.xs); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("jain(%v) = %v, want %v", c.xs, got, c.want)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"dasesim/internal/experiments"
-	"dasesim/internal/sim"
 	"dasesim/internal/workload"
 )
 
@@ -39,7 +38,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override random seed")
 	jsonPath := flag.String("json", "", "also write results as JSON to this file")
 	cacheDir := flag.String("cache-dir", "", "persist alone-run baselines under this directory")
-	parallelism := flag.Int("parallelism", -1, "cycle-engine shards per simulation (-1: DASESIM_PARALLEL env default, else sequential; 0: GOMAXPROCS; n: n shards); every table and figure is byte-identical at any value")
 	list := flag.Bool("list", false, "list available experiments")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -91,9 +89,6 @@ func main() {
 	if *seed > 0 {
 		p.Seed = *seed
 	}
-	if *parallelism >= 0 {
-		p.SimOpts = append(p.SimOpts, sim.WithParallelism(*parallelism))
-	}
 
 	want := map[string]bool{}
 	if *runFlag == "all" {
@@ -109,9 +104,9 @@ func main() {
 		}
 	}
 
-	var cache workload.Baseline = workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed, p.SimOpts...)
+	var cache workload.Baseline = workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
 	if *cacheDir != "" {
-		dc, err := workload.NewDiskCache(p.Cfg, p.SharedCycles, p.Seed, *cacheDir, p.SimOpts...)
+		dc, err := workload.NewDiskCache(p.Cfg, p.SharedCycles, p.Seed, *cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cache dir: %v\n", err)
 			os.Exit(1)

@@ -2,13 +2,13 @@
 // fleet and reports the allocation history and fairness digest of the
 // time-aware fair-share scheduler (internal/fleet). Arrivals come from a
 // deterministic Poisson generator or a CSV trace; runs are seeded and fully
-// deterministic — a fixed seed produces byte-identical CSV output, across
-// processes and across cycle-engine shard counts.
+// deterministic — a fixed seed produces byte-identical CSV output across
+// processes.
 //
 // Usage:
 //
 //	fleetsim -gpus 4 -intervals 12 -seed 42 -out alloc.csv
-//	fleetsim -engine sim -parallelism 4 -golden -out golden.csv
+//	fleetsim -engine sim -golden -out golden.csv
 //	fleetsim -trace-in arrivals.csv -trace events.ndjson
 //
 // The arrival CSV format is one job per line:
@@ -27,7 +27,6 @@ import (
 	"dasesim/internal/config"
 	"dasesim/internal/fleet"
 	"dasesim/internal/kernels"
-	"dasesim/internal/sim"
 	"dasesim/internal/telemetry"
 )
 
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		intervals   = fs.Int("intervals", 12, "scheduling intervals to simulate")
 		seed        = fs.Uint64("seed", 42, "seed for arrivals and the cycle engine")
 		engine      = fs.String("engine", "model", "ground-truth engine: model (closed-form) or sim (cycle engine)")
-		parallelism = fs.Int("parallelism", -1, "cycle-engine shards (-1: DASESIM_PARALLEL env default; 0: GOMAXPROCS; n: n shards); output is byte-identical at any value")
 		window      = fs.Int("window", 8, "allocation-history window in intervals")
 		maxJobs     = fs.Int("max-jobs", 4, "max concurrent jobs per GPU")
 		cycles      = fs.Uint64("interval-cycles", 20_000, "GPU cycles per scheduling interval")
@@ -113,11 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			sc.Config.Engine = &fleet.ModelEngine{Cfg: sc.Config.GPU}
 		}
 	case "sim":
-		e := &fleet.SimEngine{Cfg: sc.Config.GPU}
-		if *parallelism != -1 {
-			e.Opts = append(e.Opts, sim.WithParallelism(*parallelism))
-		}
-		sc.Config.Engine = e
+		sc.Config.Engine = &fleet.SimEngine{Cfg: sc.Config.GPU}
 	default:
 		return fmt.Errorf("unknown engine %q (want model or sim)", *engine)
 	}

@@ -82,18 +82,9 @@ func KernelNames() []string { return kernels.Names() }
 // RunShared or RunWithPolicy instead.
 type GPU = sim.GPU
 
-// Option configures a GPU built through this facade (engine parallelism,
-// snapshot retention, tracing, ...). All options are observation- or
-// speed-only: simulation results are byte-identical with or without them.
+// Option configures a GPU built through this facade (snapshot retention,
+// tracing, ...).
 type Option = sim.Option
-
-// WithParallelism runs the cycle engine on n bulk-synchronous shards
-// (persistent worker goroutines with a barrier per step phase). Results are
-// byte-identical to the sequential engine at every n; wall-clock improves
-// when GOMAXPROCS provides real cores. n == 0 means GOMAXPROCS; n < 0
-// forces the sequential engine, overriding the DASESIM_PARALLEL environment
-// default that applies when the option is absent.
-func WithParallelism(n int) Option { return sim.WithParallelism(n) }
 
 // WithSnapshotRetention caps how many interval snapshots a run keeps in
 // memory; whole-run aggregates stay exact.

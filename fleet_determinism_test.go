@@ -2,11 +2,10 @@ package dasesim
 
 // The eighth determinism golden: a fixed-seed 3-tenant, 4-GPU fleet run over
 // the real cycle engine must produce a byte-identical allocation-history
-// CSV — across processes (the SHA-256 pin below), across repeated in-process
-// runs, and across cycle-engine shard counts (both sim.WithParallelism and
-// the DASESIM_PARALLEL environment default). The fleet layer sits on top of
-// the whole stack — scheduler, DASE estimator, parallel engine — so this one
-// hash transitively pins all of it.
+// CSV — across processes (the SHA-256 pin below) and across repeated
+// in-process runs. The fleet layer sits on top of the whole stack —
+// scheduler, DASE estimator, cycle engine — so this one hash transitively
+// pins all of it.
 //
 // Regenerate (only when an *intentional* model change lands) with:
 // go test -run TestFleetDeterminismGolden -update-golden
@@ -20,22 +19,18 @@ import (
 	"testing"
 
 	"dasesim/internal/fleet"
-	"dasesim/internal/sim"
 )
 
 const fleetGoldenKey = "fleet-3tenant-4gpu-csv"
 
-// fleetGoldenCSV replays the golden scenario with the given engine options,
-// checks every fairness invariant over the run, and returns the CSV bytes
-// and their hex SHA-256.
-func fleetGoldenCSV(t *testing.T, opts ...sim.Option) ([]byte, string) {
+// fleetGoldenCSV replays the golden scenario, checks every fairness invariant
+// over the run, and returns the CSV bytes and their hex SHA-256.
+func fleetGoldenCSV(t *testing.T) ([]byte, string) {
 	t.Helper()
 	sc := fleet.GoldenScenario()
-	eng, ok := sc.Config.Engine.(*fleet.SimEngine)
-	if !ok {
+	if _, ok := sc.Config.Engine.(*fleet.SimEngine); !ok {
 		t.Fatalf("golden scenario engine is %T, want *fleet.SimEngine", sc.Config.Engine)
 	}
-	eng.Opts = append(eng.Opts, opts...)
 	f, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -89,18 +84,4 @@ func TestFleetDeterminismGolden(t *testing.T) {
 	if fp != want {
 		t.Errorf("fleet CSV hash mismatch: got %s want %s\nthe fleet layer no longer produces byte-identical allocation histories", fp, want)
 	}
-
-	// The same scenario must reproduce the pinned hash at any shard count,
-	// requested either explicitly or through the environment default.
-	t.Run("parallel-4", func(t *testing.T) {
-		if _, got := fleetGoldenCSV(t, sim.WithParallelism(4)); got != want {
-			t.Errorf("hash mismatch under WithParallelism(4): got %s want %s", got, want)
-		}
-	})
-	t.Run("env-parallel-4", func(t *testing.T) {
-		t.Setenv("DASESIM_PARALLEL", "4")
-		if _, got := fleetGoldenCSV(t); got != want {
-			t.Errorf("hash mismatch under DASESIM_PARALLEL=4: got %s want %s", got, want)
-		}
-	})
 }

@@ -337,7 +337,18 @@ func TestClusterTraceReconstruction(t *testing.T) {
 	}
 
 	// Hand-off continuation: queue a second job on n2, kill it, and require
-	// the survivor's resubmission to reuse the original trace.
+	// the survivor's resubmission to reuse the original trace. n2's single
+	// worker must be free first: while it is still on the first long job (or
+	// a filler), long2 would queue past the steal threshold, an idle peer
+	// would steal it, and n2 would never show it running.
+	eventually(t, 60*time.Second, "n2 draining its first long job and fillers", func() bool {
+		for _, v := range victim.srv.Views() {
+			if v.Status == server.StatusQueued || v.Status == server.StatusRunning {
+				return false
+			}
+		}
+		return true
+	})
 	long2 := pinRequest(t, n1, 300_000, &seed, ownedBy("n2"))
 	if _, code := postJobTo(t, victim.ts.URL, long2); code != http.StatusAccepted {
 		t.Fatalf("second long job refused: %d", code)

@@ -28,7 +28,7 @@ func ExtIntervalSensitivity(p Params) ([]SensitivityRow, error) {
 		}
 		// Alone runs are interval-independent in aggregate, but the cache
 		// is keyed per configuration here for strict comparability.
-		cache := workload.NewAloneCache(cfg, p.SharedCycles, p.Seed, p.SimOpts...)
+		cache := workload.NewAloneCache(cfg, p.SharedCycles, p.Seed)
 		jobs := make([]workload.Job, len(combos))
 		for i, c := range combos {
 			jobs[i] = workload.Job{Combo: c, Alloc: evenAlloc(cfg.NumSMs, 2)}
@@ -64,7 +64,7 @@ func ExtLargeGPU(p Params) ([]SensitivityRow, error) {
 			WarmupIntervals: 1,
 			Estimators:      []core.Estimator{core.New(core.Options{})},
 		}
-		cache := workload.NewAloneCache(cfgCase.cfg, p.SharedCycles, p.Seed, p.SimOpts...)
+		cache := workload.NewAloneCache(cfgCase.cfg, p.SharedCycles, p.Seed)
 		combos := workload.RandomPairs(p.PairSample, p.Seed)
 		jobs := make([]workload.Job, len(combos))
 		for i, c := range combos {

@@ -13,7 +13,6 @@ import (
 	"dasesim/internal/baseline"
 	"dasesim/internal/config"
 	"dasesim/internal/core"
-	"dasesim/internal/sim"
 	"dasesim/internal/workload"
 )
 
@@ -36,11 +35,6 @@ type Params struct {
 	// needs several estimation intervals plus SM-draining time before its
 	// allocation takes effect, so it defaults to 3x SharedCycles.
 	Fig9Cycles uint64
-	// SimOpts are engine options applied to every simulation the
-	// experiments run (e.g. sim.WithParallelism(n) to shard the cycle
-	// engine). Results are byte-identical with or without them, so every
-	// table and figure is unchanged; only wall-clock moves.
-	SimOpts []sim.Option
 }
 
 // fig9Budget returns the policy-study budget.
@@ -72,7 +66,6 @@ func (p Params) evalOptions() workload.Options {
 		Estimators:      []core.Estimator{core.New(core.Options{})},
 		// MISE and ASM are evaluated on their own priority-epoch system.
 		EpochEstimators: []core.Estimator{baseline.NewMISE(), baseline.NewASM()},
-		SimOpts:         p.SimOpts,
 	}
 }
 

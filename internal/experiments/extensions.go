@@ -40,7 +40,7 @@ func ExtSchedulers(p Params, cache workload.Baseline) ([]ExtSchedRow, error) {
 		slowdowns := func(cfg Params, appRR bool) ([]float64, error) {
 			c := cfg.Cfg
 			c.Mem.AppAwareRR = appRR
-			res, err := sim.RunShared(c, ps, evenAlloc(c.NumSMs, 2), cfg.SharedCycles, cfg.Seed, cfg.SimOpts...)
+			res, err := sim.RunShared(c, ps, evenAlloc(c.NumSMs, 2), cfg.SharedCycles, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}

@@ -121,12 +121,12 @@ func fig9One(p Params, combo workload.Combo, cache workload.Baseline) (Fig9Row, 
 	}
 
 	cycles := p.fig9Budget()
-	evenRes, err := sched.Run(p.Cfg, combo.Profiles, alloc, cycles, p.Seed, sched.Even{}, p.SimOpts...)
+	evenRes, err := sched.Run(p.Cfg, combo.Profiles, alloc, cycles, p.Seed, sched.Even{})
 	if err != nil {
 		return row, err
 	}
 	pol := sched.NewDASEFair()
-	fairRes, err := sched.Run(p.Cfg, combo.Profiles, alloc, cycles, p.Seed, pol, p.SimOpts...)
+	fairRes, err := sched.Run(p.Cfg, combo.Profiles, alloc, cycles, p.Seed, pol)
 	if err != nil {
 		return row, err
 	}

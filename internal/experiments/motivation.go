@@ -85,7 +85,7 @@ func Fig2b(p Params, cache workload.Baseline) ([]Fig2bRow, error) {
 	for _, pr := range Fig2Pairs {
 		a, _ := kernels.ByAbbr(pr[0])
 		b, _ := kernels.ByAbbr(pr[1])
-		shared, err := sim.RunShared(p.Cfg, []kernels.Profile{a, b}, evenAlloc(p.Cfg.NumSMs, 2), p.SharedCycles, p.Seed, p.SimOpts...)
+		shared, err := sim.RunShared(p.Cfg, []kernels.Profile{a, b}, evenAlloc(p.Cfg.NumSMs, 2), p.SharedCycles, p.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +150,7 @@ func Fig3(p Params) ([]Fig3Row, float64, error) {
 		cfg.Mem.TBurst = uint64(float64(cfg.Mem.TBurst) * s)
 		cfg.Mem.TFAW = uint64(float64(cfg.Mem.TFAW) * s)
 		cfg.Mem.TRRD = uint64(float64(cfg.Mem.TRRD) * s)
-		res, err := sim.RunAlone(cfg, base, p.SharedCycles, p.Seed, p.SimOpts...)
+		res, err := sim.RunAlone(cfg, base, p.SharedCycles, p.Seed)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -224,7 +224,7 @@ func Fig4(p Params, cache workload.Baseline) ([]Fig4Row, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown kernel %q", pa)
 		}
-		shared, err := sim.RunShared(p.Cfg, []kernels.Profile{sb, prof}, evenAlloc(p.Cfg.NumSMs, 2), p.SharedCycles, p.Seed, p.SimOpts...)
+		shared, err := sim.RunShared(p.Cfg, []kernels.Profile{sb, prof}, evenAlloc(p.Cfg.NumSMs, 2), p.SharedCycles, p.Seed)
 		if err != nil {
 			return nil, err
 		}

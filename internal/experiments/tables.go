@@ -27,7 +27,7 @@ type TableIIIRow struct {
 func TableIII(p Params) ([]TableIIIRow, error) {
 	rows := make([]TableIIIRow, 0, 15)
 	for _, prof := range kernels.All() {
-		res, err := sim.RunAlone(p.Cfg, prof, p.SharedCycles, p.Seed, p.SimOpts...)
+		res, err := sim.RunAlone(p.Cfg, prof, p.SharedCycles, p.Seed)
 		if err != nil {
 			return nil, err
 		}

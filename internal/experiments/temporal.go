@@ -37,7 +37,7 @@ func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, error) {
 			aloneIPC[i] = alone.Apps[0].IPC
 		}
 		slowUnder := func(pol sched.Policy, alloc []int) ([]float64, error) {
-			res, err := sched.Run(p.Cfg, ps, alloc, cycles, p.Seed, pol, p.SimOpts...)
+			res, err := sched.Run(p.Cfg, ps, alloc, cycles, p.Seed, pol)
 			if err != nil {
 				return nil, err
 			}

@@ -12,11 +12,10 @@ import (
 // resident jobs: the interval snapshot the DASE signal is computed from, and
 // the warp instructions each job retired (its progress toward JobSpec.Work).
 //
-// Two implementations ship: SimEngine runs the real cycle engine (the PR 8
-// parallel engine applies beneath it, so fleet results are byte-identical at
-// every shard count), and ModelEngine synthesizes counters from the kernel
-// profiles in closed form — cheap enough for thousand-iteration property
-// suites and large arrival sweeps.
+// Two implementations ship: SimEngine runs the real cycle engine, and
+// ModelEngine synthesizes counters from the kernel profiles in closed form —
+// cheap enough for thousand-iteration property suites and large arrival
+// sweeps.
 type Engine interface {
 	Name() string
 	// Interval simulates intervalCycles of the given co-schedule. profiles
@@ -46,12 +45,9 @@ func engineSeed(seed uint64, gpu, epoch int) uint64 {
 
 // SimEngine drives the real cycle engine: each scheduling interval of each
 // busy GPU is one fresh shared simulation of its resident kernels under the
-// current SM partition. Opts are passed through (sim.WithParallelism among
-// them; when absent the DASESIM_PARALLEL default applies), and PR 8's
-// determinism contract makes the fleet CSV independent of the shard count.
+// current SM partition, seeded per (gpu, epoch).
 type SimEngine struct {
-	Cfg  config.Config
-	Opts []sim.Option
+	Cfg config.Config
 }
 
 // Name implements Engine.
@@ -59,7 +55,7 @@ func (e *SimEngine) Name() string { return "sim" }
 
 // Interval implements Engine.
 func (e *SimEngine) Interval(gpu, epoch int, profiles []kernels.Profile, alloc []int, seed, intervalCycles uint64) (*sim.IntervalSnapshot, []uint64, error) {
-	res, err := sim.RunShared(e.Cfg, profiles, alloc, intervalCycles, engineSeed(seed, gpu, epoch), e.Opts...)
+	res, err := sim.RunShared(e.Cfg, profiles, alloc, intervalCycles, engineSeed(seed, gpu, epoch))
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: gpu %d epoch %d: %w", gpu, epoch, err)
 	}

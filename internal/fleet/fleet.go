@@ -13,8 +13,7 @@
 // from the fleet seed via splitmix64, and the ground-truth engine derives
 // per-invocation seeds from (fleet seed, gpu, epoch). A fixed-seed run
 // therefore produces a byte-identical allocation-history CSV across
-// processes and across engine shard counts (the PR 8 parallel-engine
-// contract), pinned by the eighth determinism golden.
+// processes, pinned by the eighth determinism golden.
 package fleet
 
 import (

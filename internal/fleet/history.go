@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+
+	"dasesim/internal/stats"
 )
 
 // Placement records one job placed during an interval, with the tenant's
@@ -148,8 +150,7 @@ func Summarize(rec []IntervalRecord, capacity int) Summary {
 			}
 		}
 	}
-	var sum, sumSq float64
-	n := 0
+	shares := make([]float64, 0, len(order)) // TotalSMs / deserved, per tenant with a deserved share
 	for _, name := range order {
 		ts := byName[name]
 		if ts.IntervalsSeen > 0 {
@@ -159,17 +160,10 @@ func Summarize(rec []IntervalRecord, capacity int) Summary {
 			ts.MeanSlowdown /= float64(c)
 		}
 		if d := deservedTotal[name]; d > 0 {
-			x := float64(ts.TotalSMs) / d
-			sum += x
-			sumSq += x * x
-			n++
+			shares = append(shares, float64(ts.TotalSMs)/d)
 		}
 		s.Tenants = append(s.Tenants, *ts)
 	}
-	if n > 0 && sumSq > 0 {
-		s.JainIndex = sum * sum / (float64(n) * sumSq)
-	} else {
-		s.JainIndex = 1
-	}
+	s.JainIndex = stats.Jain(shares)
 	return s
 }

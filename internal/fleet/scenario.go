@@ -107,8 +107,7 @@ func poissonDraw(state *uint64, rate float64) int {
 // GoldenScenario is the eighth determinism golden's fixture: a fixed-seed
 // 3-tenant, 4-GPU fleet over the real cycle engine with a Poisson arrival
 // trace. Its allocation-history CSV hash is pinned in
-// testdata/determinism_golden.json and must be byte-identical sequentially
-// and at every engine shard count.
+// testdata/determinism_golden.json.
 func GoldenScenario() Scenario {
 	gpu := config.Default()
 	tenants := []TenantSpec{

@@ -7,14 +7,11 @@ import "fmt"
 // is delivered (or their write completes) makes the steady-state inner loop
 // allocation-free.
 //
-// The pool is deliberately not concurrency-safe: the sequential cycle engine
-// shares one pool across all SMs and partitions of one GPU, and the parallel
-// engine gives every SM and partition a private pool so no pool is ever
-// touched from two goroutines. Requests handed out by Get are fully zeroed,
-// so pooling cannot leak
-// state (L2Miss, BankEnter, Row, ...) between the transactions that reuse a
-// slot — a hard requirement for the engine's byte-identical determinism
-// contract.
+// The pool is deliberately not concurrency-safe: a GPU steps on one goroutine
+// and shares one pool across all its SMs and partitions. Requests handed out
+// by Get are fully zeroed, so pooling cannot leak state (L2Miss, BankEnter,
+// Row, ...) between the transactions that reuse a slot — a hard requirement
+// for the engine's byte-identical determinism contract.
 //
 // EnableChecks switches the pool into a debug mode that enforces that
 // contract at run time (double-Put, skipped zeroing, writes after Put); the

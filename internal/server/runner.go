@@ -387,12 +387,6 @@ func (s *Server) simOpts() []sim.Option {
 	if s.opts.CheckInvariants {
 		opts = append(opts, sim.WithInvariantChecks())
 	}
-	if n := s.opts.Parallelism; n != 0 {
-		if n < 0 {
-			n = 0 // sim.WithParallelism(0) means GOMAXPROCS
-		}
-		opts = append(opts, sim.WithParallelism(n))
-	}
 	return opts
 }
 

@@ -103,14 +103,6 @@ type Options struct {
 	// simulation throughput, so it defaults to off; a violation fails the
 	// job with an invariant panic instead of returning corrupt numbers.
 	CheckInvariants bool
-	// Parallelism shards each simulation's cycle engine across this many
-	// bulk-synchronous workers (sim.WithParallelism): 0 (the default) keeps
-	// the sequential engine, n >= 1 uses n shards, negative means
-	// GOMAXPROCS. Results and cache keys are byte-identical either way.
-	// Note the worker pool (Workers) already runs jobs concurrently;
-	// per-job engine parallelism multiplies goroutines, so it pays off
-	// mainly on servers with more cores than concurrent jobs.
-	Parallelism int
 	// Logger receives structured request and job logs (default:
 	// slog.Default()). Use slog.New(slog.NewTextHandler(io.Discard, nil))
 	// to silence.

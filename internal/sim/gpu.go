@@ -30,19 +30,6 @@ type GPU struct {
 	ic    *icnt.ICNT
 	pool  *memreq.Pool // request recycler shared by SMs and partitions
 
-	// pools lists every request pool the engine hands out from: just
-	// {pool} for the sequential engine, one private pool per SM and per
-	// partition under WithParallelism (the pool is deliberately not
-	// concurrency-safe, and pointer identity never reaches simulated
-	// values, so per-entity pools keep the parallel engine byte-identical).
-	pools []*memreq.Pool
-
-	// parallelism is the resolved worker count of WithParallelism: 0 runs
-	// today's sequential engine, n >= 1 the phased engine with n shards.
-	// par is its persistent state (nil when sequential).
-	parallelism int
-	par         *parEngine
-
 	cycle uint64
 
 	// desired[i] is the app that should own SM i; when it differs from the
@@ -186,7 +173,6 @@ func New(cfg config.Config, profiles []kernels.Profile, alloc []int, seed uint64
 		amap:           amap,
 		ic:             icnt.New(cfg.ICNT, cfg.NumSMs, cfg.NumMCs, cfg.L2.LineBytes),
 		pool:           &memreq.Pool{},
-		parallelism:    parUnset,
 		desired:        make([]memreq.AppID, cfg.NumSMs),
 		window:         make([]appWindow, len(profiles)),
 		prioServedBase: make([]uint64, len(profiles)),
@@ -201,41 +187,17 @@ func New(cfg config.Config, profiles []kernels.Profile, alloc []int, seed uint64
 	for _, o := range opts {
 		o(g)
 	}
-	if g.parallelism == parUnset {
-		g.parallelism = envParallelism()
-	}
 	for i, p := range profiles {
 		app := newApp(memreq.AppID(i), p, seed)
 		g.apps = append(g.apps, app)
 		g.disps = append(g.disps, &dispatcher{app})
 	}
-	// newPool returns the request recycler for one SM or partition: the
-	// shared pool sequentially, a private one per entity in parallel mode.
-	g.pools = []*memreq.Pool{g.pool}
-	newPool := func() *memreq.Pool {
-		if g.parallelism == 0 {
-			return g.pool
-		}
-		p := &memreq.Pool{}
-		g.pools = append(g.pools, p)
-		return p
-	}
 	for i := 0; i < cfg.NumSMs; i++ {
-		g.sms = append(g.sms, smcore.New(i, cfg, amap, newPool()))
+		g.sms = append(g.sms, smcore.New(i, cfg, amap, g.pool))
 		g.desired[i] = memreq.InvalidApp
 	}
 	for i := 0; i < cfg.NumMCs; i++ {
-		g.parts = append(g.parts, newPartition(i, cfg, amap, len(profiles), newPool()))
-	}
-	if g.parallelism > 0 {
-		g.par = newParEngine(g, g.parallelism)
-	}
-	if g.checks != nil {
-		// WithInvariantChecks enabled hygiene mode on the shared pool when
-		// the option ran; cover the per-entity pools too.
-		for _, pl := range g.pools {
-			pl.EnableChecks()
-		}
+		g.parts = append(g.parts, newPartition(i, cfg, amap, len(profiles), g.pool))
 	}
 	smi := 0
 	for a, n := range alloc {
@@ -402,14 +364,6 @@ func (g *GPU) flushSM(sm *smcore.SM) {
 // Run advances the simulation by n cycles.
 func (g *GPU) Run(n uint64) {
 	end := g.cycle + n
-	if g.par != nil {
-		g.par.start()
-		defer g.par.stop()
-		for g.cycle < end {
-			g.stepParallel()
-		}
-		return
-	}
 	for g.cycle < end {
 		g.step()
 	}
@@ -420,27 +374,12 @@ func (g *GPU) Run(n uint64) {
 // well under a millisecond) and per-cycle overhead.
 const ctxCheckCycles = 4096
 
-// ctxCheckMaxStretch bounds how far the parallel engine stretches a chunk to
-// land the context check on an interval boundary (see RunContext). With an
-// interval longer than this many check windows, the default mid-interval
-// cadence is kept so cancellation latency stays bounded.
-const ctxCheckMaxStretch = 64
-
 // RunContext advances the simulation by n cycles, polling ctx between
 // coarse chunks so per-job timeouts and cancellation take effect promptly.
 // A simulation stopped early is left in a consistent state (FinishRun still
 // works), but callers normally discard it.
-//
-// Under WithParallelism the chunks are sized so the poll lands on interval
-// boundaries whenever the configured interval is within ctxCheckMaxStretch
-// check windows: an early return then leaves only whole, snapshotted
-// intervals behind rather than a partially accumulated one.
 func (g *GPU) RunContext(ctx context.Context, n uint64) error {
 	end := g.cycle + n
-	if g.par != nil {
-		g.par.start()
-		defer g.par.stop()
-	}
 	for g.cycle < end {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -449,29 +388,17 @@ func (g *GPU) RunContext(ctx context.Context, n uint64) error {
 			return err
 		}
 		chunk := end - g.cycle
-		limit := uint64(ctxCheckCycles)
-		if g.par != nil {
-			if toNext := g.intervalStart + g.cfg.IntervalCycles - g.cycle; toNext <= ctxCheckCycles*ctxCheckMaxStretch {
-				limit = toNext
-			}
+		if chunk > ctxCheckCycles {
+			chunk = ctxCheckCycles
 		}
-		if chunk > limit {
-			chunk = limit
-		}
-		if g.par != nil {
-			for i := uint64(0); i < chunk; i++ {
-				g.stepParallel()
-			}
-		} else {
-			for i := uint64(0); i < chunk; i++ {
-				g.step()
-			}
+		for i := uint64(0); i < chunk; i++ {
+			g.step()
 		}
 	}
 	return nil
 }
 
-// step advances exactly one core cycle on the sequential engine.
+// step advances exactly one core cycle.
 func (g *GPU) step() {
 	now := g.cycle
 
@@ -525,9 +452,7 @@ func (g *GPU) injectSM(sm *smcore.SM, now uint64) {
 }
 
 // partitionInput advances one partition: replays a blocked request, pops
-// arrived requests into the L2, and cycles the DRAM controller. It touches
-// only partition-local state plus the partition's own inbound crossbar FIFO,
-// so calls on different partitions may run concurrently.
+// arrived requests into the L2, and cycles the DRAM controller.
 func (g *GPU) partitionInput(p *partition, pi int, now uint64) {
 	// Replay a previously blocked request first.
 	if p.replay != nil {
@@ -565,9 +490,7 @@ func (g *GPU) partitionOutput(p *partition, pi int, now uint64) {
 	}
 }
 
-// deliverReplies drains one SM's inbound crossbar FIFO into the SM. It
-// touches only SM-local state plus that FIFO, so calls on different SMs may
-// run concurrently.
+// deliverReplies drains one SM's inbound crossbar FIFO into the SM.
 func (g *GPU) deliverReplies(si int, sm *smcore.SM, now uint64) {
 	if g.ic.InFlightToSM(si) == 0 {
 		return
@@ -581,8 +504,8 @@ func (g *GPU) deliverReplies(si int, sm *smcore.SM, now uint64) {
 	}
 }
 
-// finishCycle runs the sequential tail of a step: reassignment progress, the
-// cycle increment, interval snapshots, and the debug sweep.
+// finishCycle runs the tail of a step: reassignment progress, the cycle
+// increment, interval snapshots, and the debug sweep.
 func (g *GPU) finishCycle() {
 	// 5. Progress any pending reassignment.
 	g.applyDesired()

@@ -25,10 +25,9 @@ func (e *InvariantViolation) Error() string {
 // localization at ~64x the cost.
 const checkEveryCycles = 64
 
-// WithInvariantChecks enables the runtime validation layer: every request
+// WithInvariantChecks enables the runtime validation layer: the GPU's request
 // pool switches into hygiene-checking mode (double-Put, writes after Put,
-// non-zeroed reuse — one shared pool sequentially, one per SM and partition
-// under WithParallelism), and every checkEveryCycles cycles the GPU sweeps
+// non-zeroed reuse), and every checkEveryCycles cycles the GPU sweeps
 //
 //   - request conservation: every live request appears in exactly one
 //     transport location (SM outbox, crossbar, partition replay/toMC/replies,
@@ -67,20 +66,6 @@ func (g *GPU) CheckInvariantsNow() error {
 	}
 	if err := g.checks.sweep(); err != nil {
 		return err
-	}
-	return nil
-}
-
-// pooledBy returns the pool that currently owns r (free or quarantined), or
-// nil. The parallel engine gives every SM and partition a private pool, so
-// ownership is checked across all of them; a checked pool only tracks
-// requests it has seen, so cross-pool double-Puts surface here as a live
-// request owned by some pool rather than at the Put itself.
-func (g *GPU) pooledBy(r *memreq.Request) *memreq.Pool {
-	for _, pl := range g.pools {
-		if pl.Owned(r) {
-			return pl
-		}
 	}
 	return nil
 }
@@ -179,8 +164,8 @@ func (c *invariantChecker) sweep() *InvariantViolation {
 				if w.Addr != head.Addr {
 					return fail("mshr-agreement", "partition %d MSHR slot %d merges %v onto head %v (different lines)", pi, slot, w, head)
 				}
-				if pl := g.pooledBy(w); pl != nil {
-					return fail("pool-hygiene", "partition %d MSHR slot %d waiter %v is owned by a pool (use-after-Put, gen %d)", pi, slot, w, pl.Generation(w))
+				if g.pool.Owned(w) {
+					return fail("pool-hygiene", "partition %d MSHR slot %d waiter %v is owned by the pool (use-after-Put, gen %d)", pi, slot, w, g.pool.Generation(w))
 				}
 			}
 		}
@@ -192,8 +177,8 @@ func (c *invariantChecker) sweep() *InvariantViolation {
 	// Pool hygiene: live requests are never pool-owned, pooled requests are
 	// still zeroed, and every request is well-formed.
 	for r := range c.seen {
-		if pl := g.pooledBy(r); pl != nil {
-			return fail("pool-hygiene", "live request %v is owned by a pool (use-after-Put, gen %d)", r, pl.Generation(r))
+		if g.pool.Owned(r) {
+			return fail("pool-hygiene", "live request %v is owned by the pool (use-after-Put, gen %d)", r, g.pool.Generation(r))
 		}
 		if int(r.App) < 0 || int(r.App) >= len(g.apps) {
 			return fail("conservation", "live request %v has app outside [0,%d)", r, len(g.apps))
@@ -205,10 +190,8 @@ func (c *invariantChecker) sweep() *InvariantViolation {
 			return fail("conservation", "internal (SM -1) request %v is not a write-back", r)
 		}
 	}
-	for _, pl := range g.pools {
-		if err := pl.CheckInvariants(); err != nil {
-			return fail("pool-hygiene", "%v", err)
-		}
+	if err := g.pool.CheckInvariants(); err != nil {
+		return fail("pool-hygiene", "%v", err)
 	}
 
 	// Component-local structural checks.

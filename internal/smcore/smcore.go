@@ -166,13 +166,6 @@ type SM struct {
 	warpsPerBlock int
 	blockCap      int
 
-	// deferFinish redirects BlockFinished notifications into a counter that
-	// the caller replays later with ReplayFinishes. The parallel cycle engine
-	// uses it: block sources are shared across the SMs of one app, so during
-	// a concurrent compute phase an SM must not call into its source.
-	deferFinish     bool
-	pendingFinishes int
-
 	l1   *cache.Cache
 	amap memreq.AddrMap
 	pool *memreq.Pool // shared per-GPU request recycler
@@ -332,13 +325,10 @@ func (sm *SM) PopOutbox() *memreq.Request {
 }
 
 // tryDispatch fills free block slots from the source, respecting the
-// residency limits (MaxBlocks and warp capacity). It reports whether the SM
-// still had room for a block the source could not supply ("hungry") — the
-// only case where a same-cycle BlockFinished on another SM could have made a
-// difference (a kernel relaunch gated on inFlight==0).
-func (sm *SM) tryDispatch() (hungry bool) {
+// residency limits (MaxBlocks and warp capacity).
+func (sm *SM) tryDispatch() {
 	if sm.draining || sm.source == nil {
-		return false
+		return
 	}
 	for sm.resident < sm.blockCap && len(sm.freeSlots) >= sm.warpsPerBlock {
 		slot := -1
@@ -349,11 +339,11 @@ func (sm *SM) tryDispatch() (hungry bool) {
 			}
 		}
 		if slot == -1 {
-			return false
+			return
 		}
 		streams, ok := sm.source.NextBlock()
 		if !ok {
-			return true
+			return
 		}
 		if len(streams) > len(sm.freeSlots) {
 			panic("smcore: block dispatched beyond warp capacity")
@@ -368,7 +358,6 @@ func (sm *SM) tryDispatch() (hungry bool) {
 			sm.runnable.PushBack(int32(wi))
 		}
 	}
-	return false
 }
 
 // retireWarp releases a finished warp and possibly its block.
@@ -381,9 +370,7 @@ func (sm *SM) retireWarp(wi int) {
 	if sm.blockWarps[slot] == 0 {
 		sm.resident--
 		sm.stats.BlocksDone++
-		if sm.deferFinish {
-			sm.pendingFinishes++
-		} else if sm.source != nil {
+		if sm.source != nil {
 			sm.source.BlockFinished()
 		}
 	}
@@ -488,78 +475,6 @@ func (sm *SM) issueAndAccount(now uint64, hasResident bool) {
 				sm.stats.StallUnits += lost * float64(mem) / float64(mem+comp)
 			}
 		}
-	}
-}
-
-// The phase API below splits Cycle for the parallel cycle engine. One
-// simulated cycle for SM i is the sequence
-//
-//	DispatchPhase(i) ; ComputePhase(i)
-//
-// and the sequential engine's per-cycle order D0 C0 D1 C1 ... is
-// reconstructed from the phased order D0 D1 ... C0 C1 ... (all dispatches,
-// then all computes concurrently) plus an ordered recovery pass: for SMs
-// whose DispatchPhase went hungry, RedispatchPhase retries the dispatch once
-// the deferred BlockFinished notifications of lower-index SMs have been
-// replayed. See internal/sim's parallel engine for why this reconstruction
-// is exact.
-
-// SetDeferFinish switches BlockFinished deferral on or off (see deferFinish).
-func (sm *SM) SetDeferFinish(on bool) { sm.deferFinish = on }
-
-// DispatchPhase runs only the thread-block dispatch part of Cycle and
-// reports whether the SM went hungry: it had room for another block but the
-// source could not supply one because earlier blocks were still in flight.
-func (sm *SM) DispatchPhase() (hungry bool) { return sm.tryDispatch() }
-
-// ComputePhase runs the rest of Cycle: timer wakes, the issue loop, and
-// stall accounting. With deferral enabled it touches only SM-local state, so
-// ComputePhase calls on different SMs may run concurrently.
-func (sm *SM) ComputePhase(now uint64) {
-	sm.stats.Cycles++
-	sm.wakeWheel(now)
-	hasResident := sm.resident > 0
-	if hasResident {
-		sm.stats.ActiveCycles++
-	}
-	sm.issueAndAccount(now, hasResident)
-}
-
-// RedispatchPhase retries a hungry SM's dispatch after lower-index SMs'
-// deferred finishes have been replayed, and runs the compute a fresh block
-// would have received in the sequential engine (dispatch precedes issue
-// within one SM cycle). Only a completely idle SM can profit: a non-idle
-// hungry SM's own resident blocks keep its app's in-flight count above zero,
-// so the kernel relaunch it is waiting for cannot trigger this cycle and the
-// retry is skipped. For an idle SM the earlier ComputePhase was a no-op
-// (nothing runnable, no active-cycle accounting), so dispatch + active
-// accounting + issue here reproduces the sequential Cycle exactly.
-func (sm *SM) RedispatchPhase(now uint64) {
-	if sm.resident != 0 {
-		return
-	}
-	sm.tryDispatch()
-	if sm.resident == 0 {
-		return
-	}
-	sm.stats.ActiveCycles++
-	sm.issueAndAccount(now, true)
-}
-
-// ReplayFinishes delivers the BlockFinished notifications deferred during
-// ComputePhase to the block source, in aggregate (the source's accounting is
-// order-independent across blocks).
-func (sm *SM) ReplayFinishes() {
-	n := sm.pendingFinishes
-	if n == 0 {
-		return
-	}
-	sm.pendingFinishes = 0
-	if sm.source == nil {
-		return
-	}
-	for ; n > 0; n-- {
-		sm.source.BlockFinished()
 	}
 }
 

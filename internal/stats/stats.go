@@ -1,7 +1,7 @@
 // Package stats provides the small streaming-statistics helpers the
 // simulator uses for latency and interval metrics: an online accumulator
-// (count/mean/min/max) and a power-of-two-bucketed histogram suitable for
-// long-tailed latency distributions.
+// (count/mean/min/max), a power-of-two-bucketed histogram suitable for
+// long-tailed latency distributions, and Jain's fairness index.
 package stats
 
 import (
@@ -113,4 +113,20 @@ func (h *LogHist) String() string {
 		fmt.Fprintf(&b, "[%d,%d):%d ", uint64(1)<<uint(k), uint64(1)<<uint(k+1), c)
 	}
 	return strings.TrimSpace(b.String())
+}
+
+// Jain is Jain's fairness index (Σx)²/(n·Σx²): 1 when every share is equal,
+// →1/n under maximal skew. Empty or all-zero input reads as perfectly fair.
+// The sums accumulate in slice order, so a caller's digests depend only on
+// the order of xs.
+func Jain(xs []float64) float64 {
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
 }

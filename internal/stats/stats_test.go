@@ -134,3 +134,21 @@ func TestLogHistMergeConservesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestJain(t *testing.T) {
+	cases := []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 1},
+		{[]float64{1, 1, 1}, 1},
+		{[]float64{1, 0.5}, 0.9},
+		{[]float64{1, 0, 0, 0}, 0.25},
+		{[]float64{0, 0}, 1},
+	}
+	for _, c := range cases {
+		if got := Jain(c.xs); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Jain(%v) = %v, want %v", c.xs, got, c.want)
+		}
+	}
+}

@@ -24,14 +24,14 @@ type DiskCache struct {
 }
 
 // NewDiskCache builds a cache persisting under dir (created if needed).
-func NewDiskCache(cfg config.Config, cycles uint64, seed uint64, dir string, simOpts ...sim.Option) (*DiskCache, error) {
+func NewDiskCache(cfg config.Config, cycles uint64, seed uint64, dir string) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("workload: cache dir: %w", err)
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v|%d|%d", cfg, cycles, seed)
 	return &DiskCache{
-		inner: NewAloneCache(cfg, cycles, seed, simOpts...),
+		inner: NewAloneCache(cfg, cycles, seed),
 		dir:   dir,
 		tag:   fmt.Sprintf("%x", h.Sum64()),
 	}, nil

@@ -129,25 +129,21 @@ func baselineGet(ctx context.Context, cache Baseline, p kernels.Profile) (*sim.R
 // concurrent use, and concurrent requests for the same kernel simulate it
 // only once.
 type AloneCache struct {
-	cfg     config.Config
-	cycles  uint64
-	seed    uint64
-	store   *simcache.Memory
-	simOpts []sim.Option
+	cfg    config.Config
+	cycles uint64
+	seed   uint64
+	store  *simcache.Memory
 }
 
 // NewAloneCache builds a cache running alone simulations with the given
-// budget, backed by a private store. Any sim options (e.g.
-// sim.WithParallelism) apply to the cache's own runs only; they never enter
-// the content address, because results are required to be independent of
-// them — a store stays shareable between callers with different options.
-func NewAloneCache(cfg config.Config, cycles uint64, seed uint64, simOpts ...sim.Option) *AloneCache {
-	return NewAloneCacheWith(simcache.NewMemory(0), cfg, cycles, seed, simOpts...)
+// budget, backed by a private store.
+func NewAloneCache(cfg config.Config, cycles uint64, seed uint64) *AloneCache {
+	return NewAloneCacheWith(simcache.NewMemory(0), cfg, cycles, seed)
 }
 
 // NewAloneCacheWith builds an AloneCache over an existing result store.
-func NewAloneCacheWith(store *simcache.Memory, cfg config.Config, cycles uint64, seed uint64, simOpts ...sim.Option) *AloneCache {
-	return &AloneCache{cfg: cfg, cycles: cycles, seed: seed, store: store, simOpts: simOpts}
+func NewAloneCacheWith(store *simcache.Memory, cfg config.Config, cycles uint64, seed uint64) *AloneCache {
+	return &AloneCache{cfg: cfg, cycles: cycles, seed: seed, store: store}
 }
 
 // AloneKey is the content address of a kernel's alone run on all SMs; the
@@ -170,7 +166,7 @@ func (c *AloneCache) Get(p kernels.Profile) (*sim.Result, error) {
 // GetContext is Get with cancellation.
 func (c *AloneCache) GetContext(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
 	return c.store.GetOrCompute(ctx, c.key(p), func() (*sim.Result, error) {
-		return sim.RunAloneContext(ctx, c.cfg, p, c.cycles, c.seed, c.simOpts...)
+		return sim.RunAloneContext(ctx, c.cfg, p, c.cycles, c.seed)
 	})
 }
 
@@ -209,11 +205,6 @@ type Options struct {
 	// and ASM are designed around. Each estimator family is judged against
 	// the actual slowdowns of its own system.
 	EpochEstimators []core.Estimator
-	// SimOpts are engine options applied to every simulation this
-	// evaluation runs (e.g. sim.WithParallelism). Only observation- or
-	// speed-only options are sound here: results must not depend on them,
-	// or the evaluation would measure the option instead of the workload.
-	SimOpts []sim.Option
 }
 
 // DefaultOptions returns the evaluation configuration used throughout the
@@ -237,7 +228,7 @@ func Evaluate(opt Options, combo Combo, alloc []int, cache Baseline) (*Eval, err
 // EvaluateContext is Evaluate with cancellation: the shared runs, epoch runs
 // and alone-baseline lookups all abort once ctx expires.
 func EvaluateContext(ctx context.Context, opt Options, combo Combo, alloc []int, cache Baseline) (*Eval, error) {
-	shared, err := sim.RunSharedContext(ctx, opt.Cfg, combo.Profiles, alloc, opt.SharedCycles, opt.Seed, opt.SimOpts...)
+	shared, err := sim.RunSharedContext(ctx, opt.Cfg, combo.Profiles, alloc, opt.SharedCycles, opt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", combo.Name(), err)
 	}
@@ -275,8 +266,7 @@ func EvaluateContext(ctx context.Context, opt Options, combo Combo, alloc []int,
 	}
 
 	if len(opt.EpochEstimators) > 0 {
-		epochRun, err := sim.RunSharedContext(ctx, opt.Cfg, combo.Profiles, alloc, opt.SharedCycles, opt.Seed,
-			append([]sim.Option{sim.WithPriorityEpochs()}, opt.SimOpts...)...)
+		epochRun, err := sim.RunSharedContext(ctx, opt.Cfg, combo.Profiles, alloc, opt.SharedCycles, opt.Seed, sim.WithPriorityEpochs())
 		if err != nil {
 			return nil, fmt.Errorf("workload %s (epochs): %w", combo.Name(), err)
 		}

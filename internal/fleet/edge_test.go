@@ -8,8 +8,9 @@ import (
 )
 
 // TestFleetEdgeCases drives the scheduler through the boundary
-// configurations table-style: every case runs a small scenario and then
-// applies both the shared invariants and a case-specific check.
+// configurations table-style: every case runs a small scenario (sweeping
+// checkInvariants after every Tick) and then applies both the shared
+// invariants and a case-specific check.
 func TestFleetEdgeCases(t *testing.T) {
 	gpu := config.Default()
 	cases := []struct {
@@ -32,9 +33,7 @@ func TestFleetEdgeCases(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < 5; i++ {
-					if err := f.Tick(); err != nil {
-						t.Fatal(err)
-					}
+					tickChecked(t, f)
 				}
 				return f
 			},
@@ -71,9 +70,7 @@ func TestFleetEdgeCases(t *testing.T) {
 					}
 				}
 				for i := 0; i < 4; i++ {
-					if err := f.Tick(); err != nil {
-						t.Fatal(err)
-					}
+					tickChecked(t, f)
 				}
 				return f
 			},
@@ -102,9 +99,7 @@ func TestFleetEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := f.Tick(); err != nil {
-					t.Fatal(err)
-				}
+				tickChecked(t, f)
 				return f
 			},
 			check: func(t *testing.T, f *Fleet) {
@@ -130,9 +125,7 @@ func TestFleetEdgeCases(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < 2; i++ {
-					if err := f.Tick(); err != nil {
-						t.Fatal(err)
-					}
+					tickChecked(t, f)
 				}
 				if err := f.AddTenant(TenantSpec{Name: "guest", QuotaSMs: 8, Weight: 1}); err != nil {
 					t.Fatal(err)
@@ -143,17 +136,13 @@ func TestFleetEdgeCases(t *testing.T) {
 					}
 				}
 				for i := 0; i < 2; i++ {
-					if err := f.Tick(); err != nil {
-						t.Fatal(err)
-					}
+					tickChecked(t, f)
 				}
 				if err := f.RemoveTenant("guest"); err != nil {
 					t.Fatal(err)
 				}
 				for i := 0; i < 2; i++ {
-					if err := f.Tick(); err != nil {
-						t.Fatal(err)
-					}
+					tickChecked(t, f)
 				}
 				return f
 			},
@@ -196,9 +185,7 @@ func TestFleetEdgeCases(t *testing.T) {
 				if err := f.Submit(JobSpec{ID: "small", Tenant: "a", Kernel: bs, MinSMs: 2, Work: 1 << 40}); err != nil {
 					t.Fatal(err)
 				}
-				if err := f.Tick(); err != nil {
-					t.Fatal(err)
-				}
+				tickChecked(t, f)
 				return f
 			},
 			check: func(t *testing.T, f *Fleet) {

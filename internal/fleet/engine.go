@@ -5,7 +5,9 @@ import (
 
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
+	"dasesim/internal/memreq"
 	"dasesim/internal/sim"
+	"dasesim/internal/telemetry"
 )
 
 // Engine produces one scheduling interval of ground truth for one GPU's
@@ -87,7 +89,9 @@ func (e *ModelEngine) Name() string { return "model" }
 
 // Interval implements Engine.
 func (e *ModelEngine) Interval(gpu, epoch int, profiles []kernels.Profile, alloc []int, seed, intervalCycles uint64) (*sim.IntervalSnapshot, []uint64, error) {
-	snap := synthesizeSnapshot(e.Cfg, profiles, alloc, intervalCycles, engineSeed(seed, gpu, epoch))
+	snap := new(sim.IntervalSnapshot)     // the caller owns what Interval returns
+	var demand [telemetry.MaxApps]float64 // on the stack for any co-schedule a fleet admits
+	synthesizeSnapshot(snap, demand[:0], &e.Cfg, profiles, alloc, intervalCycles, engineSeed(seed, gpu, epoch))
 	instr := make([]uint64, len(profiles))
 	for i := range profiles {
 		instr[i] = modelInstructions(&snap.Apps[i], &profiles[i])
@@ -111,9 +115,16 @@ func modelInstructions(a *sim.AppInterval, p *kernels.Profile) uint64 {
 // and the placement predictor: given the co-schedule, produce the
 // IntervalSnapshot DASE will read. Jitter (a few percent, hashed from seed)
 // keeps property-test scenarios from all collapsing onto the same numbers
-// without breaking determinism.
-func synthesizeSnapshot(cfg config.Config, profiles []kernels.Profile, alloc []int, intervalCycles, seed uint64) *sim.IntervalSnapshot {
-	snap := &sim.IntervalSnapshot{
+// without breaking determinism. It overwrites *snap, reusing the capacity of
+// snap.Apps and of the demand scratch, which it returns (grown if it had to
+// be) for the next call; a caller that keeps the snapshot passes a fresh one.
+func synthesizeSnapshot(snap *sim.IntervalSnapshot, demand []float64, cfg *config.Config, profiles []kernels.Profile, alloc []int, intervalCycles, seed uint64) []float64 {
+	n := len(profiles)
+	apps := snap.Apps
+	if cap(apps) < n {
+		apps = make([]sim.AppInterval, n)
+	}
+	*snap = sim.IntervalSnapshot{
 		Cycle:          intervalCycles,
 		IntervalCycles: intervalCycles,
 		NumSMs:         cfg.NumSMs,
@@ -121,10 +132,13 @@ func synthesizeSnapshot(cfg config.Config, profiles []kernels.Profile, alloc []i
 		PeakReqPerCyc:  cfg.PeakRequestsPerCycle(),
 		PeakActPerCyc:  cfg.PeakActivationsPerCycle(),
 		ReqMaxFactor:   cfg.RequestMaxFactor,
-		Apps:           make([]sim.AppInterval, len(profiles)),
+		Apps:           apps[:n],
 	}
 	// Per-app demanded lines per cycle, before bus contention.
-	demand := make([]float64, len(profiles))
+	if cap(demand) < n {
+		demand = make([]float64, n)
+	}
+	demand = demand[:n]
 	total := 0.0
 	for i := range profiles {
 		p := &profiles[i]
@@ -143,7 +157,8 @@ func synthesizeSnapshot(cfg config.Config, profiles []kernels.Profile, alloc []i
 	for i := range profiles {
 		p := &profiles[i]
 		a := &snap.Apps[i]
-		a.App = 0
+		*a = sim.AppInterval{} // the slot may hold a previous co-schedule's app
+		a.App = memreq.AppID(i)
 		a.SMs = alloc[i]
 		a.SMCycles = uint64(alloc[i]) * intervalCycles
 		served := demand[i] * scale * float64(intervalCycles)
@@ -194,11 +209,11 @@ func synthesizeSnapshot(cfg config.Config, profiles []kernels.Profile, alloc []i
 		a.ActiveCycles = uint64(float64(a.SMCycles) * (1 - 0.5*alpha))
 	}
 	snap.BusCycles = uint64(float64(intervalCycles) * scale * total / peak)
-	return snap
+	return demand
 }
 
 // maxResidentBlocks is the residency bound of one SM for the profile.
-func maxResidentBlocks(cfg config.Config, p *kernels.Profile) int {
+func maxResidentBlocks(cfg *config.Config, p *kernels.Profile) int {
 	perSM := cfg.SM.MaxBlocks
 	if p.WarpsPerBlock > 0 {
 		if byWarps := cfg.SM.MaxWarps / p.WarpsPerBlock; byWarps < perSM {

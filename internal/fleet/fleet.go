@@ -19,7 +19,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dasesim/internal/config"
 	"dasesim/internal/core"
@@ -116,6 +115,10 @@ type tenant struct {
 	placedJobs int     // jobs placed this interval
 	startShare float64 // share ratio at the start of the placement phase
 	departed   bool
+	// Per-interval sums account accumulates in its one pass over the GPUs.
+	smsNow  int
+	slowSum float64
+	slowN   int
 }
 
 // overQuota reports whether the tenant is currently consuming at or beyond
@@ -138,28 +141,36 @@ func (t *tenant) shareRatio() float64 {
 	return avg / d
 }
 
+// scoreEntry is one memoised predictContention result.
+type scoreEntry struct {
+	kernel kernels.Profile
+	score  float64
+}
+
 // gpuState is one GPU of the fleet: its resident jobs and their current SM
-// partition (parallel slices), plus the scratch the zero-alloc DASE and
-// partition-search paths reuse across intervals.
+// partition (parallel slices), what is derived from the resident set, plus
+// the scratch the predictor, DASE and the partition search reuse across
+// intervals, so that in steady state none of them allocates.
 type gpuState struct {
 	id    int
 	jobs  []*job
 	alloc []int
 	epoch int
 
+	// reserved is the sum of the residents' admission demands, and memo the
+	// placement score of every newcomer kernel asked about since jobs last
+	// changed. place and finishJobs, the only writers of jobs, keep both.
+	reserved int
+	memo     []scoreEntry
+
 	estScratch []core.AppEstimate
 	slowBuf    []float64
 	curBuf     []int
 	search     sched.PartitionSearch
-}
-
-// reservedSMs is the sum of the residents' admission demands.
-func (g *gpuState) reservedSMs() int {
-	n := 0
-	for _, j := range g.jobs {
-		n += j.spec.MinSMs
-	}
-	return n
+	profiles   []kernels.Profile
+	predAlloc  []int
+	snap       sim.IntervalSnapshot
+	demand     []float64
 }
 
 // Fleet is the multi-GPU multi-tenant scheduler.
@@ -168,6 +179,8 @@ type Fleet struct {
 	tenants  []*tenant
 	byName   map[string]*tenant
 	gpus     []*gpuState
+	order    []*tenant   // priorityOrder's result, reused every round
+	placeBuf []Placement // place's working list, copied out exact-size
 	interval int
 	nTenants int // tenants ever added, for stable indices
 	est      *core.DASE
@@ -358,7 +371,7 @@ func (f *Fleet) computeDeserved() {
 // fits reports whether the job can be admitted to the GPU right now.
 func (f *Fleet) fits(g *gpuState, j *job) bool {
 	return len(g.jobs) < f.cfg.MaxJobsPerGPU &&
-		g.reservedSMs()+j.spec.MinSMs <= f.cfg.GPU.NumSMs
+		g.reserved+j.spec.MinSMs <= f.cfg.GPU.NumSMs
 }
 
 // place runs the fair-share placement loop: repeatedly offer the most
@@ -369,11 +382,10 @@ func (f *Fleet) fits(g *gpuState, j *job) bool {
 // Within a tenant the queue is FIFO with skip — a small job may overtake a
 // blocked head (backfill) so one large job cannot idle the fleet.
 func (f *Fleet) place() []Placement {
-	var placements []Placement
+	f.placeBuf = f.placeBuf[:0]
 	for {
-		order := f.priorityOrder()
 		placed := false
-		for _, t := range order {
+		for _, t := range f.priorityOrder() {
 			qi, g := f.firstPlaceable(t)
 			if qi < 0 {
 				continue
@@ -386,10 +398,12 @@ func (f *Fleet) place() []Placement {
 			j.estSlow = 0
 			g.jobs = append(g.jobs, j)
 			g.alloc = append(g.alloc, j.spec.MinSMs)
+			g.reserved += j.spec.MinSMs
+			g.memo = g.memo[:0]
 			t.running++
 			t.placed += j.spec.MinSMs
 			t.placedJobs++
-			placements = append(placements, Placement{
+			f.placeBuf = append(f.placeBuf, Placement{
 				Tenant: t.spec.Name, Job: j.spec.ID, GPU: g.id,
 				MinSMs: j.spec.MinSMs, ShareAtPlace: share, OverQuota: share >= 1,
 			})
@@ -398,27 +412,33 @@ func (f *Fleet) place() []Placement {
 			break
 		}
 		if !placed {
-			return placements
+			// The record keeps the placements, so they leave the scratch.
+			return append([]Placement(nil), f.placeBuf...)
 		}
 	}
 }
 
 // priorityOrder sorts active tenants most-underserved first, ties broken by
-// name for determinism.
+// name for determinism. Names are unique, so (share ratio, name) is a total
+// order and the insertion sort's result is the only one there is.
 func (f *Fleet) priorityOrder() []*tenant {
-	order := make([]*tenant, 0, len(f.tenants))
+	order := f.order[:0]
 	for _, t := range f.tenants {
-		if !t.departed && len(t.queue) > 0 {
-			order = append(order, t)
+		if t.departed || len(t.queue) == 0 {
+			continue
 		}
+		r := t.shareRatio()
+		i := len(order)
+		order = append(order, t)
+		for ; i > 0; i-- {
+			if ro := order[i-1].shareRatio(); ro < r || (ro == r && order[i-1].spec.Name < t.spec.Name) {
+				break
+			}
+			order[i] = order[i-1]
+		}
+		order[i] = t
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := order[a].shareRatio(), order[b].shareRatio()
-		if ra != rb {
-			return ra < rb
-		}
-		return order[a].spec.Name < order[b].spec.Name
-	})
+	f.order = order
 	return order
 }
 
@@ -460,21 +480,30 @@ func (f *Fleet) chooseGPU(j *job) *gpuState {
 // demand, remainder to the newcomer), estimate every app's slowdown with
 // DASE, and return the predicted maximum slowdown. An empty GPU scores 1
 // (no contention) minus a small bonus so spreading wins ties.
+//
+// The score is a pure function of the residents' kernels and demands in
+// order, the newcomer's kernel, the GPU id, the fleet seed and the
+// configuration — not of the newcomer's own demand, which only admission
+// reads. So it is memoised per newcomer kernel until the resident set
+// changes; the key is the whole profile, compared with ==, so no field the
+// model reads can be missing from it.
 func (f *Fleet) predictContention(g *gpuState, j *job) float64 {
-	n := len(g.jobs) + 1
-	profiles := make([]kernels.Profile, 0, n)
-	alloc := make([]int, 0, n)
-	used := 0
+	for i := range g.memo {
+		if g.memo[i].kernel == j.spec.Kernel {
+			return g.memo[i].score
+		}
+	}
+	profiles, alloc := g.profiles[:0], g.predAlloc[:0]
 	for _, r := range g.jobs {
 		profiles = append(profiles, r.spec.Kernel)
 		alloc = append(alloc, r.spec.MinSMs)
-		used += r.spec.MinSMs
 	}
 	profiles = append(profiles, j.spec.Kernel)
-	alloc = append(alloc, f.cfg.GPU.NumSMs-used) // newcomer gets the remainder
-	snap := synthesizeSnapshot(f.cfg.GPU, profiles, alloc, f.cfg.IntervalCycles,
-		engineSeed(f.cfg.Seed, g.id, -1))
-	g.estScratch = f.est.EstimateDetailedInto(snap, g.estScratch)
+	alloc = append(alloc, f.cfg.GPU.NumSMs-g.reserved) // newcomer gets the remainder
+	g.profiles, g.predAlloc = profiles, alloc
+	g.demand = synthesizeSnapshot(&g.snap, g.demand, &f.cfg.GPU, profiles, alloc,
+		f.cfg.IntervalCycles, engineSeed(f.cfg.Seed, g.id, -1))
+	g.estScratch = f.est.EstimateDetailedInto(&g.snap, g.estScratch)
 	worst := 1.0
 	for i := range g.estScratch {
 		if s := g.estScratch[i].Slowdown; s > worst {
@@ -484,6 +513,7 @@ func (f *Fleet) predictContention(g *gpuState, j *job) float64 {
 	if len(g.jobs) == 0 {
 		worst -= 1e-9 // empty GPU wins exact ties against equal contention
 	}
+	g.memo = append(g.memo, scoreEntry{j.spec.Kernel, worst})
 	return worst
 }
 
@@ -559,11 +589,11 @@ func (f *Fleet) execute() error {
 		if len(g.jobs) == 0 {
 			continue
 		}
-		profiles := make([]kernels.Profile, len(g.jobs))
-		for i, j := range g.jobs {
-			profiles[i] = j.spec.Kernel
+		g.profiles = g.profiles[:0]
+		for _, j := range g.jobs {
+			g.profiles = append(g.profiles, j.spec.Kernel)
 		}
-		snap, instr, err := f.cfg.Engine.Interval(g.id, g.epoch, profiles, g.alloc, f.cfg.Seed, f.cfg.IntervalCycles)
+		snap, instr, err := f.cfg.Engine.Interval(g.id, g.epoch, g.profiles, g.alloc, f.cfg.Seed, f.cfg.IntervalCycles)
 		if err != nil {
 			return err
 		}
@@ -585,6 +615,8 @@ func (f *Fleet) finishJobs() {
 		for i, j := range g.jobs {
 			if j.done >= j.spec.Work {
 				j.tenant.running--
+				g.reserved -= j.spec.MinSMs
+				g.memo = g.memo[:0]
 				f.emitJob(j, "done", g.id)
 				continue
 			}
@@ -612,17 +644,35 @@ func (f *Fleet) reap() {
 // windows and appends the interval's record (the durable observation the
 // CSV writer and the invariant checkers both read).
 func (f *Fleet) account(placements []Placement) {
-	rec := IntervalRecord{Interval: f.interval, Placements: placements}
-	allocated := 0
+	rec := IntervalRecord{
+		Interval: f.interval, Placements: placements,
+		Tenants: make([]TenantRecord, 0, len(f.tenants)),
+		GPUs:    make([]GPURecord, len(f.gpus)),
+	}
 	for _, t := range f.tenants {
-		smsNow := 0
-		for _, g := range f.gpus {
-			for i, j := range g.jobs {
-				if j.tenant == t {
-					smsNow += g.alloc[i]
-				}
+		t.smsNow, t.slowSum, t.slowN = 0, 0, 0
+	}
+	// One pass over the GPUs in id order: each tenant's sums see its jobs in
+	// the order a per-tenant scan would, so the float sums are the same.
+	for gi, g := range f.gpus {
+		gr := &rec.GPUs[gi]
+		*gr = GPURecord{
+			GPU: g.id, Residents: len(g.jobs),
+			FreeSlots: f.cfg.MaxJobsPerGPU - len(g.jobs),
+			FreeSMs:   f.cfg.GPU.NumSMs - g.reserved,
+		}
+		for i, j := range g.jobs {
+			gr.ResidentSMs += g.alloc[i]
+			j.tenant.smsNow += g.alloc[i]
+			if j.estSlow >= 1 {
+				j.tenant.slowSum += j.estSlow
+				j.tenant.slowN++
 			}
 		}
+	}
+	allocated := 0
+	for _, t := range f.tenants {
+		smsNow := t.smsNow
 		allocated += smsNow
 		t.usage += smsNow - t.window[t.windowAt]
 		t.window[t.windowAt] = smsNow
@@ -645,21 +695,14 @@ func (f *Fleet) account(placements []Placement) {
 			PlacedJobs:   t.placedJobs,
 			Departed:     t.departed,
 		}
-		for _, j := range t.queue {
-			tr.QueuedMinSMs = append(tr.QueuedMinSMs, j.spec.MinSMs)
-		}
-		var slowSum float64
-		var slowN int
-		for _, g := range f.gpus {
-			for _, j := range g.jobs {
-				if j.tenant == t && j.estSlow >= 1 {
-					slowSum += j.estSlow
-					slowN++
-				}
+		if len(t.queue) > 0 {
+			tr.QueuedMinSMs = make([]int, len(t.queue))
+			for i, j := range t.queue {
+				tr.QueuedMinSMs[i] = j.spec.MinSMs
 			}
 		}
-		if slowN > 0 {
-			tr.MeanSlowdown = slowSum / float64(slowN)
+		if t.slowN > 0 {
+			tr.MeanSlowdown = t.slowSum / float64(t.slowN)
 		}
 		rec.Tenants = append(rec.Tenants, tr)
 
@@ -673,17 +716,6 @@ func (f *Fleet) account(placements []Placement) {
 		}
 	}
 	rec.IdleSMs = f.Capacity() - allocated
-	for _, g := range f.gpus {
-		gr := GPURecord{
-			GPU: g.id, Residents: len(g.jobs),
-			FreeSlots: f.cfg.MaxJobsPerGPU - len(g.jobs),
-			FreeSMs:   f.cfg.GPU.NumSMs - g.reservedSMs(),
-		}
-		for i := range g.jobs {
-			gr.ResidentSMs += g.alloc[i]
-		}
-		rec.GPUs = append(rec.GPUs, gr)
-	}
 	f.rec = append(f.rec, rec)
 }
 

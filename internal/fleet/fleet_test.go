@@ -12,7 +12,7 @@ import (
 	"dasesim/internal/telemetry"
 )
 
-func testProfile(t *testing.T, abbr string) kernels.Profile {
+func testProfile(t testing.TB, abbr string) kernels.Profile {
 	t.Helper()
 	p, ok := kernels.ByAbbr(abbr)
 	if !ok {

@@ -139,6 +139,9 @@ func runProp(p *propScenario) error {
 		if err := f.Tick(); err != nil {
 			return fmt.Errorf("interval %d: Tick: %w", iv, err)
 		}
+		if err := f.checkInvariants(); err != nil {
+			return fmt.Errorf("interval %d: %w", iv, err)
+		}
 	}
 	return CheckAll(f.Records(), f.Capacity(), p.sc.Config.GPU.NumSMs)
 }
@@ -203,7 +206,9 @@ func regressionSeeds(t *testing.T) []uint64 {
 
 // TestFleetProperties is the randomized fairness suite: for each seed it
 // builds a random fleet scenario and asserts work conservation, quota
-// safety, and allocation-history bookkeeping over the full run. Failures
+// safety, and allocation-history bookkeeping over the full run, and after
+// every Tick that the score memo and the maintained counters agree with a
+// recomputation from scratch (checkInvariants). Failures
 // shrink to a minimal scenario before reporting. Run with -fleet.seed/-
 // fleet.iters to reproduce or extend; -short trims the sweep.
 func TestFleetProperties(t *testing.T) {
@@ -211,6 +216,7 @@ func TestFleetProperties(t *testing.T) {
 	if testing.Short() && iters > 100 {
 		iters = 100
 	}
+	checkedBefore := memoEntriesChecked
 	for _, seed := range regressionSeeds(t) {
 		p := randomScenario(seed)
 		if err := runProp(&p); err != nil {
@@ -225,5 +231,8 @@ func TestFleetProperties(t *testing.T) {
 			t.Fatalf("seed %d violated an invariant: %v\nshrunk to: %d arrivals, %d intervals, join@%d leave@%d (%s)\ncommit the seed to testdata/property_seeds.json and rerun with -fleet.seed=%d -fleet.iters=1",
 				seed, err, len(m.sc.Arrivals), m.sc.Intervals, m.joinAt, m.leaveAt, m.leaver, seed)
 		}
+	}
+	if iters >= 100 && memoEntriesChecked == checkedBefore {
+		t.Error("no live score-memo entry was ever compared with the reference: the sweep is vacuous")
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +186,72 @@ func TestScenarioBarriersPreserveLocality(t *testing.T) {
 	}
 }
 
+// checkMixInvariants runs one short two-kernel simulation chosen by the four
+// bytes and reports, each as its own failure with the values that tripped
+// it, the structural invariants that must hold for any input.
+func checkMixInvariants(t *testing.T, i, j, split, seed uint8) bool {
+	t.Helper()
+	cfg := config.Default()
+	cfg.IntervalCycles = 5_000
+	all := kernels.All()
+	a := all[int(i)%len(all)]
+	b := all[int(j)%len(all)]
+	smA := int(split)%(cfg.NumSMs-1) + 1
+	alloc := []int{smA, cfg.NumSMs - smA}
+	res, err := RunShared(cfg, []kernels.Profile{a, b}, alloc, 10_000, uint64(seed)+1)
+	if err != nil {
+		t.Errorf("RunShared(%s,%s,%v): %v", a.Abbr, b.Abbr, alloc, err)
+		return false
+	}
+	ok := true
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Errorf("(%#02x,%#02x,%#02x,%#02x) %s+%s %v: %s", i, j, split, seed,
+			a.Abbr, b.Abbr, alloc, fmt.Sprintf(format, args...))
+		ok = false
+	}
+	var data uint64
+	for _, app := range res.Apps {
+		if app.Alpha < 0 || app.Alpha > 1 {
+			fail("alpha: %s stall fraction %v outside [0,1]", app.Abbr, app.Alpha)
+		}
+		data += app.DataCycles
+	}
+
+	// The bus decomposition may exceed BusCycles, by a bounded amount that
+	// follows from how the controller books it. Per (controller, interval)
+	// window of W cycles, dram.BusCounters.Wasted clamps at zero, so the
+	// three parts sum to max(W, idle+data) and the window overshoots by
+	// max(0, idle+data-W). A request's TBurst data cycles are booked at the
+	// cycle it is scheduled into its bank, but its slot on the data bus lies
+	// at least TCAS cycles later. Bus slots do not overlap each other (one
+	// bus per controller) nor an idle cycle (a request in service keeps the
+	// controller non-idle until its slot ends), so idle plus the bus time
+	// that falls inside the window is at most W, and the overshoot is at
+	// most the bus time booked inside the window that falls past its edge.
+	// A bank serves one request at a time, so at the edge at most NumBanks
+	// booked transfers are still to come: NumBanks*TBurst per window. (Not
+	// TBurst alone: it is not only the one transfer straddling the edge
+	// that was booked early. Saturating mixes reach the edge with ~85 bus
+	// cycles reserved ahead, and (0x6f,0xbd,0xe0,0x66) overshoots a single
+	// window by 9 > TBurst = 6.) Seen overshoots are 2-11 cycles per run:
+	// the waste a window really has almost always absorbs the carry-over.
+	slack := uint64(cfg.NumMCs*len(res.Snapshots)*cfg.Mem.NumBanks) * cfg.Mem.TBurst
+	if sum := data + res.BusWasted + res.BusIdle; sum > res.BusCycles+slack {
+		fail("bus: data %d + wasted %d + idle %d = %d exceeds BusCycles %d by %d, more than the %d cycles %d controller windows can book past their edges",
+			data, res.BusWasted, res.BusIdle, sum, res.BusCycles, sum-res.BusCycles, slack, cfg.NumMCs*len(res.Snapshots))
+	}
+	for si, s := range res.Snapshots {
+		for _, ai := range s.Apps {
+			if ai.BLPAccess > ai.BLP+1e-9 || ai.BLPBlocked > ai.BLP+1e-9 {
+				fail("blp: interval %d app %d: access %v or blocked %v above BLP %v",
+					si, ai.App, ai.BLPAccess, ai.BLPBlocked, ai.BLP)
+			}
+		}
+	}
+	return ok
+}
+
 // TestRandomMixInvariantsProperty runs short simulations over random kernel
 // pairs and allocations, checking the structural invariants that must hold
 // for any input.
@@ -192,39 +259,29 @@ func TestRandomMixInvariantsProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow property test")
 	}
-	cfg := config.Default()
-	cfg.IntervalCycles = 5_000
-	all := kernels.All()
-	f := func(i, j, split, seed uint8) bool {
-		a := all[int(i)%len(all)]
-		b := all[int(j)%len(all)]
-		smA := int(split)%(cfg.NumSMs-1) + 1
-		alloc := []int{smA, cfg.NumSMs - smA}
-		res, err := RunShared(cfg, []kernels.Profile{a, b}, alloc, 10_000, uint64(seed)+1)
-		if err != nil {
-			t.Logf("RunShared(%s,%s,%v): %v", a.Abbr, b.Abbr, alloc, err)
-			return false
-		}
-		var data uint64
-		for _, app := range res.Apps {
-			if app.Alpha < 0 || app.Alpha > 1 {
-				return false
-			}
-			data += app.DataCycles
-		}
-		if data+res.BusWasted+res.BusIdle > res.BusCycles {
-			return false
-		}
-		for _, s := range res.Snapshots {
-			for _, ai := range s.Apps {
-				if ai.BLPAccess > ai.BLP+1e-9 || ai.BLPBlocked > ai.BLP+1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	f := func(i, j, split, seed uint8) bool { return checkMixInvariants(t, i, j, split, seed) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomMixInvariantsRegression replays the nine inputs on which the
+// property above used to fail about one run in 25 (ROADMAP item 7). All nine
+// have SB in the pair and tripped only the bus check, by 8, 11, 3, 8, 8, 3,
+// 2, 9 and 8 cycles, while it allowed no overshoot at all; none trips the
+// alpha or BLP checks. It is cheap enough to run under -short.
+func TestRandomMixInvariantsRegression(t *testing.T) {
+	for _, in := range [][4]uint8{
+		{0x7f, 0xf6, 0x4b, 0x4b},
+		{0x40, 0x6f, 0x69, 0xe3},
+		{0x30, 0x6f, 0x4e, 0xa2},
+		{0xf7, 0x9c, 0x4c, 0x27},
+		{0x06, 0xc5, 0xc0, 0x9f},
+		{0x42, 0x26, 0xef, 0xcc},
+		{0xab, 0x8b, 0xfb, 0xad},
+		{0x6f, 0xbd, 0xe0, 0x66},
+		{0x2f, 0xab, 0x12, 0xba},
+	} {
+		checkMixInvariants(t, in[0], in[1], in[2], in[3])
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"dasesim/internal/kernels"
 	"dasesim/internal/memreq"
 	"dasesim/internal/sim"
-	"dasesim/internal/telemetry"
 )
 
 // Engine produces one scheduling interval of ground truth for one GPU's
@@ -18,6 +17,11 @@ import (
 // ModelEngine synthesizes counters from the kernel profiles in closed form —
 // cheap enough for thousand-iteration property suites and large arrival
 // sweeps.
+//
+// What Interval returns may be engine-owned: it is valid until the next
+// Interval call for the same gpu, and results for different GPUs never alias.
+// An engine value serves one Fleet, which calls it sequentially and consumes
+// each result before asking that GPU again.
 type Engine interface {
 	Name() string
 	// Interval simulates intervalCycles of the given co-schedule. profiles
@@ -82,21 +86,34 @@ func (e *SimEngine) Interval(gpu, epoch int, profiles []kernels.Profile, alloc [
 // properties (conservation, quota safety, bookkeeping) need.
 type ModelEngine struct {
 	Cfg config.Config
+
+	out []*modelResult // per GPU index: the buffers Interval's results live in
+}
+
+// modelResult is one GPU's engine-owned result, overwritten by its next
+// Interval.
+type modelResult struct {
+	snap   sim.IntervalSnapshot
+	instr  []uint64
+	demand []float64
 }
 
 // Name implements Engine.
 func (e *ModelEngine) Name() string { return "model" }
 
-// Interval implements Engine.
+// Interval implements Engine. The snapshot and instruction counts it returns
+// belong to the engine (see Engine).
 func (e *ModelEngine) Interval(gpu, epoch int, profiles []kernels.Profile, alloc []int, seed, intervalCycles uint64) (*sim.IntervalSnapshot, []uint64, error) {
-	snap := new(sim.IntervalSnapshot)     // the caller owns what Interval returns
-	var demand [telemetry.MaxApps]float64 // on the stack for any co-schedule a fleet admits
-	synthesizeSnapshot(snap, demand[:0], &e.Cfg, profiles, alloc, intervalCycles, engineSeed(seed, gpu, epoch))
-	instr := make([]uint64, len(profiles))
-	for i := range profiles {
-		instr[i] = modelInstructions(&snap.Apps[i], &profiles[i])
+	for len(e.out) <= gpu {
+		e.out = append(e.out, new(modelResult))
 	}
-	return snap, instr, nil
+	r := e.out[gpu]
+	r.demand = synthesizeSnapshot(&r.snap, r.demand, &e.Cfg, profiles, alloc, intervalCycles, engineSeed(seed, gpu, epoch))
+	r.instr = r.instr[:0]
+	for i := range profiles {
+		r.instr = append(r.instr, modelInstructions(&r.snap.Apps[i], &profiles[i]))
+	}
+	return &r.snap, r.instr, nil
 }
 
 // modelInstructions converts a synthesized app interval into retired warp
@@ -124,13 +141,20 @@ func synthesizeSnapshot(snap *sim.IntervalSnapshot, demand []float64, cfg *confi
 	if cap(apps) < n {
 		apps = make([]sim.AppInterval, n)
 	}
+	// config.Config's PeakRequestsPerCycle and PeakActivationsPerCycle, from
+	// the fields, so the large value receiver is not copied per call.
+	peak := float64(cfg.NumMCs) / float64(cfg.Mem.TBurst)
+	peakAct := peak
+	if cfg.Mem.TFAW != 0 {
+		peakAct = float64(cfg.NumMCs) * 4 / float64(cfg.Mem.TFAW)
+	}
 	*snap = sim.IntervalSnapshot{
 		Cycle:          intervalCycles,
 		IntervalCycles: intervalCycles,
 		NumSMs:         cfg.NumSMs,
 		NumMCs:         cfg.NumMCs,
-		PeakReqPerCyc:  cfg.PeakRequestsPerCycle(),
-		PeakActPerCyc:  cfg.PeakActivationsPerCycle(),
+		PeakReqPerCyc:  peak,
+		PeakActPerCyc:  peakAct,
 		ReqMaxFactor:   cfg.RequestMaxFactor,
 		Apps:           apps[:n],
 	}
@@ -148,7 +172,6 @@ func synthesizeSnapshot(snap *sim.IntervalSnapshot, demand []float64, cfg *confi
 		demand[i] = float64(alloc[i]) * perSM * jitter
 		total += demand[i]
 	}
-	peak := snap.PeakReqPerCyc
 	scale := 1.0
 	if total > peak && total > 0 {
 		scale = peak / total

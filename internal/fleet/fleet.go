@@ -77,7 +77,8 @@ type Config struct {
 	IntervalCycles uint64
 	// Seed drives every deterministic random choice.
 	Seed uint64
-	// Engine supplies per-interval ground truth (default ModelEngine).
+	// Engine supplies per-interval ground truth (default ModelEngine). An
+	// engine value serves one Fleet (see Engine).
 	Engine Engine
 	// Tracer receives fleet.job and fleet.interval telemetry events
 	// (nil = disabled, the repo-standard observation-only discipline).
@@ -157,9 +158,11 @@ type gpuState struct {
 	alloc []int
 	epoch int
 
-	// reserved is the sum of the residents' admission demands, and memo the
-	// placement score of every newcomer kernel asked about since jobs last
-	// changed. place and finishJobs, the only writers of jobs, keep both.
+	// profiles is the residents' kernels, parallel to jobs; reserved is the
+	// sum of their admission demands, and memo the placement score of every
+	// newcomer kernel asked about since jobs last changed. place and
+	// finishJobs, the only writers of jobs, keep all three.
+	profiles []kernels.Profile
 	reserved int
 	memo     []scoreEntry
 
@@ -167,7 +170,6 @@ type gpuState struct {
 	slowBuf    []float64
 	curBuf     []int
 	search     sched.PartitionSearch
-	profiles   []kernels.Profile
 	predAlloc  []int
 	snap       sim.IntervalSnapshot
 	demand     []float64
@@ -398,6 +400,7 @@ func (f *Fleet) place() []Placement {
 			j.estSlow = 0
 			g.jobs = append(g.jobs, j)
 			g.alloc = append(g.alloc, j.spec.MinSMs)
+			g.profiles = append(g.profiles, j.spec.Kernel)
 			g.reserved += j.spec.MinSMs
 			g.memo = g.memo[:0]
 			t.running++
@@ -493,16 +496,16 @@ func (f *Fleet) predictContention(g *gpuState, j *job) float64 {
 			return g.memo[i].score
 		}
 	}
-	profiles, alloc := g.profiles[:0], g.predAlloc[:0]
+	alloc := g.predAlloc[:0]
 	for _, r := range g.jobs {
-		profiles = append(profiles, r.spec.Kernel)
 		alloc = append(alloc, r.spec.MinSMs)
 	}
-	profiles = append(profiles, j.spec.Kernel)
 	alloc = append(alloc, f.cfg.GPU.NumSMs-g.reserved) // newcomer gets the remainder
-	g.profiles, g.predAlloc = profiles, alloc
+	profiles := append(g.profiles, j.spec.Kernel)      // past the residents, truncated below
+	g.predAlloc = alloc
 	g.demand = synthesizeSnapshot(&g.snap, g.demand, &f.cfg.GPU, profiles, alloc,
 		f.cfg.IntervalCycles, engineSeed(f.cfg.Seed, g.id, -1))
+	g.profiles = profiles[:len(g.jobs)]
 	g.estScratch = f.est.EstimateDetailedInto(&g.snap, g.estScratch)
 	worst := 1.0
 	for i := range g.estScratch {
@@ -589,10 +592,6 @@ func (f *Fleet) execute() error {
 		if len(g.jobs) == 0 {
 			continue
 		}
-		g.profiles = g.profiles[:0]
-		for _, j := range g.jobs {
-			g.profiles = append(g.profiles, j.spec.Kernel)
-		}
 		snap, instr, err := f.cfg.Engine.Interval(g.id, g.epoch, g.profiles, g.alloc, f.cfg.Seed, f.cfg.IntervalCycles)
 		if err != nil {
 			return err
@@ -612,6 +611,7 @@ func (f *Fleet) finishJobs() {
 	for _, g := range f.gpus {
 		kept := g.jobs[:0]
 		keptAlloc := g.alloc[:0]
+		keptProfiles := g.profiles[:0]
 		for i, j := range g.jobs {
 			if j.done >= j.spec.Work {
 				j.tenant.running--
@@ -622,8 +622,9 @@ func (f *Fleet) finishJobs() {
 			}
 			kept = append(kept, j)
 			keptAlloc = append(keptAlloc, g.alloc[i])
+			keptProfiles = append(keptProfiles, g.profiles[i])
 		}
-		g.jobs, g.alloc = kept, keptAlloc
+		g.jobs, g.alloc, g.profiles = kept, keptAlloc, keptProfiles
 	}
 }
 

@@ -130,12 +130,22 @@ func refPredictContention(f *Fleet, g *gpuState, kernel kernels.Profile) float64
 var memoEntriesChecked int
 
 // checkInvariants recounts everything the fleet maintains incrementally:
-// each GPU's reserved-SM count against its resident list, and every live
-// score-memo entry against the reference predictor, bit for bit.
+// each GPU's kernel list and reserved-SM count against its resident list,
+// and every live score-memo entry against the reference predictor, bit for
+// bit.
 func (f *Fleet) checkInvariants() error {
 	for _, g := range f.gpus {
 		if len(g.alloc) != len(g.jobs) {
 			return fmt.Errorf("gpu %d: %d residents but %d partition entries", g.id, len(g.jobs), len(g.alloc))
+		}
+		if len(g.profiles) != len(g.jobs) {
+			return fmt.Errorf("gpu %d: %d residents but %d entries in the kernel list", g.id, len(g.jobs), len(g.profiles))
+		}
+		for i, j := range g.jobs {
+			if g.profiles[i] != j.spec.Kernel {
+				return fmt.Errorf("gpu %d: kernel list entry %d is %s, resident %s runs %s",
+					g.id, i, g.profiles[i].Abbr, j.spec.ID, j.spec.Kernel.Abbr)
+			}
 		}
 		reserved := 0
 		for _, j := range g.jobs {
@@ -202,7 +212,8 @@ func TestSynthesizeSnapshotMatchesReference(t *testing.T) {
 // sound only because the two writers of a GPU's resident list clear it; each
 // case runs the real step, puts back the memo the step cleared — the state
 // a dropped invalidation leaves behind — and requires checkInvariants to
-// object. The third case does the same for the maintained reserved-SM count.
+// object. The remaining cases do the same for the maintained reserved-SM
+// count and kernel list.
 func TestMutationStaleScoreMemo(t *testing.T) {
 	bs, ct, sp := testProfile(t, "BS"), testProfile(t, "CT"), testProfile(t, "SP")
 	build := func(t *testing.T, workA uint64) (*Fleet, *gpuState) {
@@ -256,8 +267,9 @@ func TestMutationStaleScoreMemo(t *testing.T) {
 		mustObject(t, f, "stale score memo")
 	})
 
-	t.Run("finishJobs forgets to invalidate", func(t *testing.T) {
-		f, g := build(t, 1) // A retires in its first interval
+	// untilFinish runs a Tick's steps up to, not including, finishJobs.
+	untilFinish := func(t *testing.T, f *Fleet, g *gpuState) {
+		t.Helper()
 		f.computeDeserved()
 		placements := f.place()
 		f.repartition(g)
@@ -265,6 +277,11 @@ func TestMutationStaleScoreMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.account(placements)
+	}
+
+	t.Run("finishJobs forgets to invalidate", func(t *testing.T) {
+		f, g := build(t, 1) // A retires in its first interval
+		untilFinish(t, f, g)
 		f.predictContention(g, &job{spec: JobSpec{Kernel: sp, MinSMs: 2}})
 		mustHold(t, f, "memo beside both residents")
 		stale := append([]scoreEntry(nil), g.memo...)
@@ -283,4 +300,93 @@ func TestMutationStaleScoreMemo(t *testing.T) {
 		g.reserved++
 		mustObject(t, f, "reserved SMs")
 	})
+
+	t.Run("place appends the kernels out of order", func(t *testing.T) {
+		f, g := build(t, 1<<40)
+		f.computeDeserved()
+		f.place()
+		mustHold(t, f, "after place")
+		g.profiles[0], g.profiles[1] = g.profiles[1], g.profiles[0]
+		mustObject(t, f, "kernel list entry")
+	})
+
+	t.Run("predictContention leaves the newcomer in the kernel list", func(t *testing.T) {
+		f, g := build(t, 1<<40)
+		tickChecked(t, f)
+		f.predictContention(g, &job{spec: JobSpec{Kernel: sp, MinSMs: 2}})
+		mustHold(t, f, "after a score request")
+		g.profiles = g.profiles[:len(g.profiles)+1] // the newcomer is still past the end
+		if g.profiles[2] != sp {
+			t.Fatalf("slot past the residents holds %s, want the newcomer", g.profiles[2].Abbr)
+		}
+		mustObject(t, f, "kernel list")
+	})
+
+	t.Run("finishJobs forgets the kernel list", func(t *testing.T) {
+		f, g := build(t, 1)
+		untilFinish(t, f, g)
+		stale := append([]kernels.Profile(nil), g.profiles...)
+		f.finishJobs()
+		mustHold(t, f, "after finishJobs")
+		g.profiles = stale
+		mustObject(t, f, "kernel list")
+	})
+}
+
+// TestModelEngineResultOwnership pins ModelEngine's side of the Engine
+// contract: a result stays intact across another GPU's Interval, a GPU's next
+// Interval reuses its buffers, and every result equals the closed form
+// computed into fresh memory.
+func TestModelEngineResultOwnership(t *testing.T) {
+	cfg := config.Default()
+	all := kernels.All()
+	e := &ModelEngine{Cfg: cfg}
+	type call struct {
+		gpu      int
+		profiles []kernels.Profile
+		alloc    []int
+	}
+	calls := []call{
+		{0, []kernels.Profile{all[0], all[1], all[2]}, []int{4, 6, 6}},
+		{1, []kernels.Profile{all[3], all[4]}, []int{10, 6}},
+		{0, []kernels.Profile{all[5], all[6]}, []int{9, 7}}, // fewer apps: reused slots
+	}
+	var first *sim.IntervalSnapshot
+	var firstCopy sim.IntervalSnapshot
+	var firstInstr, firstInstrCopy []uint64
+	for k, c := range calls {
+		const seed, cycles, epoch = 7, 20_000, 3
+		snap, instr, err := e.Interval(c.gpu, epoch, c.profiles, c.alloc, seed, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(sim.IntervalSnapshot)
+		synthesizeSnapshot(want, nil, &cfg, c.profiles, c.alloc, cycles, engineSeed(seed, c.gpu, epoch))
+		if !reflect.DeepEqual(snap, want) {
+			t.Fatalf("call %d (gpu %d): result differs from a fresh synthesis\n got %+v\nwant %+v", k, c.gpu, *snap, *want)
+		}
+		if len(instr) != len(c.profiles) {
+			t.Fatalf("call %d: %d instruction counts for %d apps", k, len(instr), len(c.profiles))
+		}
+		for i := range c.profiles {
+			if w := modelInstructions(&want.Apps[i], &c.profiles[i]); instr[i] != w {
+				t.Fatalf("call %d: app %d retired %d instructions, want %d", k, i, instr[i], w)
+			}
+		}
+		switch k {
+		case 0:
+			first, firstInstr = snap, instr
+			firstCopy = *snap
+			firstCopy.Apps = append([]sim.AppInterval(nil), snap.Apps...)
+			firstInstrCopy = append([]uint64(nil), instr...)
+		case 1:
+			if !reflect.DeepEqual(first, &firstCopy) || !reflect.DeepEqual(firstInstr, firstInstrCopy) {
+				t.Fatal("gpu 1's Interval wrote into gpu 0's result")
+			}
+		case 2:
+			if snap != first {
+				t.Fatal("gpu 0's second Interval did not reuse its snapshot")
+			}
+		}
+	}
 }

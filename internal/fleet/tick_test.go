@@ -97,7 +97,11 @@ const tickWarmup = 500
 
 // BenchmarkFleetTick is the fleet layer's number beside the dram and smcore
 // ones: one steady-state Tick (with its interval's submissions) of the
-// `fleet-model` shape on the model engine.
+// `fleet-model` shape on the model engine. Its history is only tickWarmup+b.N
+// intervals long, so the collector has little live heap to mark and garbage
+// costs less here than end to end; it is not the end-to-end number. The
+// bench's `fleet-model` retains 50,000 intervals, and there garbage per tick
+// — what TestTickAllocBudget pins — weighs more on throughput.
 func BenchmarkFleetTick(b *testing.B) {
 	r := newTickReplay(b, fleetModelScenario(b, tickWarmup+b.N))
 	for i := 0; i < tickWarmup; i++ {
@@ -110,26 +114,53 @@ func BenchmarkFleetTick(b *testing.B) {
 	}
 }
 
-// TestTickAllocBudget bounds the garbage one steady-state Tick produces on
-// the `fleet-model` shape. Before placement was incremental a tick made
-// ≈250 allocations, most of them inside the predictor; what is left is the
-// interval's record, the jobs submitted and the engine's caller-owned
-// snapshot.
+// TestTickAllocBudget bounds what one steady-state Tick allocates on the
+// `fleet-model` shape. Before placement was incremental a tick made ≈250
+// allocations, and before the model engine owned its results and each GPU
+// kept its kernel list, 49.5 (7.6 KB). Every allocation left is one the
+// history keeps: each submitted job, the record's tenant and GPU slices, a
+// tenant's queued demands, the placement copy and the record slice's own
+// growth. The test recounts those from the records and requires the rest —
+// garbage thrown away at the end of the tick — to be nil.
 func TestTickAllocBudget(t *testing.T) {
-	const ticks, budget = 2000, 100
+	const ticks, allocBudget, byteBudget = 2000, 8, 3 << 10
 	r := newTickReplay(t, fleetModelScenario(t, tickWarmup+ticks))
 	for i := 0; i < tickWarmup; i++ {
 		r.step(t)
 	}
+	submitted := r.next
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < ticks; i++ {
 		r.step(t)
 	}
 	runtime.ReadMemStats(&after)
+	submitted = r.next - submitted
+
+	records, queued, placements := 0, 0, 0
+	for _, rec := range r.f.Records()[tickWarmup:] {
+		records += 2 // Tenants and GPUs
+		for i := range rec.Tenants {
+			if len(rec.Tenants[i].QueuedMinSMs) > 0 {
+				queued++
+			}
+		}
+		if len(rec.Placements) > 0 {
+			placements++
+		}
+	}
 	perTick := float64(after.Mallocs-before.Mallocs) / ticks
-	t.Logf("%.1f allocations, %.0f bytes per tick", perTick, float64(after.TotalAlloc-before.TotalAlloc)/ticks)
-	if perTick > budget {
-		t.Fatalf("%.1f allocations per steady-state Tick, budget %d", perTick, budget)
+	bytesPerTick := float64(after.TotalAlloc-before.TotalAlloc) / ticks
+	kept := float64(submitted+records+queued+placements) / ticks
+	t.Logf("%.2f allocations, %.0f bytes per tick; retained by the history: %.2f submitted jobs, %.2f record slices, %.2f queued-demand lists, %.2f placement copies; unexplained %.2f",
+		perTick, bytesPerTick, float64(submitted)/ticks, float64(records)/ticks,
+		float64(queued)/ticks, float64(placements)/ticks, perTick-kept)
+	if perTick > allocBudget || bytesPerTick > byteBudget {
+		t.Fatalf("%.2f allocations and %.0f bytes per steady-state Tick, budget %d and %d", perTick, bytesPerTick, allocBudget, byteBudget)
+	}
+	// The record slice's doublings and a rare queue growth are the only
+	// allocations the recount cannot see; a per-tick transient is ≥ 1.
+	if perTick-kept > 0.5 {
+		t.Fatalf("%.2f allocations per tick beyond what the history retains", perTick-kept)
 	}
 }

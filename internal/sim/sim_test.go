@@ -233,6 +233,50 @@ func TestAllocationAccessors(t *testing.T) {
 	}
 }
 
+// TestSnapshotAccessors checks the GPU's configuration and snapshot views,
+// and each snapshot-derived quantity against the counters it sums.
+func TestSnapshotAccessors(t *testing.T) {
+	cfg := config.Default()
+	cfg.IntervalCycles = 2_000
+	g, err := New(cfg, twoApps(t), []int{8, 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Config() != cfg {
+		t.Fatalf("Config() = %+v, want the configuration the GPU was built with", g.Config())
+	}
+	g.Run(4_000)
+	snaps := g.Snapshots()
+	if len(snaps) != 2 {
+		t.Fatalf("Snapshots() holds %d intervals, want 2", len(snaps))
+	}
+	s := &snaps[1]
+	var served, data uint64
+	for _, a := range s.Apps {
+		served += a.Served
+		data += a.DataCycles
+	}
+	if served == 0 || s.TotalServed() != served {
+		t.Fatalf("TotalServed = %d, apps sum to %d", s.TotalServed(), served)
+	}
+	if got, want := s.RequestMax(), cfg.RequestMax(s.IntervalCycles); got != want {
+		t.Fatalf("RequestMax = %v, config's Eq. 20 gives %v", got, want)
+	}
+	perApp, total := s.BandwidthUtilization()
+	if len(perApp) != len(s.Apps) || total != float64(data)/float64(s.BusCycles) || total <= 0 || total > 1 {
+		t.Fatalf("BandwidthUtilization = %v, %v for %d data of %d bus cycles", perApp, total, data, s.BusCycles)
+	}
+	for i, u := range perApp {
+		if u != float64(s.Apps[i].DataCycles)/float64(s.BusCycles) {
+			t.Fatalf("app %d utilization %v, counters give %d/%d", i, u, s.Apps[i].DataCycles, s.BusCycles)
+		}
+	}
+	idle := IntervalSnapshot{Apps: make([]AppInterval, 3)}
+	if perApp, total := idle.BandwidthUtilization(); len(perApp) != 3 || total != 0 {
+		t.Fatalf("a snapshot with no bus cycles reads %v, %v", perApp, total)
+	}
+}
+
 func TestEvenAllocation(t *testing.T) {
 	if got := EvenAllocation(16, 2); got[0] != 8 || got[1] != 8 {
 		t.Fatalf("EvenAllocation(16,2) = %v", got)

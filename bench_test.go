@@ -11,7 +11,10 @@ package dasesim
 //	bw%         attained DRAM bandwidth (Table III)
 //	corr        service-rate/IPC correlation (Fig. 3)
 //
-// The full-budget reproduction lives in cmd/experiments.
+// The full-budget reproduction lives in cmd/experiments. Layer benchmarks
+// live beside their layer (BenchmarkDASEEstimate in internal/core,
+// BenchmarkPartitionSearch in internal/sched, ...); engine speed end to end
+// is `go run ./bench -workload sim-mem2`.
 
 import (
 	"testing"
@@ -21,7 +24,6 @@ import (
 	"dasesim/internal/experiments"
 	"dasesim/internal/metrics"
 	"dasesim/internal/sched"
-	"dasesim/internal/sim"
 	"dasesim/internal/workload"
 )
 
@@ -383,56 +385,4 @@ func BenchmarkAblationFullATD(b *testing.B) {
 		errv = metrics.Mean(ev.Errors["DASE"])
 	}
 	b.ReportMetric(errv*100, "err%")
-}
-
-// --- Engine microbenchmarks.
-
-// BenchmarkGPUCycle measures raw simulation speed (ns/op / 10000 is the cost
-// per simulated cycle). The one sub-benchmark keeps the name seq because
-// scripts/bench.sh and the BENCH_cycles.json keys parse it.
-func BenchmarkGPUCycle(b *testing.B) {
-	b.Run("seq", func(b *testing.B) {
-		cfg := DefaultConfig()
-		sb, _ := KernelByAbbr("SB")
-		sd, _ := KernelByAbbr("SD")
-		g, err := sim.New(cfg, []KernelProfile{sb, sd}, []int{8, 8}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.Run(10_000) // warm up
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Run(10_000)
-		}
-	})
-}
-
-// BenchmarkDASEEstimate measures one estimator invocation on a live
-// snapshot.
-func BenchmarkDASEEstimate(b *testing.B) {
-	cfg := DefaultConfig()
-	sb, _ := KernelByAbbr("SB")
-	sd, _ := KernelByAbbr("SD")
-	res, err := RunShared(cfg, []KernelProfile{sb, sd}, []int{8, 8}, 60_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := &res.Snapshots[len(res.Snapshots)-1]
-	d := core.New(core.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Estimate(snap)
-	}
-}
-
-// BenchmarkPartitionSearch measures the DASE-Fair partition search for four
-// applications on 16 SMs through the allocating entry point: a 4×13
-// reciprocal table, then a pruned walk over the C(15,3) = 455 candidate
-// partitions (DESIGN.md §5.1).
-func BenchmarkPartitionSearch(b *testing.B) {
-	slow := []float64{3.2, 1.4, 2.1, 1.1}
-	cur := []int{4, 4, 4, 4}
-	for i := 0; i < b.N; i++ {
-		sched.SearchBestPartition(slow, cur, 16, 1)
-	}
 }

@@ -30,7 +30,9 @@
 // answers a counter snapshot (or an array batch) with estimated slowdowns
 // and a recommended SM partition without running a simulation, and
 // POST /v1/estimate/stream does the same over an NDJSON request/response
-// stream. Drive it with cmd/daseload to measure serving capacity.
+// stream. The repository benchmark (go run ./bench, workloads est-single and
+// est-batch16) measures the endpoint closed-loop; cmd/daseload adds an
+// open-loop load generator against a running daemon.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown that drains queued and running
 // jobs (bounded by -drain-grace).

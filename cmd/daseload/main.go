@@ -1,8 +1,11 @@
 // Command daseload is a load generator for dased's online estimation API
 // (POST /v1/estimate). It drives a running daemon with per-interval counter
-// snapshots and reports achieved throughput and latency percentiles in
-// `go test -bench` format, so scripts/benchjson can append the numbers to
-// the committed serving trajectory (BENCH_serve.json).
+// snapshots and reports achieved throughput and latency percentiles as one
+// `go test -bench`-style line.
+//
+// The repository benchmark (`go run ./bench`, workloads est-single and
+// est-batch16) measures the same endpoint closed-loop only; the open loop
+// below is what daseload adds.
 //
 // Two traffic models:
 //
@@ -23,7 +26,7 @@
 //
 //	daseload -addr http://localhost:8844 -mode closed -conns 8 -duration 10s
 //	daseload -mode open -qps 50000 -conns 256 -duration 10s
-//	daseload -corpus snapshots.ndjson -name ServeReplay
+//	daseload -corpus snapshots.ndjson -batch 16
 package main
 
 import (
@@ -52,7 +55,6 @@ func main() {
 	warmup := flag.Duration("warmup", 500*time.Millisecond, "closed-loop warmup before measuring (connections, pools)")
 	corpusPath := flag.String("corpus", "", "NDJSON file of estimate request bodies (default: synthesized from a short simulation)")
 	batch := flag.Int("batch", 1, "snapshots per request: group this many corpus entries into one array body")
-	name := flag.String("name", "", "benchmark name for the output line (default ServeClosed | ServeOpen)")
 	flag.Parse()
 
 	fatal := func(format string, args ...any) {
@@ -88,20 +90,16 @@ func main() {
 	}
 
 	var res runResult
-	benchName := *name
+	var benchName string
 	switch *mode {
 	case "closed":
-		if benchName == "" {
-			benchName = "ServeClosed"
-		}
+		benchName = "ServeClosed"
 		if *warmup > 0 {
 			closedLoop(client, url, corpus, *conns, *warmup)
 		}
 		res = closedLoop(client, url, corpus, *conns, *duration)
 	case "open":
-		if benchName == "" {
-			benchName = "ServeOpen"
-		}
+		benchName = "ServeOpen"
 		if *qps <= 0 {
 			fatal("-mode open requires -qps > 0")
 		}
@@ -360,12 +358,12 @@ func percentile(sorted []int64, p float64) int64 {
 	return sorted[rank]
 }
 
-// benchLine renders the run as one `go test -bench`-style line. The custom
-// units (qps, p50-ns, ...) ride after the standard ns/op column and are
-// picked up by scripts/benchjson into the entry's extra map. Failures append
-// too, broken out per status code (err-429, err-503, ...) and as
-// err-transport, so the trajectory records what kind of refusals a run hit —
-// but only when non-zero, keeping clean runs' lines clean.
+// benchLine renders the run as one `go test -bench`-style line: the name,
+// the request count, the mean latency as ns/op, then custom units (qps, eps,
+// p50-ns, p95-ns, p99-ns). Failures append too, broken out per status code
+// (err-429, err-503, ...) and as err-transport, so the line says what kind of
+// refusals a run hit — but only when non-zero, keeping clean runs' lines
+// clean.
 func benchLine(name string, conns int, s stats, res runResult) string {
 	line := fmt.Sprintf("Benchmark%s-%d\t%8d\t%10.0f ns/op\t%12.1f qps\t%12.1f eps\t%10d p50-ns\t%10d p95-ns\t%10d p99-ns",
 		name, conns, s.n, s.mean, s.qps, s.eps, s.p50, s.p95, s.p99)

@@ -7,7 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,24 +82,29 @@ func TestBatchCorpus(t *testing.T) {
 	}
 }
 
-// benchLine must parse under the same regexes scripts/benchjson uses, or the
-// trajectory file silently loses the serving numbers.
+// TestBenchLineParseable pins the output contract: tab-separated fields in
+// `go test -bench` order — name with the connection count as its -N suffix,
+// request count, mean latency as ns/op — then one "value unit" field per
+// custom metric, failures last in ascending status order.
 func TestBenchLineParseable(t *testing.T) {
 	line := benchLine("ServeClosed", 8, stats{
 		n: 250000, qps: 50123.4, eps: 50123.4, mean: 8123, p50: 7100, p95: 11000, p99: 20000,
 	}, runResult{statusErr: map[int]int64{429: 12, 503: 3}, transport: 2})
-	benchRe := regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
-	m := benchRe.FindStringSubmatch(line)
-	if m == nil {
-		t.Fatalf("bench line does not match benchjson's parser: %q", line)
+	fields := strings.Split(line, "\t")
+	for i := range fields {
+		fields[i] = strings.TrimSpace(fields[i])
 	}
-	if m[1] != "BenchmarkServeClosed" {
-		t.Errorf("parsed name %q", m[1])
+	want := []string{
+		"BenchmarkServeClosed-8", "250000", "8123 ns/op",
+		"50123.4 qps", "50123.4 eps", "7100 p50-ns", "11000 p95-ns", "20000 p99-ns",
+		"12 err-429", "3 err-503", "2 err-transport",
 	}
-	for _, unit := range []string{"qps", "eps", "p50-ns", "p95-ns", "p99-ns", "err-429", "err-503", "err-transport"} {
-		if !strings.Contains(line, " "+unit) {
-			t.Errorf("line missing %s metric: %q", unit, line)
-		}
+	if !slices.Equal(fields, want) {
+		t.Fatalf("bench line fields =\n%q\nwant\n%q", fields, want)
+	}
+	clean := benchLine("ServeOpen", 2, stats{n: 1}, runResult{})
+	if strings.Contains(clean, "err-") {
+		t.Errorf("clean run reports failures: %q", clean)
 	}
 }
 

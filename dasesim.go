@@ -150,10 +150,6 @@ func NewMISE() Estimator { return baseline.NewMISE() }
 // NewASM builds the ASM baseline estimator (MICRO 2015, ported to GPU).
 func NewASM() Estimator { return baseline.NewASM() }
 
-// NewSTFM builds a stall-time-fair (MICRO 2007) style estimator: DASE's
-// bank-interference term alone, for historical comparison.
-func NewSTFM() Estimator { return baseline.NewSTFM() }
-
 // NewProfiled builds the offline-profiling estimator (Aguilera et al.):
 // slowdown approximated as profiled-alone-bandwidth / observed-shared-
 // bandwidth. aloneBW[i] is app i's alone bandwidth fraction (Table III).

@@ -246,8 +246,8 @@ func TestProcessZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkProcessSingle is the transport-free serving benchmark recorded in
-// BENCH_serve.json.
+// BenchmarkProcessSingle is the transport-free serving benchmark: one 2-app
+// snapshot per op, the in-process half of bench's est-single.
 func BenchmarkProcessSingle(b *testing.B) {
 	svc := NewService(Options{})
 	req := sampleRequest(0)

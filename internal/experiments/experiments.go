@@ -13,6 +13,7 @@ import (
 	"dasesim/internal/baseline"
 	"dasesim/internal/config"
 	"dasesim/internal/core"
+	"dasesim/internal/metrics"
 	"dasesim/internal/workload"
 )
 
@@ -238,40 +239,21 @@ type Fig7Result struct {
 
 // Fig7 builds the error distribution from the Fig. 5 and Fig. 6 samples.
 func Fig7(two, four *AccuracyResult) *Fig7Result {
-	edges := []float64{0.10, 0.20, 0.40, 0.80}
 	labels := []string{"<10%", "10-20%", "20-40%", "40-80%", ">=80%"}
 	out := &Fig7Result{Fractions: map[string][]float64{}, Buckets: labels}
 	for _, name := range EstimatorNames {
-		counts := make([]int, len(edges)+1)
-		total := 0
+		h := metrics.NewHistogram(0.10, 0.20, 0.40, 0.80)
 		for _, r := range []*AccuracyResult{two, four} {
 			if r == nil {
 				continue
 			}
 			for _, ev := range r.Evals {
 				for _, e := range ev.Errors[name] {
-					total++
-					placed := false
-					for i, edge := range edges {
-						if e < edge {
-							counts[i]++
-							placed = true
-							break
-						}
-					}
-					if !placed {
-						counts[len(edges)]++
-					}
+					h.Add(e)
 				}
 			}
 		}
-		fr := make([]float64, len(counts))
-		for i, c := range counts {
-			if total > 0 {
-				fr[i] = float64(c) / float64(total)
-			}
-		}
-		out.Fractions[name] = fr
+		out.Fractions[name] = h.Fractions()
 	}
 	return out
 }

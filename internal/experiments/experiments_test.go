@@ -73,6 +73,38 @@ func TestFig7Bucketing(t *testing.T) {
 	}
 }
 
+// TestAccuracyRenderAverageRow pins the Fig. 5/6 table shape: one row per
+// workload with each estimator's mean error, an estimator without samples
+// reading 0.0%, and the AVERAGE row — the number the paper quotes — taken
+// from MeanError rather than recomputed from the rows.
+func TestAccuracyRenderAverageRow(t *testing.T) {
+	sb, _ := kernels.ByAbbr("SB")
+	sd, _ := kernels.ByAbbr("SD")
+	r := &AccuracyResult{
+		Evals: []*workload.Eval{{
+			Combo:  workload.Combo{Profiles: []kernels.Profile{sb, sd}},
+			Errors: map[string][]float64{"DASE": {0.02, 0.04}, "MISE": {0.3}},
+		}},
+		MeanError: map[string]float64{"DASE": 0.05, "MISE": 0.3, "ASM": 0.25},
+	}
+	tab := r.Render("Fig.5")
+	want := [][]string{
+		{"SB+SD", "3.0%", "30.0%", "0.0%"},
+		{"AVERAGE", "5.0%", "30.0%", "25.0%"},
+	}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("rows = %q, want %q", tab.Rows, want)
+	}
+	for i := range want {
+		if strings.Join(tab.Rows[i], "|") != strings.Join(want[i], "|") {
+			t.Errorf("row %d = %q, want %q", i, tab.Rows[i], want[i])
+		}
+	}
+	if got := strings.Join(tab.Columns, "|"); got != "workload|DASE|MISE|ASM" {
+		t.Errorf("columns = %s", got)
+	}
+}
+
 func TestTableIIMentionsKeyParameters(t *testing.T) {
 	s := TableII(DefaultParams()).String()
 	for _, want := range []string{"16 SMs", "48 warps", "768 KB", "FR-FCFS", "tRP=18"} {

@@ -1,7 +1,7 @@
 // Package metrics implements the paper's evaluation metrics: per-application
 // slowdown (Eq. 1), system unfairness (Eq. 2), slowdown-estimation error
-// (Eq. 26), harmonic speedup (Eq. 27), and the error-distribution histogram
-// of Figure 7.
+// (Eq. 26), harmonic speedup (Eq. 27), and the histogram experiments.Fig7
+// buckets the error distribution of Figure 7 with.
 package metrics
 
 import (
@@ -123,8 +123,9 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// Histogram buckets values into fixed-width ranges, for the Figure 7 error
-// distribution.
+// Histogram buckets values below increasing upper edges, for the Figure 7
+// error distribution. A value goes to the first bucket whose edge it is
+// strictly below; NaN is below no edge and lands in the overflow bucket.
 type Histogram struct {
 	// Edges are the upper bounds of each bucket; a final overflow bucket
 	// catches everything above the last edge.
@@ -170,20 +171,4 @@ func (h *Histogram) Fractions() []float64 {
 		out[i] = float64(c) / float64(h.Total)
 	}
 	return out
-}
-
-// CumulativeBelow returns the fraction of samples below the given edge
-// (which must be one of the histogram's edges).
-func (h *Histogram) CumulativeBelow(edge float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	n := 0
-	for i, e := range h.Edges {
-		if e > edge {
-			break
-		}
-		n += h.Counts[i]
-	}
-	return float64(n) / float64(h.Total)
 }

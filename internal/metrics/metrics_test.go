@@ -122,11 +122,21 @@ func TestHistogram(t *testing.T) {
 	if !almost(fr[0], 0.25) || !almost(fr[1], 0.5) || !almost(fr[2], 0.25) {
 		t.Fatalf("fractions = %v", fr)
 	}
-	if got := h.CumulativeBelow(0.2); !almost(got, 0.75) {
-		t.Fatalf("CumulativeBelow(0.2) = %v", got)
+	if h.Total != 4 {
+		t.Fatalf("Total = %d, want 4", h.Total)
 	}
-	if got := h.CumulativeBelow(0.1); !almost(got, 0.25) {
-		t.Fatalf("CumulativeBelow(0.1) = %v", got)
+	// NaN compares false against every edge, so it lands in the overflow
+	// bucket (Fig. 7 relies on this), and an empty histogram has zero
+	// fractions rather than NaN ones.
+	nan := NewHistogram(0.1)
+	nan.Add(math.NaN())
+	if nan.Counts[1] != 1 {
+		t.Fatalf("NaN counts = %v, want overflow", nan.Counts)
+	}
+	for _, f := range NewHistogram(0.1).Fractions() {
+		if f != 0 {
+			t.Fatalf("empty histogram fraction %v, want 0", f)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ var coverLine = regexp.MustCompile(`^ok\s+(\S+)\s+\S+(?:\s+\(cached\))?\s+covera
 // noTestLine matches the coverage line `go test -cover` prints for a package
 // with no test files — whitespace-led, no "ok" prefix:
 //
-//	\tdasesim/cmd/calibrate\t\tcoverage: 0.0% of statements
+//	\tdasesim/cmd/dased\t\tcoverage: 0.0% of statements
 //
 // These packages must be parsed too: a package invisible to the ratchet is a
 // package whose coverage can silently rot.

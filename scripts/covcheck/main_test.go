@@ -9,7 +9,7 @@ import (
 const sampleCover = `ok  	dasesim	12.345s	coverage: 81.2% of statements
 ok  	dasesim/internal/dram	0.10s	coverage: 90.0% of statements
 ok  	dasesim/internal/ring	(cached)	coverage: 100.0% of statements
-	dasesim/cmd/calibrate		coverage: 0.0% of statements
+	dasesim/cmd/dased		coverage: 0.0% of statements
 ?   	dasesim/examples/quickstart	[no test files]
 FAIL	dasesim/internal/broken	0.01s
 `
@@ -19,14 +19,14 @@ func TestParseCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The whitespace-led calibrate line is the form `go test -cover` emits
+	// The whitespace-led dased line is the form `go test -cover` emits
 	// for packages with no test files; it must be parsed, not skipped, or
 	// such packages escape the ratchet entirely.
 	want := map[string]float64{
 		"dasesim":               81.2,
 		"dasesim/internal/dram": 90.0,
 		"dasesim/internal/ring": 100.0,
-		"dasesim/cmd/calibrate": 0.0,
+		"dasesim/cmd/dased":     0.0,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %v, want %v", got, want)

@@ -19,6 +19,11 @@
 //	dased -node-id n1 -peers n1=http://h1:8844,n2=http://h2:8844,n3=http://h3:8844 \
 //	      -journal /shared/dased -addr :8844
 //
+// Each node serves its own /metrics (cluster RPC latency and peer state
+// included); scrape every node. With -trace-events each node also serves its
+// cluster-layer spans at GET /cluster/v1/trace, and cmd/dasetrace merges
+// those NDJSON dumps into one cross-node timeline.
+//
 // Example session:
 //
 //	curl -s localhost:8844/v1/jobs -d '{"kernels":["SB","SD"],"slowdowns":true}'
@@ -97,7 +102,6 @@ func main() {
 	estMinSMs := flag.Int("estimate-min-sms", 0, "minimum SMs per app in recommended partitions (0: 1)")
 	estMaxApps := flag.Int("estimate-max-apps", 0, "most apps accepted per estimate snapshot (0: 8)")
 	estMaxBody := flag.Int64("estimate-max-body", 0, "largest accepted estimate body/stream line in bytes (0: 1 MiB)")
-	sloInterval := flag.Duration("slo-interval", 0, "evaluate SLO burn-rate objectives on this cadence, exporting dased_slo_burn_rate and a /readyz detail; 0 disables")
 	nodeID := flag.String("node-id", "", "this node's cluster identity; required with -peers")
 	peersFlag := flag.String("peers", "", "cluster peer map as comma-separated id=url pairs including this node; enables cluster mode")
 	hbInterval := flag.Duration("heartbeat-interval", time.Second, "cluster heartbeat period; suspicion and death timeouts scale from it")
@@ -138,7 +142,6 @@ func main() {
 		EstimateMinSMs:    *estMinSMs,
 		EstimateMaxApps:   *estMaxApps,
 		EstimateMaxBody:   *estMaxBody,
-		SLOInterval:       *sloInterval,
 	}
 	// In Options, 0 retries means "use the default"; on the command line an
 	// explicit 0 means none.

@@ -70,7 +70,7 @@ func TestRunOutFileAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nf.Close()
-	events, err := telemetry.ReadNDJSON(nf)
+	events, err := telemetry.ReadNDJSONStrict(nf)
 	if err != nil {
 		t.Fatal(err)
 	}

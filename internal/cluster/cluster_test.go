@@ -136,8 +136,8 @@ func startCluster(t *testing.T, withJournal bool, adjust func(*Options), ids ...
 	return startClusterOpts(t, withJournal, adjust, nil, ids...)
 }
 
-// startClusterOpts is startCluster with server-option tweaks too (tracing,
-// SLO evaluation) — the observability tests need both layers configured.
+// startClusterOpts is startCluster with server-option tweaks too: the
+// observability tests turn on tracing in both layers.
 func startClusterOpts(t *testing.T, withJournal bool, adjust func(*Options), srvAdjust func(*server.Options), ids ...string) map[string]*testNode {
 	t.Helper()
 	dir := ""
@@ -581,5 +581,104 @@ func TestClusterWorkStealing(t *testing.T) {
 	}
 	if forwarded == 0 {
 		t.Fatal("no forwarded job on the victim despite a recorded steal")
+	}
+}
+
+// TestClusterRoutingRoundTripShort drives the routing surface of a 2-node
+// cluster whose servers never start their worker pools: every accepted job
+// stays queued, so nothing simulates and the test stays in the -short suite.
+// Submissions are placed on their ring owner (locally or by forward), the
+// merged list on either node shows both, GET and DELETE by ID are proxied to
+// the owner, and a request already carrying the hop header is served locally
+// instead of being routed again.
+func TestClusterRoutingRoundTripShort(t *testing.T) {
+	peers := map[string]string{}
+	nodes := map[string]*testNode{}
+	for _, id := range []string{"n1", "n2"} {
+		sw := &swapHandler{h: deadHandler}
+		ts := httptest.NewServer(sw)
+		t.Cleanup(ts.Close)
+		peers[id] = ts.URL
+		nodes[id] = &testNode{id: id, peers: peers, sw: sw, ts: ts}
+	}
+	for _, tn := range nodes {
+		srv, err := server.New(tn.serverOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+		node, err := New(srv, Options{Self: tn.id, Peers: peers, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn.srv, tn.node = srv, node
+		tn.sw.set(node.Handler())
+	}
+	n1, n2 := nodes["n1"], nodes["n2"]
+	seed := uint64(1)
+
+	local, code := postJobTo(t, n1.ts.URL, pinRequest(t, n1, testCycles, &seed, ownedBy("n1")))
+	if code != http.StatusAccepted || local.ID != "n1-job-1" {
+		t.Fatalf("local placement: status %d id %q", code, local.ID)
+	}
+	remote, code := postJobTo(t, n1.ts.URL, pinRequest(t, n1, testCycles, &seed, ownedBy("n2")))
+	if code != http.StatusAccepted || remote.ID != "n2-job-1" || remote.Status != server.StatusQueued {
+		t.Fatalf("forwarded placement: status %d view %+v", code, remote)
+	}
+	if got := n1.node.m.forwards.Load(); got != 1 {
+		t.Errorf("n1 forwards = %d, want 1", got)
+	}
+
+	// Either node lists both jobs, merged in submission order.
+	for _, tn := range nodes {
+		st, data := httpGet(t, tn.ts.URL+"/v1/jobs")
+		var list struct {
+			Jobs []server.JobView `json:"jobs"`
+		}
+		if st != http.StatusOK || json.Unmarshal(data, &list) != nil || len(list.Jobs) != 2 ||
+			list.Jobs[0].ID != local.ID || list.Jobs[1].ID != remote.ID {
+			t.Fatalf("%s list: status %d body %s", tn.id, st, data)
+		}
+	}
+
+	// A GET on the non-owner is proxied, query string included; the job
+	// never leaves the queue, so the long-poll runs out and answers queued.
+	st, data := httpGet(t, n1.ts.URL+"/v1/jobs/"+remote.ID+"?wait_ms=1")
+	var view server.JobView
+	if st != http.StatusOK || json.Unmarshal(data, &view) != nil || view.ID != remote.ID || view.Status != server.StatusQueued {
+		t.Fatalf("proxied GET: status %d body %s", st, data)
+	}
+
+	// An already-routed request is answered by the local server: n1 does
+	// not hold n2's job. Unknown owners fall back to the local 404 too.
+	hop, _ := http.NewRequest(http.MethodGet, n1.ts.URL+"/v1/jobs/"+remote.ID, nil)
+	hop.Header.Set(HopHeader, "n2")
+	resp, err := http.DefaultClient.Do(hop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("hop-marked GET on the non-owner: status %d, want 404", resp.StatusCode)
+	}
+	if st, _ := httpGet(t, n1.ts.URL+"/v1/jobs/n9-job-1"); st != http.StatusNotFound {
+		t.Errorf("unknown owner: status %d, want 404", st)
+	}
+
+	// A DELETE on the non-owner cancels the job where it lives.
+	del, _ := http.NewRequest(http.MethodDelete, n1.ts.URL+"/v1/jobs/"+remote.ID, nil)
+	resp, err = http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("proxied DELETE: status %d", resp.StatusCode)
+	}
+	if v, ok := n2.srv.View(remote.ID); !ok || v.Status != server.StatusCanceled {
+		t.Errorf("owner's record after proxied DELETE = %+v (found %v), want canceled", v, ok)
+	}
+	if got := n1.node.m.rpcLatency[rpcProxy].Count(); got != 2 {
+		t.Errorf("proxy RPC latency observations = %d, want 2", got)
 	}
 }

@@ -148,3 +148,16 @@ func TestMembershipBusiest(t *testing.T) {
 		t.Fatalf("Busiest = %s/%v, want a live peer", peer, ok)
 	}
 }
+
+func TestPeerStateString(t *testing.T) {
+	for state, want := range map[PeerState]string{
+		StateAlive:    "alive",
+		StateSuspect:  "suspect",
+		StateDead:     "dead",
+		PeerState(99): "dead",
+	} {
+		if got := state.String(); got != want {
+			t.Errorf("PeerState(%d).String() = %q, want %q", int(state), got, want)
+		}
+	}
+}

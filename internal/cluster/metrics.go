@@ -11,12 +11,11 @@ const (
 	rpcList      = "list"
 	rpcProxy     = "proxy"
 	rpcReconcile = "reconcile"
-	rpcMetrics   = "metrics"
 )
 
 // rpcMethods is every method label, for pre-resolving histogram children.
 var rpcMethods = []string{
-	rpcHeartbeat, rpcSteal, rpcForward, rpcList, rpcProxy, rpcReconcile, rpcMetrics,
+	rpcHeartbeat, rpcSteal, rpcForward, rpcList, rpcProxy, rpcReconcile,
 }
 
 // metrics are the cluster layer's observability signals, registered on the

@@ -342,7 +342,6 @@ func (n *Node) Handler() http.Handler {
 	mux.Handle("GET /v1/jobs", n.hopAware(inner, n.handleList))
 	mux.Handle("GET /v1/jobs/{id}", n.hopAware(inner, n.handleJobProxy(inner)))
 	mux.Handle("DELETE /v1/jobs/{id}", n.hopAware(inner, n.handleJobProxy(inner)))
-	mux.HandleFunc("GET /v1/cluster/metrics", n.handleClusterMetrics)
 	mux.HandleFunc("GET /cluster/v1/trace", n.handleClusterTrace)
 	mux.Handle("/", inner)
 	return mux
@@ -618,80 +617,6 @@ func (n *Node) handleJobProxy(local http.Handler) http.HandlerFunc {
 		w.WriteHeader(st)
 		w.Write(data)
 	}
-}
-
-// handleClusterMetrics is GET /v1/cluster/metrics: scatter-gather metrics
-// federation. Every reachable member's registry snapshot (self included) is
-// merged by metric name and label values — counters add, gauges sum,
-// histograms merge buckets — and rendered as Prometheus text, so the cluster
-// scrapes like a single node. ?by=node keeps per-node resolution by adding a
-// leading "node" label to every series instead of summing it away;
-// ?format=json returns the structured snapshot dasetop consumes.
-func (n *Node) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	nodes := n.gatherSnapshots(r.Context())
-	var fams []telemetry.FamilySnapshot
-	if r.URL.Query().Get("by") == "node" {
-		fams = telemetry.ByNodeSnapshots(nodes)
-	} else {
-		fams = telemetry.MergeSnapshots(nodes)
-	}
-	ids := make([]string, 0, len(nodes))
-	for _, ns := range nodes {
-		ids = append(ids, ns.Node)
-	}
-	sort.Strings(ids)
-	switch format := r.URL.Query().Get("format"); format {
-	case "json":
-		n.writeJSON(w, http.StatusOK, map[string]any{"nodes": ids, "families": fams})
-	case "", "prom":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		telemetry.WritePrometheusSnapshot(w, fams)
-	default:
-		n.writeJSON(w, http.StatusBadRequest,
-			errBody(r.URL.Path, "unknown format "+strconv.Quote(format)+" (prom | json)"))
-	}
-}
-
-// gatherSnapshots collects the local registry snapshot plus every live
-// peer's GET /v1/metrics/snapshot, concurrently. Unreachable peers are
-// simply absent from the result — federation degrades to the nodes that
-// answer rather than failing the scrape.
-func (n *Node) gatherSnapshots(ctx context.Context) []telemetry.NodeSnapshot {
-	nodes := []telemetry.NodeSnapshot{{
-		Node:     n.opts.Self,
-		Families: n.srv.MetricsRegistry().Snapshot(),
-	}}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, id := range n.ring.Nodes() {
-		if id == n.opts.Self || n.mem.State(id) == StateDead {
-			continue
-		}
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			rctx, cancel := context.WithTimeout(ctx, n.opts.RPCTimeout)
-			defer cancel()
-			st, data, err := n.rpc(rctx, rpcMetrics, id, http.MethodGet,
-				n.peerURL(id)+"/v1/metrics/snapshot", nil, telemetry.SpanContext{})
-			if err != nil || st != http.StatusOK {
-				return
-			}
-			var snap telemetry.NodeSnapshot
-			if json.Unmarshal(data, &snap) != nil {
-				return
-			}
-			if snap.Node == "" {
-				snap.Node = id
-			}
-			mu.Lock()
-			nodes = append(nodes, snap)
-			mu.Unlock()
-		}(id)
-	}
-	wg.Wait()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Node < nodes[j].Node })
-	return nodes
 }
 
 // handleClusterTrace is GET /cluster/v1/trace: this node's cluster-layer

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -98,120 +99,25 @@ func spanEvents(events []telemetry.Event, trace uint64) []telemetry.Event {
 	return out
 }
 
-// TestClusterMetricsFederation exercises the scatter-gather endpoint: the
-// merged Prometheus view sums per-node counters, the by-node variant keeps a
-// leading node label, the JSON form feeds dasetop, and the per-RPC latency
-// histogram has heartbeat observations on every node.
-func TestClusterMetricsFederation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-node test runs simulations")
-	}
-	nodes := obsCluster(t, false, nil, "n1", "n2", "n3")
-	n1 := nodes["n1"]
-	seed := uint64(1)
-
-	// One job per node by routing preference, so every member has non-zero
-	// submission counters.
-	var reqs []server.JobRequest
-	for _, owner := range []string{"n1", "n2", "n3"} {
-		req := pinRequest(t, n1, testCycles, &seed, ownedBy(owner))
-		if _, code := postJobTo(t, n1.ts.URL, req); code != http.StatusAccepted {
-			t.Fatalf("submit for %s: status %d", owner, code)
-		}
-		reqs = append(reqs, req)
-	}
-	for _, req := range reqs {
-		awaitDoneByRequest(t, nodes, req, 120*time.Second)
-	}
-
-	// Merged view: submissions across the cluster add up to 3.
-	st, data := httpGet(t, n1.ts.URL+"/v1/cluster/metrics")
-	if st != http.StatusOK {
-		t.Fatalf("/v1/cluster/metrics: status %d", st)
-	}
-	text := string(data)
-	if !strings.Contains(text, "dased_jobs_submitted_total 3") {
-		t.Errorf("merged view should sum submissions to 3:\n%s", firstMatching(text, "dased_jobs_submitted_total"))
-	}
-	if !strings.Contains(text, "dased_cluster_rpc_latency_seconds_bucket") {
-		t.Error("merged view lacks the RPC latency histogram")
-	}
-
-	// By-node view: a leading node label, one series per member.
-	st, data = httpGet(t, n1.ts.URL+"/v1/cluster/metrics?by=node")
-	if st != http.StatusOK {
-		t.Fatalf("?by=node: status %d", st)
-	}
-	text = string(data)
-	for _, id := range []string{"n1", "n2", "n3"} {
-		if !strings.Contains(text, fmt.Sprintf(`dased_jobs_submitted_total{node=%q} 1`, id)) {
-			t.Errorf("by-node view lacks %s's submission count:\n%s", id, firstMatching(text, "dased_jobs_submitted_total"))
-		}
-	}
-
-	// JSON form: the dasetop contract.
-	st, data = httpGet(t, n1.ts.URL+"/v1/cluster/metrics?by=node&format=json")
-	if st != http.StatusOK {
-		t.Fatalf("?format=json: status %d", st)
-	}
-	var frame struct {
-		Nodes    []string                   `json:"nodes"`
-		Families []telemetry.FamilySnapshot `json:"families"`
-	}
-	if err := json.Unmarshal(data, &frame); err != nil {
-		t.Fatalf("JSON federation decode: %v", err)
-	}
-	if len(frame.Nodes) != 3 {
-		t.Errorf("federated nodes = %v, want 3 members", frame.Nodes)
-	}
-	if len(frame.Families) == 0 {
-		t.Fatal("JSON federation has no families")
-	}
-
-	// Unknown format is a loud 400, not silent prom fallback.
-	if st, _ := httpGet(t, n1.ts.URL+"/v1/cluster/metrics?format=xml"); st != http.StatusBadRequest {
-		t.Errorf("unknown format: status %d, want 400", st)
-	}
-
-	// Every node observed heartbeat RPC latency locally.
-	for id, tn := range nodes {
-		found := false
-		for _, f := range tn.srv.MetricsRegistry().Snapshot() {
-			if f.Name != "dased_cluster_rpc_latency_seconds" {
-				continue
-			}
-			for _, p := range f.Points {
-				if len(p.LabelValues) == 1 && p.LabelValues[0] == rpcHeartbeat && p.Count > 0 {
-					found = true
-				}
-			}
-		}
-		if !found {
-			t.Errorf("%s has no heartbeat RPC latency observations", id)
-		}
-	}
-
-	// Hand-off and partition gauges are registered (zero-valued) everywhere.
-	st, data = httpGet(t, n1.ts.URL+"/metrics")
+// rpcLatencyCount reads the dased_cluster_rpc_latency_seconds observation
+// count for one method label from a node's /metrics text; 0 when absent.
+func rpcLatencyCount(t *testing.T, url, method string) uint64 {
+	t.Helper()
+	st, data := httpGet(t, url+"/metrics")
 	if st != http.StatusOK {
 		t.Fatalf("/metrics: status %d", st)
 	}
-	for _, name := range []string{"dased_cluster_handoffs_total", "dased_cluster_partition_suspected"} {
-		if !strings.Contains(string(data), name) {
-			t.Errorf("/metrics lacks %s", name)
+	prefix := fmt.Sprintf("dased_cluster_rpc_latency_seconds_count{method=%q} ", method)
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("bad count line %q: %v", line, err)
+			}
+			return n
 		}
 	}
-}
-
-// firstMatching returns the exposition lines mentioning name, for failure messages.
-func firstMatching(text, name string) string {
-	var out []string
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, name) && !strings.HasPrefix(line, "#") {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
+	return 0
 }
 
 // TestClusterTraceReconstruction is the cross-node tracing acceptance test:
@@ -413,9 +319,9 @@ func TestClusterTraceReconstruction(t *testing.T) {
 
 // TestClusterGoldenFingerprints extends the determinism goldens to cluster
 // mode: every scenario expressible through the job API, run through a 3-node
-// cluster with trace propagation AND metrics federation active, must produce
-// the exact fingerprint recorded in testdata/determinism_golden.json —
-// distributed observability is observation-only down to the last byte.
+// cluster with trace propagation active, must produce the exact fingerprint
+// recorded in testdata/determinism_golden.json — cross-node tracing is
+// observation-only down to the last byte.
 func TestClusterGoldenFingerprints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; skipped with -short")
@@ -446,11 +352,6 @@ func TestClusterGoldenFingerprints(t *testing.T) {
 			if _, code := postJobTo(t, n1.ts.URL, c.req); code != http.StatusAccepted {
 				t.Fatalf("submit: status %d", code)
 			}
-			// Exercise federation mid-run: scraping the cluster view must not
-			// perturb the simulation.
-			if st, _ := httpGet(t, n1.ts.URL+"/v1/cluster/metrics"); st != http.StatusOK {
-				t.Fatalf("federation scrape during run: status %d", st)
-			}
 			v := awaitDoneByRequest(t, nodes, c.req, 300*time.Second)
 			sum := sha256.Sum256(simJSON(t, v))
 			want, ok := golden[c.name]
@@ -458,56 +359,45 @@ func TestClusterGoldenFingerprints(t *testing.T) {
 				t.Fatalf("no golden fingerprint for %q", c.name)
 			}
 			if got := hex.EncodeToString(sum[:]); got != want {
-				t.Errorf("cluster-mode fingerprint mismatch: got %s want %s\ntracing and federation must be observation-only", got, want)
+				t.Errorf("cluster-mode fingerprint mismatch: got %s want %s\ntracing must be observation-only", got, want)
 			}
 		})
 	}
 }
 
-// TestClusterObservabilityEndpointsShort covers the federation and trace
-// endpoints without running a single simulation, so it stays in the -short
-// suite: a booted cluster heartbeats, which is enough for scatter-gather,
-// per-node labeling, RPC latency observation, and the trace ring's HTTP
-// surface.
+// TestClusterObservabilityEndpointsShort covers each node's own metrics and
+// trace endpoints without running a single simulation, so it stays in the
+// -short suite: a booted cluster heartbeats, which is enough for RPC latency
+// observation and the trace ring's HTTP surface.
 func TestClusterObservabilityEndpointsShort(t *testing.T) {
 	nodes := obsCluster(t, false, nil, "n1", "n2")
 	n1 := nodes["n1"]
 
-	// Heartbeats populate the RPC latency histogram on their own.
-	eventually(t, 30*time.Second, "heartbeat RPC latency observed", func() bool {
-		for _, f := range n1.srv.MetricsRegistry().Snapshot() {
-			if f.Name == "dased_cluster_rpc_latency_seconds" {
-				for _, p := range f.Points {
-					if p.Count > 0 {
-						return true
-					}
-				}
+	// Heartbeats populate the RPC latency histogram on their own, and every
+	// node's /metrics carries it next to the hand-off and partition signals.
+	for id, tn := range nodes {
+		eventually(t, 30*time.Second, id+" heartbeat RPC latency observed", func() bool {
+			return rpcLatencyCount(t, tn.ts.URL, rpcHeartbeat) > 0
+		})
+		_, data := httpGet(t, tn.ts.URL+"/metrics")
+		for _, name := range []string{"dased_cluster_handoffs_total", "dased_cluster_partition_suspected"} {
+			if !strings.Contains(string(data), name) {
+				t.Errorf("%s /metrics lacks %s", id, name)
 			}
 		}
-		return false
-	})
+	}
 
-	st, data := httpGet(t, n1.ts.URL+"/v1/cluster/metrics")
-	if st != http.StatusOK || !strings.Contains(string(data), "dased_cluster_rpc_latency_seconds") {
-		t.Fatalf("merged scrape: status %d", st)
-	}
-	st, data = httpGet(t, n1.ts.URL+"/v1/cluster/metrics?by=node&format=json")
-	if st != http.StatusOK {
-		t.Fatalf("json scrape: status %d", st)
-	}
-	var frame struct {
-		Nodes []string `json:"nodes"`
-	}
-	if err := json.Unmarshal(data, &frame); err != nil || len(frame.Nodes) != 2 {
-		t.Fatalf("json frame nodes = %v (err %v), want both members", frame.Nodes, err)
-	}
-	if st, _ := httpGet(t, n1.ts.URL+"/v1/cluster/metrics?format=yaml"); st != http.StatusBadRequest {
-		t.Errorf("unknown metrics format: status %d, want 400", st)
+	// The cluster serves no merged metrics view: a Prometheus server scrapes
+	// every node's /metrics directly.
+	for _, path := range []string{"/v1/cluster/metrics", "/v1/metrics/snapshot"} {
+		if st, _ := httpGet(t, n1.ts.URL+path); st != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, st)
+		}
 	}
 
 	// The cluster-layer trace ring serves both formats; heartbeat RPCs have
 	// already landed in it.
-	st, data = httpGet(t, n1.ts.URL+"/cluster/v1/trace?format=ndjson")
+	st, data := httpGet(t, n1.ts.URL+"/cluster/v1/trace?format=ndjson")
 	if st != http.StatusOK {
 		t.Fatalf("ndjson trace: status %d", st)
 	}
@@ -537,14 +427,14 @@ func TestClusterObservabilityEndpointsShort(t *testing.T) {
 }
 
 // TestClusterTraceDisabledShort pins the degraded surface: without
-// TraceEvents the cluster trace endpoint 404s but federation still works.
+// TraceEvents the cluster trace endpoint 404s but RPC metrics still record.
 func TestClusterTraceDisabledShort(t *testing.T) {
 	nodes := startCluster(t, false, nil, "n1", "n2")
 	n1 := nodes["n1"]
 	if st, _ := httpGet(t, n1.ts.URL+"/cluster/v1/trace"); st != http.StatusNotFound {
 		t.Errorf("trace endpoint without tracer: status %d, want 404", st)
 	}
-	if st, _ := httpGet(t, n1.ts.URL+"/v1/cluster/metrics"); st != http.StatusOK {
-		t.Errorf("federation without tracer: status %d, want 200", st)
-	}
+	eventually(t, 30*time.Second, "heartbeat RPC latency observed without a tracer", func() bool {
+		return rpcLatencyCount(t, n1.ts.URL, rpcHeartbeat) > 0
+	})
 }

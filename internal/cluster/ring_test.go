@@ -105,3 +105,19 @@ func TestRingStability(t *testing.T) {
 		}
 	}
 }
+
+func TestOwnerOfJobID(t *testing.T) {
+	for id, want := range map[string]string{
+		"n2-job-7":       "n2",
+		"node-a-job-12":  "node-a",
+		"n1-job-3-job-4": "n1",
+		"job-7":          "", // single-node ID: no prefix
+		"-job-7":         "", // empty prefix routes nowhere
+		"":               "",
+		"n2":             "",
+	} {
+		if got := ownerOfJobID(id); got != want {
+			t.Errorf("ownerOfJobID(%q) = %q, want %q", id, got, want)
+		}
+	}
+}

@@ -50,9 +50,8 @@ func SubmitStatus(err error) int {
 //	POST   /v1/estimate          online DASE estimation (object or array batch)
 //	POST   /v1/estimate/stream   NDJSON request/response estimation stream
 //	GET    /healthz              liveness probe (503 only while draining)
-//	GET    /readyz               readiness probe (503 during replay, drain, or failed checks; SLO detail when enabled)
+//	GET    /readyz               readiness probe (503 during replay, drain, or failed checks)
 //	GET    /metrics              Prometheus text metrics
-//	GET    /v1/metrics/snapshot  structured registry snapshot (metrics federation wire form)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -66,7 +65,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/metrics/snapshot", s.handleMetricsSnapshot)
 	return s.logMiddleware(mux)
 }
 
@@ -273,24 +271,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // is up and able to answer), /readyz answers whether this node should receive
 // traffic. It reports 503 until Start has finished journal replay, while
 // draining, and whenever any registered readiness check (e.g. cluster quorum)
-// fails.
-// Enabled SLO evaluation adds an "slo" detail listing each objective's
-// current status and burn rate; alerting objectives are informational — a
-// node burning error budget should still receive traffic, just also a page.
+// fails; the 503 body names the failing condition.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if err := s.Ready(); err != nil {
-		body := map[string]any{
+		s.writeJSON(w, r, http.StatusServiceUnavailable, map[string]string{
 			"status": "unavailable",
 			"reason": err.Error(),
-		}
-		if st := s.SLOStatuses(); st != nil {
-			body["slo"] = st
-		}
-		s.writeJSON(w, r, http.StatusServiceUnavailable, body)
-		return
-	}
-	if st := s.SLOStatuses(); st != nil {
-		s.writeJSON(w, r, http.StatusOK, map[string]any{"status": "ready", "slo": st})
+		})
 		return
 	}
 	s.writeJSON(w, r, http.StatusOK, map[string]string{"status": "ready"})
@@ -299,13 +286,4 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
-}
-
-// handleMetricsSnapshot serves the registry as a structured NodeSnapshot —
-// the wire form the cluster's metrics federation scatter-gathers and merges.
-func (s *Server) handleMetricsSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, r, http.StatusOK, telemetry.NodeSnapshot{
-		Node:     s.opts.NodeID,
-		Families: s.metrics.reg.Snapshot(),
-	})
 }

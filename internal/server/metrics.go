@@ -45,9 +45,6 @@ type Metrics struct {
 	estStreams  *telemetry.Gauge     // NDJSON estimation streams in flight
 	estLatency  *telemetry.Histogram // per-body estimation service time (transport excluded)
 	estBatch    *telemetry.Histogram // snapshots per estimation body
-
-	sloBurn     *telemetry.GaugeVec // max burn rate per objective, from the last SLO tick; nil without SLO evaluation
-	sloAlerting *telemetry.GaugeVec // 1 while an objective's burn-rate alert fires; nil without SLO evaluation
 }
 
 func newMetrics(queueDepth func() int, cacheStats func() (uint64, uint64, uint64, int)) *Metrics {
@@ -118,22 +115,6 @@ func moduleVersion() string {
 		return bi.Main.Version
 	}
 	return "unknown"
-}
-
-// initSLO registers the SLO gauge families and seeds one zero-valued child
-// per objective; called once at construction so servers without SLO
-// evaluation don't export empty families.
-func (m *Metrics) initSLO(objectiveNames []string) {
-	m.sloBurn = m.reg.GaugeVec("dased_slo_burn_rate",
-		"Highest error-budget burn rate across an objective's alert windows (1 = budget spent exactly on schedule).",
-		"objective")
-	m.sloAlerting = m.reg.GaugeVec("dased_slo_alerting",
-		"1 while an objective's multi-window burn-rate alert is firing.",
-		"objective")
-	for _, name := range objectiveNames {
-		m.sloBurn.With(name).Set(0)
-		m.sloAlerting.With(name).Set(0)
-	}
 }
 
 // setJournalRecords exposes the journal's record count; called once when the

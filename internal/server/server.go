@@ -42,7 +42,6 @@ import (
 	"dasesim/internal/journal"
 	"dasesim/internal/kernels"
 	"dasesim/internal/simcache"
-	"dasesim/internal/slo"
 	"dasesim/internal/telemetry"
 )
 
@@ -132,14 +131,6 @@ type Options struct {
 	// IDs; 0 (the default) derives a per-node seed from NodeID, keeping IDs
 	// distinct across cluster members.
 	TraceSeed uint64
-	// SLOInterval enables the SLO evaluator: every interval the server
-	// snapshots its own metrics registry, recomputes objective statuses and
-	// burn rates, and exports dased_slo_burn_rate. 0 (the default) disables
-	// evaluation.
-	SLOInterval time.Duration
-	// SLOObjectives overrides the evaluated objectives; nil takes
-	// slo.DefaultObjectives(). Only read when SLOInterval > 0.
-	SLOObjectives []slo.Objective
 }
 
 // withDefaults fills unset options.
@@ -225,9 +216,6 @@ type Server struct {
 	est     *estimate.Service
 	spans   *telemetry.SpanSource
 
-	sloMu   sync.Mutex
-	sloEval *slo.Evaluator // nil when SLO evaluation is disabled
-
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	drainCh    chan struct{} // closed when draining begins; wakes retry backoffs
@@ -289,13 +277,6 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	s.spans = telemetry.NewSpanSource(seed)
-	if opts.SLOInterval > 0 {
-		objectives := opts.SLOObjectives
-		if objectives == nil {
-			objectives = slo.DefaultObjectives()
-		}
-		s.sloEval = slo.NewEvaluator(objectives)
-	}
 	s.est = estimate.NewService(estimate.Options{
 		Cfg:     opts.Cfg,
 		MinSMs:  opts.EstimateMinSMs,
@@ -308,13 +289,6 @@ func New(opts Options) (*Server, error) {
 			return st.Hits, st.Misses, st.Evictions, st.Entries
 		},
 	)
-	if s.sloEval != nil {
-		names := make([]string, 0, len(s.sloEval.Objectives()))
-		for _, o := range s.sloEval.Objectives() {
-			names = append(names, o.Name)
-		}
-		s.metrics.initSLO(names)
-	}
 	if opts.TraceDir != "" {
 		if err := os.MkdirAll(opts.TraceDir, 0o755); err != nil {
 			cancel()
@@ -605,60 +579,6 @@ func (s *Server) Start() {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.sloEval != nil {
-		s.wg.Add(1)
-		go s.sloLoop()
-	}
-}
-
-// sloLoop re-evaluates the SLO objectives on the configured cadence until the
-// server starts draining.
-func (s *Server) sloLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.opts.SLOInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.SLOTick()
-		case <-s.drainCh:
-			return
-		}
-	}
-}
-
-// SLOTick runs one SLO evaluation over the server's own metrics registry and
-// publishes the resulting burn rates. It is exported so tests (and a cluster
-// node wanting a fresh reading) can force an evaluation between ticker fires;
-// a server without SLO evaluation returns nil.
-func (s *Server) SLOTick() []slo.Status {
-	if s.sloEval == nil {
-		return nil
-	}
-	snap := s.metrics.reg.Snapshot()
-	s.sloMu.Lock()
-	statuses := s.sloEval.Tick(snap)
-	s.sloMu.Unlock()
-	for _, st := range statuses {
-		s.metrics.sloBurn.With(st.Name).Set(st.MaxBurn)
-		alerting := 0.0
-		if st.Alerting {
-			alerting = 1
-		}
-		s.metrics.sloAlerting.With(st.Name).Set(alerting)
-	}
-	return statuses
-}
-
-// SLOStatuses returns the statuses computed by the most recent evaluation
-// (nil when SLO evaluation is disabled or has not ticked yet).
-func (s *Server) SLOStatuses() []slo.Status {
-	if s.sloEval == nil {
-		return nil
-	}
-	s.sloMu.Lock()
-	defer s.sloMu.Unlock()
-	return s.sloEval.Statuses()
 }
 
 // beginDrainLocked starts the drain, once: submissions are refused from here

@@ -452,3 +452,58 @@ func metricValue(t *testing.T, text, name string) float64 {
 	}
 	return v
 }
+
+// TestMaxJobsEvictsOldestTerminal pins the in-memory record bound without a
+// journal or a worker pool: the server is never started, so every submission
+// stays queued until the test cancels it and nothing simulates. Beyond
+// MaxJobs the oldest terminal record goes first, queued records are never
+// evicted, and Views keeps submission order.
+func TestMaxJobsEvictsOldestTerminal(t *testing.T) {
+	s, err := New(Options{MaxJobs: 2, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	seed := uint64(0)
+	submit := func() string {
+		t.Helper()
+		seed++
+		job, err := s.submit(JobRequest{Kernels: []string{"SB"}, Cycles: testCycles, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job.ID
+	}
+	cancel := func(id string) {
+		t.Helper()
+		if found, canceled := s.cancelJob(id); !found || !canceled {
+			t.Fatalf("cancel %s: found %v canceled %v", id, found, canceled)
+		}
+	}
+	expect := func(step string, want ...string) {
+		t.Helper()
+		var got []string
+		for _, v := range s.Views() {
+			got = append(got, v.ID)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: views %v, want %v", step, got, want)
+		}
+	}
+
+	a, b := submit(), submit()
+	cancel(a)
+	c := submit()
+	expect("oldest terminal evicted", b, c)
+
+	cancel(c)
+	d := submit()
+	expect("queued record skipped, next terminal evicted", b, d)
+
+	e := submit()
+	expect("all live: bound exceeded rather than drop a queued job", b, d, e)
+
+	cancel(d)
+	f := submit()
+	expect("eviction stops once only live records remain", b, e, f)
+}

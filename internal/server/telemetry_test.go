@@ -147,7 +147,7 @@ func TestTracedJobEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d", resp.StatusCode)
 	}
-	events, err := telemetry.ReadNDJSON(resp.Body)
+	events, err := telemetry.ReadNDJSONStrict(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCacheHitTraceIsLifecycleOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	events, err := telemetry.ReadNDJSON(resp.Body)
+	events, err := telemetry.ReadNDJSONStrict(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

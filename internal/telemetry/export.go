@@ -106,38 +106,11 @@ func WriteNDJSON(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// ReadNDJSON parses an NDJSON event stream (blank lines are skipped); events
-// with an unknown kind are kept with Kind 0 so foreign annotations survive a
-// round trip.
-func ReadNDJSON(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var j JSONEvent
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return nil, fmt.Errorf("telemetry: line %d: %w", line, err)
-		}
-		out = append(out, j.toEvent())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: read ndjson: %w", err)
-	}
-	return out, nil
-}
-
-// ReadNDJSONStrict parses an NDJSON event stream like ReadNDJSON, but treats
-// schema deviations as errors instead of smoothing them over: unknown event
-// kinds, unknown fields, and malformed trace ids all fail, naming the
-// offending line. This is the validation mode cmd/dasetrace and CI use so a
-// corrupt or foreign stream is rejected loudly rather than silently rendered
-// as a partial timeline.
+// ReadNDJSONStrict parses an NDJSON event stream (blank lines are skipped)
+// and treats every schema deviation as an error: unknown event kinds, unknown
+// fields, and malformed trace ids all fail, naming the offending line. It is
+// the one event reader, so a corrupt or foreign stream is rejected loudly
+// rather than silently rendered as a partial timeline.
 func ReadNDJSONStrict(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -170,14 +169,6 @@ func TestReadNDJSONStrictRejects(t *testing.T) {
 			if !strings.Contains(err.Error(), "line 2") {
 				t.Errorf("error %q does not name line 2", err)
 			}
-			// The permissive reader keeps what strict rejects (except raw
-			// non-JSON, which nothing accepts).
-			if c.name != "not json" && c.name != "bad trace id" &&
-				c.name != "bad span id" && c.name != "bad parent id" {
-				if _, err := ReadNDJSON(strings.NewReader(in)); err != nil {
-					t.Errorf("permissive reader also rejected: %v", err)
-				}
-			}
 		})
 	}
 }
@@ -192,24 +183,24 @@ func TestHistogramVecChildren(t *testing.T) {
 	// Same labels resolve to the same child.
 	v.With("steal").Observe(0.07)
 
-	var fam FamilySnapshot
-	for _, f := range reg.Snapshot() {
-		if f.Name == "rpc_seconds" {
-			fam = f
+	if steal.Count() != 3 {
+		t.Errorf("steal child count = %d, want 3", steal.Count())
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	out := sb.String()
+	if n := strings.Count(out, "rpc_seconds_count{"); n != 2 {
+		t.Fatalf("%d children, want 2 in:\n%s", n, out)
+	}
+	for _, want := range []string{
+		`rpc_seconds_bucket{method="steal",le="0.1"} 2`,
+		`rpc_seconds_count{method="steal"} 3`,
+		`rpc_seconds_bucket{method="forward",le="1"} 0`,
+		`rpc_seconds_bucket{method="forward",le="+Inf"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
-	}
-	if len(fam.Points) != 2 {
-		t.Fatalf("%d children, want 2", len(fam.Points))
-	}
-	byLabel := map[string]PointSnapshot{}
-	for _, p := range fam.Points {
-		byLabel[p.LabelValues[0]] = p
-	}
-	if got := byLabel["steal"]; got.Count != 3 || got.BucketCounts[0] != 2 {
-		t.Errorf("steal child = %+v, want 3 observations, 2 in the first bucket", got)
-	}
-	if got := byLabel["forward"]; got.Count != 1 || got.BucketCounts[2] != 1 {
-		t.Errorf("forward child = %+v, want 1 observation in +Inf", got)
 	}
 }
 
@@ -257,37 +248,15 @@ func TestObserveIgnoresNaN(t *testing.T) {
 	h := reg.Histogram("h_seconds", "H.", 0.1, 1)
 	h.Observe(math.NaN())
 	h.Observe(0.05)
-	for _, f := range reg.Snapshot() {
-		if f.Name == "h_seconds" && f.Points[0].Count != 1 {
-			t.Errorf("count = %d, want 1 (NaN dropped)", f.Points[0].Count)
-		}
-	}
-}
-
-func TestMergeSnapshotsMismatchedBucketLengths(t *testing.T) {
-	a := NewRegistry()
-	a.Histogram("h", "H.", 0.1, 1).Observe(0.05)
-	b := NewRegistry()
-	b.Histogram("h", "H.", 0.1).Observe(0.05)
-	merged := MergeSnapshots([]NodeSnapshot{
-		{Node: "n1", Families: a.Snapshot()},
-		{Node: "n2", Families: b.Snapshot()},
-	})
-	for _, f := range merged {
-		if f.Name == "h" && f.Points[0].Count != 1 {
-			t.Errorf("count = %d, want 1 (shorter-bucket node skipped)", f.Points[0].Count)
-		}
+	if h.Count() != 1 || h.Sum() != 0.05 {
+		t.Errorf("count %d sum %v, want 1 and 0.05 (NaN dropped)", h.Count(), h.Sum())
 	}
 }
 
 func TestNDJSONSkipsBlankLines(t *testing.T) {
 	in := "\n" + `{"kind":"job.queued","seq":1,"app":-1,"sm":-1}` + "\n\n"
-	for name, read := range map[string]func(io.Reader) ([]Event, error){
-		"permissive": ReadNDJSON, "strict": ReadNDJSONStrict,
-	} {
-		got, err := read(strings.NewReader(in))
-		if err != nil || len(got) != 1 {
-			t.Errorf("%s: %d events, err %v; want 1, nil", name, len(got), err)
-		}
+	got, err := ReadNDJSONStrict(strings.NewReader(in))
+	if err != nil || len(got) != 1 {
+		t.Errorf("%d events, err %v; want 1, nil", len(got), err)
 	}
 }

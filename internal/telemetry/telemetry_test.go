@@ -92,7 +92,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	if err := WriteNDJSON(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadNDJSON(&buf)
+	back, err := ReadNDJSONStrict(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

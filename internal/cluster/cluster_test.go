@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -680,5 +681,15 @@ func TestClusterRoutingRoundTripShort(t *testing.T) {
 	}
 	if got := n1.node.m.rpcLatency[rpcProxy].Count(); got != 2 {
 		t.Errorf("proxy RPC latency observations = %d, want 2", got)
+	}
+
+	// A body with data after the job object is refused before routing.
+	resp, err = http.Post(n1.ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"kernels":["SB"]} {}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing data: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -362,9 +362,7 @@ func (n *Node) hopAware(local http.Handler, routed http.HandlerFunc) http.Handle
 func (n *Node) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		n.log.Error("write json failed", "err", err)
 	}
 }
@@ -416,6 +414,12 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		n.writeJSON(w, http.StatusBadRequest, errBody(r.URL.Path, "bad request body: "+err.Error()))
+		return
+	}
+	// Refused as the single-node endpoint refuses it.
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		n.writeJSON(w, http.StatusBadRequest, errBody(r.URL.Path, fmt.Sprintf("bad request body: trailing data after offset %d", end)))
 		return
 	}
 	status, payload := n.routeSubmit(r.Context(), req, telemetry.SpanFromHeaders(r.Header))

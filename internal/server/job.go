@@ -7,6 +7,7 @@ import (
 
 	"dasesim/internal/kernels"
 	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
 	"dasesim/internal/telemetry"
 )
 
@@ -167,6 +168,9 @@ type plan struct {
 	mode     string // "shared" | "alone"
 	slowdown bool
 	timeout  time.Duration
+	// key is the main simulation's content address: the result-cache key,
+	// the cluster's routing key and the shed check's lookup, computed once.
+	key string
 }
 
 // variant is the cache-key run-mode tag for the plan's main simulation.
@@ -253,5 +257,6 @@ func (s *Server) buildPlan(req JobRequest) (plan, error) {
 			p.timeout = d
 		}
 	}
+	p.key = simcache.Key(s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, p.variant())
 	return p, nil
 }

@@ -13,7 +13,6 @@ import (
 	"dasesim/internal/metrics"
 	"dasesim/internal/sched"
 	"dasesim/internal/sim"
-	"dasesim/internal/simcache"
 	"dasesim/internal/telemetry"
 	"dasesim/internal/workload"
 )
@@ -280,8 +279,7 @@ func (s *Server) TrySteal(thief string) (JobRequest, string, bool) {
 // simulation, so hit jobs carry lifecycle events only) and, for slowdown
 // jobs, the measured ground truth.
 func (s *Server) execute(ctx context.Context, p plan, tr *telemetry.Tracer) (*JobResult, bool, error) {
-	key := simcache.Key(s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, p.variant())
-	res, cacheHit, err := s.cachedSim(ctx, key, func(ctx context.Context) (*sim.Result, error) {
+	res, cacheHit, err := s.cachedSim(ctx, p.key, func(ctx context.Context) (*sim.Result, error) {
 		return s.runSim(ctx, p, tr)
 	})
 	if err != nil {

@@ -468,8 +468,7 @@ func (s *Server) replay(records []journal.Record) {
 			// restart are still cache hits.
 			if job.Result != nil && job.Result.Sim != nil {
 				if pl, err := s.buildPlan(st.req); err == nil {
-					key := simcache.Key(s.opts.Cfg, pl.profiles, pl.alloc, pl.cycles, pl.seed, pl.variant())
-					s.cache.Put(key, job.Result.Sim)
+					s.cache.Put(pl.key, job.Result.Sim)
 				}
 			}
 		default:
@@ -670,8 +669,7 @@ func (s *Server) submitSpan(req JobRequest, parent telemetry.SpanContext) (*Job,
 	if len(s.queue) >= s.opts.ShedHighWater {
 		// Over the high-water mark only already-cached (cheap) submissions
 		// are admitted: graceful degradation sheds the expensive work first.
-		key := simcache.Key(s.opts.Cfg, pl.profiles, pl.alloc, pl.cycles, pl.seed, pl.variant())
-		if !s.cache.Peek(key) {
+		if !s.cache.Peek(pl.key) {
 			s.metrics.jobsShed.Add(1)
 			return nil, ErrShed
 		}
@@ -713,6 +711,12 @@ func (s *Server) submitSpan(req JobRequest, parent telemetry.SpanContext) (*Job,
 
 // evictJobRecordsLocked forgets the oldest terminal job records beyond
 // MaxJobs; the caller holds s.mu.
+//
+// Removing index i shifts the i older records — all live — one slot right
+// and drops the front slot: O(i), not O(len(jobOrder)). Each drop costs one
+// slot of capacity and each append uses one spare slot; append reallocates
+// to about twice the length when they meet, so copying amortises to O(1) a
+// submission and cap stays a small multiple of the retained records.
 func (s *Server) evictJobRecordsLocked() {
 	for len(s.jobs) > s.opts.MaxJobs {
 		evicted := false
@@ -723,7 +727,9 @@ func (s *Server) evictJobRecordsLocked() {
 			}
 			if j.Status.terminal() {
 				delete(s.jobs, id)
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
+				copy(s.jobOrder[1:i+1], s.jobOrder[:i])
+				s.jobOrder[0] = "" // the backing array outlives the reslice
+				s.jobOrder = s.jobOrder[1:]
 				evicted = true
 				break
 			}
@@ -859,7 +865,7 @@ func (s *Server) RouteKey(req JobRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return simcache.Key(s.opts.Cfg, pl.profiles, pl.alloc, pl.cycles, pl.seed, pl.variant()), nil
+	return pl.key, nil
 }
 
 // SeedResult inserts a finished job's simulation result into the cache

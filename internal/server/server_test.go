@@ -24,7 +24,7 @@ import (
 // testCycles keeps the suite fast: one partial interval per run.
 const testCycles = 20_000
 
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))

@@ -6,6 +6,7 @@
 //
 //	dased                          # listen on :8844 with defaults
 //	dased -addr :9000 -workers 8 -queue 128
+//	dased -addr 127.0.0.1:0        # a free port; the bound address is logged
 //	dased -config gpu.json -kernels custom.json
 //	dased -journal dased.wal -max-retries 3   # crash-safe job journal
 //	dased -trace-dir traces -log-format json  # per-job Chrome traces
@@ -48,7 +49,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -80,86 +83,92 @@ func parsePeers(s string) (map[string]string, error) {
 }
 
 func main() {
-	addr := flag.String("addr", ":8844", "HTTP listen address")
-	workers := flag.Int("workers", 0, "simulation worker pool size (default: GOMAXPROCS)")
-	queueDepth := flag.Int("queue", 64, "job queue depth; beyond it submissions get 429")
-	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-job wall-time limit")
-	defaultCycles := flag.Uint64("default-cycles", 300_000, "cycle budget for jobs that omit cycles")
-	maxCycles := flag.Uint64("max-cycles", 20_000_000, "largest accepted cycle budget")
-	cacheEntries := flag.Int("cache", 512, "result-cache capacity in entries")
-	journalPath := flag.String("journal", "", "append job lifecycle records to this file and recover from it on startup (cluster mode: a shared directory, one <node-id>.wal per node)")
-	maxRetries := flag.Int("max-retries", 2, "retries per job for transient failures (negative disables)")
-	shedHighWater := flag.Int("shed-highwater", 0, "queue length at which uncached submissions are shed (0: 3/4 of -queue, negative: off)")
-	drainGrace := flag.Duration("drain-grace", 30*time.Second, "shutdown drain budget before running jobs are hard-cancelled")
-	configPath := flag.String("config", "", "load the GPU configuration from this JSON file")
-	kernelsPath := flag.String("kernels", "", "load custom kernel profiles from this JSON file")
-	snapRetention := flag.Int("snapshot-retention", 0, "interval snapshots kept per result (0: 4096, negative: unlimited)")
-	checkInvariants := flag.Bool("check-invariants", false, "run the engine's periodic invariant sweep in every simulation (debug; a violation fails the job)")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
-	logFormat := flag.String("log-format", "text", "log output format: text | json")
-	traceEvents := flag.Int("trace-events", 0, "per-job trace ring capacity in events; 0 disables tracing unless -trace-dir is set")
-	traceDir := flag.String("trace-dir", "", "write each finished job's Chrome trace JSON into this directory (implies tracing)")
-	estMinSMs := flag.Int("estimate-min-sms", 0, "minimum SMs per app in recommended partitions (0: 1)")
-	estMaxApps := flag.Int("estimate-max-apps", 0, "most apps accepted per estimate snapshot (0: 8)")
-	estMaxBody := flag.Int64("estimate-max-body", 0, "largest accepted estimate body/stream line in bytes (0: 1 MiB)")
-	nodeID := flag.String("node-id", "", "this node's cluster identity; required with -peers")
-	peersFlag := flag.String("peers", "", "cluster peer map as comma-separated id=url pairs including this node; enables cluster mode")
-	hbInterval := flag.Duration("heartbeat-interval", time.Second, "cluster heartbeat period; suspicion and death timeouts scale from it")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dased: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until ctx is done, then drains queued and running jobs and
+// returns nil. Bad flags and startup failures return an error. Logs go to
+// stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dased", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr            = fs.String("addr", ":8844", "HTTP listen address; port 0 picks a free port (the bound address is logged)")
+		workers         = fs.Int("workers", 0, "simulation worker pool size (default: GOMAXPROCS)")
+		queueDepth      = fs.Int("queue", 64, "job queue depth; beyond it submissions get 429")
+		jobTimeout      = fs.Duration("job-timeout", 2*time.Minute, "per-job wall-time limit")
+		maxCycles       = fs.Uint64("max-cycles", 20_000_000, "largest accepted cycle budget")
+		journalPath     = fs.String("journal", "", "append job lifecycle records to this file and recover from it on startup (cluster mode: a shared directory, one <node-id>.wal per node)")
+		maxRetries      = fs.Int("max-retries", 2, "retries per job for transient failures (negative disables)")
+		shedHighWater   = fs.Int("shed-highwater", 0, "queue length at which uncached submissions are shed (0: 3/4 of -queue, negative: off)")
+		drainGrace      = fs.Duration("drain-grace", 30*time.Second, "shutdown drain budget before running jobs are hard-cancelled")
+		configPath      = fs.String("config", "", "load the GPU configuration from this JSON file")
+		kernelsPath     = fs.String("kernels", "", "load custom kernel profiles from this JSON file")
+		checkInvariants = fs.Bool("check-invariants", false, "run the engine's periodic invariant sweep in every simulation (debug; a violation fails the job)")
+		debugAddr       = fs.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
+		logFormat       = fs.String("log-format", "text", "log output format: text | json")
+		traceEvents     = fs.Int("trace-events", 0, "per-job trace ring capacity in events; 0 disables tracing unless -trace-dir is set")
+		traceDir        = fs.String("trace-dir", "", "write each finished job's Chrome trace JSON into this directory (implies tracing)")
+		nodeID          = fs.String("node-id", "", "this node's cluster identity; required with -peers")
+		peersFlag       = fs.String("peers", "", "cluster peer map as comma-separated id=url pairs including this node; enables cluster mode")
+		hbInterval      = fs.Duration("heartbeat-interval", time.Second, "cluster heartbeat period; suspicion and death timeouts scale from it")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var handler slog.Handler
 	switch *logFormat {
 	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
+		handler = slog.NewTextHandler(stderr, nil)
 	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
+		handler = slog.NewJSONHandler(stderr, nil)
 	default:
-		fmt.Fprintf(os.Stderr, "dased: unknown -log-format %q (text | json)\n", *logFormat)
-		os.Exit(2)
+		return fmt.Errorf("unknown -log-format %q (text | json)", *logFormat)
 	}
 	logger := slog.New(handler)
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		os.Exit(1)
-	}
 
 	opts := server.Options{
-		NodeID:            *nodeID,
-		Workers:           *workers,
-		QueueDepth:        *queueDepth,
-		JobTimeout:        *jobTimeout,
-		DefaultCycles:     *defaultCycles,
-		MaxCycles:         *maxCycles,
-		CacheEntries:      *cacheEntries,
-		JournalPath:       *journalPath,
-		MaxRetries:        *maxRetries,
-		ShedHighWater:     *shedHighWater,
-		SnapshotRetention: *snapRetention,
-		CheckInvariants:   *checkInvariants,
-		Logger:            logger,
-		TraceEvents:       *traceEvents,
-		TraceDir:          *traceDir,
-		EstimateMinSMs:    *estMinSMs,
-		EstimateMaxApps:   *estMaxApps,
-		EstimateMaxBody:   *estMaxBody,
+		NodeID:          *nodeID,
+		Workers:         *workers,
+		QueueDepth:      *queueDepth,
+		JobTimeout:      *jobTimeout,
+		MaxCycles:       *maxCycles,
+		JournalPath:     *journalPath,
+		MaxRetries:      *maxRetries,
+		ShedHighWater:   *shedHighWater,
+		CheckInvariants: *checkInvariants,
+		Logger:          logger,
+		TraceEvents:     *traceEvents,
+		TraceDir:        *traceDir,
 	}
 	// In Options, 0 retries means "use the default"; on the command line an
 	// explicit 0 means none.
 	if *maxRetries == 0 {
 		opts.MaxRetries = -1
 	}
-	clusterMode := *peersFlag != ""
+	var peers map[string]string
 	journalDir := ""
-	if clusterMode {
+	if *peersFlag != "" {
 		if *nodeID == "" {
-			fatal("cluster init", errors.New("-peers requires -node-id"))
+			return errors.New("-peers requires -node-id")
+		}
+		var err error
+		if peers, err = parsePeers(*peersFlag); err != nil {
+			return err
 		}
 		// In cluster mode -journal names the shared hand-off directory;
 		// this node's own journal lives inside it.
 		if *journalPath != "" {
 			journalDir = *journalPath
 			if err := os.MkdirAll(journalDir, 0o755); err != nil {
-				fatal("create journal dir", err)
+				return fmt.Errorf("create journal dir: %w", err)
 			}
 			opts.JournalPath = filepath.Join(journalDir, *nodeID+".wal")
 		}
@@ -167,31 +176,51 @@ func main() {
 	if *configPath != "" {
 		cfg, err := dasesim.LoadConfig(*configPath)
 		if err != nil {
-			fatal("load config", err)
+			return fmt.Errorf("load config: %w", err)
 		}
 		opts.Cfg = cfg
 	}
 	if *kernelsPath != "" {
 		catalogue, err := dasesim.LoadKernels(*kernelsPath)
 		if err != nil {
-			fatal("load kernels", err)
+			return fmt.Errorf("load kernels: %w", err)
 		}
 		opts.Catalogue = catalogue
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close() // Shutdown closes it once serving; this covers early returns
+	if *debugAddr != "" {
+		dbgLn, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			return err
+		}
+		// The profiling endpoints live on their own listener so they are
+		// never exposed on the public API address.
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		dbg := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+		go dbg.Serve(dbgLn) // returns once Close shuts the listener
+		defer dbg.Close()
+		logger.Info("pprof listening", "addr", dbgLn.Addr().String())
+	}
+
 	srv, err := server.New(opts)
 	if err != nil {
-		fatal("server init", err)
+		return fmt.Errorf("server init: %w", err)
 	}
 	srv.Start()
 
 	apiHandler := srv.Handler()
 	var node *cluster.Node
-	if clusterMode {
-		peers, err := parsePeers(*peersFlag)
-		if err != nil {
-			fatal("cluster init", err)
-		}
+	if peers != nil {
 		node, err = cluster.New(srv, cluster.Options{
 			Self:              *nodeID,
 			Peers:             peers,
@@ -203,28 +232,14 @@ func main() {
 			TraceEvents: *traceEvents,
 		})
 		if err != nil {
-			fatal("cluster init", err)
+			grace, cancel := context.WithTimeout(context.Background(), *drainGrace)
+			defer cancel()
+			_ = srv.Shutdown(grace) // nothing was served; only replayed jobs can be running
+			return fmt.Errorf("cluster init: %w", err)
 		}
 		node.Start()
 		apiHandler = node.Handler()
 		logger.Info("cluster mode", "node", *nodeID, "peers", len(peers), "journal_dir", journalDir)
-	}
-
-	if *debugAddr != "" {
-		// The profiling endpoints live on their own listener so they are
-		// never exposed on the public API address.
-		dbg := http.NewServeMux()
-		dbg.HandleFunc("/debug/pprof/", pprof.Index)
-		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			logger.Info("pprof listening", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dbg); err != nil {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
 	}
 
 	// ReadTimeout covers header + body: job submissions are small JSON
@@ -232,23 +247,19 @@ func main() {
 	// hostile. No WriteTimeout — long-poll responses legitimately take up to
 	// LongPollMax to produce.
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           apiHandler,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
+	logger.Info("listening", "addr", ln.Addr().String())
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr)
-
+	var failed error
 	select {
-	case err := <-errCh:
-		fatal("http server", err)
+	case err := <-serveErr:
+		failed = fmt.Errorf("http server: %w", err)
 	case <-ctx.Done():
 	}
 
@@ -265,4 +276,5 @@ func main() {
 		logger.Error("drain failed", "err", err)
 	}
 	logger.Info("stopped")
+	return failed
 }

@@ -62,7 +62,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.est.Get()
 	defer s.est.Put(sc)
-	body, err := readBody(r, sc.Body[:0], s.opts.EstimateMaxBody)
+	body, err := readBody(r, sc.Body[:0], estimateMaxBody)
 	sc.Body = body
 	if err != nil {
 		if errors.Is(err, errBodyTooLarge) {
@@ -121,7 +121,7 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.est.Get()
 	defer s.est.Put(sc)
-	sc.StreamReset(int(s.opts.EstimateMaxBody))
+	sc.StreamReset(estimateMaxBody)
 
 	writeLine := func(line []byte) bool {
 		if _, err := w.Write(line); err != nil {

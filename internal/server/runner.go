@@ -381,7 +381,7 @@ func (s *Server) cachedSim(ctx context.Context, key string, run func(context.Con
 // sweep. Invariant checking never changes results, so cache keys are shared
 // with unchecked servers.
 func (s *Server) simOpts() []sim.Option {
-	opts := []sim.Option{sim.WithSnapshotRetention(s.opts.SnapshotRetention)}
+	opts := []sim.Option{sim.WithSnapshotRetention(snapshotRetention)}
 	if s.opts.CheckInvariants {
 		opts = append(opts, sim.WithInvariantChecks())
 	}

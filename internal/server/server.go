@@ -65,9 +65,6 @@ type Options struct {
 	DefaultCycles uint64
 	// MaxCycles rejects outsized budgets at submission (default: 20000000).
 	MaxCycles uint64
-	// CacheEntries bounds the result cache (default:
-	// simcache.DefaultMaxEntries).
-	CacheEntries int
 	// MaxJobs bounds the retained job records; the oldest terminal jobs are
 	// forgotten beyond it (default: 4096).
 	MaxJobs int
@@ -90,11 +87,6 @@ type Options struct {
 	// LongPollMax clamps the wait_ms parameter of GET /v1/jobs/{id}
 	// (default: 60s).
 	LongPollMax time.Duration
-	// SnapshotRetention caps how many interval snapshots each simulation
-	// keeps (default: 4096, comfortably above MaxCycles/IntervalCycles at
-	// the defaults so results are normally untruncated; negative disables
-	// the cap). Whole-run aggregates are exact regardless.
-	SnapshotRetention int
 	// CheckInvariants runs every simulation with the engine's runtime
 	// validation sweep (sim.WithInvariantChecks): pool hygiene, request
 	// conservation, MSHR agreement and monotonic counters. Checking is
@@ -115,14 +107,6 @@ type Options struct {
 	// TraceDir, when set, additionally writes each finished job's trace as
 	// Chrome trace-event JSON to <TraceDir>/<jobID>.trace.json.
 	TraceDir string
-	// EstimateMinSMs is the default per-app minimum SM count for the
-	// online estimation endpoints' partition search (default 1).
-	EstimateMinSMs int
-	// EstimateMaxApps bounds apps per estimation snapshot (default 8).
-	EstimateMaxApps int
-	// EstimateMaxBody bounds estimate request bodies and NDJSON stream
-	// lines, in bytes (default 1 MiB).
-	EstimateMaxBody int64
 	// NodeID, when set, prefixes job IDs ("<NodeID>-job-7" instead of
 	// "job-7") so IDs stay globally unique — and routable — across a
 	// multi-node dased cluster. Must not contain "-job-" or "/".
@@ -183,12 +167,6 @@ func (o Options) withDefaults() Options {
 	if o.LongPollMax <= 0 {
 		o.LongPollMax = 60 * time.Second
 	}
-	switch {
-	case o.SnapshotRetention == 0:
-		o.SnapshotRetention = 4096
-	case o.SnapshotRetention < 0:
-		o.SnapshotRetention = 0 // unlimited
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -198,11 +176,17 @@ func (o Options) withDefaults() Options {
 	if o.TraceEvents < 0 {
 		o.TraceEvents = 0
 	}
-	if o.EstimateMaxBody <= 0 {
-		o.EstimateMaxBody = 1 << 20
-	}
 	return o
 }
+
+// snapshotRetention caps the interval snapshots each simulation keeps:
+// comfortably above MaxCycles/IntervalCycles at the defaults, so results
+// are normally untruncated. Whole-run aggregates are exact regardless.
+const snapshotRetention = 4096
+
+// estimateMaxBody bounds estimate request bodies and NDJSON stream lines,
+// in bytes.
+const estimateMaxBody = 1 << 20
 
 // Server is the simulation-as-a-service daemon core. Construct with New,
 // start the worker pool with Start, serve Handler over HTTP, and stop with
@@ -259,7 +243,7 @@ func New(opts Options) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
-		cache:      simcache.NewMemory(opts.CacheEntries),
+		cache:      simcache.NewMemory(simcache.DefaultMaxEntries),
 		queue:      make(chan *Job, opts.QueueDepth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -277,11 +261,7 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	s.spans = telemetry.NewSpanSource(seed)
-	s.est = estimate.NewService(estimate.Options{
-		Cfg:     opts.Cfg,
-		MinSMs:  opts.EstimateMinSMs,
-		MaxApps: opts.EstimateMaxApps,
-	})
+	s.est = estimate.NewService(estimate.Options{Cfg: opts.Cfg})
 	s.metrics = newMetrics(
 		func() int { return len(s.queue) },
 		func() (uint64, uint64, uint64, int) {

@@ -90,7 +90,14 @@ func TestMetricsExposition(t *testing.T) {
 	v, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB", "SD"}})
 	waitDone(t, ts, v.ID)
 
+	// The worker observes the job's duration just after publishing its
+	// terminal status, so a loaded machine can answer the first scrape
+	// before the histogram has the job.
 	text := fetchMetrics(t, ts)
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(text, "dased_job_duration_seconds_count 1") && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		text = fetchMetrics(t, ts)
+	}
 	fams := parsePrometheus(t, text)
 
 	for _, f := range s.metrics.reg.Families() {

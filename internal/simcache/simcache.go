@@ -55,23 +55,6 @@ type Stats struct {
 	Entries   int    // current resident results
 }
 
-// Cache is the result-cache interface shared by the simulation-service
-// layer and the workload evaluation harness. Cached results are shared:
-// callers must treat them as immutable.
-type Cache interface {
-	// Get returns the cached result for key, if present.
-	Get(key string) (*sim.Result, bool)
-	// Put stores a computed result under key.
-	Put(key string, r *sim.Result)
-	// GetOrCompute returns the cached result for key, or runs compute to
-	// produce (and cache) it. Concurrent calls for the same key run compute
-	// once; waiters observe the winner's result, or recompute themselves if
-	// the winner failed. A waiter whose ctx expires returns ctx.Err().
-	GetOrCompute(ctx context.Context, key string, compute func() (*sim.Result, error)) (*sim.Result, error)
-	// Stats reports effectiveness counters.
-	Stats() Stats
-}
-
 // flight is one in-progress computation other goroutines can wait on.
 type flight struct {
 	done chan struct{}
@@ -79,8 +62,10 @@ type flight struct {
 	err  error
 }
 
-// Memory is a bounded in-memory Cache with FIFO eviction. The zero value is
-// not usable; construct with NewMemory.
+// Memory is a bounded in-memory result cache with FIFO eviction, shared by
+// the simulation-service layer and the workload evaluation harness. Cached
+// results are shared: callers must treat them as immutable. The zero value
+// is not usable; construct with NewMemory.
 type Memory struct {
 	mu      sync.Mutex
 	entries map[string]*sim.Result
@@ -109,7 +94,7 @@ func NewMemory(maxEntries int) *Memory {
 	}
 }
 
-// Get implements Cache.
+// Get returns the cached result for key, if present.
 func (m *Memory) Get(key string) (*sim.Result, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -122,7 +107,7 @@ func (m *Memory) Get(key string) (*sim.Result, bool) {
 	return r, ok
 }
 
-// Put implements Cache.
+// Put stores a computed result under key.
 func (m *Memory) Put(key string, r *sim.Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -172,7 +157,10 @@ func (m *Memory) Peek(key string) bool {
 	return ok
 }
 
-// GetOrCompute implements Cache.
+// GetOrCompute returns the cached result for key, or runs compute to
+// produce (and cache) it. Concurrent calls for the same key run compute
+// once; waiters observe the winner's result, or recompute themselves if the
+// winner failed. A waiter whose ctx expires returns ctx.Err().
 func (m *Memory) GetOrCompute(ctx context.Context, key string, compute func() (*sim.Result, error)) (*sim.Result, error) {
 	if err := faults.FireCtx(ctx, "simcache.get"); err != nil {
 		return nil, err
@@ -237,7 +225,7 @@ func (m *Memory) GetOrCompute(ctx context.Context, key string, compute func() (*
 	}
 }
 
-// Stats implements Cache.
+// Stats reports effectiveness counters.
 func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -19,8 +19,12 @@ type countingBaseline struct {
 }
 
 func (c *countingBaseline) Get(p kernels.Profile) (*sim.Result, error) {
+	return c.GetContext(context.Background(), p)
+}
+
+func (c *countingBaseline) GetContext(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
 	c.calls.Add(1)
-	return c.inner.Get(p)
+	return c.inner.GetContext(ctx, p)
 }
 
 // TestEvaluateAllAbortsOnFirstError proves a failing job surfaces its own

@@ -95,29 +95,11 @@ func RandomPairs(n int, seed uint64) []Combo {
 }
 
 // Baseline supplies alone-run results for slowdown ground truth; AloneCache
-// (in-memory) and DiskCache (persistent) implement it.
+// (in-memory) and DiskCache (persistent) implement it. Evaluate uses
+// GetContext, so an aborted batch stops simulating alone baselines too.
 type Baseline interface {
 	Get(p kernels.Profile) (*sim.Result, error)
-}
-
-// BaselineContext is implemented by baselines that support cancellation;
-// Evaluate uses it when available so an aborted batch stops simulating
-// alone baselines too.
-type BaselineContext interface {
-	Baseline
 	GetContext(ctx context.Context, p kernels.Profile) (*sim.Result, error)
-}
-
-// baselineGet fetches an alone result, routing through the context-aware
-// path when the baseline supports it.
-func baselineGet(ctx context.Context, cache Baseline, p kernels.Profile) (*sim.Result, error) {
-	if bc, ok := cache.(BaselineContext); ok {
-		return bc.GetContext(ctx, p)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cache.Get(p)
 }
 
 // AloneCache memoises alone-run results per kernel so the 105 pair
@@ -242,7 +224,7 @@ func EvaluateContext(ctx context.Context, opt Options, combo Combo, alloc []int,
 		Errors:    map[string][]float64{},
 	}
 	for i, p := range combo.Profiles {
-		alone, err := baselineGet(ctx, cache, p)
+		alone, err := cache.GetContext(ctx, p)
 		if err != nil {
 			return nil, err
 		}

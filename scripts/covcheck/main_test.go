@@ -10,7 +10,7 @@ const sampleCover = `ok  	dasesim	12.345s	coverage: 81.2% of statements
 ok  	dasesim/internal/dram	0.10s	coverage: 90.0% of statements
 ok  	dasesim/internal/ring	(cached)	coverage: 100.0% of statements
 	dasesim/cmd/dased		coverage: 0.0% of statements
-?   	dasesim/examples/quickstart	[no test files]
+?   	dasesim/internal/stub	[no test files]
 FAIL	dasesim/internal/broken	0.01s
 `
 

@@ -17,6 +17,7 @@ package dasesim
 // is `go run ./bench -workload sim-mem2`.
 
 import (
+	"context"
 	"testing"
 
 	"dasesim/internal/baseline"
@@ -77,7 +78,7 @@ func BenchmarkFig2a(b *testing.B) {
 	cache := workload.NewAloneCache(DefaultConfig(), benchCycles, 1)
 	var unf float64
 	for i := 0; i < b.N; i++ {
-		ev, err := workload.Evaluate(benchEvalOptions(), combo, []int{8, 8}, cache)
+		ev, err := workload.Evaluate(context.Background(), benchEvalOptions(), workload.Job{Combo: combo, Alloc: []int{8, 8}}, cache)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func benchAccuracy(b *testing.B, alloc []int, combo workload.Combo) {
 	cache := workload.NewAloneCache(opt.Cfg, opt.SharedCycles, opt.Seed)
 	var dase, mise float64
 	for i := 0; i < b.N; i++ {
-		ev, err := workload.Evaluate(opt, combo, alloc, cache)
+		ev, err := workload.Evaluate(context.Background(), opt, workload.Job{Combo: combo, Alloc: alloc}, cache)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +178,7 @@ func BenchmarkFig7(b *testing.B) {
 		{Combo: benchPair(b, "SB", "SD"), Alloc: []int{8, 8}},
 		{Combo: benchPair(b, "VA", "CT"), Alloc: []int{8, 8}},
 	}
-	evals, err := workload.EvaluateAll(opt, jobs, cache)
+	evals, err := workload.EvaluateAll(context.Background(), opt, jobs, cache)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func BenchmarkFig9(b *testing.B) {
 	cache := workload.NewAloneCache(cfg, benchCycles, 1)
 	aloneIPC := make([]float64, 2)
 	for i, prof := range combo.Profiles {
-		res, err := cache.Get(prof)
+		res, err := cache.Get(context.Background(), prof)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func benchAblation(b *testing.B, opt core.Options) {
 	combo := benchPair(b, "SB", "SD")
 	var errv float64
 	for i := 0; i < b.N; i++ {
-		ev, err := workload.Evaluate(eval, combo, []int{8, 8}, cache)
+		ev, err := workload.Evaluate(context.Background(), eval, workload.Job{Combo: combo, Alloc: []int{8, 8}}, cache)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +342,7 @@ func BenchmarkAblationAppAwareRR(b *testing.B) {
 	opt.Cfg = cfg
 	var unf float64
 	for i := 0; i < b.N; i++ {
-		ev, err := workload.Evaluate(opt, combo, []int{8, 8}, cache)
+		ev, err := workload.Evaluate(context.Background(), opt, workload.Job{Combo: combo, Alloc: []int{8, 8}}, cache)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -378,7 +379,7 @@ func BenchmarkAblationFullATD(b *testing.B) {
 	combo := benchPair(b, "VA", "CT") // cache-sensitive victim
 	var errv float64
 	for i := 0; i < b.N; i++ {
-		ev, err := workload.Evaluate(eval, combo, []int{8, 8}, cache)
+		ev, err := workload.Evaluate(context.Background(), eval, workload.Job{Combo: combo, Alloc: []int{8, 8}}, cache)
 		if err != nil {
 			b.Fatal(err)
 		}

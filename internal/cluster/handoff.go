@@ -42,8 +42,9 @@ func (n *Node) onPeerDead(peer string) {
 		n.log.Error("claimed journal unreadable", "peer", peer, "err", err)
 		return
 	}
+	jobs := server.ExtractJournalJobs(recs)
 	seeded, resubmitted := 0, 0
-	for _, j := range server.ExtractJournalJobs(recs) {
+	for _, j := range jobs {
 		if j.Terminal {
 			if j.Status == server.StatusDone && n.srv.SeedResult(j.Request, j.Result) {
 				n.m.handoffSeeded.Inc()
@@ -65,7 +66,7 @@ func (n *Node) onPeerDead(peer string) {
 		}
 	}
 	n.log.Info("hand-off complete", "peer", peer,
-		"jobs", len(server.ExtractJournalJobs(recs)), "seeded", seeded, "resubmitted", resubmitted)
+		"jobs", len(jobs), "seeded", seeded, "resubmitted", resubmitted)
 }
 
 // onPeerAlive fires when a dead peer is heard from again — a restart or a

@@ -47,9 +47,6 @@ type Options struct {
 	// GET /cluster/v1/trace. 0 disables tracing (the default). Tracing is
 	// observation-only: routing, results and cache keys are unchanged.
 	TraceEvents int
-	// TraceSeed seeds the node's span-ID source for reproducible traces in
-	// tests; 0 derives a per-node seed from Self.
-	TraceSeed uint64
 }
 
 // Node wires a local server into the cluster: it owns the ring, the
@@ -135,15 +132,13 @@ func New(srv *server.Server, opts Options) (*Node, error) {
 	if opts.TraceEvents > 0 {
 		n.tracer = telemetry.New(opts.TraceEvents)
 	}
-	seed := opts.TraceSeed
-	if seed == 0 {
-		// FNV-1a over "cluster/<self>": distinct from the co-located
-		// server's NodeID-derived seed, so the two span sources in one
-		// process never mint colliding IDs.
-		seed = 14695981039346656037
-		for _, b := range []byte("cluster/" + opts.Self) {
-			seed = (seed ^ uint64(b)) * 1099511628211
-		}
+	// The span-ID source is seeded with FNV-1a over "cluster/<self>":
+	// reproducible, and distinct from the co-located server's
+	// NodeID-derived seed, so the two span sources in one process never
+	// mint colliding IDs.
+	seed := uint64(14695981039346656037)
+	for _, b := range []byte("cluster/" + opts.Self) {
+		seed = (seed ^ uint64(b)) * 1099511628211
 	}
 	n.spans = telemetry.NewSpanSource(seed)
 	n.mem.OnDead(n.onPeerDead)

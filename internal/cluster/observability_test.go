@@ -18,24 +18,20 @@ import (
 	"dasesim/internal/telemetry"
 )
 
-// obsAdjust turns on both observability layers with fixed seeds: the span
-// sources mint deterministic IDs, so reruns of these tests produce the same
-// trace topology.
+// obsCluster turns on both observability layers. The span sources are
+// seeded from the node IDs, so reruns of these tests produce the same trace
+// topology.
 func obsCluster(t *testing.T, withJournal bool, adjust func(*Options), ids ...string) map[string]*testNode {
 	t.Helper()
-	seed := uint64(0)
 	return startClusterOpts(t, withJournal,
 		func(o *Options) {
 			o.TraceEvents = 4096
-			seed++
-			o.TraceSeed = 1000 + seed
 			if adjust != nil {
 				adjust(o)
 			}
 		},
 		func(o *server.Options) {
 			o.TraceEvents = 4096
-			o.TraceSeed = 2000 + uint64(o.NodeID[len(o.NodeID)-1])
 		},
 		ids...)
 }

@@ -88,42 +88,31 @@ type Response struct {
 	PartitionUnfairness float64
 }
 
-// Options configure a Service; zero values take the listed defaults.
+// Service limits and defaults.
+const (
+	// defaultMinSMs is the per-app minimum for the partition search when
+	// a request omits min_sms.
+	defaultMinSMs = 1
+	// maxApps bounds apps per snapshot.
+	maxApps = 8
+	// maxBatch bounds snapshots per batched body.
+	maxBatch = 64
+	// maxPartitions bounds the candidate partitions one request may make
+	// the search enumerate, so a hostile num_sms cannot turn the search
+	// into a CPU sink (its worst case visits them all).
+	maxPartitions = 200_000
+)
+
+// Options configure a Service.
 type Options struct {
 	// Cfg supplies the machine defaults for request header fields the
 	// caller omits. Default config.Default().
 	Cfg config.Config
-	// DASE are the estimator options (zero = the paper's configuration).
-	DASE core.Options
-	// MinSMs is the default per-app minimum for the partition search.
-	// Default 1.
-	MinSMs int
-	// MaxApps bounds apps per snapshot. Default 8.
-	MaxApps int
-	// MaxBatch bounds snapshots per batched body. Default 64.
-	MaxBatch int
-	// MaxPartitions bounds the candidate partitions one request may make
-	// the search enumerate — the knob that keeps a hostile num_sms from
-	// turning the search into a CPU sink (its worst case visits them all).
-	// Default 200000.
-	MaxPartitions float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.Cfg.NumSMs == 0 {
 		o.Cfg = config.Default()
-	}
-	if o.MinSMs <= 0 {
-		o.MinSMs = 1
-	}
-	if o.MaxApps <= 0 {
-		o.MaxApps = 8
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.MaxPartitions <= 0 {
-		o.MaxPartitions = 200_000
 	}
 	return o
 }
@@ -139,7 +128,7 @@ type Service struct {
 // NewService builds a Service.
 func NewService(opt Options) *Service {
 	s := &Service{opt: opt.withDefaults()}
-	s.dase = core.New(s.opt.DASE)
+	s.dase = core.New(core.Options{})
 	s.pool.New = func() any { return new(Scratch) }
 	return s
 }
@@ -190,7 +179,7 @@ func (sc *Scratch) Requests() []Request { return sc.reqs }
 // once sc is warm.
 func (s *Service) Process(sc *Scratch) error {
 	sc.Out = sc.Out[:0]
-	reqs, single, derr := decodeRequests(sc.Body, sc.reqs[:0], s.opt.MaxBatch, s.opt.MaxApps)
+	reqs, single, derr := decodeRequests(sc.Body, sc.reqs[:0], maxBatch, maxApps)
 	sc.reqs = reqs
 	if derr != nil {
 		sc.resps = sc.resps[:0]
@@ -245,7 +234,7 @@ func (s *Service) applyDefaults(req *Request) {
 		req.ReqMaxFactor = s.opt.Cfg.RequestMaxFactor
 	}
 	if req.MinSMs == 0 {
-		req.MinSMs = s.opt.MinSMs
+		req.MinSMs = defaultMinSMs
 	}
 }
 
@@ -310,7 +299,7 @@ func (s *Service) validate(req *Request, idx int, batch bool) *RequestError {
 	if req.MinSMs*n > req.NumSMs {
 		return appErrf(batch, idx, -1, "min_sms", "leaves no feasible partition")
 	}
-	if countCompositions(req.NumSMs, n, req.MinSMs) > s.opt.MaxPartitions {
+	if countCompositions(req.NumSMs, n, req.MinSMs) > maxPartitions {
 		return appErrf(batch, idx, -1, "num_sms", "implies too many candidate partitions")
 	}
 	if err := checkCounterF(batch, idx, -1, "peak_req_per_cyc", req.PeakReqPerCyc, maxRate); err != nil {

@@ -17,23 +17,12 @@ func ExtIntervalSensitivity(p Params) ([]SensitivityRow, error) {
 	combos := workload.RandomPairs(p.PairSample, p.Seed)
 	rows := make([]SensitivityRow, 0, len(intervals))
 	for _, iv := range intervals {
-		cfg := p.Cfg
-		cfg.IntervalCycles = iv
-		opt := workload.Options{
-			Cfg:             cfg,
-			SharedCycles:    p.SharedCycles,
-			Seed:            p.Seed,
-			WarmupIntervals: 1,
-			Estimators:      []core.Estimator{core.New(core.Options{})},
-		}
+		q := p
+		q.Cfg.IntervalCycles = iv
 		// Alone runs are interval-independent in aggregate, but the cache
 		// is keyed per configuration here for strict comparability.
-		cache := workload.NewAloneCache(cfg, p.SharedCycles, p.Seed)
-		jobs := make([]workload.Job, len(combos))
-		for i, c := range combos {
-			jobs[i] = workload.Job{Combo: c, Alloc: evenAlloc(cfg.NumSMs, 2)}
-		}
-		acc, err := accuracy(opt, jobs, cache)
+		cache := workload.NewAloneCache(q.Cfg, q.SharedCycles, q.Seed)
+		acc, err := accuracy(q.evalOptions(core.New(core.Options{})), evenJobs(q.Cfg.NumSMs, combos), cache)
 		if err != nil {
 			return nil, err
 		}
@@ -57,20 +46,11 @@ func ExtLargeGPU(p Params) ([]SensitivityRow, error) {
 		{"Table II GPU (16 SM, 6 MC)", p.Cfg},
 		{"Large GPU (24 SM, 8 MC)", config.Large()},
 	} {
-		opt := workload.Options{
-			Cfg:             cfgCase.cfg,
-			SharedCycles:    p.SharedCycles,
-			Seed:            p.Seed,
-			WarmupIntervals: 1,
-			Estimators:      []core.Estimator{core.New(core.Options{})},
-		}
-		cache := workload.NewAloneCache(cfgCase.cfg, p.SharedCycles, p.Seed)
-		combos := workload.RandomPairs(p.PairSample, p.Seed)
-		jobs := make([]workload.Job, len(combos))
-		for i, c := range combos {
-			jobs[i] = workload.Job{Combo: c, Alloc: evenAlloc(cfgCase.cfg.NumSMs, 2)}
-		}
-		acc, err := accuracy(opt, jobs, cache)
+		q := p
+		q.Cfg = cfgCase.cfg
+		cache := workload.NewAloneCache(q.Cfg, q.SharedCycles, q.Seed)
+		combos := workload.RandomPairs(q.PairSample, q.Seed)
+		acc, err := accuracy(q.evalOptions(core.New(core.Options{})), evenJobs(q.Cfg.NumSMs, combos), cache)
 		if err != nil {
 			return nil, err
 		}
@@ -87,22 +67,12 @@ func ExtLargeGPU(p Params) ([]SensitivityRow, error) {
 func ExtRequestMaxFactor(p Params, cache workload.Baseline) ([]SensitivityRow, error) {
 	factors := []float64{0.4, 0.5, 0.6, 0.7, 0.8}
 	combos := workload.RandomPairs(p.PairSample, p.Seed)
+	jobs := evenJobs(p.Cfg.NumSMs, combos)
 	rows := make([]SensitivityRow, 0, len(factors)+1)
 	for _, f := range factors {
-		cfg := p.Cfg
-		cfg.RequestMaxFactor = f
-		opt := workload.Options{
-			Cfg:             cfg,
-			SharedCycles:    p.SharedCycles,
-			Seed:            p.Seed,
-			WarmupIntervals: 1,
-			Estimators:      []core.Estimator{core.New(core.Options{StaticRequestMax: true})},
-		}
-		jobs := make([]workload.Job, len(combos))
-		for i, c := range combos {
-			jobs[i] = workload.Job{Combo: c, Alloc: evenAlloc(cfg.NumSMs, 2)}
-		}
-		acc, err := accuracy(opt, jobs, cache)
+		q := p
+		q.Cfg.RequestMaxFactor = f
+		acc, err := accuracy(q.evalOptions(core.New(core.Options{StaticRequestMax: true})), jobs, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -112,18 +82,7 @@ func ExtRequestMaxFactor(p Params, cache workload.Baseline) ([]SensitivityRow, e
 		})
 	}
 	// Reference: the dynamic Requestmax extension (repo default).
-	opt := workload.Options{
-		Cfg:             p.Cfg,
-		SharedCycles:    p.SharedCycles,
-		Seed:            p.Seed,
-		WarmupIntervals: 1,
-		Estimators:      []core.Estimator{core.New(core.Options{})},
-	}
-	jobs := make([]workload.Job, len(combos))
-	for i, c := range combos {
-		jobs[i] = workload.Job{Combo: c, Alloc: evenAlloc(p.Cfg.NumSMs, 2)}
-	}
-	acc, err := accuracy(opt, jobs, cache)
+	acc, err := accuracy(p.evalOptions(core.New(core.Options{})), jobs, cache)
 	if err != nil {
 		return nil, err
 	}

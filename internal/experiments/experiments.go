@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,7 +14,9 @@ import (
 	"dasesim/internal/baseline"
 	"dasesim/internal/config"
 	"dasesim/internal/core"
+	"dasesim/internal/kernels"
 	"dasesim/internal/metrics"
+	"dasesim/internal/sim"
 	"dasesim/internal/workload"
 )
 
@@ -58,16 +61,59 @@ func DefaultParams() Params {
 	}
 }
 
-func (p Params) evalOptions() workload.Options {
+// evalOptions returns the evaluation options of p with the given
+// estimators on the plain shared run and no priority-epoch run. With no
+// estimators it measures slowdowns only.
+func (p Params) evalOptions(est ...core.Estimator) workload.Options {
 	return workload.Options{
 		Cfg:             p.Cfg,
 		SharedCycles:    p.SharedCycles,
 		Seed:            p.Seed,
 		WarmupIntervals: p.Warmup,
-		Estimators:      []core.Estimator{core.New(core.Options{})},
-		// MISE and ASM are evaluated on their own priority-epoch system.
-		EpochEstimators: []core.Estimator{baseline.NewMISE(), baseline.NewASM()},
+		Estimators:      est,
 	}
+}
+
+// accuracyOptions compares DASE, MISE and ASM (Figs. 5-8): MISE and ASM are
+// evaluated on their own priority-epoch system.
+func (p Params) accuracyOptions() workload.Options {
+	opt := p.evalOptions(core.New(core.Options{}))
+	opt.EpochEstimators = []core.Estimator{baseline.NewMISE(), baseline.NewASM()}
+	return opt
+}
+
+// evenJobs gives each combo the even SM split, the paper's default.
+func evenJobs(numSMs int, combos []workload.Combo) []workload.Job {
+	jobs := make([]workload.Job, len(combos))
+	for i, c := range combos {
+		jobs[i] = workload.Job{Combo: c, Alloc: sim.EvenAllocation(numSMs, len(c.Profiles))}
+	}
+	return jobs
+}
+
+// pairCombos resolves kernel-abbreviation pairs into combos.
+func pairCombos(pairs [][2]string) ([]workload.Combo, error) {
+	combos := make([]workload.Combo, len(pairs))
+	for i, pr := range pairs {
+		for _, abbr := range pr {
+			prof, ok := kernels.ByAbbr(abbr)
+			if !ok {
+				return nil, fmt.Errorf("unknown kernel %q", abbr)
+			}
+			combos[i].Profiles = append(combos[i].Profiles, prof)
+		}
+	}
+	return combos, nil
+}
+
+// evenPairs measures the slowdowns of kernel-abbreviation pairs under the
+// even SM split.
+func evenPairs(p Params, pairs [][2]string, cache workload.Baseline) ([]*workload.Eval, error) {
+	combos, err := pairCombos(pairs)
+	if err != nil {
+		return nil, err
+	}
+	return workload.EvaluateAll(context.TODO(), p.evalOptions(), evenJobs(p.Cfg.NumSMs, combos), cache)
 }
 
 // EstimatorNames lists the estimators compared in Figs. 5-7, in print order.
@@ -144,10 +190,16 @@ type AccuracyResult struct {
 }
 
 func accuracy(opt workload.Options, jobs []workload.Job, cache workload.Baseline) (*AccuracyResult, error) {
-	evals, err := workload.EvaluateAll(opt, jobs, cache)
+	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, cache)
 	if err != nil {
 		return nil, err
 	}
+	return newAccuracyResult(evals), nil
+}
+
+// newAccuracyResult folds every app's estimation error into each
+// estimator's mean.
+func newAccuracyResult(evals []*workload.Eval) *AccuracyResult {
 	res := &AccuracyResult{Evals: evals, MeanError: map[string]float64{}}
 	counts := map[string]int{}
 	for _, ev := range evals {
@@ -161,30 +213,18 @@ func accuracy(opt workload.Options, jobs []workload.Job, cache workload.Baseline
 	for name := range res.MeanError {
 		res.MeanError[name] /= float64(counts[name])
 	}
-	return res, nil
+	return res
 }
 
 // Fig5 evaluates all two-application workloads with the even SM split and
 // compares DASE/MISE/ASM estimation error (paper Fig. 5).
 func Fig5(p Params, cache workload.Baseline) (*AccuracyResult, error) {
-	opt := p.evalOptions()
-	combos := workload.AllPairs()
-	jobs := make([]workload.Job, len(combos))
-	for i, c := range combos {
-		jobs[i] = workload.Job{Combo: c, Alloc: evenAlloc(p.Cfg.NumSMs, 2)}
-	}
-	return accuracy(opt, jobs, cache)
+	return accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, workload.AllPairs()), cache)
 }
 
 // Fig6 evaluates the random four-application workloads (paper Fig. 6).
 func Fig6(p Params, cache workload.Baseline) (*AccuracyResult, error) {
-	opt := p.evalOptions()
-	combos := workload.RandomQuads(p.QuadCount, p.Seed)
-	jobs := make([]workload.Job, len(combos))
-	for i, c := range combos {
-		jobs[i] = workload.Job{Combo: c, Alloc: evenAlloc(p.Cfg.NumSMs, 4)}
-	}
-	return accuracy(opt, jobs, cache)
+	return accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, workload.RandomQuads(p.QuadCount, p.Seed)), cache)
 }
 
 // Render returns the accuracy result as a table (one row per workload plus
@@ -194,7 +234,7 @@ func (r *AccuracyResult) Render(title string) *Table {
 	for _, ev := range r.Evals {
 		row := []string{ev.Combo.Name()}
 		for _, name := range EstimatorNames {
-			row = append(row, pct(mean(ev.Errors[name])))
+			row = append(row, meanPct(ev.Errors[name]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -206,27 +246,13 @@ func (r *AccuracyResult) Render(title string) *Table {
 	return t
 }
 
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// meanPct renders the mean of an app's errors; an estimator without
+// samples reads 0.0%.
+func meanPct(errs []float64) string {
+	if len(errs) == 0 {
+		return pct(0)
 	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func evenAlloc(n, k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = n / k
-	}
-	rem := n % k
-	for i := 0; i < rem; i++ {
-		out[i]++
-	}
-	return out
+	return pct(metrics.Mean(errs))
 }
 
 // Fig7Result is the error-distribution histogram of Fig. 7.

@@ -38,16 +38,6 @@ func TestTableMarkdown(t *testing.T) {
 	}
 }
 
-func TestEvenAlloc(t *testing.T) {
-	if got := evenAlloc(16, 2); got[0] != 8 || got[1] != 8 {
-		t.Fatalf("evenAlloc(16,2) = %v", got)
-	}
-	got := evenAlloc(16, 3)
-	if got[0]+got[1]+got[2] != 16 || got[0] != 6 {
-		t.Fatalf("evenAlloc(16,3) = %v", got)
-	}
-}
-
 func TestFig7Bucketing(t *testing.T) {
 	two := &AccuracyResult{
 		Evals: []*workload.Eval{
@@ -147,24 +137,15 @@ func TestCorrelation(t *testing.T) {
 
 func TestAccuracyAggregation(t *testing.T) {
 	evals := []*workload.Eval{
-		{Errors: map[string][]float64{"DASE": {0.1, 0.3}}},
+		{Errors: map[string][]float64{"DASE": {0.1, 0.3}, "MISE": {0.5}}},
 		{Errors: map[string][]float64{"DASE": {0.2, 0.2}}},
 	}
-	res := &AccuracyResult{Evals: evals, MeanError: map[string]float64{}}
-	counts := map[string]int{}
-	for _, ev := range evals {
-		for name, errs := range ev.Errors {
-			for _, e := range errs {
-				res.MeanError[name] += e
-				counts[name]++
-			}
-		}
+	res := newAccuracyResult(evals)
+	if res.MeanError["DASE"] != 0.2 || res.MeanError["MISE"] != 0.5 {
+		t.Fatalf("means = %v", res.MeanError)
 	}
-	for name := range res.MeanError {
-		res.MeanError[name] /= float64(counts[name])
-	}
-	if res.MeanError["DASE"] != 0.2 {
-		t.Fatalf("mean = %v", res.MeanError["DASE"])
+	if len(res.Evals) != 2 {
+		t.Fatalf("evals = %d", len(res.Evals))
 	}
 }
 

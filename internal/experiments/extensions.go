@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"context"
+
 	"dasesim/internal/baseline"
-	"dasesim/internal/core"
 	"dasesim/internal/kernels"
-	"dasesim/internal/metrics"
-	"dasesim/internal/sim"
 	"dasesim/internal/workload"
 )
 
@@ -24,47 +23,26 @@ type ExtSchedRow struct {
 // ExtSchedulers measures unfairness under FR-FCFS vs the application-aware
 // round-robin memory scheduler, even SM split, on the motivation pairs.
 func ExtSchedulers(p Params, cache workload.Baseline) ([]ExtSchedRow, error) {
-	rows := make([]ExtSchedRow, 0, len(Fig2Pairs))
-	for _, pr := range Fig2Pairs {
-		a, _ := kernels.ByAbbr(pr[0])
-		b, _ := kernels.ByAbbr(pr[1])
-		ps := []kernels.Profile{a, b}
-		aloneIPC := make([]float64, 2)
-		for i, prof := range ps {
-			alone, err := cache.Get(prof)
-			if err != nil {
-				return nil, err
-			}
-			aloneIPC[i] = alone.Apps[0].IPC
-		}
-		slowdowns := func(cfg Params, appRR bool) ([]float64, error) {
-			c := cfg.Cfg
-			c.Mem.AppAwareRR = appRR
-			res, err := sim.RunShared(c, ps, evenAlloc(c.NumSMs, 2), cfg.SharedCycles, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]float64, 2)
-			for i := range out {
-				out[i] = metrics.Slowdown(aloneIPC[i], res.Apps[i].IPC)
-			}
-			return out, nil
-		}
-		fr, err := slowdowns(p, false)
+	var runs [2][]*workload.Eval // FR-FCFS, app-aware RR
+	for i := range runs {
+		q := p
+		q.Cfg.Mem.AppAwareRR = i == 1
+		evals, err := evenPairs(q, Fig2Pairs, cache)
 		if err != nil {
 			return nil, err
 		}
-		rr, err := slowdowns(p, true)
-		if err != nil {
-			return nil, err
+		runs[i] = evals
+	}
+	rows := make([]ExtSchedRow, len(Fig2Pairs))
+	for i, fr := range runs[0] {
+		rr := runs[1][i]
+		rows[i] = ExtSchedRow{
+			Workload:     fr.Combo.Name(),
+			UnfFRFCFS:    fr.Unfairness,
+			UnfAppRR:     rr.Unfairness,
+			HSpeedFRFCFS: fr.HSpeedup,
+			HSpeedAppRR:  rr.HSpeedup,
 		}
-		rows = append(rows, ExtSchedRow{
-			Workload:     pr[0] + "+" + pr[1],
-			UnfFRFCFS:    metrics.Unfairness(fr),
-			UnfAppRR:     metrics.Unfairness(rr),
-			HSpeedFRFCFS: metrics.HarmonicSpeedup(fr),
-			HSpeedAppRR:  metrics.HarmonicSpeedup(rr),
-		})
 	}
 	return rows, nil
 }
@@ -94,51 +72,33 @@ func RenderExtSchedulers(rows []ExtSchedRow) *Table {
 func ExtEstimators(p Params, cache workload.Baseline) (*AccuracyResult, error) {
 	// Build the offline profile the way those works do: run every kernel
 	// alone and record its bandwidth share.
-	profiles := kernels.All()
+	ctx := context.TODO()
 	aloneBW := map[string]float64{}
-	for _, prof := range profiles {
-		res, err := cache.Get(prof)
+	for _, prof := range kernels.All() {
+		res, err := cache.Get(ctx, prof)
 		if err != nil {
 			return nil, err
 		}
 		aloneBW[prof.Abbr] = res.Apps[0].BWUtil
 	}
-	opt := p.evalOptions()
-	combos := workload.RandomPairs(p.PairSample, p.Seed)
-	jobs := make([]workload.Job, len(combos))
-	for i, c := range combos {
-		jobs[i] = workload.Job{Combo: c, Alloc: evenAlloc(p.Cfg.NumSMs, 2)}
-	}
 	// Per-combo estimator construction needs the per-app profile order, so
 	// evaluate serially here.
-	res := &AccuracyResult{MeanError: map[string]float64{}}
-	counts := map[string]int{}
-	for _, job := range jobs {
+	jobs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed))
+	evals := make([]*workload.Eval, len(jobs))
+	for i, job := range jobs {
 		bw := make([]float64, len(job.Combo.Profiles))
-		for i, prof := range job.Combo.Profiles {
-			bw[i] = aloneBW[prof.Abbr]
+		for a, prof := range job.Combo.Profiles {
+			bw[a] = aloneBW[prof.Abbr]
 		}
-		o := opt
-		o.Estimators = []core.Estimator{
-			core.New(core.Options{}),
-			baseline.NewProfiled(bw),
-		}
-		ev, err := workload.Evaluate(o, job.Combo, job.Alloc, cache)
+		opt := p.accuracyOptions()
+		opt.Estimators = append(opt.Estimators, baseline.NewProfiled(bw))
+		ev, err := workload.Evaluate(ctx, opt, job, cache)
 		if err != nil {
 			return nil, err
 		}
-		res.Evals = append(res.Evals, ev)
-		for name, errs := range ev.Errors {
-			for _, e := range errs {
-				res.MeanError[name] += e
-				counts[name]++
-			}
-		}
+		evals[i] = ev
 	}
-	for name := range res.MeanError {
-		res.MeanError[name] /= float64(counts[name])
-	}
-	return res, nil
+	return newAccuracyResult(evals), nil
 }
 
 // RenderExtEstimators renders the profiled-estimator comparison.
@@ -149,7 +109,7 @@ func RenderExtEstimators(r *AccuracyResult) *Table {
 	}
 	for _, ev := range r.Evals {
 		t.Rows = append(t.Rows, []string{
-			ev.Combo.Name(), pct(mean(ev.Errors["DASE"])), pct(mean(ev.Errors["Profiled"])),
+			ev.Combo.Name(), meanPct(ev.Errors["DASE"]), meanPct(ev.Errors["Profiled"]),
 		})
 	}
 	t.Rows = append(t.Rows, []string{"AVERAGE", pct(r.MeanError["DASE"]), pct(r.MeanError["Profiled"])})

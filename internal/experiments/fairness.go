@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"runtime"
+	"context"
 	"strconv"
-	"sync"
 
-	"dasesim/internal/metrics"
 	"dasesim/internal/sched"
 	"dasesim/internal/workload"
 )
@@ -61,88 +59,7 @@ func Fig9(p Params, cache workload.Baseline) (*Fig9Result, error) {
 		}
 		combos = append(combos, c)
 	}
-
-	rows := make([]Fig9Row, len(combos))
-	errs := make([]error, len(combos))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(combos) {
-		workers = len(combos)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				rows[i], errs[i] = fig9One(p, combos[i], cache)
-			}
-		}()
-	}
-	for i := range combos {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Fig9Result{Rows: rows}
-	for _, r := range rows {
-		res.MeanUnfEven += r.UnfairnessEven
-		res.MeanUnfFair += r.UnfairnessFair
-		res.MeanHSEven += r.HSpeedupEven
-		res.MeanHSFair += r.HSpeedupFair
-	}
-	n := float64(len(rows))
-	if n > 0 {
-		res.MeanUnfEven /= n
-		res.MeanUnfFair /= n
-		res.MeanHSEven /= n
-		res.MeanHSFair /= n
-	}
-	return res, nil
-}
-
-func fig9One(p Params, combo workload.Combo, cache workload.Baseline) (Fig9Row, error) {
-	alloc := evenAlloc(p.Cfg.NumSMs, len(combo.Profiles))
-	row := Fig9Row{Workload: combo.Name()}
-
-	aloneIPC := make([]float64, len(combo.Profiles))
-	for i, prof := range combo.Profiles {
-		alone, err := cache.Get(prof)
-		if err != nil {
-			return row, err
-		}
-		aloneIPC[i] = alone.Apps[0].IPC
-	}
-
-	cycles := p.fig9Budget()
-	evenRes, err := sched.Run(p.Cfg, combo.Profiles, alloc, cycles, p.Seed, sched.Even{})
-	if err != nil {
-		return row, err
-	}
-	pol := sched.NewDASEFair()
-	fairRes, err := sched.Run(p.Cfg, combo.Profiles, alloc, cycles, p.Seed, pol)
-	if err != nil {
-		return row, err
-	}
-
-	slowEven := make([]float64, len(aloneIPC))
-	slowFair := make([]float64, len(aloneIPC))
-	for i := range aloneIPC {
-		slowEven[i] = metrics.Slowdown(aloneIPC[i], evenRes.Apps[i].IPC)
-		slowFair[i] = metrics.Slowdown(aloneIPC[i], fairRes.Apps[i].IPC)
-	}
-	row.UnfairnessEven = metrics.Unfairness(slowEven)
-	row.UnfairnessFair = metrics.Unfairness(slowFair)
-	row.HSpeedupEven = metrics.HarmonicSpeedup(slowEven)
-	row.HSpeedupFair = metrics.HarmonicSpeedup(slowFair)
-	row.Reallocations = pol.Reallocations
-	return row, nil
+	return policyStudy(p, combos, cache)
 }
 
 // ExtQuadFairness (Ext.F) extends the Fig. 9 policy study to
@@ -164,22 +81,46 @@ func ExtQuadFairness(p Params, cache workload.Baseline, quads int) (*Fig9Result,
 			break
 		}
 	}
-	rows := make([]Fig9Row, len(combos))
-	for i, combo := range combos {
-		row, err := fig9One(p, combo, cache)
-		if err != nil {
-			return nil, err
+	return policyStudy(p, combos, cache)
+}
+
+// policyStudy runs each combo from the even split for the policy-study
+// budget, once under sched.Even and once under DASE-Fair, and compares the
+// measured unfairness and harmonic speedup.
+func policyStudy(p Params, combos []workload.Combo, cache workload.Baseline) (*Fig9Result, error) {
+	opt := p.evalOptions()
+	opt.SharedCycles = p.fig9Budget()
+	var jobs []workload.Job
+	fair := make([]*sched.DASEFair, len(combos))
+	for i, job := range evenJobs(p.Cfg.NumSMs, combos) {
+		fair[i] = sched.NewDASEFair()
+		job.Policy = sched.Even{}
+		jobs = append(jobs, job)
+		job.Policy = fair[i]
+		jobs = append(jobs, job)
+	}
+	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, cache)
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Fig9Result{Rows: make([]Fig9Row, len(combos))}
+	for i, c := range combos {
+		evenEv, fairEv := evals[2*i], evals[2*i+1]
+		res.Rows[i] = Fig9Row{
+			Workload:       c.Name(),
+			UnfairnessEven: evenEv.Unfairness,
+			UnfairnessFair: fairEv.Unfairness,
+			HSpeedupEven:   evenEv.HSpeedup,
+			HSpeedupFair:   fairEv.HSpeedup,
+			Reallocations:  fair[i].Reallocations,
 		}
-		rows[i] = row
+		res.MeanUnfEven += evenEv.Unfairness
+		res.MeanUnfFair += fairEv.Unfairness
+		res.MeanHSEven += evenEv.HSpeedup
+		res.MeanHSFair += fairEv.HSpeedup
 	}
-	res := &Fig9Result{Rows: rows}
-	for _, r := range rows {
-		res.MeanUnfEven += r.UnfairnessEven
-		res.MeanUnfFair += r.UnfairnessFair
-		res.MeanHSEven += r.HSpeedupEven
-		res.MeanHSFair += r.HSpeedupFair
-	}
-	if n := float64(len(rows)); n > 0 {
+	if n := float64(len(combos)); n > 0 {
 		res.MeanUnfEven /= n
 		res.MeanUnfFair /= n
 		res.MeanHSEven /= n

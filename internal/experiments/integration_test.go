@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dasesim/internal/workload"
@@ -14,6 +19,38 @@ func tinyParams() Params {
 	p.QuadCount = 1
 	p.Fig9Cycles = 30_000
 	return p
+}
+
+// checkGolden compares an experiment's rendered table, followed by its data
+// printed with %+v (every float at full precision, infinities included),
+// against testdata/<name>.golden. The engine is deterministic, so a
+// difference is a behaviour change. To regenerate after an intended change,
+// delete the file and rerun the test, for example:
+//
+//	rm internal/experiments/testdata/fig9.golden && go test ./internal/experiments -run TestFig9Integration
+//
+// A missing golden is written and the test fails, so a fresh file is always
+// reviewed before it is committed.
+func checkGolden(t *testing.T, name string, tab *Table, data any) {
+	t.Helper()
+	got := fmt.Sprintf("%s%+v\n", tab, data)
+	path := filepath.Join("testdata", name+".golden")
+	want, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s: review it and rerun", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s:\n got:\n%s\nwant:\n%s", name, path, got, want)
+	}
 }
 
 func TestFig2aIntegration(t *testing.T) {
@@ -34,9 +71,7 @@ func TestFig2aIntegration(t *testing.T) {
 			t.Fatalf("%s unfairness %v < 1", r.Workload, r.Unfairness)
 		}
 	}
-	if RenderFig2a(rows).String() == "" {
-		t.Fatal("empty render")
-	}
+	checkGolden(t, "fig2a", RenderFig2a(rows), rows)
 }
 
 func TestFig2bIntegration(t *testing.T) {
@@ -55,9 +90,7 @@ func TestFig2bIntegration(t *testing.T) {
 			t.Fatalf("%s decomposition sums to %v", r.Workload, sum)
 		}
 	}
-	if RenderFig2b(rows).String() == "" {
-		t.Fatal("empty render")
-	}
+	checkGolden(t, "fig2b", RenderFig2b(rows), rows)
 }
 
 func TestFig3Integration(t *testing.T) {
@@ -77,9 +110,7 @@ func TestFig3Integration(t *testing.T) {
 	if corr < 0.95 {
 		t.Fatalf("service-rate/IPC correlation %v, want near 1", corr)
 	}
-	if RenderFig3(rows, corr).String() == "" {
-		t.Fatal("empty render")
-	}
+	checkGolden(t, "fig3", RenderFig3(rows, corr), map[string]any{"rows": rows, "correlation": corr})
 }
 
 func TestFig4Integration(t *testing.T) {
@@ -99,9 +130,7 @@ func TestFig4Integration(t *testing.T) {
 			t.Fatalf("partner %s: shared sum/alone = %v, MBB observation broken", r.Partner, ratio)
 		}
 	}
-	if RenderFig4(rows).String() == "" {
-		t.Fatal("empty render")
-	}
+	checkGolden(t, "fig4", RenderFig4(rows), rows)
 }
 
 func TestTableIIIIntegration(t *testing.T) {
@@ -143,9 +172,7 @@ func TestExtSchedulersIntegration(t *testing.T) {
 	if len(rows) != len(Fig2Pairs) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if RenderExtSchedulers(rows).String() == "" {
-		t.Fatal("empty render")
-	}
+	checkGolden(t, "extA", RenderExtSchedulers(rows), rows)
 }
 
 func TestExtEstimatorsIntegration(t *testing.T) {
@@ -164,9 +191,7 @@ func TestExtEstimatorsIntegration(t *testing.T) {
 	if _, ok := res.MeanError["Profiled"]; !ok {
 		t.Fatal("Profiled estimator missing from results")
 	}
-	if RenderExtEstimators(res).String() == "" {
-		t.Fatal("empty render")
-	}
+	checkGolden(t, "extB", RenderExtEstimators(res), res.MeanError)
 }
 
 func TestFig9Integration(t *testing.T) {
@@ -174,10 +199,6 @@ func TestFig9Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	// Shrink to a couple of pairs by shortening the budget; the full
-	// workload list still runs, so keep the budget tiny.
-	p.Fig9Cycles = 20_000
-	p.SharedCycles = 20_000
 	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
 	res, err := Fig9(p, cache)
 	if err != nil {
@@ -186,7 +207,77 @@ func TestFig9Integration(t *testing.T) {
 	if len(res.Rows) != 91 { // C(14,2): SN excluded
 		t.Fatalf("rows = %d, want 91", len(res.Rows))
 	}
-	if RenderFig9(res).String() == "" {
-		t.Fatal("empty render")
+	reallocs := 0
+	for _, r := range res.Rows {
+		reallocs += r.Reallocations
 	}
+	if reallocs == 0 {
+		t.Fatal("DASE-Fair never reallocated: the study compares two identical runs")
+	}
+	checkGolden(t, "fig9", RenderFig9(res), res)
+}
+
+func TestExtQuadFairnessIntegration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	p := tinyParams()
+	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+	res, err := ExtQuadFairness(p, cache, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	}
+	checkGolden(t, "extF", RenderFig9(res), res)
+}
+
+func TestExtTemporalIntegration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	p := tinyParams()
+	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+	rows, err := ExtTemporal(p, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(rows))
+	}
+	checkGolden(t, "extG", RenderExtTemporal(rows), rows)
+}
+
+func TestFig6Integration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	p := tinyParams()
+	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+	res, err := Fig6(p, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Evals) != p.QuadCount {
+		t.Fatalf("evals = %d", len(res.Evals))
+	}
+	checkGolden(t, "fig6", res.Render("Fig.6"), res.MeanError)
+}
+
+func TestFig8Integration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	p := tinyParams()
+	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+	a, err := Fig8a(p, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Fig8b(p, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig8", RenderSensitivity("Fig.8", append(a, b...)), append(a, b...))
 }

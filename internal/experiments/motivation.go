@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -27,28 +28,13 @@ type Fig2Row struct {
 
 // Fig2a measures unfairness for the motivation pairs (paper Fig. 2(a)).
 func Fig2a(p Params, cache workload.Baseline) ([]Fig2Row, error) {
-	opt := p.evalOptions()
-	opt.Estimators = nil
-	rows := make([]Fig2Row, 0, len(Fig2Pairs))
-	for _, pr := range Fig2Pairs {
-		a, ok := kernels.ByAbbr(pr[0])
-		if !ok {
-			return nil, fmt.Errorf("unknown kernel %q", pr[0])
-		}
-		b, ok := kernels.ByAbbr(pr[1])
-		if !ok {
-			return nil, fmt.Errorf("unknown kernel %q", pr[1])
-		}
-		combo := workload.Combo{Profiles: []kernels.Profile{a, b}}
-		ev, err := workload.Evaluate(opt, combo, evenAlloc(p.Cfg.NumSMs, 2), cache)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig2Row{
-			Workload:   combo.Name(),
-			Slowdowns:  ev.Actual,
-			Unfairness: ev.Unfairness,
-		})
+	evals, err := evenPairs(p, Fig2Pairs, cache)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig2Row, len(evals))
+	for i, ev := range evals {
+		rows[i] = Fig2Row{Workload: ev.Combo.Name(), Slowdowns: ev.Actual, Unfairness: ev.Unfairness}
 	}
 	return rows, nil
 }
@@ -81,29 +67,27 @@ type Fig2bRow struct {
 // Fig2b decomposes bandwidth for the motivation pairs; the second kernel of
 // each pair is treated as the victim (as SD is in the paper).
 func Fig2b(p Params, cache workload.Baseline) ([]Fig2bRow, error) {
-	rows := make([]Fig2bRow, 0, len(Fig2Pairs))
-	for _, pr := range Fig2Pairs {
-		a, _ := kernels.ByAbbr(pr[0])
-		b, _ := kernels.ByAbbr(pr[1])
-		shared, err := sim.RunShared(p.Cfg, []kernels.Profile{a, b}, evenAlloc(p.Cfg.NumSMs, 2), p.SharedCycles, p.Seed)
+	evals, err := evenPairs(p, Fig2Pairs, cache)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig2bRow, len(evals))
+	for i, ev := range evals {
+		alone, err := cache.Get(context.TODO(), ev.Combo.Profiles[1])
 		if err != nil {
 			return nil, err
 		}
-		alone, err := cache.Get(b)
-		if err != nil {
-			return nil, err
-		}
-		r := Fig2bRow{
-			Workload:    a.Abbr + "+" + b.Abbr,
+		shared := ev.Shared
+		rows[i] = Fig2bRow{
+			Workload:    ev.Combo.Name(),
 			VictimShare: shared.Apps[1].BWUtil,
 			OtherShare:  shared.Apps[0].BWUtil,
 			VictimAlone: alone.Apps[0].BWUtil,
 		}
 		if shared.BusCycles > 0 {
-			r.Wasted = float64(shared.BusWasted) / float64(shared.BusCycles)
-			r.Idle = float64(shared.BusIdle) / float64(shared.BusCycles)
+			rows[i].Wasted = float64(shared.BusWasted) / float64(shared.BusCycles)
+			rows[i].Idle = float64(shared.BusIdle) / float64(shared.BusCycles)
 		}
-		rows = append(rows, r)
 	}
 	return rows, nil
 }
@@ -211,32 +195,31 @@ type Fig4Row struct {
 
 // Fig4 runs SB against several partners.
 func Fig4(p Params, cache workload.Baseline) ([]Fig4Row, error) {
-	sb, _ := kernels.ByAbbr("SB")
-	alone, err := cache.Get(sb)
+	var pairs [][2]string
+	for _, pa := range []string{"SA", "VA", "SD", "NN", "AT"} {
+		pairs = append(pairs, [2]string{"SB", pa})
+	}
+	evals, err := evenPairs(p, pairs, cache)
+	if err != nil {
+		return nil, err
+	}
+	alone, err := cache.Get(context.TODO(), evals[0].Combo.Profiles[0])
 	if err != nil {
 		return nil, err
 	}
 	aloneRate := float64(alone.Apps[0].Served) / float64(alone.Cycles) * 1000
-	partners := []string{"SA", "VA", "SD", "NN", "AT"}
-	rows := make([]Fig4Row, 0, len(partners))
-	for _, pa := range partners {
-		prof, ok := kernels.ByAbbr(pa)
-		if !ok {
-			return nil, fmt.Errorf("unknown kernel %q", pa)
-		}
-		shared, err := sim.RunShared(p.Cfg, []kernels.Profile{sb, prof}, evenAlloc(p.Cfg.NumSMs, 2), p.SharedCycles, p.Seed)
-		if err != nil {
-			return nil, err
-		}
+	rows := make([]Fig4Row, len(evals))
+	for i, ev := range evals {
+		shared := ev.Shared
 		sbRate := float64(shared.Apps[0].Served) / float64(shared.Cycles) * 1000
 		otherRate := float64(shared.Apps[1].Served) / float64(shared.Cycles) * 1000
-		rows = append(rows, Fig4Row{
-			Partner:     pa,
+		rows[i] = Fig4Row{
+			Partner:     pairs[i][1],
 			AloneRate:   aloneRate,
 			SharedSum:   sbRate + otherRate,
 			SharedSB:    sbRate,
 			SharedOther: otherRate,
-		})
+		}
 	}
 	return rows, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dasesim/internal/core"
 	"dasesim/internal/workload"
 )
 
@@ -20,7 +21,7 @@ type SensitivityRow struct {
 // Fig8a measures DASE's accuracy across uneven SM allocations on a random
 // pair sample (paper Fig. 8(a)).
 func Fig8a(p Params, cache workload.Baseline) ([]SensitivityRow, error) {
-	opt := p.evalOptions()
+	opt := p.evalOptions(core.New(core.Options{}))
 	combos := workload.RandomPairs(p.PairSample, p.Seed)
 	rows := make([]SensitivityRow, 0, len(Fig8aAllocations))
 	for _, alloc := range Fig8aAllocations {
@@ -43,7 +44,7 @@ func Fig8a(p Params, cache workload.Baseline) ([]SensitivityRow, error) {
 // Fig8b measures DASE's accuracy across equal allocations of varying size
 // (paper Fig. 8(b)): both apps get k SMs, the rest of the GPU stays idle.
 func Fig8b(p Params, cache workload.Baseline) ([]SensitivityRow, error) {
-	opt := p.evalOptions()
+	opt := p.evalOptions(core.New(core.Options{}))
 	combos := workload.RandomPairs(p.PairSample, p.Seed)
 	sizes := []int{2, 4, 6, 8}
 	rows := make([]SensitivityRow, 0, len(sizes))

@@ -1,9 +1,11 @@
 package experiments
 
 import (
-	"dasesim/internal/kernels"
+	"context"
+
 	"dasesim/internal/metrics"
 	"dasesim/internal/sched"
+	"dasesim/internal/sim"
 	"dasesim/internal/workload"
 )
 
@@ -22,53 +24,37 @@ type ExtTemporalRow struct {
 // round-robin (2-interval slices), the spatial even split, and DASE-Fair.
 func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, error) {
 	pairs := [][2]string{{"SN", "VA"}, {"QR", "SB"}, {"CT", "NN"}, {"BG", "SA"}, {"SD", "SP"}}
-	cycles := p.fig9Budget()
-	rows := make([]ExtTemporalRow, 0, len(pairs))
-	for _, pr := range pairs {
-		a, _ := kernels.ByAbbr(pr[0])
-		b, _ := kernels.ByAbbr(pr[1])
-		ps := []kernels.Profile{a, b}
-		aloneIPC := make([]float64, 2)
-		for i, prof := range ps {
-			alone, err := cache.Get(prof)
-			if err != nil {
-				return nil, err
-			}
-			aloneIPC[i] = alone.Apps[0].IPC
+	combos, err := pairCombos(pairs)
+	if err != nil {
+		return nil, err
+	}
+	// Three jobs per pair: temporal, spatial, DASE-Fair.
+	even := sim.EvenAllocation(p.Cfg.NumSMs, 2)
+	var jobs []workload.Job
+	for _, c := range combos {
+		jobs = append(jobs,
+			workload.Job{Combo: c, Alloc: []int{p.Cfg.NumSMs, 0}, Policy: sched.NewTimeSlice(2)},
+			workload.Job{Combo: c, Alloc: even, Policy: sched.Even{}},
+			workload.Job{Combo: c, Alloc: even, Policy: sched.NewDASEFair()})
+	}
+	opt := p.evalOptions()
+	opt.SharedCycles = p.fig9Budget()
+	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, cache)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ExtTemporalRow, len(combos))
+	for i, c := range combos {
+		temporal, spatial, fair := evals[3*i], evals[3*i+1], evals[3*i+2]
+		rows[i] = ExtTemporalRow{
+			Workload:    c.Name(),
+			WSTemporal:  metrics.WeightedSpeedup(temporal.Actual),
+			WSSpatial:   metrics.WeightedSpeedup(spatial.Actual),
+			WSFair:      metrics.WeightedSpeedup(fair.Actual),
+			UnfTemporal: temporal.Unfairness,
+			UnfSpatial:  spatial.Unfairness,
+			UnfFair:     fair.Unfairness,
 		}
-		slowUnder := func(pol sched.Policy, alloc []int) ([]float64, error) {
-			res, err := sched.Run(p.Cfg, ps, alloc, cycles, p.Seed, pol)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]float64, 2)
-			for i := range out {
-				out[i] = metrics.Slowdown(aloneIPC[i], res.Apps[i].IPC)
-			}
-			return out, nil
-		}
-
-		temporal, err := slowUnder(sched.NewTimeSlice(2), []int{p.Cfg.NumSMs, 0})
-		if err != nil {
-			return nil, err
-		}
-		spatial, err := slowUnder(sched.Even{}, evenAlloc(p.Cfg.NumSMs, 2))
-		if err != nil {
-			return nil, err
-		}
-		fair, err := slowUnder(sched.NewDASEFair(), evenAlloc(p.Cfg.NumSMs, 2))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ExtTemporalRow{
-			Workload:    pr[0] + "+" + pr[1],
-			WSTemporal:  metrics.WeightedSpeedup(temporal),
-			WSSpatial:   metrics.WeightedSpeedup(spatial),
-			WSFair:      metrics.WeightedSpeedup(fair),
-			UnfTemporal: metrics.Unfairness(temporal),
-			UnfSpatial:  metrics.Unfairness(spatial),
-			UnfFair:     metrics.Unfairness(fair),
-		})
 	}
 	return rows, nil
 }

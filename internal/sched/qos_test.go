@@ -6,7 +6,7 @@ import (
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
 	"dasesim/internal/metrics"
-	"dasesim/internal/workload"
+	"dasesim/internal/sim"
 )
 
 // TestDASEQoSProtectsCriticalApp co-runs a cache-sensitive kernel (which
@@ -22,10 +22,9 @@ func TestDASEQoSProtectsCriticalApp(t *testing.T) {
 	ps := []kernels.Profile{va, ct}
 	cycles := uint64(600_000)
 
-	cache := workload.NewAloneCache(cfg, cycles, 1)
 	aloneIPC := make([]float64, 2)
 	for i, prof := range ps {
-		res, err := cache.Get(prof)
+		res, err := sim.RunAlone(cfg, prof, cycles, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

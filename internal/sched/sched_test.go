@@ -7,7 +7,6 @@ import (
 	"dasesim/internal/kernels"
 	"dasesim/internal/metrics"
 	"dasesim/internal/sim"
-	"dasesim/internal/workload"
 )
 
 func TestSearchBestPartition(t *testing.T) {
@@ -94,10 +93,9 @@ func TestDASEFairImprovesFairness(t *testing.T) {
 	ps := []kernels.Profile{va, ct}
 	cycles := uint64(400_000)
 
-	cache := workload.NewAloneCache(cfg, cycles, 1)
 	aloneIPC := make([]float64, 2)
 	for i, prof := range ps {
-		res, err := cache.Get(prof)
+		res, err := sim.RunAlone(cfg, prof, cycles, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,10 +111,6 @@ type Options struct {
 	// "job-7") so IDs stay globally unique — and routable — across a
 	// multi-node dased cluster. Must not contain "-job-" or "/".
 	NodeID string
-	// TraceSeed seeds the span-ID source so tests get reproducible trace
-	// IDs; 0 (the default) derives a per-node seed from NodeID, keeping IDs
-	// distinct across cluster members.
-	TraceSeed uint64
 }
 
 // withDefaults fills unset options.
@@ -251,14 +247,11 @@ func New(opts Options) (*Server, error) {
 		rng:        rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
 		jobs:       map[string]*Job{},
 	}
-	seed := opts.TraceSeed
-	if seed == 0 {
-		// FNV-1a over the node ID: distinct nodes mint distinct span IDs
-		// even when every TraceSeed is left defaulted.
-		seed = 14695981039346656037
-		for i := 0; i < len(opts.NodeID); i++ {
-			seed = (seed ^ uint64(opts.NodeID[i])) * 1099511628211
-		}
+	// The span-ID source is seeded with FNV-1a over the node ID: IDs are
+	// reproducible, and distinct nodes mint distinct span IDs.
+	seed := uint64(14695981039346656037)
+	for i := 0; i < len(opts.NodeID); i++ {
+		seed = (seed ^ uint64(opts.NodeID[i])) * 1099511628211
 	}
 	s.spans = telemetry.NewSpanSource(seed)
 	s.est = estimate.NewService(estimate.Options{Cfg: opts.Cfg})
@@ -367,92 +360,44 @@ func (s *Server) appendJournalBounded(op, jobID string, data any) error {
 // cache), non-terminal jobs are re-enqueued for execution. Runs before
 // Start, so the queue sends below cannot race workers.
 func (s *Server) replay(records []journal.Record) {
-	type state struct {
-		req      JobRequest
-		haveReq  bool
-		span     telemetry.SpanContext
-		started  time.Time
-		submit   time.Time
-		finished time.Time
-		attempts int
-		fin      *finishedData
-	}
-	states := map[string]*state{}
-	var order []string
+	// Track the highest numeric job ID, orphan records included, so new
+	// submissions continue the sequence instead of colliding with replayed
+	// ones.
 	for _, rec := range records {
-		st, ok := states[rec.JobID]
-		if !ok {
-			st = &state{}
-			states[rec.JobID] = st
-			order = append(order, rec.JobID)
-		}
-		switch rec.Op {
-		case journal.OpSubmitted:
-			var d submittedData
-			if json.Unmarshal(rec.Data, &d) == nil {
-				st.req, st.haveReq = d.Request, true
-				st.span = spanFromWire(d.TraceID, d.SpanID, d.ParentID)
-				st.submit = rec.Time
-			}
-		case journal.OpStarted:
-			var d startedData
-			_ = json.Unmarshal(rec.Data, &d)
-			st.started = rec.Time
-			if d.Attempt > st.attempts {
-				st.attempts = d.Attempt
-			}
-		case journal.OpFinished:
-			var d finishedData
-			if json.Unmarshal(rec.Data, &d) == nil {
-				st.fin = &d
-				st.finished = rec.Time
-			}
-		case journal.OpCanceled:
-			st.fin = &finishedData{Status: StatusCanceled, Error: "canceled"}
-			st.finished = rec.Time
-		}
-		// Track the highest numeric job ID so new submissions continue the
-		// sequence instead of colliding with replayed ones.
 		numeric := strings.TrimPrefix(strings.TrimPrefix(rec.JobID, s.idPrefix()), "job-")
 		if n, err := strconv.ParseUint(numeric, 10, 64); err == nil && n > s.nextID {
 			s.nextID = n
 		}
 	}
-	for _, id := range order {
-		st := states[id]
-		if !st.haveReq {
-			continue // orphan started/finished records from a torn prefix
-		}
+	for _, jj := range ExtractJournalJobs(records) {
+		id := jj.ID
 		job := &Job{
 			ID:          id,
-			Request:     st.req,
-			SubmittedAt: st.submit,
-			Attempts:    st.attempts,
-			span:        st.span,
+			Request:     jj.Request,
+			SubmittedAt: jj.SubmittedAt,
+			Attempts:    jj.Attempts,
+			span:        jj.Span,
 			done:        make(chan struct{}),
 		}
 		switch {
-		case st.fin != nil:
-			job.Status = st.fin.Status
-			job.Error = st.fin.Error
-			job.CacheHit = st.fin.CacheHit
-			job.ForwardedTo = st.fin.ForwardedTo
-			if st.fin.Attempts > job.Attempts {
-				job.Attempts = st.fin.Attempts
-			}
-			job.Result = st.fin.Result
-			job.StartedAt = st.started
-			job.FinishedAt = st.finished
+		case jj.Terminal:
+			job.Status = jj.Status
+			job.Error = jj.Error
+			job.CacheHit = jj.CacheHit
+			job.ForwardedTo = jj.ForwardedTo
+			job.Result = jj.Result
+			job.StartedAt = jj.StartedAt
+			job.FinishedAt = jj.FinishedAt
 			close(job.done)
 			// Re-seed the result cache so identical submissions after the
 			// restart are still cache hits.
 			if job.Result != nil && job.Result.Sim != nil {
-				if pl, err := s.buildPlan(st.req); err == nil {
+				if pl, err := s.buildPlan(jj.Request); err == nil {
 					s.cache.Put(pl.key, job.Result.Sim)
 				}
 			}
 		default:
-			pl, err := s.buildPlan(st.req)
+			pl, err := s.buildPlan(jj.Request)
 			if err != nil {
 				// The catalogue or limits changed under the journal; the job
 				// can no longer run.
@@ -917,69 +862,77 @@ func (s *Server) Kill() {
 	s.wg.Wait()
 }
 
-// JournaledJob is one job reconstructed from another node's journal records
-// during hand-off.
+// JournaledJob is one job reconstructed from journal records: by replay on
+// restart, and by the cluster hand-off from another node's journal.
 type JournaledJob struct {
-	ID       string
-	Request  JobRequest
-	Status   Status
-	Result   *JobResult
-	Terminal bool
+	ID      string
+	Request JobRequest
+	// Status is the finished or canceled record's status, StatusQueued
+	// when the job has neither and must be re-run somewhere.
+	Status      Status
+	Terminal    bool
+	Error       string
+	Result      *JobResult
+	CacheHit    bool
+	ForwardedTo string
+	// Attempts is the highest attempt journaled by a started or finished
+	// record.
+	Attempts                           int
+	SubmittedAt, StartedAt, FinishedAt time.Time
 	// Span is the job's trace context as journaled at submission; re-running
 	// the job elsewhere continues its original timeline.
 	Span telemetry.SpanContext
 }
 
 // ExtractJournalJobs reconstructs job states from raw journal records using
-// the server's payload schema — the read-side twin of replay, exported so
-// the cluster hand-off can interpret a claimed journal. Jobs whose submitted
+// the server's payload schema, decoding each payload once; replay builds on
+// it, and it is exported so the cluster hand-off can interpret a claimed
+// journal. Jobs come back in first-record order. Jobs whose submitted
 // record is missing (torn prefix) are dropped; a job with no finished or
-// canceled record is non-terminal and must be re-run somewhere.
+// canceled record is non-terminal.
 func ExtractJournalJobs(records []journal.Record) []JournaledJob {
-	type state struct {
-		req     JobRequest
-		haveReq bool
-		span    telemetry.SpanContext
-		fin     *finishedData
-	}
-	states := map[string]*state{}
+	jobs := map[string]*JournaledJob{}
+	haveReq := map[string]bool{}
 	var order []string
 	for _, rec := range records {
-		st, ok := states[rec.JobID]
+		jj, ok := jobs[rec.JobID]
 		if !ok {
-			st = &state{}
-			states[rec.JobID] = st
+			jj = &JournaledJob{ID: rec.JobID, Status: StatusQueued}
+			jobs[rec.JobID] = jj
 			order = append(order, rec.JobID)
 		}
 		switch rec.Op {
 		case journal.OpSubmitted:
 			var d submittedData
 			if json.Unmarshal(rec.Data, &d) == nil {
-				st.req, st.haveReq = d.Request, true
-				st.span = spanFromWire(d.TraceID, d.SpanID, d.ParentID)
+				jj.Request, haveReq[rec.JobID] = d.Request, true
+				jj.Span = spanFromWire(d.TraceID, d.SpanID, d.ParentID)
+				jj.SubmittedAt = rec.Time
 			}
+		case journal.OpStarted:
+			var d startedData
+			_ = json.Unmarshal(rec.Data, &d)
+			jj.StartedAt = rec.Time
+			jj.Attempts = max(jj.Attempts, d.Attempt)
 		case journal.OpFinished:
 			var d finishedData
 			if json.Unmarshal(rec.Data, &d) == nil {
-				st.fin = &d
+				jj.Status, jj.Terminal = d.Status, d.Status.terminal()
+				jj.Error, jj.Result = d.Error, d.Result
+				jj.CacheHit, jj.ForwardedTo = d.CacheHit, d.ForwardedTo
+				jj.Attempts = max(jj.Attempts, d.Attempts)
+				jj.FinishedAt = rec.Time
 			}
 		case journal.OpCanceled:
-			st.fin = &finishedData{Status: StatusCanceled}
+			jj.Status, jj.Terminal, jj.Error = StatusCanceled, true, "canceled"
+			jj.FinishedAt = rec.Time
 		}
 	}
-	var out []JournaledJob
+	out := make([]JournaledJob, 0, len(order))
 	for _, id := range order {
-		st := states[id]
-		if !st.haveReq {
-			continue
+		if haveReq[id] {
+			out = append(out, *jobs[id])
 		}
-		jj := JournaledJob{ID: id, Request: st.req, Status: StatusQueued, Span: st.span}
-		if st.fin != nil {
-			jj.Status = st.fin.Status
-			jj.Result = st.fin.Result
-			jj.Terminal = st.fin.Status.terminal()
-		}
-		out = append(out, jj)
 	}
 	return out
 }

@@ -8,9 +8,11 @@
 // strictly observation-only (emitting events never changes simulation
 // results — the determinism goldens are byte-identical with tracing on), and
 // when disabled the instrumented hot paths pay exactly one nil check per
-// site. Events are fixed-size structs copied into a pre-allocated ring, so
-// enabled tracing performs no per-event allocation either; when the ring
-// fills, the oldest events are overwritten and counted as dropped.
+// site. Events are fixed-size structs copied into a ring that grows by
+// doubling up to its capacity, so a tracer that sees few events stays small
+// and enabled tracing allocates only on those few doublings, never per
+// event; when the ring fills, the oldest events are overwritten and counted
+// as dropped.
 package telemetry
 
 import "sync"
@@ -181,18 +183,20 @@ const DefaultCapacity = 1 << 16
 // nil is safe (and instrumentation sites additionally guard with a nil check
 // so disabled tracing costs nothing beyond that check).
 type Tracer struct {
-	mu    sync.Mutex
-	buf   []Event
-	total uint64 // events ever emitted; buf index = (total-1) % len(buf)
+	mu       sync.Mutex
+	buf      []Event // grows on demand; len(buf) <= capacity
+	capacity int
+	total    uint64 // events ever emitted; once full, buf index = (total-1) % capacity
 }
 
 // New builds a tracer retaining the most recent capacity events
-// (DefaultCapacity when capacity <= 0).
+// (DefaultCapacity when capacity <= 0). The ring is allocated as events
+// arrive, not up front.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{buf: make([]Event, 0, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // Emit appends one event, overwriting the oldest when the ring is full, and
@@ -203,10 +207,16 @@ func (t *Tracer) Emit(e Event) {
 	}
 	t.mu.Lock()
 	e.Seq = t.total
-	if len(t.buf) < cap(t.buf) {
+	if len(t.buf) < t.capacity {
+		if len(t.buf) == cap(t.buf) {
+			// Double, clamped so a full ring holds exactly capacity events.
+			grown := make([]Event, len(t.buf), min(max(2*cap(t.buf), 8), t.capacity))
+			copy(grown, t.buf)
+			t.buf = grown
+		}
 		t.buf = append(t.buf, e)
 	} else {
-		t.buf[t.total%uint64(cap(t.buf))] = e
+		t.buf[t.total%uint64(t.capacity)] = e
 	}
 	t.total++
 	t.mu.Unlock()
@@ -250,12 +260,12 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, len(t.buf))
-	if len(t.buf) < cap(t.buf) {
+	if len(t.buf) < t.capacity {
 		copy(out, t.buf)
 		return out
 	}
 	// Full ring: the oldest event sits right after the newest.
-	head := int(t.total % uint64(cap(t.buf)))
+	head := int(t.total % uint64(t.capacity))
 	n := copy(out, t.buf[head:])
 	copy(out[n:], t.buf[:head])
 	return out

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -201,5 +202,30 @@ func TestErrorTimeline(t *testing.T) {
 	a1 := tls[1]
 	if !math.IsNaN(a1.Points[0].Err) || !math.IsNaN(a1.MeanAbsErr()) || !math.IsNaN(a1.MaxAbsErr()) {
 		t.Error("app without actual must have NaN errors")
+	}
+}
+
+// TestTracerGrowsOnDemand pins the ring's lazy allocation: a tracer at the
+// default capacity that has seen only a few events holds a few KiB, not the
+// full ring, and still reports its events in order.
+func TestTracerGrowsOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := New(DefaultCapacity)
+	for i := 0; i < 10; i++ {
+		tr.Emit(Event{Kind: KindInterval, Cycle: uint64(i), App: -1, SM: -1})
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("a %d-event ring holding 10 events allocated %d bytes, want < 64 KiB", DefaultCapacity, got)
+	}
+	evs := tr.Events()
+	if len(evs) != 10 || tr.Dropped() != 0 {
+		t.Fatalf("retained %d events, dropped %d; want 10, 0", len(evs), tr.Dropped())
+	}
+	for i, e := range evs {
+		if e.Cycle != uint64(i) {
+			t.Fatalf("event %d: cycle %d", i, e.Cycle)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"dasesim/internal/baseline"
@@ -27,7 +28,7 @@ func TestAccuracySample(t *testing.T) {
 		a, _ := kernels.ByAbbr(pr[0])
 		b, _ := kernels.ByAbbr(pr[1])
 		combo := Combo{Profiles: []kernels.Profile{a, b}}
-		ev, err := Evaluate(opt, combo, sim.EvenAllocation(opt.Cfg.NumSMs, 2), cache)
+		ev, err := Evaluate(context.Background(), opt, Job{Combo: combo, Alloc: sim.EvenAllocation(opt.Cfg.NumSMs, 2)}, cache)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,13 +18,9 @@ type countingBaseline struct {
 	calls atomic.Int64
 }
 
-func (c *countingBaseline) Get(p kernels.Profile) (*sim.Result, error) {
-	return c.GetContext(context.Background(), p)
-}
-
-func (c *countingBaseline) GetContext(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
+func (c *countingBaseline) Get(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
 	c.calls.Add(1)
-	return c.inner.GetContext(ctx, p)
+	return c.inner.Get(ctx, p)
 }
 
 // TestEvaluateAllAbortsOnFirstError proves a failing job surfaces its own
@@ -45,7 +41,7 @@ func TestEvaluateAllAbortsOnFirstError(t *testing.T) {
 		{Combo: good, Alloc: []int{8, 8}},
 		{Combo: good, Alloc: []int{8, 8}},
 	}
-	_, err := EvaluateAll(opt, jobs, cache)
+	_, err := EvaluateAll(context.Background(), opt, jobs, cache)
 	if err == nil {
 		t.Fatal("expected an error")
 	}
@@ -71,38 +67,11 @@ func TestEvaluateAllExternalCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EvaluateAllContext(ctx, opt, jobs, counting)
+	_, err := EvaluateAll(ctx, opt, jobs, counting)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	if n := counting.calls.Load(); n != 0 {
 		t.Fatalf("cancelled batch still did %d baseline lookups", n)
-	}
-}
-
-// TestAloneCacheSharedStore proves two AloneCache views over one store share
-// simulated baselines.
-func TestAloneCacheSharedStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a simulation")
-	}
-	cfg := config.Default()
-	c1 := NewAloneCache(cfg, 20_000, 1)
-	c2 := NewAloneCacheWith(c1.store, cfg, 20_000, 1)
-	p, _ := kernels.ByAbbr("QR")
-	r1, err := c1.Get(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c2.Get(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("views over one store did not share the result")
-	}
-	st := c1.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
 	}
 }

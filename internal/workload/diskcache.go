@@ -44,42 +44,34 @@ func (d *DiskCache) path(p kernels.Profile) string {
 }
 
 // Get returns the alone result, loading it from disk if present, simulating
-// and persisting it otherwise.
-func (d *DiskCache) Get(p kernels.Profile) (*sim.Result, error) {
-	return d.GetContext(context.Background(), p)
-}
-
-// GetContext is Get with cancellation of the backing simulation.
-func (d *DiskCache) GetContext(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
-	// Fast path: in-memory.
-	if r, ok := d.inner.store.Get(d.inner.key(p)); ok {
-		return r, nil
-	}
-
-	path := d.path(p)
-	if data, err := os.ReadFile(path); err == nil {
-		var r sim.Result
-		if err := json.Unmarshal(data, &r); err == nil {
-			d.inner.store.Put(d.inner.key(p), &r)
-			return &r, nil
+// and persisting it otherwise. Concurrent calls for one kernel load or
+// simulate it once and write its file once.
+func (d *DiskCache) Get(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
+	c := d.inner
+	return c.store.GetOrCompute(ctx, c.key(p), func() (*sim.Result, error) {
+		path := d.path(p)
+		if data, err := os.ReadFile(path); err == nil {
+			var r sim.Result
+			if json.Unmarshal(data, &r) == nil {
+				return &r, nil
+			}
+			// Corrupt entry: fall through, recompute and overwrite it.
 		}
-		// Corrupt entry: fall through and recompute.
-	}
-
-	r, err := d.inner.GetContext(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("workload: marshal alone result: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return nil, fmt.Errorf("workload: persist alone result: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, fmt.Errorf("workload: persist alone result: %w", err)
-	}
-	return r, nil
+		r, err := sim.RunAloneContext(ctx, c.cfg, p, c.cycles, c.seed)
+		if err != nil {
+			return nil, err
+		}
+		data, err := json.Marshal(r)
+		if err != nil {
+			return nil, fmt.Errorf("workload: marshal alone result: %w", err)
+		}
+		tmp := path + ".tmp"
+		if err := os.WriteFile(tmp, data, 0o644); err != nil {
+			return nil, fmt.Errorf("workload: persist alone result: %w", err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			return nil, fmt.Errorf("workload: persist alone result: %w", err)
+		}
+		return r, nil
+	})
 }

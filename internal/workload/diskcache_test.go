@@ -1,12 +1,15 @@
 package workload
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
+	"dasesim/internal/sim"
 )
 
 func TestDiskCachePersistsAndReloads(t *testing.T) {
@@ -21,7 +24,7 @@ func TestDiskCachePersistsAndReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c1.Get(p)
+	r1, err := c1.Get(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +39,7 @@ func TestDiskCachePersistsAndReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c2.Get(p)
+	r2, err := c2.Get(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestDiskCachePersistsAndReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c3.Get(p); err != nil {
+	if _, err := c3.Get(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	files, _ = filepath.Glob(filepath.Join(dir, "alone-QR-*.json"))
@@ -75,11 +78,46 @@ func TestDiskCacheSurvivesCorruptEntry(t *testing.T) {
 	if err := os.WriteFile(c.path(p), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Get(p)
+	r, err := c.Get(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Apps[0].Instructions == 0 {
 		t.Fatal("recomputed result empty")
+	}
+}
+
+// TestDiskCacheConcurrentGet has one kernel requested from many goroutines,
+// as EvaluateAll does when a kernel appears in several jobs of a batch: it
+// is simulated and persisted once, and every caller gets that result.
+func TestDiskCacheConcurrentGet(t *testing.T) {
+	dir := t.TempDir()
+	p, _ := kernels.ByAbbr("QR")
+	c, err := NewDiskCache(config.Default(), 10_000, 1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*sim.Result, 4)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = c.Get(context.Background(), p)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+		if results[i] != results[0] {
+			t.Fatalf("caller %d got a different result", i)
+		}
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(files) != 1 {
+		t.Fatalf("cache dir holds %v, want one entry", files)
 	}
 }

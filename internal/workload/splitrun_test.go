@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"dasesim/internal/baseline"
@@ -29,7 +30,7 @@ func TestEvaluateSplitRuns(t *testing.T) {
 	a, _ := kernels.ByAbbr("SB")
 	b, _ := kernels.ByAbbr("SD")
 	cache := NewAloneCache(cfg, 30_000, 1)
-	ev, err := Evaluate(opt, Combo{Profiles: []kernels.Profile{a, b}}, []int{8, 8}, cache)
+	ev, err := Evaluate(context.Background(), opt, Job{Combo: Combo{Profiles: []kernels.Profile{a, b}}, Alloc: []int{8, 8}}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestEvaluateWithoutEpochEstimators(t *testing.T) {
 	a, _ := kernels.ByAbbr("QR")
 	b, _ := kernels.ByAbbr("BG")
 	cache := NewAloneCache(cfg, 20_000, 1)
-	ev, err := Evaluate(opt, Combo{Profiles: []kernels.Profile{a, b}}, []int{8, 8}, cache)
+	ev, err := Evaluate(context.Background(), opt, Job{Combo: Combo{Profiles: []kernels.Profile{a, b}}, Alloc: []int{8, 8}}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
 	"dasesim/internal/metrics"
+	"dasesim/internal/sched"
 	"dasesim/internal/sim"
 	"dasesim/internal/simcache"
 )
@@ -95,21 +96,18 @@ func RandomPairs(n int, seed uint64) []Combo {
 }
 
 // Baseline supplies alone-run results for slowdown ground truth; AloneCache
-// (in-memory) and DiskCache (persistent) implement it. Evaluate uses
-// GetContext, so an aborted batch stops simulating alone baselines too.
+// (in-memory) and DiskCache (persistent) implement it. Get aborts the
+// backing simulation once ctx is done, so an aborted batch stops simulating
+// alone baselines too.
 type Baseline interface {
-	Get(p kernels.Profile) (*sim.Result, error)
-	GetContext(ctx context.Context, p kernels.Profile) (*sim.Result, error)
+	Get(ctx context.Context, p kernels.Profile) (*sim.Result, error)
 }
 
 // AloneCache memoises alone-run results per kernel so the 105 pair
-// evaluations reuse the 15 alone baselines. It is a thin view over a
+// evaluations reuse the 15 alone baselines. It keeps them in a private
 // content-addressed simcache store (keys cover the full profile, GPU
-// configuration, budget and seed), so a store can be shared with other
-// layers — the dased server hands its job cache to NewAloneCacheWith and
-// alone baselines are computed at most once across both. It is safe for
-// concurrent use, and concurrent requests for the same kernel simulate it
-// only once.
+// configuration, budget and seed). It is safe for concurrent use, and
+// concurrent requests for the same kernel simulate it only once.
 type AloneCache struct {
 	cfg    config.Config
 	cycles uint64
@@ -118,20 +116,15 @@ type AloneCache struct {
 }
 
 // NewAloneCache builds a cache running alone simulations with the given
-// budget, backed by a private store.
+// budget.
 func NewAloneCache(cfg config.Config, cycles uint64, seed uint64) *AloneCache {
-	return NewAloneCacheWith(simcache.NewMemory(0), cfg, cycles, seed)
-}
-
-// NewAloneCacheWith builds an AloneCache over an existing result store.
-func NewAloneCacheWith(store *simcache.Memory, cfg config.Config, cycles uint64, seed uint64) *AloneCache {
-	return &AloneCache{cfg: cfg, cycles: cycles, seed: seed, store: store}
+	return &AloneCache{cfg: cfg, cycles: cycles, seed: seed, store: simcache.NewMemory(0)}
 }
 
 // AloneKey is the content address of a kernel's alone run on all SMs; the
 // full profile is hashed, so WithMemFrac sweeps (Fig. 3) and custom kernels
-// coexist. Exported so other layers over a shared store (the dased server)
-// address the same entries.
+// coexist. Exported so the dased server addresses the alone runs in its own
+// job cache the same way.
 func AloneKey(cfg config.Config, p kernels.Profile, cycles, seed uint64) string {
 	return simcache.Key(cfg, []kernels.Profile{p}, []int{cfg.NumSMs}, cycles, seed, "alone")
 }
@@ -141,19 +134,11 @@ func (c *AloneCache) key(p kernels.Profile) string {
 }
 
 // Get returns the alone result for the kernel, simulating it on first use.
-func (c *AloneCache) Get(p kernels.Profile) (*sim.Result, error) {
-	return c.GetContext(context.Background(), p)
-}
-
-// GetContext is Get with cancellation.
-func (c *AloneCache) GetContext(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
+func (c *AloneCache) Get(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
 	return c.store.GetOrCompute(ctx, c.key(p), func() (*sim.Result, error) {
 		return sim.RunAloneContext(ctx, c.cfg, p, c.cycles, c.seed)
 	})
 }
-
-// Stats reports the underlying store's hit/miss counters.
-func (c *AloneCache) Stats() simcache.Stats { return c.store.Stats() }
 
 // Eval is the outcome of evaluating one workload combination.
 type Eval struct {
@@ -200,23 +185,33 @@ func DefaultOptions(sharedCycles uint64) Options {
 	}
 }
 
-// Evaluate runs one combo with the given SM allocation and computes actual
-// slowdowns and per-estimator errors. When EpochEstimators are present, a
-// second run with priority epochs provides their inputs and ground truth.
-func Evaluate(opt Options, combo Combo, alloc []int, cache Baseline) (*Eval, error) {
-	return EvaluateContext(context.Background(), opt, combo, alloc, cache)
+// Job is one shared run: a combo, its initial SM allocation and the policy
+// that may re-partition the SMs at interval boundaries.
+type Job struct {
+	Combo Combo
+	Alloc []int
+	// Policy is nil for a plain static-partition run. Policies are
+	// stateful, so each job needs its own instance, and a policy job
+	// cannot also run EpochEstimators.
+	Policy sched.Policy
 }
 
-// EvaluateContext is Evaluate with cancellation: the shared runs, epoch runs
-// and alone-baseline lookups all abort once ctx expires.
-func EvaluateContext(ctx context.Context, opt Options, combo Combo, alloc []int, cache Baseline) (*Eval, error) {
-	shared, err := sim.RunSharedContext(ctx, opt.Cfg, combo.Profiles, alloc, opt.SharedCycles, opt.Seed)
+// Evaluate runs one job and computes actual slowdowns and per-estimator
+// errors. When EpochEstimators are present, a second run with priority
+// epochs provides their inputs and ground truth. The shared runs, epoch
+// runs and alone-baseline lookups all abort once ctx is done.
+func Evaluate(ctx context.Context, opt Options, job Job, cache Baseline) (*Eval, error) {
+	combo := job.Combo
+	if job.Policy != nil && len(opt.EpochEstimators) > 0 {
+		return nil, fmt.Errorf("workload %s: policy %s cannot also drive the epoch run", combo.Name(), job.Policy.Name())
+	}
+	shared, err := sched.RunContext(ctx, opt.Cfg, combo.Profiles, job.Alloc, opt.SharedCycles, opt.Seed, job.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", combo.Name(), err)
 	}
 	ev := &Eval{
 		Combo:     combo,
-		Alloc:     append([]int(nil), alloc...),
+		Alloc:     append([]int(nil), job.Alloc...),
 		Shared:    shared,
 		AloneIPC:  make([]float64, len(combo.Profiles)),
 		Actual:    make([]float64, len(combo.Profiles)),
@@ -224,7 +219,7 @@ func EvaluateContext(ctx context.Context, opt Options, combo Combo, alloc []int,
 		Errors:    map[string][]float64{},
 	}
 	for i, p := range combo.Profiles {
-		alone, err := cache.GetContext(ctx, p)
+		alone, err := cache.Get(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +243,7 @@ func EvaluateContext(ctx context.Context, opt Options, combo Combo, alloc []int,
 	}
 
 	if len(opt.EpochEstimators) > 0 {
-		epochRun, err := sim.RunSharedContext(ctx, opt.Cfg, combo.Profiles, alloc, opt.SharedCycles, opt.Seed, sim.WithPriorityEpochs())
+		epochRun, err := sim.RunSharedContext(ctx, opt.Cfg, combo.Profiles, job.Alloc, opt.SharedCycles, opt.Seed, sim.WithPriorityEpochs())
 		if err != nil {
 			return nil, fmt.Errorf("workload %s (epochs): %w", combo.Name(), err)
 		}
@@ -263,24 +258,13 @@ func EvaluateContext(ctx context.Context, opt Options, combo Combo, alloc []int,
 	return ev, nil
 }
 
-// Job pairs a combo with its allocation for batch evaluation.
-type Job struct {
-	Combo Combo
-	Alloc []int
-}
-
 // EvaluateAll evaluates jobs in parallel over a GOMAXPROCS-sized worker
 // pool, preserving input order. The first error cancels the batch: jobs not
-// yet started are skipped and in-flight simulations abort.
-func EvaluateAll(opt Options, jobs []Job, cache Baseline) ([]*Eval, error) {
-	return EvaluateAllContext(context.Background(), opt, jobs, cache)
-}
-
-// EvaluateAllContext is EvaluateAll under an external context (cancelling
-// ctx aborts the whole batch). The returned error is the first root-cause
-// failure in job order; cancellations induced by that failure are not
-// reported as the batch error.
-func EvaluateAllContext(ctx context.Context, opt Options, jobs []Job, cache Baseline) ([]*Eval, error) {
+// yet started are skipped and in-flight simulations abort, as they do when
+// ctx is cancelled. The returned error is the first root-cause failure in
+// job order; cancellations induced by that failure are not reported as the
+// batch error.
+func EvaluateAll(ctx context.Context, opt Options, jobs []Job, cache Baseline) ([]*Eval, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	out := make([]*Eval, len(jobs))
@@ -303,7 +287,7 @@ func EvaluateAllContext(ctx context.Context, opt Options, jobs []Job, cache Base
 					errs[i] = err
 					continue
 				}
-				out[i], errs[i] = EvaluateContext(ctx, opt, jobs[i].Combo, jobs[i].Alloc, cache)
+				out[i], errs[i] = Evaluate(ctx, opt, jobs[i], cache)
 				if errs[i] != nil {
 					cancel()
 				}

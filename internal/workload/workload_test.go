@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"dasesim/internal/config"
@@ -96,11 +97,11 @@ func TestAloneCacheMemoizes(t *testing.T) {
 	cfg := config.Default()
 	cache := NewAloneCache(cfg, 20_000, 1)
 	p, _ := kernels.ByAbbr("QR")
-	r1, err := cache.Get(p)
+	r1, err := cache.Get(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cache.Get(p)
+	r2, err := cache.Get(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestAloneCacheMemoizes(t *testing.T) {
 		t.Fatal("cache did not memoize")
 	}
 	// A MemFrac variant is a distinct key.
-	r3, err := cache.Get(p.WithMemFrac(p.MemFrac * 2))
+	r3, err := cache.Get(context.Background(), p.WithMemFrac(p.MemFrac*2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestEvaluateAllPreservesOrder(t *testing.T) {
 		{Combo: Combo{Profiles: []kernels.Profile{qr, bg}}, Alloc: []int{8, 8}},
 		{Combo: Combo{Profiles: []kernels.Profile{qr, ct}}, Alloc: []int{8, 8}},
 	}
-	evals, err := EvaluateAll(opt, jobs, cache)
+	evals, err := EvaluateAll(context.Background(), opt, jobs, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,8 @@
 //
 // Besides the job API, the daemon serves DASE online: POST /v1/estimate
 // answers a counter snapshot (or an array batch) with estimated slowdowns
-// and a recommended SM partition without running a simulation, and
-// POST /v1/estimate/stream does the same over an NDJSON request/response
-// stream. The repository benchmark (go run ./bench, workloads est-single and
+// and a recommended SM partition without running a simulation. The
+// repository benchmark (go run ./bench, workloads est-single and
 // est-batch16) measures the endpoint closed-loop; cmd/daseload adds an
 // open-loop load generator against a running daemon.
 //

@@ -1,36 +1,28 @@
-// Command daseload is a load generator for dased's online estimation API
-// (POST /v1/estimate). It drives a running daemon with per-interval counter
-// snapshots and reports achieved throughput and latency percentiles as one
-// `go test -bench`-style line.
+// Command daseload is an open-loop load generator for dased's online
+// estimation API (POST /v1/estimate). It drives a running daemon with
+// per-interval counter snapshots and reports achieved throughput and latency
+// percentiles as one `go test -bench`-style line.
 //
-// The repository benchmark (`go run ./bench`, workloads est-single and
-// est-batch16) measures the same endpoint closed-loop only; the open loop
-// below is what daseload adds.
+// Requests are scheduled at a fixed -qps independent of completions, and
+// latency is measured from the scheduled send time, so queueing delay under
+// overload is visible rather than hidden by coordinated omission. The
+// repository benchmark (`go run ./bench`, workloads est-single and
+// est-batch16) measures the same endpoint closed-loop; the open loop is what
+// daseload adds.
 //
-// Two traffic models:
-//
-//   - closed loop (-mode closed): -conns workers issue requests
-//     back-to-back; latency is the request duration. Measures the service's
-//     capacity under saturation.
-//   - open loop (-mode open): requests are scheduled at a fixed -qps
-//     independent of completions; latency is measured from the scheduled
-//     send time, so queueing delay under overload is visible
-//     (closed-loop numbers hide it — see "coordinated omission").
-//
-// The request corpus is an NDJSON file of estimate request bodies
-// (-corpus), or, by default, synthesized by running a short two-app shared
-// simulation and converting its recorded interval snapshots — so the load
-// is shaped like real counter traffic, not toy constants.
+// The request corpus is synthesized by running a short two-app shared
+// simulation and converting its recorded interval snapshots, so the load is
+// shaped like real counter traffic, not toy constants.
 //
 // Usage:
 //
-//	daseload -addr http://localhost:8844 -mode closed -conns 8 -duration 10s
-//	daseload -mode open -qps 50000 -conns 256 -duration 10s
-//	daseload -corpus snapshots.ndjson -batch 16
+//	daseload -addr http://localhost:8844 -qps 50000 -conns 256 -duration 10s
+//	daseload -qps 2000 -batch 16
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +31,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dasesim"
@@ -47,87 +38,83 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8844", "base URL of the dased instance")
-	mode := flag.String("mode", "closed", "traffic model: closed | open")
-	conns := flag.Int("conns", 8, "closed loop: worker count; open loop: max in-flight requests")
-	qps := flag.Float64("qps", 0, "open loop: target request rate (required for -mode open)")
-	duration := flag.Duration("duration", 5*time.Second, "measured run length")
-	warmup := flag.Duration("warmup", 500*time.Millisecond, "closed-loop warmup before measuring (connections, pools)")
-	corpusPath := flag.String("corpus", "", "NDJSON file of estimate request bodies (default: synthesized from a short simulation)")
-	batch := flag.Int("batch", 1, "snapshots per request: group this many corpus entries into one array body")
-	flag.Parse()
-
-	fatal := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "daseload: "+format+"\n", args...)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "daseload: %v\n", err)
 		os.Exit(1)
 	}
+}
 
-	var corpus [][]byte
-	var err error
-	if *corpusPath != "" {
-		corpus, err = loadCorpus(*corpusPath)
-	} else {
-		fmt.Fprintln(os.Stderr, "daseload: synthesizing corpus from a two-app shared simulation")
-		corpus, err = synthesizeCorpus(300_000)
+// run parses args, validates every flag before the corpus simulation starts,
+// drives the open loop and prints the bench line on stdout; progress and the
+// failure breakdown go to stderr. A run with any failed request is an error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("daseload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", "http://127.0.0.1:8844", "base URL of the dased instance")
+		conns    = fs.Int("conns", 8, "max in-flight requests")
+		qps      = fs.Float64("qps", 0, "target request rate (required, > 0)")
+		duration = fs.Duration("duration", 5*time.Second, "measured run length")
+		batch    = fs.Int("batch", 1, "snapshots per request: group this many corpus entries into one array body")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	switch {
+	case fs.NArg() > 0:
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	case *qps <= 0:
+		return errors.New("-qps must be > 0")
+	case *conns < 1:
+		return errors.New("-conns must be >= 1")
+	case *duration <= 0:
+		return errors.New("-duration must be > 0")
+	case *batch < 1:
+		return errors.New("-batch must be >= 1")
+	}
+
+	fmt.Fprintln(stderr, "daseload: synthesizing corpus from a two-app shared simulation")
+	corpus, err := synthesizeCorpus(300_000)
 	if err != nil {
-		fatal("corpus: %v", err)
+		return fmt.Errorf("corpus: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "daseload: corpus of %d request bodies\n", len(corpus))
+	fmt.Fprintf(stderr, "daseload: corpus of %d request bodies\n", len(corpus))
 	if *batch > 1 {
 		corpus = batchCorpus(corpus, *batch)
-	} else if *batch < 1 {
-		fatal("-batch must be >= 1")
 	}
 
-	url := strings.TrimRight(*addr, "/") + "/v1/estimate"
+	base := strings.TrimRight(*addr, "/")
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        *conns,
 		MaxIdleConnsPerHost: *conns,
 	}}
-	if err := waitReady(client, strings.TrimRight(*addr, "/")+"/healthz", 5*time.Second); err != nil {
-		fatal("%v", err)
+	defer client.CloseIdleConnections()
+	if err := waitReady(client, base+"/healthz", 5*time.Second); err != nil {
+		return err
 	}
 
-	var res runResult
-	var benchName string
-	switch *mode {
-	case "closed":
-		benchName = "ServeClosed"
-		if *warmup > 0 {
-			closedLoop(client, url, corpus, *conns, *warmup)
-		}
-		res = closedLoop(client, url, corpus, *conns, *duration)
-	case "open":
-		benchName = "ServeOpen"
-		if *qps <= 0 {
-			fatal("-mode open requires -qps > 0")
-		}
-		res = openLoop(client, url, corpus, *qps, *conns, *duration)
-	default:
-		fatal("unknown -mode %q (closed | open)", *mode)
-	}
-
+	res := openLoop(client, base+"/v1/estimate", corpus, *qps, *conns, *duration)
 	if n := res.errs(); n > 0 {
-		fmt.Fprintf(os.Stderr, "daseload: %d requests failed\n", n)
+		fmt.Fprintf(stderr, "daseload: %d requests failed\n", n)
 		for _, code := range sortedCodes(res.statusErr) {
-			fmt.Fprintf(os.Stderr, "daseload:   HTTP %d: %d\n", code, res.statusErr[code])
+			fmt.Fprintf(stderr, "daseload:   HTTP %d: %d\n", code, res.statusErr[code])
 		}
 		if res.transport > 0 {
-			fmt.Fprintf(os.Stderr, "daseload:   transport (no response): %d\n", res.transport)
+			fmt.Fprintf(stderr, "daseload:   transport (no response): %d\n", res.transport)
 		}
 	}
 	s, ok := summarize(res, *batch)
 	if !ok {
-		fatal("no successful requests")
+		return errors.New("no successful requests")
 	}
-	fmt.Println(benchLine(benchName, *conns, s, res))
-	fmt.Fprintf(os.Stderr, "daseload: %d requests in %v: %.0f qps (%.0f estimates/s), p50 %v p95 %v p99 %v\n",
+	fmt.Fprintln(stdout, benchLine("ServeOpen", *conns, s, res))
+	fmt.Fprintf(stderr, "daseload: %d requests in %v: %.0f qps (%.0f estimates/s), p50 %v p95 %v p99 %v\n",
 		s.n, res.elapsed.Round(time.Millisecond), s.qps, s.eps,
 		time.Duration(s.p50), time.Duration(s.p95), time.Duration(s.p99))
-	if res.errs() > 0 {
-		os.Exit(1)
+	if n := res.errs(); n > 0 {
+		return fmt.Errorf("%d requests failed", n)
 	}
+	return nil
 }
 
 // sortedCodes returns the map's status codes in ascending order so the
@@ -174,18 +161,6 @@ func (r *runResult) countErr(status int) {
 	r.statusErr[status]++
 }
 
-// merge folds another result's latencies and failure counts into r.
-func (r *runResult) merge(o runResult) {
-	r.lats = append(r.lats, o.lats...)
-	r.transport += o.transport
-	for code, n := range o.statusErr {
-		if r.statusErr == nil {
-			r.statusErr = map[int]int64{}
-		}
-		r.statusErr[code] += n
-	}
-}
-
 // stats condenses a runResult for reporting. qps counts HTTP requests; eps
 // counts estimates (snapshots), which differ when bodies are batched.
 type stats struct {
@@ -194,38 +169,6 @@ type stats struct {
 	eps           float64
 	mean          float64
 	p50, p95, p99 int64
-}
-
-// closedLoop saturates the endpoint with conns workers issuing requests
-// back-to-back for d. Latency is the individual request duration.
-func closedLoop(c *http.Client, url string, corpus [][]byte, conns int, d time.Duration) runResult {
-	var next uint64
-	perWorker := make([]runResult, conns)
-	var wg sync.WaitGroup
-	start := time.Now()
-	deadline := start.Add(d)
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				i := atomic.AddUint64(&next, 1)
-				body := corpus[int(i)%len(corpus)]
-				t0 := time.Now()
-				if status, err := postOnce(c, url, body); err != nil {
-					perWorker[w].countErr(status)
-					continue
-				}
-				perWorker[w].lats = append(perWorker[w].lats, time.Since(t0).Nanoseconds())
-			}
-		}(w)
-	}
-	wg.Wait()
-	res := runResult{elapsed: time.Since(start)}
-	for w := range perWorker {
-		res.merge(perWorker[w])
-	}
-	return res
 }
 
 // openLoop schedules requests at a fixed rate regardless of completions,
@@ -392,26 +335,6 @@ func batchCorpus(corpus [][]byte, size int) [][]byte {
 		batched = append(batched, body)
 	}
 	return batched
-}
-
-// loadCorpus reads one estimate request body per non-empty line.
-func loadCorpus(path string) ([][]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var corpus [][]byte
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		corpus = append(corpus, line)
-	}
-	if len(corpus) == 0 {
-		return nil, fmt.Errorf("%s: no request lines", path)
-	}
-	return corpus, nil
 }
 
 // synthesizeCorpus runs a short two-app shared simulation and converts every

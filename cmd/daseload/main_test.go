@@ -3,11 +3,11 @@ package main
 import (
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -87,7 +87,7 @@ func TestBatchCorpus(t *testing.T) {
 // request count, mean latency as ns/op — then one "value unit" field per
 // custom metric, failures last in ascending status order.
 func TestBenchLineParseable(t *testing.T) {
-	line := benchLine("ServeClosed", 8, stats{
+	line := benchLine("ServeOpen", 8, stats{
 		n: 250000, qps: 50123.4, eps: 50123.4, mean: 8123, p50: 7100, p95: 11000, p99: 20000,
 	}, runResult{statusErr: map[int]int64{429: 12, 503: 3}, transport: 2})
 	fields := strings.Split(line, "\t")
@@ -95,7 +95,7 @@ func TestBenchLineParseable(t *testing.T) {
 		fields[i] = strings.TrimSpace(fields[i])
 	}
 	want := []string{
-		"BenchmarkServeClosed-8", "250000", "8123 ns/op",
+		"BenchmarkServeOpen-8", "250000", "8123 ns/op",
 		"50123.4 qps", "50123.4 eps", "7100 p50-ns", "11000 p95-ns", "20000 p99-ns",
 		"12 err-429", "3 err-503", "2 err-transport",
 	}
@@ -105,31 +105,6 @@ func TestBenchLineParseable(t *testing.T) {
 	clean := benchLine("ServeOpen", 2, stats{n: 1}, runResult{})
 	if strings.Contains(clean, "err-") {
 		t.Errorf("clean run reports failures: %q", clean)
-	}
-}
-
-func TestLoadCorpus(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corpus.ndjson")
-	content := "{\"a\":1}\n\n  {\"b\":2}  \n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := loadCorpus(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(corpus) != 2 || string(corpus[0]) != `{"a":1}` || string(corpus[1]) != `{"b":2}` {
-		t.Errorf("corpus = %q", corpus)
-	}
-	empty := filepath.Join(t.TempDir(), "empty.ndjson")
-	if err := os.WriteFile(empty, []byte("\n\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadCorpus(empty); err == nil {
-		t.Error("empty corpus must be an error")
-	}
-	if _, err := loadCorpus(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file must be an error")
 	}
 }
 
@@ -156,25 +131,6 @@ func testCorpus(t *testing.T) [][]byte {
 		t.Fatal(err)
 	}
 	return corpus
-}
-
-func TestClosedLoopEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a simulation and a timed load loop; skipped with -short")
-	}
-	ts := newLoadTestServer(t)
-	corpus := testCorpus(t)
-	res := closedLoop(ts.Client(), ts.URL+"/v1/estimate", corpus, 2, 200*time.Millisecond)
-	if n := res.errs(); n != 0 {
-		t.Fatalf("%d requests failed", n)
-	}
-	s, ok := summarize(res, 1)
-	if !ok || s.n == 0 {
-		t.Fatal("closed loop completed no requests")
-	}
-	if s.p50 <= 0 || s.p99 < s.p50 {
-		t.Errorf("implausible percentiles: %+v", s)
-	}
 }
 
 func TestOpenLoopEndToEnd(t *testing.T) {
@@ -245,13 +201,76 @@ func TestErrorClassification(t *testing.T) {
 	if got := res.errs(); got != 6 {
 		t.Errorf("errs() = %d, want 6", got)
 	}
+}
 
-	// merge must preserve the breakdown across worker results.
-	var merged runResult
-	merged.merge(res)
-	merged.merge(runResult{statusErr: map[int]int64{429: 1}, transport: 1})
-	if merged.statusErr[429] != 4 || merged.transport != 3 || merged.errs() != 8 {
-		t.Errorf("merged = %v/%d (total %d), want 429:4 transport:3 total 8",
-			merged.statusErr, merged.transport, merged.errs())
+// TestRunFlagErrors: every bad flag is refused before the corpus simulation
+// starts, so these return at once.
+func TestRunFlagErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"qps-missing", nil, "-qps must be > 0"},
+		{"qps-zero", []string{"-qps", "0"}, "-qps must be > 0"},
+		{"batch-zero", []string{"-qps", "10", "-batch", "0"}, "-batch must be >= 1"},
+		{"conns-zero", []string{"-qps", "10", "-conns", "0"}, "-conns must be >= 1"},
+		{"duration-zero", []string{"-qps", "10", "-duration", "0s"}, "-duration must be > 0"},
+		{"positional", []string{"-qps", "10", "extra"}, "unexpected arguments"},
+		{"unknown-flag", []string{"-bogus"}, "flag provided but not defined: -bogus"},
+		{"deleted-mode", []string{"-mode", "closed", "-qps", "10"}, "flag provided but not defined: -mode"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			err := run(tc.args, &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+			if stdout.Len() != 0 || strings.Contains(stderr.String(), "synthesizing") {
+				t.Errorf("flag error reached the run: stdout %q stderr %q", stdout.String(), stderr.String())
+			}
+		})
+	}
+}
+
+// TestRunEndToEnd drives run against an in-process daemon and parses the
+// bench line it prints.
+func TestRunEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation and a timed load loop; skipped with -short")
+	}
+	ts := newLoadTestServer(t)
+	var stdout, stderr strings.Builder
+	args := []string{"-addr", ts.URL + "/", "-qps", "500", "-conns", "4", "-duration", "200ms", "-batch", "2"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
+	}
+	fields := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\t")
+	for i := range fields {
+		fields[i] = strings.TrimSpace(fields[i])
+	}
+	if len(fields) != 8 || fields[0] != "BenchmarkServeOpen-4" {
+		t.Fatalf("bench line = %q, want 8 fields named BenchmarkServeOpen-4", stdout.String())
+	}
+	n, err := strconv.Atoi(fields[1])
+	if err != nil || n < 20 {
+		t.Errorf("request count %q: 500 qps for 200ms should complete about 100", fields[1])
+	}
+	units := []string{"ns/op", "qps", "eps", "p50-ns", "p95-ns", "p99-ns"}
+	vals := map[string]float64{}
+	for i, unit := range units {
+		v, u, ok := strings.Cut(fields[2+i], " ")
+		f, err := strconv.ParseFloat(v, 64)
+		if !ok || u != unit || err != nil || f <= 0 {
+			t.Fatalf("field %d = %q, want a positive value in %s", 2+i, fields[2+i], unit)
+		}
+		vals[unit] = f
+	}
+	if math.Abs(vals["eps"]-2*vals["qps"]) > 0.2 { // both rounded to one decimal
+		t.Errorf("eps %v, want 2 x qps %v with -batch 2", vals["eps"], vals["qps"])
+	}
+	if vals["p99-ns"] < vals["p50-ns"] {
+		t.Errorf("p99 %v below p50 %v", vals["p99-ns"], vals["p50-ns"])
 	}
 }

@@ -20,9 +20,7 @@ import (
 // RequestError describes a request the estimation service refused: JSON the
 // decoder could not parse (KindDecode), or well-formed JSON carrying values
 // the validator rejected (KindInvalid). Handlers map both to HTTP 400; the
-// NDJSON stream endpoint terminates the stream on KindDecode — after a
-// malformed line the framing can no longer be trusted — and keeps serving
-// after KindInvalid.
+// kind records which stage refused the input.
 type RequestError struct {
 	Kind string // KindDecode | KindInvalid
 	Msg  string
@@ -83,6 +81,13 @@ func (d *decoder) peek() byte {
 	return d.data[d.pos]
 }
 
+// atEnd reports whether only whitespace remains. peek cannot tell: it
+// returns 0 for a NUL byte too.
+func (d *decoder) atEnd() bool {
+	d.skipWS()
+	return d.pos == len(d.data)
+}
+
 func (d *decoder) expect(c byte) *RequestError {
 	d.skipWS()
 	if d.pos >= len(d.data) || d.data[d.pos] != c {
@@ -116,22 +121,51 @@ func (d *decoder) key() ([]byte, *RequestError) {
 	return nil, decodeErrf("unterminated object key")
 }
 
-// numberSpan consumes the maximal run of number characters.
+// numberSpan consumes one number in JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, so strconv never sees
+// what it accepts beyond JSON (a leading '+', a bare '.'). A number
+// character left after the span, as in 016, fails the caller's delimiter
+// check.
 func (d *decoder) numberSpan() ([]byte, *RequestError) {
 	d.skipWS()
 	start := d.pos
-	for d.pos < len(d.data) {
-		c := d.data[d.pos]
-		if (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' {
-			d.pos++
-			continue
-		}
-		break
+	if d.at('-') {
+		d.pos++
 	}
-	if d.pos == start {
+	switch {
+	case d.at('0'):
+		d.pos++
+	case d.digits() == 0:
 		return nil, decodeErrf("expected a number at offset %d", start)
 	}
+	if d.at('.') {
+		d.pos++
+		if d.digits() == 0 {
+			return nil, decodeErrf("malformed number at offset %d", start)
+		}
+	}
+	if d.at('e') || d.at('E') {
+		d.pos++
+		if d.at('+') || d.at('-') {
+			d.pos++
+		}
+		if d.digits() == 0 {
+			return nil, decodeErrf("malformed number at offset %d", start)
+		}
+	}
 	return d.data[start:d.pos], nil
+}
+
+// at reports whether the next byte is c.
+func (d *decoder) at(c byte) bool { return d.pos < len(d.data) && d.data[d.pos] == c }
+
+// digits consumes a run of decimal digits and returns its length.
+func (d *decoder) digits() int {
+	start := d.pos
+	for d.pos < len(d.data) && d.data[d.pos] >= '0' && d.data[d.pos] <= '9' {
+		d.pos++
+	}
+	return d.pos - start
 }
 
 func (d *decoder) float(field string) (float64, *RequestError) {
@@ -170,23 +204,57 @@ func (d *decoder) int(field string) (int, *RequestError) {
 	return int(v), nil
 }
 
-// skipString consumes a string value, escapes included.
+// skipString consumes a string value, escapes included, holding it to
+// JSON's grammar: no raw control characters, only the escapes JSON defines.
 func (d *decoder) skipString() *RequestError {
 	if err := d.expect('"'); err != nil {
 		return err
 	}
 	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case '"':
+		switch c := d.data[d.pos]; {
+		case c == '"':
 			d.pos++
 			return nil
-		case '\\':
-			d.pos += 2
+		case c == '\\':
+			if err := d.skipEscape(); err != nil {
+				return err
+			}
+		case c < 0x20:
+			return decodeErrf("control character in string at offset %d", d.pos)
 		default:
 			d.pos++
 		}
 	}
 	return decodeErrf("unterminated string")
+}
+
+// skipEscape consumes one escape sequence: \" \\ \/ \b \f \n \r \t or
+// \u and four hex digits.
+func (d *decoder) skipEscape() *RequestError {
+	start := d.pos
+	d.pos++
+	if d.pos >= len(d.data) {
+		return decodeErrf("unterminated string")
+	}
+	switch d.data[d.pos] {
+	case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+		d.pos++
+		return nil
+	case 'u':
+		d.pos++
+		for i := 0; i < 4; i++ {
+			if d.pos >= len(d.data) || !isHex(d.data[d.pos]) {
+				return decodeErrf("bad escape at offset %d", start)
+			}
+			d.pos++
+		}
+		return nil
+	}
+	return decodeErrf("bad escape at offset %d", start)
+}
+
+func isHex(c byte) bool {
+	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
 // skipLiteral consumes true/false/null.
@@ -384,10 +452,13 @@ func (d *decoder) parseRequest(req *Request, maxApps int) *RequestError {
 	}
 }
 
+// parseApps fills req.Apps from the current array. A repeated "apps" key
+// replaces the earlier list, as it does for every other key.
 func (d *decoder) parseApps(req *Request, maxApps int) *RequestError {
 	if err := d.expect('['); err != nil {
 		return err
 	}
+	req.Apps = req.Apps[:0]
 	if d.peek() == ']' {
 		d.pos++
 		return nil
@@ -438,7 +509,7 @@ func decodeRequests(data []byte, reqs []Request, maxBatch, maxApps int) ([]Reque
 		if err := d.parseRequest(&reqs[len(reqs)-1], maxApps); err != nil {
 			return reqs, true, err
 		}
-		if d.peek() != 0 {
+		if !d.atEnd() {
 			return reqs, true, decodeErrf("trailing data at offset %d", d.pos)
 		}
 		return reqs, true, nil
@@ -460,7 +531,7 @@ func decodeRequests(data []byte, reqs []Request, maxBatch, maxApps int) ([]Reque
 				d.pos++
 			case ']':
 				d.pos++
-				if d.peek() != 0 {
+				if !d.atEnd() {
 					return reqs, false, decodeErrf("trailing data at offset %d", d.pos)
 				}
 				return reqs, false, nil
@@ -542,15 +613,6 @@ func appendResponses(buf []byte, resps []Response, single bool) []byte {
 		buf = appendResponse(buf, &resps[i])
 	}
 	return append(buf, ']')
-}
-
-// AppendError encodes the service's JSON error body ({"error":"..."}) into
-// buf — used for NDJSON stream error lines, where the HTTP status is already
-// on the wire.
-func AppendError(buf []byte, msg string) []byte {
-	buf = append(buf, `{"error":`...)
-	buf = strconv.AppendQuote(buf, msg)
-	return append(buf, '}')
 }
 
 // AppendRequest encodes req as the wire JSON the service decodes — the

@@ -124,36 +124,42 @@ func TestResponseIsValidJSON(t *testing.T) {
 	}
 }
 
-// TestDecodeEdgeCases drives the hand-rolled decoder through its rejection
-// paths and its unknown-field tolerance.
+const validBody = `{"interval_cycles":50000,"apps":[{"sms":8,"alpha":0.5,"served":100}]}`
+
+// decodeEdgeCases drive the hand-rolled decoder through its rejection paths
+// and its unknown-field tolerance; FuzzDecodeRequests seeds from them too.
+var decodeEdgeCases = []struct {
+	name, body string
+	kind       string // "" = accept
+}{
+	{"valid-minimal", validBody, ""},
+	{"unknown-fields-skipped", `{"interval_cycles":50000,"future":{"a":[1,"x\"y",true,null]},"apps":[{"sms":8,"alpha":0.5,"served":100,"note":"hi"}]}`, ""},
+	{"whitespace-tolerant", "  {\n\t\"interval_cycles\": 50000 , \"apps\" : [ { \"sms\" : 8 } ]\n}  ", ""},
+	{"empty-body", "", KindDecode},
+	{"not-json", "hello", KindDecode},
+	{"bare-number", "42", KindDecode},
+	{"trailing-data", validBody + "x", KindDecode},
+	{"trailing-data-batch", "[" + validBody + "]x", KindDecode},
+	{"unterminated-object", `{"interval_cycles":50000`, KindDecode},
+	{"unterminated-string", `{"interval_cycles":50000,"x":"abc`, KindDecode},
+	{"escaped-key-rejected", `{"interval_cy\u0063les":50000,"apps":[{}]}`, KindDecode},
+	{"bad-number", `{"interval_cycles":12e,"apps":[{}]}`, KindDecode},
+	{"plus-sign-number", `{"num_sms":+16,"apps":[{}]}`, KindDecode},
+	{"leading-zero-number", `{"num_sms":016,"apps":[{}]}`, KindDecode},
+	{"bare-fraction-number", `{"apps":[{"alpha":.5}]}`, KindDecode},
+	{"negative-uint", `{"interval_cycles":-1,"apps":[{}]}`, KindDecode},
+	{"float-for-uint", `{"apps":[{"served":1.5}]}`, KindDecode},
+	{"huge-float-overflows", `{"apps":[{"alpha":1e999}]}`, KindDecode},
+	{"nan-is-not-json", `{"apps":[{"alpha":NaN}]}`, KindDecode},
+	{"deep-nesting-bounded", `{"x":` + strings.Repeat(`[`, 40) + strings.Repeat(`]`, 40) + `,"apps":[{}]}`, KindDecode},
+	{"empty-batch", "[]", KindInvalid},
+	{"oversized-batch", "[" + strings.Repeat(validBody+",", 64) + validBody + "]", KindInvalid},
+	{"too-many-apps", `{"apps":[{},{},{},{},{},{},{},{},{}]}`, KindInvalid},
+}
+
+// TestDecodeEdgeCases checks each decodeEdgeCases body's verdict.
 func TestDecodeEdgeCases(t *testing.T) {
-	valid := `{"interval_cycles":50000,"apps":[{"sms":8,"alpha":0.5,"served":100}]}`
-	cases := []struct {
-		name, body string
-		kind       string // "" = accept
-	}{
-		{"valid-minimal", valid, ""},
-		{"unknown-fields-skipped", `{"interval_cycles":50000,"future":{"a":[1,"x\"y",true,null]},"apps":[{"sms":8,"alpha":0.5,"served":100,"note":"hi"}]}`, ""},
-		{"whitespace-tolerant", "  {\n\t\"interval_cycles\": 50000 , \"apps\" : [ { \"sms\" : 8 } ]\n}  ", ""},
-		{"empty-body", "", KindDecode},
-		{"not-json", "hello", KindDecode},
-		{"bare-number", "42", KindDecode},
-		{"trailing-data", valid + "x", KindDecode},
-		{"trailing-data-batch", "[" + valid + "]x", KindDecode},
-		{"unterminated-object", `{"interval_cycles":50000`, KindDecode},
-		{"unterminated-string", `{"interval_cycles":50000,"x":"abc`, KindDecode},
-		{"escaped-key-rejected", `{"interval_cy\u0063les":50000,"apps":[{}]}`, KindDecode},
-		{"bad-number", `{"interval_cycles":12e,"apps":[{}]}`, KindDecode},
-		{"negative-uint", `{"interval_cycles":-1,"apps":[{}]}`, KindDecode},
-		{"float-for-uint", `{"apps":[{"served":1.5}]}`, KindDecode},
-		{"huge-float-overflows", `{"apps":[{"alpha":1e999}]}`, KindDecode},
-		{"nan-is-not-json", `{"apps":[{"alpha":NaN}]}`, KindDecode},
-		{"deep-nesting-bounded", `{"x":` + strings.Repeat(`[`, 40) + strings.Repeat(`]`, 40) + `,"apps":[{}]}`, KindDecode},
-		{"empty-batch", "[]", KindInvalid},
-		{"oversized-batch", "[" + strings.Repeat(valid+",", 64) + valid + "]", KindInvalid},
-		{"too-many-apps", `{"apps":[{},{},{},{},{},{},{},{},{}]}`, KindInvalid},
-	}
-	for _, tc := range cases {
+	for _, tc := range decodeEdgeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, err := decodeRequests([]byte(tc.body), nil, 64, 8)
 			if tc.kind == "" {
@@ -194,21 +200,6 @@ func TestDecodeReuseKeepsCapacity(t *testing.T) {
 	}
 	if r.Apps[0] != (AppCounters{SMs: 1}) {
 		t.Fatalf("stale app counters leaked: %+v", r.Apps[0])
-	}
-}
-
-// TestAppendErrorQuotes: error bodies must be valid JSON even for messages
-// containing quotes.
-func TestAppendErrorQuotes(t *testing.T) {
-	out := AppendError(nil, `expected '"' somewhere`)
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(out, &e); err != nil {
-		t.Fatalf("invalid JSON: %v (%s)", err, out)
-	}
-	if e.Error != `expected '"' somewhere` {
-		t.Fatalf("message mangled: %q", e.Error)
 	}
 }
 

@@ -133,16 +133,12 @@ func NewService(opt Options) *Service {
 	return s
 }
 
-// Options returns the resolved options.
-func (s *Service) Options() Options { return s.opt }
-
-// Scratch holds every buffer one request (or one stream) needs. Recycle
+// Scratch holds every buffer one request needs. Recycle
 // through Get/Put; after the first few requests warm a Scratch, Process
 // performs no allocations.
 type Scratch struct {
-	// Body is the raw request bytes: one JSON object, a JSON array batch,
-	// or one NDJSON line. Callers fill it (reusing its capacity) before
-	// Process.
+	// Body is the raw request bytes: one JSON object or a JSON array
+	// batch. Callers fill it (reusing its capacity) before Process.
 	Body []byte
 	// Out is the encoded response, valid until the next Process on this
 	// Scratch.
@@ -156,8 +152,6 @@ type Scratch struct {
 	cur   []int
 	// search owns the partition search's reciprocal table and partitions.
 	search sched.PartitionSearch
-	// LineScanner state for NDJSON streams (stream.go).
-	scan lineScanner
 }
 
 // Get returns a pooled Scratch.
@@ -168,10 +162,6 @@ func (s *Service) Put(sc *Scratch) { s.pool.Put(sc) }
 
 // BatchSize reports how many snapshots the last successful Process handled.
 func (sc *Scratch) BatchSize() int { return len(sc.resps) }
-
-// Requests exposes the decoded requests of the last Process — read-only,
-// valid until the next Process on this Scratch.
-func (sc *Scratch) Requests() []Request { return sc.reqs }
 
 // Process decodes sc.Body, validates it, estimates every snapshot, and
 // encodes the response into sc.Out. A non-nil error is always a
@@ -198,23 +188,6 @@ func (s *Service) Process(sc *Scratch) error {
 	}
 	sc.Out = appendResponses(sc.Out, sc.resps, single)
 	return nil
-}
-
-// EstimateSnapshot is the in-process convenience path: one live snapshot in,
-// one Response out (allocating freely — serving paths use Process).
-func (s *Service) EstimateSnapshot(snap *sim.IntervalSnapshot) (Response, error) {
-	req := FromSnapshot(snap)
-	sc := s.Get()
-	defer s.Put(sc)
-	s.applyDefaults(&req)
-	if err := s.validate(&req, 0, false); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	s.estimateOne(&req, &resp, sc)
-	resp.Apps = append([]AppResult(nil), resp.Apps...)
-	resp.Partition = append([]int(nil), resp.Partition...)
-	return resp, nil
 }
 
 func (s *Service) applyDefaults(req *Request) {

@@ -16,9 +16,9 @@ import (
 func TestServiceMatchesModel(t *testing.T) {
 	svc := NewService(Options{})
 	req := sampleRequest(0)
-	req.PeakReqPerCyc = svc.Options().Cfg.PeakRequestsPerCycle()
-	req.PeakActPerCyc = svc.Options().Cfg.PeakActivationsPerCycle()
-	req.ReqMaxFactor = svc.Options().Cfg.RequestMaxFactor
+	req.PeakReqPerCyc = svc.opt.Cfg.PeakRequestsPerCycle()
+	req.PeakActPerCyc = svc.opt.Cfg.PeakActivationsPerCycle()
+	req.ReqMaxFactor = svc.opt.Cfg.RequestMaxFactor
 
 	sc := svc.Get()
 	defer svc.Put(sc)
@@ -143,6 +143,29 @@ func TestValidationRejections(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "request 1:") {
 		t.Fatalf("batch rejection must name the request index, got %v", err)
 	}
+
+	// A rejected body leaves the pooled Scratch usable: the good body after
+	// an invalid and a malformed one is answered with the same bytes as
+	// before them.
+	goodBody := AppendRequest(nil, &good)
+	sc.Body = append(sc.Body[:0], goodBody...)
+	if err := svc.Process(sc); err != nil {
+		t.Fatalf("good body: %v", err)
+	}
+	want := string(sc.Out)
+	for _, rejected := range []string{string(AppendRequest(nil, &bad)), `{"apps":[`} {
+		sc.Body = append(sc.Body[:0], rejected...)
+		if err := svc.Process(sc); err == nil {
+			t.Fatalf("%s: want rejection, got accept", rejected)
+		}
+	}
+	sc.Body = append(sc.Body[:0], goodBody...)
+	if err := svc.Process(sc); err != nil {
+		t.Fatalf("good body after rejections: %v", err)
+	}
+	if string(sc.Out) != want || sc.BatchSize() != 1 {
+		t.Fatalf("good body after rejections answered %s (batch %d), want %s", sc.Out, sc.BatchSize(), want)
+	}
 }
 
 // TestDefaultsApplied: a minimal request inherits the service's machine
@@ -155,34 +178,11 @@ func TestDefaultsApplied(t *testing.T) {
 	if err := svc.Process(sc); err != nil {
 		t.Fatalf("minimal request rejected: %v", err)
 	}
-	reqs := sc.Requests()
-	cfg := svc.Options().Cfg
+	reqs := sc.reqs
+	cfg := svc.opt.Cfg
 	if reqs[0].IntervalCycles != cfg.IntervalCycles || reqs[0].NumSMs != cfg.NumSMs ||
 		reqs[0].ReqMaxFactor != cfg.RequestMaxFactor || reqs[0].MinSMs != 1 {
 		t.Fatalf("defaults not applied: %+v", reqs[0])
-	}
-}
-
-// TestEstimateSnapshot exercises the in-process convenience path.
-func TestEstimateSnapshot(t *testing.T) {
-	svc := NewService(Options{})
-	req := sampleRequest(0)
-	snap := sim.IntervalSnapshot{
-		IntervalCycles: req.IntervalCycles,
-		NumSMs:         req.NumSMs,
-		PeakReqPerCyc:  svc.Options().Cfg.PeakRequestsPerCycle(),
-		PeakActPerCyc:  svc.Options().Cfg.PeakActivationsPerCycle(),
-		ReqMaxFactor:   0.6,
-	}
-	for _, a := range req.Apps {
-		snap.Apps = append(snap.Apps, sim.AppInterval{SMs: a.SMs, Alpha: a.Alpha, Served: a.Served, BLP: a.BLP})
-	}
-	resp, err := svc.EstimateSnapshot(&snap)
-	if err != nil {
-		t.Fatalf("EstimateSnapshot: %v", err)
-	}
-	if len(resp.Apps) != 2 || len(resp.Partition) != 2 {
-		t.Fatalf("unexpected response: %+v", resp)
 	}
 }
 

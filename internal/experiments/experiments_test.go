@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -160,5 +162,29 @@ func TestFig9ResultImprovements(t *testing.T) {
 	var zero Fig9Result
 	if zero.FairnessImprovement() != 0 || zero.PerformanceImprovement() != 0 {
 		t.Fatal("zero result should yield zero improvements")
+	}
+}
+
+// TestFloatJSON: non-finite values encode as strings and decode back, and a
+// finite Float encodes to the bytes a float64 does.
+func TestFloatJSON(t *testing.T) {
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -1.5, 1e-7, 3.388560596640486, 1e21} {
+		data, err := json.Marshal(Float(v))
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if plain, err := json.Marshal(v); err == nil && string(data) != string(plain) {
+			t.Errorf("%v encodes as %s, float64 as %s", v, data, plain)
+		}
+		var back Float
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("%v: unmarshal %s: %v", v, data, err)
+		}
+		if math.Float64bits(float64(back)) != math.Float64bits(v) {
+			t.Errorf("%v round-trips to %v", v, back)
+		}
+	}
+	if got, _ := json.Marshal([]Float{Float(math.Inf(1)), Float(math.NaN())}); string(got) != `["+Inf","NaN"]` {
+		t.Errorf("encoding = %s", got)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -247,6 +248,19 @@ func TestExtTemporalIntegration(t *testing.T) {
 		t.Fatalf("rows = %d, want 5", len(rows))
 	}
 	checkGolden(t, "extG", RenderExtTemporal(rows), rows)
+	// The rows hold +Inf at this budget; cmd/experiments -json must still
+	// encode them, and decoding gives back the same %+v data.
+	data, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var back []ExtTemporalRow
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("unmarshal %s: %v", data, err)
+	}
+	if got, want := fmt.Sprintf("%+v", back), fmt.Sprintf("%+v", rows); got != want {
+		t.Errorf("JSON round trip changed the rows:\n got %s\nwant %s", got, want)
+	}
 }
 
 func TestFig6Integration(t *testing.T) {

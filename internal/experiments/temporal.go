@@ -12,9 +12,10 @@ import (
 // ExtTemporalRow compares multitasking paradigms on one workload.
 type ExtTemporalRow struct {
 	Workload string
-	// Weighted speedup (Σ 1/slowdown) and unfairness per paradigm.
+	// Weighted speedup (Σ 1/slowdown) and unfairness per paradigm. An app
+	// that never gets a time slice makes temporal unfairness +Inf.
 	WSTemporal, WSSpatial, WSFair    float64
-	UnfTemporal, UnfSpatial, UnfFair float64
+	UnfTemporal, UnfSpatial, UnfFair Float
 }
 
 // ExtTemporal (Ext.G) reproduces the premise of spatial multitasking
@@ -51,9 +52,9 @@ func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, error) {
 			WSTemporal:  metrics.WeightedSpeedup(temporal.Actual),
 			WSSpatial:   metrics.WeightedSpeedup(spatial.Actual),
 			WSFair:      metrics.WeightedSpeedup(fair.Actual),
-			UnfTemporal: temporal.Unfairness,
-			UnfSpatial:  spatial.Unfairness,
-			UnfFair:     fair.Unfairness,
+			UnfTemporal: Float(temporal.Unfairness),
+			UnfSpatial:  Float(spatial.Unfairness),
+			UnfFair:     Float(fair.Unfairness),
 		}
 	}
 	return rows, nil
@@ -71,7 +72,7 @@ func RenderExtTemporal(rows []ExtTemporalRow) *Table {
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r.Workload,
 			f2(r.WSTemporal), f2(r.WSSpatial), f2(r.WSFair),
-			f2(r.UnfTemporal), f2(r.UnfSpatial), f2(r.UnfFair)})
+			f2(float64(r.UnfTemporal)), f2(float64(r.UnfSpatial)), f2(float64(r.UnfFair))})
 		wt += r.WSTemporal
 		wsp += r.WSSpatial
 		wf += r.WSFair

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -140,134 +139,28 @@ func TestEstimateRejections(t *testing.T) {
 	}
 }
 
-// TestEstimateStream drives the NDJSON endpoint over a single connection:
-// responses must arrive per line (backpressure-friendly incremental
-// flushing), an invalid line must produce an error line without killing the
-// stream, and a malformed line must terminate it.
-func TestEstimateStream(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate/stream", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	lines := bufio.NewScanner(resp.Body)
-
-	send := func(line []byte) {
-		t.Helper()
-		if _, err := pw.Write(append(line, '\n')); err != nil {
-			t.Fatal(err)
-		}
-	}
-	read := func() estResp {
-		t.Helper()
-		if !lines.Scan() {
-			t.Fatalf("stream ended early: %v", lines.Err())
-		}
-		var er estResp
-		if err := json.Unmarshal(lines.Bytes(), &er); err != nil {
-			t.Fatalf("bad line %q: %v", lines.Text(), err)
-		}
-		return er
-	}
-
-	// Each request must be answered before the next is sent: per-line flush.
-	for i := uint64(1); i <= 3; i++ {
-		send(estBody(i))
-		er := read()
-		if er.ID != i || er.Error != "" {
-			t.Fatalf("line %d: %+v", i, er)
-		}
-	}
-
-	// Invalid counters: error line, stream stays up.
-	send([]byte(`{"apps":[{"sms":8,"alpha":-1}]}`))
-	if er := read(); er.Error == "" {
-		t.Fatalf("want error line, got %+v", er)
-	}
-	send(estBody(9))
-	if er := read(); er.ID != 9 || er.Error != "" {
-		t.Fatalf("stream must continue after invalid line: %+v", er)
-	}
-
-	// Malformed JSON: error line, then the server closes the stream.
-	send([]byte(`{"apps":[`))
-	if er := read(); er.Error == "" {
-		t.Fatalf("want decode error line")
-	}
-	if lines.Scan() {
-		t.Fatalf("stream must terminate after a malformed line, got %q", lines.Text())
-	}
-	pw.Close()
-}
-
-// TestEstimateStreamDrain: a stream in flight when Shutdown begins gets a
-// final error line instead of hanging.
-func TestEstimateStreamDrain(t *testing.T) {
+// TestEstimateDraining: once shutdown has begun, POST /v1/estimate is
+// refused with 503 and the service's error body, so the listener can close
+// promptly.
+func TestEstimateDraining(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-
-	pr, pw := io.Pipe()
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate/stream", pr)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if resp, data := postEstimate(t, ts, estBody(1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("before drain: status %d: %s", resp.StatusCode, data)
 	}
-	defer resp.Body.Close()
-	lines := bufio.NewScanner(resp.Body)
-
-	if _, err := pw.Write(append(estBody(1), '\n')); err != nil {
-		t.Fatal(err)
-	}
-	if !lines.Scan() {
-		t.Fatalf("no response to first line: %v", lines.Err())
-	}
-
-	// Begin draining while the stream is open.
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		shutdownDone <- s.Shutdown(ctx)
-	}()
-	// Wait until the server reports draining.
-	for !s.isDraining() {
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := pw.Write(append(estBody(2), '\n')); err != nil {
-		t.Fatal(err)
-	}
-	if !lines.Scan() {
-		t.Fatalf("draining stream must answer with an error line: %v", lines.Err())
-	}
-	var er estResp
-	if err := json.Unmarshal(lines.Bytes(), &er); err != nil || er.Error == "" {
-		t.Fatalf("want drain error line, got %q", lines.Text())
-	}
-	if lines.Scan() {
-		t.Fatalf("stream must close after the drain error")
-	}
-	pw.Close()
-	if err := <-shutdownDone; err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-
-	// New estimation work is refused while/after draining.
-	resp2, err := http.Post(ts.URL+"/v1/estimate", "application/json", bytes.NewReader(estBody(3)))
-	if err == nil {
-		defer resp2.Body.Close()
-		if resp2.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("draining estimate status %d, want 503", resp2.StatusCode)
-		}
+	resp, data := postEstimate(t, ts, estBody(2))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining estimate status %d, want 503: %s", resp.StatusCode, data)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(data, &e); err != nil || e.Error != ErrDraining.Error() {
+		t.Fatalf("draining error body = %s, want %q", data, ErrDraining.Error())
 	}
 }
 

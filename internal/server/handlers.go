@@ -50,7 +50,6 @@ func SubmitStatus(err error) int {
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/kernels           the kernel catalogue
 //	POST   /v1/estimate          online DASE estimation (object or array batch)
-//	POST   /v1/estimate/stream   NDJSON request/response estimation stream
 //	GET    /healthz              liveness probe (503 only while draining)
 //	GET    /readyz               readiness probe (503 during replay, drain, or failed checks)
 //	GET    /metrics              Prometheus text metrics
@@ -63,7 +62,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/kernels", s.handleKernels)
 	mux.HandleFunc("POST /v1/estimate", s.handleEstimate)
-	mux.HandleFunc("POST /v1/estimate/stream", s.handleEstimateStream)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -79,20 +77,6 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so streaming handlers (the NDJSON
-// estimation stream) can push lines through the middleware.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer (the
-// stream handler needs EnableFullDuplex).
-func (r *statusRecorder) Unwrap() http.ResponseWriter {
-	return r.ResponseWriter
 }
 
 // logMiddleware emits one structured line per request, carrying the job id

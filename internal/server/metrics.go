@@ -42,7 +42,6 @@ type Metrics struct {
 
 	estRequests *telemetry.Counter   // snapshots served by the online estimation API
 	estRejected *telemetry.Counter   // estimation requests refused (malformed or invalid input)
-	estStreams  *telemetry.Gauge     // NDJSON estimation streams in flight
 	estLatency  *telemetry.Histogram // per-body estimation service time (transport excluded)
 	estBatch    *telemetry.Histogram // snapshots per estimation body
 }
@@ -79,7 +78,6 @@ func newMetrics(queueDepth func() int, cacheStats func() (uint64, uint64, uint64
 
 	m.estRequests = reg.Counter("dased_estimate_requests_total", "Counter snapshots estimated by the online API.")
 	m.estRejected = reg.Counter("dased_estimate_rejected_total", "Estimation requests rejected for malformed or invalid input.")
-	m.estStreams = reg.Gauge("dased_estimate_streams_active", "NDJSON estimation streams currently open.")
 	m.estLatency = reg.Histogram("dased_estimate_latency_seconds",
 		"Service time of one estimation body, decode to encode (HTTP transport excluded).",
 		0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.001, 0.005)

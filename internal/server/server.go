@@ -180,8 +180,7 @@ func (o Options) withDefaults() Options {
 // are normally untruncated. Whole-run aggregates are exact regardless.
 const snapshotRetention = 4096
 
-// estimateMaxBody bounds estimate request bodies and NDJSON stream lines,
-// in bytes.
+// estimateMaxBody bounds estimate request bodies, in bytes.
 const estimateMaxBody = 1 << 20
 
 // Server is the simulation-as-a-service daemon core. Construct with New,

@@ -11,20 +11,6 @@
 //	dased -journal dased.wal -max-retries 3   # crash-safe job journal
 //	dased -trace-dir traces -log-format json  # per-job Chrome traces
 //
-// Cluster mode shards jobs across several daemons by consistent hashing on
-// their simulation content address, with heartbeat failure detection,
-// journal hand-off from dead nodes, and work-stealing (same -peers string on
-// every node; -journal names a shared directory, one <node-id>.wal per
-// node):
-//
-//	dased -node-id n1 -peers n1=http://h1:8844,n2=http://h2:8844,n3=http://h3:8844 \
-//	      -journal /shared/dased -addr :8844
-//
-// Each node serves its own /metrics (cluster RPC latency and peer state
-// included); scrape every node. With -trace-events each node also serves its
-// cluster-layer spans at GET /cluster/v1/trace, and cmd/dasetrace merges
-// those NDJSON dumps into one cross-node timeline.
-//
 // Example session:
 //
 //	curl -s localhost:8844/v1/jobs -d '{"kernels":["SB","SD"],"slowdowns":true}'
@@ -55,31 +41,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"dasesim"
-	"dasesim/internal/cluster"
 	"dasesim/internal/server"
 )
-
-// parsePeers decodes the -peers flag: comma-separated id=url pairs.
-func parsePeers(s string) (map[string]string, error) {
-	peers := map[string]string{}
-	for _, pair := range strings.Split(s, ",") {
-		id, url, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("bad -peers entry %q (want id=url)", pair)
-		}
-		if _, dup := peers[id]; dup {
-			return nil, fmt.Errorf("duplicate node %q in -peers", id)
-		}
-		peers[id] = strings.TrimRight(url, "/")
-	}
-	return peers, nil
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -103,7 +70,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		queueDepth      = fs.Int("queue", 64, "job queue depth; beyond it submissions get 429")
 		jobTimeout      = fs.Duration("job-timeout", 2*time.Minute, "per-job wall-time limit")
 		maxCycles       = fs.Uint64("max-cycles", 20_000_000, "largest accepted cycle budget")
-		journalPath     = fs.String("journal", "", "append job lifecycle records to this file and recover from it on startup (cluster mode: a shared directory, one <node-id>.wal per node)")
+		journalPath     = fs.String("journal", "", "append job lifecycle records to this file and recover from it on startup")
 		maxRetries      = fs.Int("max-retries", 2, "retries per job for transient failures (negative disables)")
 		shedHighWater   = fs.Int("shed-highwater", 0, "queue length at which uncached submissions are shed (0: 3/4 of -queue, negative: off)")
 		drainGrace      = fs.Duration("drain-grace", 30*time.Second, "shutdown drain budget before running jobs are hard-cancelled")
@@ -114,9 +81,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		logFormat       = fs.String("log-format", "text", "log output format: text | json")
 		traceEvents     = fs.Int("trace-events", 0, "per-job trace ring capacity in events; 0 disables tracing unless -trace-dir is set")
 		traceDir        = fs.String("trace-dir", "", "write each finished job's Chrome trace JSON into this directory (implies tracing)")
-		nodeID          = fs.String("node-id", "", "this node's cluster identity; required with -peers")
-		peersFlag       = fs.String("peers", "", "cluster peer map as comma-separated id=url pairs including this node; enables cluster mode")
-		hbInterval      = fs.Duration("heartbeat-interval", time.Second, "cluster heartbeat period; suspicion and death timeouts scale from it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -134,7 +98,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	logger := slog.New(handler)
 
 	opts := server.Options{
-		NodeID:          *nodeID,
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
 		JobTimeout:      *jobTimeout,
@@ -151,26 +114,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	// explicit 0 means none.
 	if *maxRetries == 0 {
 		opts.MaxRetries = -1
-	}
-	var peers map[string]string
-	journalDir := ""
-	if *peersFlag != "" {
-		if *nodeID == "" {
-			return errors.New("-peers requires -node-id")
-		}
-		var err error
-		if peers, err = parsePeers(*peersFlag); err != nil {
-			return err
-		}
-		// In cluster mode -journal names the shared hand-off directory;
-		// this node's own journal lives inside it.
-		if *journalPath != "" {
-			journalDir = *journalPath
-			if err := os.MkdirAll(journalDir, 0o755); err != nil {
-				return fmt.Errorf("create journal dir: %w", err)
-			}
-			opts.JournalPath = filepath.Join(journalDir, *nodeID+".wal")
-		}
 	}
 	if *configPath != "" {
 		cfg, err := dasesim.LoadConfig(*configPath)
@@ -217,36 +160,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	srv.Start()
 
-	apiHandler := srv.Handler()
-	var node *cluster.Node
-	if peers != nil {
-		node, err = cluster.New(srv, cluster.Options{
-			Self:              *nodeID,
-			Peers:             peers,
-			HeartbeatInterval: *hbInterval,
-			JournalDir:        journalDir,
-			Logger:            logger,
-			// The cluster layer shares the job tracer's capacity setting: one
-			// flag turns on end-to-end tracing, node-local and cross-node.
-			TraceEvents: *traceEvents,
-		})
-		if err != nil {
-			grace, cancel := context.WithTimeout(context.Background(), *drainGrace)
-			defer cancel()
-			_ = srv.Shutdown(grace) // nothing was served; only replayed jobs can be running
-			return fmt.Errorf("cluster init: %w", err)
-		}
-		node.Start()
-		apiHandler = node.Handler()
-		logger.Info("cluster mode", "node", *nodeID, "peers", len(peers), "journal_dir", journalDir)
-	}
-
 	// ReadTimeout covers header + body: job submissions are small JSON
 	// documents, so a client that cannot deliver one inside 30s is stalled or
 	// hostile. No WriteTimeout — long-poll responses legitimately take up to
 	// LongPollMax to produce.
 	httpSrv := &http.Server{
-		Handler:           apiHandler,
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
@@ -267,9 +186,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	defer cancel()
 	if err := httpSrv.Shutdown(grace); err != nil {
 		logger.Error("http shutdown failed", "err", err)
-	}
-	if node != nil {
-		node.Stop()
 	}
 	if err := srv.Shutdown(grace); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("drain failed", "err", err)

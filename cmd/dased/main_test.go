@@ -56,9 +56,9 @@ func logAddr(t *testing.T, logs *syncBuffer, msg string, done <-chan error) stri
 	}
 }
 
-// TestRunServesAndDrains boots dased with all 19 flags set (cluster mode on
-// a one-node ring), runs one small SB+SD job, checks its result against a
-// direct simulation, and stops the daemon by cancelling its context.
+// TestRunServesAndDrains boots dased with all 16 flags set, runs one small
+// SB+SD job, checks its result against a direct simulation, and stops the
+// daemon by cancelling its context.
 func TestRunServesAndDrains(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "gpu.json")
@@ -70,7 +70,7 @@ func TestRunServesAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	traceDir := filepath.Join(dir, "traces")
-	journalDir := filepath.Join(dir, "journal")
+	journalPath := filepath.Join(dir, "dased.wal")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -80,11 +80,10 @@ func TestRunServesAndDrains(t *testing.T) {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-workers", "1", "-queue", "4",
 			"-job-timeout", "1m", "-max-cycles", "1000000",
-			"-journal", journalDir, "-max-retries", "0", "-shed-highwater", "-1",
+			"-journal", journalPath, "-max-retries", "0", "-shed-highwater", "-1",
 			"-drain-grace", "30s", "-config", cfgPath, "-kernels", kernelsPath,
 			"-check-invariants", "-debug-addr", "127.0.0.1:0", "-log-format", "json",
 			"-trace-events", "256", "-trace-dir", traceDir,
-			"-node-id", "n1", "-peers", "n1=http://127.0.0.1:1", "-heartbeat-interval", "50ms",
 		}, logs)
 	}()
 	base := "http://" + logAddr(t, logs, "listening", done)
@@ -149,7 +148,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	if !strings.Contains(logs.String(), `"msg":"stopped"`) {
 		t.Errorf("no stopped line after the drain:\n%s", logs)
 	}
-	for _, path := range []string{filepath.Join(traceDir, v.ID+".trace.json"), filepath.Join(journalDir, "n1.wal")} {
+	for _, path := range []string{filepath.Join(traceDir, v.ID+".trace.json"), journalPath} {
 		if _, err := os.Stat(path); err != nil {
 			t.Error(err)
 		}
@@ -161,17 +160,23 @@ func TestRunFlagErrors(t *testing.T) {
 	// once and returns nil, which fails below instead of hanging.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	missing := filepath.Join(t.TempDir(), "missing")
 	for _, tc := range []struct {
 		name string
 		args []string
 		want string
 	}{
 		{"log-format", []string{"-log-format", "xml"}, `unknown -log-format "xml"`},
-		{"peers-without-node-id", []string{"-peers", "n1=http://127.0.0.1:1"}, "-peers requires -node-id"},
-		{"malformed-peer", []string{"-node-id", "n1", "-peers", "n1"}, `bad -peers entry "n1"`},
-		{"duplicate-peer", []string{"-node-id", "n1", "-peers", "n1=http://a,n1=http://b"}, `duplicate node "n1"`},
-		{"self-not-in-peers", []string{"-node-id", "n1", "-peers", "n2=http://127.0.0.1:1"}, "cluster init"},
 		{"deleted-flag", []string{"-cache", "16"}, "-cache"},
+		// The cluster flags went with the cluster: dased is one process.
+		{"deleted-peers", []string{"-peers", "x=y"}, "flag provided but not defined: -peers"},
+		{"deleted-node-id", []string{"-node-id", "n1"}, "flag provided but not defined: -node-id"},
+		{"deleted-heartbeat-interval", []string{"-heartbeat-interval", "1s"}, "flag provided but not defined: -heartbeat-interval"},
+		{"missing-config", []string{"-config", filepath.Join(missing, "gpu.json")}, "load config"},
+		{"missing-kernels", []string{"-kernels", filepath.Join(missing, "kernels.json")}, "load kernels"},
+		{"bad-addr", []string{"-addr", "127.0.0.1:-1"}, "listen"},
+		{"bad-debug-addr", []string{"-debug-addr", "127.0.0.1:-1"}, "listen"},
+		{"journal-in-missing-dir", []string{"-journal", filepath.Join(missing, "dased.wal")}, "server init"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stderr bytes.Buffer

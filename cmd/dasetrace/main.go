@@ -1,245 +1,77 @@
 // Command dasetrace renders DASE traces (the NDJSON event streams produced
-// by dased's GET /v1/jobs/{id}/trace?format=ndjson, the cluster layer's
-// GET /cluster/v1/trace?format=ndjson, or any telemetry.WriteNDJSON caller).
+// by dased's GET /v1/jobs/{id}/trace?format=ndjson, or any
+// telemetry.WriteNDJSON caller) as a per-application estimated-vs-actual
+// slowdown error timeline: one row per estimation interval with the
+// estimate, the signed relative error against the measured whole-run
+// slowdown, and an ASCII error bar.
 //
-// Single-stream mode renders a per-application estimated-vs-actual slowdown
-// error timeline: one row per estimation interval with the estimate, the
-// signed relative error against the measured whole-run slowdown, and an
-// ASCII error bar.
-//
-// Multi-trace mode (-trace, repeatable) merges per-node NDJSON streams by
-// trace ID and renders a cross-node span timeline — submit on node A,
-// forwarded to B, stolen by C, done — and can export the merged view as a
-// single Chrome trace with one track per node (-chrome).
-//
-// All inputs are validated strictly: a schema-invalid stream (unknown event
-// kind, unknown field, malformed trace id) exits non-zero with the offending
-// line instead of rendering a partial timeline.
+// The input is validated strictly: a schema-invalid stream (unknown event
+// kind or unknown field) exits non-zero with the offending line instead of
+// rendering a partial timeline.
 //
 // Usage:
 //
 //	dasetrace trace.ndjson
 //	curl -s localhost:8844/v1/jobs/job-1/trace?format=ndjson | dasetrace
 //	dasetrace -actual 1.8,2.4 trace.ndjson    # override the ground truth
-//	dasetrace -trace n1.ndjson -trace n2.ndjson -trace n3.ndjson
-//	dasetrace -trace n1.ndjson -trace n2.ndjson -chrome merged.json
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"dasesim/internal/telemetry"
 )
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
-
 func main() {
-	var traces multiFlag
-	actualFlag := flag.String("actual", "", "comma-separated measured slowdowns per app, overriding the trace's slowdown.actual events")
-	flag.Var(&traces, "trace", "per-node NDJSON trace file; repeat to merge multiple nodes (enables cross-node timeline mode)")
-	chromeOut := flag.String("chrome", "", "write the merged multi-trace view as Chrome trace JSON to this path ('-' for stdout)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "dasetrace: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	if len(traces) > 0 {
-		os.Exit(runMerged(traces, *chromeOut))
+// run reads one NDJSON trace (the file named by the only argument, or stdin)
+// and prints its error timeline on stdout. Flag errors are reported before
+// any input is read.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dasetrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	actualFlag := fs.String("actual", "", "comma-separated measured slowdowns per app, overriding the trace's slowdown.actual events")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *chromeOut != "" {
-		fmt.Fprintln(os.Stderr, "dasetrace: -chrome requires -trace inputs")
-		os.Exit(2)
+	if fs.NArg() > 1 {
+		return errors.New("at most one trace file")
 	}
-
-	in := io.Reader(os.Stdin)
-	if flag.NArg() > 1 {
-		fmt.Fprintln(os.Stderr, "dasetrace: at most one trace file (use -trace to merge several)")
-		os.Exit(2)
+	actuals, err := parseActuals(*actualFlag)
+	if err != nil {
+		return err
 	}
-	if flag.NArg() == 1 {
-		f, err := os.Open(flag.Arg(0))
+	in := stdin
+	if fs.NArg() == 1 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dasetrace: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
-
 	events, err := telemetry.ReadNDJSONStrict(in)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dasetrace: invalid trace: %v\n", err)
-		os.Exit(1)
-	}
-	actuals, err := parseActuals(*actualFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dasetrace: %v\n", err)
-		os.Exit(2)
+		return fmt.Errorf("invalid trace: %w", err)
 	}
 	out, err := render(events, actuals)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dasetrace: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Print(out)
-}
-
-// runMerged is the multi-trace path: strict-read every file, merge, print the
-// cross-node timeline, optionally export a Chrome trace. Returns the exit
-// code.
-func runMerged(paths []string, chromeOut string) int {
-	merged, err := readTraces(paths)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dasetrace: %v\n", err)
-		return 1
-	}
-	fmt.Print(renderSpans(merged))
-	if chromeOut != "" {
-		w := io.Writer(os.Stdout)
-		if chromeOut != "-" {
-			f, err := os.Create(chromeOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dasetrace: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := telemetry.WriteChromeTrace(w, merged); err != nil {
-			fmt.Fprintf(os.Stderr, "dasetrace: %v\n", err)
-			return 1
-		}
-		if chromeOut != "-" {
-			fmt.Fprintf(os.Stderr, "dasetrace: wrote chrome trace to %s\n", chromeOut)
-		}
-	}
-	return 0
-}
-
-// readTraces strict-reads every NDJSON file and merges the events on the
-// shared wall-clock axis (ties broken by node then sequence), so interleaved
-// per-node streams come out as one coherent cluster timeline.
-func readTraces(paths []string) ([]telemetry.Event, error) {
-	var merged []telemetry.Event
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		events, err := telemetry.ReadNDJSONStrict(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: invalid trace: %w", path, err)
-		}
-		merged = append(merged, events...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		a, b := &merged[i], &merged[j]
-		if a.Wall != b.Wall {
-			return a.Wall < b.Wall
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Seq < b.Seq
-	})
-	return merged, nil
-}
-
-// renderSpans reports the merged stream grouped by trace ID: every trace
-// becomes a timeline of node-annotated hops with wall-clock offsets from the
-// trace's first event. Events without a trace ID (engine cycle-domain
-// telemetry) are counted but not listed.
-func renderSpans(events []telemetry.Event) string {
-	type trace struct {
-		id     uint64
-		events []*telemetry.Event
-	}
-	byID := map[uint64]*trace{}
-	var order []*trace
-	untraced := 0
-	for i := range events {
-		e := &events[i]
-		if e.TraceID == 0 {
-			untraced++
-			continue
-		}
-		tr, ok := byID[e.TraceID]
-		if !ok {
-			tr = &trace{id: e.TraceID}
-			byID[e.TraceID] = tr
-			order = append(order, tr)
-		}
-		tr.events = append(tr.events, e)
-	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d event(s), %d trace(s), %d untraced\n", len(events), len(order), untraced)
-	for _, tr := range order {
-		nodes := map[string]bool{}
-		for _, e := range tr.events {
-			if e.Node != "" {
-				nodes[e.Node] = true
-			}
-		}
-		fmt.Fprintf(&sb, "\ntrace %s  (%d node(s), %d event(s))\n",
-			telemetry.FormatSpanID(tr.id), len(nodes), len(tr.events))
-		t0 := tr.events[0].Wall
-		for _, e := range tr.events {
-			fmt.Fprintf(&sb, "  %10s  %-8s %s\n", offset(e.Wall-t0), e.Node, describe(e))
-		}
-	}
-	return sb.String()
-}
-
-// describe renders one traced event's payload for the span timeline.
-func describe(e *telemetry.Event) string {
-	switch e.Kind {
-	case telemetry.KindClusterRPC:
-		status := "ok"
-		if !e.CacheHit {
-			status = "err"
-		}
-		return fmt.Sprintf("rpc %-10s → %-8s (%s, %s)", e.Note, e.Job, offset(e.Dur), status)
-	case telemetry.KindJobRouted:
-		return fmt.Sprintf("routed %s → %s", e.Job, e.Note)
-	case telemetry.KindJobDone:
-		d := e.Kind.String() + " " + e.Job
-		if e.Note != "" {
-			d += " (" + e.Note + ")"
-		} else if e.CacheHit {
-			d += " (cache hit)"
-		}
-		return d
-	default:
-		d := e.Kind.String() + " " + e.Job
-		if e.Note != "" {
-			d += " (" + e.Note + ")"
-		}
-		return d
-	}
-}
-
-// offset renders a nanosecond offset with an auto-scaled unit.
-func offset(ns int64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("+%.2fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("+%.1fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("+%.0fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("+%dns", ns)
-	}
+	_, err = io.WriteString(stdout, out)
+	return err
 }
 
 // parseActuals parses the -actual override ("1.8,2.4" → per-app slowdowns).

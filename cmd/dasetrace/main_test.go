@@ -1,7 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dasesim/internal/config"
@@ -11,24 +17,30 @@ import (
 	"dasesim/internal/telemetry"
 )
 
-// TestRenderFromTracedRun drives a small DASE-Fair simulation with tracing
-// and checks the rendered timeline end to end.
-func TestRenderFromTracedRun(t *testing.T) {
+// tracedRun is the shared fixture: a small DASE-Fair simulation of VA+CT
+// with tracing on, simulated once per test binary.
+var tracedRun = sync.OnceValues(func() ([]telemetry.Event, error) {
 	profs := make([]kernels.Profile, 0, 2)
 	for _, ab := range []string{"VA", "CT"} {
 		p, ok := kernels.ByAbbr(ab)
 		if !ok {
-			t.Fatalf("kernel %s missing from the catalogue", ab)
+			return nil, fmt.Errorf("kernel %s missing from the catalogue", ab)
 		}
 		profs = append(profs, p)
 	}
 	tr := telemetry.New(0)
 	_, err := sched.Run(config.Default(), profs, []int{8, 8}, 160_000, 5,
 		sched.NewDASEFair(), sim.WithTracer(tr))
+	return tr.Events(), err
+})
+
+// TestRenderFromTracedRun checks the rendered timeline of a traced run end
+// to end.
+func TestRenderFromTracedRun(t *testing.T) {
+	events, err := tracedRun()
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := tr.Events()
 
 	out, err := render(events, []float64{1.5, 2.0})
 	if err != nil {
@@ -86,5 +98,91 @@ func TestErrBar(t *testing.T) {
 		if got := errBar(c.err); got != c.want {
 			t.Errorf("errBar(%v) = %q, want %q", c.err, got, c.want)
 		}
+	}
+}
+
+// TestRunGolden feeds the traced run's NDJSON to run, once on stdin and once
+// as a file argument, and compares stdout with testdata/traced-run.golden.
+// The engine is deterministic, so a difference is a behaviour change. To
+// regenerate after an intended one:
+//
+//	rm cmd/dasetrace/testdata/traced-run.golden && go test ./cmd/dasetrace -run TestRunGolden
+//
+// A missing golden is written and the test fails, so a fresh file is always
+// looked at once.
+func TestRunGolden(t *testing.T) {
+	events, err := tracedRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ndjson bytes.Buffer
+	if err := telemetry.WriteNDJSON(&ndjson, events); err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(t.TempDir(), "trace.ndjson")
+	if err := os.WriteFile(tracePath, ndjson.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fromStdin, fromFile bytes.Buffer
+	if err := run([]string{"-actual", "1.5,2.0"}, bytes.NewReader(ndjson.Bytes()), &fromStdin, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-actual", "1.5,2.0", tracePath}, strings.NewReader(""), &fromFile, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if fromStdin.String() != fromFile.String() {
+		t.Fatalf("stdin and file input render differently:\n%s\nvs\n%s", fromStdin.String(), fromFile.String())
+	}
+	golden := filepath.Join("testdata", "traced-run.golden")
+	want, err := os.ReadFile(golden)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, fromStdin.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote missing %s; check it and rerun", golden)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fromStdin.String(); got != string(want) {
+		t.Errorf("stdout differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestRunErrors covers every way run refuses its input; none reaches a
+// simulation.
+func TestRunErrors(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.ndjson")
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		stdin string
+		want  string
+	}{
+		// The cross-node merge went with the cluster.
+		{"deleted-trace-flag", []string{"-trace", "n1.ndjson"}, "", "flag provided but not defined: -trace"},
+		{"deleted-chrome-flag", []string{"-chrome", "out.json"}, "", "flag provided but not defined: -chrome"},
+		{"two-files", []string{"a.ndjson", "b.ndjson"}, "", "at most one trace file"},
+		{"bad-actual", []string{"-actual", "1.5,x"}, "", `bad -actual entry "x"`},
+		{"missing-file", []string{missing}, "", "missing.ndjson"},
+		{"not-json", nil, "garbage", "line 1"},
+		{"unknown-kind", nil, `{"kind":"job.exploded","seq":1,"app":-1,"sm":-1}`, "unknown event kind"},
+		{"unknown-field", nil, `{"kind":"job.queued","seq":1,"app":-1,"sm":-1,"mystery":1}`, `unknown field "mystery"`},
+		{"retired-span-field", nil, `{"kind":"job.queued","seq":1,"app":-1,"sm":-1,"trace_id":"00000000000000ab"}`, `unknown field "trace_id"`},
+		{"no-dase-events", nil, `{"kind":"job.queued","seq":1,"app":-1,"sm":-1}`, "no dase.app events"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout bytes.Buffer
+			err := run(tc.args, strings.NewReader(tc.stdin), &stdout, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout not empty on error: %q", stdout.String())
+			}
+		})
 	}
 }

@@ -15,11 +15,7 @@
 //	faults.Activate(reg)
 //	defer faults.Deactivate()
 //
-// The named points wired through this repository are listed by Points; the
-// network-level points (cluster.dial, cluster.rpc, cluster.heartbeat) fire
-// with a "src->dst" label so tests can arm asymmetric partitions: a Spec with
-// a Label only triggers for that one direction, a Spec without one triggers
-// for every call at the point.
+// The named points wired through this repository are listed by Points.
 package faults
 
 import (
@@ -35,11 +31,6 @@ import (
 // ErrInjected is the default error returned by an armed ModeError point.
 // Callers that retry on transient failures treat it as retryable.
 var ErrInjected = errors.New("injected fault")
-
-// ErrPartitioned is the default error returned by an armed ModePartition
-// point: the network analogue of ErrInjected. The cluster layer treats it
-// like an unreachable peer and routes around it.
-var ErrPartitioned = errors.New("injected network partition")
 
 // Point describes one injection point wired through the repository.
 type Point struct {
@@ -57,9 +48,6 @@ func Points() []Point {
 		{"journal.append", "(*journal.Journal).Append, before the write"},
 		{"journal.dirsync", "the parent-directory fsync after journal compaction renames"},
 		{"server.worker", "the job runner, after the queued→running transition"},
-		{"cluster.dial", "peer connection establishment, labeled src->dst"},
-		{"cluster.rpc", "every non-heartbeat peer RPC, labeled src->dst"},
-		{"cluster.heartbeat", "membership heartbeats, labeled src->dst"},
 	}
 }
 
@@ -74,21 +62,12 @@ const (
 	// ModeSleep makes Fire sleep for Spec.Delay (or until ctx expires,
 	// returning ctx.Err()), exercising deadline-overrun paths.
 	ModeSleep
-	// ModePartition makes Fire return Spec.Err (ErrPartitioned by default) —
-	// semantically a dropped network link rather than a failed operation.
-	// Combined with Spec.Label it cuts one direction of one peer pair,
-	// which is how tests build asymmetric partitions.
-	ModePartition
 )
 
 // Spec arms one injection point.
 type Spec struct {
 	// Point is the injection-point name, e.g. "journal.append".
 	Point string
-	// Label restricts the spec to FireLabeled calls with an equal label
-	// (the cluster transport labels calls "src->dst"). Empty matches every
-	// call at the point, labeled or not.
-	Label string
 	// Mode selects the failure behaviour.
 	Mode Mode
 	// P is the trigger probability per Fire call; values outside (0,1)
@@ -159,15 +138,10 @@ type action struct {
 }
 
 // fire evaluates the specs armed at point and performs at most one action.
-// label is empty for unlabeled Fire calls; a spec with a label only matches
-// calls carrying the same label.
-func (r *Registry) fire(ctx context.Context, point, label string) error {
+func (r *Registry) fire(ctx context.Context, point string) error {
 	r.mu.Lock()
 	var act *action
 	for _, a := range r.specs[point] {
-		if a.spec.Label != "" && a.spec.Label != label {
-			continue
-		}
 		if a.spec.Count > 0 && a.hits >= a.spec.Count {
 			continue
 		}
@@ -195,12 +169,6 @@ func (r *Registry) fire(ctx context.Context, point, label string) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-	case ModePartition:
-		err := act.err
-		if err == nil {
-			err = ErrPartitioned
-		}
-		return fmt.Errorf("faults: %s: %w", act.point, err)
 	default:
 		err := act.err
 		if err == nil {
@@ -227,21 +195,9 @@ func Fire(point string) error { return FireCtx(context.Background(), point) }
 // FireCtx triggers the injection point; a ModeSleep trigger returns ctx.Err()
 // early when ctx expires mid-sleep. It returns nil when nothing is armed.
 func FireCtx(ctx context.Context, point string) error {
-	return FireLabeledCtx(ctx, point, "")
-}
-
-// FireLabeled triggers the injection point with a call-site label (the
-// cluster transport uses "src->dst"), matching both labeled specs with an
-// equal label and unlabeled point-wide specs.
-func FireLabeled(point, label string) error {
-	return FireLabeledCtx(context.Background(), point, label)
-}
-
-// FireLabeledCtx is FireLabeled with a context bounding ModeSleep triggers.
-func FireLabeledCtx(ctx context.Context, point, label string) error {
 	r := active.Load()
 	if r == nil {
 		return nil
 	}
-	return r.fire(ctx, point, label)
+	return r.fire(ctx, point)
 }

@@ -117,7 +117,7 @@ func TestProbabilityDeterminism(t *testing.T) {
 		r.Arm(Spec{Point: "p", Mode: ModeError, P: 0.5})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = r.fire(context.Background(), "p", "") != nil
+			out[i] = r.fire(context.Background(), "p") != nil
 		}
 		return out
 	}
@@ -167,8 +167,8 @@ func TestDisarm(t *testing.T) {
 // here.
 func TestEveryRegisteredPointAndMode(t *testing.T) {
 	points := Points()
-	if len(points) < 8 {
-		t.Fatalf("Points() lists %d points, want at least the 8 documented ones", len(points))
+	if len(points) < 5 {
+		t.Fatalf("Points() lists %d points, want at least the 5 documented ones", len(points))
 	}
 	seen := map[string]bool{}
 	for _, p := range points {
@@ -180,9 +180,9 @@ func TestEveryRegisteredPointAndMode(t *testing.T) {
 		}
 		seen[p.Name] = true
 	}
-	for _, want := range []string{"cluster.dial", "cluster.rpc", "cluster.heartbeat", "journal.dirsync"} {
+	for _, want := range []string{"journal.append", "journal.dirsync"} {
 		if !seen[want] {
-			t.Fatalf("network/durability point %q not registered", want)
+			t.Fatalf("durability point %q not registered", want)
 		}
 	}
 
@@ -196,16 +196,6 @@ func TestEveryRegisteredPointAndMode(t *testing.T) {
 			func(t *testing.T, p string) {
 				if err := Fire(p); !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), p) {
 					t.Fatalf("%s error mode: %v", p, err)
-				}
-			}},
-		{"partition", ModePartition, func(p string) Spec { return Spec{Point: p, Mode: ModePartition, Count: 1} },
-			func(t *testing.T, p string) {
-				err := Fire(p)
-				if !errors.Is(err, ErrPartitioned) {
-					t.Fatalf("%s partition mode: %v, want ErrPartitioned", p, err)
-				}
-				if errors.Is(err, ErrInjected) {
-					t.Fatalf("%s partition mode must be distinguishable from ErrInjected", p)
 				}
 			}},
 		{"panic", ModePanic, func(p string) Spec { return Spec{Point: p, Mode: ModePanic, Count: 1} },
@@ -250,56 +240,19 @@ func TestEveryRegisteredPointAndMode(t *testing.T) {
 	}
 }
 
-// TestLabeledSpecs proves the label semantics the cluster transport depends
-// on: a labeled spec cuts exactly one direction of one pair, an unlabeled
-// spec cuts the whole point, and unlabeled Fire calls never match labeled
-// specs.
-func TestLabeledSpecs(t *testing.T) {
-	r := New(5)
-	r.Arm(Spec{Point: "cluster.rpc", Label: "n1->n2", Mode: ModePartition})
-	Activate(r)
-	defer Deactivate()
-
-	if err := FireLabeled("cluster.rpc", "n1->n2"); !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("matching label: %v, want ErrPartitioned", err)
-	}
-	// The reverse direction and other pairs are untouched: the partition is
-	// asymmetric.
-	if err := FireLabeled("cluster.rpc", "n2->n1"); err != nil {
-		t.Fatalf("reverse direction fired: %v", err)
-	}
-	if err := FireLabeled("cluster.rpc", "n1->n3"); err != nil {
-		t.Fatalf("other pair fired: %v", err)
-	}
-	// Unlabeled Fire does not match a labeled spec.
-	if err := Fire("cluster.rpc"); err != nil {
-		t.Fatalf("unlabeled call matched labeled spec: %v", err)
-	}
-	// An unlabeled spec matches labeled calls: a point-wide outage.
-	r.Arm(Spec{Point: "cluster.dial", Mode: ModeError})
-	if err := FireLabeled("cluster.dial", "n3->n1"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("point-wide spec missed a labeled call: %v", err)
-	}
-}
-
-// TestInjectionScheduleDeterminism proves the property the seeded cluster
-// fault suite rests on: with probabilistic specs over several points and
-// labels, the same seed and the same call sequence yield the same injection
-// schedule.
+// TestInjectionScheduleDeterminism proves the property seeded fault suites
+// rest on: with probabilistic specs over several points, the same seed and
+// the same call sequence yield the same injection schedule.
 func TestInjectionScheduleDeterminism(t *testing.T) {
-	calls := []struct{ point, label string }{
-		{"cluster.rpc", "n1->n2"}, {"cluster.heartbeat", "n2->n3"},
-		{"cluster.rpc", "n2->n1"}, {"cluster.dial", "n3->n1"},
-	}
+	calls := []string{"sim.step", "simcache.get", "sim.step", "journal.append"}
 	schedule := func(seed uint64) []bool {
 		r := New(seed)
-		r.Arm(Spec{Point: "cluster.rpc", Mode: ModeError, P: 0.3})
-		r.Arm(Spec{Point: "cluster.heartbeat", Label: "n2->n3", Mode: ModePartition, P: 0.3})
-		r.Arm(Spec{Point: "cluster.dial", Mode: ModeError, P: 0.3})
+		r.Arm(Spec{Point: "sim.step", Mode: ModeError, P: 0.3})
+		r.Arm(Spec{Point: "simcache.get", Mode: ModeError, P: 0.3})
+		r.Arm(Spec{Point: "journal.append", Mode: ModeError, P: 0.3})
 		var out []bool
 		for i := 0; i < 100; i++ {
-			c := calls[i%len(calls)]
-			out = append(out, r.fire(context.Background(), c.point, c.label) != nil)
+			out = append(out, r.fire(context.Background(), calls[i%len(calls)]) != nil)
 		}
 		return out
 	}

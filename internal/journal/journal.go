@@ -269,20 +269,6 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Load replays the journal at path without opening it for appending: the
-// intact record prefix is returned and the file is left untouched (a torn
-// tail is not truncated). The cluster layer uses it to read a dead peer's
-// claimed journal during job hand-off.
-func Load(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("journal: load: %w", err)
-	}
-	defer f.Close()
-	records, _, err := replay(f)
-	return records, err
-}
-
 // Close syncs and closes the file. Further Appends return ErrClosed; Close
 // is idempotent. Closing without a final sync is how tests simulate a crash
 // (any buffered state is already on disk because Append syncs).

@@ -217,6 +217,33 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
+	if err := j.Rewrite(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("rewrite after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestOpenAndRewriteReportFileErrors: a journal whose directory is missing
+// fails to open, and a compaction whose directory vanished reports the
+// failure and keeps the open file appendable.
+func TestOpenAndRewriteReportFileErrors(t *testing.T) {
+	if _, _, err := Open(filepath.Join(t.TempDir(), "missing", "j.wal")); err == nil {
+		t.Fatal("Open in a missing directory succeeded")
+	}
+	dir := filepath.Join(t.TempDir(), "d")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, _ := openT(t, filepath.Join(dir, "j.wal"))
+	defer j.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Rewrite([]Record{{Op: OpSubmitted, JobID: "job-1"}}); err == nil {
+		t.Fatal("Rewrite into a removed directory succeeded")
+	}
+	if err := j.Append(context.Background(), Record{Op: OpSubmitted, JobID: "job-2"}); err != nil {
+		t.Fatalf("append after a failed rewrite: %v", err)
+	}
 }
 
 // TestAppendFaultInjection proves the journal.append point can fail and
@@ -335,42 +362,5 @@ func TestRewriteDirsyncSucceeds(t *testing.T) {
 	appendT(t, j, OpSubmitted, "job-1", nil)
 	if err := j.Rewrite([]Record{{Op: OpFinished, JobID: "job-1", Time: time.Now()}}); err != nil {
 		t.Fatalf("Rewrite: %v", err)
-	}
-}
-
-// TestLoadReadsWithoutTruncating proves Load replays the intact prefix of
-// another node's journal without mutating the file — the hand-off claimant
-// must never rewrite history it does not own yet.
-func TestLoadReadsWithoutTruncating(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.wal")
-	j, _ := openT(t, path)
-	appendT(t, j, OpSubmitted, "job-1", map[string]int{"n": 1})
-	appendT(t, j, OpStarted, "job-1", nil)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Torn tail: half a header.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	before := fileSize(t, path)
-
-	recs, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].JobID != "job-1" {
-		t.Fatalf("Load replayed %+v", recs)
-	}
-	if after := fileSize(t, path); after != before {
-		t.Fatalf("Load mutated the file: %d -> %d bytes", before, after)
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.wal")); err == nil {
-		t.Fatal("Load of a missing file succeeded")
 	}
 }

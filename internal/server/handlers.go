@@ -13,9 +13,7 @@ import (
 )
 
 // ErrQueueFull, ErrShed, ErrDraining, and ErrJournal classify submission
-// failures into HTTP statuses (429, 429, 503, 500). They are exported so the
-// cluster layer can tell a node that is merely saturated (route the job to
-// the next preference) from one rejecting the request outright.
+// failures into HTTP statuses (429, 429, 503, 500).
 var (
 	ErrQueueFull = errors.New("job queue full")
 	ErrShed      = errors.New("queue over high-water mark; uncached submissions shed")
@@ -23,9 +21,8 @@ var (
 	ErrJournal   = errors.New("journal write failed")
 )
 
-// SubmitStatus maps a Submit error to the HTTP status the single-node API
-// uses for it, keeping cluster-forwarded rejections indistinguishable from
-// local ones.
+// SubmitStatus maps a Submit error to the HTTP status POST /v1/jobs answers
+// it with.
 func SubmitStatus(err error) int {
 	switch {
 	case err == nil:
@@ -51,7 +48,7 @@ func SubmitStatus(err error) int {
 //	GET    /v1/kernels           the kernel catalogue
 //	POST   /v1/estimate          online DASE estimation (object or array batch)
 //	GET    /healthz              liveness probe (503 only while draining)
-//	GET    /readyz               readiness probe (503 during replay, drain, or failed checks)
+//	GET    /readyz               readiness probe (503 during replay or drain)
 //	GET    /metrics              Prometheus text metrics
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -131,21 +128,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad request body: trailing data after offset %d", end))
 		return
 	}
-	// Continue the caller's trace when the request carries context headers
-	// (set by clients or by a forwarding cluster peer); absent headers start
-	// a fresh trace.
-	job, err := s.submitSpan(req, telemetry.SpanFromHeaders(r.Header))
-	switch {
-	case err != nil:
+	v, err := s.Submit(req)
+	if err != nil {
 		s.writeError(w, r, SubmitStatus(err), err.Error())
-	default:
-		s.mu.Lock()
-		v := job.view()
-		span := job.span
-		s.mu.Unlock()
-		span.SetHeaders(w.Header())
-		s.writeJSON(w, r, http.StatusAccepted, v)
+		return
 	}
+	s.writeJSON(w, r, http.StatusAccepted, v)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -252,10 +240,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReady is the readiness probe: unlike /healthz (liveness — the process
-// is up and able to answer), /readyz answers whether this node should receive
-// traffic. It reports 503 until Start has finished journal replay, while
-// draining, and whenever any registered readiness check (e.g. cluster quorum)
-// fails; the 503 body names the failing condition.
+// is up and able to answer), /readyz answers whether the daemon should
+// receive traffic. It reports 503 until Start has finished journal replay and
+// while draining; the 503 body names the failing condition.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if err := s.Ready(); err != nil {
 		s.writeJSON(w, r, http.StatusServiceUnavailable, map[string]string{

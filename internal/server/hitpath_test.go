@@ -16,7 +16,19 @@ import (
 )
 
 // The tests here cover the cache-hit round trip and the job table without
-// simulating: results come from SeedResult, or the server is never started.
+// simulating: results are put in the cache first (seedCache), or the server
+// is never started.
+
+// seedCache puts res in s's result cache under req's content address, so
+// req's job is a cache hit.
+func seedCache(t testing.TB, s *Server, req JobRequest, res *sim.Result) {
+	t.Helper()
+	pl, err := s.buildPlan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Put(pl.key, res)
+}
 
 // newIdleServer builds a server whose worker pool never starts, so every
 // accepted job stays queued until the test cancels it.
@@ -55,9 +67,7 @@ func TestJobResponsesCompact(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	req := JobRequest{Kernels: []string{"SB", "SD"}, Cycles: testCycles, Seed: 3}
 	want := hitResult()
-	if !s.SeedResult(req, &JobResult{Sim: want}) {
-		t.Fatal("seed not inserted")
-	}
+	seedCache(t, s, req, want)
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -183,9 +193,7 @@ func TestEvictionBoundedOrder(t *testing.T) {
 func BenchmarkJobHitRoundTrip(b *testing.B) {
 	s, ts := newTestServer(b, Options{})
 	req := JobRequest{Kernels: []string{"SB", "SD"}, Cycles: testCycles, Seed: 3}
-	if !s.SeedResult(req, &JobResult{Sim: hitResult()}) {
-		b.Fatal("seed not inserted")
-	}
+	seedCache(b, s, req, hitResult())
 	body, _ := json.Marshal(req)
 	cl := ts.Client()
 	var buf bytes.Buffer

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"dasesim/internal/kernels"
@@ -20,16 +21,11 @@ const (
 	StatusDone     Status = "done"
 	StatusFailed   Status = "failed"
 	StatusCanceled Status = "canceled"
-	// StatusForwarded marks a queued job given away to another cluster node
-	// (work-stealing): terminal here, because the work now lives — and is
-	// journaled — under a new ID on the stealing node.
-	StatusForwarded Status = "forwarded"
 )
 
-// terminal reports whether a job in this state will never run again (on this
-// node — a forwarded job runs on the node named by ForwardedTo).
+// terminal reports whether a job in this state will never run again.
 func (s Status) terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusCanceled || s == StatusForwarded
+	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
 // JobRequest is the body of POST /v1/jobs.
@@ -78,13 +74,12 @@ type Job struct {
 	ID      string
 	Request JobRequest
 
-	Status      Status
-	Error       string
-	LastError   string // most recent transient error, kept across retries
-	Attempts    int    // run attempts so far (1 on the first try)
-	Result      *JobResult
-	CacheHit    bool
-	ForwardedTo string // stealing node's ID when Status is StatusForwarded
+	Status    Status
+	Error     string
+	LastError string // most recent transient error, kept across retries
+	Attempts  int    // run attempts so far (1 on the first try)
+	Result    *JobResult
+	CacheHit  bool
 
 	SubmittedAt time.Time
 	StartedAt   time.Time
@@ -97,18 +92,6 @@ type Job struct {
 	// submission (or replay) before the job is visible and is internally
 	// concurrency-safe, so reading it needs no lock.
 	tracer *telemetry.Tracer
-	// span is the job's trace context, minted at submission (a child of the
-	// client's or forwarding node's span when the request carried one) and
-	// immutable afterwards, so reading it needs no lock either.
-	span telemetry.SpanContext
-}
-
-// emit stamps the job's span onto e and records it; nil-tracer safe and
-// allocation-free, so it is unconditional at every lifecycle site.
-func (j *Job) emit(node string, e telemetry.Event) {
-	e.SetSpan(j.span)
-	e.Node = node
-	j.tracer.Emit(e)
 }
 
 // JobView is the JSON representation of a job returned by the API.
@@ -120,7 +103,6 @@ type JobView struct {
 	LastError   string     `json:"last_error,omitempty"`
 	Attempts    int        `json:"attempts"`
 	CacheHit    bool       `json:"cache_hit"`
-	ForwardedTo string     `json:"forwarded_to,omitempty"`
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
@@ -138,7 +120,6 @@ func (j *Job) view() JobView {
 		LastError:   j.LastError,
 		Attempts:    j.Attempts,
 		CacheHit:    j.CacheHit,
-		ForwardedTo: j.ForwardedTo,
 		SubmittedAt: j.SubmittedAt,
 		Result:      j.Result,
 	}
@@ -168,8 +149,8 @@ type plan struct {
 	mode     string // "shared" | "alone"
 	slowdown bool
 	timeout  time.Duration
-	// key is the main simulation's content address: the result-cache key,
-	// the cluster's routing key and the shed check's lookup, computed once.
+	// key is the main simulation's content address: the result-cache key
+	// and the shed check's lookup, computed once.
 	key string
 }
 
@@ -250,6 +231,11 @@ func (s *Server) buildPlan(req JobRequest) (plan, error) {
 			return p, fmt.Errorf("allocation %v must use between 1 and %d SMs", req.Alloc, nsm)
 		}
 		p.alloc = append([]int(nil), req.Alloc...)
+	}
+	// A kernel without SMs retires nothing, so its slowdown would be +Inf,
+	// which the job's JSON cannot carry.
+	if p.slowdown && slices.Contains(p.alloc, 0) {
+		return p, fmt.Errorf("slowdowns need at least one SM per kernel; allocation %v gives a kernel none", p.alloc)
 	}
 	if req.TimeoutMS > 0 {
 		d := time.Duration(req.TimeoutMS) * time.Millisecond

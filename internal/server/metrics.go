@@ -27,7 +27,6 @@ type Metrics struct {
 	jobsRejected  *telemetry.Counter // queue-full 429s
 	jobsShed      *telemetry.Counter // admission control: non-cached work refused over the high-water mark
 	jobRetries    *telemetry.Counter // transient failures scheduled for another attempt
-	jobsForwarded *telemetry.Counter // queued jobs given away to a stealing peer
 	jobsRunning   *telemetry.Gauge
 
 	journalReplayed    *telemetry.Counter // jobs restored from the journal at startup
@@ -57,7 +56,6 @@ func newMetrics(queueDepth func() int, cacheStats func() (uint64, uint64, uint64
 	m.jobsRejected = reg.Counter("dased_jobs_rejected_total", "Submissions rejected with 429 (queue full).")
 	m.jobsShed = reg.Counter("dased_jobs_shed_total", "Non-cached submissions shed over the queue high-water mark.")
 	m.jobRetries = reg.Counter("dased_job_retries_total", "Job attempts rescheduled after a transient failure.")
-	m.jobsForwarded = reg.Counter("dased_jobs_forwarded_total", "Queued jobs given away to a stealing cluster peer.")
 	m.jobsRunning = reg.Gauge("dased_jobs_running", "Jobs currently executing.")
 
 	m.journalReplayed = reg.Counter("dased_journal_replayed_total", "Jobs restored from the journal at startup.")

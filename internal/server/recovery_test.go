@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"dasesim/internal/journal"
+	"dasesim/internal/sim"
 )
 
 // testCtx bounds test shutdowns.
@@ -356,5 +359,88 @@ func TestJournalCompactionHonorsMaxJobs(t *testing.T) {
 	}
 	if n := s2.journal.Len(); n > 2*opts.MaxJobs {
 		t.Fatalf("journal holds %d records after startup compaction, want <= %d", n, 2*opts.MaxJobs)
+	}
+}
+
+// TestReplayFoldsJournalRecords feeds a fabricated journal through replay:
+// a job's attempt count is the highest any started or finished record
+// journaled, a canceled record makes a job terminal, a job with no terminal
+// record is re-enqueued without its old start time, and records whose
+// submission was compacted away (a torn prefix) are dropped while their IDs
+// still advance the sequence.
+func TestReplayFoldsJournalRecords(t *testing.T) {
+	mustJSON := func(v any) json.RawMessage {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	at := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
+	reqDone := JobRequest{Kernels: []string{"SB"}, Cycles: testCycles, Seed: 1}
+	reqCanceled := JobRequest{Kernels: []string{"SD"}, Cycles: testCycles, Seed: 2}
+	reqRequeued := JobRequest{Kernels: []string{"VA"}, Cycles: testCycles, Seed: 3}
+	done := &JobResult{Sim: &sim.Result{Cycles: testCycles}}
+	recs := []journal.Record{
+		// Torn prefix: a finished record whose submission was compacted away.
+		{Op: journal.OpFinished, JobID: "job-9", Time: at, Data: mustJSON(finishedData{Status: StatusDone})},
+		{Op: journal.OpSubmitted, JobID: "job-1", Time: at, Data: mustJSON(submittedData{Request: reqDone})},
+		{Op: journal.OpSubmitted, JobID: "job-2", Time: at, Data: mustJSON(submittedData{Request: reqCanceled})},
+		{Op: journal.OpSubmitted, JobID: "job-3", Time: at, Data: mustJSON(submittedData{Request: reqRequeued})},
+		{Op: journal.OpStarted, JobID: "job-1", Time: at, Data: mustJSON(startedData{Attempt: 1})},
+		{Op: journal.OpStarted, JobID: "job-1", Time: at, Data: mustJSON(startedData{Attempt: 3})},
+		{Op: journal.OpFinished, JobID: "job-1", Time: at, Data: mustJSON(finishedData{
+			Status: StatusDone, Attempts: 2, Result: done,
+		})},
+		{Op: journal.OpCanceled, JobID: "job-2", Time: at},
+		{Op: journal.OpStarted, JobID: "job-3", Time: at, Data: mustJSON(startedData{Attempt: 2})},
+	}
+	jpath := filepath.Join(t.TempDir(), "dased.wal")
+	jnl, _, err := journal.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Rewrite(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Never started, so the re-enqueued job stays in the queue.
+	s := newIdleServer(t, Options{JournalPath: jpath, DefaultCycles: testCycles})
+	views := s.Views()
+	if len(views) != 3 {
+		t.Fatalf("replayed %d jobs, want 3: %+v", len(views), views)
+	}
+	byID := map[string]JobView{}
+	for _, v := range views {
+		byID[v.ID] = v
+	}
+	if v := byID["job-1"]; v.Status != StatusDone || v.Attempts != 3 || v.Result == nil || v.Request.Seed != 1 {
+		t.Fatalf("done job replayed as %+v, want done with 3 attempts and its result", v)
+	}
+	if pl, err := s.buildPlan(reqDone); err != nil || !s.cache.Peek(pl.key) {
+		t.Fatalf("done job's result did not re-seed the cache (plan err %v)", err)
+	}
+	if v := byID["job-2"]; v.Status != StatusCanceled || v.Error != "canceled" {
+		t.Fatalf("canceled job replayed as %+v", v)
+	}
+	if v := byID["job-3"]; v.Status != StatusQueued || v.Attempts != 2 || v.StartedAt != nil {
+		t.Fatalf("unfinished job replayed as %+v, want queued, 2 attempts, no start time", v)
+	}
+	if n := len(s.queue); n != 1 {
+		t.Fatalf("%d jobs re-enqueued, want 1", n)
+	}
+	if _, ok := s.View("job-9"); ok {
+		t.Fatal("a job without its submitted record was restored")
+	}
+	// The dropped job-9 still advanced the ID sequence.
+	v, err := s.Submit(JobRequest{Kernels: []string{"SB"}, Cycles: testCycles, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.ID != "job-10" {
+		t.Fatalf("first post-replay ID %q, want job-10", v.ID)
 	}
 }

@@ -63,7 +63,7 @@ func (s *Server) runJob(job *Job) {
 	if attempt == 1 {
 		s.metrics.queueWait.Observe(queueWait.Seconds())
 	}
-	job.emit(s.opts.NodeID, telemetry.Event{
+	job.tracer.Emit(telemetry.Event{
 		Kind: telemetry.KindJobStarted, Wall: job.StartedAt.UnixNano(),
 		App: -1, SM: -1, Job: job.ID, Attempt: int32(attempt),
 	})
@@ -120,7 +120,7 @@ func (s *Server) finishJob(job *Job, res *JobResult, cacheHit bool, err error) {
 		delay := s.backoffLocked(attempt)
 		s.metrics.jobRetries.Add(1)
 		s.mu.Unlock()
-		job.emit(s.opts.NodeID, telemetry.Event{
+		job.tracer.Emit(telemetry.Event{
 			Kind: telemetry.KindJobRetry, Wall: time.Now().UnixNano(),
 			App: -1, SM: -1, Job: job.ID, Attempt: int32(attempt), Note: err.Error(),
 		})
@@ -154,7 +154,7 @@ func (s *Server) finalizeLocked(job *Job, status Status, errMsg string, res *Job
 	job.CacheHit = cacheHit
 	job.FinishedAt = time.Now()
 	close(job.done)
-	job.emit(s.opts.NodeID, telemetry.Event{
+	job.tracer.Emit(telemetry.Event{
 		Kind: telemetry.KindJobDone, Wall: job.FinishedAt.UnixNano(),
 		App: -1, SM: -1, Job: job.ID, Note: string(status),
 		Attempt: int32(job.Attempts), CacheHit: cacheHit,
@@ -164,14 +164,12 @@ func (s *Server) finalizeLocked(job *Job, status Status, errMsg string, res *Job
 		s.metrics.jobsCompleted.Add(1)
 	case StatusCanceled:
 		s.metrics.jobsCanceled.Add(1)
-	case StatusForwarded:
-		s.metrics.jobsForwarded.Add(1)
 	default:
 		s.metrics.jobsFailed.Add(1)
 	}
 	if err := s.appendJournalBounded(journal.OpFinished, job.ID, finishedData{
 		Status: status, Error: errMsg, CacheHit: cacheHit, Attempts: job.Attempts,
-		ForwardedTo: job.ForwardedTo, Result: res,
+		Result: res,
 	}); err != nil {
 		s.metrics.journalErrors.Add(1)
 		s.opts.Logger.Error("journal append finished failed", "job", job.ID, "err", err)
@@ -240,36 +238,6 @@ func (s *Server) requeueAfterBackoff(job *Job, delay time.Duration) {
 		}
 		s.queue <- job
 	}()
-}
-
-// TrySteal pops one waiting job off the queue for another node to run,
-// finalizing the local record as forwarded-to-thief. It never blocks: when
-// the queue is empty (or holds only already-canceled entries) it reports
-// false and the victim keeps nothing less. The journal's finished record
-// carries the forward, so even a crash right after the steal cannot
-// resurrect the job here — the thief journals it under its own ID.
-func (s *Server) TrySteal(thief string) (JobRequest, string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining.Load() {
-		return JobRequest{}, "", false
-	}
-	for {
-		select {
-		case job, ok := <-s.queue:
-			if !ok {
-				return JobRequest{}, "", false
-			}
-			if job.Status != StatusQueued {
-				continue // canceled while queued; already terminal
-			}
-			job.ForwardedTo = thief
-			s.finalizeLocked(job, StatusForwarded, "", nil, false)
-			return job.Request, job.ID, true
-		default:
-			return JobRequest{}, "", false
-		}
-	}
 }
 
 // execute runs the plan's simulation through the content-addressed cache and

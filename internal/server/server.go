@@ -107,10 +107,6 @@ type Options struct {
 	// TraceDir, when set, additionally writes each finished job's trace as
 	// Chrome trace-event JSON to <TraceDir>/<jobID>.trace.json.
 	TraceDir string
-	// NodeID, when set, prefixes job IDs ("<NodeID>-job-7" instead of
-	// "job-7") so IDs stay globally unique — and routable — across a
-	// multi-node dased cluster. Must not contain "-job-" or "/".
-	NodeID string
 }
 
 // withDefaults fills unset options.
@@ -193,7 +189,6 @@ type Server struct {
 	queue   chan *Job
 	journal *journal.Journal
 	est     *estimate.Service
-	spans   *telemetry.SpanSource
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -204,20 +199,13 @@ type Server struct {
 	// read lock-free by the estimate path, which touches nothing else here.
 	draining atomic.Bool
 
-	mu          sync.Mutex
-	rng         *rand.Rand                        // backoff jitter; guarded by mu
-	jitterFn    func(time.Duration) time.Duration // test hook; nil means full jitter
-	jobs        map[string]*Job
-	jobOrder    []string // submission order, for listing and record eviction
-	nextID      uint64
-	started     bool
-	readyChecks []readyCheck // extra readiness conditions (cluster quorum)
-}
-
-// readyCheck is one named readiness condition; fn returns nil when ready.
-type readyCheck struct {
-	name string
-	fn   func() error
+	mu       sync.Mutex
+	rng      *rand.Rand                        // backoff jitter; guarded by mu
+	jitterFn func(time.Duration) time.Duration // test hook; nil means full jitter
+	jobs     map[string]*Job
+	jobOrder []string // submission order, for listing and record eviction
+	nextID   uint64
+	started  bool
 }
 
 // New builds a Server with the given options. When a journal path is
@@ -232,9 +220,6 @@ func New(opts Options) (*Server, error) {
 	if len(opts.Catalogue) == 0 {
 		return nil, fmt.Errorf("server: empty kernel catalogue")
 	}
-	if strings.Contains(opts.NodeID, "-job-") || strings.ContainsAny(opts.NodeID, "/ ") {
-		return nil, fmt.Errorf("server: invalid node id %q", opts.NodeID)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
@@ -246,13 +231,6 @@ func New(opts Options) (*Server, error) {
 		rng:        rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
 		jobs:       map[string]*Job{},
 	}
-	// The span-ID source is seeded with FNV-1a over the node ID: IDs are
-	// reproducible, and distinct nodes mint distinct span IDs.
-	seed := uint64(14695981039346656037)
-	for i := 0; i < len(opts.NodeID); i++ {
-		seed = (seed ^ uint64(opts.NodeID[i])) * 1099511628211
-	}
-	s.spans = telemetry.NewSpanSource(seed)
 	s.est = estimate.NewService(estimate.Options{Cfg: opts.Cfg})
 	s.metrics = newMetrics(
 		func() int { return len(s.queue) },
@@ -285,27 +263,6 @@ func New(opts Options) (*Server, error) {
 // queryable across restarts.
 type submittedData struct {
 	Request JobRequest `json:"request"`
-	// Trace context, as zero-padded hex so the journal stays greppable.
-	// Restored on replay and carried through hand-off, the cross-node job
-	// timeline survives the crash it is most interesting for.
-	TraceID  string `json:"trace_id,omitempty"`
-	SpanID   string `json:"span_id,omitempty"`
-	ParentID string `json:"parent_id,omitempty"`
-}
-
-// spanWire renders a span context in the journal's hex form.
-func spanWire(sc telemetry.SpanContext) (traceID, spanID, parentID string) {
-	return telemetry.FormatSpanID(sc.TraceID), telemetry.FormatSpanID(sc.SpanID), telemetry.FormatSpanID(sc.ParentID)
-}
-
-// spanFromWire parses the journal's hex span form, tolerating absent or
-// malformed fields (old journals carry none).
-func spanFromWire(traceID, spanID, parentID string) telemetry.SpanContext {
-	var sc telemetry.SpanContext
-	sc.TraceID, _ = telemetry.ParseSpanID(traceID)
-	sc.SpanID, _ = telemetry.ParseSpanID(spanID)
-	sc.ParentID, _ = telemetry.ParseSpanID(parentID)
-	return sc
 }
 
 type startedData struct {
@@ -313,12 +270,11 @@ type startedData struct {
 }
 
 type finishedData struct {
-	Status      Status     `json:"status"`
-	Error       string     `json:"error,omitempty"`
-	CacheHit    bool       `json:"cache_hit,omitempty"`
-	Attempts    int        `json:"attempts,omitempty"`
-	ForwardedTo string     `json:"forwarded_to,omitempty"`
-	Result      *JobResult `json:"result,omitempty"`
+	Status   Status     `json:"status"`
+	Error    string     `json:"error,omitempty"`
+	CacheHit bool       `json:"cache_hit,omitempty"`
+	Attempts int        `json:"attempts,omitempty"`
+	Result   *JobResult `json:"result,omitempty"`
 }
 
 // appendJournal commits one lifecycle record; it is a no-op without a
@@ -354,68 +310,93 @@ func (s *Server) appendJournalBounded(op, jobID string, data any) error {
 	return s.appendJournal(ctx, op, jobID, data)
 }
 
-// replay rebuilds job state from journal records at construction time:
-// terminal jobs are restored verbatim (and their results re-seed the result
-// cache), non-terminal jobs are re-enqueued for execution. Runs before
+// replay rebuilds job state from journal records at construction time, in
+// one pass that decodes each payload once: terminal jobs are restored
+// verbatim (and their results re-seed the result cache), non-terminal jobs
+// are re-enqueued for execution. Jobs come back in first-record order, with
+// the highest attempt count any started or finished record journaled. A job
+// whose submitted record is missing (a torn prefix) is dropped. Runs before
 // Start, so the queue sends below cannot race workers.
 func (s *Server) replay(records []journal.Record) {
-	// Track the highest numeric job ID, orphan records included, so new
-	// submissions continue the sequence instead of colliding with replayed
-	// ones.
+	byID := map[string]*Job{}
+	submitted := map[string]bool{}
+	var order []*Job
 	for _, rec := range records {
-		numeric := strings.TrimPrefix(strings.TrimPrefix(rec.JobID, s.idPrefix()), "job-")
-		if n, err := strconv.ParseUint(numeric, 10, 64); err == nil && n > s.nextID {
+		// Track the highest numeric job ID, orphan records included, so new
+		// submissions continue the sequence instead of colliding with
+		// replayed ones.
+		if n, err := strconv.ParseUint(strings.TrimPrefix(rec.JobID, "job-"), 10, 64); err == nil && n > s.nextID {
 			s.nextID = n
 		}
-	}
-	for _, jj := range ExtractJournalJobs(records) {
-		id := jj.ID
-		job := &Job{
-			ID:          id,
-			Request:     jj.Request,
-			SubmittedAt: jj.SubmittedAt,
-			Attempts:    jj.Attempts,
-			span:        jj.Span,
-			done:        make(chan struct{}),
+		job, ok := byID[rec.JobID]
+		if !ok {
+			job = &Job{ID: rec.JobID, Status: StatusQueued, done: make(chan struct{})}
+			byID[rec.JobID] = job
+			order = append(order, job)
 		}
-		switch {
-		case jj.Terminal:
-			job.Status = jj.Status
-			job.Error = jj.Error
-			job.CacheHit = jj.CacheHit
-			job.ForwardedTo = jj.ForwardedTo
-			job.Result = jj.Result
-			job.StartedAt = jj.StartedAt
-			job.FinishedAt = jj.FinishedAt
+		switch rec.Op {
+		case journal.OpSubmitted:
+			var d submittedData
+			if json.Unmarshal(rec.Data, &d) == nil {
+				job.Request, submitted[job.ID] = d.Request, true
+				job.SubmittedAt = rec.Time
+			}
+		case journal.OpStarted:
+			var d startedData
+			_ = json.Unmarshal(rec.Data, &d)
+			job.StartedAt = rec.Time
+			job.Attempts = max(job.Attempts, d.Attempt)
+		case journal.OpFinished:
+			var d finishedData
+			if json.Unmarshal(rec.Data, &d) == nil {
+				job.Attempts = max(job.Attempts, d.Attempts)
+				if d.Status.terminal() {
+					job.Status, job.Error, job.Result, job.CacheHit = d.Status, d.Error, d.Result, d.CacheHit
+					job.FinishedAt = rec.Time
+				}
+			}
+		case journal.OpCanceled:
+			job.Status, job.Error = StatusCanceled, "canceled"
+			job.FinishedAt = rec.Time
+		}
+	}
+	for _, job := range order {
+		if !submitted[job.ID] {
+			continue
+		}
+		if job.Status.terminal() {
 			close(job.done)
 			// Re-seed the result cache so identical submissions after the
 			// restart are still cache hits.
 			if job.Result != nil && job.Result.Sim != nil {
-				if pl, err := s.buildPlan(jj.Request); err == nil {
+				if pl, err := s.buildPlan(job.Request); err == nil {
 					s.cache.Put(pl.key, job.Result.Sim)
 				}
 			}
-		default:
-			pl, err := s.buildPlan(jj.Request)
-			if err != nil {
+		} else {
+			// Neither finished nor canceled: the job runs again from the
+			// queue, so an earlier attempt's start time is not its own.
+			job.StartedAt = time.Time{}
+			pl, err := s.buildPlan(job.Request)
+			switch {
+			case err != nil:
 				// The catalogue or limits changed under the journal; the job
 				// can no longer run.
 				job.Status = StatusFailed
 				job.Error = fmt.Sprintf("recovery: %v", err)
 				job.FinishedAt = time.Now()
 				close(job.done)
-			} else if len(s.queue) == cap(s.queue) {
+			case len(s.queue) == cap(s.queue):
 				job.Status = StatusFailed
 				job.Error = "recovery: queue full"
 				job.FinishedAt = time.Now()
 				close(job.done)
 				s.metrics.jobsShed.Add(1)
-			} else {
-				job.Status = StatusQueued
+			default:
 				job.plan = pl
 				if s.opts.TraceEvents > 0 {
 					job.tracer = telemetry.New(s.opts.TraceEvents)
-					job.emit(s.opts.NodeID, telemetry.Event{
+					job.tracer.Emit(telemetry.Event{
 						Kind: telemetry.KindJobQueued, Wall: job.SubmittedAt.UnixNano(),
 						App: -1, SM: -1, Job: job.ID, Note: "replayed",
 					})
@@ -423,8 +404,8 @@ func (s *Server) replay(records []journal.Record) {
 				s.queue <- job
 			}
 		}
-		s.jobs[id] = job
-		s.jobOrder = append(s.jobOrder, id)
+		s.jobs[job.ID] = job
+		s.jobOrder = append(s.jobOrder, job.ID)
 		s.metrics.journalReplayed.Add(1)
 	}
 	s.evictJobRecordsLocked()
@@ -456,14 +437,12 @@ func (s *Server) compactLocked() error {
 		if !ok {
 			continue
 		}
-		sub := submittedData{Request: j.Request}
-		sub.TraceID, sub.SpanID, sub.ParentID = spanWire(j.span)
-		add(journal.OpSubmitted, id, j.SubmittedAt, sub)
+		add(journal.OpSubmitted, id, j.SubmittedAt, submittedData{Request: j.Request})
 		switch {
 		case j.Status.terminal():
 			add(journal.OpFinished, id, j.FinishedAt, finishedData{
 				Status: j.Status, Error: j.Error, CacheHit: j.CacheHit,
-				Attempts: j.Attempts, ForwardedTo: j.ForwardedTo, Result: j.Result,
+				Attempts: j.Attempts, Result: j.Result,
 			})
 		case j.Status == StatusRunning:
 			add(journal.OpStarted, id, j.StartedAt, startedData{Attempt: j.Attempts})
@@ -571,12 +550,6 @@ func (s *Server) lookup(abbr string) (kernels.Profile, bool) {
 // crash. Queue capacity is checked under the mutex first (all queue sends
 // hold it), which keeps the journal free of records for rejected jobs.
 func (s *Server) submit(req JobRequest) (*Job, error) {
-	return s.submitSpan(req, telemetry.SpanContext{})
-}
-
-// submitSpan is submit continuing the caller's trace context; a zero parent
-// starts a new trace.
-func (s *Server) submitSpan(req JobRequest, parent telemetry.SpanContext) (*Job, error) {
 	pl, err := s.buildPlan(req)
 	if err != nil {
 		return nil, err
@@ -600,27 +573,21 @@ func (s *Server) submitSpan(req JobRequest, parent telemetry.SpanContext) (*Job,
 	}
 	s.nextID++
 	job := &Job{
-		ID:          fmt.Sprintf("%sjob-%d", s.idPrefix(), s.nextID),
+		ID:          fmt.Sprintf("job-%d", s.nextID),
 		Request:     req,
 		Status:      StatusQueued,
 		SubmittedAt: time.Now(),
 		plan:        pl,
-		// Every job gets a span: a child of the caller's context when the
-		// request carried trace headers (or arrived via a forwarding peer),
-		// a fresh root otherwise.
-		span: s.spans.Child(parent),
-		done: make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	if s.opts.TraceEvents > 0 {
 		job.tracer = telemetry.New(s.opts.TraceEvents)
-		job.emit(s.opts.NodeID, telemetry.Event{
+		job.tracer.Emit(telemetry.Event{
 			Kind: telemetry.KindJobQueued, Wall: job.SubmittedAt.UnixNano(),
 			App: -1, SM: -1, Job: job.ID,
 		})
 	}
-	sub := submittedData{Request: req}
-	sub.TraceID, sub.SpanID, sub.ParentID = spanWire(job.span)
-	if err := s.appendJournalBounded(journal.OpSubmitted, job.ID, sub); err != nil {
+	if err := s.appendJournalBounded(journal.OpSubmitted, job.ID, submittedData{Request: req}); err != nil {
 		s.nextID--
 		s.metrics.journalErrors.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrJournal, err)
@@ -682,7 +649,7 @@ func (s *Server) cancelJob(id string) (found, canceled bool) {
 		job.FinishedAt = time.Now()
 		close(job.done)
 		s.metrics.jobsCanceled.Add(1)
-		job.emit(s.opts.NodeID, telemetry.Event{
+		job.tracer.Emit(telemetry.Event{
 			Kind: telemetry.KindJobDone, Wall: job.FinishedAt.UnixNano(),
 			App: -1, SM: -1, Job: job.ID, Note: string(StatusCanceled),
 		})
@@ -707,49 +674,17 @@ func (s *Server) getJob(id string) (*Job, bool) {
 	return j, ok
 }
 
-// idPrefix is the job-ID prefix implied by NodeID ("" single-node,
-// "<node>-" in a cluster).
-func (s *Server) idPrefix() string {
-	if s.opts.NodeID == "" {
-		return ""
-	}
-	return s.opts.NodeID + "-"
-}
-
-// NodeID returns the configured node identity ("" single-node).
-func (s *Server) NodeID() string { return s.opts.NodeID }
-
 // Submit validates, registers and enqueues a job, returning its view. It is
-// the in-process equivalent of POST /v1/jobs; map errors to HTTP statuses
-// with SubmitStatus. The cluster layer calls it for locally-routed work.
+// the in-process equivalent of POST /v1/jobs; SubmitStatus maps its errors
+// to HTTP statuses.
 func (s *Server) Submit(req JobRequest) (JobView, error) {
-	return s.SubmitWithSpan(req, telemetry.SpanContext{})
-}
-
-// SubmitWithSpan is Submit continuing an existing trace: the job's span
-// becomes a child of parent, so a forwarded, stolen or handed-off job stays
-// on the timeline the submitting node started. A zero parent starts a new
-// trace.
-func (s *Server) SubmitWithSpan(req JobRequest, parent telemetry.SpanContext) (JobView, error) {
-	job, err := s.submitSpan(req, parent)
+	job, err := s.submit(req)
 	if err != nil {
 		return JobView{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return job.view(), nil
-}
-
-// JobSpan returns a job's trace context, for layers that relay the job
-// onwards (the cluster's steal response carries it to the thief).
-func (s *Server) JobSpan(id string) (telemetry.SpanContext, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return telemetry.SpanContext{}, false
-	}
-	return j.span, true
 }
 
 // View returns the view of one job.
@@ -776,54 +711,13 @@ func (s *Server) Views() []JobView {
 	return views
 }
 
-// QueueLen reports how many jobs are waiting in the queue; heartbeats carry
-// it so peers can steal from saturated nodes.
-func (s *Server) QueueLen() int { return len(s.queue) }
-
-// RouteKey returns the content address of the request's main simulation —
-// the same key the result cache uses — or a validation error. The cluster
-// layer consistent-hashes it so identical submissions land on (and share the
-// cache of) one node.
-func (s *Server) RouteKey(req JobRequest) (string, error) {
-	pl, err := s.buildPlan(req)
-	if err != nil {
-		return "", err
-	}
-	return pl.key, nil
-}
-
-// SeedResult inserts a finished job's simulation result into the cache
-// without running anything, reporting whether it was new. Hand-off uses it
-// to preserve a dead node's completed work; reconciliation after a
-// partition uses the report to count duplicated effort.
-func (s *Server) SeedResult(req JobRequest, res *JobResult) bool {
-	if res == nil || res.Sim == nil {
-		return false
-	}
-	key, err := s.RouteKey(req)
-	if err != nil {
-		return false
-	}
-	return s.cache.PutIfAbsent(key, res.Sim)
-}
-
-// AddReadinessCheck registers an extra named condition /readyz requires; fn
-// must be safe for concurrent use and return nil when ready. The cluster
-// layer registers its quorum check here. Register before serving traffic.
-func (s *Server) AddReadinessCheck(name string, fn func() error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.readyChecks = append(s.readyChecks, readyCheck{name: name, fn: fn})
-}
-
-// Ready reports whether the node should receive traffic: nil when ready, or
-// the first failing condition. Distinct from liveness (/healthz): a node
-// that has not finished starting, is draining, or has lost its quorum is
-// alive but must not be routed to.
+// Ready reports whether the daemon should receive traffic: nil when ready,
+// or the failing condition. Distinct from liveness (/healthz): a daemon that
+// has not finished starting or is draining is alive but must not be sent
+// work.
 func (s *Server) Ready() error {
 	s.mu.Lock()
 	started, draining := s.started, s.draining.Load()
-	checks := append([]readyCheck(nil), s.readyChecks...)
 	s.mu.Unlock()
 	if !started {
 		return fmt.Errorf("not started: journal replay or warm-up in progress")
@@ -831,107 +725,5 @@ func (s *Server) Ready() error {
 	if draining {
 		return fmt.Errorf("draining")
 	}
-	for _, c := range checks {
-		if err := c.fn(); err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
-		}
-	}
 	return nil
-}
-
-// MetricsRegistry exposes the server's telemetry registry so co-located
-// layers (the cluster node) can register their metrics on the same /metrics
-// endpoint.
-func (s *Server) MetricsRegistry() *telemetry.Registry { return s.metrics.reg }
-
-// Kill emulates a process kill for tests and abrupt teardown: the journal is
-// closed first (no further lifecycle transitions are committed, exactly like
-// losing the process), then intake stops and running work is cancelled.
-// In-memory state keeps mutating while the workers unwind, but those
-// mutations are lost to the journal — only what Append had already fsynced
-// survives, which is the point.
-func (s *Server) Kill() {
-	if s.journal != nil {
-		_ = s.journal.Close()
-	}
-	s.mu.Lock()
-	s.beginDrainLocked()
-	s.mu.Unlock()
-	s.baseCancel()
-	s.wg.Wait()
-}
-
-// JournaledJob is one job reconstructed from journal records: by replay on
-// restart, and by the cluster hand-off from another node's journal.
-type JournaledJob struct {
-	ID      string
-	Request JobRequest
-	// Status is the finished or canceled record's status, StatusQueued
-	// when the job has neither and must be re-run somewhere.
-	Status      Status
-	Terminal    bool
-	Error       string
-	Result      *JobResult
-	CacheHit    bool
-	ForwardedTo string
-	// Attempts is the highest attempt journaled by a started or finished
-	// record.
-	Attempts                           int
-	SubmittedAt, StartedAt, FinishedAt time.Time
-	// Span is the job's trace context as journaled at submission; re-running
-	// the job elsewhere continues its original timeline.
-	Span telemetry.SpanContext
-}
-
-// ExtractJournalJobs reconstructs job states from raw journal records using
-// the server's payload schema, decoding each payload once; replay builds on
-// it, and it is exported so the cluster hand-off can interpret a claimed
-// journal. Jobs come back in first-record order. Jobs whose submitted
-// record is missing (torn prefix) are dropped; a job with no finished or
-// canceled record is non-terminal.
-func ExtractJournalJobs(records []journal.Record) []JournaledJob {
-	jobs := map[string]*JournaledJob{}
-	haveReq := map[string]bool{}
-	var order []string
-	for _, rec := range records {
-		jj, ok := jobs[rec.JobID]
-		if !ok {
-			jj = &JournaledJob{ID: rec.JobID, Status: StatusQueued}
-			jobs[rec.JobID] = jj
-			order = append(order, rec.JobID)
-		}
-		switch rec.Op {
-		case journal.OpSubmitted:
-			var d submittedData
-			if json.Unmarshal(rec.Data, &d) == nil {
-				jj.Request, haveReq[rec.JobID] = d.Request, true
-				jj.Span = spanFromWire(d.TraceID, d.SpanID, d.ParentID)
-				jj.SubmittedAt = rec.Time
-			}
-		case journal.OpStarted:
-			var d startedData
-			_ = json.Unmarshal(rec.Data, &d)
-			jj.StartedAt = rec.Time
-			jj.Attempts = max(jj.Attempts, d.Attempt)
-		case journal.OpFinished:
-			var d finishedData
-			if json.Unmarshal(rec.Data, &d) == nil {
-				jj.Status, jj.Terminal = d.Status, d.Status.terminal()
-				jj.Error, jj.Result = d.Error, d.Result
-				jj.CacheHit, jj.ForwardedTo = d.CacheHit, d.ForwardedTo
-				jj.Attempts = max(jj.Attempts, d.Attempts)
-				jj.FinishedAt = rec.Time
-			}
-		case journal.OpCanceled:
-			jj.Status, jj.Terminal, jj.Error = StatusCanceled, true, "canceled"
-			jj.FinishedAt = rec.Time
-		}
-	}
-	out := make([]JournaledJob, 0, len(order))
-	for _, id := range order {
-		if haveReq[id] {
-			out = append(out, *jobs[id])
-		}
-	}
-	return out
 }

@@ -314,6 +314,9 @@ func TestValidationErrors(t *testing.T) {
 		{Kernels: []string{"SB"}, Mode: "weird"},         // bad mode
 		{Kernels: []string{"SB"}, Policy: "weird"},       // bad policy
 		{Kernels: []string{"SB", "SD"}, Mode: "alone"},   // alone arity
+		// A kernel without SMs has an infinite slowdown, which JSON cannot
+		// encode: accepted, it made the job and the job list unreadable.
+		{Kernels: []string{"SB", "SD"}, Alloc: []int{16, 0}, Cycles: testCycles, Slowdowns: true},
 	}
 	for i, req := range cases {
 		_, resp := postJob(t, ts, req)
@@ -385,6 +388,167 @@ func TestHealthzAndKernels(t *testing.T) {
 	resp.Body.Close()
 	if len(kr.Kernels) != len(kernels.All()) {
 		t.Fatalf("kernels: got %d, want %d", len(kr.Kernels), len(kernels.All()))
+	}
+}
+
+// TestReadyzLifecycle walks the readiness state machine: not ready before
+// Start, ready after, not ready again once draining.
+func TestReadyzLifecycle(t *testing.T) {
+	s := newIdleServer(t, Options{JobTimeout: time.Minute, DefaultCycles: testCycles})
+	if err := s.Ready(); err == nil || !strings.Contains(err.Error(), "not started") {
+		t.Fatalf("Ready() before Start = %v, want not started", err)
+	}
+	s.Start()
+	if err := s.Ready(); err != nil {
+		t.Fatalf("Ready() after Start: %v", err)
+	}
+	ctx, cancel := testCtx()
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ready(); err == nil || err.Error() != "draining" {
+		t.Fatalf("Ready() after Shutdown = %v, want draining", err)
+	}
+}
+
+// TestReadyzEndpoint checks the HTTP surface: /readyz mirrors Ready() with
+// 200/503 and a JSON reason, while /healthz answers 200 whether or not the
+// daemon is ready (liveness and readiness are different questions).
+func TestReadyzEndpoint(t *testing.T) {
+	s := newIdleServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(path string) (int, map[string]any) {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		return resp.StatusCode, body
+	}
+	code, body := get("/readyz")
+	if code != http.StatusServiceUnavailable || body["status"] != "unavailable" {
+		t.Fatalf("/readyz before Start = %d %v, want 503 unavailable", code, body)
+	}
+	if reason, _ := body["reason"].(string); !strings.Contains(reason, "not started") {
+		t.Fatalf("/readyz reason = %q", reason)
+	}
+	if code, _ := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz before Start = %d, want 200", code)
+	}
+	s.Start()
+	if code, body := get("/readyz"); code != http.StatusOK || body["status"] != "ready" {
+		t.Fatalf("/readyz = %d %v, want 200 ready", code, body)
+	}
+}
+
+// TestSubmitStatusMapping pins the error→HTTP-status contract of
+// POST /v1/jobs.
+func TestSubmitStatusMapping(t *testing.T) {
+	cases := []struct {
+		err  error
+		want int
+	}{
+		{nil, http.StatusAccepted},
+		{ErrQueueFull, http.StatusTooManyRequests},
+		{ErrShed, http.StatusTooManyRequests},
+		{ErrDraining, http.StatusServiceUnavailable},
+		{ErrJournal, http.StatusInternalServerError},
+		{fmt.Errorf("unknown kernel %q", "NOPE"), http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		if got := SubmitStatus(c.err); got != c.want {
+			t.Errorf("SubmitStatus(%v) = %d, want %d", c.err, got, c.want)
+		}
+	}
+}
+
+// TestViewsAndQueueLen covers the read API on a server whose workers never
+// start: empty at first, then one queued job in the queue, the list and the
+// single view.
+func TestViewsAndQueueLen(t *testing.T) {
+	s := newIdleServer(t, Options{})
+	if n := len(s.queue); n != 0 {
+		t.Fatalf("queue length %d on an idle server", n)
+	}
+	if got := s.Views(); len(got) != 0 {
+		t.Fatalf("Views = %v on an empty server", got)
+	}
+	if _, ok := s.View("job-99"); ok {
+		t.Fatal("View found a job that never existed")
+	}
+	v, err := s.Submit(JobRequest{Kernels: []string{"SB"}, Cycles: testCycles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.queue); n != 1 {
+		t.Fatalf("queue length %d after one submission, want 1", n)
+	}
+	if got := s.Views(); len(got) != 1 || got[0].ID != v.ID || got[0].Status != StatusQueued {
+		t.Fatalf("Views = %+v, want the one queued job", got)
+	}
+	if got, ok := s.View(v.ID); !ok || got.Status != StatusQueued {
+		t.Fatalf("View(%s) = %+v, %v", v.ID, got, ok)
+	}
+}
+
+// TestSubmitListCancelShort drives the programmatic Submit path plus the list
+// and cancel endpoints with one cheap job, then shuts the server down.
+func TestSubmitListCancelShort(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, DefaultCycles: 2_000})
+	v, err := s.Submit(JobRequest{Kernels: []string{"SB"}, Cycles: 2_000, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(JobRequest{Kernels: []string{"NOPE"}}); err == nil {
+		t.Fatal("invalid kernel accepted")
+	}
+	awaitTerminal(t, s, v.ID)
+	if got := s.Views(); len(got) != 1 || got[0].ID != v.ID {
+		t.Fatalf("Views = %+v, want the one submitted job", got)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed struct {
+		Jobs []JobView `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listed); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(listed.Jobs) != 1 || listed.Jobs[0].ID != v.ID {
+		t.Fatalf("GET /v1/jobs = %+v", listed.Jobs)
+	}
+
+	del := func(id string) int {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := del("nope"); code != http.StatusNotFound {
+		t.Fatalf("DELETE unknown job = %d, want 404", code)
+	}
+	if code := del(v.ID); code != http.StatusConflict {
+		t.Fatalf("DELETE finished job = %d, want 409", code)
+	}
+
+	ctx, cancel := testCtx()
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ready(); err == nil {
+		t.Fatal("Ready() nil after Shutdown")
 	}
 }
 

@@ -41,7 +41,8 @@ func Key(cfg config.Config, profiles []kernels.Profile, alloc []int, cycles, see
 	}{cfg.Fingerprint(), profiles, alloc, cycles, seed, variant}
 	data, err := json.Marshal(payload)
 	if err != nil {
-		// All fields are plain data; Marshal cannot fail.
+		// All fields are plain data; only a non-finite float in a profile
+		// (which JSON-loaded catalogues cannot carry) makes Marshal fail.
 		panic(fmt.Sprintf("simcache: key: %v", err))
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(data))
@@ -130,21 +131,6 @@ func (m *Memory) put(key string, r *sim.Result) {
 	}
 	m.entries[key] = r
 	m.order = append(m.order, key)
-}
-
-// PutIfAbsent stores r under key only when the key is not already resident,
-// reporting whether it inserted. Results are deterministic functions of the
-// key, so a lost race changes nothing — but the report lets callers count
-// duplicates, which is how the cluster layer measures how much redundant
-// work a partition caused when the halves reconcile.
-func (m *Memory) PutIfAbsent(key string, r *sim.Result) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.entries[key]; ok {
-		return false
-	}
-	m.put(key, r)
-	return true
 }
 
 // Peek reports whether key is resident without touching the hit/miss

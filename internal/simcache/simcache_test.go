@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,6 +47,19 @@ func TestKeyStableAndSensitive(t *testing.T) {
 			t.Errorf("changing %s did not change the key", name)
 		}
 	}
+}
+
+// TestKeyPanicsOnUnencodableProfile: a NaN profile field has no JSON form,
+// so Key refuses it loudly instead of returning an address it cannot derive.
+func TestKeyPanicsOnUnencodableProfile(t *testing.T) {
+	ps := testProfiles()
+	ps[0].MemFrac = math.NaN()
+	defer func() {
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "simcache: key") {
+			t.Fatalf("recover() = %v, want a simcache key panic", v)
+		}
+	}()
+	Key(config.Default(), ps, []int{8, 8}, 100_000, 1, "shared/even")
 }
 
 func TestConfigFingerprintStable(t *testing.T) {
@@ -170,22 +185,6 @@ func TestGetOrComputeWaiterCancellation(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	close(release)
-}
-
-// TestPutIfAbsent checks insert-vs-duplicate reporting and that a duplicate
-// leaves the resident result in place.
-func TestPutIfAbsent(t *testing.T) {
-	m := NewMemory(4)
-	a, b := &sim.Result{Cycles: 1}, &sim.Result{Cycles: 2}
-	if !m.PutIfAbsent("k", a) {
-		t.Fatal("first PutIfAbsent reported duplicate")
-	}
-	if m.PutIfAbsent("k", b) {
-		t.Fatal("second PutIfAbsent reported insert")
-	}
-	if got, ok := m.Get("k"); !ok || got != a {
-		t.Fatal("duplicate PutIfAbsent replaced the resident result")
-	}
 }
 
 func TestGetOrComputeHitSkipsCompute(t *testing.T) {

@@ -42,12 +42,6 @@ type JSONEvent struct {
 	Attempt  int32 `json:"attempt,omitempty"`
 	CacheHit bool  `json:"cache_hit,omitempty"`
 
-	TraceID  string `json:"trace_id,omitempty"`
-	SpanID   string `json:"span_id,omitempty"`
-	ParentID string `json:"parent_id,omitempty"`
-	Node     string `json:"node,omitempty"`
-
-	Dur      int64   `json:"dur_ns,omitempty"`
 	Deserved float64 `json:"deserved,omitempty"`
 }
 
@@ -60,10 +54,7 @@ func (e *Event) toJSON() JSONEvent {
 		TimeBank: e.TimeBank, TimeRow: e.TimeRow, TimeLLC: e.TimeLLC,
 		MBB: e.MBB, Est: e.Est, Actual: e.Actual, Served: e.Served, SMs: e.SMs,
 		CurScore: e.CurScore, BestScore: e.BestScore, Realloc: e.Realloc,
-		Attempt: e.Attempt, CacheHit: e.CacheHit,
-		TraceID: FormatSpanID(e.TraceID), SpanID: FormatSpanID(e.SpanID),
-		ParentID: FormatSpanID(e.ParentID), Node: e.Node,
-		Dur: e.Dur, Deserved: e.Deserved,
+		Attempt: e.Attempt, CacheHit: e.CacheHit, Deserved: e.Deserved,
 	}
 	if n := int(e.NApps); n > 0 && n <= MaxApps {
 		j.Alloc = append(j.Alloc, e.Alloc[:n]...)
@@ -80,12 +71,8 @@ func (j *JSONEvent) toEvent() Event {
 		TimeBank: j.TimeBank, TimeRow: j.TimeRow, TimeLLC: j.TimeLLC,
 		MBB: j.MBB, Est: j.Est, Actual: j.Actual, Served: j.Served, SMs: j.SMs,
 		CurScore: j.CurScore, BestScore: j.BestScore, Realloc: j.Realloc,
-		Attempt: j.Attempt, CacheHit: j.CacheHit,
-		Node: j.Node, Dur: j.Dur, Deserved: j.Deserved,
+		Attempt: j.Attempt, CacheHit: j.CacheHit, Deserved: j.Deserved,
 	}
-	e.TraceID, _ = ParseSpanID(j.TraceID)
-	e.SpanID, _ = ParseSpanID(j.SpanID)
-	e.ParentID, _ = ParseSpanID(j.ParentID)
 	if n := len(j.Alloc); n > 0 && n <= MaxApps {
 		e.NApps = int32(n)
 		copy(e.Alloc[:], j.Alloc)
@@ -107,8 +94,8 @@ func WriteNDJSON(w io.Writer, events []Event) error {
 }
 
 // ReadNDJSONStrict parses an NDJSON event stream (blank lines are skipped)
-// and treats every schema deviation as an error: unknown event kinds, unknown
-// fields, and malformed trace ids all fail, naming the offending line. It is
+// and treats every schema deviation as an error: unknown event kinds and
+// unknown fields fail, naming the offending line. It is
 // the one event reader, so a corrupt or foreign stream is rejected loudly
 // rather than silently rendered as a partial timeline.
 func ReadNDJSONStrict(r io.Reader) ([]Event, error) {
@@ -130,13 +117,6 @@ func ReadNDJSONStrict(r io.Reader) ([]Event, error) {
 		}
 		if KindFromString(j.Kind) == 0 {
 			return nil, fmt.Errorf("telemetry: line %d: unknown event kind %q", line, j.Kind)
-		}
-		for _, p := range [...]struct{ name, v string }{
-			{"trace_id", j.TraceID}, {"span_id", j.SpanID}, {"parent_id", j.ParentID},
-		} {
-			if _, err := ParseSpanID(p.v); err != nil {
-				return nil, fmt.Errorf("telemetry: line %d: invalid %s %q", line, p.name, p.v)
-			}
 		}
 		out = append(out, j.toEvent())
 	}
@@ -172,14 +152,6 @@ type chromeTrace struct {
 const (
 	chromePidJobs   = 1
 	chromePidCycles = 2
-	// chromePidNodeBase is the first pid used for per-node tracks in merged
-	// cross-node traces: events carrying a Node name get one synthetic
-	// process per node, assigned in sorted node-name order, so a forwarded
-	// or stolen job reads as spans hopping across node tracks.
-	chromePidNodeBase = 16
-	// chromeTidRPC is the per-node thread carrying cluster RPC spans and
-	// routing decisions.
-	chromeTidRPC = 1000
 )
 
 // WriteChromeTrace renders events as Chrome trace-event JSON, loadable in
@@ -198,40 +170,9 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			Args: map[string]any{"name": "simulation (cycle domain)"}},
 	}}
 
-	// Merged cross-node traces: one synthetic process per node name, in
-	// sorted order. Events without a Node keep the legacy pids, so
-	// single-process traces render exactly as before.
-	nodePid := map[string]int{}
-	var nodeOrder []string
-	for i := range events {
-		if n := events[i].Node; n != "" {
-			if _, ok := nodePid[n]; !ok {
-				nodePid[n] = 0
-				nodeOrder = append(nodeOrder, n)
-			}
-		}
-	}
-	sort.Strings(nodeOrder)
-	for i, n := range nodeOrder {
-		nodePid[n] = chromePidNodeBase + i
-		tr.TraceEvents = append(tr.TraceEvents,
-			chromeEvent{Name: "process_name", Ph: "M", Pid: nodePid[n], Tid: 0,
-				Args: map[string]any{"name": "node " + n}},
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: nodePid[n], Tid: chromeTidRPC,
-				Args: map[string]any{"name": "cluster rpc"}})
-	}
-	jobPid := func(node string) int {
-		if p, ok := nodePid[node]; ok {
-			return p
-		}
-		return chromePidJobs
-	}
-
 	// Pass 1: job span boundaries (queued -> terminal wall times).
 	type span struct {
 		queued, done int64
-		node         string
-		trace        uint64
 	}
 	spans := map[string]*span{}
 	var jobOrder []string
@@ -240,7 +181,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		switch e.Kind {
 		case KindJobQueued:
 			if _, ok := spans[e.Job]; !ok {
-				spans[e.Job] = &span{queued: e.Wall, node: e.Node, trace: e.TraceID}
+				spans[e.Job] = &span{queued: e.Wall}
 				jobOrder = append(jobOrder, e.Job)
 			}
 		case KindJobDone:
@@ -257,15 +198,11 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	for _, id := range jobOrder {
 		sp := spans[id]
 		if sp.done > sp.queued {
-			ev := chromeEvent{
+			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 				Name: "job " + id, Ph: "X",
 				Ts: float64(sp.queued) / 1e3, Dur: float64(sp.done-sp.queued) / 1e3,
-				Pid: jobPid(sp.node), Tid: jobTid[id],
-			}
-			if sp.trace != 0 {
-				ev.Args = map[string]any{"trace_id": FormatSpanID(sp.trace)}
-			}
-			tr.TraceEvents = append(tr.TraceEvents, ev)
+				Pid: chromePidJobs, Tid: jobTid[id],
+			})
 		}
 	}
 
@@ -288,25 +225,9 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			if e.Kind == KindJobDone {
 				args["cache_hit"] = e.CacheHit
 			}
-			addSpanArgs(args, e)
 			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 				Name: e.Kind.String(), Ph: "i", Ts: float64(e.Wall) / 1e3,
-				Pid: jobPid(e.Node), Tid: tid, S: "t", Args: args,
-			})
-		case KindClusterRPC:
-			args := map[string]any{"peer": e.Job, "ok": e.CacheHit}
-			addSpanArgs(args, e)
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name: "rpc " + e.Note, Ph: "X",
-				Ts: float64(e.Wall) / 1e3, Dur: float64(e.Dur) / 1e3,
-				Pid: jobPid(e.Node), Tid: chromeTidRPC, Args: args,
-			})
-		case KindJobRouted:
-			args := map[string]any{"job": e.Job, "peer": e.Note}
-			addSpanArgs(args, e)
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name: "job.routed", Ph: "i", Ts: float64(e.Wall) / 1e3,
-				Pid: jobPid(e.Node), Tid: chromeTidRPC, S: "t", Args: args,
+				Pid: chromePidJobs, Tid: tid, S: "t", Args: args,
 			})
 		case KindInterval:
 			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
@@ -358,20 +279,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(tr)
-}
-
-// addSpanArgs attaches the event's trace context to a chrome event's args.
-func addSpanArgs(args map[string]any, e *Event) {
-	if e.TraceID == 0 {
-		return
-	}
-	args["trace_id"] = FormatSpanID(e.TraceID)
-	if e.SpanID != 0 {
-		args["span_id"] = FormatSpanID(e.SpanID)
-	}
-	if e.ParentID != 0 {
-		args["parent_id"] = FormatSpanID(e.ParentID)
-	}
 }
 
 // ValidateChromeTrace checks that data is structurally valid Chrome

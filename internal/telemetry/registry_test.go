@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -118,5 +119,46 @@ func TestLabelEscaping(t *testing.T) {
 	r.WritePrometheus(&sb)
 	if want := `g{path="a\"b\\c\n"} 1`; !strings.Contains(sb.String(), want) {
 		t.Errorf("escaped label missing %q in:\n%s", want, sb.String())
+	}
+}
+
+func TestHistogramVecChildren(t *testing.T) {
+	reg := NewRegistry()
+	v := reg.HistogramVec("req_seconds", "Request latency.", []float64{0.1, 1}, "method")
+	get := v.With("get")
+	get.Observe(0.05)
+	get.Observe(0.5)
+	v.With("put").Observe(2)
+	// Same labels resolve to the same child.
+	v.With("get").Observe(0.07)
+
+	if get.Count() != 3 {
+		t.Errorf("get child count = %d, want 3", get.Count())
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	out := sb.String()
+	if n := strings.Count(out, "req_seconds_count{"); n != 2 {
+		t.Fatalf("%d children, want 2 in:\n%s", n, out)
+	}
+	for _, want := range []string{
+		`req_seconds_bucket{method="get",le="0.1"} 2`,
+		`req_seconds_count{method="get"} 3`,
+		`req_seconds_bucket{method="put",le="1"} 0`,
+		`req_seconds_bucket{method="put",le="+Inf"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+func TestObserveIgnoresNaN(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("h_seconds", "H.", 0.1, 1)
+	h.Observe(math.NaN())
+	h.Observe(0.05)
+	if h.Count() != 1 || h.Sum() != 0.05 {
+		t.Errorf("count %d sum %v, want 1 and 0.05 (NaN dropped)", h.Count(), h.Sum())
 	}
 }

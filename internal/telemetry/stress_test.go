@@ -15,8 +15,8 @@ func tagID(g, i int) uint64 {
 // TestTracerConcurrentEmitStress hammers a small ring from many goroutines
 // through thousands of wrap-arounds (run under -race in CI). Invariants: no
 // emission is lost from the totals, the retained window is seq-contiguous,
-// and no event is torn — every retained event's span fields are exactly the
-// ones stamped together by one Emit call.
+// and no event is torn — every retained event's payload fields are exactly
+// the ones stamped together by one Emit call.
 func TestTracerConcurrentEmitStress(t *testing.T) {
 	const (
 		goroutines = 16
@@ -32,9 +32,8 @@ func TestTracerConcurrentEmitStress(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				id := tagID(g, i)
 				tr.Emit(Event{
-					Kind: KindClusterRPC, App: int32(g), SM: -1,
-					Cycle: uint64(i), Dur: int64(id),
-					TraceID: id, SpanID: id + 1, ParentID: id + 2,
+					Kind: KindInterval, App: int32(g), SM: -1,
+					Cycle: uint64(i), Served: id, Wall: int64(id + 1), Deserved: float64(id + 2),
 				})
 			}
 		}(g)
@@ -60,9 +59,9 @@ func TestTracerConcurrentEmitStress(t *testing.T) {
 		// require every other field to match it: a torn event (fields from
 		// two interleaved Emit calls) cannot pass.
 		id := tagID(int(e.App), int(e.Cycle))
-		if e.TraceID != id || e.SpanID != id+1 || e.ParentID != id+2 || e.Dur != int64(id) {
-			t.Fatalf("torn event at seq %d: app=%d cycle=%d trace=%x span=%x parent=%x dur=%x",
-				e.Seq, e.App, e.Cycle, e.TraceID, e.SpanID, e.ParentID, e.Dur)
+		if e.Served != id || e.Wall != int64(id+1) || e.Deserved != float64(id+2) {
+			t.Fatalf("torn event at seq %d: app=%d cycle=%d served=%x wall=%x deserved=%v",
+				e.Seq, e.App, e.Cycle, e.Served, e.Wall, e.Deserved)
 		}
 	}
 }
@@ -70,7 +69,7 @@ func TestTracerConcurrentEmitStress(t *testing.T) {
 // TestTracerConcurrentEmitWithReaders interleaves Emit with Events snapshots
 // — the access pattern of a live /v1/trace scrape during a run — and requires
 // every snapshot to be internally consistent (contiguous sequence numbers, no
-// torn span fields).
+// torn payload fields).
 func TestTracerConcurrentEmitWithReaders(t *testing.T) {
 	tr := New(128)
 	var writers sync.WaitGroup
@@ -81,7 +80,7 @@ func TestTracerConcurrentEmitWithReaders(t *testing.T) {
 			for i := 0; i < 2_000; i++ {
 				id := tagID(g, i)
 				tr.Emit(Event{Kind: KindJobQueued, App: int32(g), SM: -1,
-					Cycle: uint64(i), TraceID: id, SpanID: id + 1})
+					Cycle: uint64(i), Served: id, Wall: int64(id + 1)})
 			}
 		}(g)
 	}
@@ -105,7 +104,7 @@ func TestTracerConcurrentEmitWithReaders(t *testing.T) {
 						errCh <- "seq gap in concurrent snapshot"
 						return
 					}
-					if id := tagID(int(e.App), int(e.Cycle)); e.TraceID != id || e.SpanID != id+1 {
+					if id := tagID(int(e.App), int(e.Cycle)); e.Served != id || e.Wall != int64(id+1) {
 						errCh <- "torn event in concurrent snapshot"
 						return
 					}
@@ -127,21 +126,20 @@ func TestTracerConcurrentEmitWithReaders(t *testing.T) {
 	}
 }
 
-// TestEmitWithSpanDoesNotAllocate pins the zero-alloc budget for the new RPC
-// sites: a fully-populated cluster RPC event — span context, node name,
-// duration — must still copy into the ring without a single allocation.
-func TestEmitWithSpanDoesNotAllocate(t *testing.T) {
+// TestEmitFullEventDoesNotAllocate pins the zero-alloc budget for the daemon
+// sites: a fully-populated job event — both strings, wall clock, attempt,
+// cache hit — must still copy into the ring without a single allocation.
+func TestEmitFullEventDoesNotAllocate(t *testing.T) {
 	tr := New(64)
 	e := Event{
-		Kind: KindClusterRPC, Wall: 12345, App: -1, SM: -1,
-		Job: "n2", Note: "forward", Node: "n1",
-		TraceID: 0xabc, SpanID: 0xdef, ParentID: 0x123,
-		Dur: 987654, CacheHit: true,
+		Kind: KindJobDone, Wall: 12345, App: -1, SM: -1,
+		Job: "job-42", Note: "done", Attempt: 3, CacheHit: true,
+		Alloc: [MaxApps]int32{10, 6}, Deserved: 0.5,
 	}
 	avg := testing.AllocsPerRun(1000, func() {
 		tr.Emit(e)
 	})
 	if avg > 0 {
-		t.Fatalf("Emit with span fields allocates %.1f objects per call, want 0", avg)
+		t.Fatalf("Emit of a full event allocates %.1f objects per call, want 0", avg)
 	}
 }

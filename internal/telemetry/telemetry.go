@@ -62,16 +62,6 @@ const (
 	// running jobs, Deserved the tenant's deserved SM share, Cycle the
 	// scheduling interval.
 	KindFleetInterval
-	// KindClusterRPC is one completed cluster RPC (cluster layer): Note the
-	// method (heartbeat/steal/forward/reconcile/handoff), Job the peer id,
-	// Wall the start time, Dur the round-trip duration in nanoseconds, and
-	// CacheHit true when the RPC succeeded.
-	KindClusterRPC
-	// KindJobRouted marks the routing node's decision to hand a submission
-	// to a peer: Job the job id assigned by the peer, Note the peer id, Wall
-	// the decision time. Together with the peer's job.queued event (same
-	// TraceID) it stitches the cross-node submit chain.
-	KindJobRouted
 )
 
 // kindNames maps Kind to its wire name (NDJSON "kind" field, Chrome trace
@@ -89,8 +79,6 @@ var kindNames = map[Kind]string{
 	KindJobDone:       "job.done",
 	KindFleetJob:      "fleet.job",
 	KindFleetInterval: "fleet.interval",
-	KindClusterRPC:    "cluster.rpc",
-	KindJobRouted:     "job.routed",
 }
 
 // String returns the Kind's wire name.
@@ -156,18 +144,6 @@ type Event struct {
 	// Daemon lifecycle detail (KindJobStarted/KindJobRetry/KindJobDone).
 	Attempt  int32
 	CacheHit bool
-
-	// Distributed trace context (cluster and daemon events): which trace
-	// this event belongs to, which span it is part of, and that span's
-	// parent. Zero means "not part of a distributed trace". Node names the
-	// emitting cluster node.
-	TraceID  uint64
-	SpanID   uint64
-	ParentID uint64
-	Node     string
-
-	// Dur is a duration in nanoseconds (KindClusterRPC round-trip time).
-	Dur int64
 
 	// Deserved is the tenant's deserved SM share (KindFleetInterval).
 	Deserved float64

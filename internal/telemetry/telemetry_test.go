@@ -229,3 +229,85 @@ func TestTracerGrowsOnDemand(t *testing.T) {
 		}
 	}
 }
+
+// TestReadNDJSONStrictRoundTrip carries the fleet layer's kinds, which
+// TestNDJSONRoundTrip does not, through the strict reader.
+func TestReadNDJSONStrictRoundTrip(t *testing.T) {
+	events := []Event{
+		{Kind: KindFleetJob, Seq: 1, Cycle: 3, App: 1, SM: 2, Job: "j1", Note: "place", SMs: 4},
+		{Kind: KindFleetInterval, Seq: 2, Cycle: 3, App: 0, SM: -1, Note: "tenant-a",
+			SMs: 12, Served: 2, Est: 1.25, Deserved: 0.5},
+	}
+	var sb strings.Builder
+	if err := WriteNDJSON(&sb, events); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadNDJSONStrict(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("strict reader rejected our own output: %v", err)
+	}
+	if len(got) != len(events) {
+		t.Fatalf("read %d events, want %d", len(got), len(events))
+	}
+	for i := range events {
+		if got[i] != events[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], events[i])
+		}
+	}
+}
+
+func TestReadNDJSONStrictRejects(t *testing.T) {
+	cases := []struct {
+		name, line, wantErr string
+	}{
+		{"unknown kind", `{"kind":"job.exploded","seq":1,"app":-1,"sm":-1}`, "unknown event kind"},
+		{"unknown field", `{"kind":"job.queued","seq":1,"app":-1,"sm":-1,"mystery":1}`, "mystery"},
+		// The cross-node span fields are gone from the schema: a stream that
+		// still carries them is foreign and refused, not half-read.
+		{"retired trace id", `{"kind":"job.queued","seq":1,"app":-1,"sm":-1,"trace_id":"00000000000000ab"}`, "trace_id"},
+		{"retired span id", `{"kind":"job.queued","seq":1,"app":-1,"sm":-1,"span_id":"00000000000000ab"}`, "span_id"},
+		{"retired parent id", `{"kind":"job.queued","seq":1,"app":-1,"sm":-1,"parent_id":"00000000000000ab"}`, "parent_id"},
+		{"retired kind", `{"kind":"cluster.rpc","seq":1,"app":-1,"sm":-1}`, "unknown event kind"},
+		{"not json", `garbage`, "line 2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in := `{"kind":"job.queued","seq":1,"app":-1,"sm":-1}` + "\n" + c.line + "\n"
+			_, err := ReadNDJSONStrict(strings.NewReader(in))
+			if err == nil {
+				t.Fatal("want error")
+			}
+			if !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("error %q does not mention %q", err, c.wantErr)
+			}
+			if !strings.Contains(err.Error(), "line 2") {
+				t.Errorf("error %q does not name line 2", err)
+			}
+		})
+	}
+}
+
+func TestNDJSONSkipsBlankLines(t *testing.T) {
+	in := "\n" + `{"kind":"job.queued","seq":1,"app":-1,"sm":-1}` + "\n\n"
+	got, err := ReadNDJSONStrict(strings.NewReader(in))
+	if err != nil || len(got) != 1 {
+		t.Errorf("%d events, err %v; want 1, nil", len(got), err)
+	}
+}
+
+func TestTracerDefaultCapacity(t *testing.T) {
+	tr := New(0)
+	tr.Emit(Event{Kind: KindJobQueued, App: -1, SM: -1})
+	if tr.Len() != 1 || cap(tr.Events()) == 0 {
+		t.Errorf("default-capacity tracer: len %d", tr.Len())
+	}
+}
+
+func TestKindStringUnknown(t *testing.T) {
+	if got := Kind(255).String(); got != "unknown" {
+		t.Errorf("Kind(255).String() = %q", got)
+	}
+	if got := KindFromString("no.such.kind"); got != 0 {
+		t.Errorf("KindFromString = %v, want 0", got)
+	}
+}

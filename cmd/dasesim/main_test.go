@@ -13,6 +13,7 @@ import (
 //
 //	go run ./cmd/dasesim -apps SB,SD -cycles 20000 > cmd/dasesim/testdata/sb-sd.golden
 //	go run ./cmd/dasesim -list > cmd/dasesim/testdata/list.golden
+//	go run ./cmd/dasesim -apps VA,CT -policy fair -cycles 60000 -csv cmd/dasesim/testdata/va-ct-fair.csv.golden
 //
 // The engine is deterministic, so a difference is a behaviour change:
 // regenerate them with those commands only when the change is intended.
@@ -40,8 +41,10 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
-// TestRunFairCSVSeedsAndConfig drives what the goldens skip: a dumped
-// configuration read back, DASE-Fair with a CSV trace, and several seeds.
+// TestRunFairCSVSeedsAndConfig drives what the stdout goldens skip: a
+// dumped configuration read back, DASE-Fair with its CSV trace compared
+// byte for byte against testdata/va-ct-fair.csv.golden (two intervals of
+// two apps; the dumped configuration is the default), and several seeds.
 func TestRunFairCSVSeedsAndConfig(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "gpu.json")
@@ -62,8 +65,16 @@ func TestRunFairCSVSeedsAndConfig(t *testing.T) {
 			t.Errorf("run %q: stdout lacks %q:\n%s", tc.args, tc.want, stdout.String())
 		}
 	}
-	if data, err := os.ReadFile(csvPath); err != nil || len(data) == 0 {
-		t.Errorf("-csv wrote nothing: %v", err)
+	got, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "va-ct-fair.csv.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("-csv differs from testdata/va-ct-fair.csv.golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 	"strings"
 
 	"dasesim"
-	"dasesim/internal/trace"
+	"dasesim/internal/sim"
 )
 
 func main() {
@@ -125,6 +125,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *seeds > 1 {
+		if *csvPath != "" {
+			return fmt.Errorf("-csv records one run's intervals; it cannot be combined with -seeds %d", *seeds)
+		}
 		return reportMultiSeed(stdout, cfg, profiles, alloc, *cycles, *seed, *seeds, *policy)
 	}
 
@@ -140,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := trace.NewWriter(f).WriteAll(shared.Snapshots); err != nil {
+		if err := writeCSV(f, shared.Snapshots); err != nil {
 			f.Close()
 			return err
 		}
@@ -183,6 +186,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fair.Reallocations, strings.Join(parts, "+"))
 	}
 	return nil
+}
+
+// writeCSV writes one row per (interval, app): the snapshot's cycle,
+// interval length and app, every sim.AppFields counter (floats to six
+// significant digits), then the interval's DRAM bus decomposition.
+func writeCSV(w io.Writer, snaps []sim.IntervalSnapshot) error {
+	buf := []byte("cycle,interval_cycles,app")
+	for _, f := range sim.AppFields {
+		buf = append(append(buf, ','), f.Name...)
+	}
+	buf = append(buf, ",bus_cycles,bus_wasted,bus_idle\n"...)
+	for i := range snaps {
+		s := &snaps[i]
+		for j := range s.Apps {
+			a := &s.Apps[j]
+			buf = strconv.AppendUint(buf, s.Cycle, 10)
+			buf = strconv.AppendUint(append(buf, ','), s.IntervalCycles, 10)
+			buf = strconv.AppendInt(append(buf, ','), int64(a.App), 10)
+			for k := range sim.AppFields {
+				buf = sim.AppFields[k].Append(append(buf, ','), a, 6)
+			}
+			for _, v := range []uint64{s.BusCycles, s.BusWasted, s.BusIdle} {
+				buf = strconv.AppendUint(append(buf, ','), v, 10)
+			}
+			buf = append(buf, '\n')
+		}
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // reportMultiSeed reruns the workload across several seeds and prints the

@@ -91,6 +91,7 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-config", missing}, "missing.json"},
 		{[]string{"-kernels", missing}, "missing.json"},
 		{[]string{"-bogus"}, "-bogus"},
+		{[]string{"-cycles", "20000", "-seeds", "3", "-csv", filepath.Join(t.TempDir(), "x.csv")}, "-csv records one run's intervals; it cannot be combined with -seeds 3"},
 	} {
 		err := run(tc.args, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strconv"
 	"unsafe"
+
+	"dasesim/internal/memreq"
+	"dasesim/internal/sim"
 )
 
 // The wire codec is hand-rolled rather than encoding/json for one reason:
@@ -337,8 +340,9 @@ func (d *decoder) skipValue(depth int) *RequestError {
 	}
 }
 
-// parseApp fills one AppCounters from the current object.
-func (d *decoder) parseApp(a *AppCounters) *RequestError {
+// parseApp fills the DASE counters of one AppInterval from the current
+// object.
+func (d *decoder) parseApp(a *sim.AppInterval) *RequestError {
 	if err := d.expect('{'); err != nil {
 		return err
 	}
@@ -467,7 +471,7 @@ func (d *decoder) parseApps(req *Request, maxApps int) *RequestError {
 		if len(req.Apps) >= maxApps {
 			return invalidErrf("more than %d apps in one snapshot", maxApps)
 		}
-		req.Apps = append(req.Apps, AppCounters{})
+		req.Apps = append(req.Apps, sim.AppInterval{App: memreq.AppID(len(req.Apps))})
 		if err := d.parseApp(&req.Apps[len(req.Apps)-1]); err != nil {
 			return err
 		}
@@ -617,8 +621,8 @@ func appendResponses(buf []byte, resps []Response, single bool) []byte {
 
 // AppendRequest encodes req as the wire JSON the service decodes — the
 // client-side half of the codec, used by the load generator, the examples
-// and the cross-check tests. Optional fields at their zero value are
-// omitted.
+// and the cross-check tests. Optional header fields at their zero value are
+// omitted; each app carries the DASE rows of sim.AppFields, in table order.
 func AppendRequest(buf []byte, req *Request) []byte {
 	buf = append(buf, '{')
 	if req.ID != 0 {
@@ -653,33 +657,18 @@ func AppendRequest(buf []byte, req *Request) []byte {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		a := &req.Apps[i]
-		buf = append(buf, `{"sms":`...)
-		buf = strconv.AppendInt(buf, int64(a.SMs), 10)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "alpha", a.Alpha)
-		buf = append(buf, `,"served":`...)
-		buf = strconv.AppendUint(buf, a.Served, 10)
-		buf = append(buf, `,"time_in_banks":`...)
-		buf = strconv.AppendUint(buf, a.TimeInBanks, 10)
-		buf = append(buf, `,"erb_miss":`...)
-		buf = strconv.AppendUint(buf, a.ERBMiss, 10)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "ellc_miss", a.ELLCMiss)
-		buf = append(buf, `,"row_hits":`...)
-		buf = strconv.AppendUint(buf, a.RowHits, 10)
-		buf = append(buf, `,"row_misses":`...)
-		buf = strconv.AppendUint(buf, a.RowMisses, 10)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "blp", a.BLP)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "blp_access", a.BLPAccess)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "blp_blocked", a.BLPBlocked)
-		buf = append(buf, `,"tb_sum":`...)
-		buf = strconv.AppendInt(buf, int64(a.TBSum), 10)
-		buf = append(buf, `,"tb_shared":`...)
-		buf = strconv.AppendInt(buf, int64(a.TBShared), 10)
+		sep := byte('{')
+		for j := range sim.AppFields {
+			f := &sim.AppFields[j]
+			if !f.DASE {
+				continue
+			}
+			buf = append(buf, sep, '"')
+			buf = append(buf, f.Name...)
+			buf = append(buf, '"', ':')
+			buf = f.Append(buf, &req.Apps[i], -1)
+			sep = ','
+		}
 		buf = append(buf, '}')
 	}
 	return append(buf, `]}`...)

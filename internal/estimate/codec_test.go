@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dasesim/internal/sim"
 )
 
 // wireResponse mirrors the response schema for test-side decoding with
@@ -28,20 +30,18 @@ type wireAppResp struct {
 }
 
 func sampleRequest(id uint64) Request {
-	return Request{
-		ID:             id,
-		IntervalCycles: 50_000,
-		NumSMs:         16,
-		MinSMs:         1,
-		Apps: []AppCounters{
-			{SMs: 8, Alpha: 0.42, Served: 9000, TimeInBanks: 180_000, ERBMiss: 300,
-				ELLCMiss: 120.5, RowHits: 7000, RowMisses: 2000, BLP: 9.5, BLPAccess: 6.25,
-				BLPBlocked: 2.75, TBSum: 96, TBShared: 48},
-			{SMs: 8, Alpha: 0.9, Served: 21_000, TimeInBanks: 400_000, ERBMiss: 800,
-				ELLCMiss: 300.25, RowHits: 4000, RowMisses: 16_000, BLP: 18, BLPAccess: 14,
-				BLPBlocked: 3.5, TBSum: 120, TBShared: 60},
-		},
+	req := Request{ID: id, MinSMs: 1}
+	req.IntervalCycles = 50_000
+	req.NumSMs = 16
+	req.Apps = []sim.AppInterval{
+		{App: 0, SMs: 8, Alpha: 0.42, Served: 9000, TimeInBanks: 180_000, ERBMiss: 300,
+			ELLCMiss: 120.5, RowHits: 7000, RowMisses: 2000, BLP: 9.5, BLPAccess: 6.25,
+			BLPBlocked: 2.75, TBSum: 96, TBShared: 48},
+		{App: 1, SMs: 8, Alpha: 0.9, Served: 21_000, TimeInBanks: 400_000, ERBMiss: 800,
+			ELLCMiss: 300.25, RowHits: 4000, RowMisses: 16_000, BLP: 18, BLPAccess: 14,
+			BLPBlocked: 3.5, TBSum: 120, TBShared: 60},
 	}
+	return req
 }
 
 // TestRequestCodecRoundTrip: AppendRequest output must decode back to the
@@ -155,6 +155,21 @@ var decodeEdgeCases = []struct {
 	{"empty-batch", "[]", KindInvalid},
 	{"oversized-batch", "[" + strings.Repeat(validBody+",", 64) + validBody + "]", KindInvalid},
 	{"too-many-apps", `{"apps":[{},{},{},{},{},{},{},{},{}]}`, KindInvalid},
+	{"escapes-in-skipped-string", `{"note":"\u00e9\n\"","apps":[{"sms":8}]}`, ""},
+	{"empty-containers-skipped", `{"x":{},"y":[],"z":false,"apps":[{}]}`, ""},
+	{"bad-unicode-escape", `{"note":"\u00zz","apps":[{}]}`, KindDecode},
+	{"bad-escape-letter", `{"note":"\q","apps":[{}]}`, KindDecode},
+	{"control-char-in-key", "{\"a\x01\":1,\"apps\":[{}]}", KindDecode},
+	{"control-char-in-string", "{\"x\":\"a\x01\",\"apps\":[{}]}", KindDecode},
+	{"unterminated-key", `{"apps`, KindDecode},
+	{"missing-colon", `{"apps" [{}]}`, KindDecode},
+	{"bad-literal", `{"x":tru,"apps":[{}]}`, KindDecode},
+	{"float-for-int", `{"apps":[{"sms":1.5}]}`, KindDecode},
+	{"bad-separator-in-app", `{"apps":[{"sms":8 "alpha":0.5}]}`, KindDecode},
+	{"bad-separator-in-apps", `{"apps":[{} {}]}`, KindDecode},
+	{"bad-separator-in-skipped-array", `{"x":[1 2],"apps":[{}]}`, KindDecode},
+	{"bad-separator-in-skipped-object", `{"x":{"a":1 "b":2},"apps":[{}]}`, KindDecode},
+	{"bad-separator-in-batch", `[{"apps":[{}]} {"apps":[{}]}]`, KindDecode},
 }
 
 // TestDecodeEdgeCases checks each decodeEdgeCases body's verdict.
@@ -198,7 +213,7 @@ func TestDecodeReuseKeepsCapacity(t *testing.T) {
 	if r.ID != 0 || r.NumSMs != 0 || r.MinSMs != 0 || len(r.Apps) != 1 {
 		t.Fatalf("stale fields leaked into recycled request: %+v", r)
 	}
-	if r.Apps[0] != (AppCounters{SMs: 1}) {
+	if r.Apps[0] != (sim.AppInterval{SMs: 1}) {
 		t.Fatalf("stale app counters leaked: %+v", r.Apps[0])
 	}
 }

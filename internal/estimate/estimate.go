@@ -1,6 +1,6 @@
 // Package estimate serves DASE slowdown estimation online, with no
 // simulation in the loop: callers post the per-app hardware counters one
-// estimation interval observed (the same fields sim.WithTracer emits), and
+// estimation interval observed (the DASE rows of sim.AppFields), and
 // the service answers with per-app slowdowns, MBB verdicts, and the SM
 // partition the DASE-Fair search would pick. The paper's point is that the
 // model is cheap enough to run at every scheduling interval; this package is
@@ -15,11 +15,11 @@ package estimate
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"dasesim/internal/config"
 	"dasesim/internal/core"
-	"dasesim/internal/memreq"
 	"dasesim/internal/sched"
 	"dasesim/internal/sim"
 )
@@ -31,38 +31,12 @@ type Request struct {
 	// ID is an optional caller correlation tag, echoed in the response
 	// when non-zero.
 	ID uint64
-	// IntervalCycles is the interval length the counters cover.
-	IntervalCycles uint64
-	// NumSMs is the machine's total SM count.
-	NumSMs int
-	// PeakReqPerCyc / PeakActPerCyc are the DRAM peak request and
-	// activation rates (Eq. 20 inputs).
-	PeakReqPerCyc float64
-	PeakActPerCyc float64
-	// ReqMaxFactor is the empirical derating of Eq. 20.
-	ReqMaxFactor float64
 	// MinSMs bounds the partition search (per-app minimum).
 	MinSMs int
-	// Apps holds the per-app counters, in SM-partition order.
-	Apps []AppCounters
-}
-
-// AppCounters are the per-app interval counters DASE reads — the subset of
-// sim.AppInterval that reaches the model.
-type AppCounters struct {
-	SMs         int
-	Alpha       float64
-	Served      uint64
-	TimeInBanks uint64
-	ERBMiss     uint64
-	ELLCMiss    float64
-	RowHits     uint64
-	RowMisses   uint64
-	BLP         float64
-	BLPAccess   float64
-	BLPBlocked  float64
-	TBSum       int
-	TBShared    int
+	// IntervalSnapshot is the interval to estimate, apps in SM-partition
+	// order. The wire carries its header fields and the DASE rows of
+	// sim.AppFields; the rest stay zero on a decoded request.
+	sim.IntervalSnapshot
 }
 
 // AppResult is one app's estimate on the wire.
@@ -146,7 +120,6 @@ type Scratch struct {
 
 	reqs  []Request
 	resps []Response
-	snap  sim.IntervalSnapshot
 	det   []core.AppEstimate
 	slow  []float64
 	cur   []int
@@ -352,36 +325,8 @@ func countCompositions(total, n, min int) float64 {
 // using only sc-owned buffers.
 func (s *Service) estimateOne(req *Request, resp *Response, sc *Scratch) {
 	n := len(req.Apps)
-	snap := &sc.snap
-	*snap = sim.IntervalSnapshot{
-		IntervalCycles: req.IntervalCycles,
-		NumSMs:         req.NumSMs,
-		NumMCs:         s.opt.Cfg.NumMCs,
-		PeakReqPerCyc:  req.PeakReqPerCyc,
-		PeakActPerCyc:  req.PeakActPerCyc,
-		ReqMaxFactor:   req.ReqMaxFactor,
-		Apps:           sc.snap.Apps[:0],
-	}
-	for i := range req.Apps {
-		a := &req.Apps[i]
-		snap.Apps = append(snap.Apps, sim.AppInterval{
-			App:         memreq.AppID(i),
-			SMs:         a.SMs,
-			Alpha:       a.Alpha,
-			Served:      a.Served,
-			TimeInBanks: a.TimeInBanks,
-			ERBMiss:     a.ERBMiss,
-			ELLCMiss:    a.ELLCMiss,
-			RowHits:     a.RowHits,
-			RowMisses:   a.RowMisses,
-			BLP:         a.BLP,
-			BLPAccess:   a.BLPAccess,
-			BLPBlocked:  a.BLPBlocked,
-			TBSum:       a.TBSum,
-			TBShared:    a.TBShared,
-		})
-	}
-	sc.det = s.dase.EstimateDetailedInto(snap, sc.det)
+	req.NumMCs = s.opt.Cfg.NumMCs
+	sc.det = s.dase.EstimateDetailedInto(&req.IntervalSnapshot, sc.det)
 
 	sc.slow = resizeFloats(sc.slow, n)
 	sc.cur = resizeInts(sc.cur, n)
@@ -439,35 +384,11 @@ func resizeInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// FromSnapshot converts a live interval snapshot into the wire Request the
-// service accepts — the bridge from sim.WithTracer-style interval data to
-// the online API. Fields DASE does not read are not carried.
+// FromSnapshot wraps a live interval snapshot as the Request the service
+// accepts — the bridge from recorded interval data to the online API. The
+// request owns a copy of the snapshot's apps.
 func FromSnapshot(snap *sim.IntervalSnapshot) Request {
-	req := Request{
-		IntervalCycles: snap.IntervalCycles,
-		NumSMs:         snap.NumSMs,
-		PeakReqPerCyc:  snap.PeakReqPerCyc,
-		PeakActPerCyc:  snap.PeakActPerCyc,
-		ReqMaxFactor:   snap.ReqMaxFactor,
-		Apps:           make([]AppCounters, len(snap.Apps)),
-	}
-	for i := range snap.Apps {
-		a := &snap.Apps[i]
-		req.Apps[i] = AppCounters{
-			SMs:         a.SMs,
-			Alpha:       a.Alpha,
-			Served:      a.Served,
-			TimeInBanks: a.TimeInBanks,
-			ERBMiss:     a.ERBMiss,
-			ELLCMiss:    a.ELLCMiss,
-			RowHits:     a.RowHits,
-			RowMisses:   a.RowMisses,
-			BLP:         a.BLP,
-			BLPAccess:   a.BLPAccess,
-			BLPBlocked:  a.BLPBlocked,
-			TBSum:       a.TBSum,
-			TBShared:    a.TBShared,
-		}
-	}
+	req := Request{IntervalSnapshot: *snap}
+	req.Apps = slices.Clone(snap.Apps)
 	return req
 }

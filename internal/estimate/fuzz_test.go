@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"dasesim/internal/memreq"
+	"dasesim/internal/sim"
 )
 
 // FuzzDecodeRequests checks the hand-rolled decoder differentially against
@@ -55,7 +59,8 @@ func FuzzDecodeRequests(f *testing.F) {
 	})
 }
 
-// referenceRequest decodes one request object with encoding/json. Keys are
+// referenceRequest decodes one request object with encoding/json, reading
+// the apps' keys from the DASE rows of sim.AppFields. Keys are
 // matched exactly through map[string]json.RawMessage, since encoding/json's
 // struct decoding matches them case-insensitively and the codec does not;
 // a repeated key keeps its last value, as encoding/json's maps do.
@@ -72,23 +77,16 @@ func referenceRequest(t *testing.T, obj []byte) Request {
 	decodeField(t, fields, "min_sms", &req.MinSMs)
 	var apps []json.RawMessage
 	decodeField(t, fields, "apps", &apps)
-	for _, raw := range apps {
+	for i, raw := range apps {
 		f := decodeObject(t, raw)
-		var a AppCounters
-		decodeField(t, f, "sms", &a.SMs)
-		decodeField(t, f, "alpha", &a.Alpha)
-		decodeField(t, f, "served", &a.Served)
-		decodeField(t, f, "time_in_banks", &a.TimeInBanks)
-		decodeField(t, f, "erb_miss", &a.ERBMiss)
-		decodeField(t, f, "ellc_miss", &a.ELLCMiss)
-		decodeField(t, f, "row_hits", &a.RowHits)
-		decodeField(t, f, "row_misses", &a.RowMisses)
-		decodeField(t, f, "blp", &a.BLP)
-		decodeField(t, f, "blp_access", &a.BLPAccess)
-		decodeField(t, f, "blp_blocked", &a.BLPBlocked)
-		decodeField(t, f, "tb_sum", &a.TBSum)
-		decodeField(t, f, "tb_shared", &a.TBShared)
-		req.Apps = append(req.Apps, a)
+		req.Apps = append(req.Apps, sim.AppInterval{App: memreq.AppID(i)})
+		a := reflect.ValueOf(&req.Apps[i]).Elem()
+		for j, row := range sim.AppFields {
+			if row.DASE {
+				// Row j is AppInterval's field j+1 (TestAppFieldsCoverAppInterval).
+				decodeField(t, f, row.Name, a.Field(j+1).Addr().Interface())
+			}
+		}
 	}
 	return req
 }

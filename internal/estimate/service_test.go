@@ -34,15 +34,7 @@ func TestServiceMatchesModel(t *testing.T) {
 		PeakReqPerCyc:  req.PeakReqPerCyc,
 		PeakActPerCyc:  req.PeakActPerCyc,
 		ReqMaxFactor:   req.ReqMaxFactor,
-	}
-	for i, a := range req.Apps {
-		snap.Apps = append(snap.Apps, sim.AppInterval{
-			SMs: a.SMs, Alpha: a.Alpha, Served: a.Served, TimeInBanks: a.TimeInBanks,
-			ERBMiss: a.ERBMiss, ELLCMiss: a.ELLCMiss, RowHits: a.RowHits,
-			RowMisses: a.RowMisses, BLP: a.BLP, BLPAccess: a.BLPAccess,
-			BLPBlocked: a.BLPBlocked, TBSum: a.TBSum, TBShared: a.TBShared,
-		})
-		_ = i
+		Apps:           req.Apps,
 	}
 	det := core.New(core.Options{}).EstimateDetailed(snap)
 	slow := make([]float64, len(det))
@@ -93,6 +85,14 @@ func TestValidationRejections(t *testing.T) {
 		{"negative-num-sms", func(r *Request) { r.NumSMs = -4 }, true, "num_sms"},
 		{"sms-over-total", func(r *Request) { r.Apps[0].SMs = 99 }, false, "sms is out of range"},
 		{"negative-tbsum", func(r *Request) { r.Apps[0].TBSum = -1 }, false, "tb_sum"},
+		{"negative-tbshared", func(r *Request) { r.Apps[1].TBShared = -1 }, false, "tb_shared"},
+		{"absurd-time-in-banks", func(r *Request) { r.Apps[0].TimeInBanks = 1 << 62 }, false, "time_in_banks is absurdly large"},
+		{"absurd-erb-miss", func(r *Request) { r.Apps[0].ERBMiss = 1 << 62 }, false, "erb_miss is absurdly large"},
+		{"absurd-row-hits", func(r *Request) { r.Apps[0].RowHits = 1 << 62 }, false, "row_hits is absurdly large"},
+		{"absurd-row-misses", func(r *Request) { r.Apps[0].RowMisses = 1 << 62 }, false, "row_misses is absurdly large"},
+		{"absurd-blp-access", func(r *Request) { r.Apps[0].BLPAccess = 1e7 }, false, "blp_access is absurdly large"},
+		{"negative-blp-blocked", func(r *Request) { r.Apps[0].BLPBlocked = -1 }, false, "blp_blocked is negative"},
+		{"inf-peak-act", func(r *Request) { r.PeakActPerCyc = math.Inf(1) }, true, "peak_act_per_cyc is infinite"},
 		{"infeasible-min-sms", func(r *Request) { r.MinSMs = 9 }, false, "min_sms"},
 		{"negative-min-sms", func(r *Request) { r.MinSMs = -2 }, true, "min_sms"},
 		{"req-max-factor-above-one", func(r *Request) { r.ReqMaxFactor = 1.5 }, false, "req_max_factor"},

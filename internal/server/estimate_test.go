@@ -13,20 +13,19 @@ import (
 	"time"
 
 	"dasesim/internal/estimate"
+	"dasesim/internal/sim"
 )
 
 // estBody returns a plausible two-app snapshot body.
 func estBody(id uint64) []byte {
-	req := estimate.Request{
-		ID: id,
-		Apps: []estimate.AppCounters{
-			{SMs: 8, Alpha: 0.4, Served: 9000, TimeInBanks: 180_000, ERBMiss: 300,
-				ELLCMiss: 120, RowHits: 7000, RowMisses: 2000, BLP: 9, BLPAccess: 6,
-				BLPBlocked: 2.5, TBSum: 96, TBShared: 48},
-			{SMs: 8, Alpha: 0.9, Served: 21_000, TimeInBanks: 400_000, ERBMiss: 800,
-				ELLCMiss: 300, RowHits: 4000, RowMisses: 16_000, BLP: 17, BLPAccess: 13,
-				BLPBlocked: 3, TBSum: 120, TBShared: 60},
-		},
+	req := estimate.Request{ID: id}
+	req.Apps = []sim.AppInterval{
+		{SMs: 8, Alpha: 0.4, Served: 9000, TimeInBanks: 180_000, ERBMiss: 300,
+			ELLCMiss: 120, RowHits: 7000, RowMisses: 2000, BLP: 9, BLPAccess: 6,
+			BLPBlocked: 2.5, TBSum: 96, TBShared: 48},
+		{SMs: 8, Alpha: 0.9, Served: 21_000, TimeInBanks: 400_000, ERBMiss: 800,
+			ELLCMiss: 300, RowHits: 4000, RowMisses: 16_000, BLP: 17, BLPAccess: 13,
+			BLPBlocked: 3, TBSum: 120, TBShared: 60},
 	}
 	return estimate.AppendRequest(nil, &req)
 }

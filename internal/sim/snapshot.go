@@ -1,6 +1,10 @@
 package sim
 
-import "dasesim/internal/memreq"
+import (
+	"strconv"
+
+	"dasesim/internal/memreq"
+)
 
 // AppInterval is everything the estimators can observe about one app over
 // one estimation interval — the software view of the paper's Table I
@@ -37,6 +41,59 @@ type AppInterval struct {
 	// app's own highest-priority slice, and the slice length in cycles.
 	PrioServed uint64
 	PrioCycles uint64
+}
+
+// AppField describes how one AppInterval counter is written out. Exactly
+// one of Int, Uint and Float is set: the counter's typed getter.
+type AppField struct {
+	// Name is the counter's dasesim -csv column and /v1/estimate key.
+	Name string
+	// DASE marks the counters core.DASE reads; the estimate wire carries
+	// exactly these.
+	DASE  bool
+	Int   func(*AppInterval) int
+	Uint  func(*AppInterval) uint64
+	Float func(*AppInterval) float64
+}
+
+// Append appends the counter's value in a as decimal text, floats in 'g'
+// form with precision prec (-1: shortest round-trip).
+func (f *AppField) Append(buf []byte, a *AppInterval, prec int) []byte {
+	switch {
+	case f.Int != nil:
+		return strconv.AppendInt(buf, int64(f.Int(a)), 10)
+	case f.Uint != nil:
+		return strconv.AppendUint(buf, f.Uint(a), 10)
+	default:
+		return strconv.AppendFloat(buf, f.Float(a), 'g', prec, 64)
+	}
+}
+
+// AppFields lists every AppInterval counter but App, in declaration order
+// (TestAppFieldsCoverAppInterval holds it to the struct). Adding a counter
+// means adding a field above and a row here.
+var AppFields = []AppField{
+	{Name: "sms", DASE: true, Int: func(a *AppInterval) int { return a.SMs }},
+	{Name: "alpha", DASE: true, Float: func(a *AppInterval) float64 { return a.Alpha }},
+	{Name: "issued", Uint: func(a *AppInterval) uint64 { return a.Issued }},
+	{Name: "sm_cycles", Uint: func(a *AppInterval) uint64 { return a.SMCycles }},
+	{Name: "active_cycles", Uint: func(a *AppInterval) uint64 { return a.ActiveCycles }},
+	{Name: "mem_insts", Uint: func(a *AppInterval) uint64 { return a.MemInsts }},
+	{Name: "served", DASE: true, Uint: func(a *AppInterval) uint64 { return a.Served }},
+	{Name: "enqueued", Uint: func(a *AppInterval) uint64 { return a.Enqueued }},
+	{Name: "time_in_banks", DASE: true, Uint: func(a *AppInterval) uint64 { return a.TimeInBanks }},
+	{Name: "erb_miss", DASE: true, Uint: func(a *AppInterval) uint64 { return a.ERBMiss }},
+	{Name: "ellc_miss", DASE: true, Float: func(a *AppInterval) float64 { return a.ELLCMiss }},
+	{Name: "row_hits", DASE: true, Uint: func(a *AppInterval) uint64 { return a.RowHits }},
+	{Name: "row_misses", DASE: true, Uint: func(a *AppInterval) uint64 { return a.RowMisses }},
+	{Name: "data_cycles", Uint: func(a *AppInterval) uint64 { return a.DataCycles }},
+	{Name: "blp", DASE: true, Float: func(a *AppInterval) float64 { return a.BLP }},
+	{Name: "blp_access", DASE: true, Float: func(a *AppInterval) float64 { return a.BLPAccess }},
+	{Name: "blp_blocked", DASE: true, Float: func(a *AppInterval) float64 { return a.BLPBlocked }},
+	{Name: "tb_sum", DASE: true, Int: func(a *AppInterval) int { return a.TBSum }},
+	{Name: "tb_shared", DASE: true, Int: func(a *AppInterval) int { return a.TBShared }},
+	{Name: "prio_served", Uint: func(a *AppInterval) uint64 { return a.PrioServed }},
+	{Name: "prio_cycles", Uint: func(a *AppInterval) uint64 { return a.PrioCycles }},
 }
 
 // IntervalSnapshot is the estimator/policy view of one interval.

@@ -3,6 +3,8 @@ package dasesim
 import (
 	"testing"
 
+	"dasesim/internal/config"
+	"dasesim/internal/kernels"
 	"dasesim/internal/sim"
 )
 
@@ -21,18 +23,18 @@ func TestSteadyStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard runs full simulation windows")
 	}
-	cfg := DefaultConfig()
-	sb, ok := KernelByAbbr("SB")
+	cfg := config.Default()
+	sb, ok := kernels.ByAbbr("SB")
 	if !ok {
 		t.Fatal("kernel SB missing")
 	}
-	sd, ok := KernelByAbbr("SD")
+	sd, ok := kernels.ByAbbr("SD")
 	if !ok {
 		t.Fatal("kernel SD missing")
 	}
 	// One subtest, under the name the tier-1 floor list records it by.
 	t.Run("sequential", func(t *testing.T) {
-		g, err := sim.New(cfg, []KernelProfile{sb, sd}, []int{8, 8}, 1)
+		g, err := sim.New(cfg, []kernels.Profile{sb, sd}, []int{8, 8}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

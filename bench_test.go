@@ -21,10 +21,13 @@ import (
 	"testing"
 
 	"dasesim/internal/baseline"
+	"dasesim/internal/config"
 	"dasesim/internal/core"
 	"dasesim/internal/experiments"
+	"dasesim/internal/kernels"
 	"dasesim/internal/metrics"
 	"dasesim/internal/sched"
+	"dasesim/internal/sim"
 	"dasesim/internal/workload"
 )
 
@@ -46,24 +49,24 @@ func benchEvalOptions(ests ...core.Estimator) workload.Options {
 
 func benchPair(b *testing.B, ab1, ab2 string) workload.Combo {
 	b.Helper()
-	p1, ok := KernelByAbbr(ab1)
+	p1, ok := kernels.ByAbbr(ab1)
 	if !ok {
 		b.Fatalf("kernel %s missing", ab1)
 	}
-	p2, ok := KernelByAbbr(ab2)
+	p2, ok := kernels.ByAbbr(ab2)
 	if !ok {
 		b.Fatalf("kernel %s missing", ab2)
 	}
-	return workload.Combo{Profiles: []KernelProfile{p1, p2}}
+	return workload.Combo{Profiles: []kernels.Profile{p1, p2}}
 }
 
 // BenchmarkTableIII measures one representative kernel's alone bandwidth
 // utilisation (full table: cmd/experiments -run tableIII).
 func BenchmarkTableIII(b *testing.B) {
-	sb, _ := KernelByAbbr("SB")
+	sb, _ := kernels.ByAbbr("SB")
 	var bw float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunAlone(DefaultConfig(), sb, benchCycles, 1)
+		res, err := sim.RunAlone(config.Default(), sb, benchCycles, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +78,7 @@ func BenchmarkTableIII(b *testing.B) {
 // BenchmarkFig2a measures the unfairness of one motivation pair.
 func BenchmarkFig2a(b *testing.B) {
 	combo := benchPair(b, "VA", "CT")
-	cache := workload.NewAloneCache(DefaultConfig(), benchCycles, 1)
+	cache := workload.NewAloneCache(config.Default(), benchCycles, 1)
 	var unf float64
 	for i := 0; i < b.N; i++ {
 		ev, err := workload.Evaluate(context.Background(), benchEvalOptions(), workload.Job{Combo: combo, Alloc: []int{8, 8}}, cache)
@@ -159,9 +162,9 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkFig6 measures estimation accuracy on one four-app workload.
 func BenchmarkFig6(b *testing.B) {
-	var ps []KernelProfile
+	var ps []kernels.Profile
 	for _, ab := range []string{"SB", "SD", "CT", "QR"} {
-		p, _ := KernelByAbbr(ab)
+		p, _ := kernels.ByAbbr(ab)
 		ps = append(ps, p)
 	}
 	benchAccuracy(b, []int{4, 4, 4, 4}, workload.Combo{Profiles: ps})
@@ -205,7 +208,7 @@ func BenchmarkFig8b(b *testing.B) {
 // BenchmarkFig9 compares the even split against DASE-Fair on one unfair
 // workload and reports the unfairness reduction.
 func BenchmarkFig9(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := config.Default()
 	combo := benchPair(b, "VA", "CT")
 	cache := workload.NewAloneCache(cfg, benchCycles, 1)
 	aloneIPC := make([]float64, 2)
@@ -315,13 +318,13 @@ func BenchmarkAblationForceMBB(b *testing.B) {
 // BenchmarkAblationRefresh enables DRAM refresh (off by default because the
 // paper's Table II lists no refresh timing) and reports the bandwidth cost.
 func BenchmarkAblationRefresh(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := config.Default()
 	cfg.Mem.TREFI = 5460 // ~3.9 us at 1.4 GHz
 	cfg.Mem.TRFC = 224   // ~160 ns
-	sb, _ := KernelByAbbr("SB")
+	sb, _ := kernels.ByAbbr("SB")
 	var bw float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunAlone(cfg, sb, benchCycles, 1)
+		res, err := sim.RunAlone(cfg, sb, benchCycles, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,7 +337,7 @@ func BenchmarkAblationRefresh(b *testing.B) {
 // scheduler instead of FR-FCFS and reports the resulting unfairness on the
 // Fig. 2 victim pair.
 func BenchmarkAblationAppAwareRR(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := config.Default()
 	cfg.Mem.AppAwareRR = true
 	combo := benchPair(b, "VA", "CT")
 	cache := workload.NewAloneCache(cfg, benchCycles, 1)
@@ -354,12 +357,12 @@ func BenchmarkAblationAppAwareRR(b *testing.B) {
 // BenchmarkAblationWriteback enables the writeback L2 (dirty-eviction write
 // traffic) and reports the bandwidth effect.
 func BenchmarkAblationWriteback(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := config.Default()
 	cfg.L2.Writeback = true
-	sb, _ := KernelByAbbr("SB")
+	sb, _ := kernels.ByAbbr("SB")
 	var bw float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunAlone(cfg, sb, benchCycles, 1)
+		res, err := sim.RunAlone(cfg, sb, benchCycles, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,7 +374,7 @@ func BenchmarkAblationWriteback(b *testing.B) {
 // BenchmarkAblationFullATD samples every L2 set in the auxiliary tag
 // directories instead of 8, measuring the accuracy effect of set sampling.
 func BenchmarkAblationFullATD(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := config.Default()
 	cfg.ATDSampledSets = cfg.L2.Sets()
 	eval := benchEvalOptions(core.New(core.Options{}))
 	eval.Cfg = cfg

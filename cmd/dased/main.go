@@ -44,7 +44,8 @@ import (
 	"syscall"
 	"time"
 
-	"dasesim"
+	"dasesim/internal/config"
+	"dasesim/internal/kernels"
 	"dasesim/internal/server"
 )
 
@@ -116,14 +117,14 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		opts.MaxRetries = -1
 	}
 	if *configPath != "" {
-		cfg, err := dasesim.LoadConfig(*configPath)
+		cfg, err := config.LoadFile(*configPath)
 		if err != nil {
 			return fmt.Errorf("load config: %w", err)
 		}
 		opts.Cfg = cfg
 	}
 	if *kernelsPath != "" {
-		catalogue, err := dasesim.LoadKernels(*kernelsPath)
+		catalogue, err := kernels.LoadFile(*kernelsPath)
 		if err != nil {
 			return fmt.Errorf("load kernels: %w", err)
 		}

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"dasesim"
+	"dasesim/internal/config"
+	"dasesim/internal/kernels"
 	"dasesim/internal/server"
+	"dasesim/internal/sim"
 )
 
 // syncBuffer collects the daemon's logs while the test reads them.
@@ -63,10 +65,14 @@ func TestRunServesAndDrains(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "gpu.json")
 	kernelsPath := filepath.Join(dir, "kernels.json")
-	if err := dasesim.SaveConfig(dasesim.DefaultConfig(), cfgPath); err != nil {
+	if err := config.Default().SaveFile(cfgPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := dasesim.SaveKernels(dasesim.Kernels(), kernelsPath); err != nil {
+	catalogue, err := kernels.ToJSON(kernels.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(kernelsPath, catalogue, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	traceDir := filepath.Join(dir, "traces")
@@ -123,17 +129,17 @@ func TestRunServesAndDrains(t *testing.T) {
 		t.Fatalf("job %s: %s (%s)", v.ID, v.Status, v.Error)
 	}
 
-	cfg := dasesim.DefaultConfig()
-	sb, _ := dasesim.KernelByAbbr("SB")
-	sd, _ := dasesim.KernelByAbbr("SD")
-	direct, err := dasesim.RunShared(cfg, []dasesim.KernelProfile{sb, sd}, dasesim.EvenAllocation(cfg.NumSMs, 2), 20_000, 7)
+	cfg := config.Default()
+	sb, _ := kernels.ByAbbr("SB")
+	sd, _ := kernels.ByAbbr("SD")
+	direct, err := sim.RunShared(cfg, []kernels.Profile{sb, sd}, sim.EvenAllocation(cfg.NumSMs, 2), 20_000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(direct)
 	got, _ := json.Marshal(v.Result.Sim)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("dased result differs from dasesim.RunShared:\n got %s\nwant %s", got, want)
+		t.Fatalf("dased result differs from sim.RunShared:\n got %s\nwant %s", got, want)
 	}
 
 	cancel()

@@ -33,8 +33,10 @@ import (
 	"sync"
 	"time"
 
-	"dasesim"
+	"dasesim/internal/config"
 	"dasesim/internal/estimate"
+	"dasesim/internal/kernels"
+	"dasesim/internal/sim"
 )
 
 func main() {
@@ -341,16 +343,16 @@ func batchCorpus(corpus [][]byte, size int) [][]byte {
 // recorded interval snapshot into a wire request, so benchmark traffic
 // carries realistic counter values and natural variety across intervals.
 func synthesizeCorpus(cycles uint64) ([][]byte, error) {
-	cfg := dasesim.DefaultConfig()
-	var ps []dasesim.KernelProfile
+	cfg := config.Default()
+	var ps []kernels.Profile
 	for _, abbr := range []string{"SB", "SD"} {
-		p, ok := dasesim.KernelByAbbr(abbr)
+		p, ok := kernels.ByAbbr(abbr)
 		if !ok {
 			return nil, fmt.Errorf("kernel %s not in catalogue", abbr)
 		}
 		ps = append(ps, p)
 	}
-	res, err := dasesim.RunShared(cfg, ps, dasesim.EvenAllocation(cfg.NumSMs, len(ps)), cycles, 1)
+	res, err := sim.RunShared(cfg, ps, sim.EvenAllocation(cfg.NumSMs, len(ps)), cycles, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"dasesim"
+	"dasesim/internal/config"
 	"dasesim/internal/server"
 )
 
@@ -113,7 +113,7 @@ func TestBenchLineParseable(t *testing.T) {
 func newLoadTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	srv, err := server.New(server.Options{
-		Cfg:    dasesim.DefaultConfig(),
+		Cfg:    config.Default(),
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {

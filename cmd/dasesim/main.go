@@ -18,7 +18,11 @@ import (
 	"strconv"
 	"strings"
 
-	"dasesim"
+	"dasesim/internal/config"
+	"dasesim/internal/core"
+	"dasesim/internal/kernels"
+	"dasesim/internal/metrics"
+	"dasesim/internal/sched"
 	"dasesim/internal/sim"
 )
 
@@ -48,36 +52,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *cycles == 0 {
+		return fmt.Errorf("-cycles must be positive")
+	}
 
-	cfg := dasesim.DefaultConfig()
+	cfg := config.Default()
 	if *configPath != "" {
 		var err error
-		if cfg, err = dasesim.LoadConfig(*configPath); err != nil {
+		if cfg, err = config.LoadFile(*configPath); err != nil {
 			return err
 		}
 	}
 	if *dumpConfig != "" {
-		if err := dasesim.SaveConfig(cfg, *dumpConfig); err != nil {
+		if err := cfg.SaveFile(*dumpConfig); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "configuration written to %s\n", *dumpConfig)
 		return nil
 	}
 
-	catalogue := dasesim.Kernels()
+	catalogue := kernels.All()
 	if *kernelsPath != "" {
 		var err error
-		if catalogue, err = dasesim.LoadKernels(*kernelsPath); err != nil {
+		if catalogue, err = kernels.LoadFile(*kernelsPath); err != nil {
 			return err
 		}
 	}
-	lookup := func(abbr string) (dasesim.KernelProfile, bool) {
+	lookup := func(abbr string) (kernels.Profile, bool) {
 		for _, p := range catalogue {
 			if p.Abbr == abbr {
 				return p, true
 			}
 		}
-		return dasesim.KernelProfile{}, false
+		return kernels.Profile{}, false
 	}
 
 	if *list {
@@ -88,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	var profiles []dasesim.KernelProfile
+	var profiles []kernels.Profile
 	for _, ab := range strings.Split(*appsFlag, ",") {
 		p, ok := lookup(strings.TrimSpace(ab))
 		if !ok {
@@ -97,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		profiles = append(profiles, p)
 	}
 
-	alloc := dasesim.EvenAllocation(cfg.NumSMs, len(profiles))
+	alloc := sim.EvenAllocation(cfg.NumSMs, len(profiles))
 	if *allocFlag != "" {
 		parts := strings.Split(*allocFlag, ",")
 		if len(parts) != len(profiles) {
@@ -113,12 +120,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var pol dasesim.Policy = dasesim.EvenPolicy{}
-	var fair *dasesim.DASEFairPolicy
+	var pol sched.Policy = sched.Even{}
+	var fair *sched.DASEFair
 	switch *policy {
 	case "even":
 	case "fair":
-		fair = dasesim.NewDASEFair()
+		fair = sched.NewDASEFair()
 		pol = fair
 	default:
 		return fmt.Errorf("unknown policy %q (even | fair)", *policy)
@@ -131,12 +138,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return reportMultiSeed(stdout, cfg, profiles, alloc, *cycles, *seed, *seeds, *policy)
 	}
 
-	shared, err := dasesim.RunWithPolicy(cfg, profiles, alloc, *cycles, *seed, pol)
+	shared, err := sched.Run(cfg, profiles, alloc, *cycles, *seed, pol)
 	if err != nil {
 		return err
 	}
 
-	est := dasesim.AverageEstimates(dasesim.NewDASE(), shared.Snapshots, 1)
+	est := core.AverageEstimates(core.New(core.Options{}), shared.Snapshots, 1)
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -158,11 +165,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintln(stdout, "app  IPC(shared)  alpha  DRAM-req   BW-share  rowhit  mem-lat(p95)  DASE-est  alone-IPC  slowdown")
 	var slowdowns []float64
 	for i, a := range shared.Apps {
-		alone, err := dasesim.RunAlone(cfg, profiles[i], *cycles, *seed)
+		alone, err := sim.RunAlone(cfg, profiles[i], *cycles, *seed)
 		if err != nil {
 			return err
 		}
-		slow := dasesim.Slowdown(alone.Apps[0].IPC, a.IPC)
+		slow := metrics.Slowdown(alone.Apps[0].IPC, a.IPC)
 		slowdowns = append(slowdowns, slow)
 		fmt.Fprintf(stdout, "%-3s  %11.2f  %5.2f  %8d  %8.1f%%  %5.1f%%  %5.0f(%5d)  %8.2f  %9.2f  %8.2f\n",
 			a.Abbr, a.IPC, a.Alpha, a.Served, a.BWUtil*100, a.RowHitRate*100,
@@ -175,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		float64(shared.BusWasted)/float64(shared.BusCycles)*100,
 		float64(shared.BusIdle)/float64(shared.BusCycles)*100)
 	fmt.Fprintf(stdout, "unfairness %.2f (ideal 1.00), harmonic speedup %.2f\n",
-		dasesim.Unfairness(slowdowns), dasesim.HarmonicSpeedup(slowdowns))
+		metrics.Unfairness(slowdowns), metrics.HarmonicSpeedup(slowdowns))
 	if fair != nil {
 		final := shared.Snapshots[len(shared.Snapshots)-1]
 		var parts []string
@@ -220,23 +227,23 @@ func writeCSV(w io.Writer, snaps []sim.IntervalSnapshot) error {
 // reportMultiSeed reruns the workload across several seeds and prints the
 // mean and spread of each application's slowdown — simulation-methodology
 // hygiene for checking that a conclusion is not a single-seed artefact.
-func reportMultiSeed(w io.Writer, cfg dasesim.Config, profiles []dasesim.KernelProfile, alloc []int, cycles, seed uint64, n int, policy string) error {
+func reportMultiSeed(w io.Writer, cfg config.Config, profiles []kernels.Profile, alloc []int, cycles, seed uint64, n int, policy string) error {
 	slow := make([][]float64, len(profiles))
 	for s := uint64(0); s < uint64(n); s++ {
-		var pol dasesim.Policy = dasesim.EvenPolicy{}
+		var pol sched.Policy = sched.Even{}
 		if policy == "fair" {
-			pol = dasesim.NewDASEFair()
+			pol = sched.NewDASEFair()
 		}
-		shared, err := dasesim.RunWithPolicy(cfg, profiles, alloc, cycles, seed+s, pol)
+		shared, err := sched.Run(cfg, profiles, alloc, cycles, seed+s, pol)
 		if err != nil {
 			return err
 		}
 		for i := range profiles {
-			alone, err := dasesim.RunAlone(cfg, profiles[i], cycles, seed+s)
+			alone, err := sim.RunAlone(cfg, profiles[i], cycles, seed+s)
 			if err != nil {
 				return err
 			}
-			slow[i] = append(slow[i], dasesim.Slowdown(alone.Apps[0].IPC, shared.Apps[i].IPC))
+			slow[i] = append(slow[i], metrics.Slowdown(alone.Apps[0].IPC, shared.Apps[i].IPC))
 		}
 	}
 	fmt.Fprintf(w, "\nslowdowns over %d seeds (mean, min..max):\n", n)

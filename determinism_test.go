@@ -28,7 +28,9 @@ import (
 	"reflect"
 	"testing"
 
+	"dasesim/internal/config"
 	"dasesim/internal/faults"
+	"dasesim/internal/kernels"
 	"dasesim/internal/sched"
 	"dasesim/internal/sim"
 	"dasesim/internal/telemetry"
@@ -65,7 +67,7 @@ type detCase struct {
 
 func runShared(t *testing.T, c detCase) *sim.Result {
 	t.Helper()
-	res, err := sim.RunShared(DefaultConfig(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, c.opts...)
+	res, err := sim.RunShared(config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, c.opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func runShared(t *testing.T, c detCase) *sim.Result {
 func runSharedEpochs(t *testing.T, c detCase) *sim.Result {
 	t.Helper()
 	opts := append([]sim.Option{sim.WithPriorityEpochs()}, c.opts...)
-	res, err := sim.RunShared(DefaultConfig(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...)
+	res, err := sim.RunShared(config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func runSharedEpochs(t *testing.T, c detCase) *sim.Result {
 // performance refactor is most likely to disturb.
 func runFairPolicy(t *testing.T, c detCase) *sim.Result {
 	t.Helper()
-	res, err := sched.Run(DefaultConfig(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), c.opts...)
+	res, err := sched.Run(config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), c.opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +113,10 @@ func runRetentionFaultRetry(t *testing.T, c detCase) *sim.Result {
 	// snapshots and evicts the first, so the fold-into-aggregates path is on
 	// the golden fingerprint.
 	opts := append([]sim.Option{sim.WithSnapshotRetention(2)}, c.opts...)
-	if _, err := sim.RunSharedContext(context.Background(), DefaultConfig(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...); err == nil {
+	if _, err := sim.RunSharedContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...); err == nil {
 		t.Fatal("first attempt survived the armed sim.step fault")
 	}
-	res, err := sim.RunSharedContext(context.Background(), DefaultConfig(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...)
+	res, err := sim.RunSharedContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...)
 	if err != nil {
 		t.Fatalf("retry after injected fault: %v", err)
 	}
@@ -140,10 +142,10 @@ func runParFairRetentionFaultRetry(t *testing.T, c detCase) *sim.Result {
 	defer faults.Deactivate()
 
 	opts := append([]sim.Option{sim.WithSnapshotRetention(2)}, c.opts...)
-	if _, err := sched.RunContext(context.Background(), DefaultConfig(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...); err == nil {
+	if _, err := sched.RunContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...); err == nil {
 		t.Fatal("first attempt survived the armed sim.step fault")
 	}
-	res, err := sched.RunContext(context.Background(), DefaultConfig(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...)
+	res, err := sched.RunContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...)
 	if err != nil {
 		t.Fatalf("retry after injected fault: %v", err)
 	}
@@ -165,11 +167,11 @@ func runParFairRetentionFaultRetry(t *testing.T, c detCase) *sim.Result {
 	return res
 }
 
-func detProfiles(t *testing.T, abbrs []string) []KernelProfile {
+func detProfiles(t *testing.T, abbrs []string) []kernels.Profile {
 	t.Helper()
-	ps := make([]KernelProfile, len(abbrs))
+	ps := make([]kernels.Profile, len(abbrs))
 	for i, ab := range abbrs {
-		p, ok := KernelByAbbr(ab)
+		p, ok := kernels.ByAbbr(ab)
 		if !ok {
 			t.Fatalf("kernel %s missing", ab)
 		}

@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"dasesim/internal/config"
 	"dasesim/internal/core"
 	"dasesim/internal/estimate"
 	"dasesim/internal/server"
@@ -28,7 +29,7 @@ func TestEstimateServiceCrossCheck(t *testing.T) {
 		t.Skip("simulation-heavy; skipped with -short")
 	}
 	srv, err := server.New(server.Options{
-		Cfg:    DefaultConfig(),
+		Cfg:    config.Default(),
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -37,7 +38,7 @@ func TestEstimateServiceCrossCheck(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	svc := estimate.NewService(estimate.Options{Cfg: DefaultConfig()})
+	svc := estimate.NewService(estimate.Options{Cfg: config.Default()})
 	dase := core.New(core.Options{})
 	sc := svc.Get()
 	defer svc.Put(sc)

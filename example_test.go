@@ -10,72 +10,27 @@ import (
 	"net/http/httptest"
 	"strings"
 
-	"dasesim"
+	"dasesim/internal/baseline"
+	"dasesim/internal/config"
+	"dasesim/internal/core"
 	"dasesim/internal/estimate"
 	"dasesim/internal/fleet"
+	"dasesim/internal/kernels"
+	"dasesim/internal/metrics"
+	"dasesim/internal/sched"
 	"dasesim/internal/server"
+	"dasesim/internal/sim"
 )
-
-// ExampleSlowdown shows the paper's Eq. 1.
-func ExampleSlowdown() {
-	// An app retires 8.0 IPC alone but only 2.5 IPC when sharing the GPU.
-	fmt.Printf("%.2f\n", dasesim.Slowdown(8.0, 2.5))
-	// Output: 3.20
-}
-
-// ExampleUnfairness shows the paper's Eq. 2 with its §3 example values.
-func ExampleUnfairness() {
-	fmt.Printf("%.2f\n", dasesim.Unfairness([]float64{3.44, 1.37}))
-	// Output: 2.51
-}
-
-// ExampleHarmonicSpeedup shows the paper's Eq. 27.
-func ExampleHarmonicSpeedup() {
-	fmt.Printf("%.2f\n", dasesim.HarmonicSpeedup([]float64{2, 2}))
-	// Output: 0.50
-}
-
-// ExampleEstimationError shows the paper's Eq. 26.
-func ExampleEstimationError() {
-	fmt.Printf("%.1f%%\n", dasesim.EstimationError(2.2, 2.0)*100)
-	// Output: 10.0%
-}
-
-// ExampleKernelByAbbr looks up a Table III workload.
-func ExampleKernelByAbbr() {
-	p, ok := dasesim.KernelByAbbr("SD")
-	fmt.Println(ok, p.Name)
-	// Output: true srad
-}
-
-// ExampleEvenAllocation shows the default SM partitioning scheme.
-func ExampleEvenAllocation() {
-	fmt.Println(dasesim.EvenAllocation(16, 3))
-	// Output: [6 5 5]
-}
-
-// ExampleLeftoverAllocation shows why the LEFTOVER policy of current GPUs
-// fails to provide concurrency: a large kernel first leaves nothing over.
-func ExampleLeftoverAllocation() {
-	cfg := dasesim.DefaultConfig()
-	sb, _ := dasesim.KernelByAbbr("SB") // thousands of thread blocks
-	sn, _ := dasesim.KernelByAbbr("SN") // 24 thread blocks
-	fmt.Println(dasesim.LeftoverAllocation(cfg, []dasesim.KernelProfile{sb, sn}))
-	fmt.Println(dasesim.LeftoverAllocation(cfg, []dasesim.KernelProfile{sn, sb}))
-	// Output:
-	// [16 0]
-	// [4 12]
-}
 
 // The examples below are the paper's demos, each at a reduced cycle budget
 // so the whole set runs in a few seconds. The engine is deterministic, so
 // their output is exact.
 
 // profiles looks up Table III workloads by abbreviation.
-func profiles(abbrs ...string) []dasesim.KernelProfile {
-	out := make([]dasesim.KernelProfile, len(abbrs))
+func profiles(abbrs ...string) []kernels.Profile {
+	out := make([]kernels.Profile, len(abbrs))
 	for i, abbr := range abbrs {
-		p, ok := dasesim.KernelByAbbr(abbr)
+		p, ok := kernels.ByAbbr(abbr)
 		if !ok {
 			panic("unknown kernel " + abbr)
 		}
@@ -94,10 +49,10 @@ func must[T any](v T, err error) T {
 }
 
 // aloneIPCs runs each kernel alone on the whole GPU and returns its IPC.
-func aloneIPCs(cfg dasesim.Config, apps []dasesim.KernelProfile, cycles uint64) []float64 {
+func aloneIPCs(cfg config.Config, apps []kernels.Profile, cycles uint64) []float64 {
 	out := make([]float64, len(apps))
 	for i, p := range apps {
-		out[i] = must(dasesim.RunAlone(cfg, p, cycles, 1)).Apps[0].IPC
+		out[i] = must(sim.RunAlone(cfg, p, cycles, 1)).Apps[0].IPC
 	}
 	return out
 }
@@ -107,28 +62,28 @@ func aloneIPCs(cfg dasesim.Config, apps []dasesim.KernelProfile, cycles uint64) 
 // them with DASE's run-time estimates. Unfairness is Eq. 2 and harmonic
 // speedup Eq. 27.
 func Example_quickstart() {
-	cfg := dasesim.DefaultConfig()
+	cfg := config.Default()
 	const cycles = 100_000
 	apps := profiles("SB", "SD")
 
 	// Shared run: even SM split (8+8 of 16); alone runs use all 16 SMs.
-	shared := must(dasesim.RunShared(cfg, apps, dasesim.EvenAllocation(cfg.NumSMs, 2), cycles, 1))
+	shared := must(sim.RunShared(cfg, apps, sim.EvenAllocation(cfg.NumSMs, 2), cycles, 1))
 	aloneIPC := aloneIPCs(cfg, apps, cycles)
 
 	// DASE's run-time estimates, averaged over the run's intervals.
-	est := dasesim.AverageEstimates(dasesim.NewDASE(), shared.Snapshots, 1)
+	est := core.AverageEstimates(core.New(core.Options{}), shared.Snapshots, 1)
 
 	fmt.Println("app  IPC(alone)  IPC(shared)  slowdown  DASE estimate  error")
 	var slowdowns []float64
 	for i, a := range shared.Apps {
-		actual := dasesim.Slowdown(aloneIPC[i], a.IPC)
+		actual := metrics.Slowdown(aloneIPC[i], a.IPC)
 		slowdowns = append(slowdowns, actual)
 		fmt.Printf("%-3s  %10.2f  %11.2f  %8.2f  %13.2f  %5.1f%%\n",
 			a.Abbr, aloneIPC[i], a.IPC, actual, est[i],
-			dasesim.EstimationError(est[i], actual)*100)
+			metrics.Error(est[i], actual)*100)
 	}
 	fmt.Printf("unfairness = %.2f (ideal 1.00), harmonic speedup = %.2f\n",
-		dasesim.Unfairness(slowdowns), dasesim.HarmonicSpeedup(slowdowns))
+		metrics.Unfairness(slowdowns), metrics.HarmonicSpeedup(slowdowns))
 	// Output:
 	// app  IPC(alone)  IPC(shared)  slowdown  DASE estimate  error
 	// SB         7.05         3.31      2.13           1.97    7.5%
@@ -141,14 +96,14 @@ func Example_quickstart() {
 // shares, timing-constraint waste and idle time, and shows how the victim's
 // share changes relative to running alone.
 func Example_bwdecomp() {
-	cfg := dasesim.DefaultConfig()
+	cfg := config.Default()
 	const cycles = 50_000
 	apps := profiles("SA", "SD")
 	a, b := apps[0], apps[1]
 
-	shared := must(dasesim.RunShared(cfg, apps, dasesim.EvenAllocation(cfg.NumSMs, 2), cycles, 1))
-	aAlone := must(dasesim.RunAlone(cfg, a, cycles, 1)).Apps[0]
-	bAlone := must(dasesim.RunAlone(cfg, b, cycles, 1)).Apps[0]
+	shared := must(sim.RunShared(cfg, apps, sim.EvenAllocation(cfg.NumSMs, 2), cycles, 1))
+	aAlone := must(sim.RunAlone(cfg, a, cycles, 1)).Apps[0]
+	bAlone := must(sim.RunAlone(cfg, b, cycles, 1)).Apps[0]
 
 	fmt.Printf("DRAM bandwidth decomposition, %s+%s shared (even split):\n", a.Abbr, b.Abbr)
 	fmt.Printf("  %-3s data   %5.1f%%   (alone: %5.1f%%)\n", a.Abbr, shared.Apps[0].BWUtil*100, aAlone.BWUtil*100)
@@ -158,7 +113,7 @@ func Example_bwdecomp() {
 	fmt.Printf("  idle-BW    %5.1f%%\n", float64(shared.BusIdle)/float64(shared.BusCycles)*100)
 
 	share := shared.Apps[1].BWUtil / bAlone.BWUtil
-	slow := dasesim.Slowdown(bAlone.IPC, shared.Apps[1].IPC)
+	slow := metrics.Slowdown(bAlone.IPC, shared.Apps[1].IPC)
 	if share < 1 {
 		fmt.Printf("%s keeps only %.1f%% of its alone bandwidth; its measured slowdown is %.2fx\n",
 			b.Abbr, share*100, slow)
@@ -194,31 +149,31 @@ func Example_bwdecomp() {
 // highest-priority memory-controller epochs, so they read a second run with
 // epochs enabled and are judged against that run's actual slowdowns.
 func Example_slowdown() {
-	cfg := dasesim.DefaultConfig()
+	cfg := config.Default()
 	const cycles = 75_000
 	apps := profiles("SB", "SD", "CT", "QR")
-	alloc := dasesim.EvenAllocation(cfg.NumSMs, 4)
+	alloc := sim.EvenAllocation(cfg.NumSMs, 4)
 
-	plain := must(dasesim.RunShared(cfg, apps, alloc, cycles, 1))
-	epochs := must(dasesim.RunSharedWithEpochs(cfg, apps, alloc, cycles, 1))
+	plain := must(sim.RunShared(cfg, apps, alloc, cycles, 1))
+	epochs := must(sim.RunShared(cfg, apps, alloc, cycles, 1, sim.WithPriorityEpochs()))
 	aloneIPC := aloneIPCs(cfg, apps, cycles)
 
 	cases := []struct {
-		est dasesim.Estimator
-		run *dasesim.Result
+		est core.Estimator
+		run *sim.Result
 	}{
-		{dasesim.NewDASE(), plain},
-		{dasesim.NewMISE(), epochs},
-		{dasesim.NewASM(), epochs},
+		{core.New(core.Options{}), plain},
+		{baseline.NewMISE(), epochs},
+		{baseline.NewASM(), epochs},
 	}
 	fmt.Println("estimator  mean |error|  per app (estimate / actual)")
 	for _, c := range cases {
-		est := dasesim.AverageEstimates(c.est, c.run.Snapshots, 1)
+		est := core.AverageEstimates(c.est, c.run.Snapshots, 1)
 		var sum float64
 		var perApp []string
 		for i, v := range est {
-			actual := dasesim.Slowdown(aloneIPC[i], c.run.Apps[i].IPC)
-			sum += dasesim.EstimationError(v, actual)
+			actual := metrics.Slowdown(aloneIPC[i], c.run.Apps[i].IPC)
+			sum += metrics.Error(v, actual)
 			perApp = append(perApp, fmt.Sprintf("%s %.2f/%.2f", c.run.Apps[i].Abbr, v, actual))
 		}
 		fmt.Printf("%-9s  %11.1f%%  %s\n", c.est.Name(), sum/float64(len(est))*100, strings.Join(perApp, "  "))
@@ -240,13 +195,13 @@ func Example_slowdown() {
 // So a short live run finds the partition DASE-Fair settles on, and the
 // comparison runs that partition from cycle 0.
 func Example_fairsched() {
-	cfg := dasesim.DefaultConfig()
+	cfg := config.Default()
 	cfg.IntervalCycles = 10_000 // short intervals: the policy settles early
 	const cycles = 60_000
 	apps := profiles("VA", "CT") // bandwidth-hungry streamer, cache-sensitive victim
 	aloneIPC := aloneIPCs(cfg, apps, cycles)
 
-	live := must(dasesim.RunWithPolicy(cfg, apps, []int{8, 8}, 40_000, 1, dasesim.NewDASEFair()))
+	live := must(sched.Run(cfg, apps, []int{8, 8}, 40_000, 1, sched.NewDASEFair()))
 	settled := smsOf(live)
 
 	fmt.Println("policy     alloc  VA slow  CT slow  unfairness  h.speedup")
@@ -254,16 +209,16 @@ func Example_fairsched() {
 		policy string
 		alloc  []int
 	}{{"even", []int{8, 8}}, {"DASE-Fair", settled}} {
-		res := must(dasesim.RunShared(cfg, apps, c.alloc, cycles, 1))
+		res := must(sim.RunShared(cfg, apps, c.alloc, cycles, 1))
 		s := slowdowns(aloneIPC, res)
 		fmt.Printf("%-9s  %2d+%-2d  %7.2f  %7.2f  %10.2f  %9.2f\n", c.policy, c.alloc[0], c.alloc[1],
-			s[0], s[1], dasesim.Unfairness(s), dasesim.HarmonicSpeedup(s))
+			s[0], s[1], metrics.Unfairness(s), metrics.HarmonicSpeedup(s))
 	}
 
 	// Both kernels have thousands of thread blocks, so the first takes all
 	// 16 SMs; LEFTOVER splits only when the first kernel is small (SN).
-	fmt.Println("leftover VA+CT:", dasesim.LeftoverAllocation(cfg, apps))
-	fmt.Println("leftover SN+VA:", dasesim.LeftoverAllocation(cfg, profiles("SN", "VA")))
+	fmt.Println("leftover VA+CT:", sched.LeftoverAllocation(cfg, apps))
+	fmt.Println("leftover SN+VA:", sched.LeftoverAllocation(cfg, profiles("SN", "VA")))
 	// Output:
 	// policy     alloc  VA slow  CT slow  unfairness  h.speedup
 	// even        8+8      1.29     2.22        1.71       0.57
@@ -279,7 +234,7 @@ func Example_fairsched() {
 // Example_fairsched, a short live run finds the partition the policy
 // settles on, and the comparison runs it from cycle 0.
 func Example_qos() {
-	cfg := dasesim.DefaultConfig()
+	cfg := config.Default()
 	cfg.IntervalCycles = 10_000
 	const cycles = 60_000
 	apps := profiles("CT", "VA", "NN") // critical: cache-sensitive; batch: streamers
@@ -287,12 +242,12 @@ func Example_qos() {
 
 	fmt.Println("policy         alloc     CT slow  batch H.speedup")
 	show := func(name string, alloc []int) {
-		s := slowdowns(aloneIPC, must(dasesim.RunShared(cfg, apps, alloc, cycles, 1)))
-		fmt.Printf("%-13s  %-8s  %7.2f  %15.2f\n", name, fmt.Sprint(alloc), s[0], dasesim.HarmonicSpeedup(s[1:]))
+		s := slowdowns(aloneIPC, must(sim.RunShared(cfg, apps, alloc, cycles, 1)))
+		fmt.Printf("%-13s  %-8s  %7.2f  %15.2f\n", name, fmt.Sprint(alloc), s[0], metrics.HarmonicSpeedup(s[1:]))
 	}
 	show("even", []int{6, 5, 5})
 	for _, target := range []float64{2.0, 1.3} {
-		live := must(dasesim.RunWithPolicy(cfg, apps, []int{6, 5, 5}, 40_000, 1, dasesim.NewDASEQoS(0, target)))
+		live := must(sched.Run(cfg, apps, []int{6, 5, 5}, 40_000, 1, sched.NewDASEQoS(0, target)))
 		show(fmt.Sprintf("qos(CT<=%.1fx)", target), smsOf(live))
 	}
 	// Output:
@@ -303,7 +258,7 @@ func Example_qos() {
 }
 
 // smsOf returns the SM partition in force at the end of a run.
-func smsOf(res *dasesim.Result) []int {
+func smsOf(res *sim.Result) []int {
 	final := res.Snapshots[len(res.Snapshots)-1]
 	out := make([]int, len(final.Apps))
 	for i, a := range final.Apps {
@@ -314,10 +269,10 @@ func smsOf(res *dasesim.Result) []int {
 
 // slowdowns returns each application's actual slowdown (Eq. 1) in a shared
 // run against its alone IPC.
-func slowdowns(aloneIPC []float64, shared *dasesim.Result) []float64 {
+func slowdowns(aloneIPC []float64, shared *sim.Result) []float64 {
 	out := make([]float64, len(shared.Apps))
 	for i, a := range shared.Apps {
-		out[i] = dasesim.Slowdown(aloneIPC[i], a.IPC)
+		out[i] = metrics.Slowdown(aloneIPC[i], a.IPC)
 	}
 	return out
 }
@@ -329,7 +284,7 @@ func slowdowns(aloneIPC []float64, shared *dasesim.Result) []float64 {
 // run, and POSTs them to /v1/estimate — one single-shot request, then one
 // array batch.
 func Example_estimate() {
-	cfg := dasesim.DefaultConfig()
+	cfg := config.Default()
 	srv := must(server.New(server.Options{
 		Cfg:    cfg,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -337,7 +292,7 @@ func Example_estimate() {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	res := must(dasesim.RunShared(cfg, profiles("SB", "SD"), dasesim.EvenAllocation(cfg.NumSMs, 2), 100_000, 1))
+	res := must(sim.RunShared(cfg, profiles("SB", "SD"), sim.EvenAllocation(cfg.NumSMs, 2), 100_000, 1))
 	var bodies [][]byte
 	for i := range res.Snapshots {
 		req := estimate.FromSnapshot(&res.Snapshots[i])
@@ -400,7 +355,7 @@ func Example_estimate() {
 // capacity, and the time-aware scheduler keeps allocations proportional to
 // deserved shares while DASE slowdown estimates steer job placement.
 func Example_fleet() {
-	gpu := dasesim.DefaultConfig()
+	gpu := config.Default()
 	f := must(fleet.New(fleet.Config{
 		GPUs: 2,
 		GPU:  gpu,

@@ -32,11 +32,11 @@ type Estimator interface {
 	Estimate(snap *sim.IntervalSnapshot) []float64
 }
 
-// Options tune DASE; the zero value selects the paper's configuration.
+// Options tune DASE. The zero value is this repository's refined DASE: it
+// turns on two refinements of the paper's equations, the refined Eq. 9 bank
+// counter and a dynamic Requestmax. Options{LiteralBankInterference: true,
+// StaticRequestMax: true} is the paper's equations as published.
 type Options struct {
-	// AlphaClampThreshold: when α exceeds it, α is treated as 1 (the
-	// paper observes this improves accuracy for large α). Default 0.8.
-	AlphaClampThreshold float64
 	// DisableBLPNormalization skips the Eq. 14 division (ablation).
 	DisableBLPNormalization bool
 	// DisableAlphaDiscount skips the Eq. 15 TLP discount (ablation).
@@ -60,10 +60,17 @@ type Options struct {
 	// "dynamically calculating Requestmax based on kernel characteristics"
 	// the paper names as an extension (§4.2.3).
 	StaticRequestMax bool
-	// RowMissPenalty is tRP+tRCD in core cycles (Eq. 10); set from the
-	// memory config. Default 36 (the Table II timings).
-	RowMissPenalty float64
 }
+
+const (
+	// alphaClampThreshold: when α exceeds it, α is treated as 1 (the paper
+	// observes this improves accuracy for large α).
+	alphaClampThreshold = 0.8
+	// rowMissPenalty is tRP+tRCD in core cycles (Eq. 10) under the Table II
+	// timings. It is not derived from the memory config, so a config with
+	// other DRAM timings still charges 36 cycles per row miss.
+	rowMissPenalty = 36
+)
 
 // DASE is the paper's estimator.
 type DASE struct {
@@ -78,15 +85,7 @@ const (
 )
 
 // New builds a DASE estimator with the given options.
-func New(opt Options) *DASE {
-	if opt.AlphaClampThreshold == 0 {
-		opt.AlphaClampThreshold = 0.8
-	}
-	if opt.RowMissPenalty == 0 {
-		opt.RowMissPenalty = 36
-	}
-	return &DASE{opt: opt}
-}
+func New(opt Options) *DASE { return &DASE{opt: opt} }
 
 // Name implements Estimator.
 func (d *DASE) Name() string { return "DASE" }
@@ -189,7 +188,7 @@ func (d *DASE) EstimateDetailedInto(snap *sim.IntervalSnapshot, out []AppEstimat
 		} else {
 			e.TimeBank = tShared * a.BLPBlocked
 		}
-		e.TimeRow = float64(a.ERBMiss) * d.opt.RowMissPenalty
+		e.TimeRow = float64(a.ERBMiss) * rowMissPenalty
 		if a.Served > 0 {
 			avg := float64(a.TimeInBanks) / float64(a.Served)
 			e.TimeLLC = a.ELLCMiss * avg
@@ -205,7 +204,7 @@ func (d *DASE) EstimateDetailedInto(snap *sim.IntervalSnapshot, out []AppEstimat
 		ratio := tShared / tAlone
 
 		alpha := a.Alpha
-		if alpha > d.opt.AlphaClampThreshold {
+		if alpha > alphaClampThreshold {
 			alpha = 1
 		}
 		if d.opt.DisableAlphaDiscount {

@@ -143,7 +143,8 @@ func (p *partitionPolicy) onInterval(g *sim.GPU, snap *sim.IntervalSnapshot, nam
 // (Eqs. 29-30), and picks the partition minimising estimated unfairness.
 type DASEFair struct{ partitionPolicy }
 
-// NewDASEFair returns the policy with the paper's defaults.
+// NewDASEFair returns the policy. It estimates with the repository's
+// refined DASE, core.New(core.Options{}), not the paper's literal equations.
 func NewDASEFair() *DASEFair { return &DASEFair{newPartitionPolicy()} }
 
 // Name implements Policy.

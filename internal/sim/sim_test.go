@@ -231,6 +231,13 @@ func TestAllocationAccessors(t *testing.T) {
 	if alloc[0] != 6 || alloc[1] != 10 {
 		t.Fatalf("desired allocation = %v", alloc)
 	}
+	for _, n := range []uint64{5_000, 1} {
+		before := g.Cycle()
+		g.Run(n)
+		if got := g.Cycle() - before; got != n {
+			t.Fatalf("Run(%d) advanced Cycle by %d", n, got)
+		}
+	}
 }
 
 // TestSnapshotAccessors checks the GPU's configuration and snapshot views,

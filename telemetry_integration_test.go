@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"testing"
 
+	"dasesim/internal/config"
 	"dasesim/internal/sched"
 	"dasesim/internal/sim"
 	"dasesim/internal/telemetry"
@@ -21,7 +22,7 @@ func TestTracedDASEFairChromeTrace(t *testing.T) {
 	const cycles = 160_000
 	profs := detProfiles(t, []string{"VA", "CT"})
 	tr := telemetry.New(0)
-	res, err := sched.Run(DefaultConfig(), profs, []int{8, 8}, cycles, 5,
+	res, err := sched.Run(config.Default(), profs, []int{8, 8}, cycles, 5,
 		sched.NewDASEFair(), sim.WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func TestTracedDASEFairChromeTrace(t *testing.T) {
 			intervals[e.App][e.Cycle] = true
 		}
 	}
-	wantIntervals := int(cycles/DefaultConfig().IntervalCycles) - 1
+	wantIntervals := int(cycles/config.Default().IntervalCycles) - 1
 	for app := int32(0); app < int32(len(profs)); app++ {
 		if got := len(intervals[app]); got != wantIntervals {
 			t.Errorf("app %d has dase.app events in %d intervals, want %d", app, got, wantIntervals)

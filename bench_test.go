@@ -225,11 +225,11 @@ func BenchmarkFig9(b *testing.B) {
 	policyCycles := uint64(3 * benchCycles)
 	var improvement float64
 	for i := 0; i < b.N; i++ {
-		even, err := sched.Run(cfg, combo.Profiles, []int{8, 8}, policyCycles, 1, sched.Even{})
+		even, err := sched.Run(context.Background(), cfg, combo.Profiles, []int{8, 8}, policyCycles, 1, sched.Even{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		fair, err := sched.Run(cfg, combo.Profiles, []int{8, 8}, policyCycles, 1, sched.NewDASEFair())
+		fair, err := sched.Run(context.Background(), cfg, combo.Profiles, []int{8, 8}, policyCycles, 1, sched.NewDASEFair())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +55,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *cycles == 0 {
 		return fmt.Errorf("-cycles must be positive")
+	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds must be positive, got %d", *seeds)
 	}
 
 	cfg := config.Default()
@@ -138,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return reportMultiSeed(stdout, cfg, profiles, alloc, *cycles, *seed, *seeds, *policy)
 	}
 
-	shared, err := sched.Run(cfg, profiles, alloc, *cycles, *seed, pol)
+	shared, err := sched.Run(context.Background(), cfg, profiles, alloc, *cycles, *seed, pol)
 	if err != nil {
 		return err
 	}
@@ -234,7 +238,7 @@ func reportMultiSeed(w io.Writer, cfg config.Config, profiles []kernels.Profile,
 		if policy == "fair" {
 			pol = sched.NewDASEFair()
 		}
-		shared, err := sched.Run(cfg, profiles, alloc, cycles, seed+s, pol)
+		shared, err := sched.Run(context.Background(), cfg, profiles, alloc, cycles, seed+s, pol)
 		if err != nil {
 			return err
 		}

@@ -92,6 +92,8 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-kernels", missing}, "missing.json"},
 		{[]string{"-bogus"}, "-bogus"},
 		{[]string{"-cycles", "0", "-policy", "fair"}, "-cycles must be positive"},
+		{[]string{"-cycles", "20000", "-seeds", "0"}, "-seeds must be positive, got 0"},
+		{[]string{"-cycles", "20000", "-seeds", "-2"}, "-seeds must be positive, got -2"},
 		{[]string{"-cycles", "20000", "-seeds", "3", "-csv", filepath.Join(t.TempDir(), "x.csv")}, "-csv records one run's intervals; it cannot be combined with -seeds 3"},
 	} {
 		err := run(tc.args, io.Discard, io.Discard)

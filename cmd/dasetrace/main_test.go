@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -29,7 +30,7 @@ var tracedRun = sync.OnceValues(func() ([]telemetry.Event, error) {
 		profs = append(profs, p)
 	}
 	tr := telemetry.New(0)
-	_, err := sched.Run(config.Default(), profs, []int{8, 8}, 160_000, 5,
+	_, err := sched.Run(context.Background(), config.Default(), profs, []int{8, 8}, 160_000, 5,
 		sched.NewDASEFair(), sim.WithTracer(tr))
 	return tr.Events(), err
 })

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -96,6 +97,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			rt, err := parseRates(*rates, len(tenants))
 			if err != nil {
 				return err
+			}
+			if *maxMinSMs < 1 {
+				return fmt.Errorf("-job-max-sms must be at least 1, got %d", *maxMinSMs)
 			}
 			profiles, err := parseKernels(*kernelsFlag)
 			if err != nil {
@@ -194,7 +198,8 @@ func parseTenants(s string) ([]fleet.TenantSpec, error) {
 	return tenants, nil
 }
 
-// parseRates parses the comma-separated per-tenant arrival rates.
+// parseRates parses the comma-separated per-tenant arrival rates, each a
+// finite non-negative number.
 func parseRates(s string, nTenants int) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != nTenants {
@@ -205,6 +210,9 @@ func parseRates(s string, nTenants int) ([]float64, error) {
 		r, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, fmt.Errorf("rate %q: %w", p, err)
+		}
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+			return nil, fmt.Errorf("-rates: rate %q is not a finite non-negative number", p)
 		}
 		rates[i] = r
 	}

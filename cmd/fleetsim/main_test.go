@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,11 +157,37 @@ func TestRunBadFlags(t *testing.T) {
 		{"-kernels", "NOPE"},
 		{"-trace-in", "/nonexistent/arrivals.csv"},
 		{"-gpus", "0"},
+		{"-job-max-sms", "0"},
 		{"-badflag"},
 	}
 	for _, args := range cases {
 		if _, _, err := runCLI(t, args...); err == nil {
 			t.Errorf("args %v: run succeeded, want error", args)
+		}
+	}
+}
+
+func TestParseRates(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []float64 // nil: an error naming -rates
+	}{
+		{"1.2,0.8,0.5", []float64{1.2, 0.8, 0.5}},
+		{"0, 1 ,2", []float64{0, 1, 2}},
+		{"NaN,1,1", nil}, // hung the Poisson draw
+		{"1,+Inf,1", nil},
+		{"1,1,-Inf", nil},
+		{"-1,1,1", nil}, // silently gave the tenant no arrivals
+	} {
+		got, err := parseRates(tc.in, 3)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), "-rates") {
+				t.Errorf("parseRates(%q) = %v, %v; want an error naming -rates", tc.in, got, err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("parseRates(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
 }

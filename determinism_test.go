@@ -89,7 +89,7 @@ func runSharedEpochs(t *testing.T, c detCase) *sim.Result {
 // performance refactor is most likely to disturb.
 func runFairPolicy(t *testing.T, c detCase) *sim.Result {
 	t.Helper()
-	res, err := sched.Run(config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), c.opts...)
+	res, err := sched.Run(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), c.opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +142,10 @@ func runParFairRetentionFaultRetry(t *testing.T, c detCase) *sim.Result {
 	defer faults.Deactivate()
 
 	opts := append([]sim.Option{sim.WithSnapshotRetention(2)}, c.opts...)
-	if _, err := sched.RunContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...); err == nil {
+	if _, err := sched.Run(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...); err == nil {
 		t.Fatal("first attempt survived the armed sim.step fault")
 	}
-	res, err := sched.RunContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...)
+	res, err := sched.Run(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...)
 	if err != nil {
 		t.Fatalf("retry after injected fault: %v", err)
 	}

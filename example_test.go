@@ -2,6 +2,7 @@ package dasesim_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -201,7 +202,7 @@ func Example_fairsched() {
 	apps := profiles("VA", "CT") // bandwidth-hungry streamer, cache-sensitive victim
 	aloneIPC := aloneIPCs(cfg, apps, cycles)
 
-	live := must(sched.Run(cfg, apps, []int{8, 8}, 40_000, 1, sched.NewDASEFair()))
+	live := must(sched.Run(context.Background(), cfg, apps, []int{8, 8}, 40_000, 1, sched.NewDASEFair()))
 	settled := smsOf(live)
 
 	fmt.Println("policy     alloc  VA slow  CT slow  unfairness  h.speedup")
@@ -225,36 +226,6 @@ func Example_fairsched() {
 	// DASE-Fair   5+11     1.43     1.47        1.03       0.69
 	// leftover VA+CT: [16 0]
 	// leftover SN+VA: [4 12]
-}
-
-// Example_qos shows the DASE-QoS policy (the paper's stated future work):
-// it protects a latency-critical application with a maximum-slowdown target
-// while batch applications absorb the remaining SMs. Sweeping the target
-// trades the critical app's guarantee against batch throughput. As in
-// Example_fairsched, a short live run finds the partition the policy
-// settles on, and the comparison runs it from cycle 0.
-func Example_qos() {
-	cfg := config.Default()
-	cfg.IntervalCycles = 10_000
-	const cycles = 60_000
-	apps := profiles("CT", "VA", "NN") // critical: cache-sensitive; batch: streamers
-	aloneIPC := aloneIPCs(cfg, apps, cycles)
-
-	fmt.Println("policy         alloc     CT slow  batch H.speedup")
-	show := func(name string, alloc []int) {
-		s := slowdowns(aloneIPC, must(sim.RunShared(cfg, apps, alloc, cycles, 1)))
-		fmt.Printf("%-13s  %-8s  %7.2f  %15.2f\n", name, fmt.Sprint(alloc), s[0], metrics.HarmonicSpeedup(s[1:]))
-	}
-	show("even", []int{6, 5, 5})
-	for _, target := range []float64{2.0, 1.3} {
-		live := must(sched.Run(cfg, apps, []int{6, 5, 5}, 40_000, 1, sched.NewDASEQoS(0, target)))
-		show(fmt.Sprintf("qos(CT<=%.1fx)", target), smsOf(live))
-	}
-	// Output:
-	// policy         alloc     CT slow  batch H.speedup
-	// even           [6 5 5]      3.02             0.41
-	// qos(CT<=2.0x)  [9 4 3]      1.85             0.36
-	// qos(CT<=1.3x)  [13 2 1]     1.23             0.28
 }
 
 // smsOf returns the SM partition in force at the end of a run.

@@ -43,7 +43,7 @@ func TestServiceMatchesModel(t *testing.T) {
 		slow[i] = det[i].Slowdown
 		cur[i] = req.Apps[i].SMs
 	}
-	best, bestUnf := sched.SearchBestPartition(slow, cur, req.NumSMs, 1)
+	best, bestUnf := new(sched.PartitionSearch).Fair(slow, cur, req.NumSMs, 1)
 	wantUnf := sched.EstimatedUnfairness(slow, cur, cur, req.NumSMs)
 
 	want := Response{Unfairness: wantUnf, PartitionUnfairness: bestUnf}

@@ -25,21 +25,12 @@ func reciprocalAt(recipCur float64, cur, x, total int) float64 {
 	return recipCur - float64(cur-x)/float64(cur)*recipCur
 }
 
-// candidateReciprocal is app i's reciprocal under cand, slowdowns below 1
-// clamped to 1.
-func candidateReciprocal(slow []float64, cur, cand []int, total, i int) float64 {
-	s := slow[i]
-	if s < 1 {
-		s = 1
-	}
-	return reciprocalAt(1/s, cur[i], cand[i], total)
-}
-
-// unfairness predicts MAX/MIN slowdown for cand; 1e18 when an app starves.
+// unfairness predicts MAX/MIN slowdown for cand, slowdowns below 1 clamped
+// to 1; 1e18 when an app starves.
 func unfairness(slow []float64, cur, cand []int, total int) float64 {
 	var minR, maxR float64
-	for i := range slow {
-		r := candidateReciprocal(slow, cur, cand, total, i)
+	for i, s := range slow {
+		r := reciprocalAt(1/max(s, 1), cur[i], cand[i], total)
 		if r <= 0 {
 			return 1e18
 		}
@@ -74,35 +65,6 @@ func ExhaustivePartition(slow []float64, cur []int, total, minSMs int) ([]int, f
 			return best, bestUnf
 		}
 	}
-}
-
-// ExhaustiveThroughput is ExhaustivePartition for the DASE-Perf objective:
-// the composition with the highest Σ reciprocal, nil when none scores above
-// the −1 floor.
-func ExhaustiveThroughput(slow []float64, cur []int, total, minSMs int) ([]int, float64) {
-	cand := firstComposition(len(slow), total, minSMs)
-	if cand == nil {
-		return nil, 0
-	}
-	best := make([]int, len(cand))
-	bestWS := -1.0
-	for {
-		var ws float64
-		for i := range slow {
-			ws += candidateReciprocal(slow, cur, cand, total, i)
-		}
-		if ws > bestWS {
-			bestWS = ws
-			copy(best, cand)
-		}
-		if !nextComposition(cand, total, minSMs) {
-			break
-		}
-	}
-	if bestWS < 0 {
-		return nil, 0
-	}
-	return best, bestWS
 }
 
 // firstComposition returns the lexicographically first composition — minSMs

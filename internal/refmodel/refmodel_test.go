@@ -1,7 +1,6 @@
 package refmodel
 
 import (
-	"math"
 	"testing"
 
 	"dasesim/internal/memreq"
@@ -31,6 +30,36 @@ func TestFIFOBasics(t *testing.T) {
 	f.Reset()
 	if !f.Empty() {
 		t.Fatal("Reset left elements")
+	}
+}
+
+// TestFIFOPanics: the oracle fails loudly, as ring.Buffer does, on a read
+// from an empty queue and on an index outside it.
+func TestFIFOPanics(t *testing.T) {
+	var f FIFO[int]
+	f.PushBack(1)
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"PopFront on empty", func() { var e FIFO[int]; e.PopFront() }},
+		{"Front on empty", func() { var e FIFO[int]; e.Front() }},
+		{"At(1) of 1", func() { f.At(1) }},
+		{"At(-1)", func() { f.At(-1) }},
+		{"RemoveAt(1) of 1", func() { f.RemoveAt(1) }},
+		{"RemoveAt(-1)", func() { f.RemoveAt(-1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.op()
+		}()
+	}
+	if f.Len() != 1 || f.Front() != 1 {
+		t.Fatalf("a rejected operation changed the queue: len=%d", f.Len())
 	}
 }
 
@@ -158,26 +187,5 @@ func TestExhaustivePartition(t *testing.T) {
 		if tc.wantUnf != 0 && unf != tc.wantUnf {
 			t.Errorf("%s: unfairness %v, want %v", tc.name, unf, tc.wantUnf)
 		}
-	}
-}
-
-func TestExhaustiveThroughput(t *testing.T) {
-	// Two apps at reciprocal 1/4 gain more per SM above the current share
-	// (3/4 over 8 SMs) than they lose below it (1/4 over 8), so throughput
-	// starves one of them; of the two mirror-image optima the earlier wins.
-	got, ws := ExhaustiveThroughput([]float64{4, 4}, []int{8, 8}, 16, 1)
-	if len(got) != 2 || got[0] != 1 || got[1] != 15 {
-		t.Fatalf("partition %v, want [1 15]", got)
-	}
-	q := 0.25
-	if want := (q - 7.0/8*q) + (q + 7.0/8*(1-q)); ws != want {
-		t.Errorf("weighted speedup %v, want %v", ws, want)
-	}
-	if got, _ := ExhaustiveThroughput([]float64{2, 2}, []int{1, 1}, 3, 2); got != nil {
-		t.Errorf("infeasible search returned %v", got)
-	}
-	// Every sum is NaN, none beats the −1 floor: no partition.
-	if got, _ := ExhaustiveThroughput([]float64{math.NaN(), 2}, []int{4, 4}, 8, 1); got != nil {
-		t.Errorf("all-NaN search returned %v", got)
 	}
 }

@@ -31,13 +31,9 @@ func (Even) Name() string { return "Even" }
 func (Even) OnInterval(*sim.GPU, *sim.IntervalSnapshot) {}
 
 // Run executes the kernels under the given policy and returns the result.
-func Run(cfg config.Config, ps []kernels.Profile, alloc []int, cycles uint64, seed uint64, pol Policy, opts ...sim.Option) (*sim.Result, error) {
-	return RunContext(context.Background(), cfg, ps, alloc, cycles, seed, pol, opts...)
-}
-
-// RunContext is Run with cancellation: the run aborts (returning ctx.Err())
-// when ctx is cancelled or its deadline passes.
-func RunContext(ctx context.Context, cfg config.Config, ps []kernels.Profile, alloc []int, cycles uint64, seed uint64, pol Policy, opts ...sim.Option) (*sim.Result, error) {
+// The run aborts, returning ctx.Err(), when ctx is cancelled or its
+// deadline passes.
+func Run(ctx context.Context, cfg config.Config, ps []kernels.Profile, alloc []int, cycles uint64, seed uint64, pol Policy, opts ...sim.Option) (*sim.Result, error) {
 	g, err := sim.New(cfg, ps, alloc, seed, opts...)
 	if err != nil {
 		return nil, err
@@ -82,77 +78,59 @@ func LeftoverAllocation(cfg config.Config, ps []kernels.Profile) []int {
 	return out
 }
 
-// partitionPolicy is the interval loop DASE-Fair and DASE-Perf share:
-// estimate every app's slowdown with DASE, search the SM partitions for the
-// objective's optimum (search.go), and re-partition via SM draining when
-// the predicted improvement clears the hysteresis threshold.
-type partitionPolicy struct {
-	Est *core.DASE
+// DASEFair is the paper's fairness-oriented SM partition policy (§7): each
+// interval it estimates every app's slowdown with DASE, converts the
+// estimates to reciprocals (Eq. 28), linearly interpolates each app's
+// reciprocal as a function of its SM count (Eqs. 29-30), searches the SM
+// partitions for the one minimising estimated unfairness (search.go), and
+// re-partitions via SM draining when the predicted improvement clears the
+// hysteresis threshold.
+type DASEFair struct {
 	// WarmupIntervals skipped before the first reallocation.
 	WarmupIntervals int
-	// ImprovementThreshold is the minimum predicted relative improvement
-	// of the objective required to trigger a reallocation (hysteresis).
+	// ImprovementThreshold is the minimum predicted relative reduction in
+	// unfairness required to trigger a reallocation (hysteresis).
 	ImprovementThreshold float64
-	// MinSMs per application.
-	MinSMs int
 	// Reallocations counts how many times the policy moved SMs.
 	Reallocations int
 
+	est       *core.DASE
 	intervals int
 	cur       []int
 	search    PartitionSearch
 }
 
-func newPartitionPolicy() partitionPolicy {
-	return partitionPolicy{
-		Est:                  core.New(core.Options{}),
-		WarmupIntervals:      1,
-		ImprovementThreshold: 0.05,
-		MinSMs:               1,
-	}
-}
-
-func (p *partitionPolicy) onInterval(g *sim.GPU, snap *sim.IntervalSnapshot, name string, fair bool) {
-	p.intervals++
-	if p.intervals <= p.WarmupIntervals {
-		return
-	}
-	slow := tracedEstimates(p.Est, g, snap, name)
-	p.cur = currentSMs(p.cur, snap)
-	cur := p.cur
-	best, bestScore := p.search.search(slow, cur, snap.NumSMs, p.MinSMs, fair)
-	var curScore float64
-	var worth bool
-	if fair {
-		curScore = EstimatedUnfairness(slow, cur, cur, snap.NumSMs)
-		worth = bestScore < curScore*(1-p.ImprovementThreshold)
-	} else {
-		curScore = estimatedWeightedSpeedup(slow, cur, cur, snap.NumSMs)
-		worth = bestScore > curScore*(1+p.ImprovementThreshold)
-	}
-	realloc := best != nil && worth && !slices.Equal(best, cur) && g.SetAllocation(best) == nil
-	if realloc {
-		p.Reallocations++
-	}
-	emitDecision(g.Tracer(), snap, name, curScore, bestScore, best, realloc)
-}
-
-// DASEFair is the paper's fairness-oriented SM partition policy (§7): it
-// converts the DASE estimates to reciprocals (Eq. 28), linearly
-// interpolates each app's reciprocal as a function of its SM count
-// (Eqs. 29-30), and picks the partition minimising estimated unfairness.
-type DASEFair struct{ partitionPolicy }
-
 // NewDASEFair returns the policy. It estimates with the repository's
 // refined DASE, core.New(core.Options{}), not the paper's literal equations.
-func NewDASEFair() *DASEFair { return &DASEFair{newPartitionPolicy()} }
+func NewDASEFair() *DASEFair {
+	return &DASEFair{
+		WarmupIntervals:      1,
+		ImprovementThreshold: 0.05,
+		est:                  core.New(core.Options{}),
+	}
+}
 
 // Name implements Policy.
 func (p *DASEFair) Name() string { return "DASE-Fair" }
 
 // OnInterval implements Policy.
 func (p *DASEFair) OnInterval(g *sim.GPU, snap *sim.IntervalSnapshot) {
-	p.onInterval(g, snap, p.Name(), true)
+	p.intervals++
+	if p.intervals <= p.WarmupIntervals {
+		return
+	}
+	name := p.Name()
+	slow := tracedEstimates(p.est, g, snap, name)
+	p.cur = currentSMs(p.cur, snap)
+	cur := p.cur
+	best, bestScore := p.search.Fair(slow, cur, snap.NumSMs, 1)
+	curScore := EstimatedUnfairness(slow, cur, cur, snap.NumSMs)
+	worth := bestScore < curScore*(1-p.ImprovementThreshold)
+	realloc := best != nil && worth && !slices.Equal(best, cur) && g.SetAllocation(best) == nil
+	if realloc {
+		p.Reallocations++
+	}
+	emitDecision(g.Tracer(), snap, name, curScore, bestScore, best, realloc)
 }
 
 // tracedEstimates runs the interval's DASE estimation, emitting one dase.app

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"dasesim/internal/config"
@@ -9,10 +10,10 @@ import (
 	"dasesim/internal/sim"
 )
 
-func TestSearchBestPartition(t *testing.T) {
+func TestSearchFairPair(t *testing.T) {
 	// Two apps, one slowed 3x and one 1.2x on an 8+8 split: the search
 	// must give the slower app more SMs.
-	best, unf := SearchBestPartition([]float64{3, 1.2}, []int{8, 8}, 16, 1)
+	best, unf := new(PartitionSearch).Fair([]float64{3, 1.2}, []int{8, 8}, 16, 1)
 	if best == nil {
 		t.Fatal("no partition found")
 	}
@@ -29,7 +30,7 @@ func TestSearchBestPartition(t *testing.T) {
 
 func TestSearchBestPartitionFour(t *testing.T) {
 	slow := []float64{4, 4, 1.5, 1.5}
-	best, _ := SearchBestPartition(slow, []int{4, 4, 4, 4}, 16, 1)
+	best, _ := new(PartitionSearch).Fair(slow, []int{4, 4, 4, 4}, 16, 1)
 	if best == nil {
 		t.Fatal("no partition found")
 	}
@@ -102,12 +103,12 @@ func TestDASEFairImprovesFairness(t *testing.T) {
 		aloneIPC[i] = res.Apps[0].IPC
 	}
 
-	even, err := Run(cfg, ps, []int{8, 8}, cycles, 1, Even{})
+	even, err := Run(context.Background(), cfg, ps, []int{8, 8}, cycles, 1, Even{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pol := NewDASEFair()
-	fair, err := Run(cfg, ps, []int{8, 8}, cycles, 1, pol)
+	fair, err := Run(context.Background(), cfg, ps, []int{8, 8}, cycles, 1, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

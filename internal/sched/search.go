@@ -2,13 +2,13 @@ package sched
 
 import "slices"
 
-// The partition search behind DASE-Fair, DASE-Perf, POST /v1/estimate and
-// the fleet's per-interval repartition. Both objectives are separable: an
-// app's interpolated reciprocal depends only on (app, SM count), so it is
-// tabulated once per call and the enumeration reads the table. The fairness
-// objective additionally skips what a monotone bound rules out. DESIGN.md
-// §5.1 carries the argument for why the result is bit-identical to scoring
-// every candidate with EstimatedUnfairness (refmodel.ExhaustivePartition).
+// The partition search behind DASE-Fair, POST /v1/estimate and the fleet's
+// per-interval repartition. The objective is separable: an app's
+// interpolated reciprocal depends only on (app, SM count), so it is
+// tabulated once per call and the enumeration reads the table, skipping
+// what a monotone bound rules out. DESIGN.md §5.1 carries the argument for
+// why the result is bit-identical to scoring every candidate with
+// EstimatedUnfairness (refmodel.ExhaustivePartition).
 
 // starvedUnfairness is the score of a partition that leaves some app with a
 // non-positive reciprocal: infinitely unfair, but finite so it still orders.
@@ -38,7 +38,7 @@ func ReciprocalAt(recipCur float64, cur, x, total int) float64 {
 func EstimatedUnfairness(slow []float64, cur, cand []int, total int) float64 {
 	var minR, maxR float64
 	for i := range slow {
-		r := ReciprocalAt(1/clampLow(slow[i]), cur[i], cand[i], total)
+		r := ReciprocalAt(1/max(slow[i], 1), cur[i], cand[i], total)
 		if r <= 0 {
 			return starvedUnfairness
 		}
@@ -52,16 +52,6 @@ func EstimatedUnfairness(slow []float64, cur, cand []int, total int) float64 {
 	return maxR / minR
 }
 
-// estimatedWeightedSpeedup predicts Σ reciprocal for a candidate allocation
-// using the Eq. 29/30 interpolation.
-func estimatedWeightedSpeedup(slow []float64, cur, cand []int, total int) float64 {
-	var ws float64
-	for i := range slow {
-		ws += ReciprocalAt(1/clampLow(slow[i]), cur[i], cand[i], total)
-	}
-	return ws
-}
-
 // PartitionSearch is the reusable scratch of the partition search. The zero
 // value is ready; a warm one searches without allocating, so serving paths
 // keep one per request scratch, GPU or policy. Not safe for concurrent use.
@@ -72,7 +62,6 @@ type PartitionSearch struct {
 	best, cand []int
 
 	n, w, minSMs int
-	fair         bool
 	// score is the incumbent's; negative until a candidate is accepted.
 	score float64
 }
@@ -82,25 +71,12 @@ type PartitionSearch struct {
 // among equals, the lexicographically first. The partition aliases ps and
 // is valid until the next search; it is nil when no composition exists.
 func (ps *PartitionSearch) Fair(slow []float64, cur []int, total, minSMs int) ([]int, float64) {
-	return ps.search(slow, cur, total, minSMs, true)
-}
-
-// search is Fair, or with fair unset its DASE-Perf counterpart: the
-// composition with the highest estimatedWeightedSpeedup, nil when none
-// scores above the −1 floor (a fairness score is never negative).
-func (ps *PartitionSearch) search(slow []float64, cur []int, total, minSMs int, fair bool) ([]int, float64) {
 	n := len(slow)
 	ps.best, ps.cand = slices.Grow(ps.best[:0], n)[:n], slices.Grow(ps.cand[:0], n)[:n]
-	if !ps.run(slow, cur, total, minSMs, fair) || ps.score < 0 {
+	if !ps.run(slow, cur, total, minSMs) {
 		return nil, 0
 	}
 	return ps.best, ps.score
-}
-
-// SearchBestPartition is Fair on a fresh scratch.
-func SearchBestPartition(slow []float64, cur []int, total, minSMs int) ([]int, float64) {
-	var ps PartitionSearch
-	return ps.Fair(slow, cur, total, minSMs)
 }
 
 // stackTable is the reciprocal-table size SearchBestPartitionScratch keeps
@@ -120,7 +96,7 @@ func SearchBestPartitionScratch(slow []float64, cur []int, total, minSMs int, be
 	}
 	var table [stackTable]float64
 	ps := PartitionSearch{rec: table[:], best: best[:n], cand: cand[:n]}
-	if !ps.run(slow, cur, total, minSMs, true) {
+	if !ps.run(slow, cur, total, minSMs) {
 		return nil, 0
 	}
 	return best[:n], ps.score
@@ -128,7 +104,7 @@ func SearchBestPartitionScratch(slow []float64, cur []int, total, minSMs int, be
 
 // run tabulates the reciprocals and enumerates; ps.best and ps.cand must
 // already hold len(slow) entries. It reports whether any composition exists.
-func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int, fair bool) bool {
+func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int) bool {
 	n := len(slow)
 	if n == 0 || minSMs*n > total {
 		return false
@@ -139,16 +115,16 @@ func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int, fai
 	}
 	ps.rec = ps.rec[:n*w]
 	for i := range slow {
-		r := 1 / clampLow(slow[i])
+		r := 1 / max(slow[i], 1)
 		row := ps.rec[i*w : (i+1)*w]
 		for k := range row {
 			row[k] = ReciprocalAt(r, cur[i], minSMs+k, total)
 		}
 	}
-	ps.n, ps.w, ps.minSMs, ps.fair, ps.score = n, w, minSMs, fair, -1
+	ps.n, ps.w, ps.minSMs, ps.score = n, w, minSMs, -1
 	if n == 1 {
 		ps.cand[0] = total
-		ps.offer(ps.fold(0, ps.rec[total-minSMs], 0, 0, false))
+		ps.offer(fold(0, ps.rec[total-minSMs], 0, 0, false))
 	} else {
 		ps.descend(0, total, 0, 0, false)
 	}
@@ -157,9 +133,9 @@ func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int, fai
 
 // descend enumerates, in ascending lexicographic order, every completion of
 // the prefix cand[:i] (i ≤ n-2) from the left SMs that remain; (lo, hi,
-// starved) is the prefix's fold. A fairness subtree is skipped when
-// fairBound says no completion can replace the incumbent, and the rest of a
-// level once it has peaked: a row is nondecreasing in x (ReciprocalAt is),
+// starved) is the prefix's fold. A subtree is skipped when fairBound says
+// no completion can replace the incumbent, and the rest of a level once it
+// has peaked: a row is nondecreasing in x (ReciprocalAt is),
 // so when app i's reciprocal r has become the prefix's max, a larger share
 // only raises r/lo, and what was skipped at x is skipped at every later x.
 func (ps *PartitionSearch) descend(i, left int, lo, hi float64, starved bool) {
@@ -167,19 +143,19 @@ func (ps *PartitionSearch) descend(i, left int, lo, hi float64, starved bool) {
 	row, lastRow := ps.rec[i*w:(i+1)*w], ps.rec[(n-1)*w:n*w]
 	for x, end := min, left-min*(n-1-i); x <= end; x++ {
 		r := row[x-min]
-		xlo, xhi, xstarved := ps.fold(i, r, lo, hi, starved)
+		xlo, xhi, xstarved := fold(i, r, lo, hi, starved)
 		ps.cand[i] = x
 		switch {
 		case i == n-2: // the last app takes the remainder
 			rLast := lastRow[left-x-min]
 			ps.cand[n-1] = left - x
-			ps.offer(ps.fold(n-1, rLast, xlo, xhi, xstarved))
+			ps.offer(fold(n-1, rLast, xlo, xhi, xstarved))
 			// Past the crossing r grows and the last app's reciprocal,
 			// already the smaller, shrinks: scores only rise, or starve.
-			if ps.fair && r >= rLast && ps.score <= starvedUnfairness {
+			if r >= rLast && ps.score <= starvedUnfairness {
 				return
 			}
-		case ps.fair && !(ps.score < 0) && !(fairBound(xlo, xhi, xstarved) < ps.score):
+		case !(ps.score < 0) && !(fairBound(xlo, xhi, xstarved) < ps.score):
 			if i > 0 && r >= hi {
 				return
 			}
@@ -189,14 +165,10 @@ func (ps *PartitionSearch) descend(i, left int, lo, hi float64, starved bool) {
 	}
 }
 
-// fold extends a prefix's state by app i's reciprocal r, exactly as the
-// per-candidate scorers fold it: for fairness the running min and max
-// (NaN-ignoring after app 0) and whether any reciprocal was ≤ 0; for
-// throughput the running sum, kept in lo.
-func (ps *PartitionSearch) fold(i int, r, lo, hi float64, starved bool) (float64, float64, bool) {
-	if !ps.fair {
-		return lo + r, 0, false
-	}
+// fold extends a prefix's state by app i's reciprocal r, exactly as
+// EstimatedUnfairness folds it: the running min and max (NaN-ignoring after
+// app 0) and whether any reciprocal was ≤ 0.
+func fold(i int, r, lo, hi float64, starved bool) (float64, float64, bool) {
 	if i == 0 || r < lo {
 		lo = r
 	}
@@ -207,17 +179,13 @@ func (ps *PartitionSearch) fold(i int, r, lo, hi float64, starved bool) (float64
 }
 
 // offer scores the complete candidate in ps.cand from its fold and makes it
-// the incumbent if it is strictly better (or, for fairness, the first).
+// the incumbent if it is the first or strictly better.
 func (ps *PartitionSearch) offer(lo, hi float64, starved bool) {
-	score, better := lo, lo > ps.score
-	if ps.fair {
-		score = starvedUnfairness
-		if !starved {
-			score = hi / lo
-		}
-		better = ps.score < 0 || score < ps.score
+	score := starvedUnfairness
+	if !starved {
+		score = hi / lo
 	}
-	if better {
+	if ps.score < 0 || score < ps.score {
 		ps.score = score
 		copy(ps.best, ps.cand)
 	}

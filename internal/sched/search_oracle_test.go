@@ -29,16 +29,12 @@ func checkAgainstOracle(t *testing.T, slow []float64, cur []int, total, minSMs i
 		}
 	}
 	want, wantUnf := refmodel.ExhaustivePartition(slow, cur, total, minSMs)
-	got, unf := SearchBestPartition(slow, cur, total, minSMs)
-	same("SearchBestPartition", got, unf, want, wantUnf)
+	got, unf := new(PartitionSearch).Fair(slow, cur, total, minSMs)
+	same("fresh Fair", got, unf, want, wantUnf)
 	got, unf = SearchBestPartitionScratch(slow, cur, total, minSMs, make([]int, n), make([]int, n))
 	same("SearchBestPartitionScratch", got, unf, want, wantUnf)
 	got, unf = warmSearch.Fair(slow, cur, total, minSMs)
 	same("warm Fair", got, unf, want, wantUnf)
-
-	want, wantWS := refmodel.ExhaustiveThroughput(slow, cur, total, minSMs)
-	got, ws := warmSearch.search(slow, cur, total, minSMs, false)
-	same("warm throughput", got, ws, want, wantWS)
 }
 
 // FuzzPartitionSearch is the differential check of the table +
@@ -132,7 +128,7 @@ func TestSearchTiesKeepEarliest(t *testing.T) {
 		if len(tied) < 2 {
 			t.Fatalf("cur=%v total=%d: only %d candidate(s) at the minimum — the case pins nothing", tc.cur, tc.total, len(tied))
 		}
-		best, unf := SearchBestPartition(slow, tc.cur, tc.total, tc.minS)
+		best, unf := new(PartitionSearch).Fair(slow, tc.cur, tc.total, tc.minS)
 		if !slices.Equal(best, tied[0]) || !slices.Equal(best, tc.want) || unf != minUnf {
 			t.Errorf("cur=%v total=%d: got %v (%v), want the earliest of %d tied candidates %v = %v (%v)",
 				tc.cur, tc.total, best, unf, len(tied), tied[0], tc.want, minUnf)

@@ -1,21 +1,25 @@
 package sched
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
+
+	"dasesim/internal/config"
+	"dasesim/internal/kernels"
 )
 
 func TestSearchInfeasible(t *testing.T) {
-	if best, _ := SearchBestPartition([]float64{2, 2}, []int{8, 8}, 1, 1); best != nil {
+	if best, _ := new(PartitionSearch).Fair([]float64{2, 2}, []int{8, 8}, 1, 1); best != nil {
 		t.Fatalf("infeasible search returned %v", best)
 	}
-	if best, _ := SearchBestPartition(nil, nil, 16, 1); best != nil {
+	if best, _ := new(PartitionSearch).Fair(nil, nil, 16, 1); best != nil {
 		t.Fatal("empty search returned a partition")
 	}
 }
 
 func TestSearchMinSMsRespected(t *testing.T) {
-	best, _ := SearchBestPartition([]float64{100, 1}, []int{8, 8}, 16, 3)
+	best, _ := new(PartitionSearch).Fair([]float64{100, 1}, []int{8, 8}, 16, 3)
 	if best == nil {
 		t.Fatal("no partition")
 	}
@@ -27,7 +31,7 @@ func TestSearchMinSMsRespected(t *testing.T) {
 }
 
 func TestSearchEqualSlowdownsPrefersBalance(t *testing.T) {
-	best, unf := SearchBestPartition([]float64{2, 2}, []int{8, 8}, 16, 1)
+	best, unf := new(PartitionSearch).Fair([]float64{2, 2}, []int{8, 8}, 16, 1)
 	if best[0] != 8 || best[1] != 8 {
 		t.Fatalf("equal slowdowns should keep the even split, got %v", best)
 	}
@@ -47,7 +51,7 @@ func TestSearchPartitionProperties(t *testing.T) {
 			1 + float64(s3%40)/10,
 		}
 		cur := []int{6, 5, 5}
-		best, unf := SearchBestPartition(slow, cur, 16, 1)
+		best, unf := new(PartitionSearch).Fair(slow, cur, 16, 1)
 		if best == nil {
 			return false
 		}
@@ -87,15 +91,32 @@ func TestReciprocalAtEdges(t *testing.T) {
 	}
 }
 
+// TestDASEFairHysteresis runs Example_fairsched's VA+CT setup, which
+// settles on 5+11 at the default threshold: with an improvement threshold
+// no prediction can clear, the policy must never move off the even split.
 func TestDASEFairHysteresis(t *testing.T) {
-	// With an absurd improvement threshold, the policy must never move.
+	cfg := config.Default()
+	cfg.IntervalCycles = 10_000
+	va, _ := kernels.ByAbbr("VA")
+	ct, _ := kernels.ByAbbr("CT")
 	pol := NewDASEFair()
-	pol.ImprovementThreshold = 10 // impossible to satisfy
 	if pol.Name() != "DASE-Fair" {
 		t.Fatal("name")
 	}
-	// A nil estimator would panic if OnInterval ran its body before the
-	// warmup gate; exercise the warmup path.
+	pol.ImprovementThreshold = 10 // a required unfairness reduction above 100%
+	res, err := Run(context.Background(), cfg, []kernels.Profile{va, ct}, []int{8, 8}, 40_000, 1, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := res.Snapshots[len(res.Snapshots)-1]
+	if pol.Reallocations != 0 || final.Apps[0].SMs != 8 || final.Apps[1].SMs != 8 {
+		t.Fatalf("threshold 10: %d reallocations, final %d+%d; want 0 and 8+8",
+			pol.Reallocations, final.Apps[0].SMs, final.Apps[1].SMs)
+	}
+
+	// Warmup: the body, which would dereference the nil GPU and snapshot,
+	// must not run within the warmup intervals.
+	pol = NewDASEFair()
 	pol.WarmupIntervals = 1000
 	pol.OnInterval(nil, nil)
 	if pol.Reallocations != 0 {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"dasesim/internal/config"
@@ -18,7 +19,7 @@ func tracedPolicyRun(t *testing.T, pol Policy) map[telemetry.Kind]int {
 	va, _ := kernels.ByAbbr("VA")
 	ct, _ := kernels.ByAbbr("CT")
 	tr := telemetry.New(0)
-	_, err := Run(cfg, []kernels.Profile{va, ct}, []int{8, 8}, 60_000, 5, pol,
+	_, err := Run(context.Background(), cfg, []kernels.Profile{va, ct}, []int{8, 8}, 60_000, 5, pol,
 		sim.WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
@@ -46,27 +47,16 @@ func TestDASEFairTracing(t *testing.T) {
 	}
 }
 
-// TestDASEPerfTracing checks the same contract for the throughput policy.
-func TestDASEPerfTracing(t *testing.T) {
-	kinds := tracedPolicyRun(t, NewDASEPerf())
-	if got := kinds[telemetry.KindSchedDecision]; got != 5 {
-		t.Errorf("%d sched.decision events, want 5", got)
-	}
-	if got := kinds[telemetry.KindDASEApp]; got != 10 {
-		t.Errorf("%d dase.app events, want 10 (2 apps x 5 intervals)", got)
-	}
-}
-
 // TestUntracedPolicyEmitsNothing pins the zero-overhead contract at the
 // policy layer: without a tracer the decision path must not panic and the
-// policies must behave identically (covered byte-for-byte by the root
+// policy must behave identically (covered byte-for-byte by the root
 // package's determinism goldens).
 func TestUntracedPolicyEmitsNothing(t *testing.T) {
 	cfg := config.Default()
 	cfg.IntervalCycles = 10_000
 	va, _ := kernels.ByAbbr("VA")
 	ct, _ := kernels.ByAbbr("CT")
-	if _, err := Run(cfg, []kernels.Profile{va, ct}, []int{8, 8}, 30_000, 5, NewDASEFair()); err != nil {
+	if _, err := Run(context.Background(), cfg, []kernels.Profile{va, ct}, []int{8, 8}, 30_000, 5, NewDASEFair()); err != nil {
 		t.Fatal(err)
 	}
 }

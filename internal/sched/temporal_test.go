@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"dasesim/internal/config"
@@ -21,7 +22,7 @@ func TestTimeSliceRotates(t *testing.T) {
 	if pol.Name() != "TimeSlice" {
 		t.Fatal("name")
 	}
-	res, err := Run(cfg, ps, []int{16, 0}, 100_000, 1, pol)
+	res, err := Run(context.Background(), cfg, ps, []int{16, 0}, 100_000, 1, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

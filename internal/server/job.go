@@ -40,8 +40,8 @@ type JobRequest struct {
 	Cycles uint64 `json:"cycles,omitempty"`
 	// Seed is the simulation seed (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Policy selects the SM scheduler for shared mode: "even" (default),
-	// "fair" (DASE-Fair), or "perf" (DASE-Perf).
+	// Policy selects the SM scheduler for shared mode: "even" (default) or
+	// "fair" (DASE-Fair).
 	Policy string `json:"policy,omitempty"`
 	// Mode is "shared" (default) or "alone" (single kernel on all SMs).
 	Mode string `json:"mode,omitempty"`
@@ -145,7 +145,7 @@ type plan struct {
 	alloc    []int
 	cycles   uint64
 	seed     uint64
-	policy   string // "even" | "fair" | "perf"
+	policy   string // "even" | "fair"
 	mode     string // "shared" | "alone"
 	slowdown bool
 	timeout  time.Duration
@@ -207,9 +207,9 @@ func (s *Server) buildPlan(req JobRequest) (plan, error) {
 	switch p.policy {
 	case "":
 		p.policy = "even"
-	case "even", "fair", "perf":
+	case "even", "fair":
 	default:
-		return p, fmt.Errorf("unknown policy %q (even | fair | perf)", p.policy)
+		return p, fmt.Errorf("unknown policy %q (even | fair)", p.policy)
 	}
 	nsm := s.opts.Cfg.NumSMs
 	if p.mode == "alone" {

@@ -367,7 +367,8 @@ func TestJournalCompactionHonorsMaxJobs(t *testing.T) {
 // journaled, a canceled record makes a job terminal, a job with no terminal
 // record is re-enqueued without its old start time, and records whose
 // submission was compacted away (a torn prefix) are dropped while their IDs
-// still advance the sequence.
+// still advance the sequence. An unfinished job whose request no longer
+// validates (a policy this server no longer has) replays as failed.
 func TestReplayFoldsJournalRecords(t *testing.T) {
 	mustJSON := func(v any) json.RawMessage {
 		data, err := json.Marshal(v)
@@ -380,6 +381,7 @@ func TestReplayFoldsJournalRecords(t *testing.T) {
 	reqDone := JobRequest{Kernels: []string{"SB"}, Cycles: testCycles, Seed: 1}
 	reqCanceled := JobRequest{Kernels: []string{"SD"}, Cycles: testCycles, Seed: 2}
 	reqRequeued := JobRequest{Kernels: []string{"VA"}, Cycles: testCycles, Seed: 3}
+	reqPerf := JobRequest{Kernels: []string{"VA", "CT"}, Cycles: testCycles, Seed: 5, Policy: "perf"}
 	done := &JobResult{Sim: &sim.Result{Cycles: testCycles}}
 	recs := []journal.Record{
 		// Torn prefix: a finished record whose submission was compacted away.
@@ -387,6 +389,7 @@ func TestReplayFoldsJournalRecords(t *testing.T) {
 		{Op: journal.OpSubmitted, JobID: "job-1", Time: at, Data: mustJSON(submittedData{Request: reqDone})},
 		{Op: journal.OpSubmitted, JobID: "job-2", Time: at, Data: mustJSON(submittedData{Request: reqCanceled})},
 		{Op: journal.OpSubmitted, JobID: "job-3", Time: at, Data: mustJSON(submittedData{Request: reqRequeued})},
+		{Op: journal.OpSubmitted, JobID: "job-4", Time: at, Data: mustJSON(submittedData{Request: reqPerf})},
 		{Op: journal.OpStarted, JobID: "job-1", Time: at, Data: mustJSON(startedData{Attempt: 1})},
 		{Op: journal.OpStarted, JobID: "job-1", Time: at, Data: mustJSON(startedData{Attempt: 3})},
 		{Op: journal.OpFinished, JobID: "job-1", Time: at, Data: mustJSON(finishedData{
@@ -394,6 +397,7 @@ func TestReplayFoldsJournalRecords(t *testing.T) {
 		})},
 		{Op: journal.OpCanceled, JobID: "job-2", Time: at},
 		{Op: journal.OpStarted, JobID: "job-3", Time: at, Data: mustJSON(startedData{Attempt: 2})},
+		{Op: journal.OpStarted, JobID: "job-4", Time: at, Data: mustJSON(startedData{Attempt: 1})},
 	}
 	jpath := filepath.Join(t.TempDir(), "dased.wal")
 	jnl, _, err := journal.Open(jpath)
@@ -410,8 +414,8 @@ func TestReplayFoldsJournalRecords(t *testing.T) {
 	// Never started, so the re-enqueued job stays in the queue.
 	s := newIdleServer(t, Options{JournalPath: jpath, DefaultCycles: testCycles})
 	views := s.Views()
-	if len(views) != 3 {
-		t.Fatalf("replayed %d jobs, want 3: %+v", len(views), views)
+	if len(views) != 4 {
+		t.Fatalf("replayed %d jobs, want 4: %+v", len(views), views)
 	}
 	byID := map[string]JobView{}
 	for _, v := range views {
@@ -431,6 +435,9 @@ func TestReplayFoldsJournalRecords(t *testing.T) {
 	}
 	if n := len(s.queue); n != 1 {
 		t.Fatalf("%d jobs re-enqueued, want 1", n)
+	}
+	if v := byID["job-4"]; v.Status != StatusFailed || v.Error != `recovery: unknown policy "perf" (even | fair)` {
+		t.Fatalf("unfinished perf job replayed as %+v, want failed with the policy error", v)
 	}
 	if _, ok := s.View("job-9"); ok {
 		t.Fatal("a job without its submitted record was restored")

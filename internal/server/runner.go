@@ -357,8 +357,8 @@ func (s *Server) simOpts() []sim.Option {
 }
 
 // runSim dispatches the plan to the right simulation entry point. A non-nil
-// tracer is attached to the engine (and, through g.Tracer(), picked up by the
-// DASE policies); tracing is observation-only, so traced and untraced runs
+// tracer is attached to the engine (and, through g.Tracer(), picked up by
+// DASE-Fair); tracing is observation-only, so traced and untraced runs
 // share cache keys.
 func (s *Server) runSim(ctx context.Context, p plan, tr *telemetry.Tracer) (*sim.Result, error) {
 	opts := s.simOpts()
@@ -368,12 +368,8 @@ func (s *Server) runSim(ctx context.Context, p plan, tr *telemetry.Tracer) (*sim
 	if p.mode == "alone" {
 		return sim.RunAloneContext(ctx, s.opts.Cfg, p.profiles[0], p.cycles, p.seed, opts...)
 	}
-	switch p.policy {
-	case "fair":
-		return sched.RunContext(ctx, s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, sched.NewDASEFair(), opts...)
-	case "perf":
-		return sched.RunContext(ctx, s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, sched.NewDASEPerf(), opts...)
-	default:
-		return sim.RunSharedContext(ctx, s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, opts...)
+	if p.policy == "fair" {
+		return sched.Run(ctx, s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, sched.NewDASEFair(), opts...)
 	}
+	return sim.RunSharedContext(ctx, s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, opts...)
 }

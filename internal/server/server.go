@@ -380,8 +380,8 @@ func (s *Server) replay(records []journal.Record) {
 			pl, err := s.buildPlan(job.Request)
 			switch {
 			case err != nil:
-				// The catalogue or limits changed under the journal; the job
-				// can no longer run.
+				// The catalogue, limits or policies changed under the
+				// journal; the job can no longer run.
 				job.Status = StatusFailed
 				job.Error = fmt.Sprintf("recovery: %v", err)
 				job.FinishedAt = time.Now()

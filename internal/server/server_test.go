@@ -313,6 +313,7 @@ func TestValidationErrors(t *testing.T) {
 		{Kernels: []string{"SB"}, Cycles: 1 << 62},       // over budget
 		{Kernels: []string{"SB"}, Mode: "weird"},         // bad mode
 		{Kernels: []string{"SB"}, Policy: "weird"},       // bad policy
+		{Kernels: []string{"SB"}, Policy: "perf"},        // retired policy
 		{Kernels: []string{"SB", "SD"}, Mode: "alone"},   // alone arity
 		// A kernel without SMs has an infinite slowdown, which JSON cannot
 		// encode: accepted, it made the job and the job list unreadable.

@@ -36,10 +36,9 @@ const (
 	// layer): Alpha, BLP, TimeBank/TimeRow/TimeLLC, MBB verdict, and the
 	// estimated all-SM slowdown in Est.
 	KindDASEApp
-	// KindSchedDecision records one partition-search outcome: the current
-	// and best candidate scores (unfairness for DASE-Fair, weighted speedup
-	// for DASE-Perf), the winning allocation, and whether the policy
-	// actually re-partitioned (Realloc).
+	// KindSchedDecision records one DASE-Fair partition-search outcome: the
+	// current and best candidate estimated unfairness, the winning
+	// allocation, and whether the policy actually re-partitioned (Realloc).
 	KindSchedDecision
 	// KindActual records an application's measured whole-run slowdown, the
 	// ground truth the per-interval estimates are judged against.

@@ -15,7 +15,7 @@ import (
 
 // TestEvaluateAllPolicies runs two DASE-Fair jobs on one combo beside an
 // Even job in one batch: each shared run must be bit-identical to a direct
-// sched.RunContext of the same inputs, and each policy instance must count
+// sched.Run of the same inputs, and each policy instance must count
 // only its own reallocations. It is small enough to stay in the -short
 // suite, so the race detector sees stateful policies on the pool's
 // goroutines.
@@ -39,11 +39,11 @@ func TestEvaluateAllPolicies(t *testing.T) {
 	}
 
 	direct := sched.NewDASEFair()
-	wantFair, err := sched.RunContext(context.Background(), cfg, combo.Profiles, []int{8, 8}, cycles, 1, direct)
+	wantFair, err := sched.Run(context.Background(), cfg, combo.Profiles, []int{8, 8}, cycles, 1, direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEven, err := sched.RunContext(context.Background(), cfg, combo.Profiles, []int{8, 8}, cycles, 1, sched.Even{})
+	wantEven, err := sched.Run(context.Background(), cfg, combo.Profiles, []int{8, 8}, cycles, 1, sched.Even{})
 	if err != nil {
 		t.Fatal(err)
 	}

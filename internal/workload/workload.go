@@ -205,7 +205,7 @@ func Evaluate(ctx context.Context, opt Options, job Job, cache Baseline) (*Eval,
 	if job.Policy != nil && len(opt.EpochEstimators) > 0 {
 		return nil, fmt.Errorf("workload %s: policy %s cannot also drive the epoch run", combo.Name(), job.Policy.Name())
 	}
-	shared, err := sched.RunContext(ctx, opt.Cfg, combo.Profiles, job.Alloc, opt.SharedCycles, opt.Seed, job.Policy)
+	shared, err := sched.Run(ctx, opt.Cfg, combo.Profiles, job.Alloc, opt.SharedCycles, opt.Seed, job.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", combo.Name(), err)
 	}

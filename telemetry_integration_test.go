@@ -7,6 +7,7 @@ package dasesim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"dasesim/internal/config"
@@ -22,7 +23,7 @@ func TestTracedDASEFairChromeTrace(t *testing.T) {
 	const cycles = 160_000
 	profs := detProfiles(t, []string{"VA", "CT"})
 	tr := telemetry.New(0)
-	res, err := sched.Run(config.Default(), profs, []int{8, 8}, cycles, 5,
+	res, err := sched.Run(context.Background(), config.Default(), profs, []int{8, 8}, cycles, 5,
 		sched.NewDASEFair(), sim.WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)

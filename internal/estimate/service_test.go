@@ -264,26 +264,44 @@ func BenchmarkProcessSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessBatch8 serves an 8-snapshot batch per op.
-func BenchmarkProcessBatch8(b *testing.B) {
+// BenchmarkBatch16x4 serves the wire golden's 16×4 real-simulation batch,
+// the body shape of bench's est-batch16: decode alone, encode alone, and
+// the whole of Process.
+func BenchmarkBatch16x4(b *testing.B) {
+	body := readBody(b, batchBodyFile)
 	svc := NewService(Options{})
-	req := sampleRequest(0)
-	body := []byte{'['}
-	for i := 0; i < 8; i++ {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = AppendRequest(body, &req)
-	}
-	body = append(body, ']')
 	sc := svc.Get()
 	defer svc.Put(sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Body = append(sc.Body[:0], body...)
-		if err := svc.Process(sc); err != nil {
-			b.Fatal(err)
-		}
+	sc.Body = append(sc.Body[:0], body...)
+	if err := svc.Process(sc); err != nil {
+		b.Fatal(err)
 	}
+	b.Run("decode", func(b *testing.B) {
+		var reqs []Request
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err *RequestError
+			if reqs, _, err = decodeRequests(body, reqs[:0], maxBatch, maxApps); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		var out []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out = appendResponses(out[:0], sc.resps, false)
+		}
+		b.SetBytes(int64(len(out)))
+	})
+	b.Run("process", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sc.Body = append(sc.Body[:0], body...)
+			if err := svc.Process(sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

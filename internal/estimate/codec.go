@@ -1,7 +1,10 @@
 package estimate
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
 	"strconv"
 	"unsafe"
 
@@ -13,12 +16,15 @@ import (
 // the serve hot path must not allocate. encoding/json allocates per Decode
 // (scanner state, field lookup, boxed values); this decoder parses the known
 // flat request schema directly into caller-owned structs, and the encoder
-// appends into a caller-owned buffer with strconv. Floats are emitted in
-// shortest round-trip form and parsed with strconv.ParseFloat, so a value
-// survives encode→decode bit-exactly — the property the byte-identical
-// cross-check test leans on. Unknown fields are skipped (forward
-// compatibility); only object keys must be escape-free, skipped string
-// values may contain any escapes.
+// appends into a caller-owned buffer with strconv. It is also the largest
+// cost of a batched request, so both halves look at each byte about once:
+// a number's digits are read while its grammar is checked, and only spans
+// outside the exact cases go to strconv. Floats are emitted in shortest
+// round-trip form and parsed correctly rounded, so a value survives
+// encode→decode bit-exactly — the property the byte-identical cross-check
+// test leans on. Unknown fields are skipped (forward compatibility); only
+// object keys must be escape-free, skipped string values may contain any
+// escapes.
 
 // RequestError describes a request the estimation service refused: JSON the
 // decoder could not parse (KindDecode), or well-formed JSON carrying values
@@ -57,21 +63,24 @@ func bview(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// decoder is a single-pass cursor over one request body.
+// decoder is a single-pass cursor over one request body. Each scanner
+// copies the cursor into locals and stores it back once, so its loop runs
+// in registers instead of through d.
 type decoder struct {
 	data []byte
 	pos  int
 }
 
+// isSpace tests c <= ' ' first: one compare rejects every byte of a
+// compact body.
+func isSpace(c byte) bool { return c <= ' ' && (c == ' ' || c == '\t' || c == '\r' || c == '\n') }
+
 func (d *decoder) skipWS() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\r', '\n':
-			d.pos++
-		default:
-			return
-		}
+	data, i := d.data, d.pos
+	for i < len(data) && isSpace(data[i]) {
+		i++
 	}
+	d.pos = i
 }
 
 // peek returns the next non-whitespace byte without consuming it, or 0 at
@@ -106,76 +115,166 @@ func (d *decoder) key() ([]byte, *RequestError) {
 	if err := d.expect('"'); err != nil {
 		return nil, err
 	}
-	start := d.pos
-	for d.pos < len(d.data) {
-		switch c := d.data[d.pos]; {
+	data, start := d.data, d.pos
+	for i := start; i < len(data); i++ {
+		switch c := data[i]; {
 		case c == '"':
-			k := d.data[start:d.pos]
-			d.pos++
-			return k, nil
+			d.pos = i + 1
+			return data[start:i], nil
 		case c == '\\':
-			return nil, decodeErrf("escaped object keys are not supported (offset %d)", d.pos)
+			return nil, decodeErrf("escaped object keys are not supported (offset %d)", i)
 		case c < 0x20:
-			return nil, decodeErrf("control character in object key at offset %d", d.pos)
-		default:
-			d.pos++
+			return nil, decodeErrf("control character in object key at offset %d", i)
 		}
 	}
 	return nil, decodeErrf("unterminated object key")
 }
 
-// numberSpan consumes one number in JSON's grammar,
+// number consumes one number in JSON's grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, so strconv never sees
 // what it accepts beyond JSON (a leading '+', a bare '.'). A number
 // character left after the span, as in 016, fails the caller's delimiter
-// check.
-func (d *decoder) numberSpan() ([]byte, *RequestError) {
-	d.skipWS()
-	start := d.pos
-	if d.at('-') {
-		d.pos++
+// check. The span is d.data[start:d.pos]. The same pass reads the digits
+// before any exponent, fraction digits included, as one integer mant with
+// frac of them after the point; plain reports that the span has no
+// exponent and mant holds every digit, so the common number is never
+// scanned again.
+func (d *decoder) number() (start int, mant uint64, frac int, plain bool, err *RequestError) {
+	data, i := d.data, d.pos
+	for i < len(data) && isSpace(data[i]) {
+		i++
 	}
-	switch {
-	case d.at('0'):
-		d.pos++
-	case d.digits() == 0:
-		return nil, decodeErrf("expected a number at offset %d", start)
+	start = i
+	if i < len(data) && data[i] == '-' {
+		i++
 	}
-	if d.at('.') {
-		d.pos++
-		if d.digits() == 0 {
-			return nil, decodeErrf("malformed number at offset %d", start)
+	nd := 0 // digits in mant, a fraction's leading zeros included
+	if i < len(data) && data[i] == '0' {
+		i++
+	} else {
+		j := i
+		if i, mant = digits(data, i, 0); i == j {
+			return start, 0, 0, false, decodeErrf("expected a number at offset %d", start)
 		}
+		nd = i - j
 	}
-	if d.at('e') || d.at('E') {
-		d.pos++
-		if d.at('+') || d.at('-') {
-			d.pos++
+	if i < len(data) && data[i] == '.' {
+		i++
+		j := i
+		if i, mant = digits(data, i, mant); i == j {
+			return start, 0, 0, false, decodeErrf("malformed number at offset %d", start)
 		}
-		if d.digits() == 0 {
-			return nil, decodeErrf("malformed number at offset %d", start)
-		}
+		frac = i - j
+		nd += frac
 	}
-	return d.data[start:d.pos], nil
+	plain = nd <= maxDigits
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		j := i
+		for i < len(data) && data[i]-'0' <= 9 {
+			i++
+		}
+		if i == j {
+			return start, 0, 0, false, decodeErrf("malformed number at offset %d", start)
+		}
+		plain = false
+	}
+	d.pos = i
+	return start, mant, frac, plain, nil
 }
 
-// at reports whether the next byte is c.
-func (d *decoder) at(c byte) bool { return d.pos < len(d.data) && d.data[d.pos] == c }
-
-// digits consumes a run of decimal digits and returns its length.
-func (d *decoder) digits() int {
-	start := d.pos
-	for d.pos < len(d.data) && d.data[d.pos] >= '0' && d.data[d.pos] <= '9' {
-		d.pos++
+// digits consumes the run of decimal digits at data[i:] and appends them
+// to mant, which holds them all while there are at most maxDigits.
+func digits(data []byte, i int, mant uint64) (int, uint64) {
+	for ; i < len(data); i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			break
+		}
+		mant = mant*10 + uint64(c)
 	}
-	return d.pos - start
+	return i, mant
 }
 
+// maxDigits is the longest digit string a uint64 always holds.
+const maxDigits = 19
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat is Clinger's fast path: without an exponent, a mantissa below
+// 2^53 and a power of ten below 1e23 are both exact in float64, so one
+// division is the correctly rounded value ParseFloat would return.
+func exactFloat(mant uint64, frac int, plain, neg bool) (float64, bool) {
+	if !plain || mant >= 1<<53 || frac >= len(pow10) {
+		return 0, false
+	}
+	v := float64(mant) / pow10[frac]
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// exactUint and exactInt take mant when the span is digits only (as
+// ParseUint and ParseInt require) and mant holds all of them.
+func exactUint(mant uint64, frac int, plain, neg bool) (uint64, bool) {
+	return mant, plain && frac == 0 && !neg
+}
+
+func exactInt(mant uint64, frac int, plain, neg bool) (int, bool) {
+	if !plain || frac > 0 || mant > math.MaxInt64 {
+		return 0, false
+	}
+	if neg {
+		return -int(mant), true
+	}
+	return int(mant), true
+}
+
+// float, uint and int parse one number of their type: the exact case from
+// the scan, every other span through strconv.
 func (d *decoder) float(field string) (float64, *RequestError) {
-	span, err := d.numberSpan()
+	start, mant, frac, plain, err := d.number()
 	if err != nil {
 		return 0, err
 	}
+	if v, ok := exactFloat(mant, frac, plain, d.data[start] == '-'); ok {
+		return v, nil
+	}
+	return d.parseFloat(field, start)
+}
+
+func (d *decoder) uint(field string) (uint64, *RequestError) {
+	start, mant, frac, plain, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	if v, ok := exactUint(mant, frac, plain, d.data[start] == '-'); ok {
+		return v, nil
+	}
+	return d.parseUint(field, start)
+}
+
+func (d *decoder) int(field string) (int, *RequestError) {
+	start, mant, frac, plain, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	if v, ok := exactInt(mant, frac, plain, d.data[start] == '-'); ok {
+		return v, nil
+	}
+	return d.parseInt(field, start)
+}
+
+// parseFloat, parseUint and parseInt are the strconv fallbacks for the
+// number span d.data[start:d.pos].
+func (d *decoder) parseFloat(field string, start int) (float64, *RequestError) {
+	span := d.data[start:d.pos]
 	v, perr := strconv.ParseFloat(bview(span), 64)
 	if perr != nil {
 		return 0, decodeErrf("field %q: bad number %q", field, span)
@@ -183,11 +282,8 @@ func (d *decoder) float(field string) (float64, *RequestError) {
 	return v, nil
 }
 
-func (d *decoder) uint(field string) (uint64, *RequestError) {
-	span, err := d.numberSpan()
-	if err != nil {
-		return 0, err
-	}
+func (d *decoder) parseUint(field string, start int) (uint64, *RequestError) {
+	span := d.data[start:d.pos]
 	v, perr := strconv.ParseUint(bview(span), 10, 64)
 	if perr != nil {
 		return 0, decodeErrf("field %q: bad unsigned integer %q", field, span)
@@ -195,11 +291,8 @@ func (d *decoder) uint(field string) (uint64, *RequestError) {
 	return v, nil
 }
 
-func (d *decoder) int(field string) (int, *RequestError) {
-	span, err := d.numberSpan()
-	if err != nil {
-		return 0, err
-	}
+func (d *decoder) parseInt(field string, start int) (int, *RequestError) {
+	span := d.data[start:d.pos]
 	v, perr := strconv.ParseInt(bview(span), 10, 64)
 	if perr != nil {
 		return 0, decodeErrf("field %q: bad integer %q", field, span)
@@ -335,13 +428,116 @@ func (d *decoder) skipValue(depth int) *RequestError {
 	case 0:
 		return decodeErrf("unexpected end of input")
 	default:
-		_, err := d.numberSpan()
+		_, _, _, _, err := d.number()
 		return err
 	}
 }
 
+// appKey is one DASE row of sim.AppFields as the decoder reads it.
+type appKey struct {
+	name string
+	// wire is the key as AppendRequest writes it, quoted and followed by
+	// the colon: the bytes parseApp expects next. w holds it as two
+	// little-endian words, zero-padded, and mask the bytes it covers.
+	wire    string
+	w, mask [2]uint64
+	kind    reflect.Kind // reflect.Int, reflect.Uint64 or reflect.Float64
+	off     uintptr      // the counter's offset in sim.AppInterval
+}
+
+// at reports whether data[i:] starts with k.wire, comparing two words where
+// sixteen bytes remain.
+func (k *appKey) at(data []byte, i int) bool {
+	if len(data)-i < 16 {
+		return len(data)-i >= len(k.wire) && bview(data[i:i+len(k.wire)]) == k.wire
+	}
+	return binary.LittleEndian.Uint64(data[i:])&k.mask[0] == k.w[0] &&
+		binary.LittleEndian.Uint64(data[i+8:])&k.mask[1] == k.w[1]
+}
+
+// appKeys holds the DASE rows of sim.AppFields in table order, the order
+// AppendRequest writes them in.
+var appKeys = buildAppKeys()
+
+// buildAppKeys reads each DASE row's counter off sim.AppInterval: row j is
+// the struct's field j+1 (TestAppFieldsCoverAppInterval), so parseApp
+// stores a value without naming the counter.
+func buildAppKeys() []appKey {
+	typ := reflect.TypeOf(sim.AppInterval{})
+	var keys []appKey
+	for j := range sim.AppFields {
+		row := &sim.AppFields[j]
+		if !row.DASE {
+			continue
+		}
+		f := typ.Field(j + 1)
+		k := appKey{name: row.Name, wire: `"` + row.Name + `":`, kind: f.Type.Kind(), off: f.Offset}
+		if len(k.wire) > 16 || k.kind != rowKind(row) {
+			panic("estimate: cannot decode sim.AppFields row " + row.Name + " into sim.AppInterval." + f.Name)
+		}
+		var w [16]byte
+		copy(w[:], k.wire)
+		k.w = [2]uint64{binary.LittleEndian.Uint64(w[:]), binary.LittleEndian.Uint64(w[8:])}
+		for b := range k.wire {
+			k.mask[b/8] |= 0xFF << (8 * (b % 8))
+		}
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// rowKind is the kind of counter a row's getter reads.
+func rowKind(row *sim.AppField) reflect.Kind {
+	switch {
+	case row.Int != nil:
+		return reflect.Int
+	case row.Uint != nil:
+		return reflect.Uint64
+	}
+	return reflect.Float64
+}
+
+// lookupAppKey returns the index in appKeys of name, or -1.
+func lookupAppKey(name []byte) int {
+	for i := range appKeys {
+		if appKeys[i].name == bview(name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// appValue parses the value of key k into its counter in a.
+func (d *decoder) appValue(a *sim.AppInterval, k *appKey) *RequestError {
+	start, mant, frac, plain, err := d.number()
+	if err != nil {
+		return err
+	}
+	neg := d.data[start] == '-'
+	p := unsafe.Add(unsafe.Pointer(a), k.off)
+	var ok bool
+	switch k.kind {
+	case reflect.Int:
+		if *(*int)(p), ok = exactInt(mant, frac, plain, neg); !ok {
+			*(*int)(p), err = d.parseInt(k.name, start)
+		}
+	case reflect.Uint64:
+		if *(*uint64)(p), ok = exactUint(mant, frac, plain, neg); !ok {
+			*(*uint64)(p), err = d.parseUint(k.name, start)
+		}
+	default:
+		if *(*float64)(p), ok = exactFloat(mant, frac, plain, neg); !ok {
+			*(*float64)(p), err = d.parseFloat(k.name, start)
+		}
+	}
+	return err
+}
+
 // parseApp fills the DASE counters of one AppInterval from the current
-// object.
+// object. It first compares the next bytes with the key AppendRequest
+// writes next; only on a mismatch (keys out of order, unknown, repeated or
+// spaced from their colon) does it scan the key and look it up. A
+// repeated key overwrites, so the last one wins.
 func (d *decoder) parseApp(a *sim.AppInterval) *RequestError {
 	if err := d.expect('{'); err != nil {
 		return err
@@ -350,43 +546,28 @@ func (d *decoder) parseApp(a *sim.AppInterval) *RequestError {
 		d.pos++
 		return nil
 	}
+	next := 0 // index in appKeys of the key expected next
 	for {
-		k, err := d.key()
-		if err != nil {
-			return err
-		}
-		if err := d.expect(':'); err != nil {
-			return err
-		}
-		switch bview(k) {
-		case "sms":
-			a.SMs, err = d.int("sms")
-		case "alpha":
-			a.Alpha, err = d.float("alpha")
-		case "served":
-			a.Served, err = d.uint("served")
-		case "time_in_banks":
-			a.TimeInBanks, err = d.uint("time_in_banks")
-		case "erb_miss":
-			a.ERBMiss, err = d.uint("erb_miss")
-		case "ellc_miss":
-			a.ELLCMiss, err = d.float("ellc_miss")
-		case "row_hits":
-			a.RowHits, err = d.uint("row_hits")
-		case "row_misses":
-			a.RowMisses, err = d.uint("row_misses")
-		case "blp":
-			a.BLP, err = d.float("blp")
-		case "blp_access":
-			a.BLPAccess, err = d.float("blp_access")
-		case "blp_blocked":
-			a.BLPBlocked, err = d.float("blp_blocked")
-		case "tb_sum":
-			a.TBSum, err = d.int("tb_sum")
-		case "tb_shared":
-			a.TBShared, err = d.int("tb_shared")
-		default:
-			err = d.skipValue(0)
+		d.skipWS()
+		var err *RequestError
+		if next < len(appKeys) && appKeys[next].at(d.data, d.pos) {
+			d.pos += len(appKeys[next].wire)
+			err = d.appValue(a, &appKeys[next])
+			next++
+		} else {
+			k, kerr := d.key()
+			if kerr != nil {
+				return kerr
+			}
+			if err := d.expect(':'); err != nil {
+				return err
+			}
+			if i := lookupAppKey(k); i >= 0 {
+				err = d.appValue(a, &appKeys[i])
+				next = i + 1
+			} else {
+				err = d.skipValue(0)
+			}
 		}
 		if err != nil {
 			return err
@@ -557,7 +738,54 @@ func appendFloatField(buf []byte, key string, v float64) []byte {
 	buf = append(buf, '"')
 	buf = append(buf, key...)
 	buf = append(buf, '"', ':')
+	return appendFloat(buf, v)
+}
+
+// appendFloat appends v as strconv.AppendFloat(buf, v, 'g', -1, 64) does,
+// skipping the shortest-digits search (Ryū) for two common shapes. Shortest
+// 'g' uses fixed-point form for decimal exponents -4 to 5, so:
+//   - an integral v with |v| < 1e6, -0 aside, prints as the integer it is;
+//   - a v with 1e-4 <= |v| < 1e6 whose shortest form has at most eight
+//     fraction digits is found from m = round(v·1e8): m/1e8 maps back to v
+//     exactly when m·1e-8 round-trips, and as v's rounding interval is
+//     narrower than 1e-8, no other decimal of at most eight fraction
+//     digits does, so m's digits without trailing zeros are the shortest.
+func appendFloat(buf []byte, v float64) []byte {
+	if v > -1e6 && v < 1e6 {
+		if i := int64(v); float64(i) == v {
+			if i != 0 || !math.Signbit(v) {
+				return strconv.AppendInt(buf, i, 10)
+			}
+		} else if x := v * 1e8; math.Abs(v) >= 1e-4 {
+			// x is within 0.014 of m when m exists; the test on x-m only
+			// skips the division for the rest.
+			if m := math.Round(x); math.Abs(x-m) < 0.05 && m/1e8 == v {
+				return appendFixed8(buf, int64(m))
+			}
+		}
+	}
 	return strconv.AppendFloat(buf, v, 'g', -1, 64)
+}
+
+// appendFixed8 appends m·1e-8, m not a multiple of 1e8, in fixed-point
+// form without trailing zeros.
+func appendFixed8(buf []byte, m int64) []byte {
+	if m < 0 {
+		buf = append(buf, '-')
+		m = -m
+	}
+	buf = strconv.AppendInt(buf, m/1e8, 10)
+	frac, n := m%1e8, 8
+	for frac%10 == 0 {
+		frac /= 10
+		n--
+	}
+	buf = append(buf, ".00000000"[:n+1]...)
+	for j := len(buf) - 1; frac > 0; j-- {
+		buf[j] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return buf
 }
 
 func appendResponse(buf []byte, resp *Response) []byte {
@@ -573,20 +801,13 @@ func appendResponse(buf []byte, resp *Response) []byte {
 			buf = append(buf, ',')
 		}
 		a := &resp.Apps[i]
-		buf = append(buf, '{')
-		buf = appendFloatField(buf, "slowdown", a.Slowdown)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "slowdown_assigned", a.SlowdownAssigned)
-		buf = append(buf, `,"mbb":`...)
-		buf = strconv.AppendBool(buf, a.MBB)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "alpha", a.Alpha)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "time_bank", a.TimeBank)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "time_row", a.TimeRow)
-		buf = append(buf, ',')
-		buf = appendFloatField(buf, "time_llc", a.TimeLLC)
+		buf = appendFloat(append(buf, `{"slowdown":`...), a.Slowdown)
+		buf = appendFloat(append(buf, `,"slowdown_assigned":`...), a.SlowdownAssigned)
+		buf = strconv.AppendBool(append(buf, `,"mbb":`...), a.MBB)
+		buf = appendFloat(append(buf, `,"alpha":`...), a.Alpha)
+		buf = appendFloat(append(buf, `,"time_bank":`...), a.TimeBank)
+		buf = appendFloat(append(buf, `,"time_row":`...), a.TimeRow)
+		buf = appendFloat(append(buf, `,"time_llc":`...), a.TimeLLC)
 		buf = append(buf, '}')
 	}
 	buf = append(buf, `],"partition":[`...)
@@ -596,10 +817,8 @@ func appendResponse(buf []byte, resp *Response) []byte {
 		}
 		buf = strconv.AppendInt(buf, int64(n), 10)
 	}
-	buf = append(buf, `],`...)
-	buf = appendFloatField(buf, "unfairness", resp.Unfairness)
-	buf = append(buf, ',')
-	buf = appendFloatField(buf, "partition_unfairness", resp.PartitionUnfairness)
+	buf = appendFloat(append(buf, `],"unfairness":`...), resp.Unfairness)
+	buf = appendFloat(append(buf, `,"partition_unfairness":`...), resp.PartitionUnfairness)
 	return append(buf, '}')
 }
 

@@ -242,3 +242,18 @@ func parseFloatForTest(s string) (float64, error) {
 	}
 	return v, nil
 }
+
+// TestHeaderNumberErrors: a malformed number in a request header field is
+// refused with the scan's offset, whatever the field's type.
+func TestHeaderNumberErrors(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"peak_req_per_cyc":-,"apps":[{}]}`: "expected a number at offset 20",
+		`{"num_sms":1.,"apps":[{}]}`:         "malformed number at offset 11",
+		`{"id":x,"apps":[{}]}`:               "expected a number at offset 6",
+	} {
+		_, _, err := decodeRequests([]byte(body), nil, maxBatch, maxApps)
+		if err == nil || err.Kind != KindDecode || err.Msg != want {
+			t.Errorf("%s: got %v, want decode error %q", body, err, want)
+		}
+	}
+}

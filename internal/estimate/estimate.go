@@ -242,7 +242,7 @@ func (s *Service) validate(req *Request, idx int, batch bool) *RequestError {
 	if req.MinSMs < 1 {
 		return appErrf(batch, idx, -1, "min_sms", "is out of range")
 	}
-	if req.MinSMs*n > req.NumSMs {
+	if req.MinSMs > req.NumSMs/n { // req.MinSMs*n would wrap for huge values
 		return appErrf(batch, idx, -1, "min_sms", "leaves no feasible partition")
 	}
 	if countCompositions(req.NumSMs, n, req.MinSMs) > maxPartitions {

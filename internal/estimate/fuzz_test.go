@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dasesim/internal/memreq"
@@ -29,6 +32,13 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add(append(batch, ']'))
 	for _, tc := range decodeEdgeCases {
 		f.Add([]byte(tc.body))
+	}
+	// The wire golden's bodies hold every boundary of the number parser's
+	// exact cases and of the expected-key compare.
+	for _, tc := range wireCases() {
+		if !strings.HasPrefix(tc.name, "edge-") {
+			f.Add(tc.body(f))
+		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		reqs, single, err := decodeRequests(body, nil, maxBatch, maxApps)
@@ -114,4 +124,65 @@ func decodeField(t *testing.T, fields map[string]json.RawMessage, key string, ds
 	if err := json.Unmarshal(raw, dst); err != nil {
 		t.Fatalf("codec accepted %q = %s, encoding/json: %v", key, raw, err)
 	}
+}
+
+// FuzzProcess holds the whole of Process to its contract on any body: it
+// never panics, and whatever it accepts it answers with valid JSON whose
+// every partition gives each app at least min_sms SMs and sums to num_sms.
+func FuzzProcess(f *testing.F) {
+	// min_sms*2 and min_sms*4 wrap to -2^63 and 0 at min_sms = 2^62.
+	f.Add([]byte(`{"min_sms":4611686018427387904,"apps":[` + app("") + `,` + app("") + `]}`))
+	f.Add([]byte(`{"min_sms":4611686018427387904,"apps":[` + app("") + `,` + app("") + `,` + app("") + `,` + app("") + `]}`))
+	for _, tc := range wireCases() {
+		f.Add(tc.body(f))
+	}
+	svc := NewService(Options{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sc := svc.Get()
+		defer svc.Put(sc)
+		sc.Body = append(sc.Body[:0], body...)
+		if err := svc.Process(sc); err != nil {
+			return
+		}
+		if !json.Valid(sc.Out) {
+			t.Fatalf("invalid JSON answer %q to %q", sc.Out, body)
+		}
+		for i := range sc.resps {
+			req, part := &sc.reqs[i], sc.resps[i].Partition
+			if len(part) != len(req.Apps) {
+				t.Fatalf("request %d of %q: partition %v for %d apps", i, body, part, len(req.Apps))
+			}
+			sum := 0
+			for _, n := range part {
+				if n < req.MinSMs {
+					t.Fatalf("request %d of %q: partition %v below min_sms %d", i, body, part, req.MinSMs)
+				}
+				sum += n
+			}
+			if sum != req.NumSMs {
+				t.Fatalf("request %d of %q: partition %v does not sum to num_sms %d", i, body, part, req.NumSMs)
+			}
+		}
+	})
+}
+
+// FuzzAppendFloat holds the encoder's float fast paths to
+// strconv.AppendFloat(v, 'g', -1, 64), byte for byte, over all float64
+// bits.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -1, 999999, -999999, 1e6, -1e6, 999999.5,
+		0.5, -0.5, 0.482825, 1e-4, 0.00009999, 123456.12345678, 123456.123456789, 0.1 + 0.2,
+		1 << 53, 5e-324, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		f.Add(math.Float64bits(v))
+		f.Add(math.Float64bits(math.Nextafter(v, 0)))
+		f.Add(math.Float64bits(math.Nextafter(v, math.Inf(1))))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		got := appendFloatField(nil, "x", v)
+		want := strconv.AppendFloat([]byte(`"x":`), v, 'g', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v (bits %#x): got %s, want %s", v, bits, got, want)
+		}
+	})
 }

@@ -95,6 +95,12 @@ func TestValidationRejections(t *testing.T) {
 		{"inf-peak-act", func(r *Request) { r.PeakActPerCyc = math.Inf(1) }, true, "peak_act_per_cyc is infinite"},
 		{"infeasible-min-sms", func(r *Request) { r.MinSMs = 9 }, false, "min_sms"},
 		{"negative-min-sms", func(r *Request) { r.MinSMs = -2 }, true, "min_sms"},
+		// min_sms*n wraps: to -2^63 for two apps, to 0 for four.
+		{"min-sms-wraps-2-apps", func(r *Request) { r.MinSMs = 1 << 62 }, false, "min_sms leaves no feasible partition"},
+		{"min-sms-wraps-4-apps", func(r *Request) {
+			r.MinSMs = 1 << 62
+			r.Apps = append(r.Apps, r.Apps...)
+		}, false, "min_sms leaves no feasible partition"},
 		{"req-max-factor-above-one", func(r *Request) { r.ReqMaxFactor = 1.5 }, false, "req_max_factor"},
 		{"partition-explosion", func(r *Request) {
 			r.NumSMs = 4096

@@ -106,7 +106,9 @@ func SearchBestPartitionScratch(slow []float64, cur []int, total, minSMs int, be
 // already hold len(slow) entries. It reports whether any composition exists.
 func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int) bool {
 	n := len(slow)
-	if n == 0 || minSMs*n > total {
+	// minSMs > total/n catches a huge minSMs whose product with n wraps;
+	// minSMs*n > total is exact otherwise, negative totals included.
+	if n == 0 || minSMs > total/n || minSMs*n > total {
 		return false
 	}
 	w := total - minSMs*n + 1

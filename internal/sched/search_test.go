@@ -16,6 +16,13 @@ func TestSearchInfeasible(t *testing.T) {
 	if best, _ := new(PartitionSearch).Fair(nil, nil, 16, 1); best != nil {
 		t.Fatal("empty search returned a partition")
 	}
+	// minSMs*n wraps to 0 here; the search must still see no composition.
+	for _, n := range []int{2, 4} {
+		slow, cur := make([]float64, n), make([]int, n)
+		if best, _ := new(PartitionSearch).Fair(slow, cur, 16, 1<<62); best != nil {
+			t.Fatalf("%d apps at minSMs 2^62 returned %v", n, best)
+		}
+	}
 }
 
 func TestSearchMinSMsRespected(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -79,7 +80,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.estRequests.Add(uint64(sc.BatchSize()))
 	s.metrics.estBatch.Observe(float64(sc.BatchSize()))
-	w.Header().Set("Content-Type", "application/json")
+	// An explicit length keeps a batch answer past net/http's 2 KB
+	// auto-length buffer out of chunked framing.
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(sc.Out)))
 	if _, werr := w.Write(sc.Out); werr != nil {
 		s.opts.Logger.Error("write estimate response failed", "err", werr)
 	}

@@ -107,6 +107,32 @@ func TestEstimateBatch(t *testing.T) {
 	}
 }
 
+// TestEstimateBatchContentLength: a batch answer larger than net/http's
+// 2 KB auto-length buffer still goes out with identity framing and its
+// exact length, not chunked.
+func TestEstimateBatchContentLength(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := []byte{'['}
+	for id := uint64(1); id <= 16; id++ {
+		if id > 1 {
+			body = append(body, ',')
+		}
+		body = append(body, estBody(id)...)
+	}
+	body = append(body, ']')
+	resp, data := postEstimate(t, ts, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	if len(data) <= 2048 {
+		t.Fatalf("response is %d bytes, want one past the 2 KB auto-length buffer", len(data))
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(data)) {
+		t.Fatalf("framing: Transfer-Encoding %v, ContentLength %d, want identity and %d",
+			resp.TransferEncoding, resp.ContentLength, len(data))
+	}
+}
+
 func TestEstimateRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cases := []struct {

@@ -478,7 +478,7 @@ func buildAppKeys() []appKey {
 		var w [16]byte
 		copy(w[:], k.wire)
 		k.w = [2]uint64{binary.LittleEndian.Uint64(w[:]), binary.LittleEndian.Uint64(w[8:])}
-		for b := range k.wire {
+		for b := range len(k.wire) {
 			k.mask[b/8] |= 0xFF << (8 * (b % 8))
 		}
 		keys = append(keys, k)

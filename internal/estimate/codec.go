@@ -16,10 +16,10 @@ import (
 // the serve hot path must not allocate. encoding/json allocates per Decode
 // (scanner state, field lookup, boxed values); this decoder parses the known
 // flat request schema directly into caller-owned structs, and the encoder
-// appends into a caller-owned buffer with strconv. It is also the largest
-// cost of a batched request, so both halves look at each byte about once:
-// a number's digits are read while its grammar is checked, and only spans
-// outside the exact cases go to strconv. Floats are emitted in shortest
+// appends into a caller-owned buffer. It is also the largest cost of a
+// batched request, so both halves look at each byte about once: a number's
+// digits are read while its grammar is checked, and only spans outside the
+// exact cases (float.go) go to strconv. Floats are emitted in shortest
 // round-trip form and parsed correctly rounded, so a value survives
 // encode→decode bit-exactly — the property the byte-identical cross-check
 // test leans on. Unknown fields are skipped (forward compatibility); only
@@ -201,24 +201,6 @@ func digits(data []byte, i int, mant uint64) (int, uint64) {
 
 // maxDigits is the longest digit string a uint64 always holds.
 const maxDigits = 19
-
-// pow10 holds the powers of ten float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// exactFloat is Clinger's fast path: without an exponent, a mantissa below
-// 2^53 and a power of ten below 1e23 are both exact in float64, so one
-// division is the correctly rounded value ParseFloat would return.
-func exactFloat(mant uint64, frac int, plain, neg bool) (float64, bool) {
-	if !plain || mant >= 1<<53 || frac >= len(pow10) {
-		return 0, false
-	}
-	v := float64(mant) / pow10[frac]
-	if neg {
-		v = -v
-	}
-	return v, true
-}
 
 // exactUint and exactInt take mant when the span is digits only (as
 // ParseUint and ParseInt require) and mant holds all of them.
@@ -739,53 +721,6 @@ func appendFloatField(buf []byte, key string, v float64) []byte {
 	buf = append(buf, key...)
 	buf = append(buf, '"', ':')
 	return appendFloat(buf, v)
-}
-
-// appendFloat appends v as strconv.AppendFloat(buf, v, 'g', -1, 64) does,
-// skipping the shortest-digits search (Ryū) for two common shapes. Shortest
-// 'g' uses fixed-point form for decimal exponents -4 to 5, so:
-//   - an integral v with |v| < 1e6, -0 aside, prints as the integer it is;
-//   - a v with 1e-4 <= |v| < 1e6 whose shortest form has at most eight
-//     fraction digits is found from m = round(v·1e8): m/1e8 maps back to v
-//     exactly when m·1e-8 round-trips, and as v's rounding interval is
-//     narrower than 1e-8, no other decimal of at most eight fraction
-//     digits does, so m's digits without trailing zeros are the shortest.
-func appendFloat(buf []byte, v float64) []byte {
-	if v > -1e6 && v < 1e6 {
-		if i := int64(v); float64(i) == v {
-			if i != 0 || !math.Signbit(v) {
-				return strconv.AppendInt(buf, i, 10)
-			}
-		} else if x := v * 1e8; math.Abs(v) >= 1e-4 {
-			// x is within 0.014 of m when m exists; the test on x-m only
-			// skips the division for the rest.
-			if m := math.Round(x); math.Abs(x-m) < 0.05 && m/1e8 == v {
-				return appendFixed8(buf, int64(m))
-			}
-		}
-	}
-	return strconv.AppendFloat(buf, v, 'g', -1, 64)
-}
-
-// appendFixed8 appends m·1e-8, m not a multiple of 1e8, in fixed-point
-// form without trailing zeros.
-func appendFixed8(buf []byte, m int64) []byte {
-	if m < 0 {
-		buf = append(buf, '-')
-		m = -m
-	}
-	buf = strconv.AppendInt(buf, m/1e8, 10)
-	frac, n := m%1e8, 8
-	for frac%10 == 0 {
-		frac /= 10
-		n--
-	}
-	buf = append(buf, ".00000000"[:n+1]...)
-	for j := len(buf) - 1; frac > 0; j-- {
-		buf[j] = byte('0' + frac%10)
-		frac /= 10
-	}
-	return buf
 }
 
 func appendResponse(buf []byte, resp *Response) []byte {

@@ -71,10 +71,6 @@ const (
 	maxApps = 8
 	// maxBatch bounds snapshots per batched body.
 	maxBatch = 64
-	// maxPartitions bounds the candidate partitions one request may make
-	// the search enumerate, so a hostile num_sms cannot turn the search
-	// into a CPU sink (its worst case visits them all).
-	maxPartitions = 200_000
 )
 
 // Options configure a Service.
@@ -245,9 +241,6 @@ func (s *Service) validate(req *Request, idx int, batch bool) *RequestError {
 	if req.MinSMs > req.NumSMs/n { // req.MinSMs*n would wrap for huge values
 		return appErrf(batch, idx, -1, "min_sms", "leaves no feasible partition")
 	}
-	if countCompositions(req.NumSMs, n, req.MinSMs) > maxPartitions {
-		return appErrf(batch, idx, -1, "num_sms", "implies too many candidate partitions")
-	}
 	if err := checkCounterF(batch, idx, -1, "peak_req_per_cyc", req.PeakReqPerCyc, maxRate); err != nil {
 		return err
 	}
@@ -260,10 +253,14 @@ func (s *Service) validate(req *Request, idx int, batch bool) *RequestError {
 	if req.ReqMaxFactor <= 0 || req.ReqMaxFactor > 1 || math.IsNaN(req.ReqMaxFactor) {
 		return appErrf(batch, idx, -1, "req_max_factor", "is out of (0,1]")
 	}
+	sms := 0 // each app's sms ≤ num_sms, so the sum cannot wrap
 	for i := range req.Apps {
 		a := &req.Apps[i]
 		if a.SMs < 0 || a.SMs > req.NumSMs {
 			return appErrf(batch, idx, i, "sms", "is out of range")
+		}
+		if sms += a.SMs; sms > req.NumSMs {
+			return appErrf(batch, idx, -1, "sum of apps[].sms", "exceeds num_sms")
 		}
 		if math.IsNaN(a.Alpha) || a.Alpha < 0 || a.Alpha > 1+1e-9 {
 			return appErrf(batch, idx, i, "alpha", "is out of [0,1]")
@@ -303,22 +300,6 @@ func (s *Service) validate(req *Request, idx int, batch bool) *RequestError {
 		}
 	}
 	return nil
-}
-
-// countCompositions counts the compositions of total SMs into n parts of at
-// least min each — C(total-n*min+n-1, n-1) — in floating point so huge
-// inputs saturate instead of overflowing.
-func countCompositions(total, n, min int) float64 {
-	s := total - n*min
-	k := n - 1
-	c := 1.0
-	for i := 1; i <= k; i++ {
-		c = c * float64(s+i) / float64(i)
-		if c > 1e18 {
-			return c
-		}
-	}
-	return c
 }
 
 // estimateOne runs the model for one validated request, writing into resp

@@ -127,8 +127,9 @@ func decodeField(t *testing.T, fields map[string]json.RawMessage, key string, ds
 }
 
 // FuzzProcess holds the whole of Process to its contract on any body: it
-// never panics, and whatever it accepts it answers with valid JSON whose
-// every partition gives each app at least min_sms SMs and sums to num_sms.
+// never panics, whatever it accepts has apps whose sms sum to at most
+// num_sms, and it answers that with valid JSON whose every partition gives
+// each app at least min_sms SMs and sums to num_sms.
 func FuzzProcess(f *testing.F) {
 	// min_sms*2 and min_sms*4 wrap to -2^63 and 0 at min_sms = 2^62.
 	f.Add([]byte(`{"min_sms":4611686018427387904,"apps":[` + app("") + `,` + app("") + `]}`))
@@ -149,6 +150,13 @@ func FuzzProcess(f *testing.F) {
 		}
 		for i := range sc.resps {
 			req, part := &sc.reqs[i], sc.resps[i].Partition
+			sms := 0
+			for _, a := range req.Apps {
+				sms += a.SMs
+			}
+			if sms > req.NumSMs {
+				t.Fatalf("request %d of %q: accepted apps holding %d SMs of num_sms %d", i, body, sms, req.NumSMs)
+			}
 			if len(part) != len(req.Apps) {
 				t.Fatalf("request %d of %q: partition %v for %d apps", i, body, part, len(req.Apps))
 			}
@@ -166,13 +174,18 @@ func FuzzProcess(f *testing.F) {
 	})
 }
 
-// FuzzAppendFloat holds the encoder's float fast paths to
-// strconv.AppendFloat(v, 'g', -1, 64), byte for byte, over all float64
+// FuzzAppendFloat holds the encoder's Schubfach conversion and 'g' layout
+// to strconv.AppendFloat(v, 'g', -1, 64), byte for byte, over all float64
 // bits.
 func FuzzAppendFloat(f *testing.F) {
 	for _, v := range []float64{0, math.Copysign(0, -1), 1, -1, 999999, -999999, 1e6, -1e6, 999999.5,
 		0.5, -0.5, 0.482825, 1e-4, 0.00009999, 123456.12345678, 123456.123456789, 0.1 + 0.2,
-		1 << 53, 5e-324, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		1 << 53, 5e-324, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		// Powers of two (the closer lower neighbour), the smallest normal,
+		// integers at and past 2^53, and the layout's exponent switches.
+		0x1p-1022, 0x1p-1021, 0x1p-1019, 0x1p100, 1<<53 + 2, 1e21, 1e23, 1e-5, 123456.5, 1.5e300,
+		// Halfway between the two shortest candidates: the even one wins.
+		math.Float64frombits(0x431769988ee82df3)} {
 		f.Add(math.Float64bits(v))
 		f.Add(math.Float64bits(math.Nextafter(v, 0)))
 		f.Add(math.Float64bits(math.Nextafter(v, math.Inf(1))))
@@ -183,6 +196,47 @@ func FuzzAppendFloat(f *testing.F) {
 		want := strconv.AppendFloat([]byte(`"x":`), v, 'g', -1, 64)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%v (bits %#x): got %s, want %s", v, bits, got, want)
+		}
+	})
+}
+
+// FuzzParseFloat holds the decoder's exact float path to
+// strconv.ParseFloat, bit for bit: the span is mant's digits with the
+// point placed frac digits from the right (zeros padded in front when frac
+// exceeds them). Up to 19 digits it is one float division below 2^53 and
+// one 128-by-64 integer division at or above; longer spans go to strconv.
+func FuzzParseFloat(f *testing.F) {
+	for _, mant := range []uint64{0, 1, 1<<53 - 1, 1 << 53, 1<<53 + 1, 9007199254740993, 9007199254740995,
+		1<<54 - 1, 1e16, 1e17 - 1, 1e19 - 1, 1e19, math.MaxUint64, math.MaxUint64 - 1, 1<<63 + 1<<10} {
+		for _, frac := range []uint8{0, 1, 3, 15, 16, 19, 20, 25} {
+			f.Add(mant, frac, false)
+		}
+	}
+	f.Add(uint64(7342178112345678), uint8(16), true)
+	f.Fuzz(func(t *testing.T, mant uint64, frac uint8, neg bool) {
+		digits := strconv.FormatUint(mant, 10)
+		n := int(frac % 26)
+		span := digits
+		if n > 0 {
+			if pad := n + 1 - len(digits); pad > 0 {
+				digits = strings.Repeat("0", pad) + digits
+			}
+			span = digits[:len(digits)-n] + "." + digits[len(digits)-n:]
+		}
+		if neg {
+			span = "-" + span
+		}
+		d := decoder{data: []byte(span)}
+		got, err := d.float("x")
+		if err != nil || d.pos != len(span) {
+			t.Fatalf("%s: decoder stopped at %d of %d: %v", span, d.pos, len(span), err)
+		}
+		want, perr := strconv.ParseFloat(span, 64)
+		if perr != nil {
+			t.Fatalf("%s: strconv: %v", span, perr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: got %v (%#x), want %v (%#x)", span, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
 }

@@ -61,8 +61,9 @@ func TestServiceMatchesModel(t *testing.T) {
 	}
 }
 
-// TestValidationRejections: the input-hardening satellite — garbage counters
-// must be rejected as KindInvalid, never reach EstimateDetailed.
+// TestValidationRejections: garbage counters must be rejected as
+// KindInvalid, never reach EstimateDetailed; a row without an error
+// substring must be accepted.
 func TestValidationRejections(t *testing.T) {
 	svc := NewService(Options{})
 	base := func() Request { return sampleRequest(0) }
@@ -70,7 +71,7 @@ func TestValidationRejections(t *testing.T) {
 		name   string
 		mut    func(*Request)
 		direct bool   // NaN/Inf cannot travel as JSON; validate directly
-		want   string // substring of the error
+		want   string // substring of the error; "" for a body that must be accepted
 	}{
 		{"no-apps", func(r *Request) { r.Apps = nil }, false, "apps is empty"},
 		{"negative-alpha", func(r *Request) { r.Apps[0].Alpha = -0.1 }, false, "alpha"},
@@ -102,11 +103,14 @@ func TestValidationRejections(t *testing.T) {
 			r.Apps = append(r.Apps, r.Apps...)
 		}, false, "min_sms leaves no feasible partition"},
 		{"req-max-factor-above-one", func(r *Request) { r.ReqMaxFactor = 1.5 }, false, "req_max_factor"},
+		{"sms-sum-over-total", func(r *Request) { r.Apps[0].SMs, r.Apps[1].SMs = 16, 16 }, false, "sum of apps[].sms exceeds num_sms"},
+		// Accepted: the search costs O(apps × num_sms), so the largest
+		// shape the limits admit, 8 apps on 4096 SMs, is answered.
 		{"partition-explosion", func(r *Request) {
 			r.NumSMs = 4096
 			r.Apps = append(r.Apps, r.Apps...)
 			r.Apps = append(r.Apps, r.Apps...) // 8 apps
-		}, false, "too many candidate partitions"},
+		}, false, ""},
 	}
 	sc := svc.Get()
 	defer svc.Put(sc)
@@ -123,6 +127,22 @@ func TestValidationRejections(t *testing.T) {
 			} else {
 				sc.Body = AppendRequest(sc.Body[:0], &req)
 				err = svc.Process(sc)
+			}
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("want accept, got %v", err)
+				}
+				sum := 0
+				for _, n := range sc.resps[0].Partition {
+					if n < req.MinSMs {
+						t.Fatalf("partition %v gives an app fewer than min_sms %d", sc.resps[0].Partition, req.MinSMs)
+					}
+					sum += n
+				}
+				if len(sc.resps[0].Partition) != len(req.Apps) || sum != req.NumSMs {
+					t.Fatalf("partition %v for %d apps does not sum to num_sms %d", sc.resps[0].Partition, len(req.Apps), req.NumSMs)
+				}
+				return
 			}
 			if err == nil {
 				t.Fatalf("want rejection, got accept")
@@ -271,8 +291,9 @@ func BenchmarkProcessSingle(b *testing.B) {
 }
 
 // BenchmarkBatch16x4 serves the wire golden's 16×4 real-simulation batch,
-// the body shape of bench's est-batch16: decode alone, encode alone, and
-// the whole of Process.
+// the body shape of bench's est-batch16: decode alone, encode alone, the
+// sixteen partition searches alone on one warm PartitionSearch, and the
+// whole of Process.
 func BenchmarkBatch16x4(b *testing.B) {
 	body := readBody(b, batchBodyFile)
 	svc := NewService(Options{})
@@ -300,6 +321,32 @@ func BenchmarkBatch16x4(b *testing.B) {
 			out = appendResponses(out[:0], sc.resps, false)
 		}
 		b.SetBytes(int64(len(out)))
+	})
+	b.Run("search", func(b *testing.B) {
+		// The (slow, cur) inputs DASE derives from the batch, as
+		// estimateOne hands them to the search.
+		type input struct {
+			slow          []float64
+			cur           []int
+			total, minSMs int
+		}
+		var in []input
+		for i := range sc.reqs {
+			req, resp := &sc.reqs[i], &sc.resps[i]
+			x := input{total: req.NumSMs, minSMs: req.MinSMs}
+			for j := range req.Apps {
+				x.slow = append(x.slow, resp.Apps[j].Slowdown)
+				x.cur = append(x.cur, req.Apps[j].SMs)
+			}
+			in = append(in, x)
+		}
+		var ps sched.PartitionSearch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range in {
+				ps.Fair(in[j].slow, in[j].cur, in[j].total, in[j].minSMs)
+			}
+		}
 	})
 	b.Run("process", func(b *testing.B) {
 		b.ReportAllocs()

@@ -1,7 +1,7 @@
 package refmodel
 
-// The partition search sched replaced with a reciprocal table and
-// branch-and-bound: score every composition from scratch, one at a time.
+// The partition search sched replaced with a reciprocal table and a
+// threshold sweep: score every composition from scratch, one at a time.
 // The interpolation and the scorers are restated here rather than imported,
 // so the oracle shares no arithmetic with the code it checks (and refmodel
 // stays importable from every engine package's tests).
@@ -47,7 +47,8 @@ func unfairness(slow []float64, cur, cand []int, total int) float64 {
 // ExhaustivePartition enumerates every composition of total SMs into
 // len(slow) parts (each >= minSMs) in ascending lexicographic order and
 // returns the one with the lowest predicted unfairness, along with that
-// unfairness. Ties keep the earliest candidate; nil when none exists.
+// unfairness. Ties keep the earliest candidate; nil when none exists, and
+// for a negative minSMs, which could give an app more than total SMs.
 func ExhaustivePartition(slow []float64, cur []int, total, minSMs int) ([]int, float64) {
 	cand := firstComposition(len(slow), total, minSMs)
 	if cand == nil {
@@ -68,9 +69,10 @@ func ExhaustivePartition(slow []float64, cur []int, total, minSMs int) ([]int, f
 }
 
 // firstComposition returns the lexicographically first composition — minSMs
-// everywhere, the remainder last — or nil when none exists.
+// everywhere, the remainder last — or nil when none exists or minSMs is
+// negative.
 func firstComposition(n, total, minSMs int) []int {
-	if n == 0 || minSMs*n > total {
+	if n == 0 || minSMs < 0 || minSMs*n > total {
 		return nil
 	}
 	cand := make([]int, n)

@@ -1,13 +1,17 @@
 package sched
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // The partition search behind DASE-Fair, POST /v1/estimate and the fleet's
 // per-interval repartition. The objective is separable: an app's
 // interpolated reciprocal depends only on (app, SM count), so it is
-// tabulated once per call and the enumeration reads the table, skipping
-// what a monotone bound rules out. DESIGN.md §5.1 carries the argument for
-// why the result is bit-identical to scoring every candidate with
+// tabulated once per call, and every table row is nondecreasing, so the
+// best MAX/MIN ratio is found by sweeping a threshold over the table
+// instead of enumerating compositions. DESIGN.md §5.1 carries the argument
+// for why the result is bit-identical to scoring every candidate with
 // EstimatedUnfairness (refmodel.ExhaustivePartition).
 
 // starvedUnfairness is the score of a partition that leaves some app with a
@@ -56,33 +60,40 @@ func EstimatedUnfairness(slow []float64, cur, cand []int, total int) float64 {
 // value is ready; a warm one searches without allocating, so serving paths
 // keep one per request scratch, GPU or policy. Not safe for concurrent use.
 type PartitionSearch struct {
-	// rec[i*w+x-minSMs] is app i's interpolated reciprocal at x SMs, for
-	// every x a composition can give it: minSMs ≤ x < minSMs+w.
-	rec        []float64
+	// rec[i*w+k] is app i's interpolated reciprocal at minSMs+k SMs, for
+	// every share a composition can give it: 0 ≤ k < w. steps (2w) and
+	// front (n) are the sweep's.
+	rec, steps, front []float64
+	// best is the result; cand holds a composition while it is compared
+	// with best.
 	best, cand []int
-
-	n, w, minSMs int
-	// score is the incumbent's; negative until a candidate is accepted.
-	score float64
+	// lo[i] and hi[i] index app i's row: the sweep's bounds on its share.
+	lo, hi []int
 }
 
 // Fair returns the composition of total SMs into len(slow) parts (each at
 // least minSMs) with the lowest EstimatedUnfairness, and that unfairness;
 // among equals, the lexicographically first. The partition aliases ps and
-// is valid until the next search; it is nil when no composition exists.
+// is valid until the next search; it is nil when no composition exists,
+// and always for a negative minSMs.
 func (ps *PartitionSearch) Fair(slow []float64, cur []int, total, minSMs int) ([]int, float64) {
 	n := len(slow)
 	ps.best, ps.cand = slices.Grow(ps.best[:0], n)[:n], slices.Grow(ps.cand[:0], n)[:n]
-	if !ps.run(slow, cur, total, minSMs) {
+	score, ok := ps.run(slow, cur, total, minSMs)
+	if !ok {
 		return nil, 0
 	}
-	return ps.best, ps.score
+	return ps.best, score
 }
 
-// stackTable is the reciprocal-table size SearchBestPartitionScratch keeps
-// on its stack: enough for 4 apps × 16 SMs (52) and every shape of at most
-// 8 apps on 16 SMs.
-const stackTable = 128
+// stackTable is the float buffer SearchBestPartitionScratch keeps on its
+// stack, (n+2)·w+n entries for the table and the sweep: 82 for 4 apps × 16
+// SMs, at most 98 for any shape of at most 8 apps on 16 SMs. stackApps is
+// the app count whose cursors it keeps there.
+const (
+	stackTable = 128
+	stackApps  = 16
+)
 
 // SearchBestPartitionScratch is Fair with caller-provided partitions: best
 // and cand must each hold at least len(slow) entries, and the returned
@@ -95,27 +106,37 @@ func SearchBestPartitionScratch(slow []float64, cur []int, total, minSMs int, be
 		return nil, 0
 	}
 	var table [stackTable]float64
-	ps := PartitionSearch{rec: table[:], best: best[:n], cand: cand[:n]}
-	if !ps.run(slow, cur, total, minSMs) {
+	var bounds [2 * stackApps]int
+	ps := PartitionSearch{rec: table[:], best: best[:n], cand: cand[:n],
+		lo: bounds[:stackApps], hi: bounds[stackApps:]}
+	score, ok := ps.run(slow, cur, total, minSMs)
+	if !ok {
 		return nil, 0
 	}
-	return best[:n], ps.score
+	return best[:n], score
 }
 
-// run tabulates the reciprocals and enumerates; ps.best and ps.cand must
-// already hold len(slow) entries. It reports whether any composition exists.
-func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int) bool {
+// run tabulates the reciprocals and picks the composition into ps.best;
+// ps.best and ps.cand must already hold len(slow) entries. It reports the
+// score and whether any composition exists.
+func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int) (float64, bool) {
 	n := len(slow)
 	// minSMs > total/n catches a huge minSMs whose product with n wraps;
-	// minSMs*n > total is exact otherwise, negative totals included.
-	if n == 0 || minSMs > total/n || minSMs*n > total {
-		return false
+	// minSMs*n > total is exact otherwise, negative totals included. A
+	// negative minSMs would give an app more SMs than total, where
+	// ReciprocalAt is not monotone, so it admits no composition.
+	if n == 0 || minSMs < 0 || minSMs > total/n || minSMs*n > total {
+		return 0, false
 	}
 	w := total - minSMs*n + 1
-	if cap(ps.rec) < n*w {
-		ps.rec = make([]float64, n*w) // not slices.Grow: it would move the caller's stack table to the heap
+	if cap(ps.rec) < (n+2)*w+n {
+		ps.rec = make([]float64, (n+2)*w+n) // not slices.Grow: it would move the caller's stack table to the heap
 	}
-	ps.rec = ps.rec[:n*w]
+	if cap(ps.lo) < n {
+		ps.lo, ps.hi = make([]int, n), make([]int, n)
+	}
+	ps.rec, ps.steps, ps.front = ps.rec[:n*w], ps.rec[n*w:(n+2)*w], ps.rec[(n+2)*w:(n+2)*w+n]
+	ps.lo, ps.hi = ps.lo[:n], ps.hi[:n]
 	for i := range slow {
 		r := 1 / max(slow[i], 1)
 		row := ps.rec[i*w : (i+1)*w]
@@ -123,87 +144,193 @@ func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int) boo
 			row[k] = ReciprocalAt(r, cur[i], minSMs+k, total)
 		}
 	}
-	ps.n, ps.w, ps.minSMs, ps.score = n, w, minSMs, -1
-	if n == 1 {
-		ps.cand[0] = total
-		ps.offer(fold(0, ps.rec[total-minSMs], 0, 0, false))
-	} else {
-		ps.descend(0, total, 0, 0, false)
-	}
-	return true
+	return ps.choose(n, w, minSMs), true
 }
 
-// descend enumerates, in ascending lexicographic order, every completion of
-// the prefix cand[:i] (i ≤ n-2) from the left SMs that remain; (lo, hi,
-// starved) is the prefix's fold. A subtree is skipped when fairBound says
-// no completion can replace the incumbent, and the rest of a level once it
-// has peaked: a row is nondecreasing in x (ReciprocalAt is),
-// so when app i's reciprocal r has become the prefix's max, a larger share
-// only raises r/lo, and what was skipped at x is skipped at every later x.
-func (ps *PartitionSearch) descend(i, left int, lo, hi float64, starved bool) {
-	n, w, min := ps.n, ps.w, ps.minSMs
-	row, lastRow := ps.rec[i*w:(i+1)*w], ps.rec[(n-1)*w:n*w]
-	for x, end := min, left-min*(n-1-i); x <= end; x++ {
-		r := row[x-min]
-		xlo, xhi, xstarved := fold(i, r, lo, hi, starved)
-		ps.cand[i] = x
-		switch {
-		case i == n-2: // the last app takes the remainder
-			rLast := lastRow[left-x-min]
-			ps.cand[n-1] = left - x
-			ps.offer(fold(n-1, rLast, xlo, xhi, xstarved))
-			// Past the crossing r grows and the last app's reciprocal,
-			// already the smaller, shrinks: scores only rise, or starve.
-			if r >= rLast && ps.score <= starvedUnfairness {
-				return
+// choose picks the composition with the lowest score from the table into
+// ps.best and returns the score: the lexicographically first among equals,
+// exactly as scoring every composition in ascending order and keeping
+// strict improvements would. Shares are counted in table columns k (k SMs
+// above minSMs), extra = w-1 of them in all. A composition starves when
+// some app's entry is ≤ 0 and then scores starvedUnfairness; otherwise it
+// scores max/min of its entries, a fold that ignores a NaN row unless it
+// is app 0's.
+//
+// Take thresholds 0 < L ≤ U. An unstarved composition whose entries all
+// lie in [L, U] exists iff at most extra entries of the table lie below L,
+// at least extra+n lie at or below U, and every row holds an entry in
+// [L, U]: app i can take any column from need_i(L), the count of its
+// entries below L, to the last whose entry is at or below U. A NaN row
+// takes any column, so with one in the table the count at or below U does
+// not matter. The lowest score is therefore the minimum, over the entries
+// L with at most extra entries below them, of U(L)/L, where U(L) is the
+// largest of u0, the (extra+n)th smallest entry, and each row's first
+// entry ≥ L.
+func (ps *PartitionSearch) choose(n, w, minSMs int) float64 {
+	rec, lo, hi, best, cand, front := ps.rec, ps.lo, ps.hi, ps.best, ps.cand, ps.front
+	extra := w - 1
+	// Each row's cursor lo[i] starts past its starved prefix, the entries
+	// ≤ 0; front[i] is the entry there (+Inf past the end or for a NaN
+	// row, which so takes no part) and m the largest finite front. A NaN
+	// row means no u0: its app can take any column.
+	m, limit, sum := math.Inf(-1), extra+n, 0
+	for i := range n {
+		row, k := rec[i*w:(i+1)*w], 0
+		for k < len(row) && row[k] <= 0 {
+			k++
+		}
+		f := math.Inf(1)
+		if k < len(row) {
+			if f = row[k]; f != f {
+				f, limit = math.Inf(1), extra+1
+			} else if f > m {
+				m = f
 			}
-		case !(ps.score < 0) && !(fairBound(xlo, xhi, xstarved) < ps.score):
-			if i > 0 && r >= hi {
-				return
+		}
+		lo[i], front[i], sum = k, f, sum+k
+	}
+	// The first composition, minSMs everywhere and the rest to the last
+	// app, starves if an earlier app does at column 0 or the last at
+	// column extra.
+	zLast := lo[n-1]
+	firstStarved := zLast == w
+	for i := range n - 1 {
+		firstStarved = firstStarved || lo[i] > 0
+	}
+	if r0 := rec[0]; r0 != r0 {
+		// App 0's row is NaN, and so is every unstarved score: no score
+		// is ever below the first candidate's, so it wins.
+		writeFirstStarved(best, minSMs, extra, true, zLast)
+		if firstStarved {
+			return starvedUnfairness
+		}
+		return r0 / r0
+	}
+
+	// Pass 1 merges the rows upward one entry at a time, always from the
+	// row with the smallest front (the first such row on ties). A front L
+	// seen for the first time while sum, the count of entries passed, is
+	// at most extra is a threshold: sum counts the entries below it, and
+	// it is recorded with m. The merge stops at u0.
+	ls, ms := ps.steps[:w], ps.steps[w:2*w]
+	steps, x := 0, 0.0
+	for sum < limit {
+		j, l := 0, front[0]
+		for i := 1; i < n; i++ {
+			if front[i] < l {
+				j, l = i, front[i]
 			}
-		default:
-			ps.descend(i+1, left-x, xlo, xhi, xstarved)
+		}
+		if sum <= extra && (steps == 0 || l != ls[steps-1]) {
+			ls[steps], ms[steps] = l, m
+			steps++
+		}
+		k, f := lo[j]+1, math.Inf(1)
+		if k < w {
+			if f = rec[j*w+k]; f > m {
+				m = f
+			}
+		}
+		lo[j], front[j], sum, x = k, f, sum+1, l
+	}
+	u0 := x
+	if limit == extra+1 {
+		u0 = math.Inf(-1)
+	}
+	// ms[j] becomes step j's score, U(L)/L.
+	score := 0.0
+	for j := range steps {
+		u := ms[j]
+		if u0 > u {
+			u = u0
+		}
+		ms[j] = u / ls[j]
+		if j == 0 || ms[j] < score {
+			score = ms[j]
 		}
 	}
-}
 
-// fold extends a prefix's state by app i's reciprocal r, exactly as
-// EstimatedUnfairness folds it: the running min and max (NaN-ignoring after
-// app 0) and whether any reciprocal was ≤ 0.
-func fold(i int, r, lo, hi float64, starved bool) (float64, float64, bool) {
-	if i == 0 || r < lo {
-		lo = r
+	// Some composition starves when the first does or the last app can
+	// get fewer SMs than its starved prefix; all score starvedUnfairness.
+	starvable := firstStarved || (n > 1 && zLast > 0)
+	if steps == 0 || (score > starvedUnfairness && starvable) {
+		writeFirstStarved(best, minSMs, extra, firstStarved, zLast)
+		return starvedUnfairness
 	}
-	if i == 0 || r > hi {
-		hi = r
-	}
-	return lo, hi, starved || r <= 0
-}
-
-// offer scores the complete candidate in ps.cand from its fold and makes it
-// the incumbent if it is the first or strictly better.
-func (ps *PartitionSearch) offer(lo, hi float64, starved bool) {
-	score := starvedUnfairness
-	if !starved {
-		score = hi / lo
-	}
-	if ps.score < 0 || score < ps.score {
-		ps.score = score
-		copy(ps.best, ps.cand)
-	}
-}
-
-// fairBound is a lower bound on the unfairness of every completion of a
-// prefix whose reciprocals fold to (lo, hi, starved). Adding apps can only
-// lower the min and raise the max, and IEEE division is monotone in both
-// operands, so an unstarved completion scores at least hi/lo; a starved one
-// scores exactly starvedUnfairness. A NaN prefix (hi/lo is NaN) only ever
-// completes to NaN, which never replaces an incumbent, or to starved.
-func fairBound(lo, hi float64, starved bool) float64 {
-	if !starved {
-		if b := hi / lo; b < starvedUnfairness {
-			return b
+	// Pass 2 takes the first composition of the box of every L reaching
+	// score: needs in lo, caps in hi. Both only grow with L, so they
+	// resume where the last box left them.
+	for i := range n {
+		lo[i], hi[i] = 0, -1
+		if r := rec[i*w]; r != r {
+			hi[i] = extra
 		}
 	}
-	return starvedUnfairness
+	first := true
+	for j := range steps {
+		if ms[j] != score {
+			continue
+		}
+		l := ls[j]
+		for i := range n {
+			row := rec[i*w : (i+1)*w]
+			k := lo[i]
+			for k < len(row) && row[k] < l {
+				k++
+			}
+			lo[i] = k
+			// The last column whose entry e has e/l ≤ score; entries
+			// below l qualify without a division.
+			k = max(hi[i], k-1)
+			for k < extra && row[k+1]/l <= score {
+				k++
+			}
+			hi[i] = k
+		}
+		boxFill(cand, lo, hi, extra, minSMs)
+		if first || slices.Compare(cand, best) < 0 {
+			copy(best, cand)
+			first = false
+		}
+	}
+	if score == starvedUnfairness && starvable {
+		writeFirstStarved(cand, minSMs, extra, firstStarved, zLast)
+		if slices.Compare(cand, best) < 0 {
+			copy(best, cand)
+		}
+	}
+	return score
+}
+
+// writeFirstStarved writes into dst the lexicographically first starved
+// composition: the first composition when first is set, else the first
+// that gives the last app fewer columns than its zLast starved ones (then
+// n > 1 and 0 < zLast ≤ extra).
+func writeFirstStarved(dst []int, minSMs, extra int, first bool, zLast int) {
+	n := len(dst)
+	for i := range dst {
+		dst[i] = minSMs
+	}
+	if first {
+		dst[n-1] += extra
+		return
+	}
+	dst[n-2] += extra - zLast + 1
+	dst[n-1] += zLast - 1
+}
+
+// boxFill writes into dst, as SM counts, the lexicographically first
+// composition of extra columns with need[i] ≤ k_i ≤ caps[i]: each app in
+// turn takes the least that the caps after it leave room for.
+func boxFill(dst, need, caps []int, extra, minSMs int) {
+	rest := 0
+	for _, c := range caps[:len(dst)] {
+		rest += c
+	}
+	for i := range dst {
+		rest -= caps[i]
+		k := max(need[i], extra-rest)
+		extra -= k
+		dst[i] = minSMs + k
+	}
 }

@@ -37,10 +37,11 @@ func checkAgainstOracle(t *testing.T, slow []float64, cur []int, total, minSMs i
 	same("warm Fair", got, unf, want, wantUnf)
 }
 
-// FuzzPartitionSearch is the differential check of the table +
-// branch-and-bound search against refmodel's score-every-candidate loop, on
-// up to five apps. The seed corpus (testdata/fuzz) holds the edge cases the
-// pruning argument has to survive; CI replays it under -race.
+// FuzzPartitionSearch is the differential check of the table + threshold
+// sweep against refmodel's score-every-candidate loop, on up to five apps.
+// The seed corpus (testdata/fuzz) holds the edge cases the sweep's
+// argument has to survive (DESIGN.md §5.1); CI replays it under -race and
+// fuzzes it time-boxed.
 func FuzzPartitionSearch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint8, total, minSMs int,
 		s0, s1, s2, s3, s4 float64, c0, c1, c2, c3, c4 int) {

@@ -14,19 +14,19 @@ import (
 // Schubfach way to render doubles", 2020) and lays it out as
 // strconv.AppendFloat(v, 'g', -1, 64) does, byte for byte.
 
-// pow10 holds the powers of ten float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+// pow10 and pow10u hold the powers of ten up to 10^maxDigits, all exact in
+// float64 and in uint64.
+var pow10 = [maxDigits + 1]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
-// pow10u holds the powers of ten a uint64 holds.
-var pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+var pow10u = [maxDigits + 1]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
 // exactFloat is the correctly rounded value of a span without an exponent
 // whose digits all fit mant (plain), frac of them after the point, so
-// frac ≤ maxDigits. Below 2^53, mant and every power of ten up to 1e22
-// are exact in float64, so one float division is correctly rounded
-// (Clinger); above, divFloat divides the integers.
+// frac ≤ maxDigits. Below 2^53, mant and 10^frac are exact in float64, so
+// one float division is correctly rounded (Clinger); above, divFloat
+// divides the integers.
 func exactFloat(mant uint64, frac int, plain, neg bool) (float64, bool) {
 	if !plain {
 		return 0, false

@@ -71,9 +71,16 @@ func divFloat(mant uint64, frac int) float64 {
 }
 
 // appendFloat appends v exactly as strconv.AppendFloat(buf, v, 'g', -1, 64)
-// does. ±0, subnormals, ±Inf and NaN go to strconv.
+// does. ±0, common in answers, is written here; subnormals, ±Inf and NaN go
+// to strconv.
 func appendFloat(buf []byte, v float64) []byte {
 	b := math.Float64bits(v)
+	if b<<1 == 0 {
+		if b != 0 {
+			buf = append(buf, '-')
+		}
+		return append(buf, '0')
+	}
 	bq := int(b>>52) & 0x7FF
 	if bq == 0 || bq == 0x7FF {
 		return strconv.AppendFloat(buf, v, 'g', -1, 64)

@@ -2,8 +2,8 @@ package fleet
 
 import (
 	"bufio"
-	"fmt"
 	"io"
+	"strconv"
 
 	"dasesim/internal/stats"
 )
@@ -79,18 +79,43 @@ type IntervalRecord struct {
 // interval's allocated_sms column sums to exactly the fleet capacity. All
 // floats print with fixed precision — a fixed-seed run produces
 // byte-identical CSV bytes, which is what the determinism golden pins.
+// Each row is appended into one reused buffer, byte for byte what
+// "%d,%s,%d,%.3f,%d,%d,%d,%.4f,%t,%.4f\n" prints.
 func WriteCSV(w io.Writer, rec []IntervalRecord) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "interval,tenant,quota_sms,deserved_sms,allocated_sms,running,queued,window_share,over_quota,mean_slowdown")
+	bw.WriteString("interval,tenant,quota_sms,deserved_sms,allocated_sms,running,queued,window_share,over_quota,mean_slowdown\n")
+	row := make([]byte, 0, 128)
 	for i := range rec {
 		r := &rec[i]
 		for j := range r.Tenants {
 			t := &r.Tenants[j]
-			fmt.Fprintf(bw, "%d,%s,%d,%.3f,%d,%d,%d,%.4f,%t,%.4f\n",
-				r.Interval, t.Name, t.QuotaSMs, t.DeservedSMs, t.AllocatedSMs,
-				t.Running, t.Queued, t.WindowShare, t.OverQuota, t.MeanSlowdown)
+			row = strconv.AppendInt(row[:0], int64(r.Interval), 10)
+			row = append(row, ',')
+			row = append(row, t.Name...)
+			row = append(row, ',')
+			row = strconv.AppendInt(row, int64(t.QuotaSMs), 10)
+			row = append(row, ',')
+			row = strconv.AppendFloat(row, t.DeservedSMs, 'f', 3, 64)
+			row = append(row, ',')
+			row = strconv.AppendInt(row, int64(t.AllocatedSMs), 10)
+			row = append(row, ',')
+			row = strconv.AppendInt(row, int64(t.Running), 10)
+			row = append(row, ',')
+			row = strconv.AppendInt(row, int64(t.Queued), 10)
+			row = append(row, ',')
+			row = strconv.AppendFloat(row, t.WindowShare, 'f', 4, 64)
+			row = append(row, ',')
+			row = strconv.AppendBool(row, t.OverQuota)
+			row = append(row, ',')
+			row = strconv.AppendFloat(row, t.MeanSlowdown, 'f', 4, 64)
+			row = append(row, '\n')
+			bw.Write(row)
 		}
-		fmt.Fprintf(bw, "%d,_idle,0,0.000,%d,0,0,0.0000,false,0.0000\n", r.Interval, r.IdleSMs)
+		row = strconv.AppendInt(row[:0], int64(r.Interval), 10)
+		row = append(row, ",_idle,0,0.000,"...)
+		row = strconv.AppendInt(row, int64(r.IdleSMs), 10)
+		row = append(row, ",0,0,0.0000,false,0.0000\n"...)
+		bw.Write(row)
 	}
 	return bw.Flush()
 }

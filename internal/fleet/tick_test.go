@@ -18,26 +18,36 @@ import (
 func fleetModelScenario(tb testing.TB, intervals int) Scenario {
 	tb.Helper()
 	gpu := config.Default()
-	tenants := []TenantSpec{
-		{Name: "astra", QuotaSMs: 96, Weight: 1},
-		{Name: "borei", QuotaSMs: 64, Weight: 1},
-		{Name: "ceres", QuotaSMs: 64, Weight: 2},
-		{Name: "delos", QuotaSMs: 32, Weight: 1},
+	const seed = 1
+	return Scenario{
+		Config: Config{
+			GPUs: 16, GPU: gpu, Tenants: fleetModelTenants,
+			WindowIntervals: 8, IntervalCycles: 20_000,
+			Seed: seed, Engine: &ModelEngine{Cfg: gpu},
+		},
+		Arrivals:  PoissonArrivals(seed, fleetModelTenants, fleetModelRates, fleetModelProfiles(tb), intervals, 8, 400_000),
+		Intervals: intervals,
 	}
+}
+
+var fleetModelTenants = []TenantSpec{
+	{Name: "astra", QuotaSMs: 96, Weight: 1},
+	{Name: "borei", QuotaSMs: 64, Weight: 1},
+	{Name: "ceres", QuotaSMs: 64, Weight: 2},
+	{Name: "delos", QuotaSMs: 32, Weight: 1},
+}
+
+// fleetModelRates are the `fleet-model` tenants' Poisson rates.
+var fleetModelRates = []float64{1.0, 0.65, 0.65, 0.35}
+
+// fleetModelProfiles are the six kernels `fleet-model` jobs cycle through.
+func fleetModelProfiles(tb testing.TB) []kernels.Profile {
+	tb.Helper()
 	var profiles []kernels.Profile
 	for _, abbr := range []string{"BS", "CT", "QR", "SP", "SC", "NN"} {
 		profiles = append(profiles, testProfile(tb, abbr))
 	}
-	const seed = 1
-	return Scenario{
-		Config: Config{
-			GPUs: 16, GPU: gpu, Tenants: tenants,
-			WindowIntervals: 8, IntervalCycles: 20_000,
-			Seed: seed, Engine: &ModelEngine{Cfg: gpu},
-		},
-		Arrivals:  PoissonArrivals(seed, tenants, []float64{1.0, 0.65, 0.65, 0.35}, profiles, intervals, 8, 400_000),
-		Intervals: intervals,
-	}
+	return profiles
 }
 
 // TestFleetModelCSVGolden pins the allocation-history CSV of the model

@@ -15,3 +15,15 @@ func BenchmarkPartitionSearch(b *testing.B) {
 		ps.Fair(slow, cur, 16, 1)
 	}
 }
+
+// BenchmarkPartitionSearchTwoApps measures the fleet's usual repartition,
+// two apps on 16 SMs, on a warm PartitionSearch: fifteen compositions
+// scored in turn, with no table.
+func BenchmarkPartitionSearchTwoApps(b *testing.B) {
+	slow := []float64{2.6, 1.3}
+	cur := []int{8, 8}
+	var ps PartitionSearch
+	for i := 0; i < b.N; i++ {
+		ps.Fair(slow, cur, 16, 1)
+	}
+}

@@ -12,7 +12,8 @@ import (
 // best MAX/MIN ratio is found by sweeping a threshold over the table
 // instead of enumerating compositions. DESIGN.md §5.1 carries the argument
 // for why the result is bit-identical to scoring every candidate with
-// EstimatedUnfairness (refmodel.ExhaustivePartition).
+// EstimatedUnfairness (refmodel.ExhaustivePartition). Two apps, the fleet's
+// usual repartition, skip the table: their compositions are scored in turn.
 
 // starvedUnfairness is the score of a partition that leaves some app with a
 // non-positive reciprocal: infinitely unfair, but finite so it still orders.
@@ -129,6 +130,9 @@ func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int) (fl
 		return 0, false
 	}
 	w := total - minSMs*n + 1
+	if n == 2 {
+		return ps.pair(slow, cur, total, minSMs, w), true
+	}
 	if cap(ps.rec) < (n+2)*w+n {
 		ps.rec = make([]float64, (n+2)*w+n) // not slices.Grow: it would move the caller's stack table to the heap
 	}
@@ -145,6 +149,35 @@ func (ps *PartitionSearch) run(slow []float64, cur []int, total, minSMs int) (fl
 		}
 	}
 	return ps.choose(n, w, minSMs), true
+}
+
+// pair is the search for two apps, whose w compositions differ in one share:
+// it scores them in ascending order with EstimatedUnfairness's fold and
+// keeps strict improvements, as refmodel.ExhaustivePartition does. With one
+// degree of freedom this walk is cheaper than the table and the sweep.
+func (ps *PartitionSearch) pair(slow []float64, cur []int, total, minSMs, w int) float64 {
+	r0, r1 := 1/max(slow[0], 1), 1/max(slow[1], 1)
+	score := 0.0
+	for k := range w {
+		a := minSMs + k
+		u := starvedUnfairness
+		// A NaN reciprocal does not starve; app 0's makes the ratio
+		// NaN, app 1's drops out of the fold.
+		if x, y := ReciprocalAt(r0, cur[0], a, total), ReciprocalAt(r1, cur[1], total-a, total); !(x <= 0 || y <= 0) {
+			lo, hi := x, x
+			if y < lo {
+				lo = y
+			}
+			if y > hi {
+				hi = y
+			}
+			u = hi / lo
+		}
+		if k == 0 || u < score {
+			score, ps.best[0], ps.best[1] = u, a, total-a
+		}
+	}
+	return score
 }
 
 // choose picks the composition with the lowest score from the table into

@@ -235,13 +235,15 @@ func parseKernels(s string) ([]kernels.Profile, error) {
 
 // parseArrivalCSV reads an arrival trace: one job per line as
 // interval,tenant,job_id,kernel_abbr,min_sms,work. Blank lines and lines
-// starting with '#' are skipped; intervals must be non-decreasing.
+// starting with '#' are skipped; intervals must be non-decreasing. The jobs
+// of one kernel abbreviation share one profile.
 func parseArrivalCSV(r io.Reader) ([]fleet.Arrival, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	var arrivals []fleet.Arrival
+	shared := map[string]*kernels.Profile{}
 	last := 0
 	for ln, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
@@ -260,9 +262,14 @@ func parseArrivalCSV(r io.Reader) ([]fleet.Arrival, error) {
 			return nil, fmt.Errorf("line %d: intervals must be non-decreasing", ln+1)
 		}
 		last = iv
-		kp, ok := kernels.ByAbbr(fields[3])
+		kp, ok := shared[fields[3]]
 		if !ok {
-			return nil, fmt.Errorf("line %d: unknown kernel %q", ln+1, fields[3])
+			p, known := kernels.ByAbbr(fields[3])
+			if !known {
+				return nil, fmt.Errorf("line %d: unknown kernel %q", ln+1, fields[3])
+			}
+			kp = &p
+			shared[fields[3]] = kp
 		}
 		minSMs, err := strconv.Atoi(fields[4])
 		if err != nil {

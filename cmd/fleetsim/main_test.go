@@ -217,3 +217,19 @@ func TestParseArrivalCSVErrors(t *testing.T) {
 		t.Fatalf("parsed %+v", good)
 	}
 }
+
+// TestParseArrivalCSVSharesKernels requires the jobs of one kernel
+// abbreviation to point at one profile, and different kernels at different
+// ones.
+func TestParseArrivalCSVSharesKernels(t *testing.T) {
+	arr, err := parseArrivalCSV(strings.NewReader("0,a,j0,BS,4,100\n0,b,j1,CT,2,50\n1,b,j2,BS,2,50\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arr[0].Job.Kernel != arr[2].Job.Kernel {
+		t.Error("two BS jobs hold different profiles")
+	}
+	if arr[0].Job.Kernel == arr[1].Job.Kernel || arr[1].Job.Kernel.Abbr != "CT" {
+		t.Errorf("the CT job shares the BS profile or holds %q", arr[1].Job.Kernel.Abbr)
+	}
+}

@@ -342,7 +342,7 @@ func Example_fleet() {
 	// prod submits bandwidth-hungry streamers, batch cache-sensitive
 	// kernels, the scavenger tiny fillers.
 	k := profiles("BS", "CT", "SC")
-	bs, ct, sc := k[0], k[1], k[2]
+	bs, ct, sc := &k[0], &k[1], &k[2]
 	for _, js := range []fleet.JobSpec{
 		{ID: "prod-0", Tenant: "prod", Kernel: bs, MinSMs: 8, Work: 400_000},
 		{ID: "prod-1", Tenant: "prod", Kernel: ct, MinSMs: 6, Work: 400_000},
@@ -365,7 +365,7 @@ func Example_fleet() {
 	rec := f.Records()
 	fmt.Println("interval  prod  batch  scav  idle")
 	for _, r := range rec {
-		alloc := map[string]int{}
+		alloc := map[string]int32{}
 		for _, t := range r.Tenants {
 			alloc[t.Name] = t.AllocatedSMs
 		}

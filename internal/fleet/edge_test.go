@@ -28,7 +28,7 @@ func TestFleetEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bs := testProfile(t, "BS")
+				bs := testKernel(t, "BS")
 				if err := f.Submit(JobSpec{ID: "f0", Tenant: "free", Kernel: bs, MinSMs: 4, Work: 1 << 40}); err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func TestFleetEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bs := testProfile(t, "BS")
+				bs := testKernel(t, "BS")
 				for i := 0; i < 3; i++ {
 					if err := f.Submit(JobSpec{ID: string(rune('a' + i)), Tenant: "solo", Kernel: bs, MinSMs: 2, Work: 1 << 40}); err != nil {
 						t.Fatal(err)
@@ -84,7 +84,7 @@ func TestFleetEdgeCases(t *testing.T) {
 				if last.IdleSMs != 0 {
 					t.Errorf("idle SMs %d with a backlogged sole tenant", last.IdleSMs)
 				}
-				if last.Tenants[0].AllocatedSMs != f.Capacity() {
+				if int(last.Tenants[0].AllocatedSMs) != f.Capacity() {
 					t.Errorf("solo tenant allocated %d of %d", last.Tenants[0].AllocatedSMs, f.Capacity())
 				}
 			},
@@ -120,7 +120,7 @@ func TestFleetEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bs := testProfile(t, "BS")
+				bs := testKernel(t, "BS")
 				if err := f.Submit(JobSpec{ID: "b0", Tenant: "base", Kernel: bs, MinSMs: 4, Work: 1 << 40}); err != nil {
 					t.Fatal(err)
 				}
@@ -177,12 +177,35 @@ func TestFleetEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bs := testProfile(t, "BS")
+				bs := testKernel(t, "BS")
 				err = f.Submit(JobSpec{ID: "huge", Tenant: "a", Kernel: bs, MinSMs: gpu.NumSMs + 1, Work: 100})
 				if !errors.Is(err, ErrJobTooLarge) {
 					t.Fatalf("oversized submit: %v, want ErrJobTooLarge", err)
 				}
 				if err := f.Submit(JobSpec{ID: "small", Tenant: "a", Kernel: bs, MinSMs: 2, Work: 1 << 40}); err != nil {
+					t.Fatal(err)
+				}
+				tickChecked(t, f)
+				return f
+			},
+			check: func(t *testing.T, f *Fleet) {
+				if f.RunningJobs() != 1 || f.QueuedJobs() != 0 {
+					t.Errorf("after reject: running=%d queued=%d, want the small job placed",
+						f.RunningJobs(), f.QueuedJobs())
+				}
+			},
+		},
+		{
+			name: "job without a kernel rejected without wedging the queue",
+			run: func(t *testing.T) *Fleet {
+				f, err := New(testConfig(1, TenantSpec{Name: "a", QuotaSMs: 8}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Submit(JobSpec{ID: "bare", Tenant: "a", MinSMs: 2, Work: 100}); err == nil {
+					t.Fatal("Submit accepted a job with a nil Kernel")
+				}
+				if err := f.Submit(JobSpec{ID: "small", Tenant: "a", Kernel: testKernel(t, "BS"), MinSMs: 2, Work: 1 << 40}); err != nil {
 					t.Fatal(err)
 				}
 				tickChecked(t, f)

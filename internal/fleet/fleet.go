@@ -19,6 +19,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dasesim/internal/config"
 	"dasesim/internal/core"
@@ -44,9 +45,12 @@ type TenantSpec struct {
 
 // JobSpec is one kernel job submitted to a tenant queue.
 type JobSpec struct {
-	ID     string          `json:"id"`
-	Tenant string          `json:"tenant"`
-	Kernel kernels.Profile `json:"kernel"`
+	ID     string `json:"id"`
+	Tenant string `json:"tenant"`
+	// Kernel is shared, not copied: every job of a trace may point at the
+	// same profile. A profile must not change once a job pointing at it
+	// is submitted.
+	Kernel *kernels.Profile `json:"kernel"`
 	// MinSMs is the job's SM demand: the GPU slot it occupies reserves this
 	// many SMs for admission purposes. The actual per-interval SM partition
 	// of a GPU is dynamic (DASE-Fair style) but never drops a job below
@@ -144,7 +148,7 @@ func (t *tenant) shareRatio() float64 {
 
 // scoreEntry is one memoised predictContention result.
 type scoreEntry struct {
-	kernel kernels.Profile
+	kernel *kernels.Profile
 	score  float64
 }
 
@@ -206,6 +210,9 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.MaxJobsPerGPU > telemetry.MaxApps {
 		return nil, fmt.Errorf("fleet: MaxJobsPerGPU %d exceeds %d", cfg.MaxJobsPerGPU, telemetry.MaxApps)
 	}
+	if cfg.GPUs > math.MaxInt32/cfg.GPU.NumSMs {
+		return nil, fmt.Errorf("fleet: %d GPUs of %d SMs exceed the history's int32 range", cfg.GPUs, cfg.GPU.NumSMs)
+	}
 	if cfg.IntervalCycles == 0 {
 		cfg.IntervalCycles = cfg.GPU.IntervalCycles
 	}
@@ -235,6 +242,9 @@ func (f *Fleet) AddTenant(ts TenantSpec) error {
 	}
 	if ts.QuotaSMs < 0 || ts.Weight < 0 {
 		return fmt.Errorf("fleet: tenant %q: negative quota or weight", ts.Name)
+	}
+	if ts.QuotaSMs > math.MaxInt32 {
+		return fmt.Errorf("fleet: tenant %q: quota %d exceeds the history's int32 range", ts.Name, ts.QuotaSMs)
 	}
 	t := &tenant{spec: ts, index: f.nTenants, window: make([]int, f.cfg.WindowIntervals)}
 	f.nTenants++
@@ -273,6 +283,9 @@ func (f *Fleet) Submit(js JobSpec) error {
 	}
 	if js.Work == 0 {
 		return fmt.Errorf("fleet: job %q: Work must be positive", js.ID)
+	}
+	if js.Kernel == nil {
+		return fmt.Errorf("fleet: job %q: no kernel", js.ID)
 	}
 	if err := js.Kernel.Validate(); err != nil {
 		return fmt.Errorf("fleet: job %q: %w", js.ID, err)
@@ -400,15 +413,15 @@ func (f *Fleet) place() []Placement {
 			j.estSlow = 0
 			g.jobs = append(g.jobs, j)
 			g.alloc = append(g.alloc, j.spec.MinSMs)
-			g.profiles = append(g.profiles, j.spec.Kernel)
+			g.profiles = append(g.profiles, *j.spec.Kernel)
 			g.reserved += j.spec.MinSMs
 			g.memo = g.memo[:0]
 			t.running++
 			t.placed += j.spec.MinSMs
 			t.placedJobs++
 			f.placeBuf = append(f.placeBuf, Placement{
-				Tenant: t.spec.Name, Job: j.spec.ID, GPU: g.id,
-				MinSMs: j.spec.MinSMs, ShareAtPlace: share, OverQuota: share >= 1,
+				Tenant: t.spec.Name, Job: j.spec.ID, GPU: int32(g.id),
+				MinSMs: int32(j.spec.MinSMs), ShareAtPlace: share, OverQuota: share >= 1,
 			})
 			f.emitJob(j, "place", g.id)
 			placed = true
@@ -489,11 +502,13 @@ func (f *Fleet) chooseGPU(j *job) *gpuState {
 // configuration — not of the newcomer's own demand, which only admission
 // reads. So it is memoised per newcomer kernel until the resident set
 // changes; the key is the whole profile, compared with ==, so no field the
-// model reads can be missing from it.
+// model reads can be missing from it. Jobs of one trace share their
+// profiles, so the pointers are compared first and most hits stop there.
 func (f *Fleet) predictContention(g *gpuState, j *job) float64 {
+	k := j.spec.Kernel
 	for i := range g.memo {
-		if g.memo[i].kernel == j.spec.Kernel {
-			return g.memo[i].score
+		if e := &g.memo[i]; e.kernel == k || *e.kernel == *k {
+			return e.score
 		}
 	}
 	alloc := g.predAlloc[:0]
@@ -501,7 +516,7 @@ func (f *Fleet) predictContention(g *gpuState, j *job) float64 {
 		alloc = append(alloc, r.spec.MinSMs)
 	}
 	alloc = append(alloc, f.cfg.GPU.NumSMs-g.reserved) // newcomer gets the remainder
-	profiles := append(g.profiles, j.spec.Kernel)      // past the residents, truncated below
+	profiles := append(g.profiles, *k)                 // past the residents, truncated below
 	g.predAlloc = alloc
 	g.demand = synthesizeSnapshot(&g.snap, g.demand, &f.cfg.GPU, profiles, alloc,
 		f.cfg.IntervalCycles, engineSeed(f.cfg.Seed, g.id, -1))
@@ -516,7 +531,7 @@ func (f *Fleet) predictContention(g *gpuState, j *job) float64 {
 	if len(g.jobs) == 0 {
 		worst -= 1e-9 // empty GPU wins exact ties against equal contention
 	}
-	g.memo = append(g.memo, scoreEntry{j.spec.Kernel, worst})
+	g.memo = append(g.memo, scoreEntry{k, worst})
 	return worst
 }
 
@@ -646,7 +661,7 @@ func (f *Fleet) reap() {
 // CSV writer and the invariant checkers both read).
 func (f *Fleet) account(placements []Placement) {
 	rec := IntervalRecord{
-		Interval: f.interval, Placements: placements,
+		Interval: int32(f.interval), Placements: placements,
 		Tenants: make([]TenantRecord, 0, len(f.tenants)),
 		GPUs:    make([]GPURecord, len(f.gpus)),
 	}
@@ -658,12 +673,12 @@ func (f *Fleet) account(placements []Placement) {
 	for gi, g := range f.gpus {
 		gr := &rec.GPUs[gi]
 		*gr = GPURecord{
-			GPU: g.id, Residents: len(g.jobs),
-			FreeSlots: f.cfg.MaxJobsPerGPU - len(g.jobs),
-			FreeSMs:   f.cfg.GPU.NumSMs - g.reserved,
+			GPU: int32(g.id), Residents: int32(len(g.jobs)),
+			FreeSlots: int32(f.cfg.MaxJobsPerGPU - len(g.jobs)),
+			FreeSMs:   int32(f.cfg.GPU.NumSMs - g.reserved),
 		}
 		for i, j := range g.jobs {
-			gr.ResidentSMs += g.alloc[i]
+			gr.ResidentSMs += int32(g.alloc[i])
 			j.tenant.smsNow += g.alloc[i]
 			if j.estSlow >= 1 {
 				j.tenant.slowSum += j.estSlow
@@ -685,15 +700,15 @@ func (f *Fleet) account(placements []Placement) {
 
 		tr := TenantRecord{
 			Name:         t.spec.Name,
-			QuotaSMs:     t.spec.QuotaSMs,
+			QuotaSMs:     int32(t.spec.QuotaSMs),
 			DeservedSMs:  t.deserved,
-			AllocatedSMs: smsNow,
-			Running:      t.running,
-			Queued:       len(t.queue),
+			AllocatedSMs: int32(smsNow),
+			Running:      int32(t.running),
+			Queued:       int32(len(t.queue)),
 			WindowShare:  t.shareRatio(),
 			OverQuota:    t.overQuota(),
 			StartShare:   t.startShare,
-			PlacedJobs:   t.placedJobs,
+			PlacedJobs:   int32(t.placedJobs),
 			Departed:     t.departed,
 		}
 		if len(t.queue) > 0 {
@@ -716,7 +731,7 @@ func (f *Fleet) account(placements []Placement) {
 			})
 		}
 	}
-	rec.IdleSMs = f.Capacity() - allocated
+	rec.IdleSMs = int32(f.Capacity() - allocated)
 	f.rec = append(f.rec, rec)
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,6 +20,13 @@ func testProfile(t testing.TB, abbr string) kernels.Profile {
 		t.Fatalf("unknown Table III kernel %q", abbr)
 	}
 	return p
+}
+
+// testKernel is testProfile's profile, shared by pointer as JobSpec takes it.
+func testKernel(t testing.TB, abbr string) *kernels.Profile {
+	t.Helper()
+	p := testProfile(t, abbr)
+	return &p
 }
 
 func testConfig(gpus int, tenants ...TenantSpec) Config {
@@ -48,6 +56,9 @@ func TestNewValidation(t *testing.T) {
 		{"duplicate tenant", testConfig(1, TenantSpec{Name: "a"}, TenantSpec{Name: "a"})},
 		{"negative quota", testConfig(1, TenantSpec{Name: "a", QuotaSMs: -1})},
 		{"negative weight", testConfig(1, TenantSpec{Name: "a", Weight: -0.5})},
+		// The history records are int32.
+		{"capacity beyond int32", testConfig(math.MaxInt32/config.Default().NumSMs + 1)},
+		{"quota beyond int32", testConfig(1, TenantSpec{Name: "a", QuotaSMs: math.MaxInt32 + 1})},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
@@ -83,14 +94,14 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := testProfile(t, "BS")
+	bs := testKernel(t, "BS")
 	ok := JobSpec{ID: "j", Tenant: "a", Kernel: bs, MinSMs: 2, Work: 100}
 
 	bad := []JobSpec{
 		{ID: "j", Tenant: "nope", Kernel: bs, MinSMs: 2, Work: 100},
 		{ID: "j", Tenant: "a", Kernel: bs, MinSMs: 0, Work: 100},
 		{ID: "j", Tenant: "a", Kernel: bs, MinSMs: 2, Work: 0},
-		{ID: "j", Tenant: "a", Kernel: kernels.Profile{}, MinSMs: 2, Work: 100},
+		{ID: "j", Tenant: "a", Kernel: &kernels.Profile{}, MinSMs: 2, Work: 100},
 	}
 	for i, js := range bad {
 		if err := f.Submit(js); err == nil {
@@ -141,7 +152,7 @@ func TestBasicRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, ct := testProfile(t, "BS"), testProfile(t, "CT")
+	bs, ct := testKernel(t, "BS"), testKernel(t, "CT")
 	jobs := []JobSpec{
 		{ID: "a0", Tenant: "a", Kernel: bs, MinSMs: 4, Work: 200_000},
 		{ID: "a1", Tenant: "a", Kernel: ct, MinSMs: 8, Work: 200_000},
@@ -228,7 +239,7 @@ func TestRemoveTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := testProfile(t, "BS")
+	bs := testKernel(t, "BS")
 	for _, js := range []JobSpec{
 		{ID: "a0", Tenant: "a", Kernel: bs, MinSMs: 4, Work: 1 << 40}, // long-running
 		{ID: "a1", Tenant: "a", Kernel: bs, MinSMs: 4, Work: 100},

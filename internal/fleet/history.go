@@ -8,70 +8,76 @@ import (
 	"dasesim/internal/stats"
 )
 
+// The history keeps every interval for the whole run, so its records are
+// packed: integer fields are int32 (New rejects a fleet capacity, and
+// AddTenant a quota, that does not fit) and fields are ordered so that no
+// padding is left between them.
+// TestHistoryRecordSizes pins the sizes.
+
 // Placement records one job placed during an interval, with the tenant's
 // quota standing at the moment of placement — the observation the
 // quota-safety invariant is checked against.
 type Placement struct {
 	Tenant string `json:"tenant"`
 	Job    string `json:"job"`
-	GPU    int    `json:"gpu"`
-	MinSMs int    `json:"min_sms"`
 	// ShareAtPlace is the tenant's share ratio (recent average allocation
 	// over deserved share, provisional placements included) at the moment
 	// this job was placed; OverQuota is ShareAtPlace >= 1 — the tenant was
 	// borrowing beyond its deserved share.
 	ShareAtPlace float64 `json:"share_at_place"`
+	GPU          int32   `json:"gpu"`
+	MinSMs       int32   `json:"min_sms"`
 	OverQuota    bool    `json:"over_quota"`
 }
 
 // TenantRecord is one tenant's row of one interval's allocation history.
 type TenantRecord struct {
-	Name         string  `json:"name"`
-	QuotaSMs     int     `json:"quota_sms"`
+	Name string `json:"name"`
+	// QueuedMinSMs lists the SM demand of every job still queued after
+	// placement, the work-conservation checker's evidence.
+	QueuedMinSMs []int   `json:"queued_min_sms,omitempty"`
 	DeservedSMs  float64 `json:"deserved_sms"`
-	AllocatedSMs int     `json:"allocated_sms"`
-	Running      int     `json:"running"`
-	Queued       int     `json:"queued"`
 	WindowShare  float64 `json:"window_share"`
-	OverQuota    bool    `json:"over_quota"`
 	// StartShare is the tenant's share ratio at the start of this
 	// interval's placement phase (before any provisional placements);
 	// PlacedJobs counts jobs the tenant had placed this interval. The
 	// quota-safety checker needs both to reason about placement-time
 	// standing from the end-of-interval record.
 	StartShare float64 `json:"start_share"`
-	PlacedJobs int     `json:"placed_jobs,omitempty"`
-	Departed   bool    `json:"departed,omitempty"`
-	// QueuedMinSMs lists the SM demand of every job still queued after
-	// placement, the work-conservation checker's evidence.
-	QueuedMinSMs []int `json:"queued_min_sms,omitempty"`
 	// MeanSlowdown is the mean DASE-estimated slowdown of the tenant's
 	// running jobs this interval (0 when none ran).
 	MeanSlowdown float64 `json:"mean_slowdown,omitempty"`
+	QuotaSMs     int32   `json:"quota_sms"`
+	AllocatedSMs int32   `json:"allocated_sms"`
+	Running      int32   `json:"running"`
+	Queued       int32   `json:"queued"`
+	PlacedJobs   int32   `json:"placed_jobs,omitempty"`
+	OverQuota    bool    `json:"over_quota"`
+	Departed     bool    `json:"departed,omitempty"`
 }
 
 // GPURecord is one GPU's post-placement admission state for one interval.
 type GPURecord struct {
-	GPU       int `json:"gpu"`
-	Residents int `json:"residents"`
+	GPU       int32 `json:"gpu"`
+	Residents int32 `json:"residents"`
 	// FreeSlots and FreeSMs are the admission headroom left after
 	// placement: concurrency slots and unreserved SMs.
-	FreeSlots int `json:"free_slots"`
-	FreeSMs   int `json:"free_sms"`
+	FreeSlots int32 `json:"free_slots"`
+	FreeSMs   int32 `json:"free_sms"`
 	// ResidentSMs is the sum of the residents' actual SM partition (equals
 	// the GPU's SM count whenever it has residents).
-	ResidentSMs int `json:"resident_sms"`
+	ResidentSMs int32 `json:"resident_sms"`
 }
 
 // IntervalRecord is the durable observation of one scheduling interval.
 type IntervalRecord struct {
-	Interval   int            `json:"interval"`
 	Tenants    []TenantRecord `json:"tenants"`
 	GPUs       []GPURecord    `json:"gpus"`
 	Placements []Placement    `json:"placements,omitempty"`
+	Interval   int32          `json:"interval"`
 	// IdleSMs is the capacity no tenant consumed this interval (SMs of
 	// GPUs with no residents).
-	IdleSMs int `json:"idle_sms"`
+	IdleSMs int32 `json:"idle_sms"`
 }
 
 // WriteCSV renders the allocation history in the KAI-style long format: one
@@ -80,7 +86,8 @@ type IntervalRecord struct {
 // floats print with fixed precision — a fixed-seed run produces
 // byte-identical CSV bytes, which is what the determinism golden pins.
 // Each row is appended into one reused buffer, byte for byte what
-// "%d,%s,%d,%.3f,%d,%d,%d,%.4f,%t,%.4f\n" prints.
+// "%d,%s,%d,%.3f,%d,%d,%d,%.4f,%t,%.4f\n" prints; the floats go through
+// appendFixed, which matches strconv's 'f' without its multi-precision path.
 func WriteCSV(w io.Writer, rec []IntervalRecord) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("interval,tenant,quota_sms,deserved_sms,allocated_sms,running,queued,window_share,over_quota,mean_slowdown\n")
@@ -95,7 +102,7 @@ func WriteCSV(w io.Writer, rec []IntervalRecord) error {
 			row = append(row, ',')
 			row = strconv.AppendInt(row, int64(t.QuotaSMs), 10)
 			row = append(row, ',')
-			row = strconv.AppendFloat(row, t.DeservedSMs, 'f', 3, 64)
+			row = appendFixed(row, t.DeservedSMs, 3)
 			row = append(row, ',')
 			row = strconv.AppendInt(row, int64(t.AllocatedSMs), 10)
 			row = append(row, ',')
@@ -103,11 +110,11 @@ func WriteCSV(w io.Writer, rec []IntervalRecord) error {
 			row = append(row, ',')
 			row = strconv.AppendInt(row, int64(t.Queued), 10)
 			row = append(row, ',')
-			row = strconv.AppendFloat(row, t.WindowShare, 'f', 4, 64)
+			row = appendFixed(row, t.WindowShare, 4)
 			row = append(row, ',')
 			row = strconv.AppendBool(row, t.OverQuota)
 			row = append(row, ',')
-			row = strconv.AppendFloat(row, t.MeanSlowdown, 'f', 4, 64)
+			row = appendFixed(row, t.MeanSlowdown, 4)
 			row = append(row, '\n')
 			bw.Write(row)
 		}
@@ -152,16 +159,16 @@ func Summarize(rec []IntervalRecord, capacity int) Summary {
 	deservedTotal := map[string]float64{}
 	for i := range rec {
 		r := &rec[i]
-		s.IdleSMs += r.IdleSMs
+		s.IdleSMs += int(r.IdleSMs)
 		for j := range r.Tenants {
 			t := &r.Tenants[j]
 			ts, ok := byName[t.Name]
 			if !ok {
-				ts = &TenantSummary{Name: t.Name, QuotaSMs: t.QuotaSMs}
+				ts = &TenantSummary{Name: t.Name, QuotaSMs: int(t.QuotaSMs)}
 				byName[t.Name] = ts
 				order = append(order, t.Name)
 			}
-			ts.TotalSMs += t.AllocatedSMs
+			ts.TotalSMs += int(t.AllocatedSMs)
 			ts.IntervalsSeen++
 			deservedTotal[t.Name] += t.DeservedSMs
 			if t.Queued > 0 {

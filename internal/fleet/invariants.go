@@ -21,7 +21,7 @@ func CheckConservation(rec []IntervalRecord) error {
 			for _, m := range t.QueuedMinSMs {
 				for k := range r.GPUs {
 					g := &r.GPUs[k]
-					if g.FreeSlots > 0 && g.FreeSMs >= m {
+					if g.FreeSlots > 0 && int(g.FreeSMs) >= m {
 						return fmt.Errorf("interval %d: tenant %s has a queued %d-SM job while gpu %d has %d free SMs and %d free slots (work conservation violated)",
 							r.Interval, t.Name, m, g.GPU, g.FreeSMs, g.FreeSlots)
 					}
@@ -57,7 +57,7 @@ func CheckQuotaSafety(rec []IntervalRecord) error {
 				}
 			}
 			for _, p := range r.Placements {
-				if p.OverQuota && p.Tenant != t.Name && p.MinSMs >= minQueued {
+				if p.OverQuota && p.Tenant != t.Name && int(p.MinSMs) >= minQueued {
 					return fmt.Errorf("interval %d: over-quota tenant %s placed a %d-SM job while in-quota tenant %s had a %d-SM job queued (quota safety violated)",
 						r.Interval, p.Tenant, p.MinSMs, t.Name, minQueued)
 				}
@@ -77,17 +77,17 @@ func CheckAccounting(rec []IntervalRecord, capacity, gpuSMs int) error {
 		r := &rec[i]
 		tenantSum := 0
 		for j := range r.Tenants {
-			tenantSum += r.Tenants[j].AllocatedSMs
+			tenantSum += int(r.Tenants[j].AllocatedSMs)
 		}
-		if tenantSum+r.IdleSMs != capacity {
+		if tenantSum+int(r.IdleSMs) != capacity {
 			return fmt.Errorf("interval %d: tenant allocations %d + idle %d != capacity %d (allocation lost or double-counted)",
 				r.Interval, tenantSum, r.IdleSMs, capacity)
 		}
 		gpuSum := 0
 		for k := range r.GPUs {
 			g := &r.GPUs[k]
-			gpuSum += g.ResidentSMs
-			if g.Residents > 0 && g.ResidentSMs != gpuSMs {
+			gpuSum += int(g.ResidentSMs)
+			if g.Residents > 0 && int(g.ResidentSMs) != gpuSMs {
 				return fmt.Errorf("interval %d: gpu %d has %d residents but partitions only %d of %d SMs",
 					r.Interval, g.GPU, g.Residents, g.ResidentSMs, gpuSMs)
 			}

@@ -23,7 +23,7 @@ func cleanHistory(t *testing.T) ([]IntervalRecord, int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, ct := testProfile(t, "BS"), testProfile(t, "CT")
+	bs, ct := testKernel(t, "BS"), testKernel(t, "CT")
 	for _, js := range []JobSpec{
 		{ID: "a0", Tenant: "a", Kernel: bs, MinSMs: 4, Work: 50_000},
 		{ID: "a1", Tenant: "a", Kernel: ct, MinSMs: 6, Work: 50_000},

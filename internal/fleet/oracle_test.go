@@ -105,7 +105,7 @@ func refPredictContention(f *Fleet, g *gpuState, kernel kernels.Profile) float64
 	alloc := make([]int, 0, n)
 	used := 0
 	for _, r := range g.jobs {
-		profiles = append(profiles, r.spec.Kernel)
+		profiles = append(profiles, *r.spec.Kernel)
 		alloc = append(alloc, r.spec.MinSMs)
 		used += r.spec.MinSMs
 	}
@@ -142,7 +142,7 @@ func (f *Fleet) checkInvariants() error {
 			return fmt.Errorf("gpu %d: %d residents but %d entries in the kernel list", g.id, len(g.jobs), len(g.profiles))
 		}
 		for i, j := range g.jobs {
-			if g.profiles[i] != j.spec.Kernel {
+			if g.profiles[i] != *j.spec.Kernel {
 				return fmt.Errorf("gpu %d: kernel list entry %d is %s, resident %s runs %s",
 					g.id, i, g.profiles[i].Abbr, j.spec.ID, j.spec.Kernel.Abbr)
 			}
@@ -156,7 +156,7 @@ func (f *Fleet) checkInvariants() error {
 		}
 		for i := range g.memo {
 			e := &g.memo[i]
-			want := refPredictContention(f, g, e.kernel)
+			want := refPredictContention(f, g, *e.kernel)
 			if math.Float64bits(e.score) != math.Float64bits(want) {
 				return fmt.Errorf("gpu %d: stale score memo for newcomer %s: memo %v, reference %v",
 					g.id, e.kernel.Abbr, e.score, want)
@@ -215,7 +215,7 @@ func TestSynthesizeSnapshotMatchesReference(t *testing.T) {
 // object. The remaining cases do the same for the maintained reserved-SM
 // count and kernel list.
 func TestMutationStaleScoreMemo(t *testing.T) {
-	bs, ct, sp := testProfile(t, "BS"), testProfile(t, "CT"), testProfile(t, "SP")
+	bs, ct, sp := testKernel(t, "BS"), testKernel(t, "CT"), testKernel(t, "SP")
 	build := func(t *testing.T, workA uint64) (*Fleet, *gpuState) {
 		f, err := New(testConfig(1, TenantSpec{Name: "a", QuotaSMs: 16, Weight: 1}))
 		if err != nil {
@@ -316,7 +316,7 @@ func TestMutationStaleScoreMemo(t *testing.T) {
 		f.predictContention(g, &job{spec: JobSpec{Kernel: sp, MinSMs: 2}})
 		mustHold(t, f, "after a score request")
 		g.profiles = g.profiles[:len(g.profiles)+1] // the newcomer is still past the end
-		if g.profiles[2] != sp {
+		if g.profiles[2] != *sp {
 			t.Fatalf("slot past the residents holds %s, want the newcomer", g.profiles[2].Abbr)
 		}
 		mustObject(t, f, "kernel list")

@@ -89,7 +89,7 @@ func randomScenario(seed uint64) propScenario {
 			p.joinJobs = append(p.joinJobs, JobSpec{
 				ID:     fmt.Sprintf("joiner-%d", i),
 				Tenant: "joiner",
-				Kernel: profiles[rnd(len(profiles))],
+				Kernel: &profiles[rnd(len(profiles))],
 				MinSMs: 1 + rnd(gpu.NumSMs),
 				Work:   works[rnd(len(works))],
 			})

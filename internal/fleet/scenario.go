@@ -61,7 +61,9 @@ func (s *Scenario) Run() (*Fleet, error) {
 //
 // The draws are replayed twice: once to size the trace and its job IDs
 // exactly, once to fill them. Every `<tenant>-%04d` ID is a substring of
-// one string, so the trace costs two allocations whatever its length.
+// one string, and every job's Kernel points into one copy of profiles
+// (taken here, so a later write to the caller's slice cannot change the
+// trace): the trace costs three allocations whatever its length.
 func PoissonArrivals(seed uint64, tenants []TenantSpec, rates []float64, profiles []kernels.Profile, intervals, maxMinSMs int, work uint64) []Arrival {
 	if len(rates) != len(tenants) {
 		panic("fleet: PoissonArrivals: len(rates) != len(tenants)")
@@ -75,6 +77,7 @@ func PoissonArrivals(seed uint64, tenants []TenantSpec, rates []float64, profile
 		n++
 	})
 	arrivals := make([]Arrival, n)
+	shared := append([]kernels.Profile(nil), profiles...)
 	var ids strings.Builder
 	ids.Grow(idBytes)
 	var num [20]byte
@@ -96,7 +99,7 @@ func PoissonArrivals(seed uint64, tenants []TenantSpec, rates []float64, profile
 				// never change after String hands them out.
 				ID:     ids.String()[start:],
 				Tenant: name,
-				Kernel: profiles[int(h%uint64(len(profiles)))],
+				Kernel: &shared[int(h%uint64(len(shared)))],
 				MinSMs: 1 + int((h>>32)%uint64(maxMinSMs)),
 				Work:   work,
 			},

@@ -127,13 +127,15 @@ func BenchmarkFleetTick(b *testing.B) {
 // TestTickAllocBudget bounds what one steady-state Tick allocates on the
 // `fleet-model` shape. Before placement was incremental a tick made ≈250
 // allocations, and before the model engine owned its results and each GPU
-// kept its kernel list, 49.5 (7.6 KB). Every allocation left is one the
+// kept its kernel list, 49.5 (7.6 KB). Packing the history records and
+// sharing job kernels by pointer took the bytes from ≈2.1 KB to ≈1.4 KB at
+// the same 5.2 allocations. Every allocation left is one the
 // history keeps: each submitted job, the record's tenant and GPU slices, a
 // tenant's queued demands, the placement copy and the record slice's own
 // growth. The test recounts those from the records and requires the rest —
 // garbage thrown away at the end of the tick — to be nil.
 func TestTickAllocBudget(t *testing.T) {
-	const ticks, allocBudget, byteBudget = 2000, 8, 3 << 10
+	const ticks, allocBudget, byteBudget = 2000, 8, 2 << 10
 	r := newTickReplay(t, fleetModelScenario(t, tickWarmup+ticks))
 	for i := 0; i < tickWarmup; i++ {
 		r.step(t)

@@ -8,14 +8,14 @@
 //	dased -addr :9000 -workers 8 -queue 128
 //	dased -addr 127.0.0.1:0        # a free port; the bound address is logged
 //	dased -config gpu.json -kernels custom.json
-//	dased -journal dased.wal -max-retries 3   # crash-safe job journal
+//	dased -cache-dir cache         # results survive restarts as files
 //	dased -trace-dir traces -log-format json  # per-job Chrome traces
 //
 // Example session:
 //
 //	curl -s localhost:8844/v1/jobs -d '{"kernels":["SB","SD"],"slowdowns":true}'
-//	curl -s localhost:8844/v1/jobs/job-1?wait_ms=30000
-//	curl -s localhost:8844/v1/jobs/job-1/trace?format=ndjson
+//	curl -s localhost:8844/v1/jobs/<id>?wait_ms=30000   # id from the submit reply
+//	curl -s localhost:8844/v1/jobs/<id>/trace?format=ndjson
 //	curl -s localhost:8844/metrics
 //
 // Besides the job API, the daemon serves DASE online: POST /v1/estimate
@@ -71,8 +71,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		queueDepth      = fs.Int("queue", 64, "job queue depth; beyond it submissions get 429")
 		jobTimeout      = fs.Duration("job-timeout", 2*time.Minute, "per-job wall-time limit")
 		maxCycles       = fs.Uint64("max-cycles", 20_000_000, "largest accepted cycle budget")
-		journalPath     = fs.String("journal", "", "append job lifecycle records to this file and recover from it on startup")
-		maxRetries      = fs.Int("max-retries", 2, "retries per job for transient failures (negative disables)")
+		cacheDir        = fs.String("cache-dir", "", "also keep every simulated result in this directory, one file per content address, so resubmissions after a restart are disk hits (shared with experiments -cache-dir)")
 		shedHighWater   = fs.Int("shed-highwater", 0, "queue length at which uncached submissions are shed (0: 3/4 of -queue, negative: off)")
 		drainGrace      = fs.Duration("drain-grace", 30*time.Second, "shutdown drain budget before running jobs are hard-cancelled")
 		configPath      = fs.String("config", "", "load the GPU configuration from this JSON file")
@@ -103,18 +102,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		QueueDepth:      *queueDepth,
 		JobTimeout:      *jobTimeout,
 		MaxCycles:       *maxCycles,
-		JournalPath:     *journalPath,
-		MaxRetries:      *maxRetries,
+		CacheDir:        *cacheDir,
 		ShedHighWater:   *shedHighWater,
 		CheckInvariants: *checkInvariants,
 		Logger:          logger,
 		TraceEvents:     *traceEvents,
 		TraceDir:        *traceDir,
-	}
-	// In Options, 0 retries means "use the default"; on the command line an
-	// explicit 0 means none.
-	if *maxRetries == 0 {
-		opts.MaxRetries = -1
 	}
 	if *configPath != "" {
 		cfg, err := config.LoadFile(*configPath)

@@ -12,7 +12,7 @@
 // Usage:
 //
 //	dasetrace trace.ndjson
-//	curl -s localhost:8844/v1/jobs/job-1/trace?format=ndjson | dasetrace
+//	curl -s localhost:8844/v1/jobs/<id>/trace?format=ndjson | dasetrace
 //	dasetrace -actual 1.8,2.4 trace.ndjson    # override the ground truth
 package main
 

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quads      = fs.Int("quads", 0, "override four-app workload count")
 		seed       = fs.Uint64("seed", 0, "override random seed")
 		jsonPath   = fs.String("json", "", "also write results as JSON to this file")
-		cacheDir   = fs.String("cache-dir", "", "persist alone-run baselines under this directory")
+		cacheDir   = fs.String("cache-dir", "", "persist alone-run baselines under this directory, one file per content address (shared with dased -cache-dir)")
 		list       = fs.Bool("list", false, "list available experiments")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -109,13 +109,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		p.Seed = *seed
 	}
 
-	var cache workload.Baseline = workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	if *cacheDir != "" {
-		dc, err := workload.NewDiskCache(p.Cfg, p.SharedCycles, p.Seed, *cacheDir)
-		if err != nil {
-			return fmt.Errorf("cache dir: %w", err)
-		}
-		cache = dc
+	cache, err := workload.OpenAloneCache(p.Cfg, p.SharedCycles, p.Seed, *cacheDir)
+	if err != nil {
+		return fmt.Errorf("cache dir: %w", err)
 	}
 	var fig5Res, fig6Res *experiments.AccuracyResult
 	jsonOut := map[string]any{}

@@ -59,6 +59,10 @@ func TestRunListAndErrors(t *testing.T) {
 		t.Errorf("-list printed:\n%s\nwant:\n%s", stdout.String(), want)
 	}
 
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		want []string
@@ -66,6 +70,7 @@ func TestRunListAndErrors(t *testing.T) {
 		// A typo used to run nothing and exit 0.
 		{[]string{"-run", "tableII,fig99"}, []string{`unknown experiment "fig99"`, strings.Join(order, ", ")}},
 		{[]string{"-bogus"}, []string{"-bogus"}},
+		{[]string{"-run", "tableII", "-cache-dir", filepath.Join(file, "cache")}, []string{"cache dir"}},
 	} {
 		stdout.Reset()
 		err := run(tc.args, &stdout, io.Discard)
@@ -76,6 +81,27 @@ func TestRunListAndErrors(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("run %q ran experiments before failing:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestRunProfilesAndOverrides runs the simulation-free Table II with the
+// profiling flags and every parameter override set: both profiles are
+// written and the table still prints.
+func TestRunProfilesAndOverrides(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var stdout bytes.Buffer
+	args := []string{"-run", "tableII", "-pairs", "2", "-quads", "1", "-seed", "3", "-cpuprofile", cpu, "-memprofile", mem}
+	if err := run(args, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if stdout.Len() == 0 {
+		t.Error("Table II printed nothing")
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: %v", path, err)
 		}
 	}
 }

@@ -2,8 +2,9 @@ package dasesim
 
 // Determinism golden tests: the simulator's correctness contract is that a
 // (config, profiles, alloc, cycles, seed) tuple maps to exactly one Result —
-// the journal's crash recovery and the content-addressed result cache both
-// depend on it, and every engine optimization must preserve it byte for byte.
+// the content-addressed result cache, and with it dased's recovery after a
+// restart, depends on it, and every engine optimization must preserve it
+// byte for byte.
 //
 // Two layers of protection:
 //
@@ -29,7 +30,6 @@ import (
 	"testing"
 
 	"dasesim/internal/config"
-	"dasesim/internal/faults"
 	"dasesim/internal/kernels"
 	"dasesim/internal/sched"
 	"dasesim/internal/sim"
@@ -96,29 +96,44 @@ func runFairPolicy(t *testing.T, c detCase) *sim.Result {
 	return res
 }
 
+// abortCtx is a context whose Err turns non-nil on its polls-th call. The
+// engine polls Err every few thousand cycles, so a run under it dies
+// partway through, as a run on a killed worker would.
+type abortCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *abortCtx) Err() error {
+	if c.polls--; c.polls <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// abortPolls puts the aborted first attempts about 40K cycles into their
+// 160K-cycle runs.
+const abortPolls = 10
+
 // runRetentionFaultRetry exercises the operational paths the daemon leans on:
-// the first attempt dies to an injected sim.step fault (as a crashed worker
-// would), the retry must succeed, and the whole run executes under a snapshot
+// the first attempt is aborted partway through (as a crashed worker would
+// be), the rerun must succeed, and the whole run executes under a snapshot
 // retention cap small enough to force eviction folding. The fingerprint
 // therefore covers WithSnapshotRetention's truncated-snapshot encoding and
-// proves a post-fault retry reproduces the canonical result bit for bit.
+// proves a rerun after an aborted attempt reproduces the canonical result
+// bit for bit.
 func runRetentionFaultRetry(t *testing.T, c detCase) *sim.Result {
 	t.Helper()
-	reg := faults.New(99)
-	reg.Arm(faults.Spec{Point: "sim.step", Mode: faults.ModeError, Count: 1})
-	faults.Activate(reg)
-	defer faults.Deactivate()
-
 	// Retention 2 with IntervalCycles 50_000 over 160_000 cycles produces 3
 	// snapshots and evicts the first, so the fold-into-aggregates path is on
 	// the golden fingerprint.
 	opts := append([]sim.Option{sim.WithSnapshotRetention(2)}, c.opts...)
-	if _, err := sim.RunSharedContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...); err == nil {
-		t.Fatal("first attempt survived the armed sim.step fault")
+	if _, err := sim.RunSharedContext(&abortCtx{context.Background(), abortPolls}, config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...); err == nil {
+		t.Fatal("first attempt survived its abort")
 	}
 	res, err := sim.RunSharedContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...)
 	if err != nil {
-		t.Fatalf("retry after injected fault: %v", err)
+		t.Fatalf("rerun after the aborted attempt: %v", err)
 	}
 	if len(res.Snapshots) != 2 {
 		t.Fatalf("retention cap kept %d snapshots, want 2", len(res.Snapshots))
@@ -129,25 +144,20 @@ func runRetentionFaultRetry(t *testing.T, c detCase) *sim.Result {
 // runParFairRetentionFaultRetry is the combined operational scenario: the
 // DASE-Fair policy repartitions SMs mid-run (draining + reassignment) from a
 // deliberately unfair start, snapshots are evicted under a retention cap, the
-// first attempt dies to an injected sim.step fault, and the retry must
-// reproduce the canonical result bit for bit. "Par" and the "parallel" in its
+// first attempt is aborted partway through, and the rerun must reproduce the
+// canonical result bit for bit. "Par" and the "parallel" in its
 // golden key date from the deleted phased engine (DESIGN §10), which this
 // scenario was first recorded on; the key is kept so the fingerprint's
 // history stays continuous.
 func runParFairRetentionFaultRetry(t *testing.T, c detCase) *sim.Result {
 	t.Helper()
-	reg := faults.New(101)
-	reg.Arm(faults.Spec{Point: "sim.step", Mode: faults.ModeError, Count: 1})
-	faults.Activate(reg)
-	defer faults.Deactivate()
-
 	opts := append([]sim.Option{sim.WithSnapshotRetention(2)}, c.opts...)
-	if _, err := sched.Run(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...); err == nil {
-		t.Fatal("first attempt survived the armed sim.step fault")
+	if _, err := sched.Run(&abortCtx{context.Background(), abortPolls}, config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...); err == nil {
+		t.Fatal("first attempt survived its abort")
 	}
 	res, err := sched.Run(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, sched.NewDASEFair(), opts...)
 	if err != nil {
-		t.Fatalf("retry after injected fault: %v", err)
+		t.Fatalf("rerun after the aborted attempt: %v", err)
 	}
 	if len(res.Snapshots) != 2 {
 		t.Fatalf("retention cap kept %d snapshots, want 2", len(res.Snapshots))

@@ -211,11 +211,48 @@ func modelled(dase *core.DASE, snap *sim.IntervalSnapshot) ([]float64, float64) 
 	return slow, sched.EstimatedUnfairness(slow, cur, cur, snap.NumSMs)
 }
 
-// TestDASEMetamorphic checks three properties of the model on real
+// scalingOnly is DASE's slowdown for a non-bandwidth-bound app whose
+// interference counters (BLPBlocked, ERBMiss, ELLCMiss) are all zero,
+// derived from the equations rather than the code: the assigned-SM slowdown
+// is 1, so what remains is Eq. 23's scaling to all SMs, NumSMs/SMs, under
+// the Eq. 24 thread-level-parallelism cap and the Eq. 25 bandwidth cap (the
+// dynamic Requestmax: 95% of the interval's line rate, bounded by the
+// activation rate over the app's row-miss rate, per request served), and
+// never below 1.
+func scalingOnly(snap *sim.IntervalSnapshot, a *sim.AppInterval) float64 {
+	all := float64(snap.NumSMs) / float64(max(a.SMs, 1))
+	if a.TBShared > 0 && a.TBSum > 0 {
+		all = min(all, float64(a.TBSum)/float64(a.TBShared))
+	}
+	rate := snap.PeakReqPerCyc
+	if a.RowMisses > 0 && snap.PeakActPerCyc > 0 {
+		rate = min(rate, snap.PeakActPerCyc/(float64(a.RowMisses)/float64(a.RowHits+a.RowMisses)))
+	}
+	all = min(all, rate*float64(snap.IntervalCycles)*0.95/max(float64(a.Served), 1))
+	return max(all, 1)
+}
+
+// interferenceTerms are the counters behind DASE's three interference
+// times: bank (Eq. 9, refined), row buffer (Eq. 10) and shared cache
+// (Eq. 11). set scales a term by k and adds off, so k < 1 with off 0 lowers
+// it and k > 1 raises it even from zero.
+var interferenceTerms = []struct {
+	name string
+	set  func(a *sim.AppInterval, k, off float64)
+}{
+	{"blp_blocked", func(a *sim.AppInterval, k, off float64) { a.BLPBlocked = a.BLPBlocked*k + off/100 }},
+	{"erb_miss", func(a *sim.AppInterval, k, off float64) { a.ERBMiss = uint64(float64(a.ERBMiss)*k + off) }},
+	{"ellc_miss", func(a *sim.AppInterval, k, off float64) { a.ELLCMiss = a.ELLCMiss*k + off }},
+}
+
+// TestDASEMetamorphic checks five properties of the model on real
 // intervals, in process and through the service: permuting the apps
 // permutes the slowdowns; doubling the interval and every extensive counter
-// leaves them bit-identical; and the estimated unfairness is at least 1,
-// with equality exactly when all slowdowns are equal.
+// leaves them bit-identical; the estimated unfairness is at least 1, with
+// equality exactly when all slowdowns are equal; an app whose interference
+// counters are all zero is estimated at Eq. 23's scaling term alone
+// (scalingOnly); and an app's slowdown is monotone in each interference
+// term, the others held fixed.
 func TestDASEMetamorphic(t *testing.T) {
 	dase := core.New(core.Options{})
 	svc := NewService(Options{})
@@ -281,6 +318,30 @@ func TestDASEMetamorphic(t *testing.T) {
 			sslow, sunf := p.estimate(withApps(snap, same))
 			if slices.Min(sslow) != slices.Max(sslow) || sunf != 1 {
 				t.Errorf("%s, snapshot %d: identical apps estimated %v, unfairness %v", p.name, si, sslow, sunf)
+			}
+			for i := range snap.Apps {
+				quiet := slices.Clone(snap.Apps)
+				quiet[i].BLPBlocked, quiet[i].ERBMiss, quiet[i].ELLCMiss = 0, 0, 0
+				qsnap := withApps(snap, quiet)
+				if dase.EstimateDetailed(qsnap)[i].MBB {
+					t.Fatalf("snapshot %d app %d: bandwidth-bound, where Eq. 23 does not apply", si, i)
+				}
+				qslow, _ := p.estimate(qsnap)
+				if want := scalingOnly(qsnap, &quiet[i]); math.Abs(qslow[i]-want) > 1e-12*want {
+					t.Errorf("%s, snapshot %d: app %d without interference estimated %v, want the scaling term %v",
+						p.name, si, i, qslow[i], want)
+				}
+				for _, term := range interferenceTerms {
+					for _, step := range []struct{ k, off float64 }{{0, 0}, {0.5, 0}, {1.5, 10}, {4, 100}, {64, 1000}} {
+						moved := slices.Clone(snap.Apps)
+						term.set(&moved[i], step.k, step.off)
+						mslow, _ := p.estimate(withApps(snap, moved))
+						if (step.k < 1 && mslow[i] > slow[i]) || (step.k > 1 && mslow[i] < slow[i]) {
+							t.Errorf("%s, snapshot %d: app %d's slowdown went %v -> %v when %s was scaled by %v",
+								p.name, si, i, slow[i], mslow[i], term.name, step.k)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -621,13 +621,20 @@ func (f *Fleet) execute() error {
 	return nil
 }
 
-// finishJobs retires every job whose work budget is met.
+// finishJobs retires every job whose work budget is met. A GPU's parallel
+// slices are compacted from its first finished job on; a GPU with none is
+// left alone, so an interval in which nothing finishes copies no profiles.
 func (f *Fleet) finishJobs() {
 	for _, g := range f.gpus {
-		kept := g.jobs[:0]
-		keptAlloc := g.alloc[:0]
-		keptProfiles := g.profiles[:0]
-		for i, j := range g.jobs {
+		n := 0
+		for n < len(g.jobs) && g.jobs[n].done < g.jobs[n].spec.Work {
+			n++
+		}
+		if n == len(g.jobs) {
+			continue
+		}
+		for i := n; i < len(g.jobs); i++ {
+			j := g.jobs[i]
 			if j.done >= j.spec.Work {
 				j.tenant.running--
 				g.reserved -= j.spec.MinSMs
@@ -635,11 +642,10 @@ func (f *Fleet) finishJobs() {
 				f.emitJob(j, "done", g.id)
 				continue
 			}
-			kept = append(kept, j)
-			keptAlloc = append(keptAlloc, g.alloc[i])
-			keptProfiles = append(keptProfiles, g.profiles[i])
+			g.jobs[n], g.alloc[n], g.profiles[n] = j, g.alloc[i], g.profiles[i]
+			n++
 		}
-		g.jobs, g.alloc, g.profiles = kept, keptAlloc, keptProfiles
+		g.jobs, g.alloc, g.profiles = g.jobs[:n], g.alloc[:n], g.profiles[:n]
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 	"dasesim/internal/telemetry"
 )
 
-// ErrQueueFull, ErrShed, ErrDraining, and ErrJournal classify submission
-// failures into HTTP statuses (429, 429, 503, 500).
+// ErrQueueFull, ErrShed and ErrDraining classify submission failures into
+// HTTP statuses (429, 429, 503).
 var (
 	ErrQueueFull = errors.New("job queue full")
 	ErrShed      = errors.New("queue over high-water mark; uncached submissions shed")
 	ErrDraining  = errors.New("server shutting down")
-	ErrJournal   = errors.New("journal write failed")
 )
 
 // SubmitStatus maps a Submit error to the HTTP status POST /v1/jobs answers
@@ -31,8 +30,6 @@ func SubmitStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrJournal):
-		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}
@@ -48,7 +45,7 @@ func SubmitStatus(err error) int {
 //	GET    /v1/kernels           the kernel catalogue
 //	POST   /v1/estimate          online DASE estimation (object or array batch)
 //	GET    /healthz              liveness probe (503 only while draining)
-//	GET    /readyz               readiness probe (503 during replay or drain)
+//	GET    /readyz               readiness probe (503 before Start or while draining)
 //	GET    /metrics              Prometheus text metrics
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -241,8 +238,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleReady is the readiness probe: unlike /healthz (liveness — the process
 // is up and able to answer), /readyz answers whether the daemon should
-// receive traffic. It reports 503 until Start has finished journal replay and
-// while draining; the 503 body names the failing condition.
+// receive traffic. It reports 503 until Start has run and while draining;
+// the 503 body names the failing condition.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if err := s.Ready(); err != nil {
 		s.writeJSON(w, r, http.StatusServiceUnavailable, map[string]string{

@@ -30,8 +30,9 @@ func seedCache(t testing.TB, s *Server, req JobRequest, res *sim.Result) {
 	s.cache.Put(pl.key, res)
 }
 
-// newIdleServer builds a server whose worker pool never starts, so every
-// accepted job stays queued until the test cancels it.
+// newIdleServer builds a server whose worker pool does not run until the
+// test calls Start, so every accepted job stays queued until then (or until
+// the test cancels it), and a test can substitute the simulation first.
 func newIdleServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))

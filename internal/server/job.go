@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"time"
@@ -74,12 +76,11 @@ type Job struct {
 	ID      string
 	Request JobRequest
 
-	Status    Status
-	Error     string
-	LastError string // most recent transient error, kept across retries
-	Attempts  int    // run attempts so far (1 on the first try)
-	Result    *JobResult
-	CacheHit  bool
+	Status   Status
+	Error    string
+	Attempts int // 0 while queued, 1 once a worker has started the job
+	Result   *JobResult
+	CacheHit bool
 
 	SubmittedAt time.Time
 	StartedAt   time.Time
@@ -89,7 +90,7 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 	// tracer is non-nil when the server traces jobs. It is assigned once at
-	// submission (or replay) before the job is visible and is internally
+	// submission before the job is visible and is internally
 	// concurrency-safe, so reading it needs no lock.
 	tracer *telemetry.Tracer
 }
@@ -100,7 +101,6 @@ type JobView struct {
 	Status      Status     `json:"status"`
 	Request     JobRequest `json:"request"`
 	Error       string     `json:"error,omitempty"`
-	LastError   string     `json:"last_error,omitempty"`
 	Attempts    int        `json:"attempts"`
 	CacheHit    bool       `json:"cache_hit"`
 	SubmittedAt time.Time  `json:"submitted_at"`
@@ -117,7 +117,6 @@ func (j *Job) view() JobView {
 		Status:      j.Status,
 		Request:     j.Request,
 		Error:       j.Error,
-		LastError:   j.LastError,
 		Attempts:    j.Attempts,
 		CacheHit:    j.CacheHit,
 		SubmittedAt: j.SubmittedAt,
@@ -152,6 +151,12 @@ type plan struct {
 	// key is the main simulation's content address: the result-cache key
 	// and the shed check's lookup, computed once.
 	key string
+	// digest names the whole request in its job IDs: 12 hex digits of a
+	// SHA-256 over key, the slowdown flag and the timeout, everything a
+	// job's outcome depends on. The ID counter restarts at 1 with the
+	// process, so an ID handed out before a restart may be handed out
+	// again, but only to the same request.
+	digest string
 }
 
 // variant is the cache-key run-mode tag for the plan's main simulation.
@@ -244,5 +249,7 @@ func (s *Server) buildPlan(req JobRequest) (plan, error) {
 		}
 	}
 	p.key = simcache.Key(s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, p.variant())
+	sum := sha256.Sum256(fmt.Appendf(nil, "%s %t %d", p.key, p.slowdown, p.timeout))
+	p.digest = hex.EncodeToString(sum[:6])
 	return p, nil
 }

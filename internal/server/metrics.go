@@ -13,7 +13,7 @@ import (
 // Metrics aggregates the daemon's observability signals on a
 // telemetry.Registry: counters and histograms updated by job workers without
 // contention, plus scrape-time callbacks mirroring live state (queue depth,
-// cache fill, journal size). Exposed names are stable across the move from
+// cache fill). Exposed names are stable across the move from
 // the old hand-rolled exposition code; the dased_job_wall_seconds summary
 // became the dased_job_duration_seconds histogram.
 type Metrics struct {
@@ -26,12 +26,7 @@ type Metrics struct {
 	jobsCanceled  *telemetry.Counter
 	jobsRejected  *telemetry.Counter // queue-full 429s
 	jobsShed      *telemetry.Counter // admission control: non-cached work refused over the high-water mark
-	jobRetries    *telemetry.Counter // transient failures scheduled for another attempt
 	jobsRunning   *telemetry.Gauge
-
-	journalReplayed    *telemetry.Counter // jobs restored from the journal at startup
-	journalErrors      *telemetry.Counter // journal appends/compactions that failed
-	journalCompactions *telemetry.Counter
 
 	simCycles *telemetry.Counter // cycles actually simulated (cache hits excluded)
 
@@ -55,17 +50,12 @@ func newMetrics(queueDepth func() int, cacheStats func() (uint64, uint64, uint64
 	m.jobsCanceled = reg.Counter("dased_jobs_canceled_total", "Jobs canceled by clients.")
 	m.jobsRejected = reg.Counter("dased_jobs_rejected_total", "Submissions rejected with 429 (queue full).")
 	m.jobsShed = reg.Counter("dased_jobs_shed_total", "Non-cached submissions shed over the queue high-water mark.")
-	m.jobRetries = reg.Counter("dased_job_retries_total", "Job attempts rescheduled after a transient failure.")
 	m.jobsRunning = reg.Gauge("dased_jobs_running", "Jobs currently executing.")
-
-	m.journalReplayed = reg.Counter("dased_journal_replayed_total", "Jobs restored from the journal at startup.")
-	m.journalErrors = reg.Counter("dased_journal_errors_total", "Journal operations that failed.")
-	m.journalCompactions = reg.Counter("dased_journal_compactions_total", "Journal snapshot rewrites.")
 
 	m.simCycles = reg.Counter("dased_sim_cycles_total", "GPU cycles simulated (cache hits excluded).")
 
 	m.queueWait = reg.Histogram("dased_queue_wait_seconds",
-		"Time jobs spent queued before their first execution attempt.",
+		"Time jobs spent queued before a worker started them.",
 		0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60)
 	m.jobDuration = reg.Histogram("dased_job_duration_seconds",
 		"Wall time of finished jobs.",
@@ -111,13 +101,6 @@ func moduleVersion() string {
 		return bi.Main.Version
 	}
 	return "unknown"
-}
-
-// setJournalRecords exposes the journal's record count; called once when the
-// journal is opened so servers without one don't export the gauge.
-func (m *Metrics) setJournalRecords(fn func() int) {
-	m.reg.GaugeFunc("dased_journal_records", "Records in the journal file.",
-		func() float64 { return float64(fn()) })
 }
 
 // observeJob records one finished job's wall time.

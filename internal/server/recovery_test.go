@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"dasesim/internal/journal"
-	"dasesim/internal/sim"
+	"dasesim/internal/config"
+	"dasesim/internal/kernels"
+	"dasesim/internal/workload"
 )
 
 // testCtx bounds test shutdowns.
@@ -19,17 +19,12 @@ func testCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), 60*time.Second)
 }
 
-// crash simulates a process kill for journaling purposes: the journal is
-// closed first (so no further lifecycle transitions are committed, exactly
-// like losing the process), then the world is torn down. The in-memory
-// server keeps mutating its own records while unwinding, but those
-// mutations are lost — only what Append had already fsynced survives, which
-// is the point.
+// crash simulates a process kill: intake stops, running simulations are
+// aborted before they can write a result, and the server is abandoned.
+// Nothing of its memory carries over; only the files its cache directory
+// already holds do.
 func crash(t *testing.T, s *Server) {
 	t.Helper()
-	if err := s.journal.Close(); err != nil {
-		t.Fatal(err)
-	}
 	s.mu.Lock()
 	s.beginDrainLocked()
 	s.mu.Unlock()
@@ -81,29 +76,31 @@ func resultJSON(t *testing.T, v JobView) []byte {
 	return data
 }
 
-// TestCrashRecoveryByteIdentical is the kill-and-restart integration test:
-// submit jobs, let one finish, drop the server with one job running and two
-// queued, reopen the journal, and assert every job reaches a terminal state
-// with results byte-identical to an uninterrupted run.
+// TestCrashRecoveryByteIdentical is the kill, restart, resubmit test: two
+// jobs finish (one with slowdowns, so alone baselines are stored too), the
+// server is killed with one job running and one queued, and a new server on
+// the same cache directory gets all four requests again. The two finished
+// ones come back from disk, byte-identical to their pre-crash results,
+// without simulating a cycle; the other two simulate; all four match an
+// uninterrupted run without a cache directory.
 func TestCrashRecoveryByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	jpath := filepath.Join(t.TempDir(), "dased.wal")
 	base := Options{
 		Workers:       1,
 		QueueDepth:    16,
-		JournalPath:   jpath,
+		CacheDir:      t.TempDir(),
 		JobTimeout:    5 * time.Minute,
 		DefaultCycles: testCycles,
 		MaxCycles:     2_000_000_000,
 		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	reqs := []JobRequest{
-		{Kernels: []string{"SB", "SD"}, Cycles: testCycles, Seed: 3}, // finishes pre-crash
-		{Kernels: []string{"SB"}, Cycles: 600_000},                   // running at the crash
-		{Kernels: []string{"VA", "CT"}, Cycles: testCycles},          // queued at the crash
-		{Kernels: []string{"QR", "BG"}, Cycles: testCycles, Slowdowns: true},
+		{Kernels: []string{"SB", "SD"}, Cycles: testCycles, Seed: 3},         // finishes pre-crash
+		{Kernels: []string{"QR", "BG"}, Cycles: testCycles, Slowdowns: true}, // finishes pre-crash
+		{Kernels: []string{"SB"}, Cycles: 600_000},                           // running at the crash
+		{Kernels: []string{"VA", "CT"}, Cycles: testCycles},                  // queued at the crash
 	}
 
 	sA, err := New(base)
@@ -111,343 +108,158 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sA.Start()
-	j1, err := sA.submit(reqs[0])
-	if err != nil {
-		t.Fatal(err)
+	var preCrash [2][]byte
+	for i := range preCrash {
+		v := submitAndWait(t, sA, reqs[i])
+		if v.Status != StatusDone {
+			t.Fatalf("pre-crash job %d: %s (%s)", i, v.Status, v.Error)
+		}
+		preCrash[i] = resultJSON(t, v)
 	}
-	if v := awaitTerminal(t, sA, j1.ID); v.Status != StatusDone {
-		t.Fatalf("pre-crash job: %s (%s)", v.Status, v.Error)
-	}
-	j2, err := sA.submit(reqs[1])
+	running, err := sA.submit(reqs[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for statusOf(t, sA, j2.ID) != StatusRunning {
+	for statusOf(t, sA, running.ID) != StatusRunning {
 		if time.Now().After(deadline) {
 			t.Fatal("long job never started")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	j3, err := sA.submit(reqs[2])
-	if err != nil {
+	if _, err := sA.submit(reqs[3]); err != nil {
 		t.Fatal(err)
 	}
-	j4, err := sA.submit(reqs[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	preCrashResult := resultJSON(t, func() JobView {
-		sA.mu.Lock()
-		defer sA.mu.Unlock()
-		return sA.jobs[j1.ID].view()
-	}())
-
 	crash(t, sA)
 
-	// Restart on the same journal.
+	// Restart on the same directory: the client resubmits everything.
 	restarted := base
 	restarted.Workers = 2
-	sB, err := New(restarted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := testCtx()
-		defer cancel()
-		_ = sB.Shutdown(ctx)
-	})
-	if got := sB.metrics.journalReplayed.Load(); got != 4 {
-		t.Fatalf("journalReplayed = %d, want 4", got)
-	}
-	var buf bytes.Buffer
-	sB.metrics.WritePrometheus(&buf)
-	if n := metricValue(t, buf.String(), "dased_journal_replayed_total"); n != 4 {
-		t.Fatalf("dased_journal_replayed_total = %v, want 4", n)
-	}
-	// The finished job is restored terminal, result intact, without re-running.
-	restored := func() JobView {
-		sB.mu.Lock()
-		defer sB.mu.Unlock()
-		j, ok := sB.jobs[j1.ID]
-		if !ok {
-			t.Fatal("finished job lost in recovery")
-		}
-		return j.view()
-	}()
-	if restored.Status != StatusDone {
-		t.Fatalf("restored job status %s (%s)", restored.Status, restored.Error)
-	}
-	if !bytes.Equal(resultJSON(t, restored), preCrashResult) {
-		t.Fatal("restored result differs from the pre-crash result")
-	}
-
+	sB := newIdleServer(t, restarted)
 	sB.Start()
-	views := map[string]JobView{}
-	for _, id := range []string{j1.ID, j2.ID, j3.ID, j4.ID} {
-		v := awaitTerminal(t, sB, id)
-		if v.Status != StatusDone {
-			t.Fatalf("recovered job %s: %s (%s)", id, v.Status, v.Error)
+	recovered := make([]JobView, len(reqs))
+	for i, req := range reqs {
+		recovered[i] = submitAndWait(t, sB, req)
+		if recovered[i].Status != StatusDone {
+			t.Fatalf("resubmitted job %d: %s (%s)", i, recovered[i].Status, recovered[i].Error)
 		}
-		views[id] = v
+		if i == 1 {
+			if n := sB.metrics.simCycles.Load(); n != 0 {
+				t.Fatalf("finished requests simulated %d cycles after the restart, want 0", n)
+			}
+		}
+	}
+	for i := range preCrash {
+		if !recovered[i].CacheHit {
+			t.Fatalf("finished job %d was not a disk hit after the restart", i)
+		}
+		if !bytes.Equal(resultJSON(t, recovered[i]), preCrash[i]) {
+			t.Fatalf("job %d's result differs from its pre-crash bytes", i)
+		}
+	}
+	if recovered[2].CacheHit || recovered[3].CacheHit {
+		t.Fatal("a job that never finished before the crash was served from the cache")
 	}
 
-	// Uninterrupted reference run: same requests, fresh server, no journal.
+	// Uninterrupted reference run: same requests, fresh server, memory only.
 	ref := base
-	ref.JournalPath = ""
+	ref.CacheDir = ""
 	ref.Workers = 2
-	sC, err := New(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := testCtx()
-		defer cancel()
-		_ = sC.Shutdown(ctx)
-	})
+	sC := newIdleServer(t, ref)
 	sC.Start()
-	ids := []string{j1.ID, j2.ID, j3.ID, j4.ID}
 	for i, req := range reqs {
-		rj, err := sC.submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rv := awaitTerminal(t, sC, rj.ID)
+		rv := submitAndWait(t, sC, req)
 		if rv.Status != StatusDone {
 			t.Fatalf("reference job %d: %s (%s)", i, rv.Status, rv.Error)
 		}
-		if !bytes.Equal(resultJSON(t, views[ids[i]]), resultJSON(t, rv)) {
-			t.Fatalf("job %s result diverged from the uninterrupted run", ids[i])
+		if !bytes.Equal(resultJSON(t, recovered[i]), resultJSON(t, rv)) {
+			t.Fatalf("job %d's result diverged from the uninterrupted run", i)
 		}
-	}
-
-	// The journal re-seeded the cache: resubmitting the pre-crash request is
-	// a cache hit even though this process never simulated it.
-	rehit, err := sB.submit(reqs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := awaitTerminal(t, sB, rehit.ID); v.Status != StatusDone || !v.CacheHit {
-		t.Fatalf("resubmission after recovery: status=%s cache_hit=%t", v.Status, v.CacheHit)
 	}
 }
 
-// TestRestartRestoresTerminalStateOnly proves a clean shutdown followed by a
-// reopen restores every job as a terminal, queryable record and re-enqueues
-// nothing, and that startup compaction keeps the journal bounded.
-func TestRestartRestoresTerminalStateOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
+// TestJobIDsSurviveRestart: job IDs carry a digest of the request, so when
+// the per-process counter starts again at 1 after a restart, an ID handed
+// out before it names the same request or nothing. The requests share one
+// main simulation and differ only in slowdowns or timeout, which the digest
+// still tells apart; a counter-only ID would name different requests.
+func TestJobIDsSurviveRestart(t *testing.T) {
+	reqs := []JobRequest{
+		{Kernels: []string{"SB", "SD"}, Cycles: testCycles},
+		{Kernels: []string{"SB", "SD"}, Cycles: testCycles, Slowdowns: true},
+		{Kernels: []string{"SB", "SD"}, Cycles: testCycles, TimeoutMS: 500},
 	}
-	jpath := filepath.Join(t.TempDir(), "dased.wal")
-	opts := Options{
-		Workers:       2,
-		JournalPath:   jpath,
-		JobTimeout:    time.Minute,
-		DefaultCycles: testCycles,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+	submitAll := func(s *Server, order ...int) map[string]JobRequest {
+		named := map[string]JobRequest{}
+		for _, i := range order {
+			v, err := s.Submit(reqs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			named[v.ID] = reqs[i]
+		}
+		return named
 	}
-	s, err := New(opts)
+	// Before: job-<d0>-1, job-<d1>-2, job-<d2>-3. After: job-<d0>-1 and
+	// job-<d2>-3 again, each for its old request, while counter 2 now goes
+	// to request 2 instead of request 1 and so gets a different ID.
+	before := submitAll(newIdleServer(t, Options{}), 0, 1, 2)
+	after := submitAll(newIdleServer(t, Options{}), 0, 2, 2, 1)
+
+	reused := 0
+	for id, req := range before {
+		got, ok := after[id]
+		if !ok {
+			continue
+		}
+		reused++
+		a, _ := json.Marshal(req)
+		b, _ := json.Marshal(got)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("ID %s named %s before the restart and %s after it", id, a, b)
+		}
+	}
+	if reused != 2 {
+		t.Fatalf("%d IDs handed out on both sides, want 2", reused)
+	}
+	if len(before) != 3 || len(after) != 4 {
+		t.Fatalf("distinct IDs: %d before, %d after; want 3 and 4", len(before), len(after))
+	}
+}
+
+// TestAloneBaselineSharedWithWorkload: an alone baseline that
+// workload.AloneCache wrote on a directory is a disk hit for a slowdown job
+// of a server on the same directory with the same cfg, cycles and seed, so
+// only the shared run simulates.
+func TestAloneBaselineSharedWithWorkload(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config.Default()
+	baselines, err := workload.OpenAloneCache(cfg, testCycles, 1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var aloneIPC []float64
+	for _, abbr := range []string{"SB", "SD"} {
+		p, _ := kernels.ByAbbr(abbr)
+		r, err := baselines.Get(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aloneIPC = append(aloneIPC, r.Apps[0].IPC)
+	}
+
+	s := newIdleServer(t, Options{Cfg: cfg, CacheDir: dir, Workers: 1})
 	s.Start()
-	var ids []string
-	for _, ks := range [][]string{{"SB", "SD"}, {"VA", "CT"}} {
-		j, err := s.submit(JobRequest{Kernels: ks, Cycles: testCycles})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, j.ID)
+	v := submitAndWait(t, s, JobRequest{Kernels: []string{"SB", "SD"}, Cycles: testCycles, Seed: 1, Slowdowns: true})
+	if v.Status != StatusDone {
+		t.Fatalf("slowdown job: %s (%s)", v.Status, v.Error)
 	}
-	for _, id := range ids {
-		if v := awaitTerminal(t, s, id); v.Status != StatusDone {
-			t.Fatalf("job %s: %s (%s)", id, v.Status, v.Error)
+	for i, want := range aloneIPC {
+		if v.Result.AloneIPC[i] != want {
+			t.Fatalf("alone IPC %d = %v, want the stored baseline's %v", i, v.Result.AloneIPC[i], want)
 		}
 	}
-	ctx, cancel := testCtx()
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := testCtx()
-		defer cancel()
-		_ = s2.Shutdown(ctx)
-	})
-	if got := s2.metrics.journalReplayed.Load(); got != 2 {
-		t.Fatalf("journalReplayed = %d, want 2", got)
-	}
-	if len(s2.queue) != 0 {
-		t.Fatalf("%d jobs re-enqueued from terminal records", len(s2.queue))
-	}
-	for _, id := range ids {
-		s2.mu.Lock()
-		j, ok := s2.jobs[id]
-		s2.mu.Unlock()
-		if !ok || j.Status != StatusDone || j.Result == nil {
-			t.Fatalf("job %s not restored terminal with result", id)
-		}
-	}
-	// Startup compaction rewrote the journal to ≤ 2 records per job.
-	if n := s2.journal.Len(); n > 2*len(ids) {
-		t.Fatalf("journal holds %d records after compaction for %d jobs", n, len(ids))
-	}
-}
-
-// TestJournalCompactionHonorsMaxJobs drives many short jobs through a tiny
-// MaxJobs bound and checks the journal is compacted down to the retained
-// records instead of growing without bound.
-func TestJournalCompactionHonorsMaxJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	jpath := filepath.Join(t.TempDir(), "dased.wal")
-	opts := Options{
-		Workers:       1,
-		MaxJobs:       2,
-		JournalPath:   jpath,
-		JobTimeout:    time.Minute,
-		DefaultCycles: testCycles,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	s, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	// Identical submissions: the first simulates, the rest are cache hits,
-	// so this loop is fast while still writing 3 records per job.
-	for i := 0; i < 20; i++ {
-		j, err := s.submit(JobRequest{Kernels: []string{"SB", "SD"}, Cycles: testCycles})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := awaitTerminal(t, s, j.ID); v.Status != StatusDone {
-			t.Fatalf("job %d: %s (%s)", i, v.Status, v.Error)
-		}
-	}
-	if s.metrics.journalCompactions.Load() == 0 {
-		t.Fatal("journal never compacted")
-	}
-	ctx, cancel := testCtx()
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Reopening evicts beyond MaxJobs and compacts the journal down to the
-	// retained records (≤ 2 per terminal job).
-	s2, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := testCtx()
-		defer cancel()
-		_ = s2.Shutdown(ctx)
-	})
-	s2.mu.Lock()
-	retained := len(s2.jobs)
-	s2.mu.Unlock()
-	if retained > opts.MaxJobs {
-		t.Fatalf("recovery retained %d jobs, MaxJobs=%d", retained, opts.MaxJobs)
-	}
-	if n := s2.journal.Len(); n > 2*opts.MaxJobs {
-		t.Fatalf("journal holds %d records after startup compaction, want <= %d", n, 2*opts.MaxJobs)
-	}
-}
-
-// TestReplayFoldsJournalRecords feeds a fabricated journal through replay:
-// a job's attempt count is the highest any started or finished record
-// journaled, a canceled record makes a job terminal, a job with no terminal
-// record is re-enqueued without its old start time, and records whose
-// submission was compacted away (a torn prefix) are dropped while their IDs
-// still advance the sequence. An unfinished job whose request no longer
-// validates (a policy this server no longer has) replays as failed.
-func TestReplayFoldsJournalRecords(t *testing.T) {
-	mustJSON := func(v any) json.RawMessage {
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	at := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
-	reqDone := JobRequest{Kernels: []string{"SB"}, Cycles: testCycles, Seed: 1}
-	reqCanceled := JobRequest{Kernels: []string{"SD"}, Cycles: testCycles, Seed: 2}
-	reqRequeued := JobRequest{Kernels: []string{"VA"}, Cycles: testCycles, Seed: 3}
-	reqPerf := JobRequest{Kernels: []string{"VA", "CT"}, Cycles: testCycles, Seed: 5, Policy: "perf"}
-	done := &JobResult{Sim: &sim.Result{Cycles: testCycles}}
-	recs := []journal.Record{
-		// Torn prefix: a finished record whose submission was compacted away.
-		{Op: journal.OpFinished, JobID: "job-9", Time: at, Data: mustJSON(finishedData{Status: StatusDone})},
-		{Op: journal.OpSubmitted, JobID: "job-1", Time: at, Data: mustJSON(submittedData{Request: reqDone})},
-		{Op: journal.OpSubmitted, JobID: "job-2", Time: at, Data: mustJSON(submittedData{Request: reqCanceled})},
-		{Op: journal.OpSubmitted, JobID: "job-3", Time: at, Data: mustJSON(submittedData{Request: reqRequeued})},
-		{Op: journal.OpSubmitted, JobID: "job-4", Time: at, Data: mustJSON(submittedData{Request: reqPerf})},
-		{Op: journal.OpStarted, JobID: "job-1", Time: at, Data: mustJSON(startedData{Attempt: 1})},
-		{Op: journal.OpStarted, JobID: "job-1", Time: at, Data: mustJSON(startedData{Attempt: 3})},
-		{Op: journal.OpFinished, JobID: "job-1", Time: at, Data: mustJSON(finishedData{
-			Status: StatusDone, Attempts: 2, Result: done,
-		})},
-		{Op: journal.OpCanceled, JobID: "job-2", Time: at},
-		{Op: journal.OpStarted, JobID: "job-3", Time: at, Data: mustJSON(startedData{Attempt: 2})},
-		{Op: journal.OpStarted, JobID: "job-4", Time: at, Data: mustJSON(startedData{Attempt: 1})},
-	}
-	jpath := filepath.Join(t.TempDir(), "dased.wal")
-	jnl, _, err := journal.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jnl.Rewrite(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := jnl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Never started, so the re-enqueued job stays in the queue.
-	s := newIdleServer(t, Options{JournalPath: jpath, DefaultCycles: testCycles})
-	views := s.Views()
-	if len(views) != 4 {
-		t.Fatalf("replayed %d jobs, want 4: %+v", len(views), views)
-	}
-	byID := map[string]JobView{}
-	for _, v := range views {
-		byID[v.ID] = v
-	}
-	if v := byID["job-1"]; v.Status != StatusDone || v.Attempts != 3 || v.Result == nil || v.Request.Seed != 1 {
-		t.Fatalf("done job replayed as %+v, want done with 3 attempts and its result", v)
-	}
-	if pl, err := s.buildPlan(reqDone); err != nil || !s.cache.Peek(pl.key) {
-		t.Fatalf("done job's result did not re-seed the cache (plan err %v)", err)
-	}
-	if v := byID["job-2"]; v.Status != StatusCanceled || v.Error != "canceled" {
-		t.Fatalf("canceled job replayed as %+v", v)
-	}
-	if v := byID["job-3"]; v.Status != StatusQueued || v.Attempts != 2 || v.StartedAt != nil {
-		t.Fatalf("unfinished job replayed as %+v, want queued, 2 attempts, no start time", v)
-	}
-	if n := len(s.queue); n != 1 {
-		t.Fatalf("%d jobs re-enqueued, want 1", n)
-	}
-	if v := byID["job-4"]; v.Status != StatusFailed || v.Error != `recovery: unknown policy "perf" (even | fair)` {
-		t.Fatalf("unfinished perf job replayed as %+v, want failed with the policy error", v)
-	}
-	if _, ok := s.View("job-9"); ok {
-		t.Fatal("a job without its submitted record was restored")
-	}
-	// The dropped job-9 still advanced the ID sequence.
-	v, err := s.Submit(JobRequest{Kernels: []string{"SB"}, Cycles: testCycles, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.ID != "job-10" {
-		t.Fatalf("first post-replay ID %q, want job-10", v.ID)
+	if st := s.cache.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want the two baselines from disk and one simulated shared run", st)
 	}
 }

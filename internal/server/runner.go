@@ -8,31 +8,12 @@ import (
 	"time"
 
 	"dasesim/internal/core"
-	"dasesim/internal/faults"
-	"dasesim/internal/journal"
 	"dasesim/internal/metrics"
 	"dasesim/internal/sched"
 	"dasesim/internal/sim"
 	"dasesim/internal/telemetry"
 	"dasesim/internal/workload"
 )
-
-// transientErr marks a failure as retry-eligible without polluting the
-// user-visible message. Injected faults (faults.ErrInjected) are also
-// treated as transient.
-type transientErr struct{ err error }
-
-func (e transientErr) Error() string { return e.err.Error() }
-func (e transientErr) Unwrap() error { return e.err }
-
-// isTransient reports whether err should be retried: injected faults,
-// journal I/O failures, and worker panics. Context cancellation and
-// deadlines are never transient — a cancel is a decision and a determinstic
-// simulation that timed out once will time out again.
-func isTransient(err error) bool {
-	var te transientErr
-	return errors.As(err, &te) || errors.Is(err, faults.ErrInjected)
-}
 
 // worker drains the job queue until it is closed by Shutdown.
 func (s *Server) worker() {
@@ -43,7 +24,9 @@ func (s *Server) worker() {
 }
 
 // runJob executes one queued job, converting panics and context errors into
-// terminal job states (or a retry) instead of process death.
+// terminal job states instead of process death. A job runs at most once:
+// simulations are deterministic, so a job that panicked or timed out would
+// do so again.
 func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
 	if job.Status != StatusQueued {
@@ -52,20 +35,17 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	job.Status = StatusRunning
-	job.Attempts++
+	job.Attempts = 1
 	job.StartedAt = time.Now()
 	ctx, cancel := context.WithTimeout(s.baseCtx, job.plan.timeout)
 	job.cancel = cancel
-	attempt := job.Attempts
 	queueWait := job.StartedAt.Sub(job.SubmittedAt)
 	s.mu.Unlock()
 
-	if attempt == 1 {
-		s.metrics.queueWait.Observe(queueWait.Seconds())
-	}
+	s.metrics.queueWait.Observe(queueWait.Seconds())
 	job.tracer.Emit(telemetry.Event{
 		Kind: telemetry.KindJobStarted, Wall: job.StartedAt.UnixNano(),
-		App: -1, SM: -1, Job: job.ID, Attempt: int32(attempt),
+		App: -1, SM: -1, Job: job.ID, Attempt: 1,
 	})
 
 	s.metrics.jobsRunning.Add(1)
@@ -73,33 +53,15 @@ func (s *Server) runJob(job *Job) {
 	defer cancel()
 	defer func() {
 		if r := recover(); r != nil {
-			s.finishJob(job, nil, false, transientErr{fmt.Errorf("panic: %v", r)})
+			s.finishJob(job, nil, false, fmt.Errorf("panic: %v", r))
 		}
 	}()
-
-	// Commit the started record before simulating; a journal that cannot
-	// take the record is a transient failure of this attempt.
-	if err := s.appendJournal(ctx, journal.OpStarted, job.ID, startedData{Attempt: attempt}); err != nil {
-		s.metrics.journalErrors.Add(1)
-		if ctx.Err() != nil {
-			err = ctx.Err()
-		} else {
-			err = transientErr{fmt.Errorf("journal append: %w", err)}
-		}
-		s.finishJob(job, nil, false, err)
-		return
-	}
-	if err := faults.FireCtx(ctx, "server.worker"); err != nil {
-		s.finishJob(job, nil, false, err)
-		return
-	}
 
 	res, cacheHit, err := s.execute(ctx, job.plan, job.tracer)
 	s.finishJob(job, res, cacheHit, err)
 }
 
-// finishJob moves the job to a terminal state — or, when the failure is
-// transient and attempts remain, schedules a retry with backoff.
+// finishJob moves the job to its terminal state.
 func (s *Server) finishJob(job *Job, res *JobResult, cacheHit bool, err error) {
 	s.mu.Lock()
 	if job.Status != StatusRunning {
@@ -113,40 +75,21 @@ func (s *Server) finishJob(job *Job, res *JobResult, cacheHit bool, err error) {
 		s.finalizeLocked(job, StatusCanceled, "canceled", nil, false)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.finalizeLocked(job, StatusFailed, fmt.Sprintf("timeout after %v", job.plan.timeout), nil, false)
-	case isTransient(err) && job.Attempts <= s.opts.MaxRetries && !s.draining.Load():
-		job.Status = StatusQueued
-		job.LastError = err.Error()
-		attempt := job.Attempts
-		delay := s.backoffLocked(attempt)
-		s.metrics.jobRetries.Add(1)
-		s.mu.Unlock()
-		job.tracer.Emit(telemetry.Event{
-			Kind: telemetry.KindJobRetry, Wall: time.Now().UnixNano(),
-			App: -1, SM: -1, Job: job.ID, Attempt: int32(attempt), Note: err.Error(),
-		})
-		s.opts.Logger.Warn("job retry scheduled",
-			"job", job.ID, "attempt", attempt, "retry_in", delay.Round(time.Millisecond), "err", err)
-		s.requeueAfterBackoff(job, delay)
-		return
 	default:
 		s.finalizeLocked(job, StatusFailed, err.Error(), nil, false)
 	}
 	wall := job.FinishedAt.Sub(job.StartedAt)
-	status, hit, attempts := job.Status, job.CacheHit, job.Attempts
+	status, hit := job.Status, job.CacheHit
 	s.mu.Unlock()
 	s.metrics.observeJob(wall)
 	s.writeTraceFile(job)
 	s.opts.Logger.Info("job finished",
-		"job", job.ID, "status", status, "cache_hit", hit, "attempts", attempts,
+		"job", job.ID, "status", status, "cache_hit", hit,
 		"wall", wall.Round(time.Millisecond))
 }
 
-// finalizeLocked commits a terminal transition: job fields, metrics, the
-// done channel, and (best-effort) the journal's finished record. The caller
-// holds s.mu. A finished record that fails to commit is only logged: the
-// job's state is authoritative in memory, and on a crash the journal's
-// non-terminal records make the job re-run — which is semantically invisible
-// because results are deterministic and content-addressed.
+// finalizeLocked commits a terminal transition: job fields, metrics and the
+// done channel. The caller holds s.mu.
 func (s *Server) finalizeLocked(job *Job, status Status, errMsg string, res *JobResult, cacheHit bool) {
 	job.Status = status
 	job.Error = errMsg
@@ -167,14 +110,6 @@ func (s *Server) finalizeLocked(job *Job, status Status, errMsg string, res *Job
 	default:
 		s.metrics.jobsFailed.Add(1)
 	}
-	if err := s.appendJournalBounded(journal.OpFinished, job.ID, finishedData{
-		Status: status, Error: errMsg, CacheHit: cacheHit, Attempts: job.Attempts,
-		Result: res,
-	}); err != nil {
-		s.metrics.journalErrors.Add(1)
-		s.opts.Logger.Error("journal append finished failed", "job", job.ID, "err", err)
-	}
-	s.maybeCompactLocked()
 }
 
 // writeTraceFile dumps a finished job's trace as Chrome trace-event JSON into
@@ -199,47 +134,6 @@ func (s *Server) writeTraceFile(job *Job) {
 	}
 }
 
-// backoffLocked returns the capped exponential backoff with full jitter for
-// the given attempt number; the caller holds s.mu (the jitter PRNG is not
-// concurrency-safe).
-func (s *Server) backoffLocked(attempt int) time.Duration {
-	d := s.opts.RetryBaseDelay << uint(attempt-1)
-	if d <= 0 || d > s.opts.RetryMaxDelay {
-		d = s.opts.RetryMaxDelay
-	}
-	if s.jitterFn != nil {
-		return s.jitterFn(d)
-	}
-	return time.Duration(s.rng.Int64N(int64(d)) + 1)
-}
-
-// requeueAfterBackoff sleeps out the backoff (cut short when the server
-// starts draining) and puts the job back on the queue. A job canceled during
-// its backoff stays canceled; a drain or full queue during backoff fails the
-// job with its last transient error.
-func (s *Server) requeueAfterBackoff(job *Job, delay time.Duration) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-s.drainCh:
-			t.Stop()
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if job.Status != StatusQueued {
-			return // canceled while backing off
-		}
-		if s.draining.Load() || len(s.queue) == cap(s.queue) {
-			s.finalizeLocked(job, StatusFailed, "retry abandoned: "+job.LastError, nil, false)
-			return
-		}
-		s.queue <- job
-	}()
-}
-
 // execute runs the plan's simulation through the content-addressed cache and
 // optionally augments it with slowdown metrics against cached alone
 // baselines. The returned cacheHit refers to the main simulation. tr, when
@@ -248,7 +142,7 @@ func (s *Server) requeueAfterBackoff(job *Job, delay time.Duration) {
 // jobs, the measured ground truth.
 func (s *Server) execute(ctx context.Context, p plan, tr *telemetry.Tracer) (*JobResult, bool, error) {
 	res, cacheHit, err := s.cachedSim(ctx, p.key, func(ctx context.Context) (*sim.Result, error) {
-		return s.runSim(ctx, p, tr)
+		return s.simulate(ctx, p, tr)
 	})
 	if err != nil {
 		return nil, false, err

@@ -12,35 +12,30 @@
 //   - each job runs under a context with a per-job timeout, and client
 //     cancellation (DELETE) aborts queued and running jobs;
 //   - a panicking simulation fails its job, not the process;
-//   - jobs that fail on transient errors (injected faults, journal I/O,
-//     worker panics) are retried with capped exponential backoff and full
-//     jitter before being marked failed;
-//   - with a journal configured, every lifecycle transition is committed to
-//     an fsynced write-ahead log; on restart, terminal jobs are restored as
-//     queryable records and non-terminal jobs are re-enqueued — simulation
-//     results are deterministic, so recovery is semantically invisible;
+//   - with a cache directory configured, every simulated result is also a
+//     file named by its content address; simulations are deterministic, so
+//     after a restart a client resubmits its requests and every result
+//     finished before the crash is a disk hit with the same bytes, while
+//     job IDs, which carry a digest of the request, never name a different
+//     request than they did before;
 //   - Shutdown stops intake, drains queued and running jobs, and
 //     hard-cancels whatever is still running when its context expires.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dasesim/internal/config"
 	"dasesim/internal/estimate"
-	"dasesim/internal/journal"
 	"dasesim/internal/kernels"
+	"dasesim/internal/sim"
 	"dasesim/internal/simcache"
 	"dasesim/internal/telemetry"
 )
@@ -68,18 +63,12 @@ type Options struct {
 	// MaxJobs bounds the retained job records; the oldest terminal jobs are
 	// forgotten beyond it (default: 4096).
 	MaxJobs int
-	// JournalPath enables the durable job journal at this file. Empty (the
-	// default) keeps all job state in memory, as before.
-	JournalPath string
-	// MaxRetries is how many extra attempts a job failing on a transient
-	// error gets before it is marked failed (default: 2; negative disables
-	// retries).
-	MaxRetries int
-	// RetryBaseDelay is the backoff before the first retry; attempt n waits
-	// up to RetryBaseDelay<<(n-1), capped at RetryMaxDelay, with full jitter
-	// (defaults: 25ms base, 1s cap).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
+	// CacheDir backs the result cache with this directory (created if
+	// needed): one file per content address, read on a miss and written
+	// after every simulation, so finished results survive a restart and are
+	// shared with cmd/experiments -cache-dir. Empty (the default) keeps
+	// results in memory only.
+	CacheDir string
 	// ShedHighWater is the queue length at which admission control starts
 	// shedding submissions whose result is not already cached (default:
 	// 3/4 of QueueDepth; negative disables shedding).
@@ -136,18 +125,6 @@ func (o Options) withDefaults() Options {
 		o.MaxJobs = 4096
 	}
 	switch {
-	case o.MaxRetries == 0:
-		o.MaxRetries = 2
-	case o.MaxRetries < 0:
-		o.MaxRetries = 0
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = time.Second
-	}
-	switch {
 	case o.ShedHighWater == 0:
 		o.ShedHighWater = o.QueueDepth * 3 / 4
 		if o.ShedHighWater < 1 {
@@ -187,12 +164,13 @@ type Server struct {
 	cache   *simcache.Memory
 	metrics *Metrics
 	queue   chan *Job
-	journal *journal.Journal
 	est     *estimate.Service
+	// simulate runs a plan's main simulation; New sets it to runSim, and
+	// tests substitute it to make a job panic or overrun its deadline.
+	simulate func(context.Context, plan, *telemetry.Tracer) (*sim.Result, error)
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	drainCh    chan struct{} // closed when draining begins; wakes retry backoffs
 	wg         sync.WaitGroup
 
 	// draining is set once, under mu (which orders it with the queue), and
@@ -200,18 +178,14 @@ type Server struct {
 	draining atomic.Bool
 
 	mu       sync.Mutex
-	rng      *rand.Rand                        // backoff jitter; guarded by mu
-	jitterFn func(time.Duration) time.Duration // test hook; nil means full jitter
 	jobs     map[string]*Job
 	jobOrder []string // submission order, for listing and record eviction
 	nextID   uint64
 	started  bool
 }
 
-// New builds a Server with the given options. When a journal path is
-// configured, New replays it: terminal jobs become queryable records (their
-// results re-seed the cache), non-terminal jobs are re-enqueued, and the
-// journal is compacted to the recovered state.
+// New builds a Server with the given options. With a cache directory, the
+// results in it are hits from the first submission on.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if err := opts.Cfg.Validate(); err != nil {
@@ -220,17 +194,28 @@ func New(opts Options) (*Server, error) {
 	if len(opts.Catalogue) == 0 {
 		return nil, fmt.Errorf("server: empty kernel catalogue")
 	}
+	cache := simcache.NewMemory(simcache.DefaultMaxEntries)
+	if opts.CacheDir != "" {
+		var err error
+		if cache, err = simcache.NewDir(simcache.DefaultMaxEntries, opts.CacheDir); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
+	}
+	if opts.TraceDir != "" {
+		if err := os.MkdirAll(opts.TraceDir, 0o755); err != nil {
+			return nil, fmt.Errorf("server: trace dir: %w", err)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
-		cache:      simcache.NewMemory(simcache.DefaultMaxEntries),
+		cache:      cache,
 		queue:      make(chan *Job, opts.QueueDepth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		drainCh:    make(chan struct{}),
-		rng:        rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
 		jobs:       map[string]*Job{},
 	}
+	s.simulate = s.runSim
 	s.est = estimate.NewService(estimate.Options{Cfg: opts.Cfg})
 	s.metrics = newMetrics(
 		func() int { return len(s.queue) },
@@ -239,234 +224,7 @@ func New(opts Options) (*Server, error) {
 			return st.Hits, st.Misses, st.Evictions, st.Entries
 		},
 	)
-	if opts.TraceDir != "" {
-		if err := os.MkdirAll(opts.TraceDir, 0o755); err != nil {
-			cancel()
-			return nil, fmt.Errorf("server: trace dir: %w", err)
-		}
-	}
-	if opts.JournalPath != "" {
-		jnl, records, err := journal.Open(opts.JournalPath)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.journal = jnl
-		s.metrics.setJournalRecords(jnl.Len)
-		s.replay(records)
-	}
 	return s, nil
-}
-
-// journal payloads. submittedData carries the request so replay can rebuild
-// the plan; finishedData snapshots everything a terminal job needs to stay
-// queryable across restarts.
-type submittedData struct {
-	Request JobRequest `json:"request"`
-}
-
-type startedData struct {
-	Attempt int `json:"attempt"`
-}
-
-type finishedData struct {
-	Status   Status     `json:"status"`
-	Error    string     `json:"error,omitempty"`
-	CacheHit bool       `json:"cache_hit,omitempty"`
-	Attempts int        `json:"attempts,omitempty"`
-	Result   *JobResult `json:"result,omitempty"`
-}
-
-// appendJournal commits one lifecycle record; it is a no-op without a
-// journal. data must be JSON-marshalable.
-func (s *Server) appendJournal(ctx context.Context, op, jobID string, data any) error {
-	if s.journal == nil {
-		return nil
-	}
-	rec := journal.Record{Op: op, JobID: jobID}
-	if data != nil {
-		raw, err := json.Marshal(data)
-		if err != nil {
-			return fmt.Errorf("journal payload: %w", err)
-		}
-		rec.Data = raw
-	}
-	return s.journal.Append(ctx, rec)
-}
-
-// journalAppendTimeout bounds journal appends that are not already scoped to
-// a job context. Several appenders run while holding s.mu; without a bound, a
-// hung fsync (or an injected sleep fault) would wedge the whole server.
-const journalAppendTimeout = 3 * time.Second
-
-// appendJournalBounded is appendJournal with its own deadline, for call sites
-// whose surrounding context is unbounded (submit, cancel, finalize).
-func (s *Server) appendJournalBounded(op, jobID string, data any) error {
-	if s.journal == nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), journalAppendTimeout)
-	defer cancel()
-	return s.appendJournal(ctx, op, jobID, data)
-}
-
-// replay rebuilds job state from journal records at construction time, in
-// one pass that decodes each payload once: terminal jobs are restored
-// verbatim (and their results re-seed the result cache), non-terminal jobs
-// are re-enqueued for execution. Jobs come back in first-record order, with
-// the highest attempt count any started or finished record journaled. A job
-// whose submitted record is missing (a torn prefix) is dropped. Runs before
-// Start, so the queue sends below cannot race workers.
-func (s *Server) replay(records []journal.Record) {
-	byID := map[string]*Job{}
-	submitted := map[string]bool{}
-	var order []*Job
-	for _, rec := range records {
-		// Track the highest numeric job ID, orphan records included, so new
-		// submissions continue the sequence instead of colliding with
-		// replayed ones.
-		if n, err := strconv.ParseUint(strings.TrimPrefix(rec.JobID, "job-"), 10, 64); err == nil && n > s.nextID {
-			s.nextID = n
-		}
-		job, ok := byID[rec.JobID]
-		if !ok {
-			job = &Job{ID: rec.JobID, Status: StatusQueued, done: make(chan struct{})}
-			byID[rec.JobID] = job
-			order = append(order, job)
-		}
-		switch rec.Op {
-		case journal.OpSubmitted:
-			var d submittedData
-			if json.Unmarshal(rec.Data, &d) == nil {
-				job.Request, submitted[job.ID] = d.Request, true
-				job.SubmittedAt = rec.Time
-			}
-		case journal.OpStarted:
-			var d startedData
-			_ = json.Unmarshal(rec.Data, &d)
-			job.StartedAt = rec.Time
-			job.Attempts = max(job.Attempts, d.Attempt)
-		case journal.OpFinished:
-			var d finishedData
-			if json.Unmarshal(rec.Data, &d) == nil {
-				job.Attempts = max(job.Attempts, d.Attempts)
-				if d.Status.terminal() {
-					job.Status, job.Error, job.Result, job.CacheHit = d.Status, d.Error, d.Result, d.CacheHit
-					job.FinishedAt = rec.Time
-				}
-			}
-		case journal.OpCanceled:
-			job.Status, job.Error = StatusCanceled, "canceled"
-			job.FinishedAt = rec.Time
-		}
-	}
-	for _, job := range order {
-		if !submitted[job.ID] {
-			continue
-		}
-		if job.Status.terminal() {
-			close(job.done)
-			// Re-seed the result cache so identical submissions after the
-			// restart are still cache hits.
-			if job.Result != nil && job.Result.Sim != nil {
-				if pl, err := s.buildPlan(job.Request); err == nil {
-					s.cache.Put(pl.key, job.Result.Sim)
-				}
-			}
-		} else {
-			// Neither finished nor canceled: the job runs again from the
-			// queue, so an earlier attempt's start time is not its own.
-			job.StartedAt = time.Time{}
-			pl, err := s.buildPlan(job.Request)
-			switch {
-			case err != nil:
-				// The catalogue, limits or policies changed under the
-				// journal; the job can no longer run.
-				job.Status = StatusFailed
-				job.Error = fmt.Sprintf("recovery: %v", err)
-				job.FinishedAt = time.Now()
-				close(job.done)
-			case len(s.queue) == cap(s.queue):
-				job.Status = StatusFailed
-				job.Error = "recovery: queue full"
-				job.FinishedAt = time.Now()
-				close(job.done)
-				s.metrics.jobsShed.Add(1)
-			default:
-				job.plan = pl
-				if s.opts.TraceEvents > 0 {
-					job.tracer = telemetry.New(s.opts.TraceEvents)
-					job.tracer.Emit(telemetry.Event{
-						Kind: telemetry.KindJobQueued, Wall: job.SubmittedAt.UnixNano(),
-						App: -1, SM: -1, Job: job.ID, Note: "replayed",
-					})
-				}
-				s.queue <- job
-			}
-		}
-		s.jobs[job.ID] = job
-		s.jobOrder = append(s.jobOrder, job.ID)
-		s.metrics.journalReplayed.Add(1)
-	}
-	s.evictJobRecordsLocked()
-	if err := s.compactLocked(); err != nil {
-		s.opts.Logger.Error("journal compact after replay failed", "err", err)
-	}
-	if n := len(s.jobs); n > 0 {
-		s.opts.Logger.Info("journal replayed", "jobs", n, "requeued", len(s.queue))
-	}
-}
-
-// compactLocked rewrites the journal as a snapshot of the retained jobs
-// (submitted + started/finished per job); the caller holds s.mu or is the
-// constructor. MaxJobs is honored because eviction trims jobOrder first.
-func (s *Server) compactLocked() error {
-	if s.journal == nil {
-		return nil
-	}
-	recs := make([]journal.Record, 0, 2*len(s.jobOrder))
-	add := func(op, id string, t time.Time, data any) {
-		raw, err := json.Marshal(data)
-		if err != nil {
-			return
-		}
-		recs = append(recs, journal.Record{Op: op, JobID: id, Time: t, Data: raw})
-	}
-	for _, id := range s.jobOrder {
-		j, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		add(journal.OpSubmitted, id, j.SubmittedAt, submittedData{Request: j.Request})
-		switch {
-		case j.Status.terminal():
-			add(journal.OpFinished, id, j.FinishedAt, finishedData{
-				Status: j.Status, Error: j.Error, CacheHit: j.CacheHit,
-				Attempts: j.Attempts, Result: j.Result,
-			})
-		case j.Status == StatusRunning:
-			add(journal.OpStarted, id, j.StartedAt, startedData{Attempt: j.Attempts})
-		}
-	}
-	if err := s.journal.Rewrite(recs); err != nil {
-		return err
-	}
-	s.metrics.journalCompactions.Add(1)
-	return nil
-}
-
-// maybeCompactLocked compacts once the journal holds several times more
-// records than there are retained jobs; the caller holds s.mu.
-func (s *Server) maybeCompactLocked() {
-	if s.journal == nil {
-		return
-	}
-	if s.journal.Len() > 4*len(s.jobs)+16 {
-		if err := s.compactLocked(); err != nil {
-			s.opts.Logger.Error("journal compact failed", "err", err)
-			s.metrics.journalErrors.Add(1)
-		}
-	}
 }
 
 // Start launches the worker pool. It is idempotent.
@@ -484,28 +242,23 @@ func (s *Server) Start() {
 }
 
 // beginDrainLocked starts the drain, once: submissions are refused from here
-// on, workers see the queue close, and retry backoffs wake. Callers hold mu.
+// on and workers see the queue close. Callers hold mu.
 func (s *Server) beginDrainLocked() {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.queue)
-		close(s.drainCh)
 	}
 }
 
 // Shutdown gracefully stops the server: no new submissions are accepted,
-// queued and running jobs are drained (jobs waiting in retry backoff are
-// failed), and when ctx expires before the drain completes the remaining
-// jobs are hard-cancelled (still waiting for them to unwind). The journal,
-// if any, is closed last. Safe to call more than once.
+// queued and running jobs are drained, and when ctx expires before the drain
+// completes the remaining jobs are hard-cancelled (still waiting for them to
+// unwind). Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.beginDrainLocked()
 	started := s.started
 	s.mu.Unlock()
 	if !started {
-		if s.journal != nil {
-			return s.journal.Close()
-		}
 		return nil
 	}
 	done := make(chan struct{})
@@ -523,11 +276,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	if s.journal != nil {
-		if cerr := s.journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 
@@ -543,12 +291,7 @@ func (s *Server) lookup(abbr string) (kernels.Profile, bool) {
 
 // submit registers and enqueues a job built from req. It returns the job,
 // or an error classified by the caller into an HTTP status: ErrQueueFull,
-// ErrShed, ErrDraining, ErrJournal, or a validation error.
-//
-// Ordering is write-ahead: the submitted record is committed to the journal
-// before the job becomes visible, so an accepted job always survives a
-// crash. Queue capacity is checked under the mutex first (all queue sends
-// hold it), which keeps the journal free of records for rejected jobs.
+// ErrShed, ErrDraining, or a validation error.
 func (s *Server) submit(req JobRequest) (*Job, error) {
 	pl, err := s.buildPlan(req)
 	if err != nil {
@@ -573,7 +316,7 @@ func (s *Server) submit(req JobRequest) (*Job, error) {
 	}
 	s.nextID++
 	job := &Job{
-		ID:          fmt.Sprintf("job-%d", s.nextID),
+		ID:          fmt.Sprintf("job-%s-%d", pl.digest, s.nextID),
 		Request:     req,
 		Status:      StatusQueued,
 		SubmittedAt: time.Now(),
@@ -586,11 +329,6 @@ func (s *Server) submit(req JobRequest) (*Job, error) {
 			Kind: telemetry.KindJobQueued, Wall: job.SubmittedAt.UnixNano(),
 			App: -1, SM: -1, Job: job.ID,
 		})
-	}
-	if err := s.appendJournalBounded(journal.OpSubmitted, job.ID, submittedData{Request: req}); err != nil {
-		s.nextID--
-		s.metrics.journalErrors.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	s.queue <- job
 	s.jobs[job.ID] = job
@@ -642,8 +380,7 @@ func (s *Server) cancelJob(id string) (found, canceled bool) {
 	}
 	switch job.Status {
 	case StatusQueued:
-		// The worker (or the retry requeue, if the job was in backoff) will
-		// observe the status and skip it.
+		// The worker will observe the status and skip it.
 		job.Status = StatusCanceled
 		job.Error = "canceled"
 		job.FinishedAt = time.Now()
@@ -653,10 +390,6 @@ func (s *Server) cancelJob(id string) (found, canceled bool) {
 			Kind: telemetry.KindJobDone, Wall: job.FinishedAt.UnixNano(),
 			App: -1, SM: -1, Job: job.ID, Note: string(StatusCanceled),
 		})
-		if err := s.appendJournalBounded(journal.OpCanceled, job.ID, nil); err != nil {
-			s.metrics.journalErrors.Add(1)
-			s.opts.Logger.Error("journal append canceled failed", "job", job.ID, "err", err)
-		}
 		return true, true
 	case StatusRunning:
 		job.cancel()
@@ -720,7 +453,7 @@ func (s *Server) Ready() error {
 	started, draining := s.started, s.draining.Load()
 	s.mu.Unlock()
 	if !started {
-		return fmt.Errorf("not started: journal replay or warm-up in progress")
+		return fmt.Errorf("not started")
 	}
 	if draining {
 		return fmt.Errorf("draining")

@@ -457,7 +457,6 @@ func TestSubmitStatusMapping(t *testing.T) {
 		{ErrQueueFull, http.StatusTooManyRequests},
 		{ErrShed, http.StatusTooManyRequests},
 		{ErrDraining, http.StatusServiceUnavailable},
-		{ErrJournal, http.StatusInternalServerError},
 		{fmt.Errorf("unknown kernel %q", "NOPE"), http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -619,7 +618,7 @@ func metricValue(t *testing.T, text, name string) float64 {
 }
 
 // TestMaxJobsEvictsOldestTerminal pins the in-memory record bound without a
-// journal or a worker pool: the server is never started, so every submission
+// worker pool: the server is never started, so every submission
 // stays queued until the test cancels it and nothing simulates. Beyond
 // MaxJobs the oldest terminal record goes first, queued records are never
 // evicted, and Views keeps submission order.

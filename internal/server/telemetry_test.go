@@ -124,8 +124,10 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if strings.Contains(text, "dased_journal_records") {
-		t.Error("journal gauge exposed without a journal configured")
+	for _, gone := range []string{"dased_journal_", "dased_job_retries_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("deleted family %s is exposed", gone)
+		}
 	}
 }
 
@@ -257,7 +259,7 @@ func TestCacheHitTraceIsLifecycleOnly(t *testing.T) {
 	var lifecycle, simEvents int
 	for _, e := range events {
 		switch e.Kind {
-		case telemetry.KindJobQueued, telemetry.KindJobStarted, telemetry.KindJobRetry, telemetry.KindJobDone:
+		case telemetry.KindJobQueued, telemetry.KindJobStarted, telemetry.KindJobDone:
 			lifecycle++
 		default:
 			simEvents++

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"dasesim/internal/config"
-	"dasesim/internal/faults"
 	"dasesim/internal/icnt"
 	"dasesim/internal/kernels"
 	"dasesim/internal/memreq"
@@ -382,9 +381,6 @@ func (g *GPU) RunContext(ctx context.Context, n uint64) error {
 	end := g.cycle + n
 	for g.cycle < end {
 		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := faults.FireCtx(ctx, "sim.step"); err != nil {
 			return err
 		}
 		chunk := end - g.cycle

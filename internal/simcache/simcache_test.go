@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"dasesim/internal/config"
-	"dasesim/internal/faults"
 	"dasesim/internal/kernels"
 	"dasesim/internal/sim"
 )
@@ -243,31 +242,6 @@ func TestPutOverwritesResident(t *testing.T) {
 	}
 	if st := m.Stats(); st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v, want 2 entries and 1 eviction", st)
-	}
-}
-
-func TestGetOrComputeFaultPoint(t *testing.T) {
-	reg := faults.New(1)
-	reg.Arm(faults.Spec{Point: "simcache.get", Mode: faults.ModeError, Count: 1})
-	faults.Activate(reg)
-	defer faults.Deactivate()
-
-	m := NewMemory(4)
-	_, err := m.GetOrCompute(context.Background(), "k", func() (*sim.Result, error) {
-		t.Error("compute ran past an injected fault")
-		return nil, nil
-	})
-	if !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("err = %v, want the injected fault", err)
-	}
-	if st := m.Stats(); st != (Stats{}) {
-		t.Fatalf("a faulted call reached the lookup: %+v", st)
-	}
-	r, err := m.GetOrCompute(context.Background(), "k", func() (*sim.Result, error) {
-		return &sim.Result{Cycles: 3}, nil
-	})
-	if err != nil || r.Cycles != 3 {
-		t.Fatalf("call after the fault spent: %v %+v", err, r)
 	}
 }
 

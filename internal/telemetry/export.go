@@ -210,7 +210,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	for i := range events {
 		e := &events[i]
 		switch e.Kind {
-		case KindJobQueued, KindJobStarted, KindJobRetry, KindJobDone:
+		case KindJobQueued, KindJobStarted, KindJobDone:
 			tid := jobTid[e.Job]
 			if tid == 0 {
 				tid = 1

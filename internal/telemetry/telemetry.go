@@ -47,7 +47,6 @@ const (
 	// (wall-clock timestamps in Wall).
 	KindJobQueued
 	KindJobStarted
-	KindJobRetry
 	KindJobDone
 	// KindFleetJob is one fleet-job lifecycle transition (fleet layer):
 	// Note carries the verb (arrive/place/done/reject/cancel), Job the job
@@ -74,7 +73,6 @@ var kindNames = map[Kind]string{
 	KindActual:        "slowdown.actual",
 	KindJobQueued:     "job.queued",
 	KindJobStarted:    "job.started",
-	KindJobRetry:      "job.retry",
 	KindJobDone:       "job.done",
 	KindFleetJob:      "fleet.job",
 	KindFleetInterval: "fleet.interval",
@@ -140,7 +138,7 @@ type Event struct {
 	Alloc     [MaxApps]int32
 	Realloc   bool
 
-	// Daemon lifecycle detail (KindJobStarted/KindJobRetry/KindJobDone).
+	// Daemon lifecycle detail (KindJobStarted/KindJobDone).
 	Attempt  int32
 	CacheHit bool
 

@@ -268,6 +268,7 @@ func TestReadNDJSONStrictRejects(t *testing.T) {
 		{"retired span id", `{"kind":"job.queued","seq":1,"app":-1,"sm":-1,"span_id":"00000000000000ab"}`, "span_id"},
 		{"retired parent id", `{"kind":"job.queued","seq":1,"app":-1,"sm":-1,"parent_id":"00000000000000ab"}`, "parent_id"},
 		{"retired kind", `{"kind":"cluster.rpc","seq":1,"app":-1,"sm":-1}`, "unknown event kind"},
+		{"retired job retry", `{"kind":"job.retry","seq":1,"app":-1,"sm":-1}`, "unknown event kind"},
 		{"not json", `garbage`, "line 2"},
 	}
 	for _, c := range cases {

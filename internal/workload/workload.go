@@ -96,18 +96,18 @@ func RandomPairs(n int, seed uint64) []Combo {
 }
 
 // Baseline supplies alone-run results for slowdown ground truth; AloneCache
-// (in-memory) and DiskCache (persistent) implement it. Get aborts the
-// backing simulation once ctx is done, so an aborted batch stops simulating
-// alone baselines too.
+// implements it. Get aborts the backing simulation once ctx is done, so an
+// aborted batch stops simulating alone baselines too.
 type Baseline interface {
 	Get(ctx context.Context, p kernels.Profile) (*sim.Result, error)
 }
 
 // AloneCache memoises alone-run results per kernel so the 105 pair
-// evaluations reuse the 15 alone baselines. It keeps them in a private
-// content-addressed simcache store (keys cover the full profile, GPU
-// configuration, budget and seed). It is safe for concurrent use, and
-// concurrent requests for the same kernel simulate it only once.
+// evaluations reuse the 15 alone baselines. It keeps them in a
+// content-addressed simcache store under AloneKey (which covers the full
+// profile, GPU configuration, budget and seed), in memory or, opened on a
+// directory, also on disk. It is safe for concurrent use, and concurrent
+// requests for the same kernel simulate it only once.
 type AloneCache struct {
 	cfg    config.Config
 	cycles uint64
@@ -115,16 +115,32 @@ type AloneCache struct {
 	store  *simcache.Memory
 }
 
-// NewAloneCache builds a cache running alone simulations with the given
-// budget.
+// NewAloneCache builds an in-memory cache running alone simulations with
+// the given budget.
 func NewAloneCache(cfg config.Config, cycles uint64, seed uint64) *AloneCache {
 	return &AloneCache{cfg: cfg, cycles: cycles, seed: seed, store: simcache.NewMemory(0)}
+}
+
+// OpenAloneCache is NewAloneCache backed by dir when dir is not empty: each
+// baseline is one file per AloneKey (simcache.NewDir), so it survives across
+// runs and is a hit for every process using dir, dased -cache-dir included.
+func OpenAloneCache(cfg config.Config, cycles uint64, seed uint64, dir string) (*AloneCache, error) {
+	c := NewAloneCache(cfg, cycles, seed)
+	if dir == "" {
+		return c, nil
+	}
+	store, err := simcache.NewDir(0, dir)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	c.store = store
+	return c, nil
 }
 
 // AloneKey is the content address of a kernel's alone run on all SMs; the
 // full profile is hashed, so WithMemFrac sweeps (Fig. 3) and custom kernels
 // coexist. Exported so the dased server addresses the alone runs in its own
-// job cache the same way.
+// job cache the same way, and a shared cache directory serves both.
 func AloneKey(cfg config.Config, p kernels.Profile, cycles, seed uint64) string {
 	return simcache.Key(cfg, []kernels.Profile{p}, []int{cfg.NumSMs}, cycles, seed, "alone")
 }

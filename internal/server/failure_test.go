@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,23 +48,86 @@ func TestPanicFailsJobOnce(t *testing.T) {
 	}
 }
 
-// TestDeadlineOverrunTimesOut: a simulation that never returns on its own
-// is cut off by the job deadline and fails with a timeout instead of
-// hanging the worker.
+// TestDeadlineOverrunTimesOut: a job whose work overruns its deadline fails
+// with a timeout instead of hanging its worker, wherever the overrun
+// happens: in the worker's simulation call (server.worker), in the real
+// simulation's step loop (sim.step), or while waiting in the result cache on
+// another job's in-flight simulation of the same key (simcache.get).
 func TestDeadlineOverrunTimesOut(t *testing.T) {
-	s := newIdleServer(t, Options{Workers: 1})
-	s.simulate = func(ctx context.Context, _ plan, _ *telemetry.Tracer) (*sim.Result, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
+	cases := []struct {
+		name   string
+		cycles uint64
+		// overrun starts s so that a job for req with a 100ms deadline
+		// overruns it, and returns a function to call once that job is
+		// terminal.
+		overrun func(t *testing.T, s *Server, req JobRequest) (release func())
+	}{
+		{"server.worker", testCycles, func(t *testing.T, s *Server, _ JobRequest) func() {
+			s.simulate = func(ctx context.Context, _ plan, _ *telemetry.Tracer) (*sim.Result, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			s.Start()
+			return func() {}
+		}},
+		{"sim.step", 1_000_000_000, func(t *testing.T, s *Server, _ JobRequest) func() {
+			s.Start()
+			return func() {}
+		}},
+		{"simcache.get", testCycles, func(t *testing.T, s *Server, req JobRequest) func() {
+			real := s.simulate
+			unblock := make(chan struct{})
+			var calls atomic.Int32
+			s.simulate = func(ctx context.Context, p plan, tr *telemetry.Tracer) (*sim.Result, error) {
+				calls.Add(1)
+				select {
+				case <-unblock:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+				return real(ctx, p, tr)
+			}
+			s.Start()
+			// The first job holds the key's flight; the timed job waits on it.
+			holder, err := s.submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for calls.Load() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("holder job never started simulating")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			return func() {
+				if n := calls.Load(); n != 1 {
+					t.Errorf("simulate ran %d times, want 1: the timed job must wait on the flight", n)
+				}
+				close(unblock)
+				if v := awaitTerminal(t, s, holder.ID); v.Status != StatusDone {
+					t.Errorf("holder job: status=%s error=%q, want done", v.Status, v.Error)
+				}
+			}
+		}},
 	}
-	s.Start()
-	start := time.Now()
-	v := submitAndWait(t, s, JobRequest{Kernels: []string{"SB", "SD"}, Cycles: testCycles, TimeoutMS: 100})
-	if v.Status != StatusFailed || !strings.Contains(v.Error, "timeout") {
-		t.Fatalf("status=%s error=%q, want timeout", v.Status, v.Error)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("deadline overrun took %v — effectively hung", elapsed)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newIdleServer(t, Options{Workers: 2, MaxCycles: 2_000_000_000})
+			req := JobRequest{Kernels: []string{"SB", "SD"}, Cycles: tc.cycles}
+			release := tc.overrun(t, s, req)
+			timed := req
+			timed.TimeoutMS = 100
+			start := time.Now()
+			v := submitAndWait(t, s, timed)
+			if v.Status != StatusFailed || !strings.Contains(v.Error, "timeout") {
+				t.Fatalf("status=%s error=%q, want timeout", v.Status, v.Error)
+			}
+			if elapsed := time.Since(start); elapsed > 30*time.Second {
+				t.Fatalf("deadline overrun took %v — effectively hung", elapsed)
+			}
+			release()
+		})
 	}
 }
 

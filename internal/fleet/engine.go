@@ -20,8 +20,13 @@ import (
 //
 // What Interval returns may be engine-owned: it is valid until the next
 // Interval call for the same gpu, and results for different GPUs never alias.
-// An engine value serves one Fleet, which calls it sequentially and consumes
-// each result before asking that GPU again.
+// An engine value serves one Fleet, which consumes each result before asking
+// that GPU again. Within one tick the Fleet calls a *SimEngine for different
+// GPUs concurrently, since each call is a fresh simulation sharing nothing
+// with the others and costs milliseconds. Every other engine is called
+// sequentially in GPU order: ModelEngine's interval costs about a microsecond
+// and grows its per-GPU buffers lazily, and a wrapping engine (one that counts
+// or times calls) need not be safe for concurrent use.
 type Engine interface {
 	Name() string
 	// Interval simulates intervalCycles of the given co-schedule. profiles

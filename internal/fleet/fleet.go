@@ -20,6 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"dasesim/internal/config"
 	"dasesim/internal/core"
@@ -601,24 +604,80 @@ func clampToMinimums(alloc []int, jobs []*job, total int) {
 // execute runs the ground-truth engine for every busy GPU, advances job
 // progress, and refreshes each job's DASE slowdown estimate from the real
 // interval counters (the signal the next repartition and the telemetry
-// consume).
+// consume). The cycle engine's intervals run concurrently first (see
+// simIntervals); every other engine is called in the fold itself. The fold
+// walks the GPUs in order and stops at the first error, so state and error
+// are those of one sequential pass either way.
 func (f *Fleet) execute() error {
-	for _, g := range f.gpus {
+	var ahead []intervalResult
+	if e, ok := f.cfg.Engine.(*SimEngine); ok {
+		ahead = f.simIntervals(e)
+	}
+	for gi, g := range f.gpus {
 		if len(g.jobs) == 0 {
 			continue
 		}
-		snap, instr, err := f.cfg.Engine.Interval(g.id, g.epoch, g.profiles, g.alloc, f.cfg.Seed, f.cfg.IntervalCycles)
-		if err != nil {
-			return err
+		var r intervalResult
+		if ahead != nil {
+			r = ahead[gi]
+		} else {
+			r.snap, r.instr, r.err = f.cfg.Engine.Interval(g.id, g.epoch, g.profiles, g.alloc, f.cfg.Seed, f.cfg.IntervalCycles)
+		}
+		if r.err != nil {
+			return r.err
 		}
 		g.epoch++
-		g.estScratch = f.est.EstimateDetailedInto(snap, g.estScratch)
+		g.estScratch = f.est.EstimateDetailedInto(r.snap, g.estScratch)
 		for i, j := range g.jobs {
-			j.done += instr[i]
+			j.done += r.instr[i]
 			j.estSlow = g.estScratch[i].Slowdown
 		}
 	}
 	return nil
+}
+
+// intervalResult is what one GPU's Engine.Interval returned.
+type intervalResult struct {
+	snap  *sim.IntervalSnapshot
+	instr []uint64
+	err   error
+}
+
+// simIntervals runs the interval of every busy GPU on the cycle engine, on
+// min(GOMAXPROCS, busy GPUs) goroutines that take GPU indices from a shared
+// counter, and returns the results indexed by GPU. The runs are independent:
+// each is seeded per (fleet seed, gpu, epoch), reads only its own GPU's
+// kernels and partition, and returns fresh results, so the order they finish
+// in cannot reach the fold. Nothing is written to the fleet until all have
+// returned.
+func (f *Fleet) simIntervals(e *SimEngine) []intervalResult {
+	busy := 0
+	for _, g := range f.gpus {
+		if len(g.jobs) > 0 {
+			busy++
+		}
+	}
+	out := make([]intervalResult, len(f.gpus))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), busy) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				gi := int(next.Add(1)) - 1
+				if gi >= len(f.gpus) {
+					return
+				}
+				if g := f.gpus[gi]; len(g.jobs) > 0 {
+					r := &out[gi]
+					r.snap, r.instr, r.err = e.Interval(g.id, g.epoch, g.profiles, g.alloc, f.cfg.Seed, f.cfg.IntervalCycles)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // finishJobs retires every job whose work budget is met. A GPU's parallel

@@ -8,6 +8,7 @@
 //
 //	experiments -run all
 //	experiments -run fig5,fig9 -cycles 500000
+//	experiments -run ablation
 //	experiments -list
 package main
 
@@ -32,6 +33,7 @@ var order = []string{
 	"fig2a", "fig2b", "fig3", "fig4",
 	"fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9",
 	"extA", "extB", "extC", "extD", "extE", "extF", "extG",
+	"ablation",
 }
 
 func main() {
@@ -253,6 +255,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if rows, err = experiments.ExtTemporal(p, cache); err == nil {
 				record(name, rows)
 				fmt.Fprintln(stdout, experiments.RenderExtTemporal(rows))
+			}
+		case "ablation":
+			var rows []experiments.AblationRow
+			var tab *experiments.Table
+			if rows, tab, err = experiments.Ablation(p, cache); err == nil {
+				record(name, rows)
+				fmt.Fprintln(stdout, tab)
 			}
 		}
 		if err != nil {

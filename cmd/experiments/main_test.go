@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dasesim/internal/experiments"
 )
 
 // testdata/run.golden and testdata/run.json are the exact stdout and -json
@@ -59,21 +62,37 @@ func TestRunListAndErrors(t *testing.T) {
 		t.Errorf("-list printed:\n%s\nwant:\n%s", stdout.String(), want)
 	}
 
-	file := filepath.Join(t.TempDir(), "file")
+	if all, err := selectExperiments("all"); err != nil || len(all) != len(order) || !all["ablation"] {
+		t.Errorf("-run all selects %v (%v), want every experiment, the ablation included", all, err)
+	}
+
+	dir := t.TempDir()
+	file, jsonPath := filepath.Join(dir, "file"), filepath.Join(dir, "out.json")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		args []string
-		want []string
+		want []string // substrings of the error; none for a run that succeeds
 	}{
 		// A typo used to run nothing and exit 0.
 		{[]string{"-run", "tableII,fig99"}, []string{`unknown experiment "fig99"`, strings.Join(order, ", ")}},
+		{[]string{"-run", "ablations"}, []string{`unknown experiment "ablations"`}},
 		{[]string{"-bogus"}, []string{"-bogus"}},
 		{[]string{"-run", "tableII", "-cache-dir", filepath.Join(file, "cache")}, []string{"cache dir"}},
+		// The ablation is a name like any other, and -json holds its rows.
+		{[]string{"-run", "ablation", "-cycles", "10000", "-pairs", "1", "-json", jsonPath}, nil},
 	} {
 		stdout.Reset()
 		err := run(tc.args, &stdout, io.Discard)
+		if tc.want == nil {
+			var out map[string][]experiments.AblationRow
+			data, rerr := os.ReadFile(jsonPath)
+			if err != nil || rerr != nil || json.Unmarshal(data, &out) != nil || len(out["ablation"]) != 12 {
+				t.Errorf("run %q = %v: -json holds %s, want the 12 ablation rows", tc.args, err, data)
+			}
+			continue
+		}
 		for _, w := range tc.want {
 			if err == nil || !strings.Contains(err.Error(), w) {
 				t.Errorf("run %q = %v, want an error containing %q", tc.args, err, w)

@@ -5,8 +5,8 @@
 // Applications" (ICPP 2016).
 //
 // The root package declares nothing. It holds the module's end-to-end tests:
-// the paper's demos (Example_quickstart … Example_fleet), the determinism
-// goldens and the ablation benchmarks. The work is done under internal/:
+// the paper's demos (Example_quickstart … Example_fleet) and the determinism
+// goldens. The work is done under internal/:
 //
 //   - config: a GTX 480-like GPU (Table II) and its JSON form;
 //   - kernels: the 15 synthetic kernels calibrated to Table III;

@@ -96,7 +96,7 @@ type MemConfig struct {
 	// TREFI/TRFC enable periodic all-bank refresh when both are nonzero:
 	// every TREFI cycles the controller stalls all banks for TRFC cycles
 	// and closes every row. The paper's Table II lists no refresh timing,
-	// so the default leaves refresh off; see BenchmarkAblationRefresh.
+	// so the default leaves refresh off; the ablation experiment prices it.
 	TREFI uint64
 	TRFC  uint64
 

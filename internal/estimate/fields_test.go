@@ -27,13 +27,13 @@ var (
 	realErr   error
 )
 
-// realSnapshots returns the interval snapshots of two short even-split
-// runs: the memory-bound SB+SD pair and the compute-leaning CT+QR+SN+BG
-// quad.
+// realSnapshots returns the interval snapshots of three short even-split
+// runs: the memory-bound SB+SD pair, the compute-leaning CT+QR+SN+BG quad,
+// and CS+SA, in which DASE classes SA as bandwidth-bound (MBB).
 func realSnapshots(t *testing.T) []sim.IntervalSnapshot {
 	t.Helper()
 	realOnce.Do(func() {
-		for _, mix := range [][]string{{"SB", "SD"}, {"CT", "QR", "SN", "BG"}} {
+		for _, mix := range [][]string{{"SB", "SD"}, {"CT", "QR", "SN", "BG"}, {"CS", "SA"}} {
 			var ps []kernels.Profile
 			for _, abbr := range mix {
 				p, _ := kernels.ByAbbr(abbr)
@@ -249,10 +249,12 @@ var interferenceTerms = []struct {
 // intervals, in process and through the service: permuting the apps
 // permutes the slowdowns; doubling the interval and every extensive counter
 // leaves them bit-identical; the estimated unfairness is at least 1, with
-// equality exactly when all slowdowns are equal; an app whose interference
-// counters are all zero is estimated at Eq. 23's scaling term alone
-// (scalingOnly); and an app's slowdown is monotone in each interference
-// term, the others held fixed.
+// equality exactly when all slowdowns are equal; an app that is not
+// bandwidth-bound and whose interference counters are all zero is
+// estimated at Eq. 23's scaling term alone (scalingOnly); and an app's
+// slowdown is monotone in each interference term, the others held fixed.
+// For an MBB app, monotonicity in ellc_miss is also checked across the
+// crossing onto the NMBB path.
 func TestDASEMetamorphic(t *testing.T) {
 	dase := core.New(core.Options{})
 	svc := NewService(Options{})
@@ -266,6 +268,7 @@ func TestDASEMetamorphic(t *testing.T) {
 		{"service", func(s *sim.IntervalSnapshot) ([]float64, float64) { return served(t, svc, sc, s) }},
 	}
 	snaps := realSnapshots(t)
+	scaled, crossed := 0, 0
 	for si := range snaps {
 		snap := &snaps[si]
 		n := len(snap.Apps)
@@ -319,17 +322,43 @@ func TestDASEMetamorphic(t *testing.T) {
 			if slices.Min(sslow) != slices.Max(sslow) || sunf != 1 {
 				t.Errorf("%s, snapshot %d: identical apps estimated %v, unfairness %v", p.name, si, sslow, sunf)
 			}
+			mbb := dase.EstimateDetailed(snap)
 			for i := range snap.Apps {
-				quiet := slices.Clone(snap.Apps)
-				quiet[i].BLPBlocked, quiet[i].ERBMiss, quiet[i].ELLCMiss = 0, 0, 0
-				qsnap := withApps(snap, quiet)
-				if dase.EstimateDetailed(qsnap)[i].MBB {
-					t.Fatalf("snapshot %d app %d: bandwidth-bound, where Eq. 23 does not apply", si, i)
-				}
-				qslow, _ := p.estimate(qsnap)
-				if want := scalingOnly(qsnap, &quiet[i]); math.Abs(qslow[i]-want) > 1e-12*want {
-					t.Errorf("%s, snapshot %d: app %d without interference estimated %v, want the scaling term %v",
-						p.name, si, i, qslow[i], want)
+				if mbb[i].MBB {
+					// A larger ellc_miss lowers Eq. 17's request count until
+					// the app leaves the MBB class; the estimate must not
+					// fall on the way, nor at the crossing.
+					a, prev, left := &snap.Apps[i], slow[i], false
+					for e := a.ELLCMiss; e <= float64(a.Served); e += float64(a.Served) / 64 {
+						moved := slices.Clone(snap.Apps)
+						moved[i].ELLCMiss = e
+						msnap := withApps(snap, moved)
+						mslow, _ := p.estimate(msnap)
+						if mslow[i] < prev {
+							t.Errorf("%s, snapshot %d: MBB app %d's slowdown fell %v -> %v at ellc_miss %v",
+								p.name, si, i, prev, mslow[i], e)
+						}
+						prev = mslow[i]
+						left = left || !dase.EstimateDetailed(msnap)[i].MBB
+					}
+					if !left {
+						t.Errorf("%s, snapshot %d: app %d never left the MBB class", p.name, si, i)
+					}
+					crossed++
+				} else {
+					// Eq. 23 applies to NMBB apps only.
+					quiet := slices.Clone(snap.Apps)
+					quiet[i].BLPBlocked, quiet[i].ERBMiss, quiet[i].ELLCMiss = 0, 0, 0
+					qsnap := withApps(snap, quiet)
+					if dase.EstimateDetailed(qsnap)[i].MBB {
+						t.Fatalf("snapshot %d app %d: bandwidth-bound without interference, where Eq. 23 does not apply", si, i)
+					}
+					qslow, _ := p.estimate(qsnap)
+					if want := scalingOnly(qsnap, &quiet[i]); math.Abs(qslow[i]-want) > 1e-12*want {
+						t.Errorf("%s, snapshot %d: app %d without interference estimated %v, want the scaling term %v",
+							p.name, si, i, qslow[i], want)
+					}
+					scaled++
 				}
 				for _, term := range interferenceTerms {
 					for _, step := range []struct{ k, off float64 }{{0, 0}, {0.5, 0}, {1.5, 10}, {4, 100}, {64, 1000}} {
@@ -344,5 +373,8 @@ func TestDASEMetamorphic(t *testing.T) {
 				}
 			}
 		}
+	}
+	if scaled == 0 || crossed == 0 {
+		t.Errorf("the scaling term was checked on %d apps and the MBB crossing on %d: want both", scaled, crossed)
 	}
 }

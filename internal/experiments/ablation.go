@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"dasesim/internal/config"
 	"dasesim/internal/core"
+	"dasesim/internal/kernels"
+	"dasesim/internal/metrics"
+	"dasesim/internal/sim"
 	"dasesim/internal/workload"
 )
 
@@ -88,4 +92,127 @@ func ExtRequestMaxFactor(p Params, cache workload.Baseline) ([]SensitivityRow, e
 	}
 	rows = append(rows, SensitivityRow{Label: "dynamic (default)", MeanError: acc.MeanError["DASE"]})
 	return rows, nil
+}
+
+// AblationRow is one design element of DASE or of the simulated substrate
+// changed on its own: the metric it moves, with the element changed and at
+// the repository default.
+type AblationRow struct {
+	Variant string
+	Metric  string
+	Changed float64
+	Default float64
+}
+
+// vaCTUnfairness is the one ablation metric that is a ratio, not a share.
+const vaCTUnfairness = "VA+CT unfairness"
+
+// ablationOptions are the DASE variants of the ablation (DESIGN.md §5), one
+// design element changed each; the first is the reference.
+var ablationOptions = []struct {
+	label string
+	opt   core.Options
+}{
+	{"full DASE (reference)", core.Options{}},
+	{"without BLP normalisation (Eq. 14)", core.Options{DisableBLPNormalization: true}},
+	{"without alpha discount (Eq. 15)", core.Options{DisableAlphaDiscount: true}},
+	{"without scaling caps (Eqs. 24/25)", core.Options{DisableScalingCaps: true}},
+	{"literal Eq. 9 bank term (BLP-BLPAccess)", core.Options{LiteralBankInterference: true}},
+	{"static Requestmax (Eq. 20, 0.6)", core.Options{StaticRequestMax: true}},
+	{"forced all-NMBB classification", core.Options{ForceClass: core.ForceNMBB}},
+	{"forced all-MBB classification", core.Options{ForceClass: core.ForceMBB}},
+}
+
+// namedDASE is DASE under one set of options, named after its ablation row,
+// so that every variant is scored on the same shared runs.
+type namedDASE struct {
+	*core.DASE
+	name string
+}
+
+func (d namedDASE) Name() string { return d.name }
+
+// Ablation measures what each design element contributes, and returns the
+// rows with their table. The eight DASE variants are scored on one set of
+// shared runs, the reduced Fig. 5 pair set (p.PairSample random pairs, even
+// split). The four substrate rows change the simulated GPU: DRAM refresh
+// and the writeback L2 move SB's alone bandwidth, the app-aware round-robin
+// memory scheduler moves the unfairness of VA+CT (the Fig. 2 cache-victim
+// pair), and an unsampled ATD moves DASE's error on VA+CT.
+func Ablation(p Params, cache workload.Baseline) ([]AblationRow, *Table, error) {
+	ests := make([]core.Estimator, len(ablationOptions))
+	for i, v := range ablationOptions {
+		ests[i] = namedDASE{core.New(v.opt), v.label}
+	}
+	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), cache)
+	if err != nil {
+		return nil, nil, err
+	}
+	ref := acc.MeanError[ablationOptions[0].label]
+	rows := make([]AblationRow, 0, len(ablationOptions)+4)
+	for _, v := range ablationOptions {
+		rows = append(rows, AblationRow{v.label, "DASE mean error, pairs", acc.MeanError[v.label], ref})
+	}
+
+	refresh, writeback, rr, atd := p.Cfg, p.Cfg, p.Cfg, p.Cfg
+	refresh.Mem.TREFI, refresh.Mem.TRFC = 5460, 224 // ~3.9 us and ~160 ns at 1.4 GHz
+	writeback.L2.Writeback = true
+	rr.Mem.AppAwareRR = true
+	atd.ATDSampledSets = atd.L2.Sets()
+
+	ctx := context.TODO()
+	sb, _ := kernels.ByAbbr("SB")
+	sbAlone, err := cache.Get(ctx, sb)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, sub := range []struct {
+		label string
+		cfg   config.Config
+	}{{"DRAM refresh (tREFI 5460, tRFC 224)", refresh}, {"writeback L2", writeback}} {
+		res, err := sim.RunAloneContext(ctx, sub.cfg, sb, p.SharedCycles, p.Seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, AblationRow{sub.label, "SB alone bandwidth", res.Apps[0].BWUtil, sbAlone.Apps[0].BWUtil})
+	}
+
+	// VA+CT at the defaults, then under rr and atd (each with alone runs
+	// of its own), with DASE at its defaults.
+	combos, err := pairCombos([][2]string{{"VA", "CT"}})
+	if err != nil {
+		return nil, nil, err
+	}
+	job := evenJobs(p.Cfg.NumSMs, combos)[0]
+	var vaCT [3]*workload.Eval
+	for i, cfg := range []config.Config{p.Cfg, rr, atd} {
+		q, alone := p, cache
+		q.Cfg = cfg
+		if i > 0 {
+			alone = workload.NewAloneCache(cfg, p.SharedCycles, p.Seed)
+		}
+		if vaCT[i], err = workload.Evaluate(ctx, q.evalOptions(core.New(core.Options{})), job, alone); err != nil {
+			return nil, nil, err
+		}
+	}
+	rows = append(rows,
+		AblationRow{"app-aware RR memory scheduler", vaCTUnfairness, vaCT[1].Unfairness, vaCT[0].Unfairness},
+		AblationRow{"full (unsampled) ATD", "VA+CT DASE error", metrics.Mean(vaCT[2].Errors["DASE"]), metrics.Mean(vaCT[0].Errors["DASE"])})
+	return rows, renderAblation(rows), nil
+}
+
+func renderAblation(rows []AblationRow) *Table {
+	t := &Table{
+		Title:   "Ablation — one design element changed at a time",
+		Columns: []string{"variant", "metric", "changed", "default"},
+	}
+	for _, r := range rows {
+		format := pct
+		if r.Metric == vaCTUnfairness {
+			format = f2
+		}
+		t.Rows = append(t.Rows, []string{r.Variant, r.Metric, format(r.Changed), format(r.Default)})
+	}
+	t.Notes = append(t.Notes, "pairs: the random pairs of the sensitivity studies, even split; every DASE variant is scored on the same shared runs")
+	return t
 }

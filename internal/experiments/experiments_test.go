@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dasesim/internal/core"
 	"dasesim/internal/kernels"
 	"dasesim/internal/workload"
 )
@@ -106,11 +107,15 @@ func TestTableIIMentionsKeyParameters(t *testing.T) {
 	}
 }
 
+// TestTableIMatchesPaperBound pins Table I against its golden. It is pure
+// arithmetic, so it runs under -short too.
 func TestTableIMatchesPaperBound(t *testing.T) {
-	s := TableI(DefaultParams(), 4).String()
-	if !strings.Contains(s, "0.32 KB") {
+	p := DefaultParams()
+	tab := TableI(p, 4)
+	if s := tab.String(); !strings.Contains(s, "0.32 KB") {
 		t.Errorf("Table I cost changed:\n%s", s)
 	}
+	checkGolden(t, "tableI", tab, core.HardwareCost(4, p.Cfg.Mem.NumBanks, p.Cfg.ATDSampledSets, p.Cfg.L2.Assoc, p.Cfg.NumSMs))
 }
 
 func TestFig2PairsAreKnownKernels(t *testing.T) {

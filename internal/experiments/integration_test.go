@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"dasesim/internal/workload"
@@ -158,6 +159,7 @@ func TestTableIIIIntegration(t *testing.T) {
 			t.Errorf("%s measured %.3f vs paper %.3f (out of band)", r.Abbr, r.MeasBW, r.PaperBW)
 		}
 	}
+	checkGolden(t, "tableIII", RenderTableIII(rows), rows)
 }
 
 func TestExtSchedulersIntegration(t *testing.T) {
@@ -263,20 +265,77 @@ func TestExtTemporalIntegration(t *testing.T) {
 	}
 }
 
-func TestFig6Integration(t *testing.T) {
+// reduced holds the reduced Fig. 5 and Fig. 6 results, simulated once for
+// the Fig. 5, 6 and 7 goldens and the ablation's cross-check.
+var reduced struct {
+	once       sync.Once
+	fig5, fig6 *AccuracyResult
+	err        error
+}
+
+// reducedAccuracy returns Fig. 5's accuracy evaluation on the reduced pair
+// set (all 105 pairs take minutes) and Fig. 6's on the reduced quads.
+func reducedAccuracy(t *testing.T) (fig5, fig6 *AccuracyResult) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	res, err := Fig6(p, cache)
-	if err != nil {
-		t.Fatal(err)
+	reduced.once.Do(func() {
+		p := tinyParams()
+		cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+		pairs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed))
+		if reduced.fig5, reduced.err = accuracy(p.accuracyOptions(), pairs, cache); reduced.err == nil {
+			reduced.fig6, reduced.err = Fig6(p, cache)
+		}
+	})
+	if reduced.err != nil {
+		t.Fatal(reduced.err)
 	}
-	if len(res.Evals) != p.QuadCount {
+	return reduced.fig5, reduced.fig6
+}
+
+func TestFig5Integration(t *testing.T) {
+	res, _ := reducedAccuracy(t)
+	if len(res.Evals) != tinyParams().PairSample {
+		t.Fatalf("evals = %d", len(res.Evals))
+	}
+	checkGolden(t, "fig5", res.Render("Fig.5"), res.MeanError)
+}
+
+func TestFig6Integration(t *testing.T) {
+	_, res := reducedAccuracy(t)
+	if len(res.Evals) != tinyParams().QuadCount {
 		t.Fatalf("evals = %d", len(res.Evals))
 	}
 	checkGolden(t, "fig6", res.Render("Fig.6"), res.MeanError)
+}
+
+func TestFig7Integration(t *testing.T) {
+	res := Fig7(reducedAccuracy(t))
+	checkGolden(t, "fig7", res.Render(), res)
+}
+
+func TestAblationIntegration(t *testing.T) {
+	fig5, _ := reducedAccuracy(t)
+	p := tinyParams()
+	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+	rows, tab, err := Ablation(p, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(ablationOptions)+4 {
+		t.Fatalf("rows = %d, want %d", len(rows), len(ablationOptions)+4)
+	}
+	// Every DASE variant reads the shared runs Fig. 5's DASE column reads.
+	if ref := fig5.MeanError["DASE"]; rows[0].Changed != ref {
+		t.Errorf("reference error %v, Fig. 5's DASE on the same pairs %v", rows[0].Changed, ref)
+	}
+	for _, r := range rows[:len(ablationOptions)] {
+		if r.Default != rows[0].Changed {
+			t.Errorf("%s: default %v, want the reference's %v", r.Variant, r.Default, rows[0].Changed)
+		}
+	}
+	checkGolden(t, "ablation", tab, rows)
 }
 
 func TestFig8Integration(t *testing.T) {

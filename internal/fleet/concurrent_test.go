@@ -8,6 +8,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"dasesim/internal/config"
+	"dasesim/internal/kernels"
 )
 
 // seqEngine hides a *SimEngine behind another type, so the fleet calls it
@@ -146,5 +149,17 @@ func TestSimIntervalsMatchSequential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSimEngineZeroInterval: a zero-cycle interval is refused before the
+// run, so the error names the missing snapshot even where the simulation
+// itself would have failed first (here, on an allocation of 17 SMs).
+func TestSimEngineZeroInterval(t *testing.T) {
+	ct, _ := kernels.ByAbbr("CT")
+	e := &SimEngine{Cfg: config.Default()}
+	_, _, err := e.Interval(1, 2, []kernels.Profile{ct}, []int{e.Cfg.NumSMs + 1}, 1, 0)
+	if want := "fleet: gpu 1 epoch 2: run produced no snapshots"; err == nil || err.Error() != want {
+		t.Fatalf("Interval with 0 cycles = %v, want %q", err, want)
 	}
 }

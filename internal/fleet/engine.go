@@ -64,14 +64,15 @@ type SimEngine struct {
 // Name implements Engine.
 func (e *SimEngine) Name() string { return "sim" }
 
-// Interval implements Engine.
+// Interval implements Engine. A zero-cycle interval, the one run that ends
+// without a snapshot, is refused before anything is simulated.
 func (e *SimEngine) Interval(gpu, epoch int, profiles []kernels.Profile, alloc []int, seed, intervalCycles uint64) (*sim.IntervalSnapshot, []uint64, error) {
+	if intervalCycles == 0 {
+		return nil, nil, fmt.Errorf("fleet: gpu %d epoch %d: run produced no snapshots", gpu, epoch)
+	}
 	res, err := sim.RunShared(e.Cfg, profiles, alloc, intervalCycles, engineSeed(seed, gpu, epoch))
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: gpu %d epoch %d: %w", gpu, epoch, err)
-	}
-	if len(res.Snapshots) == 0 {
-		return nil, nil, fmt.Errorf("fleet: gpu %d epoch %d: run produced no snapshots", gpu, epoch)
 	}
 	snap := res.Snapshots[len(res.Snapshots)-1]
 	instr := make([]uint64, len(res.Apps))

@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var pol sched.Policy = sched.Even{}
+	var pol sched.Policy // nil: the static split
 	var fair *sched.DASEFair
 	switch *policy {
 	case "even":
@@ -234,7 +234,7 @@ func writeCSV(w io.Writer, snaps []sim.IntervalSnapshot) error {
 func reportMultiSeed(w io.Writer, cfg config.Config, profiles []kernels.Profile, alloc []int, cycles, seed uint64, n int, policy string) error {
 	slow := make([][]float64, len(profiles))
 	for s := uint64(0); s < uint64(n); s++ {
-		var pol sched.Policy = sched.Even{}
+		var pol sched.Policy
 		if policy == "fair" {
 			pol = sched.NewDASEFair()
 		}

@@ -58,11 +58,11 @@ func TestRunListAndErrors(t *testing.T) {
 	if err := run([]string{"-list"}, &stdout, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if want := strings.Join(order, "\n") + "\n"; stdout.String() != want {
+	if want := strings.Join(names(), "\n") + "\n"; stdout.String() != want {
 		t.Errorf("-list printed:\n%s\nwant:\n%s", stdout.String(), want)
 	}
 
-	if all, err := selectExperiments("all"); err != nil || len(all) != len(order) || !all["ablation"] {
+	if all, err := selectExperiments("all"); err != nil || len(all) != len(names()) || !all["ablation"] {
 		t.Errorf("-run all selects %v (%v), want every experiment, the ablation included", all, err)
 	}
 
@@ -76,7 +76,7 @@ func TestRunListAndErrors(t *testing.T) {
 		want []string // substrings of the error; none for a run that succeeds
 	}{
 		// A typo used to run nothing and exit 0.
-		{[]string{"-run", "tableII,fig99"}, []string{`unknown experiment "fig99"`, strings.Join(order, ", ")}},
+		{[]string{"-run", "tableII,fig99"}, []string{`unknown experiment "fig99"`, strings.Join(names(), ", ")}},
 		{[]string{"-run", "ablations"}, []string{`unknown experiment "ablations"`}},
 		{[]string{"-bogus"}, []string{"-bogus"}},
 		{[]string{"-run", "tableII", "-cache-dir", filepath.Join(file, "cache")}, []string{"cache dir"}},

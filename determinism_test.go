@@ -59,8 +59,8 @@ type detCase struct {
 	alloc  []int
 	cycles uint64
 	seed   uint64
-	// opts is appended to each run's sim options; TestInvariantChecksGolden
-	// reuses the cases with WithInvariantChecks added here.
+	// opts is appended to each run's sim options; scenarioRuns adds the
+	// invariant sweep and the tracer here for a scenario's second run.
 	opts []sim.Option
 	run  func(t *testing.T, c detCase) *sim.Result
 }
@@ -202,73 +202,94 @@ func detCases() []detCase {
 	}
 }
 
-// TestInvariantChecksGolden reruns every determinism scenario with the
-// runtime invariant checker enabled and requires the recorded golden
-// fingerprint: the sweep must pass on every state the scenarios reach AND
-// must not perturb the simulation by a single byte.
+// detRuns are one scenario's two runs: the first plain, the second with
+// the invariant sweep and the event tracer on. The three determinism tests
+// below read the same pair, so each scenario is simulated twice per test
+// binary; deep equality of the pair (TestDeterminismGolden) is what proves
+// the run deterministic and the sweep and the tracer observation-only.
+type detRuns struct {
+	plain, checked *sim.Result
+	tracer         *telemetry.Tracer
+}
+
+// detMemo holds the runs by scenario name. The tests reading it run one at
+// a time.
+var detMemo = map[string]*detRuns{}
+
+// scenarioRuns returns c's runs, simulating them on the first request.
+func scenarioRuns(t *testing.T, c detCase) *detRuns {
+	t.Helper()
+	r, ok := detMemo[c.name]
+	if !ok {
+		r = &detRuns{tracer: telemetry.New(0)}
+		detMemo[c.name] = r // a run that fails below stays failed
+		r.plain = c.run(t, c)
+		checked := c
+		checked.opts = append(c.opts[:len(c.opts):len(c.opts)], sim.WithInvariantChecks(), sim.WithTracer(r.tracer))
+		r.checked = c.run(t, checked)
+	}
+	if r.plain == nil || r.checked == nil {
+		t.Fatalf("scenario %s failed in an earlier test", c.name)
+	}
+	return r
+}
+
+// readGolden returns the recorded fingerprints by scenario name.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	golden := map[string]string{}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		if *updateGolden {
+			return golden
+		}
+		t.Fatalf("read %s: %v (regenerate with -update-golden)", goldenPath, err)
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatalf("parse %s: %v", goldenPath, err)
+	}
+	return golden
+}
+
+// TestInvariantChecksGolden requires the recorded golden fingerprint of every
+// scenario's run with the runtime invariant checker enabled: the sweep must
+// pass on every state the scenarios reach AND must not perturb the
+// simulation by a single byte.
 func TestInvariantChecksGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; skipped with -short")
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read %s: %v (regenerate with -update-golden)", goldenPath, err)
-	}
-	golden := map[string]string{}
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
-	}
+	golden := readGolden(t)
 	for _, c := range detCases() {
-		c := c
-		c.opts = append(c.opts, sim.WithInvariantChecks())
 		t.Run(c.name, func(t *testing.T) {
-			fp := fingerprint(t, c.run(t, c))
-			want, ok := golden[c.name]
-			if !ok {
-				t.Fatalf("no golden fingerprint for %q", c.name)
-			}
-			if fp != want {
+			fp := fingerprint(t, scenarioRuns(t, c).checked)
+			if want := golden[c.name]; fp != want {
 				t.Errorf("fingerprint mismatch with invariant checks on: got %s want %s\nchecking must be observation-only", fp, want)
 			}
 		})
 	}
 }
 
-// TestTracingGolden reruns every determinism scenario with the event tracer
-// attached and requires the recorded golden fingerprint: tracing must be
-// observation-only — enabling it cannot change a single byte of any result —
-// while still capturing the engine's interval and (for the DASE-Fair case)
-// estimator events.
+// TestTracingGolden requires the recorded golden fingerprint of every
+// scenario's traced run: tracing must be observation-only — enabling it
+// cannot change a single byte of any result — while still capturing the
+// engine's interval and (for the DASE-Fair case) estimator events.
 func TestTracingGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; skipped with -short")
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read %s: %v (regenerate with -update-golden)", goldenPath, err)
-	}
-	golden := map[string]string{}
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
-	}
+	golden := readGolden(t)
 	for _, c := range detCases() {
-		c := c
-		tr := telemetry.New(0)
-		c.opts = append(c.opts, sim.WithTracer(tr))
 		t.Run(c.name, func(t *testing.T) {
-			fp := fingerprint(t, c.run(t, c))
-			want, ok := golden[c.name]
-			if !ok {
-				t.Fatalf("no golden fingerprint for %q", c.name)
-			}
-			if fp != want {
+			r := scenarioRuns(t, c)
+			if fp, want := fingerprint(t, r.checked), golden[c.name]; fp != want {
 				t.Errorf("fingerprint mismatch with tracing on: got %s want %s\ntracing must be observation-only", fp, want)
 			}
-			if tr.Len() == 0 {
+			if r.tracer.Len() == 0 {
 				t.Fatal("traced run emitted no events")
 			}
 			kinds := map[telemetry.Kind]int{}
-			for _, e := range tr.Events() {
+			for _, e := range r.tracer.Events() {
 				kinds[e.Kind]++
 			}
 			if kinds[telemetry.KindInterval] == 0 {
@@ -286,35 +307,26 @@ func TestTracingGolden(t *testing.T) {
 	}
 }
 
-// TestDeterminismGolden is the safety net for engine optimizations: two runs
-// in-process must be deeply equal, and their fingerprint must match the
+// TestDeterminismGolden is the safety net for engine optimizations: a
+// scenario's two runs in-process, the second with the invariant sweep and
+// the tracer on, must be deeply equal, and their fingerprint must match the
 // recorded golden value.
 func TestDeterminismGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; skipped with -short")
 	}
-	golden := map[string]string{}
-	if data, err := os.ReadFile(goldenPath); err == nil {
-		if err := json.Unmarshal(data, &golden); err != nil {
-			t.Fatalf("parse %s: %v", goldenPath, err)
-		}
-	} else if !*updateGolden {
-		t.Fatalf("read %s: %v (regenerate with -update-golden)", goldenPath, err)
-	}
-
+	golden := readGolden(t)
 	got := map[string]string{}
 	for _, c := range detCases() {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			first := c.run(t, c)
-			second := c.run(t, c)
-			if !reflect.DeepEqual(first, second) {
-				t.Fatalf("two identical runs diverged:\nfirst:  %+v\nsecond: %+v", first, second)
+			r := scenarioRuns(t, c)
+			if !reflect.DeepEqual(r.plain, r.checked) {
+				t.Fatalf("two identical runs diverged (the second with invariant checks and tracing on):\nfirst:  %+v\nsecond: %+v", r.plain, r.checked)
 			}
-			if len(first.Snapshots) == 0 {
+			if len(r.plain.Snapshots) == 0 {
 				t.Fatal("run produced no interval snapshots; the golden would not cover them")
 			}
-			fp := fingerprint(t, first)
+			fp := fingerprint(t, r.plain)
 			got[c.name] = fp
 			if *updateGolden {
 				return

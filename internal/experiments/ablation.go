@@ -16,32 +16,28 @@ import (
 // The paper fixes 50K cycles, stating it "is enough effective to capture
 // application characteristics" (§4.4); this experiment quantifies that:
 // DASE's accuracy across interval lengths on a random pair sample.
-func ExtIntervalSensitivity(p Params) ([]SensitivityRow, error) {
+func ExtIntervalSensitivity(p Params) ([]SensitivityRow, *Table, error) {
 	intervals := []uint64{12_500, 25_000, 50_000, 100_000}
-	combos := workload.RandomPairs(p.PairSample, p.Seed)
 	rows := make([]SensitivityRow, 0, len(intervals))
 	for _, iv := range intervals {
+		// Alone runs are interval-independent in aggregate, but each
+		// interval length gets alone runs of its own for strict
+		// comparability.
 		q := p
 		q.Cfg.IntervalCycles = iv
-		// Alone runs are interval-independent in aggregate, but the cache
-		// is keyed per configuration here for strict comparability.
-		cache := workload.NewAloneCache(q.Cfg, q.SharedCycles, q.Seed)
-		acc, err := accuracy(q.evalOptions(core.New(core.Options{})), evenJobs(q.Cfg.NumSMs, combos), cache)
+		e, err := pairError(q)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		rows = append(rows, SensitivityRow{
-			Label:     fmt.Sprintf("%dK cycles", iv/1000),
-			MeanError: acc.MeanError["DASE"],
-		})
+		rows = append(rows, SensitivityRow{Label: fmt.Sprintf("%dK cycles", iv/1000), MeanError: e})
 	}
-	return rows, nil
+	return rows, sensitivityTable("Ext.C — DASE error vs estimation interval length", rows), nil
 }
 
 // ExtLargeGPU (Ext.E) re-runs the DASE accuracy study on the Large (24-SM,
 // 8-partition) device: the model reads only relative counters, so its
 // accuracy should carry across GPU generations without re-tuning.
-func ExtLargeGPU(p Params) ([]SensitivityRow, error) {
+func ExtLargeGPU(p Params) ([]SensitivityRow, *Table, error) {
 	rows := make([]SensitivityRow, 0, 2)
 	for _, cfgCase := range []struct {
 		label string
@@ -52,46 +48,37 @@ func ExtLargeGPU(p Params) ([]SensitivityRow, error) {
 	} {
 		q := p
 		q.Cfg = cfgCase.cfg
-		cache := workload.NewAloneCache(q.Cfg, q.SharedCycles, q.Seed)
-		combos := workload.RandomPairs(q.PairSample, q.Seed)
-		acc, err := accuracy(q.evalOptions(core.New(core.Options{})), evenJobs(q.Cfg.NumSMs, combos), cache)
+		e, err := pairError(q)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		rows = append(rows, SensitivityRow{Label: cfgCase.label, MeanError: acc.MeanError["DASE"]})
+		rows = append(rows, SensitivityRow{Label: cfgCase.label, MeanError: e})
 	}
-	return rows, nil
+	return rows, sensitivityTable("Ext.E — DASE accuracy across GPU configurations", rows), nil
 }
 
 // ExtRequestMaxFactor (Ext.D) sweeps the empirical derating factor of
 // Eq. 20 (paper default 0.6) with the static Requestmax model, isolating
 // how sensitive the MBB classification and bandwidth caps are to it — the
 // exploration the paper defers ("the strategy of dynamically calculating
-// Requestmax ... can be further explored").
-func ExtRequestMaxFactor(p Params, cache workload.Baseline) ([]SensitivityRow, error) {
-	factors := []float64{0.4, 0.5, 0.6, 0.7, 0.8}
-	combos := workload.RandomPairs(p.PairSample, p.Seed)
-	jobs := evenJobs(p.Cfg.NumSMs, combos)
-	rows := make([]SensitivityRow, 0, len(factors)+1)
-	for _, f := range factors {
-		q := p
-		q.Cfg.RequestMaxFactor = f
-		acc, err := accuracy(q.evalOptions(core.New(core.Options{StaticRequestMax: true})), jobs, cache)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, SensitivityRow{
-			Label:     fmt.Sprintf("static %.1f", f),
-			MeanError: acc.MeanError["DASE"],
-		})
+// Requestmax ... can be further explored"). The factor reaches only the
+// estimator, through each snapshot, so every row is scored on one set of
+// shared runs at p.Cfg, the dynamic Requestmax (repo default) included.
+func ExtRequestMaxFactor(p Params, cache workload.Baseline) ([]SensitivityRow, *Table, error) {
+	var ests []core.Estimator
+	for _, f := range []float64{0.4, 0.5, 0.6, 0.7, 0.8} {
+		ests = append(ests, namedDASE{core.New(core.Options{StaticRequestMax: true}), fmt.Sprintf("static %.1f", f), f})
 	}
-	// Reference: the dynamic Requestmax extension (repo default).
-	acc, err := accuracy(p.evalOptions(core.New(core.Options{})), jobs, cache)
+	ests = append(ests, namedDASE{core.New(core.Options{}), "dynamic (default)", 0})
+	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rows = append(rows, SensitivityRow{Label: "dynamic (default)", MeanError: acc.MeanError["DASE"]})
-	return rows, nil
+	rows := make([]SensitivityRow, len(ests))
+	for i, e := range ests {
+		rows[i] = SensitivityRow{Label: e.Name(), MeanError: acc.MeanError[e.Name()]}
+	}
+	return rows, sensitivityTable("Ext.D — DASE error vs Requestmax factor (Eq. 20)", rows), nil
 }
 
 // AblationRow is one design element of DASE or of the simulated substrate
@@ -123,14 +110,25 @@ var ablationOptions = []struct {
 	{"forced all-MBB classification", core.Options{ForceClass: core.ForceMBB}},
 }
 
-// namedDASE is DASE under one set of options, named after its ablation row,
-// so that every variant is scored on the same shared runs.
+// namedDASE is DASE under one set of options, named after its row, so that
+// every variant is scored on the same shared runs. A non-zero factor
+// replaces each snapshot's Eq. 20 factor (Ext.D).
 type namedDASE struct {
 	*core.DASE
-	name string
+	name   string
+	factor float64
 }
 
 func (d namedDASE) Name() string { return d.name }
+
+func (d namedDASE) Estimate(snap *sim.IntervalSnapshot) []float64 {
+	if d.factor == 0 {
+		return d.DASE.Estimate(snap)
+	}
+	s := *snap
+	s.ReqMaxFactor = d.factor
+	return d.DASE.Estimate(&s)
+}
 
 // Ablation measures what each design element contributes, and returns the
 // rows with their table. The eight DASE variants are scored on one set of
@@ -142,7 +140,7 @@ func (d namedDASE) Name() string { return d.name }
 func Ablation(p Params, cache workload.Baseline) ([]AblationRow, *Table, error) {
 	ests := make([]core.Estimator, len(ablationOptions))
 	for i, v := range ablationOptions {
-		ests[i] = namedDASE{core.New(v.opt), v.label}
+		ests[i] = namedDASE{core.New(v.opt), v.label, 0}
 	}
 	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), cache)
 	if err != nil {

@@ -1,14 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the index). Each experiment returns a
-// structured result that the cmd/experiments tool renders as a text table,
-// so the numbers behind Figures 2-9 and Tables I-III can be reproduced with
-// one command.
+// evaluation (see DESIGN.md §4 for the index). Each experiment returns its
+// structured result together with its finished text table, and List names
+// them all in print order, so cmd/experiments reproduces the numbers behind
+// Figures 2-9 and Tables I-III with one command and knows no experiment by
+// name.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dasesim/internal/baseline"
@@ -218,18 +219,26 @@ func newAccuracyResult(evals []*workload.Eval) *AccuracyResult {
 
 // Fig5 evaluates all two-application workloads with the even SM split and
 // compares DASE/MISE/ASM estimation error (paper Fig. 5).
-func Fig5(p Params, cache workload.Baseline) (*AccuracyResult, error) {
-	return accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, workload.AllPairs()), cache)
+func Fig5(p Params, cache workload.Baseline) (*AccuracyResult, *Table, error) {
+	res, err := accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, workload.AllPairs()), cache)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, res.table("Fig.5 — Estimation error, two-application workloads"), nil
 }
 
 // Fig6 evaluates the random four-application workloads (paper Fig. 6).
-func Fig6(p Params, cache workload.Baseline) (*AccuracyResult, error) {
-	return accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, workload.RandomQuads(p.QuadCount, p.Seed)), cache)
+func Fig6(p Params, cache workload.Baseline) (*AccuracyResult, *Table, error) {
+	res, err := accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, workload.RandomQuads(p.QuadCount, p.Seed)), cache)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, res.table("Fig.6 — Estimation error, four-application workloads"), nil
 }
 
-// Render returns the accuracy result as a table (one row per workload plus
+// table returns the accuracy result as a table (one row per workload plus
 // the average, the number the paper quotes).
-func (r *AccuracyResult) Render(title string) *Table {
+func (r *AccuracyResult) table(title string) *Table {
 	t := &Table{Title: title, Columns: append([]string{"workload"}, EstimatorNames...)}
 	for _, ev := range r.Evals {
 		row := []string{ev.Combo.Name()}
@@ -263,11 +272,15 @@ type Fig7Result struct {
 	Buckets   []string
 }
 
-// Fig7 builds the error distribution from the Fig. 5 and Fig. 6 samples.
-func Fig7(two, four *AccuracyResult) *Fig7Result {
+// Fig7 builds the error distribution from the Fig. 5 and Fig. 6 samples,
+// and its table.
+func Fig7(two, four *AccuracyResult) (*Fig7Result, *Table) {
 	labels := []string{"<10%", "10-20%", "20-40%", "40-80%", ">=80%"}
 	out := &Fig7Result{Fractions: map[string][]float64{}, Buckets: labels}
-	for _, name := range EstimatorNames {
+	t := &Table{Title: "Fig.7 — Distribution of slowdown estimation error", Columns: append([]string{"estimator"}, labels...)}
+	names := slices.Clone(EstimatorNames)
+	slices.Sort(names)
+	for _, name := range names {
 		h := metrics.NewHistogram(0.10, 0.20, 0.40, 0.80)
 		for _, r := range []*AccuracyResult{two, four} {
 			if r == nil {
@@ -280,24 +293,11 @@ func Fig7(two, four *AccuracyResult) *Fig7Result {
 			}
 		}
 		out.Fractions[name] = h.Fractions()
-	}
-	return out
-}
-
-// Render returns the Fig. 7 histogram as a table.
-func (r *Fig7Result) Render() *Table {
-	t := &Table{Title: "Fig.7 — Distribution of slowdown estimation error", Columns: append([]string{"estimator"}, r.Buckets...)}
-	names := make([]string, 0, len(r.Fractions))
-	for n := range r.Fractions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		row := []string{n}
-		for _, f := range r.Fractions[n] {
+		row := []string{name}
+		for _, f := range out.Fractions[name] {
 			row = append(row, pct(f))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return out, t
 }

@@ -51,7 +51,7 @@ func TestFig7Bucketing(t *testing.T) {
 			}},
 		},
 	}
-	r := Fig7(two, nil)
+	r, tab := Fig7(two, nil)
 	d := r.Fractions["DASE"]
 	if d[0] != 0.5 || d[1] != 0.5 {
 		t.Fatalf("DASE buckets = %v", d)
@@ -60,7 +60,6 @@ func TestFig7Bucketing(t *testing.T) {
 	if m[3] != 0.5 || m[4] != 0.5 {
 		t.Fatalf("MISE buckets = %v", m)
 	}
-	tab := r.Render()
 	if len(tab.Rows) != 3 {
 		t.Fatalf("Fig7 table rows = %d", len(tab.Rows))
 	}
@@ -80,7 +79,7 @@ func TestAccuracyRenderAverageRow(t *testing.T) {
 		}},
 		MeanError: map[string]float64{"DASE": 0.05, "MISE": 0.3, "ASM": 0.25},
 	}
-	tab := r.Render("Fig.5")
+	tab := r.table("Fig.5")
 	want := [][]string{
 		{"SB+SD", "3.0%", "30.0%", "0.0%"},
 		{"AVERAGE", "5.0%", "30.0%", "25.0%"},

@@ -22,17 +22,23 @@ type ExtSchedRow struct {
 
 // ExtSchedulers measures unfairness under FR-FCFS vs the application-aware
 // round-robin memory scheduler, even SM split, on the motivation pairs.
-func ExtSchedulers(p Params, cache workload.Baseline) ([]ExtSchedRow, error) {
+func ExtSchedulers(p Params, cache workload.Baseline) ([]ExtSchedRow, *Table, error) {
 	var runs [2][]*workload.Eval // FR-FCFS, app-aware RR
 	for i := range runs {
 		q := p
 		q.Cfg.Mem.AppAwareRR = i == 1
 		evals, err := evenPairs(q, Fig2Pairs, cache)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		runs[i] = evals
 	}
+	t := &Table{
+		Title:   "Ext.A — Memory scheduler comparison: FR-FCFS vs app-aware RR (even SM split)",
+		Columns: []string{"workload", "unf FR-FCFS", "unf app-RR", "hs FR-FCFS", "hs app-RR"},
+		Notes:   []string{"application-aware memory scheduling reduces memory-level starvation (Jog et al.), but does not equalise slowdowns the way SM repartitioning can"},
+	}
+	var ufSum, urSum float64
 	rows := make([]ExtSchedRow, len(Fig2Pairs))
 	for i, fr := range runs[0] {
 		rr := runs[1][i]
@@ -43,33 +49,19 @@ func ExtSchedulers(p Params, cache workload.Baseline) ([]ExtSchedRow, error) {
 			HSpeedFRFCFS: fr.HSpeedup,
 			HSpeedAppRR:  rr.HSpeedup,
 		}
+		t.Rows = append(t.Rows, []string{fr.Combo.Name(), f2(fr.Unfairness), f2(rr.Unfairness), f2(fr.HSpeedup), f2(rr.HSpeedup)})
+		ufSum += fr.Unfairness
+		urSum += rr.Unfairness
 	}
-	return rows, nil
-}
-
-// RenderExtSchedulers renders the scheduler comparison.
-func RenderExtSchedulers(rows []ExtSchedRow) *Table {
-	t := &Table{
-		Title:   "Ext.A — Memory scheduler comparison: FR-FCFS vs app-aware RR (even SM split)",
-		Columns: []string{"workload", "unf FR-FCFS", "unf app-RR", "hs FR-FCFS", "hs app-RR"},
+	if n := float64(len(rows)); n > 0 {
+		t.Rows = append(t.Rows, []string{"AVERAGE", f2(ufSum / n), f2(urSum / n), "", ""})
 	}
-	var ufSum, urSum float64
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Workload, f2(r.UnfFRFCFS), f2(r.UnfAppRR), f2(r.HSpeedFRFCFS), f2(r.HSpeedAppRR)})
-		ufSum += r.UnfFRFCFS
-		urSum += r.UnfAppRR
-	}
-	if len(rows) > 0 {
-		t.Rows = append(t.Rows, []string{"AVERAGE",
-			f2(ufSum / float64(len(rows))), f2(urSum / float64(len(rows))), "", ""})
-	}
-	t.Notes = append(t.Notes, "application-aware memory scheduling reduces memory-level starvation (Jog et al.), but does not equalise slowdowns the way SM repartitioning can")
-	return t
+	return rows, t, nil
 }
 
 // ExtEstimators compares DASE against the offline-profiling estimator the
 // paper contrasts with (Aguilera et al.): profiled alone-bandwidth ratios.
-func ExtEstimators(p Params, cache workload.Baseline) (*AccuracyResult, error) {
+func ExtEstimators(p Params, cache workload.Baseline) (*AccuracyResult, *Table, error) {
 	// Build the offline profile the way those works do: run every kernel
 	// alone and record its bandwidth share.
 	ctx := context.TODO()
@@ -77,7 +69,7 @@ func ExtEstimators(p Params, cache workload.Baseline) (*AccuracyResult, error) {
 	for _, prof := range kernels.All() {
 		res, err := cache.Get(ctx, prof)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		aloneBW[prof.Abbr] = res.Apps[0].BWUtil
 	}
@@ -94,15 +86,11 @@ func ExtEstimators(p Params, cache workload.Baseline) (*AccuracyResult, error) {
 		opt.Estimators = append(opt.Estimators, baseline.NewProfiled(bw))
 		ev, err := workload.Evaluate(ctx, opt, job, cache)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		evals[i] = ev
 	}
-	return newAccuracyResult(evals), nil
-}
-
-// RenderExtEstimators renders the profiled-estimator comparison.
-func RenderExtEstimators(r *AccuracyResult) *Table {
+	r := newAccuracyResult(evals)
 	t := &Table{
 		Title:   "Ext.B — DASE vs offline-profiled bandwidth-ratio estimation",
 		Columns: []string{"workload", "DASE", "Profiled"},
@@ -114,5 +102,5 @@ func RenderExtEstimators(r *AccuracyResult) *Table {
 	}
 	t.Rows = append(t.Rows, []string{"AVERAGE", pct(r.MeanError["DASE"]), pct(r.MeanError["Profiled"])})
 	t.Notes = append(t.Notes, "the profiled approach needs an offline pass per kernel and input; DASE needs none (the paper's practicality argument)")
-	return t
+	return r, t, nil
 }

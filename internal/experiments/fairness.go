@@ -51,7 +51,7 @@ var fig9Unfit = map[string]bool{"SN": true}
 // Fig9 runs every two-application workload (minus unfit kernels) under the
 // even split and under DASE-Fair, comparing unfairness and harmonic
 // speedup.
-func Fig9(p Params, cache workload.Baseline) (*Fig9Result, error) {
+func Fig9(p Params, cache workload.Baseline) (*Fig9Result, *Table, error) {
 	var combos []workload.Combo
 	for _, c := range workload.AllPairs() {
 		if fig9Unfit[c.Profiles[0].Abbr] || fig9Unfit[c.Profiles[1].Abbr] {
@@ -59,13 +59,17 @@ func Fig9(p Params, cache workload.Baseline) (*Fig9Result, error) {
 		}
 		combos = append(combos, c)
 	}
-	return policyStudy(p, combos, cache)
+	res, err := policyStudy(p, combos, cache)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, fig9Table(res), nil
 }
 
 // ExtQuadFairness (Ext.F) extends the Fig. 9 policy study to
 // four-application workloads: the DASE-Fair search space grows from 15
 // two-way partitions to C(15,3) = 455 compositions of the 16 SMs.
-func ExtQuadFairness(p Params, cache workload.Baseline, quads int) (*Fig9Result, error) {
+func ExtQuadFairness(p Params, cache workload.Baseline, quads int) (*Fig9Result, *Table, error) {
 	var combos []workload.Combo
 	for _, c := range workload.RandomQuads(quads*3, p.Seed) {
 		unfit := false
@@ -81,12 +85,23 @@ func ExtQuadFairness(p Params, cache workload.Baseline, quads int) (*Fig9Result,
 			break
 		}
 	}
-	return policyStudy(p, combos, cache)
+	res, err := policyStudy(p, combos, cache)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := fig9Table(res)
+	t.Title = "Ext.F — Unfairness and H.Speedup on four-application workloads"
+	t.Notes = []string{
+		"fairness improvement: " + pct(res.FairnessImprovement()),
+		"performance improvement: " + pct(res.PerformanceImprovement()),
+		"extension beyond the paper: Fig. 9 evaluates pairs only",
+	}
+	return res, t, nil
 }
 
 // policyStudy runs each combo from the even split for the policy-study
-// budget, once under sched.Even and once under DASE-Fair, and compares the
-// measured unfairness and harmonic speedup.
+// budget, once as a static split and once under DASE-Fair, and compares
+// the measured unfairness and harmonic speedup.
 func policyStudy(p Params, combos []workload.Combo, cache workload.Baseline) (*Fig9Result, error) {
 	opt := p.evalOptions()
 	opt.SharedCycles = p.fig9Budget()
@@ -94,7 +109,6 @@ func policyStudy(p Params, combos []workload.Combo, cache workload.Baseline) (*F
 	fair := make([]*sched.DASEFair, len(combos))
 	for i, job := range evenJobs(p.Cfg.NumSMs, combos) {
 		fair[i] = sched.NewDASEFair()
-		job.Policy = sched.Even{}
 		jobs = append(jobs, job)
 		job.Policy = fair[i]
 		jobs = append(jobs, job)
@@ -129,8 +143,8 @@ func policyStudy(p Params, combos []workload.Combo, cache workload.Baseline) (*F
 	return res, nil
 }
 
-// RenderFig9 renders the policy comparison.
-func RenderFig9(r *Fig9Result) *Table {
+// fig9Table renders the policy comparison.
+func fig9Table(r *Fig9Result) *Table {
 	t := &Table{
 		Title:   "Fig.9 — Unfairness and H.Speedup: even split vs DASE-Fair",
 		Columns: []string{"workload", "unf even", "unf fair", "hs even", "hs fair", "reallocs"},

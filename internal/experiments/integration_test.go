@@ -23,6 +23,13 @@ func tinyParams() Params {
 	return p
 }
 
+// tinyCache holds the alone runs at tinyParams, simulated once for every
+// test that runs at those parameters.
+var tinyCache = sync.OnceValue(func() *workload.AloneCache {
+	p := tinyParams()
+	return workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+})
+
 // checkGolden compares an experiment's rendered table, followed by its data
 // printed with %+v (every float at full precision, infinities included),
 // against testdata/<name>.golden. The engine is deterministic, so a
@@ -60,8 +67,8 @@ func TestFig2aIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	rows, err := Fig2a(p, cache)
+	cache := tinyCache()
+	rows, tab, err := Fig2a(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +80,7 @@ func TestFig2aIntegration(t *testing.T) {
 			t.Fatalf("%s unfairness %v < 1", r.Workload, r.Unfairness)
 		}
 	}
-	checkGolden(t, "fig2a", RenderFig2a(rows), rows)
+	checkGolden(t, "fig2a", tab, rows)
 }
 
 func TestFig2bIntegration(t *testing.T) {
@@ -81,8 +88,8 @@ func TestFig2bIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	rows, err := Fig2b(p, cache)
+	cache := tinyCache()
+	rows, tab, err := Fig2b(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +99,7 @@ func TestFig2bIntegration(t *testing.T) {
 			t.Fatalf("%s decomposition sums to %v", r.Workload, sum)
 		}
 	}
-	checkGolden(t, "fig2b", RenderFig2b(rows), rows)
+	checkGolden(t, "fig2b", tab, rows)
 }
 
 func TestFig3Integration(t *testing.T) {
@@ -100,7 +107,7 @@ func TestFig3Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	rows, corr, err := Fig3(p)
+	rows, corr, tab, err := Fig3(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +119,7 @@ func TestFig3Integration(t *testing.T) {
 	if corr < 0.95 {
 		t.Fatalf("service-rate/IPC correlation %v, want near 1", corr)
 	}
-	checkGolden(t, "fig3", RenderFig3(rows, corr), map[string]any{"rows": rows, "correlation": corr})
+	checkGolden(t, "fig3", tab, map[string]any{"rows": rows, "correlation": corr})
 }
 
 func TestFig4Integration(t *testing.T) {
@@ -120,8 +127,8 @@ func TestFig4Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	rows, err := Fig4(p, cache)
+	cache := tinyCache()
+	rows, tab, err := Fig4(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +139,7 @@ func TestFig4Integration(t *testing.T) {
 			t.Fatalf("partner %s: shared sum/alone = %v, MBB observation broken", r.Partner, ratio)
 		}
 	}
-	checkGolden(t, "fig4", RenderFig4(rows), rows)
+	checkGolden(t, "fig4", tab, rows)
 }
 
 func TestTableIIIIntegration(t *testing.T) {
@@ -141,7 +148,7 @@ func TestTableIIIIntegration(t *testing.T) {
 	}
 	p := tinyParams()
 	p.SharedCycles = 60_000 // calibration needs a little longer
-	rows, err := TableIII(p)
+	rows, tab, err := TableIII(workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +166,7 @@ func TestTableIIIIntegration(t *testing.T) {
 			t.Errorf("%s measured %.3f vs paper %.3f (out of band)", r.Abbr, r.MeasBW, r.PaperBW)
 		}
 	}
-	checkGolden(t, "tableIII", RenderTableIII(rows), rows)
+	checkGolden(t, "tableIII", tab, rows)
 }
 
 func TestExtSchedulersIntegration(t *testing.T) {
@@ -167,15 +174,15 @@ func TestExtSchedulersIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	rows, err := ExtSchedulers(p, cache)
+	cache := tinyCache()
+	rows, tab, err := ExtSchedulers(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != len(Fig2Pairs) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	checkGolden(t, "extA", RenderExtSchedulers(rows), rows)
+	checkGolden(t, "extA", tab, rows)
 }
 
 func TestExtEstimatorsIntegration(t *testing.T) {
@@ -183,8 +190,8 @@ func TestExtEstimatorsIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	res, err := ExtEstimators(p, cache)
+	cache := tinyCache()
+	res, tab, err := ExtEstimators(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +201,7 @@ func TestExtEstimatorsIntegration(t *testing.T) {
 	if _, ok := res.MeanError["Profiled"]; !ok {
 		t.Fatal("Profiled estimator missing from results")
 	}
-	checkGolden(t, "extB", RenderExtEstimators(res), res.MeanError)
+	checkGolden(t, "extB", tab, res.MeanError)
 }
 
 func TestFig9Integration(t *testing.T) {
@@ -202,8 +209,8 @@ func TestFig9Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	res, err := Fig9(p, cache)
+	cache := tinyCache()
+	res, tab, err := Fig9(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +224,7 @@ func TestFig9Integration(t *testing.T) {
 	if reallocs == 0 {
 		t.Fatal("DASE-Fair never reallocated: the study compares two identical runs")
 	}
-	checkGolden(t, "fig9", RenderFig9(res), res)
+	checkGolden(t, "fig9", tab, res)
 }
 
 func TestExtQuadFairnessIntegration(t *testing.T) {
@@ -225,15 +232,16 @@ func TestExtQuadFairnessIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	res, err := ExtQuadFairness(p, cache, 2)
+	cache := tinyCache()
+	res, _, err := ExtQuadFairness(p, cache, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
-	checkGolden(t, "extF", RenderFig9(res), res)
+	// The golden holds the rows in Fig. 9's table, not Ext.F's title and notes.
+	checkGolden(t, "extF", fig9Table(res), res)
 }
 
 func TestExtTemporalIntegration(t *testing.T) {
@@ -241,15 +249,15 @@ func TestExtTemporalIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	rows, err := ExtTemporal(p, cache)
+	cache := tinyCache()
+	rows, tab, err := ExtTemporal(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(rows))
 	}
-	checkGolden(t, "extG", RenderExtTemporal(rows), rows)
+	checkGolden(t, "extG", tab, rows)
 	// The rows hold +Inf at this budget; cmd/experiments -json must still
 	// encode them, and decoding gives back the same %+v data.
 	data, err := json.Marshal(rows)
@@ -282,10 +290,10 @@ func reducedAccuracy(t *testing.T) (fig5, fig6 *AccuracyResult) {
 	}
 	reduced.once.Do(func() {
 		p := tinyParams()
-		cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+		cache := tinyCache()
 		pairs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed))
 		if reduced.fig5, reduced.err = accuracy(p.accuracyOptions(), pairs, cache); reduced.err == nil {
-			reduced.fig6, reduced.err = Fig6(p, cache)
+			reduced.fig6, _, reduced.err = Fig6(p, cache)
 		}
 	})
 	if reduced.err != nil {
@@ -299,7 +307,7 @@ func TestFig5Integration(t *testing.T) {
 	if len(res.Evals) != tinyParams().PairSample {
 		t.Fatalf("evals = %d", len(res.Evals))
 	}
-	checkGolden(t, "fig5", res.Render("Fig.5"), res.MeanError)
+	checkGolden(t, "fig5", res.table("Fig.5"), res.MeanError)
 }
 
 func TestFig6Integration(t *testing.T) {
@@ -307,18 +315,18 @@ func TestFig6Integration(t *testing.T) {
 	if len(res.Evals) != tinyParams().QuadCount {
 		t.Fatalf("evals = %d", len(res.Evals))
 	}
-	checkGolden(t, "fig6", res.Render("Fig.6"), res.MeanError)
+	checkGolden(t, "fig6", res.table("Fig.6"), res.MeanError)
 }
 
 func TestFig7Integration(t *testing.T) {
-	res := Fig7(reducedAccuracy(t))
-	checkGolden(t, "fig7", res.Render(), res)
+	res, tab := Fig7(reducedAccuracy(t))
+	checkGolden(t, "fig7", tab, res)
 }
 
 func TestAblationIntegration(t *testing.T) {
 	fig5, _ := reducedAccuracy(t)
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
+	cache := tinyCache()
 	rows, tab, err := Ablation(p, cache)
 	if err != nil {
 		t.Fatal(err)
@@ -343,14 +351,49 @@ func TestFig8Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-	a, err := Fig8a(p, cache)
+	cache := tinyCache()
+	a, _, err := Fig8a(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig8b(p, cache)
+	b, _, err := Fig8b(p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fig8", RenderSensitivity("Fig.8", append(a, b...)), append(a, b...))
+	checkGolden(t, "fig8", sensitivityTable("Fig.8", append(a, b...)), append(a, b...))
+}
+
+func TestExtIntervalSensitivityIntegration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	rows, tab, err := ExtIntervalSensitivity(tinyParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "extC", tab, rows)
+}
+
+func TestExtRequestMaxFactorIntegration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	p := tinyParams()
+	cache := tinyCache()
+	rows, tab, err := ExtRequestMaxFactor(p, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "extD", tab, rows)
+}
+
+func TestExtLargeGPUIntegration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	rows, tab, err := ExtLargeGPU(tinyParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "extE", tab, rows)
 }

@@ -27,29 +27,22 @@ type Fig2Row struct {
 }
 
 // Fig2a measures unfairness for the motivation pairs (paper Fig. 2(a)).
-func Fig2a(p Params, cache workload.Baseline) ([]Fig2Row, error) {
+func Fig2a(p Params, cache workload.Baseline) ([]Fig2Row, *Table, error) {
 	evals, err := evenPairs(p, Fig2Pairs, cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	t := &Table{
+		Title:   "Fig.2(a) — Unfairness of two-application combinations (even SM split)",
+		Columns: []string{"workload", "slowdown A", "slowdown B", "unfairness"},
+		Notes:   []string{"ideal (completely fair) unfairness is 1.00"},
 	}
 	rows := make([]Fig2Row, len(evals))
 	for i, ev := range evals {
 		rows[i] = Fig2Row{Workload: ev.Combo.Name(), Slowdowns: ev.Actual, Unfairness: ev.Unfairness}
+		t.Rows = append(t.Rows, []string{rows[i].Workload, f2(ev.Actual[0]), f2(ev.Actual[1]), f2(ev.Unfairness)})
 	}
-	return rows, nil
-}
-
-// RenderFig2a renders Figure 2(a).
-func RenderFig2a(rows []Fig2Row) *Table {
-	t := &Table{
-		Title:   "Fig.2(a) — Unfairness of two-application combinations (even SM split)",
-		Columns: []string{"workload", "slowdown A", "slowdown B", "unfairness"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Workload, f2(r.Slowdowns[0]), f2(r.Slowdowns[1]), f2(r.Unfairness)})
-	}
-	t.Notes = append(t.Notes, "ideal (completely fair) unfairness is 1.00")
-	return t
+	return rows, t, nil
 }
 
 // Fig2bRow decomposes DRAM bandwidth for one workload: the victim's share,
@@ -66,47 +59,41 @@ type Fig2bRow struct {
 
 // Fig2b decomposes bandwidth for the motivation pairs; the second kernel of
 // each pair is treated as the victim (as SD is in the paper).
-func Fig2b(p Params, cache workload.Baseline) ([]Fig2bRow, error) {
+func Fig2b(p Params, cache workload.Baseline) ([]Fig2bRow, *Table, error) {
 	evals, err := evenPairs(p, Fig2Pairs, cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	t := &Table{
+		Title:   "Fig.2(b) — DRAM bandwidth decomposition (second app = victim)",
+		Columns: []string{"workload", "victim", "others", "wasted", "idle", "victim-alone"},
+		Notes: []string{
+			"DRAM-level victims (e.g. SD) keep less bandwidth than alone; cache-level victims (e.g. CT) draw MORE — their extra traffic is contention misses",
+		},
 	}
 	rows := make([]Fig2bRow, len(evals))
 	for i, ev := range evals {
 		alone, err := cache.Get(context.TODO(), ev.Combo.Profiles[1])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		shared := ev.Shared
-		rows[i] = Fig2bRow{
+		r := &rows[i]
+		*r = Fig2bRow{
 			Workload:    ev.Combo.Name(),
 			VictimShare: shared.Apps[1].BWUtil,
 			OtherShare:  shared.Apps[0].BWUtil,
 			VictimAlone: alone.Apps[0].BWUtil,
 		}
 		if shared.BusCycles > 0 {
-			rows[i].Wasted = float64(shared.BusWasted) / float64(shared.BusCycles)
-			rows[i].Idle = float64(shared.BusIdle) / float64(shared.BusCycles)
+			r.Wasted = float64(shared.BusWasted) / float64(shared.BusCycles)
+			r.Idle = float64(shared.BusIdle) / float64(shared.BusCycles)
 		}
-	}
-	return rows, nil
-}
-
-// RenderFig2b renders Figure 2(b).
-func RenderFig2b(rows []Fig2bRow) *Table {
-	t := &Table{
-		Title:   "Fig.2(b) — DRAM bandwidth decomposition (second app = victim)",
-		Columns: []string{"workload", "victim", "others", "wasted", "idle", "victim-alone"},
-	}
-	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
 			r.Workload, pct(r.VictimShare), pct(r.OtherShare), pct(r.Wasted), pct(r.Idle), pct(r.VictimAlone),
 		})
 	}
-	t.Notes = append(t.Notes,
-		"DRAM-level victims (e.g. SD) keep less bandwidth than alone; cache-level victims (e.g. CT) draw MORE — their extra traffic is contention misses",
-	)
-	return t
+	return rows, t, nil
 }
 
 // Fig3Row is one point of the performance-vs-service-rate validation: a
@@ -125,7 +112,7 @@ type Fig3Row struct {
 // "memory intensity" of a CUDA kernel; scaling the service rate of a fixed
 // kernel exercises the same proportionality without changing the
 // instructions-per-request ratio.)
-func Fig3(p Params) ([]Fig3Row, float64, error) {
+func Fig3(p Params) ([]Fig3Row, float64, *Table, error) {
 	base, _ := kernels.ByAbbr("SB")
 	scales := []float64{1.0, 1.5, 2.0, 3.0, 4.0, 6.0}
 	rows := make([]Fig3Row, 0, len(scales))
@@ -136,7 +123,7 @@ func Fig3(p Params) ([]Fig3Row, float64, error) {
 		cfg.Mem.TRRD = uint64(float64(cfg.Mem.TRRD) * s)
 		res, err := sim.RunAlone(cfg, base, p.SharedCycles, p.Seed)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		a := res.Apps[0]
 		rows = append(rows, Fig3Row{
@@ -145,7 +132,16 @@ func Fig3(p Params) ([]Fig3Row, float64, error) {
 			IPC:         a.IPC,
 		})
 	}
-	return rows, correlation(rows), nil
+	corr := correlation(rows)
+	t := &Table{
+		Title:   "Fig.3 — Performance vs request service rate (SB alone, DRAM throughput sweep)",
+		Columns: []string{"bw scale", "served/1Kcyc", "IPC"},
+		Notes:   []string{fmt.Sprintf("Pearson correlation(service rate, IPC) = %.3f (paper: directly proportional)", corr)},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%.2f", r.BWScale), f2(r.ServiceRate), f2(r.IPC)})
+	}
+	return rows, corr, t, nil
 }
 
 // correlation returns the Pearson correlation between service rate and IPC.
@@ -170,19 +166,6 @@ func correlation(rows []Fig3Row) float64 {
 	return num / math.Sqrt(den)
 }
 
-// RenderFig3 renders Figure 3.
-func RenderFig3(rows []Fig3Row, corr float64) *Table {
-	t := &Table{
-		Title:   "Fig.3 — Performance vs request service rate (SB alone, DRAM throughput sweep)",
-		Columns: []string{"bw scale", "served/1Kcyc", "IPC"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%.2f", r.BWScale), f2(r.ServiceRate), f2(r.IPC)})
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("Pearson correlation(service rate, IPC) = %.3f (paper: directly proportional)", corr))
-	return t
-}
-
 // Fig4Row compares SB's served requests alone against the summed served
 // requests of SB and its partner when sharing (paper Fig. 4).
 type Fig4Row struct {
@@ -194,18 +177,23 @@ type Fig4Row struct {
 }
 
 // Fig4 runs SB against several partners.
-func Fig4(p Params, cache workload.Baseline) ([]Fig4Row, error) {
+func Fig4(p Params, cache workload.Baseline) ([]Fig4Row, *Table, error) {
 	var pairs [][2]string
 	for _, pa := range []string{"SA", "VA", "SD", "NN", "AT"} {
 		pairs = append(pairs, [2]string{"SB", pa})
 	}
 	evals, err := evenPairs(p, pairs, cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	alone, err := cache.Get(context.TODO(), evals[0].Combo.Profiles[0])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	t := &Table{
+		Title:   "Fig.4 — Served requests per 1K cycles: SB alone vs SB+partner shared sum",
+		Columns: []string{"partner", "SB alone", "shared sum", "SB shared", "partner shared"},
+		Notes:   []string{"the paper's MBB observation: alone ≈ shared sum"},
 	}
 	aloneRate := float64(alone.Apps[0].Served) / float64(alone.Cycles) * 1000
 	rows := make([]Fig4Row, len(evals))
@@ -220,19 +208,7 @@ func Fig4(p Params, cache workload.Baseline) ([]Fig4Row, error) {
 			SharedSB:    sbRate,
 			SharedOther: otherRate,
 		}
+		t.Rows = append(t.Rows, []string{pairs[i][1], f2(aloneRate), f2(sbRate + otherRate), f2(sbRate), f2(otherRate)})
 	}
-	return rows, nil
-}
-
-// RenderFig4 renders Figure 4.
-func RenderFig4(rows []Fig4Row) *Table {
-	t := &Table{
-		Title:   "Fig.4 — Served requests per 1K cycles: SB alone vs SB+partner shared sum",
-		Columns: []string{"partner", "SB alone", "shared sum", "SB shared", "partner shared"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Partner, f2(r.AloneRate), f2(r.SharedSum), f2(r.SharedSB), f2(r.SharedOther)})
-	}
-	t.Notes = append(t.Notes, "the paper's MBB observation: alone ≈ shared sum")
-	return t
+	return rows, t, nil
 }

@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
-	"dasesim/internal/sim"
+	"dasesim/internal/workload"
 )
 
 // TableIIIRow is one application of Table III with its measured alone
@@ -22,37 +23,31 @@ type TableIIIRow struct {
 	Launches int
 }
 
-// TableIII runs every kernel alone on the full GPU and reports attained
-// DRAM bandwidth utilisation (paper Table III).
-func TableIII(p Params) ([]TableIIIRow, error) {
-	rows := make([]TableIIIRow, 0, 15)
-	for _, prof := range kernels.All() {
-		res, err := sim.RunAlone(p.Cfg, prof, p.SharedCycles, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		a := res.Apps[0]
-		rows = append(rows, TableIIIRow{
-			Abbr: prof.Abbr, Name: prof.Name, PaperBW: prof.PaperBW,
-			MeasBW: a.BWUtil, IPC: a.IPC, Alpha: a.Alpha,
-			RowHit: a.RowHitRate, Served: a.Served,
-		})
-	}
-	return rows, nil
-}
-
-// RenderTableIII renders the Table III comparison.
-func RenderTableIII(rows []TableIIIRow) *Table {
+// TableIII reads every kernel's alone run on the full GPU from cache and
+// reports attained DRAM bandwidth utilisation (paper Table III).
+func TableIII(cache workload.Baseline) ([]TableIIIRow, *Table, error) {
 	t := &Table{
 		Title:   "Table III — alone DRAM bandwidth utilisation (paper vs measured)",
 		Columns: []string{"app", "name", "paper", "measured", "IPC", "alpha", "rowhit"},
 	}
-	for _, r := range rows {
+	rows := make([]TableIIIRow, 0, 15)
+	for _, prof := range kernels.All() {
+		res, err := cache.Get(context.TODO(), prof)
+		if err != nil {
+			return nil, nil, err
+		}
+		a := res.Apps[0]
+		r := TableIIIRow{
+			Abbr: prof.Abbr, Name: prof.Name, PaperBW: prof.PaperBW,
+			MeasBW: a.BWUtil, IPC: a.IPC, Alpha: a.Alpha,
+			RowHit: a.RowHitRate, Served: a.Served,
+		}
+		rows = append(rows, r)
 		t.Rows = append(t.Rows, []string{
 			r.Abbr, r.Name, pct(r.PaperBW), pct(r.MeasBW), f2(r.IPC), f2(r.Alpha), f2(r.RowHit),
 		})
 	}
-	return t
+	return rows, t, nil
 }
 
 // TableII renders the active GPU configuration (paper Table II).

@@ -23,11 +23,11 @@ type ExtTemporalRow struct {
 // side-by-side on partitioned SMs beats time-slicing the whole GPU,
 // especially when one kernel cannot fill the machine. Compares temporal
 // round-robin (2-interval slices), the spatial even split, and DASE-Fair.
-func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, error) {
+func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, *Table, error) {
 	pairs := [][2]string{{"SN", "VA"}, {"QR", "SB"}, {"CT", "NN"}, {"BG", "SA"}, {"SD", "SP"}}
 	combos, err := pairCombos(pairs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Three jobs per pair: temporal, spatial, DASE-Fair.
 	even := sim.EvenAllocation(p.Cfg.NumSMs, 2)
@@ -35,19 +35,26 @@ func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, error) {
 	for _, c := range combos {
 		jobs = append(jobs,
 			workload.Job{Combo: c, Alloc: []int{p.Cfg.NumSMs, 0}, Policy: sched.NewTimeSlice(2)},
-			workload.Job{Combo: c, Alloc: even, Policy: sched.Even{}},
+			workload.Job{Combo: c, Alloc: even},
 			workload.Job{Combo: c, Alloc: even, Policy: sched.NewDASEFair()})
 	}
 	opt := p.evalOptions()
 	opt.SharedCycles = p.fig9Budget()
 	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	t := &Table{
+		Title: "Ext.G — Temporal vs spatial multitasking vs DASE-Fair (weighted speedup / unfairness)",
+		Columns: []string{"workload",
+			"ws temporal", "ws spatial", "ws DASE-Fair",
+			"unf temporal", "unf spatial", "unf DASE-Fair"},
+	}
+	var wt, wsp, wf float64
 	rows := make([]ExtTemporalRow, len(combos))
 	for i, c := range combos {
 		temporal, spatial, fair := evals[3*i], evals[3*i+1], evals[3*i+2]
-		rows[i] = ExtTemporalRow{
+		r := ExtTemporalRow{
 			Workload:    c.Name(),
 			WSTemporal:  metrics.WeightedSpeedup(temporal.Actual),
 			WSSpatial:   metrics.WeightedSpeedup(spatial.Actual),
@@ -56,20 +63,7 @@ func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, error) {
 			UnfSpatial:  Float(spatial.Unfairness),
 			UnfFair:     Float(fair.Unfairness),
 		}
-	}
-	return rows, nil
-}
-
-// RenderExtTemporal renders the paradigm comparison.
-func RenderExtTemporal(rows []ExtTemporalRow) *Table {
-	t := &Table{
-		Title: "Ext.G — Temporal vs spatial multitasking vs DASE-Fair (weighted speedup / unfairness)",
-		Columns: []string{"workload",
-			"ws temporal", "ws spatial", "ws DASE-Fair",
-			"unf temporal", "unf spatial", "unf DASE-Fair"},
-	}
-	var wt, wsp, wf float64
-	for _, r := range rows {
+		rows[i] = r
 		t.Rows = append(t.Rows, []string{r.Workload,
 			f2(r.WSTemporal), f2(r.WSSpatial), f2(r.WSFair),
 			f2(float64(r.UnfTemporal)), f2(float64(r.UnfSpatial)), f2(float64(r.UnfFair))})
@@ -81,5 +75,5 @@ func RenderExtTemporal(rows []ExtTemporalRow) *Table {
 		t.Rows = append(t.Rows, []string{"AVERAGE", f2(wt / n), f2(wsp / n), f2(wf / n), "", "", ""})
 	}
 	t.Notes = append(t.Notes, "spatial multitasking's premise (paper ref [1]): partitioned SMs beat whole-GPU time slicing, most for kernels that cannot fill the machine (SN, QR, CT, BG)")
-	return t
+	return rows, t, nil
 }

@@ -1,7 +1,8 @@
 // Package sched implements SM-allocation policies for spatial multitasking:
-// the even static split (the paper's baseline), the LEFTOVER policy of
-// current GPUs, and DASE-Fair (§7) — the fairness-oriented dynamic policy
-// that re-partitions SMs using DASE slowdown estimates.
+// the static split (Run with a nil policy; the paper's baseline when the
+// split is even), the LEFTOVER policy of current GPUs, and DASE-Fair (§7) —
+// the fairness-oriented dynamic policy that re-partitions SMs using DASE
+// slowdown estimates.
 package sched
 
 import (
@@ -21,18 +22,9 @@ type Policy interface {
 	OnInterval(g *sim.GPU, snap *sim.IntervalSnapshot)
 }
 
-// Even is the static even-partition policy: it never reallocates.
-type Even struct{}
-
-// Name implements Policy.
-func (Even) Name() string { return "Even" }
-
-// OnInterval implements Policy (no-op).
-func (Even) OnInterval(*sim.GPU, *sim.IntervalSnapshot) {}
-
-// Run executes the kernels under the given policy and returns the result.
-// The run aborts, returning ctx.Err(), when ctx is cancelled or its
-// deadline passes.
+// Run executes the kernels under the given policy and returns the result;
+// a nil policy keeps alloc for the whole run. The run aborts, returning
+// ctx.Err(), when ctx is cancelled or its deadline passes.
 func Run(ctx context.Context, cfg config.Config, ps []kernels.Profile, alloc []int, cycles uint64, seed uint64, pol Policy, opts ...sim.Option) (*sim.Result, error) {
 	g, err := sim.New(cfg, ps, alloc, seed, opts...)
 	if err != nil {

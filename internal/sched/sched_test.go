@@ -103,7 +103,7 @@ func TestDASEFairImprovesFairness(t *testing.T) {
 		aloneIPC[i] = res.Apps[0].IPC
 	}
 
-	even, err := Run(context.Background(), cfg, ps, []int{8, 8}, cycles, 1, Even{})
+	even, err := Run(context.Background(), cfg, ps, []int{8, 8}, cycles, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestEvaluateAllPolicies(t *testing.T) {
 	fair1, fair2 := sched.NewDASEFair(), sched.NewDASEFair()
 	jobs := []Job{
 		{Combo: combo, Alloc: []int{8, 8}, Policy: fair1},
-		{Combo: combo, Alloc: []int{8, 8}, Policy: sched.Even{}},
+		{Combo: combo, Alloc: []int{8, 8}},
 		{Combo: combo, Alloc: []int{8, 8}, Policy: fair2},
 	}
 	evals, err := EvaluateAll(context.Background(), opt, jobs, NewAloneCache(cfg, cycles, 1))
@@ -43,7 +43,7 @@ func TestEvaluateAllPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEven, err := sched.Run(context.Background(), cfg, combo.Profiles, []int{8, 8}, cycles, 1, sched.Even{})
+	wantEven, err := sched.Run(context.Background(), cfg, combo.Profiles, []int{8, 8}, cycles, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

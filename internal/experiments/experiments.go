@@ -220,20 +220,22 @@ func newAccuracyResult(evals []*workload.Eval) *AccuracyResult {
 // Fig5 evaluates all two-application workloads with the even SM split and
 // compares DASE/MISE/ASM estimation error (paper Fig. 5).
 func Fig5(p Params, cache workload.Baseline) (*AccuracyResult, *Table, error) {
-	res, err := accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, workload.AllPairs()), cache)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.table("Fig.5 — Estimation error, two-application workloads"), nil
+	return accuracyStudy(p, cache, workload.AllPairs(), "Fig.5 — Estimation error, two-application workloads")
 }
 
 // Fig6 evaluates the random four-application workloads (paper Fig. 6).
 func Fig6(p Params, cache workload.Baseline) (*AccuracyResult, *Table, error) {
-	res, err := accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, workload.RandomQuads(p.QuadCount, p.Seed)), cache)
+	return accuracyStudy(p, cache, workload.RandomQuads(p.QuadCount, p.Seed), "Fig.6 — Estimation error, four-application workloads")
+}
+
+// accuracyStudy compares the estimators of Figs. 5 and 6 on combos at the
+// even split.
+func accuracyStudy(p Params, cache workload.Baseline, combos []workload.Combo, title string) (*AccuracyResult, *Table, error) {
+	res, err := accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, combos), cache)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, res.table("Fig.6 — Estimation error, four-application workloads"), nil
+	return res, res.table(title), nil
 }
 
 // table returns the accuracy result as a table (one row per workload plus

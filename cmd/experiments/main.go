@@ -2,7 +2,7 @@
 // simulated GPU. Each experiment prints a text table with the measured
 // numbers next to the paper's reference values where applicable. Tables go
 // to stdout, which is deterministic for a given set of flags; the
-// `[name took …]` timing lines go to stderr.
+// `[name took …]` timing lines and the run store's counts go to stderr.
 //
 // Usage:
 //
@@ -25,8 +25,13 @@ import (
 	"time"
 
 	"dasesim/internal/experiments"
-	"dasesim/internal/workload"
+	"dasesim/internal/simcache"
 )
+
+// storeEntries bounds the run store above the 804 distinct static, epoch
+// and alone runs of -run all at the default parameters, so a session
+// evicts nothing.
+const storeEntries = 2048
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -45,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quads      = fs.Int("quads", 0, "override four-app workload count")
 		seed       = fs.Uint64("seed", 0, "override random seed")
 		jsonPath   = fs.String("json", "", "also write results as JSON to this file")
-		cacheDir   = fs.String("cache-dir", "", "persist alone-run baselines under this directory, one file per content address (shared with dased -cache-dir)")
+		cacheDir   = fs.String("cache-dir", "", "persist every static, epoch and alone run under this directory, one file per content address (shared with dased -cache-dir)")
 		list       = fs.Bool("list", false, "list available experiments")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -103,11 +108,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		p.Seed = *seed
 	}
 
-	cache, err := workload.OpenAloneCache(p.Cfg, p.SharedCycles, p.Seed, *cacheDir)
-	if err != nil {
-		return fmt.Errorf("cache dir: %w", err)
+	store := simcache.NewMemory(storeEntries)
+	if *cacheDir != "" {
+		if store, err = simcache.NewDir(storeEntries, *cacheDir); err != nil {
+			return fmt.Errorf("cache dir: %w", err)
+		}
 	}
-	session := experiments.NewSession(p, cache)
+	session := experiments.NewSession(p, store)
 	jsonOut := map[string]any{}
 	for _, e := range experiments.List {
 		if !want[e.Name] {
@@ -122,6 +129,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "%s\n\n", tab)
 		fmt.Fprintf(stderr, "[%s took %v]\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
+	st := store.Stats()
+	fmt.Fprintf(stderr, "[store: %d simulated, %d hits, %d evicted]\n", st.Misses, st.Hits, st.Evictions)
 
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(jsonOut, "", "  ")

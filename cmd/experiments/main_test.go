@@ -53,6 +53,30 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
+// TestRunWarmCacheDir runs a policy-free subset twice on one -cache-dir:
+// the second run reads every static, epoch and alone run from the
+// directory, simulates nothing, and prints the same tables.
+func TestRunWarmCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-run", "tableIII,fig4,extD", "-cycles", "20000", "-pairs", "2", "-cache-dir", dir}
+	var stdout [2]bytes.Buffer
+	var stderr [2]bytes.Buffer
+	for i := range stdout {
+		if err := run(args, &stdout[i], &stderr[i]); err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, stderr[i].String())
+		}
+	}
+	if stdout[0].String() != stdout[1].String() {
+		t.Errorf("warm stdout differs from cold:\n got:\n%s\nwant:\n%s", stdout[1].String(), stdout[0].String())
+	}
+	if cold := stderr[0].String(); strings.Contains(cold, "[store: 0 simulated") || !strings.Contains(cold, "[store: ") {
+		t.Errorf("cold run's store line is missing or simulated nothing:\n%s", cold)
+	}
+	if warm := stderr[1].String(); !strings.Contains(warm, "[store: 0 simulated, ") || !strings.Contains(warm, " hits, 0 evicted]") {
+		t.Errorf("warm run simulated again:\n%s", warm)
+	}
+}
+
 func TestRunListAndErrors(t *testing.T) {
 	var stdout bytes.Buffer
 	if err := run([]string{"-list"}, &stdout, io.Discard); err != nil {

@@ -203,32 +203,55 @@ func detCases() []detCase {
 }
 
 // detRuns are one scenario's two runs: the first plain, the second with
-// the invariant sweep and the event tracer on. The three determinism tests
-// below read the same pair, so each scenario is simulated twice per test
-// binary; deep equality of the pair (TestDeterminismGolden) is what proves
-// the run deterministic and the sweep and the tracer observation-only.
+// the invariant sweep and the event tracer on. The determinism tests below
+// and TestEstimateServiceCrossCheck read them, each run simulated on first
+// use, so each scenario is simulated at most twice per test binary; deep
+// equality of the pair (TestDeterminismGolden) is what proves the run
+// deterministic and the sweep and the tracer observation-only.
 type detRuns struct {
 	plain, checked *sim.Result
 	tracer         *telemetry.Tracer
+	// ranPlain and ranChecked are set before the run, so a run that failed
+	// stays failed.
+	ranPlain, ranChecked bool
 }
 
 // detMemo holds the runs by scenario name. The tests reading it run one at
 // a time.
 var detMemo = map[string]*detRuns{}
 
-// scenarioRuns returns c's runs, simulating them on the first request.
+// scenarioPlain returns c's plain run, simulating it on the first request.
+func scenarioPlain(t *testing.T, c detCase) *sim.Result {
+	t.Helper()
+	r := detMemo[c.name]
+	if r == nil {
+		r = &detRuns{}
+		detMemo[c.name] = r
+	}
+	if !r.ranPlain {
+		r.ranPlain = true
+		r.plain = c.run(t, c)
+	}
+	if r.plain == nil {
+		t.Fatalf("scenario %s failed in an earlier test", c.name)
+	}
+	return r.plain
+}
+
+// scenarioRuns returns both of c's runs, simulating each on its first
+// request.
 func scenarioRuns(t *testing.T, c detCase) *detRuns {
 	t.Helper()
-	r, ok := detMemo[c.name]
-	if !ok {
-		r = &detRuns{tracer: telemetry.New(0)}
-		detMemo[c.name] = r // a run that fails below stays failed
-		r.plain = c.run(t, c)
+	scenarioPlain(t, c)
+	r := detMemo[c.name]
+	if !r.ranChecked {
+		r.ranChecked = true
+		r.tracer = telemetry.New(0)
 		checked := c
 		checked.opts = append(c.opts[:len(c.opts):len(c.opts)], sim.WithInvariantChecks(), sim.WithTracer(r.tracer))
 		r.checked = c.run(t, checked)
 	}
-	if r.plain == nil || r.checked == nil {
+	if r.checked == nil {
 		t.Fatalf("scenario %s failed in an earlier test", c.name)
 	}
 	return r

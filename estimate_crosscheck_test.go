@@ -1,8 +1,9 @@
 package dasesim
 
 // Cross-check of the online estimation service against the in-process model:
-// for every interval snapshot recorded by the six determinism-golden
-// scenarios, the bytes served over HTTP by POST /v1/estimate must be
+// for every interval snapshot recorded by the plain runs of the
+// determinism-golden scenarios (shared with the determinism tests through
+// scenarioPlain), the bytes served over HTTP by POST /v1/estimate must be
 // byte-identical to what the in-process estimate.Service produces, and the
 // slowdowns inside those bytes must equal core.EstimateDetailed's output
 // bit-exactly. Together with the determinism goldens this pins the serving
@@ -46,7 +47,7 @@ func TestEstimateServiceCrossCheck(t *testing.T) {
 	for _, c := range detCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			res := c.run(t, c)
+			res := scenarioPlain(t, c)
 			if len(res.Snapshots) == 0 {
 				t.Fatal("scenario recorded no snapshots")
 			}

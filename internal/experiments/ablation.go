@@ -9,6 +9,7 @@ import (
 	"dasesim/internal/kernels"
 	"dasesim/internal/metrics"
 	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -16,7 +17,7 @@ import (
 // The paper fixes 50K cycles, stating it "is enough effective to capture
 // application characteristics" (§4.4); this experiment quantifies that:
 // DASE's accuracy across interval lengths on a random pair sample.
-func ExtIntervalSensitivity(p Params) ([]SensitivityRow, *Table, error) {
+func ExtIntervalSensitivity(p Params, store *simcache.Memory) ([]SensitivityRow, *Table, error) {
 	intervals := []uint64{12_500, 25_000, 50_000, 100_000}
 	rows := make([]SensitivityRow, 0, len(intervals))
 	for _, iv := range intervals {
@@ -25,7 +26,7 @@ func ExtIntervalSensitivity(p Params) ([]SensitivityRow, *Table, error) {
 		// comparability.
 		q := p
 		q.Cfg.IntervalCycles = iv
-		e, err := pairError(q)
+		e, err := pairError(q, store)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -37,7 +38,7 @@ func ExtIntervalSensitivity(p Params) ([]SensitivityRow, *Table, error) {
 // ExtLargeGPU (Ext.E) re-runs the DASE accuracy study on the Large (24-SM,
 // 8-partition) device: the model reads only relative counters, so its
 // accuracy should carry across GPU generations without re-tuning.
-func ExtLargeGPU(p Params) ([]SensitivityRow, *Table, error) {
+func ExtLargeGPU(p Params, store *simcache.Memory) ([]SensitivityRow, *Table, error) {
 	rows := make([]SensitivityRow, 0, 2)
 	for _, cfgCase := range []struct {
 		label string
@@ -48,7 +49,7 @@ func ExtLargeGPU(p Params) ([]SensitivityRow, *Table, error) {
 	} {
 		q := p
 		q.Cfg = cfgCase.cfg
-		e, err := pairError(q)
+		e, err := pairError(q, store)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -64,13 +65,13 @@ func ExtLargeGPU(p Params) ([]SensitivityRow, *Table, error) {
 // Requestmax ... can be further explored"). The factor reaches only the
 // estimator, through each snapshot, so every row is scored on one set of
 // shared runs at p.Cfg, the dynamic Requestmax (repo default) included.
-func ExtRequestMaxFactor(p Params, cache workload.Baseline) ([]SensitivityRow, *Table, error) {
+func ExtRequestMaxFactor(p Params, store *simcache.Memory) ([]SensitivityRow, *Table, error) {
 	var ests []core.Estimator
 	for _, f := range []float64{0.4, 0.5, 0.6, 0.7, 0.8} {
 		ests = append(ests, namedDASE{core.New(core.Options{StaticRequestMax: true}), fmt.Sprintf("static %.1f", f), f})
 	}
 	ests = append(ests, namedDASE{core.New(core.Options{}), "dynamic (default)", 0})
-	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), cache)
+	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), store)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,12 +138,12 @@ func (d namedDASE) Estimate(snap *sim.IntervalSnapshot) []float64 {
 // and the writeback L2 move SB's alone bandwidth, the app-aware round-robin
 // memory scheduler moves the unfairness of VA+CT (the Fig. 2 cache-victim
 // pair), and an unsampled ATD moves DASE's error on VA+CT.
-func Ablation(p Params, cache workload.Baseline) ([]AblationRow, *Table, error) {
+func Ablation(p Params, store *simcache.Memory) ([]AblationRow, *Table, error) {
 	ests := make([]core.Estimator, len(ablationOptions))
 	for i, v := range ablationOptions {
 		ests[i] = namedDASE{core.New(v.opt), v.label, 0}
 	}
-	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), cache)
+	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), store)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -158,9 +159,8 @@ func Ablation(p Params, cache workload.Baseline) ([]AblationRow, *Table, error) 
 	rr.Mem.AppAwareRR = true
 	atd.ATDSampledSets = atd.L2.Sets()
 
-	ctx := context.TODO()
 	sb, _ := kernels.ByAbbr("SB")
-	sbAlone, err := cache.Get(ctx, sb)
+	sbAlone, err := p.alone(store, sb)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,7 +168,9 @@ func Ablation(p Params, cache workload.Baseline) ([]AblationRow, *Table, error) 
 		label string
 		cfg   config.Config
 	}{{"DRAM refresh (tREFI 5460, tRFC 224)", refresh}, {"writeback L2", writeback}} {
-		res, err := sim.RunAloneContext(ctx, sub.cfg, sb, p.SharedCycles, p.Seed)
+		q := p
+		q.Cfg = sub.cfg
+		res, err := q.alone(store, sb)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -184,12 +186,9 @@ func Ablation(p Params, cache workload.Baseline) ([]AblationRow, *Table, error) 
 	job := evenJobs(p.Cfg.NumSMs, combos)[0]
 	var vaCT [3]*workload.Eval
 	for i, cfg := range []config.Config{p.Cfg, rr, atd} {
-		q, alone := p, cache
+		q := p
 		q.Cfg = cfg
-		if i > 0 {
-			alone = workload.NewAloneCache(cfg, p.SharedCycles, p.Seed)
-		}
-		if vaCT[i], err = workload.Evaluate(ctx, q.evalOptions(core.New(core.Options{})), job, alone); err != nil {
+		if vaCT[i], err = workload.Evaluate(context.TODO(), q.evalOptions(core.New(core.Options{})), job, store); err != nil {
 			return nil, nil, err
 		}
 	}

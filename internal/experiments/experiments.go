@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -18,6 +19,7 @@ import (
 	"dasesim/internal/kernels"
 	"dasesim/internal/metrics"
 	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -40,14 +42,6 @@ type Params struct {
 	// needs several estimation intervals plus SM-draining time before its
 	// allocation takes effect, so it defaults to 3x SharedCycles.
 	Fig9Cycles uint64
-}
-
-// fig9Budget returns the policy-study budget.
-func (p Params) fig9Budget() uint64 {
-	if p.Fig9Cycles > 0 {
-		return p.Fig9Cycles
-	}
-	return 3 * p.SharedCycles
 }
 
 // DefaultParams returns the configuration used for EXPERIMENTS.md.
@@ -73,6 +67,21 @@ func (p Params) evalOptions(est ...core.Estimator) workload.Options {
 		WarmupIntervals: p.Warmup,
 		Estimators:      est,
 	}
+}
+
+// policyOptions measure slowdowns only, over the policy-study budget
+// (Fig9Cycles, or 3x SharedCycles) against alone runs at SharedCycles
+// (Fig. 9, Ext.F, Ext.G).
+func (p Params) policyOptions() workload.Options {
+	opt := p.evalOptions()
+	opt.SharedCycles, opt.AloneCycles = cmp.Or(p.Fig9Cycles, 3*p.SharedCycles), p.SharedCycles
+	return opt
+}
+
+// alone returns prof's alone run at p's configuration, budget and seed
+// from store.
+func (p Params) alone(store *simcache.Memory, prof kernels.Profile) (*sim.Result, error) {
+	return workload.Alone(context.TODO(), store, p.Cfg, prof, p.SharedCycles, p.Seed)
 }
 
 // accuracyOptions compares DASE, MISE and ASM (Figs. 5-8): MISE and ASM are
@@ -109,12 +118,12 @@ func pairCombos(pairs [][2]string) ([]workload.Combo, error) {
 
 // evenPairs measures the slowdowns of kernel-abbreviation pairs under the
 // even SM split.
-func evenPairs(p Params, pairs [][2]string, cache workload.Baseline) ([]*workload.Eval, error) {
+func evenPairs(p Params, pairs [][2]string, store *simcache.Memory) ([]*workload.Eval, error) {
 	combos, err := pairCombos(pairs)
 	if err != nil {
 		return nil, err
 	}
-	return workload.EvaluateAll(context.TODO(), p.evalOptions(), evenJobs(p.Cfg.NumSMs, combos), cache)
+	return workload.EvaluateAll(context.TODO(), p.evalOptions(), evenJobs(p.Cfg.NumSMs, combos), store)
 }
 
 // EstimatorNames lists the estimators compared in Figs. 5-7, in print order.
@@ -190,8 +199,8 @@ type AccuracyResult struct {
 	MeanError map[string]float64 // estimator -> mean |error| over all apps
 }
 
-func accuracy(opt workload.Options, jobs []workload.Job, cache workload.Baseline) (*AccuracyResult, error) {
-	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, cache)
+func accuracy(opt workload.Options, jobs []workload.Job, store *simcache.Memory) (*AccuracyResult, error) {
+	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, store)
 	if err != nil {
 		return nil, err
 	}
@@ -219,19 +228,19 @@ func newAccuracyResult(evals []*workload.Eval) *AccuracyResult {
 
 // Fig5 evaluates all two-application workloads with the even SM split and
 // compares DASE/MISE/ASM estimation error (paper Fig. 5).
-func Fig5(p Params, cache workload.Baseline) (*AccuracyResult, *Table, error) {
-	return accuracyStudy(p, cache, workload.AllPairs(), "Fig.5 — Estimation error, two-application workloads")
+func Fig5(p Params, store *simcache.Memory) (*AccuracyResult, *Table, error) {
+	return accuracyStudy(p, store, workload.AllPairs(), "Fig.5 — Estimation error, two-application workloads")
 }
 
 // Fig6 evaluates the random four-application workloads (paper Fig. 6).
-func Fig6(p Params, cache workload.Baseline) (*AccuracyResult, *Table, error) {
-	return accuracyStudy(p, cache, workload.RandomQuads(p.QuadCount, p.Seed), "Fig.6 — Estimation error, four-application workloads")
+func Fig6(p Params, store *simcache.Memory) (*AccuracyResult, *Table, error) {
+	return accuracyStudy(p, store, workload.RandomQuads(p.QuadCount, p.Seed), "Fig.6 — Estimation error, four-application workloads")
 }
 
 // accuracyStudy compares the estimators of Figs. 5 and 6 on combos at the
 // even split.
-func accuracyStudy(p Params, cache workload.Baseline, combos []workload.Combo, title string) (*AccuracyResult, *Table, error) {
-	res, err := accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, combos), cache)
+func accuracyStudy(p Params, store *simcache.Memory, combos []workload.Combo, title string) (*AccuracyResult, *Table, error) {
+	res, err := accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, combos), store)
 	if err != nil {
 		return nil, nil, err
 	}

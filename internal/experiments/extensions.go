@@ -5,6 +5,7 @@ import (
 
 	"dasesim/internal/baseline"
 	"dasesim/internal/kernels"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -22,12 +23,14 @@ type ExtSchedRow struct {
 
 // ExtSchedulers measures unfairness under FR-FCFS vs the application-aware
 // round-robin memory scheduler, even SM split, on the motivation pairs.
-func ExtSchedulers(p Params, cache workload.Baseline) ([]ExtSchedRow, *Table, error) {
+// Each half divides by alone runs of its own configuration; the two read
+// alike, because the round-robin path needs two apps.
+func ExtSchedulers(p Params, store *simcache.Memory) ([]ExtSchedRow, *Table, error) {
 	var runs [2][]*workload.Eval // FR-FCFS, app-aware RR
 	for i := range runs {
 		q := p
 		q.Cfg.Mem.AppAwareRR = i == 1
-		evals, err := evenPairs(q, Fig2Pairs, cache)
+		evals, err := evenPairs(q, Fig2Pairs, store)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -61,13 +64,13 @@ func ExtSchedulers(p Params, cache workload.Baseline) ([]ExtSchedRow, *Table, er
 
 // ExtEstimators compares DASE against the offline-profiling estimator the
 // paper contrasts with (Aguilera et al.): profiled alone-bandwidth ratios.
-func ExtEstimators(p Params, cache workload.Baseline) (*AccuracyResult, *Table, error) {
+func ExtEstimators(p Params, store *simcache.Memory) (*AccuracyResult, *Table, error) {
 	// Build the offline profile the way those works do: run every kernel
 	// alone and record its bandwidth share.
 	ctx := context.TODO()
 	aloneBW := map[string]float64{}
 	for _, prof := range kernels.All() {
-		res, err := cache.Get(ctx, prof)
+		res, err := p.alone(store, prof)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -84,7 +87,7 @@ func ExtEstimators(p Params, cache workload.Baseline) (*AccuracyResult, *Table, 
 		}
 		opt := p.accuracyOptions()
 		opt.Estimators = append(opt.Estimators, baseline.NewProfiled(bw))
-		ev, err := workload.Evaluate(ctx, opt, job, cache)
+		ev, err := workload.Evaluate(ctx, opt, job, store)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"dasesim/internal/sched"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -51,7 +52,7 @@ var fig9Unfit = map[string]bool{"SN": true}
 // Fig9 runs every two-application workload (minus unfit kernels) under the
 // even split and under DASE-Fair, comparing unfairness and harmonic
 // speedup.
-func Fig9(p Params, cache workload.Baseline) (*Fig9Result, *Table, error) {
+func Fig9(p Params, store *simcache.Memory) (*Fig9Result, *Table, error) {
 	var combos []workload.Combo
 	for _, c := range workload.AllPairs() {
 		if fig9Unfit[c.Profiles[0].Abbr] || fig9Unfit[c.Profiles[1].Abbr] {
@@ -59,7 +60,7 @@ func Fig9(p Params, cache workload.Baseline) (*Fig9Result, *Table, error) {
 		}
 		combos = append(combos, c)
 	}
-	res, err := policyStudy(p, combos, cache)
+	res, err := policyStudy(p, combos, store)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -69,7 +70,7 @@ func Fig9(p Params, cache workload.Baseline) (*Fig9Result, *Table, error) {
 // ExtQuadFairness (Ext.F) extends the Fig. 9 policy study to
 // four-application workloads: the DASE-Fair search space grows from 15
 // two-way partitions to C(15,3) = 455 compositions of the 16 SMs.
-func ExtQuadFairness(p Params, cache workload.Baseline, quads int) (*Fig9Result, *Table, error) {
+func ExtQuadFairness(p Params, store *simcache.Memory, quads int) (*Fig9Result, *Table, error) {
 	var combos []workload.Combo
 	for _, c := range workload.RandomQuads(quads*3, p.Seed) {
 		unfit := false
@@ -85,7 +86,7 @@ func ExtQuadFairness(p Params, cache workload.Baseline, quads int) (*Fig9Result,
 			break
 		}
 	}
-	res, err := policyStudy(p, combos, cache)
+	res, err := policyStudy(p, combos, store)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,9 +103,8 @@ func ExtQuadFairness(p Params, cache workload.Baseline, quads int) (*Fig9Result,
 // policyStudy runs each combo from the even split for the policy-study
 // budget, once as a static split and once under DASE-Fair, and compares
 // the measured unfairness and harmonic speedup.
-func policyStudy(p Params, combos []workload.Combo, cache workload.Baseline) (*Fig9Result, error) {
-	opt := p.evalOptions()
-	opt.SharedCycles = p.fig9Budget()
+func policyStudy(p Params, combos []workload.Combo, store *simcache.Memory) (*Fig9Result, error) {
+	opt := p.policyOptions()
 	var jobs []workload.Job
 	fair := make([]*sched.DASEFair, len(combos))
 	for i, job := range evenJobs(p.Cfg.NumSMs, combos) {
@@ -113,7 +113,7 @@ func policyStudy(p Params, combos []workload.Combo, cache workload.Baseline) (*F
 		job.Policy = fair[i]
 		jobs = append(jobs, job)
 	}
-	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, cache)
+	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, store)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -23,12 +24,12 @@ func tinyParams() Params {
 	return p
 }
 
-// tinyCache holds the alone runs at tinyParams, simulated once for every
-// test that runs at those parameters.
-var tinyCache = sync.OnceValue(func() *workload.AloneCache {
-	p := tinyParams()
-	return workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed)
-})
+// tinyStore holds every static, epoch and alone run of the tests in this
+// package, so a run several tests read (the even-split random pairs of the
+// ablation, Ext.B-Ext.E and Fig. 8, say) is simulated once per test binary.
+// Its key keeps runs at other parameters apart, such as Table III's 60K
+// cycles.
+var tinyStore = sync.OnceValue(func() *simcache.Memory { return simcache.NewMemory(0) })
 
 // checkGolden compares an experiment's rendered table, followed by its data
 // printed with %+v (every float at full precision, infinities included),
@@ -67,8 +68,8 @@ func TestFig2aIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	rows, tab, err := Fig2a(p, cache)
+	store := tinyStore()
+	rows, tab, err := Fig2a(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,8 @@ func TestFig2bIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	rows, tab, err := Fig2b(p, cache)
+	store := tinyStore()
+	rows, tab, err := Fig2b(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestFig3Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	rows, corr, tab, err := Fig3(p)
+	rows, corr, tab, err := Fig3(p, tinyStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +128,8 @@ func TestFig4Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	rows, tab, err := Fig4(p, cache)
+	store := tinyStore()
+	rows, tab, err := Fig4(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestTableIIIIntegration(t *testing.T) {
 	}
 	p := tinyParams()
 	p.SharedCycles = 60_000 // calibration needs a little longer
-	rows, tab, err := TableIII(workload.NewAloneCache(p.Cfg, p.SharedCycles, p.Seed))
+	rows, tab, err := TableIII(p, tinyStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +175,8 @@ func TestExtSchedulersIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	rows, tab, err := ExtSchedulers(p, cache)
+	store := tinyStore()
+	rows, tab, err := ExtSchedulers(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +191,8 @@ func TestExtEstimatorsIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	res, tab, err := ExtEstimators(p, cache)
+	store := tinyStore()
+	res, tab, err := ExtEstimators(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +210,8 @@ func TestFig9Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	res, tab, err := Fig9(p, cache)
+	store := tinyStore()
+	res, tab, err := Fig9(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +233,8 @@ func TestExtQuadFairnessIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	res, _, err := ExtQuadFairness(p, cache, 2)
+	store := tinyStore()
+	res, _, err := ExtQuadFairness(p, store, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +250,8 @@ func TestExtTemporalIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	rows, tab, err := ExtTemporal(p, cache)
+	store := tinyStore()
+	rows, tab, err := ExtTemporal(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +291,10 @@ func reducedAccuracy(t *testing.T) (fig5, fig6 *AccuracyResult) {
 	}
 	reduced.once.Do(func() {
 		p := tinyParams()
-		cache := tinyCache()
+		store := tinyStore()
 		pairs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed))
-		if reduced.fig5, reduced.err = accuracy(p.accuracyOptions(), pairs, cache); reduced.err == nil {
-			reduced.fig6, _, reduced.err = Fig6(p, cache)
+		if reduced.fig5, reduced.err = accuracy(p.accuracyOptions(), pairs, store); reduced.err == nil {
+			reduced.fig6, _, reduced.err = Fig6(p, store)
 		}
 	})
 	if reduced.err != nil {
@@ -326,8 +327,8 @@ func TestFig7Integration(t *testing.T) {
 func TestAblationIntegration(t *testing.T) {
 	fig5, _ := reducedAccuracy(t)
 	p := tinyParams()
-	cache := tinyCache()
-	rows, tab, err := Ablation(p, cache)
+	store := tinyStore()
+	rows, tab, err := Ablation(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +352,12 @@ func TestFig8Integration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	a, _, err := Fig8a(p, cache)
+	store := tinyStore()
+	a, _, err := Fig8a(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Fig8b(p, cache)
+	b, _, err := Fig8b(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestExtIntervalSensitivityIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	rows, tab, err := ExtIntervalSensitivity(tinyParams())
+	rows, tab, err := ExtIntervalSensitivity(tinyParams(), tinyStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +380,8 @@ func TestExtRequestMaxFactorIntegration(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	p := tinyParams()
-	cache := tinyCache()
-	rows, tab, err := ExtRequestMaxFactor(p, cache)
+	store := tinyStore()
+	rows, tab, err := ExtRequestMaxFactor(p, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestExtLargeGPUIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	rows, tab, err := ExtLargeGPU(tinyParams())
+	rows, tab, err := ExtLargeGPU(tinyParams(), tinyStore())
 	if err != nil {
 		t.Fatal(err)
 	}

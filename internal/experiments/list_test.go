@@ -1,26 +1,18 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"dasesim/internal/kernels"
 	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
-// fakeAlone answers every alone-run request with a fixed result and
-// counts the requests.
-type fakeAlone struct{ gets int }
-
-func (f *fakeAlone) Get(_ context.Context, p kernels.Profile) (*sim.Result, error) {
-	f.gets++
-	return &sim.Result{Cycles: 1000, Apps: []sim.AppResult{{Abbr: p.Abbr, IPC: 2, BWUtil: p.PaperBW}}}, nil
-}
-
 // TestListSession runs the simulation-free entries of List: the names are
-// unique, Table III reads the session's alone cache, Fig. 7 reuses the
+// unique, Table III reads the alone runs from the session's store, where
+// fixed results are planted under their AloneKey, Fig. 7 reuses the
 // session's Fig. 5 and 6 results, and a failed accuracy study records
 // nothing. The session's configuration is invalid, so any entry that
 // simulated would fail.
@@ -40,15 +32,19 @@ func TestListSession(t *testing.T) {
 
 	p := DefaultParams()
 	p.Cfg.RequestMaxFactor = 0 // fails config validation
-	alone := &fakeAlone{}
-	s := NewSession(p, alone)
+	store := simcache.NewMemory(0)
+	for _, k := range kernels.All() {
+		store.Put(workload.AloneKey(p.Cfg, k, p.SharedCycles, p.Seed),
+			&sim.Result{Cycles: 1000, Apps: []sim.AppResult{{Abbr: k.Abbr, IPC: 2, BWUtil: k.PaperBW}}})
+	}
+	s := NewSession(p, store)
 
 	data, tab, err := byName["tableIII"].Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, ok := data.([]TableIIIRow); !ok || len(rows) != 15 || len(tab.Rows) != 15 || alone.gets != 15 {
-		t.Errorf("tableIII: data %T with %d table rows after %d cache reads, want 15 rows read from the cache", data, len(tab.Rows), alone.gets)
+	if rows, ok := data.([]TableIIIRow); !ok || len(rows) != 15 || len(tab.Rows) != 15 || store.Stats().Hits != 15 {
+		t.Errorf("tableIII: data %T with %d table rows, store %+v, want 15 rows read from the store", data, len(tab.Rows), store.Stats())
 	}
 
 	data, tab, err = byName["tableII"].Run(s)

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"dasesim/internal/kernels"
-	"dasesim/internal/sim"
-	"dasesim/internal/workload"
+	"dasesim/internal/simcache"
 )
 
 // Fig2Pairs are the two-application combinations shown in the motivation
@@ -27,8 +25,8 @@ type Fig2Row struct {
 }
 
 // Fig2a measures unfairness for the motivation pairs (paper Fig. 2(a)).
-func Fig2a(p Params, cache workload.Baseline) ([]Fig2Row, *Table, error) {
-	evals, err := evenPairs(p, Fig2Pairs, cache)
+func Fig2a(p Params, store *simcache.Memory) ([]Fig2Row, *Table, error) {
+	evals, err := evenPairs(p, Fig2Pairs, store)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -59,8 +57,8 @@ type Fig2bRow struct {
 
 // Fig2b decomposes bandwidth for the motivation pairs; the second kernel of
 // each pair is treated as the victim (as SD is in the paper).
-func Fig2b(p Params, cache workload.Baseline) ([]Fig2bRow, *Table, error) {
-	evals, err := evenPairs(p, Fig2Pairs, cache)
+func Fig2b(p Params, store *simcache.Memory) ([]Fig2bRow, *Table, error) {
+	evals, err := evenPairs(p, Fig2Pairs, store)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -73,7 +71,7 @@ func Fig2b(p Params, cache workload.Baseline) ([]Fig2bRow, *Table, error) {
 	}
 	rows := make([]Fig2bRow, len(evals))
 	for i, ev := range evals {
-		alone, err := cache.Get(context.TODO(), ev.Combo.Profiles[1])
+		alone, err := p.alone(store, ev.Combo.Profiles[1])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -112,16 +110,16 @@ type Fig3Row struct {
 // "memory intensity" of a CUDA kernel; scaling the service rate of a fixed
 // kernel exercises the same proportionality without changing the
 // instructions-per-request ratio.)
-func Fig3(p Params) ([]Fig3Row, float64, *Table, error) {
+func Fig3(p Params, store *simcache.Memory) ([]Fig3Row, float64, *Table, error) {
 	base, _ := kernels.ByAbbr("SB")
 	scales := []float64{1.0, 1.5, 2.0, 3.0, 4.0, 6.0}
 	rows := make([]Fig3Row, 0, len(scales))
 	for _, s := range scales {
-		cfg := p.Cfg
-		cfg.Mem.TBurst = uint64(float64(cfg.Mem.TBurst) * s)
-		cfg.Mem.TFAW = uint64(float64(cfg.Mem.TFAW) * s)
-		cfg.Mem.TRRD = uint64(float64(cfg.Mem.TRRD) * s)
-		res, err := sim.RunAlone(cfg, base, p.SharedCycles, p.Seed)
+		q := p
+		q.Cfg.Mem.TBurst = uint64(float64(q.Cfg.Mem.TBurst) * s)
+		q.Cfg.Mem.TFAW = uint64(float64(q.Cfg.Mem.TFAW) * s)
+		q.Cfg.Mem.TRRD = uint64(float64(q.Cfg.Mem.TRRD) * s)
+		res, err := q.alone(store, base)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -177,16 +175,16 @@ type Fig4Row struct {
 }
 
 // Fig4 runs SB against several partners.
-func Fig4(p Params, cache workload.Baseline) ([]Fig4Row, *Table, error) {
+func Fig4(p Params, store *simcache.Memory) ([]Fig4Row, *Table, error) {
 	var pairs [][2]string
 	for _, pa := range []string{"SA", "VA", "SD", "NN", "AT"} {
 		pairs = append(pairs, [2]string{"SB", pa})
 	}
-	evals, err := evenPairs(p, pairs, cache)
+	evals, err := evenPairs(p, pairs, store)
 	if err != nil {
 		return nil, nil, err
 	}
-	alone, err := cache.Get(context.TODO(), evals[0].Combo.Profiles[0])
+	alone, err := p.alone(store, evals[0].Combo.Profiles[0])
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dasesim/internal/core"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -20,19 +21,19 @@ type SensitivityRow struct {
 
 // Fig8a measures DASE's accuracy across uneven SM allocations on a random
 // pair sample (paper Fig. 8(a)).
-func Fig8a(p Params, cache workload.Baseline) ([]SensitivityRow, *Table, error) {
-	return allocSensitivity(p, cache, "Fig.8(a) — DASE error vs SM allocation", "%d+%d", Fig8aAllocations)
+func Fig8a(p Params, store *simcache.Memory) ([]SensitivityRow, *Table, error) {
+	return allocSensitivity(p, store, "Fig.8(a) — DASE error vs SM allocation", "%d+%d", Fig8aAllocations)
 }
 
 // Fig8b measures DASE's accuracy across equal allocations of varying size
 // (paper Fig. 8(b)): both apps get k SMs, the rest of the GPU stays idle.
-func Fig8b(p Params, cache workload.Baseline) ([]SensitivityRow, *Table, error) {
-	return allocSensitivity(p, cache, "Fig.8(b) — DASE error vs number of SMs", "%d+%d SMs", [][]int{{2, 2}, {4, 4}, {6, 6}, {8, 8}})
+func Fig8b(p Params, store *simcache.Memory) ([]SensitivityRow, *Table, error) {
+	return allocSensitivity(p, store, "Fig.8(b) — DASE error vs number of SMs", "%d+%d SMs", [][]int{{2, 2}, {4, 4}, {6, 6}, {8, 8}})
 }
 
 // allocSensitivity measures DASE's mean error on the random pair sample
 // under each allocation, labelled by label's format of the two SM counts.
-func allocSensitivity(p Params, cache workload.Baseline, title, label string, allocs [][]int) ([]SensitivityRow, *Table, error) {
+func allocSensitivity(p Params, store *simcache.Memory, title, label string, allocs [][]int) ([]SensitivityRow, *Table, error) {
 	opt := p.evalOptions(core.New(core.Options{}))
 	combos := workload.RandomPairs(p.PairSample, p.Seed)
 	rows := make([]SensitivityRow, 0, len(allocs))
@@ -41,7 +42,7 @@ func allocSensitivity(p Params, cache workload.Baseline, title, label string, al
 		for i, c := range combos {
 			jobs[i] = workload.Job{Combo: c, Alloc: alloc}
 		}
-		acc, err := accuracy(opt, jobs, cache)
+		acc, err := accuracy(opt, jobs, store)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -55,9 +56,8 @@ func allocSensitivity(p Params, cache workload.Baseline, title, label string, al
 
 // pairError is DASE's mean error on q's random pair sample at the even
 // split, against alone baselines of q's own configuration.
-func pairError(q Params) (float64, error) {
-	cache := workload.NewAloneCache(q.Cfg, q.SharedCycles, q.Seed)
-	acc, err := accuracy(q.evalOptions(core.New(core.Options{})), evenJobs(q.Cfg.NumSMs, workload.RandomPairs(q.PairSample, q.Seed)), cache)
+func pairError(q Params, store *simcache.Memory) (float64, error) {
+	acc, err := accuracy(q.evalOptions(core.New(core.Options{})), evenJobs(q.Cfg.NumSMs, workload.RandomPairs(q.PairSample, q.Seed)), store)
 	if err != nil {
 		return 0, err
 	}

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
-	"dasesim/internal/workload"
+	"dasesim/internal/simcache"
 )
 
 // TableIIIRow is one application of Table III with its measured alone
@@ -23,16 +22,16 @@ type TableIIIRow struct {
 	Launches int
 }
 
-// TableIII reads every kernel's alone run on the full GPU from cache and
+// TableIII reads every kernel's alone run on the full GPU from store and
 // reports attained DRAM bandwidth utilisation (paper Table III).
-func TableIII(cache workload.Baseline) ([]TableIIIRow, *Table, error) {
+func TableIII(p Params, store *simcache.Memory) ([]TableIIIRow, *Table, error) {
 	t := &Table{
 		Title:   "Table III — alone DRAM bandwidth utilisation (paper vs measured)",
 		Columns: []string{"app", "name", "paper", "measured", "IPC", "alpha", "rowhit"},
 	}
 	rows := make([]TableIIIRow, 0, 15)
 	for _, prof := range kernels.All() {
-		res, err := cache.Get(context.TODO(), prof)
+		res, err := p.alone(store, prof)
 		if err != nil {
 			return nil, nil, err
 		}

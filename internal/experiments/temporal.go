@@ -6,6 +6,7 @@ import (
 	"dasesim/internal/metrics"
 	"dasesim/internal/sched"
 	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -23,7 +24,7 @@ type ExtTemporalRow struct {
 // side-by-side on partitioned SMs beats time-slicing the whole GPU,
 // especially when one kernel cannot fill the machine. Compares temporal
 // round-robin (2-interval slices), the spatial even split, and DASE-Fair.
-func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, *Table, error) {
+func ExtTemporal(p Params, store *simcache.Memory) ([]ExtTemporalRow, *Table, error) {
 	pairs := [][2]string{{"SN", "VA"}, {"QR", "SB"}, {"CT", "NN"}, {"BG", "SA"}, {"SD", "SP"}}
 	combos, err := pairCombos(pairs)
 	if err != nil {
@@ -38,9 +39,7 @@ func ExtTemporal(p Params, cache workload.Baseline) ([]ExtTemporalRow, *Table, e
 			workload.Job{Combo: c, Alloc: even},
 			workload.Job{Combo: c, Alloc: even, Policy: sched.NewDASEFair()})
 	}
-	opt := p.evalOptions()
-	opt.SharedCycles = p.fig9Budget()
-	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, cache)
+	evals, err := workload.EvaluateAll(context.TODO(), p.policyOptions(), jobs, store)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"reflect"
 	"testing"
 	"time"
 
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
+	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -227,25 +230,24 @@ func TestJobIDsSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestAloneBaselineSharedWithWorkload: an alone baseline that
-// workload.AloneCache wrote on a directory is a disk hit for a slowdown job
-// of a server on the same directory with the same cfg, cycles and seed, so
-// only the shared run simulates.
+// TestAloneBaselineSharedWithWorkload: the static run and the alone
+// baselines workload.Evaluate stored on a directory are disk hits for a
+// slowdown job of a server on the same directory with the same cfg, cycles
+// and seed, because both key them alike ("shared/even" and AloneKey). The
+// job simulates nothing and returns what Evaluate measured.
 func TestAloneBaselineSharedWithWorkload(t *testing.T) {
 	dir := t.TempDir()
 	cfg := config.Default()
-	baselines, err := workload.OpenAloneCache(cfg, testCycles, 1, dir)
+	store, err := simcache.NewDir(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var aloneIPC []float64
-	for _, abbr := range []string{"SB", "SD"} {
-		p, _ := kernels.ByAbbr(abbr)
-		r, err := baselines.Get(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aloneIPC = append(aloneIPC, r.Apps[0].IPC)
+	sb, _ := kernels.ByAbbr("SB")
+	sd, _ := kernels.ByAbbr("SD")
+	job := workload.Job{Combo: workload.Combo{Profiles: []kernels.Profile{sb, sd}}, Alloc: sim.EvenAllocation(cfg.NumSMs, 2)}
+	ev, err := workload.Evaluate(context.Background(), workload.Options{Cfg: cfg, SharedCycles: testCycles, Seed: 1}, job, store)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	s := newIdleServer(t, Options{Cfg: cfg, CacheDir: dir, Workers: 1})
@@ -254,12 +256,10 @@ func TestAloneBaselineSharedWithWorkload(t *testing.T) {
 	if v.Status != StatusDone {
 		t.Fatalf("slowdown job: %s (%s)", v.Status, v.Error)
 	}
-	for i, want := range aloneIPC {
-		if v.Result.AloneIPC[i] != want {
-			t.Fatalf("alone IPC %d = %v, want the stored baseline's %v", i, v.Result.AloneIPC[i], want)
-		}
+	if st := s.cache.Stats(); st.Hits != 3 || st.Misses != 0 {
+		t.Fatalf("cache stats = %+v, want the shared run and the two baselines from disk", st)
 	}
-	if st := s.cache.Stats(); st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want the two baselines from disk and one simulated shared run", st)
+	if !reflect.DeepEqual(v.Result.Sim, ev.Shared) || !reflect.DeepEqual(v.Result.AloneIPC, ev.AloneIPC) || !reflect.DeepEqual(v.Result.Slowdowns, ev.Actual) {
+		t.Fatalf("job result differs from the stored evaluation:\n got %+v\nwant shared %+v, alone IPC %v, slowdowns %v", v.Result, ev.Shared, ev.AloneIPC, ev.Actual)
 	}
 }

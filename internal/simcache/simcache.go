@@ -3,8 +3,8 @@
 // configuration, kernel profiles, SM allocation, cycle budget, seed, run
 // variant), so a result computed once can be served to every later query
 // with the same key — the server uses this to answer repeated job
-// submissions without re-simulating, and workload.AloneCache uses it to
-// share the 15 alone baselines across the 105 pair evaluations.
+// submissions without re-simulating, and workload.Evaluate uses it to
+// share every static, epoch and alone run across the experiments.
 //
 // The Memory implementation additionally deduplicates in-flight computation:
 // when several goroutines ask for the same missing key concurrently, exactly

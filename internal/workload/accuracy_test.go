@@ -8,6 +8,7 @@ import (
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
 	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
 )
 
 // TestAccuracySample evaluates a handful of representative pairs and logs
@@ -20,7 +21,7 @@ func TestAccuracySample(t *testing.T) {
 	opt := DefaultOptions(150_000)
 	opt.Estimators = []core.Estimator{core.New(core.Options{})}
 	opt.EpochEstimators = []core.Estimator{baseline.NewMISE(), baseline.NewASM()}
-	cache := NewAloneCache(opt.Cfg, opt.SharedCycles, opt.Seed)
+	store := simcache.NewMemory(0)
 	pairs := [][2]string{{"SB", "SD"}, {"SA", "SD"}, {"VA", "CT"}, {"QR", "BG"}, {"BS", "SA"}, {"SN", "NN"}}
 	sums := map[string]float64{}
 	n := 0
@@ -28,7 +29,7 @@ func TestAccuracySample(t *testing.T) {
 		a, _ := kernels.ByAbbr(pr[0])
 		b, _ := kernels.ByAbbr(pr[1])
 		combo := Combo{Profiles: []kernels.Profile{a, b}}
-		ev, err := Evaluate(context.Background(), opt, Job{Combo: combo, Alloc: sim.EvenAllocation(opt.Cfg.NumSMs, 2)}, cache)
+		ev, err := Evaluate(context.Background(), opt, Job{Combo: combo, Alloc: sim.EvenAllocation(opt.Cfg.NumSMs, 2)}, store)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,24 +4,12 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
-	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
 )
-
-// countingBaseline counts lookups to observe how much work a batch did.
-type countingBaseline struct {
-	inner Baseline
-	calls atomic.Int64
-}
-
-func (c *countingBaseline) Get(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
-	c.calls.Add(1)
-	return c.inner.Get(ctx, p)
-}
 
 // TestEvaluateAllAbortsOnFirstError proves a failing job surfaces its own
 // error (not a cancellation) and cancels the rest of the batch.
@@ -31,7 +19,6 @@ func TestEvaluateAllAbortsOnFirstError(t *testing.T) {
 	}
 	cfg := config.Default()
 	opt := Options{Cfg: cfg, SharedCycles: 20_000, Seed: 1}
-	cache := NewAloneCache(cfg, 20_000, 1)
 	qr, _ := kernels.ByAbbr("QR")
 	bg, _ := kernels.ByAbbr("BG")
 	good := Combo{Profiles: []kernels.Profile{qr, bg}}
@@ -41,7 +28,7 @@ func TestEvaluateAllAbortsOnFirstError(t *testing.T) {
 		{Combo: good, Alloc: []int{8, 8}},
 		{Combo: good, Alloc: []int{8, 8}},
 	}
-	_, err := EvaluateAll(context.Background(), opt, jobs, cache)
+	_, err := EvaluateAll(context.Background(), opt, jobs, simcache.NewMemory(0))
 	if err == nil {
 		t.Fatal("expected an error")
 	}
@@ -54,11 +41,11 @@ func TestEvaluateAllAbortsOnFirstError(t *testing.T) {
 }
 
 // TestEvaluateAllExternalCancel proves a pre-cancelled context skips every
-// job without running simulations.
+// job without a store lookup, so without running simulations.
 func TestEvaluateAllExternalCancel(t *testing.T) {
 	cfg := config.Default()
 	opt := Options{Cfg: cfg, SharedCycles: 20_000, Seed: 1}
-	counting := &countingBaseline{inner: NewAloneCache(cfg, 20_000, 1)}
+	store := simcache.NewMemory(0)
 	qr, _ := kernels.ByAbbr("QR")
 	bg, _ := kernels.ByAbbr("BG")
 	jobs := make([]Job, 8)
@@ -67,11 +54,11 @@ func TestEvaluateAllExternalCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EvaluateAll(ctx, opt, jobs, counting)
+	_, err := EvaluateAll(ctx, opt, jobs, store)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	if n := counting.calls.Load(); n != 0 {
-		t.Fatalf("cancelled batch still did %d baseline lookups", n)
+	if st := store.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("cancelled batch still did store lookups: %+v", st)
 	}
 }

@@ -11,14 +11,16 @@ import (
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
 	"dasesim/internal/sched"
+	"dasesim/internal/simcache"
 )
 
 // TestEvaluateAllPolicies runs two DASE-Fair jobs on one combo beside an
 // Even job in one batch: each shared run must be bit-identical to a direct
 // sched.Run of the same inputs, and each policy instance must count
-// only its own reallocations. It is small enough to stay in the -short
-// suite, so the race detector sees stateful policies on the pool's
-// goroutines.
+// only its own reallocations, so the two equal policy jobs simulate twice.
+// Neither adds a store entry: the store holds the static run and the two
+// alone runs. It is small enough to stay in the -short suite, so the race
+// detector sees stateful policies on the pool's goroutines.
 func TestEvaluateAllPolicies(t *testing.T) {
 	cfg := config.Default()
 	cfg.IntervalCycles = 10_000
@@ -33,9 +35,13 @@ func TestEvaluateAllPolicies(t *testing.T) {
 		{Combo: combo, Alloc: []int{8, 8}},
 		{Combo: combo, Alloc: []int{8, 8}, Policy: fair2},
 	}
-	evals, err := EvaluateAll(context.Background(), opt, jobs, NewAloneCache(cfg, cycles, 1))
+	store := simcache.NewMemory(0)
+	evals, err := EvaluateAll(context.Background(), opt, jobs, store)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Misses != 3 || st.Entries != 3 {
+		t.Errorf("store stats = %+v, want 3 simulated and stored runs: the static run and 2 alone runs", st)
 	}
 
 	direct := sched.NewDASEFair()
@@ -78,11 +84,11 @@ func TestEvaluatePolicyRejectsEpochRun(t *testing.T) {
 	qr, _ := kernels.ByAbbr("QR")
 	bg, _ := kernels.ByAbbr("BG")
 	job := Job{Combo: Combo{Profiles: []kernels.Profile{qr, bg}}, Alloc: []int{8, 8}, Policy: sched.NewDASEFair()}
-	counting := &countingBaseline{inner: NewAloneCache(cfg, 10_000, 1)}
-	if _, err := Evaluate(context.Background(), opt, job, counting); err == nil || !strings.Contains(err.Error(), "epoch") {
+	store := simcache.NewMemory(0)
+	if _, err := Evaluate(context.Background(), opt, job, store); err == nil || !strings.Contains(err.Error(), "epoch") {
 		t.Fatalf("err = %v, want the policy/epoch conflict", err)
 	}
-	if n := counting.calls.Load(); n != 0 {
-		t.Fatalf("rejected job still did %d baseline lookups", n)
+	if st := store.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("rejected job still did store lookups: %+v", st)
 	}
 }

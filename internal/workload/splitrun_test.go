@@ -8,6 +8,7 @@ import (
 	"dasesim/internal/config"
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
+	"dasesim/internal/simcache"
 )
 
 // TestEvaluateSplitRuns verifies the two-system evaluation: passive
@@ -29,8 +30,7 @@ func TestEvaluateSplitRuns(t *testing.T) {
 	}
 	a, _ := kernels.ByAbbr("SB")
 	b, _ := kernels.ByAbbr("SD")
-	cache := NewAloneCache(cfg, 30_000, 1)
-	ev, err := Evaluate(context.Background(), opt, Job{Combo: Combo{Profiles: []kernels.Profile{a, b}}, Alloc: []int{8, 8}}, cache)
+	ev, err := Evaluate(context.Background(), opt, Job{Combo: Combo{Profiles: []kernels.Profile{a, b}}, Alloc: []int{8, 8}}, simcache.NewMemory(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,7 @@ func TestEvaluateWithoutEpochEstimators(t *testing.T) {
 	}
 	a, _ := kernels.ByAbbr("QR")
 	b, _ := kernels.ByAbbr("BG")
-	cache := NewAloneCache(cfg, 20_000, 1)
-	ev, err := Evaluate(context.Background(), opt, Job{Combo: Combo{Profiles: []kernels.Profile{a, b}}, Alloc: []int{8, 8}}, cache)
+	ev, err := Evaluate(context.Background(), opt, Job{Combo: Combo{Profiles: []kernels.Profile{a, b}}, Alloc: []int{8, 8}}, simcache.NewMemory(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 // Package workload enumerates multiprogrammed workload combinations,
-// runs shared and alone simulations (with alone-run caching), and computes
-// actual slowdowns, estimator outputs and estimation errors — the machinery
-// behind every figure of the paper's evaluation.
+// runs shared and alone simulations, keeping each static, epoch and alone
+// run in a content-addressed simcache store, and computes actual slowdowns,
+// estimator outputs and estimation errors — the machinery behind every
+// figure of the paper's evaluation.
 //
 // Simulations are deterministic and independent, so the harness fans them
 // out over a GOMAXPROCS-sized worker pool.
 package workload
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -95,48 +97,6 @@ func RandomPairs(n int, seed uint64) []Combo {
 	return all[:n]
 }
 
-// Baseline supplies alone-run results for slowdown ground truth; AloneCache
-// implements it. Get aborts the backing simulation once ctx is done, so an
-// aborted batch stops simulating alone baselines too.
-type Baseline interface {
-	Get(ctx context.Context, p kernels.Profile) (*sim.Result, error)
-}
-
-// AloneCache memoises alone-run results per kernel so the 105 pair
-// evaluations reuse the 15 alone baselines. It keeps them in a
-// content-addressed simcache store under AloneKey (which covers the full
-// profile, GPU configuration, budget and seed), in memory or, opened on a
-// directory, also on disk. It is safe for concurrent use, and concurrent
-// requests for the same kernel simulate it only once.
-type AloneCache struct {
-	cfg    config.Config
-	cycles uint64
-	seed   uint64
-	store  *simcache.Memory
-}
-
-// NewAloneCache builds an in-memory cache running alone simulations with
-// the given budget.
-func NewAloneCache(cfg config.Config, cycles uint64, seed uint64) *AloneCache {
-	return &AloneCache{cfg: cfg, cycles: cycles, seed: seed, store: simcache.NewMemory(0)}
-}
-
-// OpenAloneCache is NewAloneCache backed by dir when dir is not empty: each
-// baseline is one file per AloneKey (simcache.NewDir), so it survives across
-// runs and is a hit for every process using dir, dased -cache-dir included.
-func OpenAloneCache(cfg config.Config, cycles uint64, seed uint64, dir string) (*AloneCache, error) {
-	c := NewAloneCache(cfg, cycles, seed)
-	if dir == "" {
-		return c, nil
-	}
-	store, err := simcache.NewDir(0, dir)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	c.store = store
-	return c, nil
-}
-
 // AloneKey is the content address of a kernel's alone run on all SMs; the
 // full profile is hashed, so WithMemFrac sweeps (Fig. 3) and custom kernels
 // coexist. Exported so the dased server addresses the alone runs in its own
@@ -145,14 +105,26 @@ func AloneKey(cfg config.Config, p kernels.Profile, cycles, seed uint64) string 
 	return simcache.Key(cfg, []kernels.Profile{p}, []int{cfg.NumSMs}, cycles, seed, "alone")
 }
 
-func (c *AloneCache) key(p kernels.Profile) string {
-	return AloneKey(c.cfg, p, c.cycles, c.seed)
+// Alone returns p's alone run on all of cfg's SMs from store, simulating it
+// under AloneKey on first use.
+func Alone(ctx context.Context, store *simcache.Memory, cfg config.Config, p kernels.Profile, cycles, seed uint64) (*sim.Result, error) {
+	return store.GetOrCompute(ctx, AloneKey(cfg, p, cycles, seed), func() (*sim.Result, error) {
+		return sim.RunAloneContext(ctx, cfg, p, cycles, seed)
+	})
 }
 
-// Get returns the alone result for the kernel, simulating it on first use.
-func (c *AloneCache) Get(ctx context.Context, p kernels.Profile) (*sim.Result, error) {
-	return c.store.GetOrCompute(ctx, c.key(p), func() (*sim.Result, error) {
-		return sim.RunAloneContext(ctx, c.cfg, p, c.cycles, c.seed)
+// sharedRun returns job's shared run. A policy run is simulated; a static
+// split is read from store under simcache.Key with the given variant and
+// simulated with simOpts on first use ("shared/even" is the key dased gives
+// the same run).
+func sharedRun(ctx context.Context, store *simcache.Memory, opt Options, job Job, variant string, simOpts ...sim.Option) (*sim.Result, error) {
+	ps := job.Combo.Profiles
+	if job.Policy != nil {
+		return sched.Run(ctx, opt.Cfg, ps, job.Alloc, opt.SharedCycles, opt.Seed, job.Policy)
+	}
+	key := simcache.Key(opt.Cfg, ps, job.Alloc, opt.SharedCycles, opt.Seed, variant)
+	return store.GetOrCompute(ctx, key, func() (*sim.Result, error) {
+		return sim.RunSharedContext(ctx, opt.Cfg, ps, job.Alloc, opt.SharedCycles, opt.Seed, simOpts...)
 	})
 }
 
@@ -178,6 +150,9 @@ type Options struct {
 	Cfg          config.Config
 	SharedCycles uint64
 	Seed         uint64
+	// AloneCycles is the alone baselines' budget; 0 means SharedCycles.
+	// A policy study runs its shared runs longer than its alone runs.
+	AloneCycles uint64
 	// WarmupIntervals are skipped when averaging estimator intervals.
 	WarmupIntervals int
 	// Estimators evaluated on the plain shared run (DASE and other
@@ -214,14 +189,19 @@ type Job struct {
 
 // Evaluate runs one job and computes actual slowdowns and per-estimator
 // errors. When EpochEstimators are present, a second run with priority
-// epochs provides their inputs and ground truth. The shared runs, epoch
-// runs and alone-baseline lookups all abort once ctx is done.
-func Evaluate(ctx context.Context, opt Options, job Job, cache Baseline) (*Eval, error) {
+// epochs provides their inputs and ground truth. The static-split run
+// ("shared/even"), the epoch run ("shared/epochs") and the alone baselines
+// (AloneKey) are read from store and simulated on first use; a policy run
+// is always simulated, because part of its outcome, such as the policy's
+// reallocation count, is not in its sim.Result. Stored results are shared,
+// so the returned Eval's Shared must not be written. Every simulation
+// aborts once ctx is done.
+func Evaluate(ctx context.Context, opt Options, job Job, store *simcache.Memory) (*Eval, error) {
 	combo := job.Combo
 	if job.Policy != nil && len(opt.EpochEstimators) > 0 {
 		return nil, fmt.Errorf("workload %s: policy %s cannot also drive the epoch run", combo.Name(), job.Policy.Name())
 	}
-	shared, err := sched.Run(ctx, opt.Cfg, combo.Profiles, job.Alloc, opt.SharedCycles, opt.Seed, job.Policy)
+	shared, err := sharedRun(ctx, store, opt, job, "shared/even")
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", combo.Name(), err)
 	}
@@ -235,7 +215,7 @@ func Evaluate(ctx context.Context, opt Options, job Job, cache Baseline) (*Eval,
 		Errors:    map[string][]float64{},
 	}
 	for i, p := range combo.Profiles {
-		alone, err := cache.Get(ctx, p)
+		alone, err := Alone(ctx, store, opt.Cfg, p, cmp.Or(opt.AloneCycles, opt.SharedCycles), opt.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +239,7 @@ func Evaluate(ctx context.Context, opt Options, job Job, cache Baseline) (*Eval,
 	}
 
 	if len(opt.EpochEstimators) > 0 {
-		epochRun, err := sim.RunSharedContext(ctx, opt.Cfg, combo.Profiles, job.Alloc, opt.SharedCycles, opt.Seed, sim.WithPriorityEpochs())
+		epochRun, err := sharedRun(ctx, store, opt, job, "shared/epochs", sim.WithPriorityEpochs())
 		if err != nil {
 			return nil, fmt.Errorf("workload %s (epochs): %w", combo.Name(), err)
 		}
@@ -275,12 +255,12 @@ func Evaluate(ctx context.Context, opt Options, job Job, cache Baseline) (*Eval,
 }
 
 // EvaluateAll evaluates jobs in parallel over a GOMAXPROCS-sized worker
-// pool, preserving input order. The first error cancels the batch: jobs not
-// yet started are skipped and in-flight simulations abort, as they do when
-// ctx is cancelled. The returned error is the first root-cause failure in
+// pool on one store, preserving input order. The first error cancels the
+// batch: jobs not yet started are skipped and in-flight simulations abort,
+// as they do when ctx is cancelled. The returned error is the first root-cause failure in
 // job order; cancellations induced by that failure are not reported as the
 // batch error.
-func EvaluateAll(ctx context.Context, opt Options, jobs []Job, cache Baseline) ([]*Eval, error) {
+func EvaluateAll(ctx context.Context, opt Options, jobs []Job, store *simcache.Memory) ([]*Eval, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	out := make([]*Eval, len(jobs))
@@ -303,7 +283,7 @@ func EvaluateAll(ctx context.Context, opt Options, jobs []Job, cache Baseline) (
 					errs[i] = err
 					continue
 				}
-				out[i], errs[i] = Evaluate(ctx, opt, jobs[i], cache)
+				out[i], errs[i] = Evaluate(ctx, opt, jobs[i], store)
 				if errs[i] != nil {
 					cancel()
 				}

@@ -6,6 +6,7 @@ import (
 
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
+	"dasesim/internal/simcache"
 )
 
 func TestAllPairsCount(t *testing.T) {
@@ -90,34 +91,6 @@ func TestComboName(t *testing.T) {
 	}
 }
 
-func TestAloneCacheMemoizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a simulation")
-	}
-	cfg := config.Default()
-	cache := NewAloneCache(cfg, 20_000, 1)
-	p, _ := kernels.ByAbbr("QR")
-	r1, err := cache.Get(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := cache.Get(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("cache did not memoize")
-	}
-	// A MemFrac variant is a distinct key.
-	r3, err := cache.Get(context.Background(), p.WithMemFrac(p.MemFrac*2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3 == r1 {
-		t.Fatal("variant profile hit the same cache entry")
-	}
-}
-
 func TestEvaluateAllPreservesOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -125,7 +98,6 @@ func TestEvaluateAllPreservesOrder(t *testing.T) {
 	cfg := config.Default()
 	cfg.IntervalCycles = 10_000
 	opt := Options{Cfg: cfg, SharedCycles: 20_000, Seed: 1}
-	cache := NewAloneCache(cfg, 20_000, 1)
 	qr, _ := kernels.ByAbbr("QR")
 	bg, _ := kernels.ByAbbr("BG")
 	ct, _ := kernels.ByAbbr("CT")
@@ -133,7 +105,7 @@ func TestEvaluateAllPreservesOrder(t *testing.T) {
 		{Combo: Combo{Profiles: []kernels.Profile{qr, bg}}, Alloc: []int{8, 8}},
 		{Combo: Combo{Profiles: []kernels.Profile{qr, ct}}, Alloc: []int{8, 8}},
 	}
-	evals, err := EvaluateAll(context.Background(), opt, jobs, cache)
+	evals, err := EvaluateAll(context.Background(), opt, jobs, simcache.NewMemory(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,10 @@ import (
 	"dasesim/internal/config"
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
-	"dasesim/internal/metrics"
 	"dasesim/internal/sched"
 	"dasesim/internal/sim"
+	"dasesim/internal/simcache"
+	"dasesim/internal/workload"
 )
 
 func main() {
@@ -124,30 +125,49 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var pol sched.Policy // nil: the static split
-	var fair *sched.DASEFair
-	switch *policy {
-	case "even":
-	case "fair":
-		fair = sched.NewDASEFair()
-		pol = fair
-	default:
+	if *policy != "even" && *policy != "fair" {
 		return fmt.Errorf("unknown policy %q (even | fair)", *policy)
+	}
+	// Every run (and each -seeds run) is scored by workload.Evaluate: the
+	// DASE estimator after one warm-up interval, against alone runs on every
+	// SM kept in one in-memory store.
+	store := simcache.NewMemory(0)
+	evaluate := func(seed uint64) (*workload.Eval, *sched.DASEFair, error) {
+		opt := workload.Options{
+			Cfg: cfg, SharedCycles: *cycles, Seed: seed, WarmupIntervals: 1,
+			Estimators: []core.Estimator{core.New(core.Options{})},
+		}
+		job := workload.Job{Combo: workload.Combo{Profiles: profiles}, Alloc: alloc}
+		var fair *sched.DASEFair
+		if *policy == "fair" {
+			fair = sched.NewDASEFair()
+			job.Policy = fair
+		}
+		ev, err := workload.Evaluate(context.Background(), opt, job, store)
+		return ev, fair, err
 	}
 
 	if *seeds > 1 {
 		if *csvPath != "" {
 			return fmt.Errorf("-csv records one run's intervals; it cannot be combined with -seeds %d", *seeds)
 		}
-		return reportMultiSeed(stdout, cfg, profiles, alloc, *cycles, *seed, *seeds, *policy)
+		evals := make([]*workload.Eval, *seeds)
+		for s := range evals {
+			ev, _, err := evaluate(*seed + uint64(s))
+			if err != nil {
+				return err
+			}
+			evals[s] = ev
+		}
+		reportMultiSeed(stdout, evals)
+		return nil
 	}
 
-	shared, err := sched.Run(context.Background(), cfg, profiles, alloc, *cycles, *seed, pol)
+	ev, fair, err := evaluate(*seed)
 	if err != nil {
 		return err
 	}
-
-	est := core.AverageEstimates(core.New(core.Options{}), shared.Snapshots, 1)
+	shared, est := ev.Shared, ev.Estimates["DASE"]
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -167,26 +187,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "workload: %s, %d cycles, policy %s, initial allocation %v\n\n",
 		*appsFlag, *cycles, *policy, alloc)
 	fmt.Fprintln(stdout, "app  IPC(shared)  alpha  DRAM-req   BW-share  rowhit  mem-lat(p95)  DASE-est  alone-IPC  slowdown")
-	var slowdowns []float64
 	for i, a := range shared.Apps {
-		alone, err := sim.RunAlone(cfg, profiles[i], *cycles, *seed)
-		if err != nil {
-			return err
-		}
-		slow := metrics.Slowdown(alone.Apps[0].IPC, a.IPC)
-		slowdowns = append(slowdowns, slow)
 		fmt.Fprintf(stdout, "%-3s  %11.2f  %5.2f  %8d  %8.1f%%  %5.1f%%  %5.0f(%5d)  %8.2f  %9.2f  %8.2f\n",
 			a.Abbr, a.IPC, a.Alpha, a.Served, a.BWUtil*100, a.RowHitRate*100,
 			a.MeanLatency, a.P95Latency,
-			est[i], alone.Apps[0].IPC, slow)
+			est[i], ev.AloneIPC[i], ev.Actual[i])
 	}
 
 	fmt.Fprintf(stdout, "\nDRAM bus: %.1f%% data, %.1f%% wasted (timing), %.1f%% idle\n",
 		shared.BWUtilTotal()*100,
 		float64(shared.BusWasted)/float64(shared.BusCycles)*100,
 		float64(shared.BusIdle)/float64(shared.BusCycles)*100)
-	fmt.Fprintf(stdout, "unfairness %.2f (ideal 1.00), harmonic speedup %.2f\n",
-		metrics.Unfairness(slowdowns), metrics.HarmonicSpeedup(slowdowns))
+	fmt.Fprintf(stdout, "unfairness %.2f (ideal 1.00), harmonic speedup %.2f\n", ev.Unfairness, ev.HSpeedup)
 	if fair != nil {
 		final := shared.Snapshots[len(shared.Snapshots)-1]
 		var parts []string
@@ -228,42 +240,24 @@ func writeCSV(w io.Writer, snaps []sim.IntervalSnapshot) error {
 	return err
 }
 
-// reportMultiSeed reruns the workload across several seeds and prints the
-// mean and spread of each application's slowdown — simulation-methodology
-// hygiene for checking that a conclusion is not a single-seed artefact.
-func reportMultiSeed(w io.Writer, cfg config.Config, profiles []kernels.Profile, alloc []int, cycles, seed uint64, n int, policy string) error {
-	slow := make([][]float64, len(profiles))
-	for s := uint64(0); s < uint64(n); s++ {
-		var pol sched.Policy
-		if policy == "fair" {
-			pol = sched.NewDASEFair()
-		}
-		shared, err := sched.Run(context.Background(), cfg, profiles, alloc, cycles, seed+s, pol)
-		if err != nil {
-			return err
-		}
-		for i := range profiles {
-			alone, err := sim.RunAlone(cfg, profiles[i], cycles, seed+s)
-			if err != nil {
-				return err
-			}
-			slow[i] = append(slow[i], metrics.Slowdown(alone.Apps[0].IPC, shared.Apps[i].IPC))
-		}
-	}
-	fmt.Fprintf(w, "\nslowdowns over %d seeds (mean, min..max):\n", n)
-	for i, p := range profiles {
-		mean, min, max := 0.0, slow[i][0], slow[i][0]
-		for _, v := range slow[i] {
+// reportMultiSeed prints the mean and spread of each application's slowdown
+// over one evaluation per seed — simulation-methodology hygiene for checking
+// that a conclusion is not a single-seed artefact.
+func reportMultiSeed(w io.Writer, evals []*workload.Eval) {
+	fmt.Fprintf(w, "\nslowdowns over %d seeds (mean, min..max):\n", len(evals))
+	for i, p := range evals[0].Combo.Profiles {
+		mean, lo, hi := 0.0, evals[0].Actual[i], evals[0].Actual[i]
+		for _, ev := range evals {
+			v := ev.Actual[i]
 			mean += v
-			if v < min {
-				min = v
+			if v < lo {
+				lo = v
 			}
-			if v > max {
-				max = v
+			if v > hi {
+				hi = v
 			}
 		}
-		mean /= float64(len(slow[i]))
-		fmt.Fprintf(w, "  %-3s  %.3f  (%.3f..%.3f)\n", p.Abbr, mean, min, max)
+		mean /= float64(len(evals))
+		fmt.Fprintf(w, "  %-3s  %.3f  (%.3f..%.3f)\n", p.Abbr, mean, lo, hi)
 	}
-	return nil
 }

@@ -128,10 +128,10 @@ func runRetentionFaultRetry(t *testing.T, c detCase) *sim.Result {
 	// snapshots and evicts the first, so the fold-into-aggregates path is on
 	// the golden fingerprint.
 	opts := append([]sim.Option{sim.WithSnapshotRetention(2)}, c.opts...)
-	if _, err := sim.RunSharedContext(&abortCtx{context.Background(), abortPolls}, config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...); err == nil {
+	if _, err := sched.Run(&abortCtx{context.Background(), abortPolls}, config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, nil, opts...); err == nil {
 		t.Fatal("first attempt survived its abort")
 	}
-	res, err := sim.RunSharedContext(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, opts...)
+	res, err := sched.Run(context.Background(), config.Default(), detProfiles(t, c.abbrs), c.alloc, c.cycles, c.seed, nil, opts...)
 	if err != nil {
 		t.Fatalf("rerun after the aborted attempt: %v", err)
 	}

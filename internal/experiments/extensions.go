@@ -4,7 +4,9 @@ import (
 	"context"
 
 	"dasesim/internal/baseline"
+	"dasesim/internal/core"
 	"dasesim/internal/kernels"
+	"dasesim/internal/metrics"
 	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
@@ -67,7 +69,6 @@ func ExtSchedulers(p Params, store *simcache.Memory) ([]ExtSchedRow, *Table, err
 func ExtEstimators(p Params, store *simcache.Memory) (*AccuracyResult, *Table, error) {
 	// Build the offline profile the way those works do: run every kernel
 	// alone and record its bandwidth share.
-	ctx := context.TODO()
 	aloneBW := map[string]float64{}
 	for _, prof := range kernels.All() {
 		res, err := p.alone(store, prof)
@@ -76,22 +77,24 @@ func ExtEstimators(p Params, store *simcache.Memory) (*AccuracyResult, *Table, e
 		}
 		aloneBW[prof.Abbr] = res.Apps[0].BWUtil
 	}
-	// Per-combo estimator construction needs the per-app profile order, so
-	// evaluate serially here.
 	jobs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed))
-	evals := make([]*workload.Eval, len(jobs))
-	for i, job := range jobs {
-		bw := make([]float64, len(job.Combo.Profiles))
-		for a, prof := range job.Combo.Profiles {
+	evals, err := workload.EvaluateAll(context.TODO(), p.accuracyOptions(), jobs, store)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The profiled estimator is built per pair from its apps' alone
+	// bandwidths, so it scores each pair's shared run here.
+	for _, ev := range evals {
+		bw := make([]float64, len(ev.Combo.Profiles))
+		for a, prof := range ev.Combo.Profiles {
 			bw[a] = aloneBW[prof.Abbr]
 		}
-		opt := p.accuracyOptions()
-		opt.Estimators = append(opt.Estimators, baseline.NewProfiled(bw))
-		ev, err := workload.Evaluate(ctx, opt, job, store)
-		if err != nil {
-			return nil, nil, err
+		est := core.AverageEstimates(baseline.NewProfiled(bw), ev.Shared.Snapshots, p.Warmup)
+		errs := make([]float64, len(est))
+		for i := range est {
+			errs[i] = metrics.Error(est[i], ev.Actual[i])
 		}
-		evals[i] = ev
+		ev.Estimates["Profiled"], ev.Errors["Profiled"] = est, errs
 	}
 	r := newAccuracyResult(evals)
 	t := &Table{

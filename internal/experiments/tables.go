@@ -11,15 +11,14 @@ import (
 // TableIIIRow is one application of Table III with its measured alone
 // bandwidth utilisation next to the paper's.
 type TableIIIRow struct {
-	Abbr     string
-	Name     string
-	PaperBW  float64
-	MeasBW   float64
-	IPC      float64
-	Alpha    float64
-	RowHit   float64
-	Served   uint64
-	Launches int
+	Abbr    string
+	Name    string
+	PaperBW float64
+	MeasBW  float64
+	IPC     float64
+	Alpha   float64
+	RowHit  float64
+	Served  uint64
 }
 
 // TableIII reads every kernel's alone run on the full GPU from store and

@@ -105,9 +105,6 @@ func (m AddrMap) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(m.LineBytes) - 1)
 }
 
-// LineIndex returns the global line number of an address.
-func (m AddrMap) LineIndex(addr uint64) uint64 { return addr >> m.lineShift }
-
 // chanLine returns the within-partition line index of an address.
 func (m AddrMap) chanLine(addr uint64) uint64 {
 	return (addr >> m.lineShift) / uint64(m.NumPartitions)

@@ -108,21 +108,6 @@ func Median(xs []float64) float64 {
 	return (c[n/2-1] + c[n/2]) / 2
 }
 
-// GeoMean returns the geometric mean; inputs must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Histogram buckets values below increasing upper edges, for the Figure 7
 // error distribution. A value goes to the first bucket whose edge it is
 // strictly below; NaN is below no edge and lands in the overflow bucket.

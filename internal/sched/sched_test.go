@@ -2,7 +2,10 @@ package sched
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"testing"
+	"time"
 
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
@@ -79,6 +82,52 @@ func TestLeftoverAllocation(t *testing.T) {
 	alloc = LeftoverAllocation(cfg, []kernels.Profile{sb, sn})
 	if alloc[0] != 16 || alloc[1] != 0 {
 		t.Fatalf("expected 16+0, got %v", alloc)
+	}
+}
+
+// TestRunContextMatchesRun proves Run's chunked context-polling loop
+// changes nothing about the simulation itself: without a policy it is
+// byte-identical to a plain GPU.Run of the same budget.
+func TestRunContextMatchesRun(t *testing.T) {
+	cfg := config.Default()
+	cfg.IntervalCycles = 10_000
+	sb, _ := kernels.ByAbbr("SB")
+	sd, _ := kernels.ByAbbr("SD")
+	ps := []kernels.Profile{sb, sd}
+	g, err := sim.New(cfg, ps, []int{8, 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run(30_000)
+	viaCtx, err := Run(context.Background(), cfg, ps, []int{8, 8}, 30_000, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(g.FinishRun())
+	b, _ := json.Marshal(viaCtx)
+	if string(a) != string(b) {
+		t.Fatal("Run diverged from GPU.Run")
+	}
+}
+
+// TestRunContextDeadline: an alone run (one app on every SM) far longer
+// than its deadline returns context.DeadlineExceeded.
+func TestRunContextDeadline(t *testing.T) {
+	cfg := config.Default()
+	sb, _ := kernels.ByAbbr("SB")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := Run(ctx, cfg, []kernels.Profile{sb}, []int{cfg.NumSMs}, 500_000_000, 1, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v", err)
+	}
+	// The bound exists to catch a deadline being ignored outright (the full
+	// budget would run for hours), not to time the poll: one polling chunk
+	// is milliseconds, but under the race detector on a loaded two-core box
+	// the process can be descheduled for seconds.
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("deadline ignored for %v", elapsed)
 	}
 }
 

@@ -218,7 +218,9 @@ func (s *Server) buildPlan(req JobRequest) (plan, error) {
 	}
 	nsm := s.opts.Cfg.NumSMs
 	if p.mode == "alone" {
+		// The one-app run on every SM: no policy repartitions it.
 		p.alloc = []int{nsm}
+		p.policy = "even"
 	} else if len(req.Alloc) == 0 {
 		p.alloc = sim.EvenAllocation(nsm, len(p.profiles))
 	} else {

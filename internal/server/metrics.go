@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"dasesim/internal/simcache"
 	"dasesim/internal/telemetry"
 )
 
@@ -28,8 +29,6 @@ type Metrics struct {
 	jobsShed      *telemetry.Counter // admission control: non-cached work refused over the high-water mark
 	jobsRunning   *telemetry.Gauge
 
-	simCycles *telemetry.Counter // cycles actually simulated (cache hits excluded)
-
 	queueWait   *telemetry.Histogram // submission to first execution
 	jobDuration *telemetry.Histogram // wall time of finished jobs
 	estError    *telemetry.Histogram // |est-actual|/actual per DASE interval
@@ -40,7 +39,7 @@ type Metrics struct {
 	estBatch    *telemetry.Histogram // snapshots per estimation body
 }
 
-func newMetrics(queueDepth func() int, cacheStats func() (uint64, uint64, uint64, int)) *Metrics {
+func newMetrics(queueDepth func() int, cacheStats func() simcache.Stats) *Metrics {
 	reg := telemetry.NewRegistry()
 	m := &Metrics{start: time.Now(), reg: reg}
 
@@ -51,8 +50,6 @@ func newMetrics(queueDepth func() int, cacheStats func() (uint64, uint64, uint64
 	m.jobsRejected = reg.Counter("dased_jobs_rejected_total", "Submissions rejected with 429 (queue full).")
 	m.jobsShed = reg.Counter("dased_jobs_shed_total", "Non-cached submissions shed over the queue high-water mark.")
 	m.jobsRunning = reg.Gauge("dased_jobs_running", "Jobs currently executing.")
-
-	m.simCycles = reg.Counter("dased_sim_cycles_total", "GPU cycles simulated (cache hits excluded).")
 
 	m.queueWait = reg.Histogram("dased_queue_wait_seconds",
 		"Time jobs spent queued before a worker started them.",
@@ -75,14 +72,16 @@ func newMetrics(queueDepth func() int, cacheStats func() (uint64, uint64, uint64
 
 	reg.GaugeFunc("dased_queue_depth", "Jobs waiting in the queue.",
 		func() float64 { return float64(queueDepth()) })
+	reg.CounterFunc("dased_sim_cycles_total", "GPU cycles simulated (cache hits excluded).",
+		func() float64 { return float64(cacheStats().Cycles) })
 	reg.CounterFunc("dased_cache_hits_total", "Result-cache lookups served without simulating.",
-		func() float64 { h, _, _, _ := cacheStats(); return float64(h) })
+		func() float64 { return float64(cacheStats().Hits) })
 	reg.CounterFunc("dased_cache_misses_total", "Result-cache lookups that simulated.",
-		func() float64 { _, mi, _, _ := cacheStats(); return float64(mi) })
+		func() float64 { return float64(cacheStats().Misses) })
 	reg.CounterFunc("dased_cache_evictions_total", "Result-cache entries evicted by the size bound.",
-		func() float64 { _, _, e, _ := cacheStats(); return float64(e) })
+		func() float64 { return float64(cacheStats().Evictions) })
 	reg.GaugeFunc("dased_cache_entries", "Resident result-cache entries.",
-		func() float64 { _, _, _, n := cacheStats(); return float64(n) })
+		func() float64 { return float64(cacheStats().Entries) })
 	reg.GaugeFunc("dased_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(m.start).Seconds() })
 

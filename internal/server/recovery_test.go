@@ -147,7 +147,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 			t.Fatalf("resubmitted job %d: %s (%s)", i, recovered[i].Status, recovered[i].Error)
 		}
 		if i == 1 {
-			if n := sB.metrics.simCycles.Load(); n != 0 {
+			if n := sB.cache.Stats().Cycles; n != 0 {
 				t.Fatalf("finished requests simulated %d cycles after the restart, want 0", n)
 			}
 		}

@@ -135,13 +135,15 @@ func (s *Server) writeTraceFile(job *Job) {
 }
 
 // execute runs the plan's simulation through the content-addressed cache and
-// optionally augments it with slowdown metrics against cached alone
-// baselines. The returned cacheHit refers to the main simulation. tr, when
-// non-nil, receives the simulation's trace events (cache hits skip the
-// simulation, so hit jobs carry lifecycle events only) and, for slowdown
-// jobs, the measured ground truth.
+// optionally augments it with slowdown metrics against the alone baselines
+// workload.AloneIPC reads from the same cache. The returned cacheHit refers
+// to the main simulation. tr, when non-nil, receives the simulation's trace
+// events (cache hits skip the simulation, so hit jobs carry lifecycle events
+// only) and, for slowdown jobs, the measured ground truth.
 func (s *Server) execute(ctx context.Context, p plan, tr *telemetry.Tracer) (*JobResult, bool, error) {
-	res, cacheHit, err := s.cachedSim(ctx, p.key, func(ctx context.Context) (*sim.Result, error) {
+	simulated := false
+	res, err := s.cache.GetOrCompute(ctx, p.key, func() (*sim.Result, error) {
+		simulated = true
 		return s.simulate(ctx, p, tr)
 	})
 	if err != nil {
@@ -150,26 +152,18 @@ func (s *Server) execute(ctx context.Context, p plan, tr *telemetry.Tracer) (*Jo
 	out := &JobResult{Sim: res}
 	if p.slowdown {
 		// Alone baselines are addressed with workload.AloneKey, so they are
-		// simulated at most once across slowdown computations and explicit
-		// alone-mode jobs with the same budget and seed.
-		out.Slowdowns = make([]float64, len(p.profiles))
-		out.AloneIPC = make([]float64, len(p.profiles))
-		for i, prof := range p.profiles {
-			aloneKey := workload.AloneKey(s.opts.Cfg, prof, p.cycles, p.seed)
-			alone, _, err := s.cachedSim(ctx, aloneKey, func(ctx context.Context) (*sim.Result, error) {
-				return sim.RunAloneContext(ctx, s.opts.Cfg, prof, p.cycles, p.seed, s.simOpts()...)
-			})
-			if err != nil {
-				return nil, false, fmt.Errorf("alone baseline %s: %w", prof.Abbr, err)
-			}
-			out.AloneIPC[i] = alone.Apps[0].IPC
-			out.Slowdowns[i] = metrics.Slowdown(alone.Apps[0].IPC, res.Apps[i].IPC)
+		// simulated at most once across slowdown computations, explicit
+		// alone-mode jobs and cmd/experiments runs on a shared -cache-dir.
+		out.AloneIPC, err = workload.AloneIPC(ctx, s.cache, s.opts.Cfg, p.profiles, p.cycles, p.seed, s.simOpts()...)
+		if err != nil {
+			return nil, false, err
 		}
+		out.Slowdowns = workload.Slowdowns(out.AloneIPC, res)
 		out.Unfairness = metrics.Unfairness(out.Slowdowns)
 		out.HarmonicSpeedup = metrics.HarmonicSpeedup(out.Slowdowns)
 		s.observeEstimation(p, res, out.Slowdowns, tr)
 	}
-	return out, cacheHit, nil
+	return out, !simulated, nil
 }
 
 // observeEstimation scores DASE's per-interval slowdown estimates against the
@@ -181,9 +175,6 @@ func (s *Server) execute(ctx context.Context, p plan, tr *telemetry.Tracer) (*Jo
 // emitted as dase.app events here. This is pure observation off the hot path:
 // the estimator re-runs over the result's retained snapshots.
 func (s *Server) observeEstimation(p plan, res *sim.Result, actual []float64, tr *telemetry.Tracer) {
-	if p.mode == "alone" {
-		return
-	}
 	est := core.New(core.Options{})
 	emitDASE := tr != nil && p.policy == "even"
 	for si := range res.Snapshots {
@@ -222,21 +213,6 @@ func abs(v float64) float64 {
 	return v
 }
 
-// cachedSim resolves one simulation through the result cache, counting the
-// cycles of runs that actually simulated (cache hits are free).
-func (s *Server) cachedSim(ctx context.Context, key string, run func(context.Context) (*sim.Result, error)) (*sim.Result, bool, error) {
-	simulated := false
-	res, err := s.cache.GetOrCompute(ctx, key, func() (*sim.Result, error) {
-		simulated = true
-		r, err := run(ctx)
-		if err == nil {
-			s.metrics.simCycles.Add(r.Cycles)
-		}
-		return r, err
-	})
-	return res, !simulated, err
-}
-
 // simOpts builds the sim options every simulation entry point gets: the
 // snapshot-retention cap (so unbounded-length jobs cannot grow a result's
 // snapshot slice without limit) and, when configured, the runtime invariant
@@ -250,20 +226,19 @@ func (s *Server) simOpts() []sim.Option {
 	return opts
 }
 
-// runSim dispatches the plan to the right simulation entry point. A non-nil
-// tracer is attached to the engine (and, through g.Tracer(), picked up by
-// DASE-Fair); tracing is observation-only, so traced and untraced runs
-// share cache keys.
+// runSim runs the plan's main simulation: an alone-mode plan is the
+// one-app run on every SM (its alloc), and only a "fair" plan has a policy.
+// A non-nil tracer is attached to the engine (and, through g.Tracer(),
+// picked up by DASE-Fair); tracing is observation-only, so traced and
+// untraced runs share cache keys.
 func (s *Server) runSim(ctx context.Context, p plan, tr *telemetry.Tracer) (*sim.Result, error) {
 	opts := s.simOpts()
 	if tr != nil {
 		opts = append(opts, sim.WithTracer(tr))
 	}
-	if p.mode == "alone" {
-		return sim.RunAloneContext(ctx, s.opts.Cfg, p.profiles[0], p.cycles, p.seed, opts...)
-	}
+	var pol sched.Policy
 	if p.policy == "fair" {
-		return sched.Run(ctx, s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, sched.NewDASEFair(), opts...)
+		pol = sched.NewDASEFair()
 	}
-	return sim.RunSharedContext(ctx, s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, opts...)
+	return sched.Run(ctx, s.opts.Cfg, p.profiles, p.alloc, p.cycles, p.seed, pol, opts...)
 }

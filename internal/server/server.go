@@ -217,13 +217,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.simulate = s.runSim
 	s.est = estimate.NewService(estimate.Options{Cfg: opts.Cfg})
-	s.metrics = newMetrics(
-		func() int { return len(s.queue) },
-		func() (uint64, uint64, uint64, int) {
-			st := s.cache.Stats()
-			return st.Hits, st.Misses, st.Evictions, st.Entries
-		},
-	)
+	s.metrics = newMetrics(func() int { return len(s.queue) }, s.cache.Stats)
 	return s, nil
 }
 

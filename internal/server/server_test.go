@@ -19,6 +19,7 @@ import (
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
 	"dasesim/internal/sim"
+	"dasesim/internal/telemetry"
 )
 
 // testCycles keeps the suite fast: one partial interval per run.
@@ -302,6 +303,51 @@ func TestSlowdownJob(t *testing.T) {
 	}
 }
 
+// TestSimCyclesCountsColdRuns: two cold slowdown jobs that share both alone
+// baselines, submitted together, add their main runs' cycles plus the two
+// alone runs' cycles once to dased_sim_cycles_total; resubmitting them adds
+// 0. It runs under -short, so the race detector sees concurrent jobs
+// resolving one alone baseline.
+func TestSimCyclesCountsColdRuns(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	reqs := []JobRequest{
+		{Kernels: []string{"SB", "SD"}, Cycles: testCycles, Slowdowns: true},
+		{Kernels: []string{"SD", "SB"}, Cycles: testCycles, Slowdowns: true},
+	}
+	submit := func() (cycles uint64, hits int) {
+		ids := make([]string, len(reqs))
+		for i, req := range reqs {
+			v, _ := postJob(t, ts, req)
+			ids[i] = v.ID
+		}
+		for _, id := range ids {
+			v := waitDone(t, ts, id)
+			if v.Status != StatusDone {
+				t.Fatalf("job %s: %s (%s)", id, v.Status, v.Error)
+			}
+			cycles += v.Result.Sim.Cycles
+			if v.CacheHit {
+				hits++
+			}
+		}
+		return cycles, hits
+	}
+	mainCycles, hits := submit()
+	if hits != 0 {
+		t.Fatalf("%d cold jobs were cache hits", hits)
+	}
+	want := float64(mainCycles + 2*testCycles) // both mains, SB and SD alone
+	if got := metricValue(t, fetchMetrics(t, ts), "dased_sim_cycles_total"); got != want {
+		t.Fatalf("dased_sim_cycles_total = %v after the cold jobs, want %v", got, want)
+	}
+	if _, hits := submit(); hits != len(reqs) {
+		t.Fatalf("%d of %d resubmitted jobs were cache hits", hits, len(reqs))
+	}
+	if got := metricValue(t, fetchMetrics(t, ts), "dased_sim_cycles_total"); got != want {
+		t.Fatalf("dased_sim_cycles_total = %v after resubmitting, want %v", got, want)
+	}
+}
+
 // TestValidationErrors exercises the 400 paths.
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -333,8 +379,12 @@ func TestValidationErrors(t *testing.T) {
 // TestPanicRecovery proves a panicking job fails the job, not the daemon.
 func TestPanicRecovery(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	// A plan with no profiles in alone mode panics in runSim — the kind of
-	// internal bug panic recovery exists for.
+	// A panicking simulation stands in for the kind of internal bug panic
+	// recovery exists for. The worker reads s.simulate only after it
+	// receives the job below.
+	s.simulate = func(context.Context, plan, *telemetry.Tracer) (*sim.Result, error) {
+		panic("internal bug")
+	}
 	job := &Job{
 		ID:     "job-panic",
 		Status: StatusQueued,

@@ -126,38 +126,21 @@ func (g *GPU) FinishRun() *Result {
 }
 
 // RunAlone simulates one kernel alone on all SMs for the given cycles and
-// returns the result. This provides the IPC^alone baseline of Eq. 1.
+// returns the result. This provides the IPC^alone baseline of Eq. 1: it is
+// the one-app shared run on every SM.
 func RunAlone(cfg config.Config, p kernels.Profile, cycles uint64, seed uint64, opts ...Option) (*Result, error) {
-	return RunAloneContext(context.Background(), cfg, p, cycles, seed, opts...)
-}
-
-// RunAloneContext is RunAlone with cancellation: the run aborts (returning
-// ctx.Err()) when ctx is cancelled or its deadline passes.
-func RunAloneContext(ctx context.Context, cfg config.Config, p kernels.Profile, cycles uint64, seed uint64, opts ...Option) (*Result, error) {
-	g, err := New(cfg, []kernels.Profile{p}, []int{cfg.NumSMs}, seed, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.RunContext(ctx, cycles); err != nil {
-		return nil, err
-	}
-	return g.FinishRun(), nil
+	return RunShared(cfg, []kernels.Profile{p}, []int{cfg.NumSMs}, cycles, seed, opts...)
 }
 
 // RunShared simulates the given kernels concurrently with alloc[i] SMs for
-// app i, for the given cycles, and returns the result.
+// app i, for the given cycles, and returns the result. sched.Run is the
+// same run with cancellation and an optional SM policy.
 func RunShared(cfg config.Config, ps []kernels.Profile, alloc []int, cycles uint64, seed uint64, opts ...Option) (*Result, error) {
-	return RunSharedContext(context.Background(), cfg, ps, alloc, cycles, seed, opts...)
-}
-
-// RunSharedContext is RunShared with cancellation: the run aborts (returning
-// ctx.Err()) when ctx is cancelled or its deadline passes.
-func RunSharedContext(ctx context.Context, cfg config.Config, ps []kernels.Profile, alloc []int, cycles uint64, seed uint64, opts ...Option) (*Result, error) {
 	g, err := New(cfg, ps, alloc, seed, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.RunContext(ctx, cycles); err != nil {
+	if err := g.RunContext(context.Background(), cycles); err != nil {
 		return nil, err
 	}
 	return g.FinishRun(), nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -88,6 +89,40 @@ func TestDirPersistsAcrossInstances(t *testing.T) {
 	}
 	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmp) != 0 {
 		t.Fatalf("temporary files left behind: %v", tmp)
+	}
+}
+
+// TestStatsCyclesCountsComputes: Cycles sums the cycles of the results
+// compute produced; a memory hit, a directory hit and a failed compute each
+// add 0.
+func TestStatsCyclesCountsComputes(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	m := mustNewDir(t, dir)
+	compute := func(cycles uint64) func() (*sim.Result, error) {
+		return func() (*sim.Result, error) { return &sim.Result{Cycles: cycles}, nil }
+	}
+	steps := []struct {
+		name   string
+		m      *Memory
+		key    string
+		fn     func() (*sim.Result, error)
+		cycles uint64 // m's Stats().Cycles after the lookup
+	}{
+		{"compute", m, "k", compute(300), 300},
+		{"memory hit", m, "k", noCompute(t), 300},
+		{"failed compute", m, "bad", func() (*sim.Result, error) { return nil, errors.New("boom") }, 300},
+		{"second compute", m, "j", compute(200), 500},
+		{"directory hit", mustNewDir(t, dir), "k", noCompute(t), 0},
+	}
+	for _, s := range steps {
+		_, err := s.m.GetOrCompute(ctx, s.key, s.fn)
+		if (err != nil) != (s.key == "bad") {
+			t.Fatalf("%s: err = %v", s.name, err)
+		}
+		if got := s.m.Stats().Cycles; got != s.cycles {
+			t.Fatalf("%s: Stats().Cycles = %d, want %d", s.name, got, s.cycles)
+		}
 	}
 }
 

@@ -59,6 +59,7 @@ func Key(cfg config.Config, profiles []kernels.Profile, alloc []int, cycles, see
 type Stats struct {
 	Hits      uint64 // lookups served without simulating, from memory or the directory
 	Misses    uint64 // lookups that had to simulate
+	Cycles    uint64 // cycles of the results computed; hits and failed computes add none
 	Evictions uint64 // entries dropped by the size bound
 	Entries   int    // current resident results
 }
@@ -83,7 +84,7 @@ type Memory struct {
 	max     int
 	dir     string // "" keeps results in memory only
 
-	hits, misses, evictions uint64
+	hits, misses, evictions, cycles uint64
 }
 
 // DefaultMaxEntries bounds a Memory cache when NewMemory is given a
@@ -256,6 +257,9 @@ func (m *Memory) fill(key string, compute func() (*sim.Result, error)) (*sim.Res
 	}
 	r, err := compute()
 	if err == nil {
+		m.mu.Lock()
+		m.cycles += r.Cycles
+		m.mu.Unlock()
 		err = m.write(key, r)
 	}
 	if err != nil {
@@ -336,5 +340,5 @@ func (m *Memory) write(key string, r *sim.Result) error {
 func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Stats{Hits: m.hits, Misses: m.misses, Evictions: m.evictions, Entries: len(m.entries)}
+	return Stats{Hits: m.hits, Misses: m.misses, Evictions: m.evictions, Cycles: m.cycles, Entries: len(m.entries)}
 }

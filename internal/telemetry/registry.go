@@ -11,10 +11,10 @@ import (
 	"sync/atomic"
 )
 
-// Registry is a unified metrics registry: counters, gauges and histograms,
-// optionally labelled, rendered in Prometheus text exposition format. Metric
-// updates are atomic and lock-free; registration and exposition take the
-// registry lock. Registering two families under one name panics — that is a
+// Registry is a unified metrics registry: counters, gauges (optionally
+// labelled) and histograms, rendered in Prometheus text exposition format.
+// Metric updates are atomic and lock-free; registration and exposition take
+// the registry lock. Registering two families under one name panics — that is a
 // programming error the exposition test would otherwise hide.
 type Registry struct {
 	mu   sync.Mutex
@@ -115,22 +115,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return &Counter{c: f.childFor(nil)}
 }
 
-// CounterVec is a counter family with labels.
-type CounterVec struct{ f *family }
-
-// CounterVec registers a labelled counter family.
-func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{f: r.register(&family{
-		Family: Family{Name: name, Help: help, Type: "counter"}, labelNames: labelNames,
-	})}
-}
-
-// With returns the counter for the given label values (created on first
-// use).
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	return &Counter{c: v.f.childFor(labelValues)}
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — for monotonic totals owned by another component (e.g. cache hit
 // counts).
@@ -201,27 +185,6 @@ func (r *Registry) Histogram(name, help string, buckets ...float64) *Histogram {
 	return &Histogram{f: f, c: f.childFor(nil)}
 }
 
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers a labelled histogram family with the given upper
-// bucket bounds (must be increasing; +Inf is implicit).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(&family{
-		Family:     Family{Name: name, Help: help, Type: "histogram"},
-		buckets:    append([]float64(nil), buckets...),
-		labelNames: labelNames,
-	})}
-}
-
-// With returns the histogram for the given label values (created on first
-// use). Hot paths should resolve their children once up front: With takes
-// the family lock and allocates the lookup key, while Observe on the
-// returned histogram is lock-free and allocation-free.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return &Histogram{f: v.f, c: v.f.childFor(labelValues)}
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
@@ -289,7 +252,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			case "histogram":
 				writeHistogram(w, f, c)
 			case "counter":
-				fmt.Fprintf(w, "%s%s %d\n", f.Name, labelString(f.labelNames, c.labelValues), c.bits.Load())
+				fmt.Fprintf(w, "%s %d\n", f.Name, c.bits.Load())
 			default:
 				fmt.Fprintf(w, "%s%s %s\n", f.Name, labelString(f.labelNames, c.labelValues), formatFloat(math.Float64frombits(c.bits.Load())))
 			}
@@ -297,42 +260,30 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// writeHistogram renders one histogram child: cumulative buckets, +Inf, sum
-// and count.
+// writeHistogram renders one histogram: cumulative buckets, +Inf, sum and
+// count.
 func writeHistogram(w io.Writer, f *family, c *child) {
-	base := labelPairs(f.labelNames, c.labelValues)
 	var cum uint64
 	for i, bound := range f.buckets {
 		cum += c.bucketCounts[i].Load()
-		pairs := append(append([]string(nil), base...), fmt.Sprintf("le=%q", formatFloat(bound)))
-		fmt.Fprintf(w, "%s_bucket{%s} %d\n", f.Name, strings.Join(pairs, ","), cum)
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", f.Name, formatFloat(bound), cum)
 	}
 	cum += c.bucketCounts[len(f.buckets)].Load()
-	pairs := append(append([]string(nil), base...), `le="+Inf"`)
-	fmt.Fprintf(w, "%s_bucket{%s} %d\n", f.Name, strings.Join(pairs, ","), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", f.Name, labelString(f.labelNames, c.labelValues), formatFloat(math.Float64frombits(c.sumBits.Load())))
-	fmt.Fprintf(w, "%s_count%s %d\n", f.Name, labelString(f.labelNames, c.labelValues), c.count.Load())
-}
-
-// labelPairs renders name="value" pairs with Prometheus escaping.
-func labelPairs(names, values []string) []string {
-	if len(names) == 0 {
-		return nil
-	}
-	out := make([]string, len(names))
-	for i := range names {
-		// Go's %q escaping (backslash, quote, newline) matches the
-		// exposition format's label escaping rules.
-		out[i] = fmt.Sprintf("%s=%q", names[i], values[i])
-	}
-	return out
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", f.Name, cum)
+	fmt.Fprintf(w, "%s_sum %s\n", f.Name, formatFloat(math.Float64frombits(c.sumBits.Load())))
+	fmt.Fprintf(w, "%s_count %d\n", f.Name, c.count.Load())
 }
 
 // labelString renders the {k="v",...} suffix, empty for unlabelled metrics.
+// Go's %q escaping (backslash, quote, newline) matches the exposition
+// format's label escaping rules.
 func labelString(names, values []string) string {
-	pairs := labelPairs(names, values)
-	if len(pairs) == 0 {
+	if len(names) == 0 {
 		return ""
+	}
+	pairs := make([]string, len(names))
+	for i := range names {
+		pairs[i] = fmt.Sprintf("%s=%q", names[i], values[i])
 	}
 	return "{" + strings.Join(pairs, ",") + "}"
 }

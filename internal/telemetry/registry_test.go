@@ -20,9 +20,6 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	if g.Load() != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", g.Load())
 	}
-	cv := r.CounterVec("hits_total", "Hits.", "tier")
-	cv.With("l1").Add(2)
-	cv.With("l2").Inc()
 	gv := r.GaugeVec("info", "Info.", "version", "os")
 	gv.With("1.2", "linux").Set(1)
 	r.CounterFunc("fn_total", "Fn.", func() float64 { return 42 })
@@ -34,8 +31,6 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	for _, want := range []string{
 		"# HELP jobs_total Jobs.\n# TYPE jobs_total counter\njobs_total 5\n",
 		"# TYPE depth gauge\ndepth 1.5\n",
-		`hits_total{tier="l1"} 2`,
-		`hits_total{tier="l2"} 1`,
 		`info{version="1.2",os="linux"} 1`,
 		"fn_total 42\n",
 		"fn_gauge 7.5\n",
@@ -90,7 +85,7 @@ func TestRegistryPanics(t *testing.T) {
 	r.Counter("dup", "x")
 	mustPanic("duplicate name", func() { r.Gauge("dup", "y") })
 	mustPanic("non-increasing buckets", func() { r.Histogram("h", "x", 1, 1) })
-	v := r.CounterVec("labelled", "x", "a", "b")
+	v := r.GaugeVec("labelled", "x", "a", "b")
 	mustPanic("label arity", func() { v.With("only-one") })
 }
 
@@ -119,37 +114,6 @@ func TestLabelEscaping(t *testing.T) {
 	r.WritePrometheus(&sb)
 	if want := `g{path="a\"b\\c\n"} 1`; !strings.Contains(sb.String(), want) {
 		t.Errorf("escaped label missing %q in:\n%s", want, sb.String())
-	}
-}
-
-func TestHistogramVecChildren(t *testing.T) {
-	reg := NewRegistry()
-	v := reg.HistogramVec("req_seconds", "Request latency.", []float64{0.1, 1}, "method")
-	get := v.With("get")
-	get.Observe(0.05)
-	get.Observe(0.5)
-	v.With("put").Observe(2)
-	// Same labels resolve to the same child.
-	v.With("get").Observe(0.07)
-
-	if get.Count() != 3 {
-		t.Errorf("get child count = %d, want 3", get.Count())
-	}
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	out := sb.String()
-	if n := strings.Count(out, "req_seconds_count{"); n != 2 {
-		t.Fatalf("%d children, want 2 in:\n%s", n, out)
-	}
-	for _, want := range []string{
-		`req_seconds_bucket{method="get",le="0.1"} 2`,
-		`req_seconds_count{method="get"} 3`,
-		`req_seconds_bucket{method="put",le="1"} 0`,
-		`req_seconds_bucket{method="put",le="+Inf"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dasesim/internal/baseline"
+	"dasesim/internal/config"
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
 	"dasesim/internal/sim"
@@ -18,9 +19,14 @@ func TestAccuracySample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow accuracy sample")
 	}
-	opt := DefaultOptions(150_000)
-	opt.Estimators = []core.Estimator{core.New(core.Options{})}
-	opt.EpochEstimators = []core.Estimator{baseline.NewMISE(), baseline.NewASM()}
+	opt := Options{
+		Cfg:             config.Default(),
+		SharedCycles:    150_000,
+		Seed:            1,
+		WarmupIntervals: 1,
+		Estimators:      []core.Estimator{core.New(core.Options{})},
+		EpochEstimators: []core.Estimator{baseline.NewMISE(), baseline.NewASM()},
+	}
 	store := simcache.NewMemory(0)
 	pairs := [][2]string{{"SB", "SD"}, {"SA", "SD"}, {"VA", "CT"}, {"QR", "BG"}, {"BS", "SA"}, {"SN", "NN"}}
 	sums := map[string]float64{}

@@ -106,11 +106,37 @@ func AloneKey(cfg config.Config, p kernels.Profile, cycles, seed uint64) string 
 }
 
 // Alone returns p's alone run on all of cfg's SMs from store, simulating it
-// under AloneKey on first use.
-func Alone(ctx context.Context, store *simcache.Memory, cfg config.Config, p kernels.Profile, cycles, seed uint64) (*sim.Result, error) {
+// under AloneKey with opts on first use: the one-app shared run
+// ([p], [cfg.NumSMs]). The key does not record opts, so they must leave the
+// result unchanged, as invariant checks and dased's snapshot cap (below its
+// cycle limit) do.
+func Alone(ctx context.Context, store *simcache.Memory, cfg config.Config, p kernels.Profile, cycles, seed uint64, opts ...sim.Option) (*sim.Result, error) {
 	return store.GetOrCompute(ctx, AloneKey(cfg, p, cycles, seed), func() (*sim.Result, error) {
-		return sim.RunAloneContext(ctx, cfg, p, cycles, seed)
+		return sched.Run(ctx, cfg, []kernels.Profile{p}, []int{cfg.NumSMs}, cycles, seed, nil, opts...)
 	})
+}
+
+// AloneIPC returns the IPC of each of ps's alone runs, read from store
+// through Alone.
+func AloneIPC(ctx context.Context, store *simcache.Memory, cfg config.Config, ps []kernels.Profile, cycles, seed uint64, opts ...sim.Option) ([]float64, error) {
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		alone, err := Alone(ctx, store, cfg, p, cycles, seed, opts...)
+		if err != nil {
+			return nil, fmt.Errorf("alone baseline %s: %w", p.Abbr, err)
+		}
+		out[i] = alone.Apps[0].IPC
+	}
+	return out, nil
+}
+
+// Slowdowns returns each app's Eq. 1 slowdown in run against its alone IPC.
+func Slowdowns(aloneIPC []float64, run *sim.Result) []float64 {
+	out := make([]float64, len(aloneIPC))
+	for i, ipc := range aloneIPC {
+		out[i] = metrics.Slowdown(ipc, run.Apps[i].IPC)
+	}
+	return out
 }
 
 // sharedRun returns job's shared run. A policy run is simulated; a static
@@ -124,7 +150,7 @@ func sharedRun(ctx context.Context, store *simcache.Memory, opt Options, job Job
 	}
 	key := simcache.Key(opt.Cfg, ps, job.Alloc, opt.SharedCycles, opt.Seed, variant)
 	return store.GetOrCompute(ctx, key, func() (*sim.Result, error) {
-		return sim.RunSharedContext(ctx, opt.Cfg, ps, job.Alloc, opt.SharedCycles, opt.Seed, simOpts...)
+		return sched.Run(ctx, opt.Cfg, ps, job.Alloc, opt.SharedCycles, opt.Seed, nil, simOpts...)
 	})
 }
 
@@ -165,17 +191,6 @@ type Options struct {
 	EpochEstimators []core.Estimator
 }
 
-// DefaultOptions returns the evaluation configuration used throughout the
-// experiments: Table II GPU, one-interval warmup.
-func DefaultOptions(sharedCycles uint64) Options {
-	return Options{
-		Cfg:             config.Default(),
-		SharedCycles:    sharedCycles,
-		Seed:            1,
-		WarmupIntervals: 1,
-	}
-}
-
 // Job is one shared run: a combo, its initial SM allocation and the policy
 // that may re-partition the SMs at interval boundaries.
 type Job struct {
@@ -205,22 +220,18 @@ func Evaluate(ctx context.Context, opt Options, job Job, store *simcache.Memory)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", combo.Name(), err)
 	}
+	aloneIPC, err := AloneIPC(ctx, store, opt.Cfg, combo.Profiles, cmp.Or(opt.AloneCycles, opt.SharedCycles), opt.Seed)
+	if err != nil {
+		return nil, err
+	}
 	ev := &Eval{
 		Combo:     combo,
 		Alloc:     append([]int(nil), job.Alloc...),
 		Shared:    shared,
-		AloneIPC:  make([]float64, len(combo.Profiles)),
-		Actual:    make([]float64, len(combo.Profiles)),
+		AloneIPC:  aloneIPC,
+		Actual:    Slowdowns(aloneIPC, shared),
 		Estimates: map[string][]float64{},
 		Errors:    map[string][]float64{},
-	}
-	for i, p := range combo.Profiles {
-		alone, err := Alone(ctx, store, opt.Cfg, p, cmp.Or(opt.AloneCycles, opt.SharedCycles), opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		ev.AloneIPC[i] = alone.Apps[0].IPC
-		ev.Actual[i] = metrics.Slowdown(alone.Apps[0].IPC, shared.Apps[i].IPC)
 	}
 	ev.Unfairness = metrics.Unfairness(ev.Actual)
 	ev.HSpeedup = metrics.HarmonicSpeedup(ev.Actual)
@@ -243,10 +254,7 @@ func Evaluate(ctx context.Context, opt Options, job Job, store *simcache.Memory)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s (epochs): %w", combo.Name(), err)
 		}
-		ev.ActualEpoch = make([]float64, len(combo.Profiles))
-		for i := range combo.Profiles {
-			ev.ActualEpoch[i] = metrics.Slowdown(ev.AloneIPC[i], epochRun.Apps[i].IPC)
-		}
+		ev.ActualEpoch = Slowdowns(aloneIPC, epochRun)
 		for _, est := range opt.EpochEstimators {
 			record(est, epochRun.Snapshots, ev.ActualEpoch)
 		}

@@ -9,13 +9,13 @@
 //	dased -addr 127.0.0.1:0        # a free port; the bound address is logged
 //	dased -config gpu.json -kernels custom.json
 //	dased -cache-dir cache         # results survive restarts as files
-//	dased -trace-dir traces -log-format json  # per-job Chrome traces
+//	dased -trace-dir traces -log-format json  # per-job NDJSON traces
 //
 // Example session:
 //
 //	curl -s localhost:8844/v1/jobs -d '{"kernels":["SB","SD"],"slowdowns":true}'
 //	curl -s localhost:8844/v1/jobs/<id>?wait_ms=30000   # id from the submit reply
-//	curl -s localhost:8844/v1/jobs/<id>/trace?format=ndjson
+//	curl -s localhost:8844/v1/jobs/<id>/trace | dasetrace  # needs -trace-events or -trace-dir
 //	curl -s localhost:8844/metrics
 //
 // Besides the job API, the daemon serves DASE online: POST /v1/estimate
@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		debugAddr       = fs.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		logFormat       = fs.String("log-format", "text", "log output format: text | json")
 		traceEvents     = fs.Int("trace-events", 0, "per-job trace ring capacity in events; 0 disables tracing unless -trace-dir is set")
-		traceDir        = fs.String("trace-dir", "", "write each finished job's Chrome trace JSON into this directory (implies tracing)")
+		traceDir        = fs.String("trace-dir", "", "write each finished job's NDJSON trace into this directory as <id>.trace.ndjson (implies tracing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

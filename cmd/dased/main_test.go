@@ -217,7 +217,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	if !strings.Contains(logs.String(), `"msg":"stopped"`) {
 		t.Errorf("no stopped line after the drain:\n%s", logs)
 	}
-	if _, err := os.Stat(filepath.Join(traceDir, v.ID+".trace.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(traceDir, v.ID+".trace.ndjson")); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,9 +1,12 @@
-// Command dasetrace renders DASE traces (the NDJSON event streams produced
-// by dased's GET /v1/jobs/{id}/trace?format=ndjson, or any
-// telemetry.WriteNDJSON caller) as a per-application estimated-vs-actual
-// slowdown error timeline: one row per estimation interval with the
-// estimate, the signed relative error against the measured whole-run
-// slowdown, and an ASCII error bar.
+// Command dasetrace renders DASE traces as a per-application
+// estimated-vs-actual slowdown error timeline: one row per estimation
+// interval with the estimate, the signed relative error against the
+// measured whole-run slowdown, and an ASCII error bar.
+//
+// Every trace the repository writes is NDJSON (telemetry.WriteNDJSON):
+// dased's GET /v1/jobs/{id}/trace, the <id>.trace.ndjson files of dased
+// -trace-dir, and fleetsim -trace. All of them parse; fleetsim's carry
+// fleet events only, no dase.app estimates, so they have no timeline.
 //
 // The input is validated strictly: a schema-invalid stream (unknown event
 // kind or unknown field) exits non-zero with the offending line instead of
@@ -11,8 +14,8 @@
 //
 // Usage:
 //
-//	dasetrace trace.ndjson
-//	curl -s localhost:8844/v1/jobs/<id>/trace?format=ndjson | dasetrace
+//	dasetrace traces/<id>.trace.ndjson
+//	curl -s localhost:8844/v1/jobs/<id>/trace | dasetrace
 //	dasetrace -actual 1.8,2.4 trace.ndjson    # override the ground truth
 package main
 

@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +65,71 @@ func TestRenderFromTracedRun(t *testing.T) {
 	}
 	if !strings.Contains(out, "no measured slowdown") {
 		t.Errorf("expected the no-actual notice:\n%s", out)
+	}
+}
+
+// TestTracedDASEFairRun checks the fixture itself: DASE-Fair warms up for
+// one interval, so 160K cycles of 50K-cycle intervals give every app one
+// dase.app event in each of the 2 later intervals; with ground truth added
+// each app's error timeline is non-empty and finite; and the fixture's
+// NDJSON, fed to run, renders both apps.
+func TestTracedDASEFairRun(t *testing.T) {
+	events, err := tracedRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const apps = 2
+	wantIntervals := int(160_000/config.Default().IntervalCycles) - 1
+	perApp := map[int32]map[uint64]int{}
+	for _, e := range events {
+		if e.Kind == telemetry.KindDASEApp {
+			if perApp[e.App] == nil {
+				perApp[e.App] = map[uint64]int{}
+			}
+			perApp[e.App][e.Cycle]++
+		}
+	}
+	for app := int32(0); app < apps; app++ {
+		if got := len(perApp[app]); got != wantIntervals {
+			t.Errorf("app %d has dase.app events in %d intervals, want %d", app, got, wantIntervals)
+		}
+		for cycle, n := range perApp[app] {
+			if n != 1 {
+				t.Errorf("app %d has %d dase.app events at cycle %d, want 1", app, n, cycle)
+			}
+		}
+	}
+
+	withActual := slices.Clone(events)
+	for i := 0; i < apps; i++ {
+		withActual = append(withActual, telemetry.Event{
+			Kind: telemetry.KindActual, App: int32(i), SM: -1, Actual: 1.5 + 0.5*float64(i),
+		})
+	}
+	timelines := telemetry.ErrorTimeline(withActual)
+	if len(timelines) != apps {
+		t.Fatalf("%d app timelines, want %d", len(timelines), apps)
+	}
+	for _, tl := range timelines {
+		if len(tl.Points) == 0 {
+			t.Errorf("app %d has an empty error timeline", tl.App)
+		}
+		if m := tl.MeanAbsErr(); math.IsNaN(m) || math.IsInf(m, 0) {
+			t.Errorf("app %d has no finite estimation error (%v)", tl.App, m)
+		}
+	}
+
+	var ndjson, out bytes.Buffer
+	if err := telemetry.WriteNDJSON(&ndjson, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(nil, &ndjson, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"app 0", "app 1"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("run output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

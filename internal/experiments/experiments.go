@@ -10,8 +10,11 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"dasesim/internal/baseline"
 	"dasesim/internal/config"
@@ -82,6 +85,38 @@ func (p Params) policyOptions() workload.Options {
 // from store.
 func (p Params) alone(store *simcache.Memory, prof kernels.Profile) (*sim.Result, error) {
 	return workload.Alone(context.TODO(), store, p.Cfg, prof, p.SharedCycles, p.Seed)
+}
+
+// allAlone reads every kernel's alone run through alone, in kernels.All()
+// order, on min(GOMAXPROCS, 15) goroutines so the runs that miss the store
+// simulate side by side. On failure it returns the error of the first
+// failing kernel in that order.
+func (p Params) allAlone(store *simcache.Memory) ([]*sim.Result, error) {
+	profs := kernels.All()
+	runs := make([]*sim.Result, len(profs))
+	errs := make([]error, len(profs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(profs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(profs) {
+					return
+				}
+				runs[i], errs[i] = p.alone(store, profs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
 }
 
 // accuracyOptions compares DASE, MISE and ASM (Figs. 5-8): MISE and ASM are

@@ -69,13 +69,13 @@ func ExtSchedulers(p Params, store *simcache.Memory) ([]ExtSchedRow, *Table, err
 func ExtEstimators(p Params, store *simcache.Memory) (*AccuracyResult, *Table, error) {
 	// Build the offline profile the way those works do: run every kernel
 	// alone and record its bandwidth share.
+	runs, err := p.allAlone(store)
+	if err != nil {
+		return nil, nil, err
+	}
 	aloneBW := map[string]float64{}
-	for _, prof := range kernels.All() {
-		res, err := p.alone(store, prof)
-		if err != nil {
-			return nil, nil, err
-		}
-		aloneBW[prof.Abbr] = res.Apps[0].BWUtil
+	for i, prof := range kernels.All() {
+		aloneBW[prof.Abbr] = runs[i].Apps[0].BWUtil
 	}
 	jobs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed))
 	evals, err := workload.EvaluateAll(context.TODO(), p.accuracyOptions(), jobs, store)

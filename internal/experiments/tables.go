@@ -28,13 +28,13 @@ func TableIII(p Params, store *simcache.Memory) ([]TableIIIRow, *Table, error) {
 		Title:   "Table III — alone DRAM bandwidth utilisation (paper vs measured)",
 		Columns: []string{"app", "name", "paper", "measured", "IPC", "alpha", "rowhit"},
 	}
-	rows := make([]TableIIIRow, 0, 15)
-	for _, prof := range kernels.All() {
-		res, err := p.alone(store, prof)
-		if err != nil {
-			return nil, nil, err
-		}
-		a := res.Apps[0]
+	runs, err := p.allAlone(store)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make([]TableIIIRow, 0, len(runs))
+	for i, prof := range kernels.All() {
+		a := runs[i].Apps[0]
 		r := TableIIIRow{
 			Abbr: prof.Abbr, Name: prof.Name, PaperBW: prof.PaperBW,
 			MeasBW: a.BWUtil, IPC: a.IPC, Alpha: a.Alpha,

@@ -40,7 +40,7 @@ func SubmitStatus(err error) int {
 //	POST   /v1/jobs              submit a job (202, body: job view)
 //	GET    /v1/jobs              list job views, newest last
 //	GET    /v1/jobs/{id}         one job view (?wait_ms=N long-polls completion)
-//	GET    /v1/jobs/{id}/trace   the job's event trace (?format=chrome|ndjson)
+//	GET    /v1/jobs/{id}/trace   the job's event trace (NDJSON)
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/kernels           the kernel catalogue
 //	POST   /v1/estimate          online DASE estimation (object or array batch)
@@ -166,9 +166,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, v)
 }
 
-// handleTrace serves a job's event trace: Chrome trace-event JSON by default
-// (loadable in chrome://tracing or Perfetto), NDJSON with ?format=ndjson
-// (consumable by cmd/dasetrace).
+// handleTrace serves a job's event trace as NDJSON, the stream cmd/dasetrace
+// reads.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.getJob(r.PathValue("id"))
 	if !ok {
@@ -179,20 +178,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, "tracing disabled; start the server with trace events enabled")
 		return
 	}
-	events := job.tracer.Events()
-	var err error
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		err = telemetry.WriteChromeTrace(w, events)
-	case "ndjson":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		err = telemetry.WriteNDJSON(w, events)
-	default:
-		s.writeError(w, r, http.StatusBadRequest, "unknown format "+strconv.Quote(format)+" (chrome | ndjson)")
-		return
-	}
-	if err != nil {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	if err := telemetry.WriteNDJSON(w, job.tracer.Events()); err != nil {
 		s.opts.Logger.Error("write trace failed", "job", job.ID, "err", err)
 	}
 }

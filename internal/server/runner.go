@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"dasesim/internal/core"
@@ -112,24 +113,33 @@ func (s *Server) finalizeLocked(job *Job, status Status, errMsg string, res *Job
 	}
 }
 
-// writeTraceFile dumps a finished job's trace as Chrome trace-event JSON into
-// TraceDir. Called outside the server mutex; file I/O must not block job
-// state transitions.
+// writeTraceFile dumps a finished job's trace as NDJSON to
+// <TraceDir>/<id>.trace.ndjson. The trace is written to a temporary file in
+// TraceDir and renamed into place, so a reader of the directory sees the
+// whole file or none. Called outside the server mutex; file I/O must not
+// block job state transitions.
 func (s *Server) writeTraceFile(job *Job) {
 	if s.opts.TraceDir == "" || job.tracer == nil {
 		return
 	}
-	path := fmt.Sprintf("%s/%s.trace.json", s.opts.TraceDir, job.ID)
-	f, err := os.Create(path)
+	path := filepath.Join(s.opts.TraceDir, job.ID+".trace.ndjson")
+	f, err := os.CreateTemp(s.opts.TraceDir, job.ID+".tmp*")
 	if err != nil {
 		s.opts.Logger.Error("trace file create failed", "job", job.ID, "err", err)
 		return
 	}
-	err = telemetry.WriteChromeTrace(f, job.tracer.Events())
+	err = telemetry.WriteNDJSON(f, job.tracer.Events())
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp makes 0600; traces are for other readers too
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
 	if err != nil {
+		_ = os.Remove(f.Name()) // best effort: the write already failed
 		s.opts.Logger.Error("trace file write failed", "job", job.ID, "path", path, "err", err)
 	}
 }

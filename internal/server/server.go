@@ -94,7 +94,8 @@ type Options struct {
 	// unless TraceDir is set, which implies telemetry.DefaultCapacity.
 	TraceEvents int
 	// TraceDir, when set, additionally writes each finished job's trace as
-	// Chrome trace-event JSON to <TraceDir>/<jobID>.trace.json.
+	// NDJSON to <TraceDir>/<jobID>.trace.ndjson, the format the trace
+	// endpoint serves.
 	TraceDir string
 }
 

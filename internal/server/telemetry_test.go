@@ -2,10 +2,10 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -132,8 +132,8 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestTracedJobEndToEnd runs a DASE-Fair slowdowns job on a tracing server
-// and checks both trace formats, the trace file, and the estimation-error
-// histogram.
+// and checks the served trace, the trace file (the same events), and the
+// estimation-error histogram.
 func TestTracedJobEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Options{
@@ -147,14 +147,18 @@ func TestTracedJobEndToEnd(t *testing.T) {
 		t.Fatalf("job status %s: %s", final.Status, final.Error)
 	}
 
-	// NDJSON: lifecycle + engine + estimator events, ground truth included.
-	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace?format=ndjson", ts.URL, v.ID))
+	// The served trace: lifecycle + engine + estimator events, ground truth
+	// included.
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace", ts.URL, v.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("trace Content-Type %q, want application/x-ndjson", ct)
 	}
 	events, err := telemetry.ReadNDJSONStrict(resp.Body)
 	if err != nil {
@@ -177,33 +181,32 @@ func TestTracedJobEndToEnd(t *testing.T) {
 		t.Errorf("%d app timelines from the served trace, want 2", len(tls))
 	}
 
-	// Chrome format (the default) passes the schema validator.
-	resp2, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace", ts.URL, v.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	chrome, _ := io.ReadAll(resp2.Body)
-	if err := telemetry.ValidateChromeTrace(chrome); err != nil {
-		t.Fatalf("served chrome trace invalid: %v", err)
-	}
-
-	// The trace file lands in TraceDir and validates too. The runner writes
-	// it after the job is visibly done (file I/O stays off the job path), so
-	// wait for the complete file rather than read it mid-write.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, v.ID+".trace.json"))
-		if err == nil {
-			err = telemetry.ValidateChromeTrace(data)
-		}
-		if err == nil {
+	// The runner writes the trace file after the job is visibly done (file
+	// I/O stays off the job path) and renames it into place whole, so once
+	// it exists it holds exactly the served events.
+	path := filepath.Join(dir, v.ID+".trace.ndjson")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if fi, err := os.Stat(path); err == nil {
+			if fi.Mode().Perm() != 0o644 {
+				t.Errorf("trace file mode %v, want 0644", fi.Mode().Perm())
+			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("trace file invalid: %v", err)
+			t.Fatalf("no trace file %s", path)
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fromFile, err := telemetry.ReadNDJSONStrict(f)
+	if err != nil {
+		t.Fatalf("trace file: %v", err)
+	}
+	if !slices.Equal(fromFile, events) {
+		t.Errorf("trace file holds %d events that differ from the %d served", len(fromFile), len(events))
 	}
 
 	// Slowdowns were computed, so the estimation-error histogram filled.
@@ -211,26 +214,17 @@ func TestTracedJobEndToEnd(t *testing.T) {
 		t.Error("estimation-error histogram empty after a slowdowns job")
 	}
 
-	// An unknown format is a 400; an untraced server 404s the endpoint.
-	resp3, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace?format=pdf", ts.URL, v.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown format: status %d, want 400", resp3.StatusCode)
-	}
-
+	// An untraced server 404s the endpoint.
 	_, ts2 := newTestServer(t, Options{Workers: 1})
 	v2, _ := postJob(t, ts2, JobRequest{Kernels: []string{"SB"}})
 	waitDone(t, ts2, v2.ID)
-	resp4, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace", ts2.URL, v2.ID))
+	resp2, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace", ts2.URL, v2.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp4.Body.Close()
-	if resp4.StatusCode != http.StatusNotFound {
-		t.Errorf("untraced server: status %d, want 404", resp4.StatusCode)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusNotFound {
+		t.Errorf("untraced server: status %d, want 404", resp2.StatusCode)
 	}
 }
 
@@ -247,7 +241,7 @@ func TestCacheHitTraceIsLifecycleOnly(t *testing.T) {
 	if !final.CacheHit {
 		t.Fatal("second identical job was not a cache hit")
 	}
-	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace?format=ndjson", ts.URL, v2.ID))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace", ts.URL, v2.ID))
 	if err != nil {
 		t.Fatal(err)
 	}

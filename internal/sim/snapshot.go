@@ -208,19 +208,3 @@ func (g *GPU) takeSnapshot() *IntervalSnapshot {
 	}
 	return snap
 }
-
-// BandwidthUtilization returns, for the last snapshot or cumulative run, the
-// fraction of DRAM data-bus cycles used per app and in total. It is computed
-// from a snapshot to keep windows consistent.
-func (s *IntervalSnapshot) BandwidthUtilization() (perApp []float64, total float64) {
-	if s.BusCycles == 0 {
-		return make([]float64, len(s.Apps)), 0
-	}
-	perApp = make([]float64, len(s.Apps))
-	var data uint64
-	for i := range s.Apps {
-		perApp[i] = float64(s.Apps[i].DataCycles) / float64(s.BusCycles)
-		data += s.Apps[i].DataCycles
-	}
-	return perApp, float64(data) / float64(s.BusCycles)
-}

@@ -103,9 +103,6 @@ type Counter struct{ c *child }
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) { c.c.bits.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.c.bits.Add(1) }
-
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.c.bits.Load() }
 

@@ -9,7 +9,7 @@ import (
 func TestRegistryCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs_total", "Jobs.")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if c.Load() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Load())

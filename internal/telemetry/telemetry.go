@@ -1,8 +1,8 @@
 // Package telemetry is the observability layer of the reproduction: a
 // structured, ring-buffered event tracer for the simulation engine, the DASE
-// estimator internals and the daemon's job lifecycle, exporters for the
-// Chrome trace-event format and NDJSON, and a unified metrics registry with
-// Prometheus text exposition.
+// estimator internals and the daemon's job lifecycle, its one wire format
+// (NDJSON, written by WriteNDJSON and read back by ReadNDJSONStrict), and a
+// unified metrics registry with Prometheus text exposition.
 //
 // The tracer follows the same discipline as sim.WithInvariantChecks: it is
 // strictly observation-only (emitting events never changes simulation
@@ -62,8 +62,7 @@ const (
 	KindFleetInterval
 )
 
-// kindNames maps Kind to its wire name (NDJSON "kind" field, Chrome trace
-// event names).
+// kindNames maps Kind to its wire name, the NDJSON "kind" field.
 var kindNames = map[Kind]string{
 	KindInterval:      "interval",
 	KindSMDrain:       "sm.drain",

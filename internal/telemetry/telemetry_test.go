@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -78,88 +79,86 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestNDJSONRoundTrip(t *testing.T) {
-	tr := New(16)
-	tr.Emit(Event{Kind: KindDASEApp, Cycle: 50_000, App: 0, SM: -1,
+// roundTripEvents holds one event of every kind, together setting every
+// Event field to a non-zero value (TestRoundTripEventsSetEveryField), so a
+// field that toJSON or toEvent drops fails TestNDJSONRoundTrip.
+var roundTripEvents = []Event{
+	{Kind: KindInterval, Seq: 1, Cycle: 50_000, App: 0, SM: -1, Alpha: 0.3, BLP: 2, Served: 900, SMs: 8},
+	{Kind: KindSMDrain, Seq: 2, Cycle: 50_001, App: 0, SM: 3},
+	{Kind: KindSMAssign, Seq: 3, Cycle: 50_040, App: 1, SM: 3},
+	{Kind: KindDASEApp, Seq: 4, Cycle: 50_000, App: 0, SM: -1,
 		Alpha: 0.42, BLP: 3.1, TimeBank: 100, TimeRow: 50, TimeLLC: 25,
-		MBB: true, Est: 2.5, SMs: 8, Note: "DASE-Fair"})
-	tr.Emit(Event{Kind: KindSchedDecision, Cycle: 50_000, App: -1, SM: -1,
+		MBB: true, Est: 2.5, SMs: 8, Note: "DASE-Fair"},
+	{Kind: KindSchedDecision, Seq: 5, Cycle: 50_000, App: -1, SM: -1,
 		CurScore: 1.8, BestScore: 1.2, NApps: 2, Alloc: [MaxApps]int32{10, 6},
-		Realloc: true, Note: "DASE-Fair"})
-	tr.Emit(Event{Kind: KindJobDone, Wall: 12345678, App: -1, SM: -1,
-		Job: "job-1", Note: "done", Attempt: 2, CacheHit: true})
+		Realloc: true, Note: "DASE-Fair"},
+	{Kind: KindActual, Seq: 6, Cycle: 100_000, App: 1, SM: -1, Actual: 2.1},
+	{Kind: KindJobQueued, Seq: 7, Wall: 1_000_000, App: -1, SM: -1, Job: "job-1"},
+	{Kind: KindJobStarted, Seq: 8, Wall: 2_000_000, App: -1, SM: -1, Job: "job-1", Attempt: 1},
+	{Kind: KindJobDone, Seq: 9, Wall: 12_345_678, App: -1, SM: -1,
+		Job: "job-1", Note: "done", Attempt: 2, CacheHit: true},
+	{Kind: KindFleetJob, Seq: 10, Cycle: 3, App: 1, SM: 2, Job: "j1", Note: "place", SMs: 4},
+	{Kind: KindFleetInterval, Seq: 11, Cycle: 3, App: 0, SM: -1, Note: "tenant-a",
+		SMs: 12, Served: 2, Est: 1.25, Deserved: 0.5},
+}
 
+// TestNDJSONRoundTrip carries one event of every kind through WriteNDJSON
+// and the strict reader.
+func TestNDJSONRoundTrip(t *testing.T) {
+	seen := map[Kind]bool{}
+	for _, e := range roundTripEvents {
+		seen[e.Kind] = true
+	}
+	if len(seen) != len(kindNames) || len(roundTripEvents) != len(kindNames) {
+		t.Fatalf("%d events of %d kinds, want one of each of the %d kinds", len(roundTripEvents), len(seen), len(kindNames))
+	}
 	var buf bytes.Buffer
-	if err := WriteNDJSON(&buf, tr.Events()); err != nil {
+	if err := WriteNDJSON(&buf, roundTripEvents); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadNDJSONStrict(&buf)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("strict reader rejected our own output: %v", err)
 	}
-	if len(back) != 3 {
-		t.Fatalf("round trip kept %d events, want 3", len(back))
+	if len(back) != len(roundTripEvents) {
+		t.Fatalf("round trip kept %d events, want %d", len(back), len(roundTripEvents))
 	}
-	for i, e := range tr.Events() {
+	for i, e := range roundTripEvents {
 		if back[i] != e {
-			t.Errorf("event %d changed in round trip:\n  out: %+v\n  in:  %+v", i, e, back[i])
+			t.Errorf("%s event changed in round trip:\n  out: %+v\n  in:  %+v", e.Kind, e, back[i])
+		}
+	}
+}
+
+// TestRoundTripEventsSetEveryField guards the round-trip table: a field that
+// no event sets could be dropped from the wire form unnoticed.
+func TestRoundTripEventsSetEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Event{})
+	for f := 0; f < typ.NumField(); f++ {
+		set := false
+		for i := range roundTripEvents {
+			if !reflect.ValueOf(roundTripEvents[i]).Field(f).IsZero() {
+				set = true
+				break
+			}
+		}
+		if !set {
+			t.Errorf("no round-trip event sets Event.%s", typ.Field(f).Name)
 		}
 	}
 }
 
 func TestKindNamesRoundTrip(t *testing.T) {
-	for k := KindInterval; k <= KindJobDone; k++ {
+	if len(kindNames) != int(KindFleetInterval) {
+		t.Fatalf("%d kind names for %d kinds", len(kindNames), KindFleetInterval)
+	}
+	for k := KindInterval; k <= KindFleetInterval; k++ {
 		name := k.String()
 		if name == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}
 		if got := KindFromString(name); got != k {
 			t.Errorf("KindFromString(%q) = %d, want %d", name, got, k)
-		}
-	}
-}
-
-func TestChromeTraceExportValidates(t *testing.T) {
-	tr := New(32)
-	tr.Emit(Event{Kind: KindJobQueued, Wall: 1_000_000, App: -1, SM: -1, Job: "job-1"})
-	tr.Emit(Event{Kind: KindJobStarted, Wall: 2_000_000, App: -1, SM: -1, Job: "job-1", Attempt: 1})
-	tr.Emit(Event{Kind: KindInterval, Cycle: 50_000, App: 0, SM: -1, Alpha: 0.3, BLP: 2, Served: 900, SMs: 8})
-	tr.Emit(Event{Kind: KindDASEApp, Cycle: 50_000, App: 0, SM: -1, Alpha: 0.3, Est: 1.9, SMs: 8})
-	tr.Emit(Event{Kind: KindSchedDecision, Cycle: 50_000, App: -1, SM: -1, CurScore: 2, BestScore: 1.5, NApps: 2, Alloc: [MaxApps]int32{9, 7}, Realloc: true, Note: "DASE-Fair"})
-	tr.Emit(Event{Kind: KindSMDrain, Cycle: 50_001, SM: 3, App: 0})
-	tr.Emit(Event{Kind: KindSMAssign, Cycle: 50_040, SM: 3, App: 1})
-	tr.Emit(Event{Kind: KindActual, Cycle: 100_000, App: 0, SM: -1, Actual: 2.1})
-	tr.Emit(Event{Kind: KindJobDone, Wall: 9_000_000, App: -1, SM: -1, Job: "job-1", Note: "done"})
-
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("our own chrome export fails the schema check: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"job job-1"`, `"dase.est app0"`, `"sched.decision"`, `"sm.drain sm3"`, `"slowdown.actual app0"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("chrome trace missing %s", want)
-		}
-	}
-}
-
-func TestValidateChromeTraceRejects(t *testing.T) {
-	cases := map[string]string{
-		"not json":      `{]`,
-		"no array":      `{"foo": 1}`,
-		"missing name":  `{"traceEvents":[{"ph":"i","ts":1,"pid":1,"tid":1}]}`,
-		"bad phase":     `{"traceEvents":[{"name":"x","ph":"Z","ts":1,"pid":1,"tid":1}]}`,
-		"missing ts":    `{"traceEvents":[{"name":"x","ph":"i","pid":1,"tid":1}]}`,
-		"X without dur": `{"traceEvents":[{"name":"x","ph":"X","ts":1,"pid":1,"tid":1}]}`,
-		"string counter": `{"traceEvents":[{"name":"x","ph":"C","ts":1,"pid":1,"tid":1,
-			"args":{"v":"high"}}]}`,
-	}
-	for name, doc := range cases {
-		if err := ValidateChromeTrace([]byte(doc)); err == nil {
-			t.Errorf("%s: validation passed, want error", name)
 		}
 	}
 }
@@ -226,32 +225,6 @@ func TestTracerGrowsOnDemand(t *testing.T) {
 	for i, e := range evs {
 		if e.Cycle != uint64(i) {
 			t.Fatalf("event %d: cycle %d", i, e.Cycle)
-		}
-	}
-}
-
-// TestReadNDJSONStrictRoundTrip carries the fleet layer's kinds, which
-// TestNDJSONRoundTrip does not, through the strict reader.
-func TestReadNDJSONStrictRoundTrip(t *testing.T) {
-	events := []Event{
-		{Kind: KindFleetJob, Seq: 1, Cycle: 3, App: 1, SM: 2, Job: "j1", Note: "place", SMs: 4},
-		{Kind: KindFleetInterval, Seq: 2, Cycle: 3, App: 0, SM: -1, Note: "tenant-a",
-			SMs: 12, Served: 2, Est: 1.25, Deserved: 0.5},
-	}
-	var sb strings.Builder
-	if err := WriteNDJSON(&sb, events); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadNDJSONStrict(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("strict reader rejected our own output: %v", err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("read %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], events[i])
 		}
 	}
 }

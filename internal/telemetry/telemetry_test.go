@@ -229,6 +229,36 @@ func TestTracerGrowsOnDemand(t *testing.T) {
 	}
 }
 
+// TestReadNDJSONStrictRoundTrip carries a wrapped tracer's events, whose
+// sequence numbers the tracer assigned and which no longer start at zero,
+// through WriteNDJSON and the strict reader, as a served trace travels.
+func TestReadNDJSONStrictRoundTrip(t *testing.T) {
+	tr := New(len(roundTripEvents) - 3)
+	for _, e := range roundTripEvents {
+		tr.Emit(e)
+	}
+	events := tr.Events()
+	if events[0].Seq != 3 {
+		t.Fatalf("oldest retained event has seq %d, want 3", events[0].Seq)
+	}
+	var sb strings.Builder
+	if err := WriteNDJSON(&sb, events); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadNDJSONStrict(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("strict reader rejected our own output: %v", err)
+	}
+	if len(got) != len(events) {
+		t.Fatalf("read %d events, want %d", len(got), len(events))
+	}
+	for i := range events {
+		if got[i] != events[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], events[i])
+		}
+	}
+}
+
 func TestReadNDJSONStrictRejects(t *testing.T) {
 	cases := []struct {
 		name, line, wantErr string

@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		workers         = fs.Int("workers", 0, "simulation worker pool size (default: GOMAXPROCS)")
 		queueDepth      = fs.Int("queue", 64, "job queue depth; beyond it submissions get 429")
 		jobTimeout      = fs.Duration("job-timeout", 2*time.Minute, "per-job wall-time limit")
-		maxCycles       = fs.Uint64("max-cycles", 20_000_000, "largest accepted cycle budget")
+		maxCycles       = fs.Uint64("max-cycles", 20_000_000, "largest accepted cycle budget; at most 4096 intervals of the config's IntervalCycles")
 		cacheDir        = fs.String("cache-dir", "", "also keep every simulated result in this directory, one file per content address, so resubmissions after a restart are disk hits (shared with experiments -cache-dir)")
 		shedHighWater   = fs.Int("shed-highwater", 0, "queue length at which uncached submissions are shed (0: 3/4 of -queue, negative: off)")
 		drainGrace      = fs.Duration("drain-grace", 30*time.Second, "shutdown drain budget before running jobs are hard-cancelled")

@@ -270,6 +270,14 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// At the default -max-cycles (20M), 1000-cycle intervals would let one
+	// result hold 20000 snapshots.
+	shortIntervals := filepath.Join(t.TempDir(), "gpu.json")
+	cfg := config.Default()
+	cfg.IntervalCycles = 1_000
+	if err := cfg.SaveFile(shortIntervals); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -289,6 +297,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad-addr", []string{"-addr", "127.0.0.1:-1"}, "listen"},
 		{"bad-debug-addr", []string{"-debug-addr", "127.0.0.1:-1"}, "listen"},
 		{"cache-dir-under-file", []string{"-cache-dir", filepath.Join(file, "cache")}, "server init"},
+		{"too-many-intervals", []string{"-config", shortIntervals}, "spans 20000 intervals of 1000 cycles, more than the 4096"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stderr bytes.Buffer

@@ -222,26 +222,17 @@ func (c *Cache) setSlice(set int) []line {
 	return c.lines[base : base+c.cfg.Assoc]
 }
 
-// Access performs a demand access for the line containing addr on behalf of
-// app; set is the caller-computed set index (callers share an AddrMap so the
-// L2 slice and its ATD see identical indices). On Miss the line is NOT yet
-// installed — the caller installs it via Fill when the downstream reply
-// arrives.
-func (c *Cache) Access(app memreq.AppID, set int, addr uint64) AccessResult {
-	return c.AccessRW(app, set, addr, false)
-}
-
-// AccessRW is Access with a store flag: when the cache is configured for
-// writeback, a store hit marks the line dirty.
-func (c *Cache) AccessRW(app memreq.AppID, set int, addr uint64, write bool) AccessResult {
-	res, _ := c.AccessIdx(app, set, addr, write)
-	return res
-}
-
-// AccessIdx is AccessRW that additionally returns the MSHR slot involved: the
-// allocated slot on Miss, the merged-onto slot on MergedMiss, and -1 for Hit
-// and Blocked. Callers use the slot to index their own waiter lists, which is
-// what makes the miss path map-free.
+// AccessIdx performs a demand access for the line containing addr on behalf
+// of app; set is the caller-computed set index (callers share an AddrMap so
+// the L2 slice and its ATD see identical indices). On Miss the line is NOT
+// yet installed — the caller installs it via FillIdx when the downstream
+// reply arrives. When the cache is configured for writeback, a store (write)
+// hit marks the line dirty.
+//
+// The second result is the MSHR slot involved: the allocated slot on Miss,
+// the merged-onto slot on MergedMiss, and -1 for Hit and Blocked. Callers use
+// the slot to index their own waiter lists, which is what makes the miss path
+// map-free.
 func (c *Cache) AccessIdx(app memreq.AppID, set int, addr uint64, write bool) (AccessResult, int) {
 	c.stamp++
 	tag := addr
@@ -288,7 +279,7 @@ func (c *Cache) AccessIdx(app memreq.AppID, set int, addr uint64, write bool) (A
 // and app's Accesses and Blockings — without the lookup. It is for a caller
 // that already knows the verdict: the cache state a Blocked verdict depends
 // on (line absent; no free MSHR, or the line's MSHR at its merge cap) only
-// changes on a Fill or Reset, so a retry before either is Blocked again.
+// changes on a FillIdx or Reset, so a retry before either is Blocked again.
 func (c *Cache) NoteBlocked(app memreq.AppID) {
 	c.stamp++
 	st := &c.stats[app]
@@ -307,27 +298,18 @@ func (c *Cache) Probe(set int, addr uint64) bool {
 	return false
 }
 
-// Fill installs the line for app after its downstream fill returned, freeing
-// the MSHR. It returns the number of accesses that were merged on the MSHR
-// (waiters to wake beyond the original miss) and the previous owner of the
-// evicted line (InvalidApp if no valid line was evicted).
-func (c *Cache) Fill(app memreq.AppID, set int, addr uint64) (merged int, evicted memreq.AppID) {
-	merged, evicted, _ = c.FillRW(app, set, addr, false)
-	return merged, evicted
-}
-
-// FillRW is Fill with a store flag (the fill completes a write miss, so the
-// installed line is dirty under writeback) and a write-back report: when a
-// dirty line is evicted, wb carries its address and wb.Valid is true — the
-// caller must emit the write-back transaction downstream.
-func (c *Cache) FillRW(app memreq.AppID, set int, addr uint64, write bool) (merged int, evicted memreq.AppID, wb Writeback) {
-	merged, evicted, wb, _ = c.FillIdx(app, set, addr, write)
-	return merged, evicted, wb
-}
-
-// FillIdx is FillRW that additionally returns the MSHR slot the fill freed
-// (-1 when no MSHR was registered for the address), so callers can drain and
-// recycle the waiter list they indexed by that slot.
+// FillIdx installs the line for app after its downstream fill returned,
+// freeing the MSHR. It returns the number of accesses that were merged on the
+// MSHR (waiters to wake beyond the original miss), the previous owner of the
+// evicted line (InvalidApp if no valid line was evicted), a write-back report
+// and the MSHR slot the fill freed (-1 when no MSHR was registered for the
+// address), so callers can drain and recycle the waiter list they indexed by
+// that slot.
+//
+// A write fill completes a store miss, so the installed line is dirty under
+// writeback. When a dirty line is evicted, wb carries its address and
+// wb.Valid is true — the caller must emit the write-back transaction
+// downstream.
 func (c *Cache) FillIdx(app memreq.AppID, set int, addr uint64, write bool) (merged int, evicted memreq.AppID, wb Writeback, slot int) {
 	c.stamp++
 	tag := addr
@@ -372,7 +354,7 @@ func (c *Cache) FillIdx(app memreq.AppID, set int, addr uint64, write bool) (mer
 	return merged, evicted, wb, slot
 }
 
-// Writeback describes a dirty line evicted by a Fill.
+// Writeback describes a dirty line evicted by FillIdx.
 type Writeback struct {
 	Valid bool
 	Addr  uint64

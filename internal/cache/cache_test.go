@@ -20,14 +20,14 @@ func smallCache() *Cache {
 
 func TestMissThenFillThenHit(t *testing.T) {
 	c := smallCache()
-	if res := c.Access(0, 1, 0x1000); res != Miss {
+	if res, _ := c.AccessIdx(0, 1, 0x1000, false); res != Miss {
 		t.Fatalf("cold access = %v, want miss", res)
 	}
-	merged, evicted := c.Fill(0, 1, 0x1000)
+	merged, evicted, _, _ := c.FillIdx(0, 1, 0x1000, false)
 	if merged != 0 || evicted != memreq.InvalidApp {
 		t.Fatalf("fill: merged=%d evicted=%v", merged, evicted)
 	}
-	if res := c.Access(0, 1, 0x1000); res != Hit {
+	if res, _ := c.AccessIdx(0, 1, 0x1000, false); res != Hit {
 		t.Fatalf("post-fill access = %v, want hit", res)
 	}
 	st := c.Stats(0)
@@ -36,24 +36,42 @@ func TestMissThenFillThenHit(t *testing.T) {
 	}
 }
 
+// TestMSHRMergeAndBlock also checks the MSHR slot AccessIdx and FillIdx
+// report against the cache's own view of the slot.
 func TestMSHRMergeAndBlock(t *testing.T) {
 	c := smallCache()
-	if c.Access(0, 0, 0x2000) != Miss {
-		t.Fatal("want miss")
+	res, slot := c.AccessIdx(0, 0, 0x2000, false)
+	if res != Miss || slot < 0 {
+		t.Fatalf("got %v on slot %d, want a miss on an allocated slot", res, slot)
 	}
-	if c.Access(0, 0, 0x2000) != MergedMiss {
-		t.Fatal("want merged miss")
+	if res, s := c.AccessIdx(0, 0, 0x2000, false); res != MergedMiss || s != slot {
+		t.Fatalf("got %v on slot %d, want a merged miss on slot %d", res, s, slot)
 	}
-	if c.Access(0, 0, 0x2000) != MergedMiss {
-		t.Fatal("want second merged miss")
+	if res, s := c.AccessIdx(0, 0, 0x2000, false); res != MergedMiss || s != slot {
+		t.Fatalf("got %v on slot %d, want a second merged miss on slot %d", res, s, slot)
 	}
 	// Merge limit (2) reached.
-	if c.Access(0, 0, 0x2000) != Blocked {
-		t.Fatal("want blocked at merge limit")
+	if res, s := c.AccessIdx(0, 0, 0x2000, false); res != Blocked || s != -1 {
+		t.Fatalf("got %v on slot %d, want blocked at merge limit on no slot", res, s)
 	}
-	merged, _ := c.Fill(0, 0, 0x2000)
-	if merged != 2 {
-		t.Fatalf("fill released %d merged, want 2", merged)
+	if addr, ok := c.MSHRAddr(slot); c.MSHRSlot(0x2000) != slot || !ok || addr != 0x2000 || c.MSHRMerged(slot) != 2 {
+		t.Fatalf("MSHR view: slot %d, addr %#x (%v), merged %d", c.MSHRSlot(0x2000), addr, ok, c.MSHRMerged(slot))
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	merged, _, _, freed := c.FillIdx(0, 0, 0x2000, false)
+	if merged != 2 || freed != slot {
+		t.Fatalf("fill released %d merged from slot %d, want 2 from slot %d", merged, freed, slot)
+	}
+	if _, ok := c.MSHRAddr(slot); ok || c.MSHRSlot(0x2000) != -1 || c.MSHRMerged(slot) != 0 {
+		t.Fatal("filled line still holds its MSHR")
+	}
+	if res, s := c.AccessIdx(0, 0, 0x2000, false); res != Hit || s != -1 {
+		t.Fatalf("got %v on slot %d, want a hit on no slot", res, s)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	if c.MSHRsInUse() != 0 {
 		t.Fatalf("MSHRs still in use: %d", c.MSHRsInUse())
@@ -64,15 +82,15 @@ func TestMSHRExhaustion(t *testing.T) {
 	c := smallCache()
 	addrs := []uint64{0x1000, 0x2000, 0x3000, 0x4000}
 	for _, a := range addrs {
-		if c.Access(0, 0, a) != Miss {
+		if res, _ := c.AccessIdx(0, 0, a, false); res != Miss {
 			t.Fatalf("access %#x: want miss", a)
 		}
 	}
-	if c.Access(0, 0, 0x5000) != Blocked {
+	if res, _ := c.AccessIdx(0, 0, 0x5000, false); res != Blocked {
 		t.Fatal("want blocked when all MSHRs allocated")
 	}
-	c.Fill(0, 0, addrs[0])
-	if c.Access(0, 0, 0x5000) != Miss {
+	c.FillIdx(0, 0, addrs[0], false)
+	if res, _ := c.AccessIdx(0, 0, 0x5000, false); res != Miss {
 		t.Fatal("want miss after an MSHR freed")
 	}
 }
@@ -84,24 +102,24 @@ func TestNoteBlockedMatchesBlockedAccess(t *testing.T) {
 	a, b := smallCache(), smallCache()
 	for _, c := range []*Cache{a, b} {
 		for i := uint64(0); i < 4; i++ { // all four MSHRs
-			if res := c.Access(1, 0, 0x1000+i*0x200); res != Miss {
+			if res, _ := c.AccessIdx(1, 0, 0x1000+i*0x200, false); res != Miss {
 				t.Fatalf("setup access %d = %v", i, res)
 			}
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if res := a.Access(1, 0, 0x9000); res != Blocked {
+		if res, _ := a.AccessIdx(1, 0, 0x9000, false); res != Blocked {
 			t.Fatalf("access with no free MSHR = %v, want blocked", res)
 		}
 		b.NoteBlocked(1)
 	}
 	for _, c := range []*Cache{a, b} {
 		for i := uint64(0); i < 4; i++ {
-			c.Fill(1, 0, 0x1000+i*0x200)
+			c.FillIdx(1, 0, 0x1000+i*0x200, false)
 		}
-		c.Access(1, 0, 0x1000) // make line 0 the most recent
-		c.Access(1, 0, 0x9000)
-		c.Fill(1, 0, 0x9000) // evicts the oldest of the other three
+		c.AccessIdx(1, 0, 0x1000, false) // make line 0 the most recent
+		c.AccessIdx(1, 0, 0x9000, false)
+		c.FillIdx(1, 0, 0x9000, false) // evicts the oldest of the other three
 	}
 	if a.stamp != b.stamp {
 		t.Fatalf("LRU stamp %d after blocked accesses, %d after NoteBlocked", a.stamp, b.stamp)
@@ -125,31 +143,31 @@ func TestLRUEviction(t *testing.T) {
 	// Fill set 2 with 4 lines, touching them in order.
 	for i := 0; i < 4; i++ {
 		addr := uint64(0x10000 + i*0x1000)
-		c.Access(0, 2, addr)
-		c.Fill(0, 2, addr)
+		c.AccessIdx(0, 2, addr, false)
+		c.FillIdx(0, 2, addr, false)
 	}
 	// Touch line 0 to refresh it; line 1 becomes LRU.
-	if c.Access(0, 2, 0x10000) != Hit {
+	if res, _ := c.AccessIdx(0, 2, 0x10000, false); res != Hit {
 		t.Fatal("line 0 should hit")
 	}
 	// New fill must evict line 1 (the LRU), owned by app 0.
-	c.Access(0, 2, 0x20000)
-	_, evicted := c.Fill(1, 2, 0x20000)
+	c.AccessIdx(0, 2, 0x20000, false)
+	_, evicted, _, _ := c.FillIdx(1, 2, 0x20000, false)
 	if evicted != 0 {
 		t.Fatalf("evicted owner = %v, want app 0", evicted)
 	}
-	if c.Access(0, 2, 0x10000) != Hit {
+	if res, _ := c.AccessIdx(0, 2, 0x10000, false); res != Hit {
 		t.Fatal("refreshed line 0 must survive")
 	}
-	if res := c.Access(0, 2, 0x11000); res == Hit {
+	if res, _ := c.AccessIdx(0, 2, 0x11000, false); res == Hit {
 		t.Fatal("LRU line 1 should have been evicted")
 	}
 }
 
 func TestProbeDoesNotTouch(t *testing.T) {
 	c := smallCache()
-	c.Access(0, 3, 0x7000)
-	c.Fill(0, 3, 0x7000)
+	c.AccessIdx(0, 3, 0x7000, false)
+	c.FillIdx(0, 3, 0x7000, false)
 	before := c.Stats(0)
 	if !c.Probe(3, 0x7000) {
 		t.Fatal("probe should find the line")
@@ -164,13 +182,13 @@ func TestProbeDoesNotTouch(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := smallCache()
-	c.Access(0, 0, 0x1000)
-	c.Fill(0, 0, 0x1000)
+	c.AccessIdx(0, 0, 0x1000, false)
+	c.FillIdx(0, 0, 0x1000, false)
 	c.Reset()
 	if c.Stats(0).Accesses != 0 {
 		t.Fatal("stats survived reset")
 	}
-	if c.Access(0, 0, 0x1000) != Miss {
+	if res, _ := c.AccessIdx(0, 0, 0x1000, false); res != Miss {
 		t.Fatal("line survived reset")
 	}
 }
@@ -183,8 +201,8 @@ func TestSetOccupancyProperty(t *testing.T) {
 		live := map[uint64]bool{}
 		for _, a := range addrs {
 			addr := uint64(a) * 128
-			if c.Access(0, 0, addr) == Miss {
-				c.Fill(0, 0, addr)
+			if res, _ := c.AccessIdx(0, 0, addr, false); res == Miss {
+				c.FillIdx(0, 0, addr, false)
 				live[addr] = true
 			}
 		}

@@ -21,18 +21,18 @@ func wbCache() *Cache {
 func TestWritebackOnDirtyEviction(t *testing.T) {
 	c := wbCache()
 	// Install a line via a write miss -> dirty.
-	if c.AccessRW(0, 0, 0x1000, true) != Miss {
+	if res, _ := c.AccessIdx(0, 0, 0x1000, true); res != Miss {
 		t.Fatal("want miss")
 	}
-	if _, _, wb := c.FillRW(0, 0, 0x1000, true); wb.Valid {
+	if _, _, wb, _ := c.FillIdx(0, 0, 0x1000, true); wb.Valid {
 		t.Fatal("fill into empty way must not write back")
 	}
 	// Fill the other way (clean).
-	c.AccessRW(0, 0, 0x2000, false)
-	c.FillRW(0, 0, 0x2000, false)
+	c.AccessIdx(0, 0, 0x2000, false)
+	c.FillIdx(0, 0, 0x2000, false)
 	// Next fill evicts the LRU = the dirty 0x1000 line.
-	c.AccessRW(1, 0, 0x3000, false)
-	_, evicted, wb := c.FillRW(1, 0, 0x3000, false)
+	c.AccessIdx(1, 0, 0x3000, false)
+	_, evicted, wb, _ := c.FillIdx(1, 0, 0x3000, false)
 	if evicted != 0 {
 		t.Fatalf("evicted owner = %v", evicted)
 	}
@@ -47,8 +47,8 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 func TestCleanEvictionSilent(t *testing.T) {
 	c := wbCache()
 	for i, addr := range []uint64{0x1000, 0x2000, 0x3000} {
-		c.AccessRW(0, 0, addr, false)
-		_, _, wb := c.FillRW(0, 0, addr, false)
+		c.AccessIdx(0, 0, addr, false)
+		_, _, wb, _ := c.FillIdx(0, 0, addr, false)
 		if wb.Valid {
 			t.Fatalf("clean eviction %d produced a writeback", i)
 		}
@@ -58,15 +58,15 @@ func TestCleanEvictionSilent(t *testing.T) {
 func TestStoreHitMarksDirty(t *testing.T) {
 	c := wbCache()
 	// Install clean, then store-hit it, then evict: must write back.
-	c.AccessRW(0, 1, 0x1080, false)
-	c.FillRW(0, 1, 0x1080, false)
-	if c.AccessRW(0, 1, 0x1080, true) != Hit {
+	c.AccessIdx(0, 1, 0x1080, false)
+	c.FillIdx(0, 1, 0x1080, false)
+	if res, _ := c.AccessIdx(0, 1, 0x1080, true); res != Hit {
 		t.Fatal("store should hit")
 	}
-	c.AccessRW(0, 1, 0x2080, false)
-	c.FillRW(0, 1, 0x2080, false)
-	c.AccessRW(0, 1, 0x3080, false)
-	_, _, wb := c.FillRW(0, 1, 0x3080, false)
+	c.AccessIdx(0, 1, 0x2080, false)
+	c.FillIdx(0, 1, 0x2080, false)
+	c.AccessIdx(0, 1, 0x3080, false)
+	_, _, wb, _ := c.FillIdx(0, 1, 0x3080, false)
 	if !wb.Valid || wb.Addr != 0x1080 {
 		t.Fatalf("store-hit line not written back: %+v", wb)
 	}
@@ -74,13 +74,13 @@ func TestStoreHitMarksDirty(t *testing.T) {
 
 func TestWritebackDisabledByDefault(t *testing.T) {
 	c := smallCache() // Writeback: false
-	c.AccessRW(0, 0, 0x1000, true)
-	if _, _, wb := c.FillRW(0, 0, 0x1000, true); wb.Valid {
+	c.AccessIdx(0, 0, 0x1000, true)
+	if _, _, wb, _ := c.FillIdx(0, 0, 0x1000, true); wb.Valid {
 		t.Fatal("writeback emitted with writeback disabled")
 	}
 	for _, addr := range []uint64{0x2000, 0x3000, 0x4000, 0x5000} {
-		c.AccessRW(0, 0, addr, true)
-		if _, _, wb := c.FillRW(0, 0, addr, true); wb.Valid {
+		c.AccessIdx(0, 0, addr, true)
+		if _, _, wb, _ := c.FillIdx(0, 0, addr, true); wb.Valid {
 			t.Fatal("writeback emitted with writeback disabled")
 		}
 	}

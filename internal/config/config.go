@@ -275,9 +275,3 @@ func (c Config) PeakActivationsPerCycle() float64 {
 	}
 	return float64(c.NumMCs) * 4 / float64(c.Mem.TFAW)
 }
-
-// RequestMax returns the derated maximum number of requests the DRAM can
-// serve in the given number of cycles (paper Eq. 20).
-func (c Config) RequestMax(cycles uint64) float64 {
-	return c.PeakRequestsPerCycle() * float64(cycles) * c.RequestMaxFactor
-}

@@ -70,14 +70,10 @@ func TestPeakBandwidthMatchesGTX480(t *testing.T) {
 	if gbps < 160 || gbps > 200 {
 		t.Fatalf("peak bandwidth %.1f GB/s, GTX 480 is ~177", gbps)
 	}
-}
-
-func TestRequestMax(t *testing.T) {
-	c := Default()
-	got := c.RequestMax(50_000)
-	want := 1.0 * 50_000 * 0.6 // 1 line/cycle aggregate * derate
-	if got != want {
-		t.Fatalf("RequestMax = %v, want %v", got, want)
+	// Eq. 20's inputs, which sim.IntervalSnapshot.RequestMax multiplies:
+	// 1 line/cycle aggregate, derated by 0.6.
+	if c.PeakRequestsPerCycle() != 1 || c.RequestMaxFactor != 0.6 {
+		t.Fatalf("Eq. 20 inputs: %v lines/cycle × %v", c.PeakRequestsPerCycle(), c.RequestMaxFactor)
 	}
 }
 
@@ -119,6 +115,11 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"l1line", func(c *Config) { c.L1.LineBytes = 100 }, "L1"},
 		{"l1mshr", func(c *Config) { c.L1.MSHRs = 0 }, "L1"},
 		{"linemismatch", func(c *Config) { c.L1.LineBytes = 64; c.L1.SizeBytes = 16 * 1024 }, "line sizes"},
+		{"l2size", func(c *Config) { c.L2.SizeBytes = 0 }, "L2: size"},
+		{"l2divisible", func(c *Config) { c.L2.SizeBytes = 3*c.L2.Assoc*c.L2.LineBytes + c.L2.LineBytes }, "not divisible"},
+		{"l2sets", func(c *Config) { c.L2.SizeBytes = 3 * c.L2.Assoc * c.L2.LineBytes }, "set count 3"},
+		{"refresh-pair", func(c *Config) { c.Mem.TREFI, c.Mem.TRFC = 100, 0 }, "together"},
+		{"refresh-order", func(c *Config) { c.Mem.TREFI, c.Mem.TRFC = 100, 100 }, "shorter"},
 	}
 	for _, tc := range cases {
 		c := Default()
@@ -154,6 +155,19 @@ func TestValidateWheelBounds(t *testing.T) {
 	c.SM.MaxWarps = maxWheelWarps
 	if err := c.Validate(); err != nil {
 		t.Fatalf("in-bounds wheel configuration rejected: %v", err)
+	}
+}
+
+// TestFingerprint: equal configurations hash equal, and changing one field
+// changes the hash.
+func TestFingerprint(t *testing.T) {
+	a, b := Default(), Default()
+	if a.Fingerprint() != b.Fingerprint() || len(a.Fingerprint()) != 64 {
+		t.Fatalf("fingerprints %q, %q: want one 64-hex-digit hash", a.Fingerprint(), b.Fingerprint())
+	}
+	b.IntervalCycles++
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Fatal("IntervalCycles left the fingerprint unchanged")
 	}
 }
 

@@ -63,34 +63,6 @@ type AppCounters struct {
 	Enqueued uint64
 }
 
-// BLP returns the average bank-level parallelism of the application: banks
-// executing or about to be occupied by its queued requests, averaged over
-// cycles with at least one outstanding request (paper §4.2).
-func (c AppCounters) BLP() float64 {
-	if c.BLPSamples == 0 {
-		return 0
-	}
-	return float64(c.BLPSum) / float64(c.BLPSamples)
-}
-
-// BLPAccess returns the average number of banks executing the application's
-// requests over the same samples.
-func (c AppCounters) BLPAccess() float64 {
-	if c.BLPSamples == 0 {
-		return 0
-	}
-	return float64(c.BLPAccessSum) / float64(c.BLPSamples)
-}
-
-// BLPBlocked returns the average number of banks on which the application
-// waits behind another application's request.
-func (c AppCounters) BLPBlocked() float64 {
-	if c.BLPSamples == 0 {
-		return 0
-	}
-	return float64(c.BLPBlockedSum) / float64(c.BLPSamples)
-}
-
 // BusCounters decompose the controller's data-bus bandwidth, as in Fig. 2(b).
 type BusCounters struct {
 	// Cycles is the total cycles observed.

@@ -276,13 +276,15 @@ func TestBLPCounters(t *testing.T) {
 	if c0.BLPSamples == 0 || c1.BLPSamples == 0 {
 		t.Fatal("no BLP samples taken")
 	}
-	if c0.BLP() <= 0 || c0.BLP() > float64(cfg.NumBanks) {
-		t.Fatalf("BLP out of range: %v", c0.BLP())
+	// Averages per sample; sim.takeSnapshot derives the snapshot's BLP
+	// terms from these raw sums.
+	if blp := float64(c0.BLPSum) / float64(c0.BLPSamples); blp <= 0 || blp > float64(cfg.NumBanks) {
+		t.Fatalf("BLP out of range: %v", blp)
 	}
-	if c0.BLPAccess() > c0.BLP()+1e-9 {
-		t.Fatalf("BLPAccess %v exceeds BLP %v", c0.BLPAccess(), c0.BLP())
+	if c0.BLPAccessSum > c0.BLPSum {
+		t.Fatalf("BLPAccessSum %d exceeds BLPSum %d", c0.BLPAccessSum, c0.BLPSum)
 	}
-	if c1.BLPBlocked() <= 0 {
+	if c1.BLPBlockedSum == 0 {
 		t.Fatal("app 1 must observe banks blocked by app 0")
 	}
 }

@@ -206,24 +206,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavoured markdown (used when
-// exporting results into EXPERIMENTS.md-style documents).
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Columns)) + "\n")
-	for _, r := range t.Rows {
-		cells := make([]string, len(t.Columns))
-		copy(cells, r)
-		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*%s*\n", n)
-	}
-	return b.String()
-}
-
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 

@@ -26,21 +26,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tab := &Table{
-		Title:   "demo",
-		Columns: []string{"a", "b"},
-		Rows:    [][]string{{"1", "2"}},
-		Notes:   []string{"n"},
-	}
-	md := tab.Markdown()
-	for _, want := range []string{"**demo**", "| a | b |", "| 1 | 2 |", "*n*"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
 func TestFig7Bucketing(t *testing.T) {
 	two := &AccuracyResult{
 		Evals: []*workload.Eval{

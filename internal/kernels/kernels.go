@@ -99,14 +99,6 @@ func (p *Profile) String() string {
 		p.Abbr, p.Name, p.MemFrac, p.SeqRun, p.FootprintLines, p.Blocks)
 }
 
-// WithMemFrac returns a copy of the profile with a different memory
-// intensity; used by the Figure 3 sweep (performance vs request service
-// rate).
-func (p Profile) WithMemFrac(f float64) Profile {
-	p.MemFrac = f
-	return p
-}
-
 // Validate reports the first structural problem with the profile.
 func (p *Profile) Validate() error {
 	switch {

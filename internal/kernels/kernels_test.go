@@ -84,14 +84,6 @@ func TestValidateComputeLatBound(t *testing.T) {
 	}
 }
 
-func TestWithMemFrac(t *testing.T) {
-	p, _ := ByAbbr("SB")
-	q := p.WithMemFrac(0.5)
-	if q.MemFrac != 0.5 || p.MemFrac == 0.5 {
-		t.Fatal("WithMemFrac must copy, not mutate")
-	}
-}
-
 func TestStreamDeterminism(t *testing.T) {
 	p, _ := ByAbbr("VA")
 	a := NewWarpStream(&p, 1<<40, 7, 3, 42)

@@ -70,7 +70,8 @@ func TestDeadlineOverrunTimesOut(t *testing.T) {
 			s.Start()
 			return func() {}
 		}},
-		{"sim.step", 1_000_000_000, func(t *testing.T, s *Server, _ JobRequest) func() {
+		// 2×10⁸ cycles run for minutes, so the deadline lands in the step loop.
+		{"sim.step", 200_000_000, func(t *testing.T, s *Server, _ JobRequest) func() {
 			s.Start()
 			return func() {}
 		}},
@@ -113,7 +114,7 @@ func TestDeadlineOverrunTimesOut(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newIdleServer(t, Options{Workers: 2, MaxCycles: 2_000_000_000})
+			s := newIdleServer(t, Options{Workers: 2, MaxCycles: 200_000_000})
 			req := JobRequest{Kernels: []string{"SB", "SD"}, Cycles: tc.cycles}
 			release := tc.overrun(t, s, req)
 			timed := req
@@ -138,7 +139,7 @@ func TestLoadSheddingPrefersCached(t *testing.T) {
 	s := newIdleServer(t, Options{
 		Workers:       1,
 		QueueDepth:    4, // high-water mark defaults to 3
-		MaxCycles:     2_000_000_000,
+		MaxCycles:     200_000_000,
 		ShedHighWater: 3,
 	})
 	s.Start()
@@ -148,7 +149,7 @@ func TestLoadSheddingPrefersCached(t *testing.T) {
 		t.Fatalf("warmup: %s (%s)", v.Status, v.Error)
 	}
 	// Occupy the worker, then fill the queue to the high-water mark.
-	long, err := s.submit(JobRequest{Kernels: []string{"SB"}, Cycles: 1_000_000_000})
+	long, err := s.submit(JobRequest{Kernels: []string{"SB"}, Cycles: 200_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ func TestLongPollClampsOversizedWait(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Options{
 		Workers:     1,
-		MaxCycles:   2_000_000_000,
+		MaxCycles:   200_000_000,
 		LongPollMax: 100 * time.Millisecond,
 	})
-	long, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: 1_000_000_000})
+	long, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: 200_000_000})
 	deadline := time.Now().Add(30 * time.Second)
 	for getJob(t, ts, long.ID, 0).Status != StatusRunning {
 		if time.Now().After(deadline) {
@@ -71,8 +71,8 @@ func TestLongPollCancellationMidWait(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	_, ts := newTestServer(t, Options{Workers: 1, MaxCycles: 2_000_000_000})
-	long, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: 1_000_000_000})
+	_, ts := newTestServer(t, Options{Workers: 1, MaxCycles: 200_000_000})
+	long, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: 200_000_000})
 	deadline := time.Now().Add(30 * time.Second)
 	for getJob(t, ts, long.ID, 0).Status != StatusRunning {
 		if time.Now().After(deadline) {

@@ -96,7 +96,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		CacheDir:      t.TempDir(),
 		JobTimeout:    5 * time.Minute,
 		DefaultCycles: testCycles,
-		MaxCycles:     2_000_000_000,
+		MaxCycles:     200_000_000,
 		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	reqs := []JobRequest{

@@ -224,16 +224,13 @@ func abs(v float64) float64 {
 }
 
 // simOpts builds the sim options every simulation entry point gets: the
-// snapshot-retention cap (so unbounded-length jobs cannot grow a result's
-// snapshot slice without limit) and, when configured, the runtime invariant
-// sweep. Invariant checking never changes results, so cache keys are shared
-// with unchecked servers.
+// runtime invariant sweep, when configured. Invariant checking never changes
+// results, so cache keys are shared with unchecked servers.
 func (s *Server) simOpts() []sim.Option {
-	opts := []sim.Option{sim.WithSnapshotRetention(snapshotRetention)}
 	if s.opts.CheckInvariants {
-		opts = append(opts, sim.WithInvariantChecks())
+		return []sim.Option{sim.WithInvariantChecks()}
 	}
-	return opts
+	return nil
 }
 
 // runSim runs the plan's main simulation: an alone-mode plan is the

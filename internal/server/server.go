@@ -149,10 +149,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// snapshotRetention caps the interval snapshots each simulation keeps:
-// comfortably above MaxCycles/IntervalCycles at the defaults, so results
-// are normally untruncated. Whole-run aggregates are exact regardless.
-const snapshotRetention = 4096
+// maxIntervals bounds the interval snapshots one result holds: New refuses
+// a MaxCycles that spans more intervals than this, so no job's result grows
+// without bound. The defaults span 20M / 50K = 400 intervals.
+const maxIntervals = 4096
 
 // estimateMaxBody bounds estimate request bodies, in bytes.
 const estimateMaxBody = 1 << 20
@@ -194,6 +194,10 @@ func New(opts Options) (*Server, error) {
 	}
 	if len(opts.Catalogue) == 0 {
 		return nil, fmt.Errorf("server: empty kernel catalogue")
+	}
+	if n := (opts.MaxCycles-1)/opts.Cfg.IntervalCycles + 1; n > maxIntervals {
+		return nil, fmt.Errorf("server: MaxCycles %d spans %d intervals of %d cycles, more than the %d a result may hold",
+			opts.MaxCycles, n, opts.Cfg.IntervalCycles, maxIntervals)
 	}
 	cache := simcache.NewMemory(simcache.DefaultMaxEntries)
 	if opts.CacheDir != "" {
@@ -368,30 +372,24 @@ func (s *Server) evictJobRecordsLocked() {
 // exists and whether it could be cancelled.
 func (s *Server) cancelJob(id string) (found, canceled bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	job, ok := s.jobs[id]
 	if !ok {
+		s.mu.Unlock()
 		return false, false
 	}
-	switch job.Status {
+	status := job.Status
+	switch status {
 	case StatusQueued:
 		// The worker will observe the status and skip it.
-		job.Status = StatusCanceled
-		job.Error = "canceled"
-		job.FinishedAt = time.Now()
-		close(job.done)
-		s.metrics.jobsCanceled.Add(1)
-		job.tracer.Emit(telemetry.Event{
-			Kind: telemetry.KindJobDone, Wall: job.FinishedAt.UnixNano(),
-			App: -1, SM: -1, Job: job.ID, Note: string(StatusCanceled),
-		})
-		return true, true
+		s.finalizeLocked(job, StatusCanceled, "canceled", nil, false)
 	case StatusRunning:
 		job.cancel()
-		return true, true
-	default:
-		return true, false
 	}
+	s.mu.Unlock()
+	if status == StatusQueued {
+		s.writeTraceFile(job)
+	}
+	return true, status == StatusQueued || status == StatusRunning
 }
 
 // getJob returns the job record for id.

@@ -223,9 +223,9 @@ func TestQueueFull429AndCancel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, MaxCycles: 2_000_000_000})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, MaxCycles: 200_000_000})
 
-	running, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: 1_000_000_000})
+	running, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: 200_000_000})
 	deadline := time.Now().Add(30 * time.Second)
 	for getJob(t, ts, running.ID, 0).Status != StatusRunning {
 		if time.Now().After(deadline) {
@@ -267,8 +267,8 @@ func TestJobTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	_, ts := newTestServer(t, Options{MaxCycles: 2_000_000_000})
-	v, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: 1_000_000_000, TimeoutMS: 50})
+	_, ts := newTestServer(t, Options{MaxCycles: 200_000_000})
+	v, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: 200_000_000, TimeoutMS: 50})
 	v = waitDone(t, ts, v.ID)
 	if v.Status != StatusFailed || !strings.Contains(v.Error, "timeout") {
 		t.Fatalf("status=%s error=%q", v.Status, v.Error)
@@ -373,6 +373,25 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if n := metricValue(t, fetchMetrics(t, ts), "dased_jobs_submitted_total"); n != 0 {
 		t.Fatalf("invalid submissions were counted: %v", n)
+	}
+}
+
+// TestNewBoundsResultIntervals: New accepts a MaxCycles that spans exactly
+// maxIntervals intervals and refuses one cycle more, naming both numbers;
+// the defaults (400 intervals) start.
+func TestNewBoundsResultIntervals(t *testing.T) {
+	if _, err := New(Options{}); err != nil {
+		t.Fatalf("New with defaults: %v", err)
+	}
+	cfg := config.Default()
+	cfg.IntervalCycles = 1_000
+	at := uint64(maxIntervals) * cfg.IntervalCycles
+	if _, err := New(Options{Cfg: cfg, MaxCycles: at}); err != nil {
+		t.Fatalf("MaxCycles %d (%d intervals): %v", at, maxIntervals, err)
+	}
+	_, err := New(Options{Cfg: cfg, MaxCycles: at + 1})
+	if err == nil || !strings.Contains(err.Error(), "4097 intervals") || !strings.Contains(err.Error(), "the 4096") {
+		t.Fatalf("MaxCycles %d: err = %v, want a refusal naming 4097 and 4096 intervals", at+1, err)
 	}
 }
 

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dasesim/internal/sim"
 	"dasesim/internal/telemetry"
 )
 
@@ -225,6 +228,55 @@ func TestTracedJobEndToEnd(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("untraced server: status %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestQueuedCancelWritesTraceFile: a job DELETEd while still queued gets its
+// trace file like any other terminal job, holding the endpoint's events: its
+// queued and canceled lifecycle.
+func TestQueuedCancelWritesTraceFile(t *testing.T) {
+	dir := t.TempDir()
+	s := newIdleServer(t, Options{Workers: 1, TraceDir: dir})
+	started := make(chan struct{})
+	s.simulate = func(ctx context.Context, _ plan, _ *telemetry.Tracer) (*sim.Result, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	long, _ := postJob(t, ts, JobRequest{Kernels: []string{"SB"}, Cycles: testCycles})
+	<-started
+	queued, _ := postJob(t, ts, JobRequest{Kernels: []string{"SD"}, Cycles: testCycles})
+	cancelJob(t, ts, queued.ID, http.StatusOK)
+	defer cancelJob(t, ts, long.ID, http.StatusOK)
+
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/trace", ts.URL, queued.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	served, err := telemetry.ReadNDJSONStrict(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(served) != 2 || served[0].Kind != telemetry.KindJobQueued ||
+		served[1].Kind != telemetry.KindJobDone || served[1].Note != string(StatusCanceled) {
+		t.Fatalf("served trace %+v, want job.queued then job.done (canceled)", served)
+	}
+	f, err := os.Open(filepath.Join(dir, queued.ID+".trace.ndjson"))
+	if err != nil {
+		t.Fatalf("no trace file for the job canceled while queued: %v", err)
+	}
+	defer f.Close()
+	fromFile, err := telemetry.ReadNDJSONStrict(f)
+	if err != nil {
+		t.Fatalf("trace file: %v", err)
+	}
+	if !slices.Equal(fromFile, served) {
+		t.Errorf("trace file holds %+v, the endpoint serves %+v", fromFile, served)
 	}
 }
 

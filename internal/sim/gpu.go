@@ -55,12 +55,6 @@ type GPU struct {
 
 	snapshots []IntervalSnapshot
 
-	// snapRetention caps len(snapshots); 0 means unlimited. When the cap is
-	// hit the oldest snapshot's run-total counters are folded into evicted
-	// before it is dropped, so FinishRun's aggregates stay exact.
-	snapRetention int
-	evicted       snapshotAgg
-
 	// checks is non-nil under WithInvariantChecks; step sweeps it
 	// periodically and panics with the first *InvariantViolation.
 	checks *invariantChecker
@@ -70,14 +64,6 @@ type GPU struct {
 	// results are identical with tracing on, and when off each site pays one
 	// nil check.
 	tracer *telemetry.Tracer
-}
-
-// snapshotAgg accumulates the run-total counters of snapshots evicted under
-// a retention cap.
-type snapshotAgg struct {
-	busCycles, busWasted, busIdle uint64
-	served, data                  []uint64
-	rowHits, rowMisses            []uint64
 }
 
 // appWindow accumulates SM-side stats for one app over the current interval.
@@ -96,17 +82,6 @@ type Option func(*GPU)
 // that the MISE and ASM estimators require.
 func WithPriorityEpochs() Option {
 	return func(g *GPU) { g.priorityEpochs = true }
-}
-
-// WithSnapshotRetention caps how many interval snapshots the GPU keeps in
-// memory (n <= 0 means unlimited, the default). Long-running simulations
-// otherwise grow their snapshot slice without bound; with a cap, the oldest
-// snapshots are dropped after their run-total counters (bus decomposition,
-// served requests, row hits) are folded into accumulators, so FinishRun's
-// whole-run aggregates are unaffected — only Result.Snapshots is truncated
-// to the most recent n intervals.
-func WithSnapshotRetention(n int) Option {
-	return func(g *GPU) { g.snapRetention = n }
 }
 
 // WithTracer attaches an event tracer. The engine emits one interval event
@@ -179,10 +154,6 @@ func New(cfg config.Config, profiles []kernels.Profile, alloc []int, seed uint64
 		prioCycles:     make([]uint64, len(profiles)),
 		curPrio:        memreq.InvalidApp,
 	}
-	g.evicted.served = make([]uint64, len(profiles))
-	g.evicted.data = make([]uint64, len(profiles))
-	g.evicted.rowHits = make([]uint64, len(profiles))
-	g.evicted.rowMisses = make([]uint64, len(profiles))
 	for _, o := range opts {
 		o(g)
 	}
@@ -511,7 +482,7 @@ func (g *GPU) finishCycle() {
 	// 6. Interval boundary.
 	if g.cycle-g.intervalStart >= g.cfg.IntervalCycles {
 		snap := g.takeSnapshot()
-		g.addSnapshot(snap)
+		g.snapshots = append(g.snapshots, *snap)
 		if g.tracer != nil {
 			for a := range snap.Apps {
 				ai := &snap.Apps[a]
@@ -534,30 +505,6 @@ func (g *GPU) finishCycle() {
 		if v := g.checks.sweep(); v != nil {
 			panic(v)
 		}
-	}
-}
-
-// addSnapshot appends a snapshot, enforcing the retention cap by folding the
-// oldest snapshots' run-total counters into the evicted accumulators before
-// dropping them.
-func (g *GPU) addSnapshot(snap *IntervalSnapshot) {
-	g.snapshots = append(g.snapshots, *snap)
-	if g.snapRetention <= 0 {
-		return
-	}
-	for len(g.snapshots) > g.snapRetention {
-		s := &g.snapshots[0]
-		g.evicted.busCycles += s.BusCycles
-		g.evicted.busWasted += s.BusWasted
-		g.evicted.busIdle += s.BusIdle
-		for i := range s.Apps {
-			g.evicted.served[i] += s.Apps[i].Served
-			g.evicted.data[i] += s.Apps[i].DataCycles
-			g.evicted.rowHits[i] += s.Apps[i].RowHits
-			g.evicted.rowMisses[i] += s.Apps[i].RowMisses
-		}
-		copy(g.snapshots, g.snapshots[1:])
-		g.snapshots = g.snapshots[:len(g.snapshots)-1]
 	}
 }
 

@@ -61,26 +61,18 @@ func (r *Result) BWUtilTotal() float64 {
 func (g *GPU) FinishRun() *Result {
 	if g.cycle > g.intervalStart {
 		snap := g.takeSnapshot()
-		g.addSnapshot(snap)
+		g.snapshots = append(g.snapshots, *snap)
 		g.resetInterval()
 	}
 	res := &Result{Cycles: g.cycle, Snapshots: g.snapshots}
 	res.Apps = make([]AppResult, len(g.apps))
 
 	// Aggregate memory counters across snapshots (controller counters are
-	// reset each interval, so the snapshots are the durable record), seeded
-	// with the totals of any snapshots evicted under a retention cap.
-	res.BusCycles = g.evicted.busCycles
-	res.BusWasted = g.evicted.busWasted
-	res.BusIdle = g.evicted.busIdle
+	// reset each interval, so the snapshots are the durable record).
 	served := make([]uint64, len(g.apps))
 	data := make([]uint64, len(g.apps))
 	rowHits := make([]uint64, len(g.apps))
 	rowMisses := make([]uint64, len(g.apps))
-	copy(served, g.evicted.served)
-	copy(data, g.evicted.data)
-	copy(rowHits, g.evicted.rowHits)
-	copy(rowMisses, g.evicted.rowMisses)
 	for si := range g.snapshots {
 		s := &g.snapshots[si]
 		res.BusCycles += s.BusCycles

@@ -265,8 +265,9 @@ func TestSnapshotAccessors(t *testing.T) {
 	if served == 0 || s.TotalServed() != served {
 		t.Fatalf("TotalServed = %d, apps sum to %d", s.TotalServed(), served)
 	}
-	if got, want := s.RequestMax(), cfg.RequestMax(s.IntervalCycles); got != want {
-		t.Fatalf("RequestMax = %v, config's Eq. 20 gives %v", got, want)
+	// Eq. 20 at the default config: 1 line/cycle aggregate × the 0.6 derate.
+	if got, want := s.RequestMax(), 1.0*float64(s.IntervalCycles)*0.6; got != want {
+		t.Fatalf("RequestMax = %v, Eq. 20 gives %v", got, want)
 	}
 }
 

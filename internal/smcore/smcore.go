@@ -135,23 +135,6 @@ type Stats struct {
 	LatHist stats.LogHist
 }
 
-// Alpha returns the fraction of the SM pipeline lost to memory waiting (the
-// α of Eq. 15).
-func (s Stats) Alpha() float64 {
-	if s.ActiveCycles == 0 {
-		return 0
-	}
-	return s.StallUnits / float64(s.ActiveCycles)
-}
-
-// IPC returns issued warp instructions per cycle over the snapshot window.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Issued) / float64(s.Cycles)
-}
-
 // SM is one streaming multiprocessor.
 type SM struct {
 	ID  int

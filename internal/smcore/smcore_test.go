@@ -188,7 +188,7 @@ func TestStallAccountingWithoutReplies(t *testing.T) {
 	if st.StallUnits <= 0 {
 		t.Fatal("starved SM accrued no stall units")
 	}
-	if a := st.Alpha(); a <= 0 || a > 1 {
+	if a := st.StallUnits / float64(st.ActiveCycles); a <= 0 || a > 1 {
 		t.Fatalf("alpha %v out of (0,1]", a)
 	}
 }

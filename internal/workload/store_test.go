@@ -52,7 +52,8 @@ func TestEvaluateStoreKeepsInputsApart(t *testing.T) {
 		{"allocation", nil, func(j *Job) { j.Alloc = []int{6, 10} }, 1},
 		{"profile", nil, func(j *Job) {
 			qr := j.Combo.Profiles[0]
-			j.Combo.Profiles = []kernels.Profile{qr.WithMemFrac(2 * qr.MemFrac), j.Combo.Profiles[1]}
+			qr.MemFrac *= 2
+			j.Combo.Profiles = []kernels.Profile{qr, j.Combo.Profiles[1]}
 		}, 2},
 		{"cycles", func(o *Options) { o.SharedCycles = 15_000 }, nil, 3},
 		{"alone cycles", func(o *Options) { o.AloneCycles = 12_000 }, nil, 2},

@@ -98,9 +98,9 @@ func RandomPairs(n int, seed uint64) []Combo {
 }
 
 // AloneKey is the content address of a kernel's alone run on all SMs; the
-// full profile is hashed, so WithMemFrac sweeps (Fig. 3) and custom kernels
-// coexist. Exported so the dased server addresses the alone runs in its own
-// job cache the same way, and a shared cache directory serves both.
+// full profile is hashed, so variant and custom kernels coexist with the
+// catalogue's. Exported so the dased server addresses the alone runs in its
+// own job cache the same way, and a shared cache directory serves both.
 func AloneKey(cfg config.Config, p kernels.Profile, cycles, seed uint64) string {
 	return simcache.Key(cfg, []kernels.Profile{p}, []int{cfg.NumSMs}, cycles, seed, "alone")
 }

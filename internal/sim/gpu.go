@@ -32,8 +32,10 @@ type GPU struct {
 	cycle uint64
 
 	// desired[i] is the app that should own SM i; when it differs from the
-	// current owner the SM is draining toward reassignment.
-	desired []memreq.AppID
+	// current owner the SM is draining toward reassignment. reassigning is
+	// set while that holds for some SM, so step runs applyDesired only then.
+	desired     []memreq.AppID
+	reassigning bool
 
 	// interval state
 	intervalStart uint64
@@ -265,8 +267,11 @@ func (g *GPU) SetAllocation(alloc []int) error {
 }
 
 // applyDesired drains SMs whose desired owner differs and reassigns the
-// idle ones.
+// idle ones, and notes whether any SM is still to be reassigned. An idle SM
+// that is to have no owner keeps its old one, so it counts as not yet
+// settled and is flushed again at every pass.
 func (g *GPU) applyDesired() {
+	g.reassigning = false
 	for i, sm := range g.sms {
 		want := g.desired[i]
 		if sm.Owner() == want {
@@ -277,6 +282,7 @@ func (g *GPU) applyDesired() {
 			continue
 		}
 		if !sm.Idle() {
+			g.reassigning = true
 			// Drain() is re-issued every cycle while the SM empties; trace
 			// only the transition into draining.
 			if g.tracer != nil && !sm.Draining() {
@@ -290,6 +296,7 @@ func (g *GPU) applyDesired() {
 		}
 		g.flushSM(sm)
 		if want == memreq.InvalidApp {
+			g.reassigning = true
 			continue
 		}
 		sm.Assign(want, g.disps[want])
@@ -475,7 +482,9 @@ func (g *GPU) deliverReplies(si int, sm *smcore.SM, now uint64) {
 // increment, interval snapshots, and the debug sweep.
 func (g *GPU) finishCycle() {
 	// 5. Progress any pending reassignment.
-	g.applyDesired()
+	if g.reassigning {
+		g.applyDesired()
+	}
 
 	g.cycle++
 

@@ -40,9 +40,47 @@ func TestReallocationMovesMinimalSMs(t *testing.T) {
 	if moved != 2 {
 		t.Fatalf("%d SMs changed owner, want exactly 2", moved)
 	}
+	if g.reassigning {
+		t.Fatal("reassignment finished but step still walks the SMs for it")
+	}
 	alloc := g.Allocation()
 	if alloc[0] != 8 || alloc[1] != 8 {
 		t.Fatalf("allocation = %v", alloc)
+	}
+}
+
+// TestReassigningOnlyWhileOutstanding: step runs the reassignment pass only
+// while some SM lacks its desired owner. SetAllocation raises the flag while
+// SMs drain; the pass that finds them all settled lowers it; an idle SM that
+// is to have no owner keeps its old one and the flag with it.
+func TestReassigningOnlyWhileOutstanding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	g, err := New(config.Default(), twoApps(t), []int{8, 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.reassigning {
+		t.Fatal("a new GPU has nothing to reassign")
+	}
+	g.Run(10_000)
+	if err := g.SetAllocation([]int{6, 10}); err != nil {
+		t.Fatal(err)
+	}
+	if !g.reassigning {
+		t.Fatal("SetAllocation left two busy SMs to drain but no pass pending")
+	}
+	g.Run(150_000)
+	if g.reassigning {
+		t.Fatalf("owners %v match the allocation, yet the pass still runs", g.Owners())
+	}
+	if err := g.SetAllocation([]int{6, 6}); err != nil {
+		t.Fatal(err)
+	}
+	g.Run(150_000)
+	if !g.reassigning {
+		t.Fatal("four SMs want no owner and keep their old one, so the pass must keep running")
 	}
 }
 

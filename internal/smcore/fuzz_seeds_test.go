@@ -121,6 +121,19 @@ func TestFuzzSMCycleSeedsReachTheirStates(t *testing.T) {
 		"stream-ends-in-run":          {"run-reaches-stream-end"},
 		"barrier-after-run":           {"barrier-cuts-run"},
 		"reassign-with-memo":          {"reassigned", "memo-stands-after-reassign"},
+		// Compute cruises (DESIGN §10.2), one seed per way a cruise ends.
+		"cruise-boundary-is-memory-op":    {"cruise-crosses-load", "cruise-crosses-store", "cruise-ends-at-memory-op"},
+		"cruise-crosses-store":            {"cruise-crosses-store"},
+		"cruise-reply-wakes-warp":         {"woken-warp-rejoins-cruise", "woken-warp-ends-cruise"},
+		"cruise-drain-then-reassign":      {"drain-mid-cruise", "cruise-after-reassign"},
+		"cruise-stats-mid-cruise":         {"stats-mid-cruise"},
+		"cruise-n-equals-width-times-lat": {"cruise-with-n-equal-to-width-times-lat"},
+		"no-cruise-one-warp-short":        {"tried-with-one-warp-too-few"},
+	}
+	// States a seed must not reach: 45 warps against IssueWidth·ComputeLat
+	// = 46 must never cruise.
+	never := map[string][]string{
+		"no-cruise-one-warp-short": {"cruised"},
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzSMCycle")
 	for name, states := range want {
@@ -128,11 +141,16 @@ func TestFuzzSMCycleSeedsReachTheirStates(t *testing.T) {
 			data := readFuzzSeed(t, filepath.Join(dir, name))
 			obs := newSeedObserver()
 			ls := newLockstep(t, data[:fuzzHeader])
-			ls.observe = obs.observe
+			ls.observe, ls.seen = obs.observe, obs.seen
 			ls.run(data[fuzzHeader:])
 			for _, s := range states {
 				if !obs.seen[s] {
 					t.Errorf("seed never reached %q (reached %v)", s, obs.seen)
+				}
+			}
+			for _, s := range never[name] {
+				if obs.seen[s] {
+					t.Errorf("seed reached %q", s)
 				}
 			}
 		})

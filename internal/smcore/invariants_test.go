@@ -133,6 +133,12 @@ func TestCheckInvariantsCatchesEventState(t *testing.T) {
 		{"outbox verdict with room in the outbox", func(sm *SM) {
 			sm.warps[find(sm, "memoised warp", func(w *warp) bool { return w.memoEpoch == sm.hazardEpoch })].memoL1 = false
 		}, "memoL1"},
+		{"line-wake count off by one", func(sm *SM) {
+			sm.lineWakes++
+		}, "line wakes"},
+		{"parked count off by one", func(sm *SM) {
+			sm.parked--
+		}, "parked"},
 		{"hazardEpoch zeroed", func(sm *SM) {
 			sm.hazardEpoch = 0
 		}, "hazardEpoch is 0"},

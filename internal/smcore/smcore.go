@@ -15,12 +15,16 @@
 // into a timing wheel stored inside the SM; the instruction stream and the
 // decoded memory op sit in a parallel array only memory instructions touch;
 // and a warp that found a structural hazard is turned away without an L1
-// lookup until something that could clear the hazard has happened.
-// internal/refmodel keeps the straight per-instruction SM as the oracle.
+// lookup until something that could clear the hazard has happened. An SM
+// whose next cycles are a pure rotation of compute runs "cruises": Cycle only
+// counts cycles, and the warps are written back when something reads or
+// changes them. internal/refmodel keeps the straight per-instruction SM as
+// the oracle.
 package smcore
 
 import (
 	"fmt"
+	"math"
 
 	"dasesim/internal/cache"
 	"dasesim/internal/config"
@@ -81,6 +85,39 @@ type wheelSlot struct {
 	n uint8
 	e [wheelInline]wheelEntry
 }
+
+// cruise is a compute cruise in progress (DESIGN §10.2): from cycle start on,
+// position p of the rotation is warp seq[p % len(seq)], it issues in cycle
+// start + p/IssueWidth, and every issue is back on the ring lat cycles
+// later. The ring and the wheel hold none of seq's warps, and their warp
+// records' state and computeLeft are stale, until endCruise writes them
+// back.
+type cruise struct {
+	end   uint64 // the first cycle the normal path runs; 0 = not cruising
+	next  uint64 // the first cycle not yet advanced
+	start uint64
+	lat   uint64
+	seq   []cruiseWarp
+	spare []cruiseWarp // advance's second buffer
+}
+
+// cruiseWarp is one position of a cruise's first lap: the warp, when it is
+// back on the ring — due 0: at the start; due d > 0: its wake falls in cycle
+// start+d-1 — and the compute instructions left in its run at the start,
+// which the warp record's computeLeft takes back at the cruise's end.
+type cruiseWarp struct {
+	wi   uint16
+	due  uint8
+	left int
+}
+
+// A cruise is tried after cruiseStreak full-width cycles and kept only if it
+// covers at least cruiseMin cycles: below that, building and settling it
+// costs more than the cycles it skips.
+const (
+	cruiseStreak = 2
+	cruiseMin    = 8
+)
 
 // spilledEntry is a wheel entry that did not fit its slot's inline array.
 type spilledEntry struct {
@@ -173,6 +210,19 @@ type SM struct {
 	// 32-bit epoch would wrap inside a long run and match a stale memo.
 	hazardEpoch uint64
 
+	// lineWakes counts the line wakes on the wheel (spilled ones included),
+	// parked the warps waiting on memory or at a barrier.
+	lineWakes int
+	parked    int
+	// fullStreak counts the consecutive cycles the normal path issued at full
+	// width; a cruise is tried only once it reaches cruiseStreak. A try that
+	// found the cruise too short sets it below 0 by the cycles to its
+	// boundary, so the next try comes after that boundary.
+	fullStreak int
+	cr         cruise
+	// cruised counts the cycles advanced in closed form, for tests.
+	cruised uint64
+
 	resident   int // resident thread blocks
 	blockWarps []int
 	// blockAtBarrier counts warps of each resident block currently waiting
@@ -223,6 +273,10 @@ func New(id int, cfg config.Config, amap memreq.AddrMap, pool *memreq.Pool) *SM 
 		blockAtBarrier: make([]int, maxRes),
 		outbox:         ring.New[*memreq.Request](outboxLimit),
 		waiters:        make([][]int32, cfg.L1.MSHRs),
+		cr: cruise{
+			seq:   make([]cruiseWarp, cfg.SM.MaxWarps),
+			spare: make([]cruiseWarp, cfg.SM.MaxWarps),
+		},
 	}
 	for i := range sm.waiters {
 		sm.waiters[i] = make([]int32, 0, cfg.L1.MSHRMerge+1)
@@ -248,6 +302,7 @@ func (sm *SM) Assign(app memreq.AppID, src BlockSource) {
 	if sm.l1.MSHRsInUse() != 0 {
 		panic(fmt.Sprintf("smcore: assigning SM %d with in-flight loads", sm.ID))
 	}
+	sm.settle()
 	sm.owner = app
 	sm.source = src
 	sm.draining = false
@@ -266,12 +321,18 @@ func (sm *SM) Assign(app memreq.AppID, src BlockSource) {
 }
 
 // Drain stops new thread-block dispatch; the SM becomes idle once resident
-// blocks finish (the SM-draining reallocation of §7).
+// blocks finish (the SM-draining reallocation of §7). A cruise goes on: it
+// started only where dispatch could not act, and draining keeps it so.
 func (sm *SM) Drain() { sm.draining = true }
 
 // Undrain resumes thread-block dispatch on a draining SM (a cancelled
-// reassignment).
-func (sm *SM) Undrain() { sm.draining = false }
+// reassignment). Dispatch may then act, so a cruise settles first.
+func (sm *SM) Undrain() {
+	if sm.draining {
+		sm.settle()
+	}
+	sm.draining = false
+}
 
 // Draining reports whether the SM is refusing new blocks.
 func (sm *SM) Draining() bool { return sm.draining }
@@ -283,11 +344,17 @@ func (sm *SM) Idle() bool { return sm.resident == 0 }
 func (sm *SM) ResidentBlocks() int { return sm.resident }
 
 // Stats returns a copy of the activity counters.
-func (sm *SM) Stats() Stats { return sm.stats }
+func (sm *SM) Stats() Stats {
+	sm.settle()
+	return sm.stats
+}
 
 // ResetStats zeroes the activity counters (start of an interval or after a
 // reallocation).
-func (sm *SM) ResetStats() { sm.stats = Stats{} }
+func (sm *SM) ResetStats() {
+	sm.settle()
+	sm.stats = Stats{}
+}
 
 // Outbox returns the pending outbound requests; the simulator drains it via
 // PopOutbox as interconnect ports free up.
@@ -307,13 +374,15 @@ func (sm *SM) PopOutbox() *memreq.Request {
 	return sm.outbox.PopFront()
 }
 
+// canDispatch reports whether tryDispatch would ask the source for a block.
+func (sm *SM) canDispatch() bool {
+	return !sm.draining && sm.source != nil && sm.resident < sm.blockCap && len(sm.freeSlots) >= sm.warpsPerBlock
+}
+
 // tryDispatch fills free block slots from the source, respecting the
 // residency limits (MaxBlocks and warp capacity).
 func (sm *SM) tryDispatch() {
-	if sm.draining || sm.source == nil {
-		return
-	}
-	for sm.resident < sm.blockCap && len(sm.freeSlots) >= sm.warpsPerBlock {
+	for sm.canDispatch() {
 		slot := -1
 		for i := 0; i < sm.maxResident; i++ {
 			if sm.blockWarps[i] == 0 {
@@ -359,8 +428,21 @@ func (sm *SM) retireWarp(wi int) {
 	}
 }
 
-// Cycle advances the SM one core cycle at time now.
+// Cycle advances the SM one core cycle at time now. During a compute cruise
+// it only notes that the cycle has passed.
 func (sm *SM) Cycle(now uint64) {
+	if sm.cr.end != 0 {
+		if now < sm.cr.end {
+			sm.cr.next = now + 1
+			return
+		}
+		if sm.crossBoundary(now) {
+			return
+		}
+		sm.endCruise()
+	} else if sm.fullStreak >= cruiseStreak && sm.startCruise(now) {
+		return
+	}
 	sm.stats.Cycles++
 	sm.tryDispatch()
 	sm.wakeWheel(now)
@@ -382,6 +464,304 @@ func (sm *SM) pushWheel(at uint64, wi int, kind wheelEntry) {
 		return
 	}
 	sm.spill = append(sm.spill, spilledEntry{uint8(s), e})
+}
+
+// startCruise begins a compute cruise at the top of Cycle(now) if the SM's
+// next cycles are a pure rotation, and reports whether it did. The rotation
+// is the ring, then the wheel in due order:
+//
+//   - every warp in it is inside a compute run, all runs of one latency L (a
+//     warp at a run boundary has its next run decoded here, since ComputeRun
+//     depends on the warp's own stream alone);
+//   - there are n ≥ IssueWidth·L of them, so a warp issued at position p is
+//     back on the ring by its next turn, position p+n: (p+n)/IssueWidth ≥
+//     p/IssueWidth + L. One L makes wake order equal issue order, so the
+//     ring order stays the rotation, lap after lap;
+//   - no line wake or spilled entry is pending, and dispatch cannot act;
+//   - it holds for at least cruiseMin cycles (cruiseSpan).
+func (sm *SM) startCruise(now uint64) bool {
+	if sm.lineWakes > 0 || len(sm.spill) > 0 || sm.canDispatch() {
+		return false
+	}
+	n := len(sm.warps) - len(sm.freeSlots) - sm.parked
+	seq := sm.cr.seq[:n]
+	p := 0
+	for a := sm.runnable.Len(); p < a; p++ {
+		seq[p] = cruiseWarp{wi: uint16(sm.runnable.At(p))}
+	}
+	// Every other warp in seq has one compute wake on the wheel.
+	d := uint64(0)
+	for ; p < n && d < wheelSize; d++ {
+		slot := &sm.wheel[(now+d)%wheelSize]
+		for _, e := range slot.e[:slot.n] {
+			seq[p] = cruiseWarp{wi: uint16(e >> 1), due: uint8(d + 1)}
+			p++
+		}
+	}
+	if p != n {
+		return false // a miscount, which CheckInvariants names
+	}
+	// A failed try waits for another streak; one that failed only because
+	// the cruise would be too short also waits for the boundary to pass.
+	var lat uint16
+	ok := true
+	for i := 0; ok && i < n; i++ {
+		seq[i].left, ok = sm.admit(seq[i].wi, &lat)
+	}
+	if !ok || lat == 0 || n < sm.cfg.SM.IssueWidth*int(lat) {
+		sm.fullStreak = 0
+		return false
+	}
+	cycles := cruiseSpan(seq, sm.cfg.SM.IssueWidth)
+	if cycles < cruiseMin {
+		sm.fullStreak = -cycles
+		return false
+	}
+	sm.runnable.Reset()
+	for ; d > 0; d-- {
+		sm.wheel[(now+d-1)%wheelSize].n = 0
+	}
+	c := &sm.cr
+	c.seq, c.start, c.lat = seq, now, uint64(lat)
+	c.next, c.end = now+1, now+uint64(cycles)
+	return true
+}
+
+// admit returns the compute instructions left in warp wi's run, decoding its
+// next run if it sits at a boundary (0 if the next instruction is not a
+// compute instruction), and whether the warp can rotate with runs of latency
+// *lat: no memory op pending, and a run, if any, of that latency (which it
+// sets when still 0).
+func (sm *SM) admit(wi uint16, lat *uint16) (left int, ok bool) {
+	w := &sm.warps[wi]
+	if w.pendingIdx >= 0 {
+		return 0, false
+	}
+	if w.computeLeft == 0 && !sm.startRun(w, &sm.cold[wi]) {
+		return 0, true
+	}
+	if *lat == 0 {
+		*lat = w.computeLat
+	}
+	return w.computeLeft, w.computeLat == *lat
+}
+
+// cruiseSpan returns how many cycles the rotation seq holds: until the first
+// position that is a run boundary — a warp at p with c compute instructions
+// left issues at p, p+n, ... and reaches its boundary at p + c·n — or that
+// holds a first-lap warp not back on the ring by its turn.
+func cruiseSpan(seq []cruiseWarp, width int) int {
+	n := len(seq)
+	bound := math.MaxInt
+	for p, cw := range seq {
+		b := p + cw.left*n
+		if cw.due > 0 && int(cw.due-1)*width > p {
+			b = p
+		}
+		bound = min(bound, b)
+	}
+	return bound / width
+}
+
+// settle writes a cruise in progress back into the warps, the ring, the
+// wheel and the counters. Every entry point that reads or changes what a
+// cruise leaves stale calls it first.
+func (sm *SM) settle() {
+	if sm.cr.end != 0 {
+		sm.endCruise()
+	}
+}
+
+// endCruise re-anchors the cruise at next and writes seq back: due 0 onto
+// the ring, the rest onto the wheel, both in position order — the order the
+// skipped cycles would have pushed them in.
+func (sm *SM) endCruise() {
+	sm.advance()
+	c := &sm.cr
+	for _, cw := range c.seq {
+		w := &sm.warps[cw.wi]
+		w.computeLeft = cw.left
+		if cw.due == 0 {
+			w.state = warpReady
+			sm.runnable.PushBack(int32(cw.wi))
+		} else {
+			w.state = warpComputeWait
+			sm.pushWheel(c.start+uint64(cw.due)-1, int(cw.wi), wakeCompute)
+		}
+	}
+	c.end = 0
+}
+
+// advance re-anchors the cruise at next: the counters take the cycles
+// start .. next-1, and seq becomes the rotation from next on. The cycles
+// issued positions below q = IssueWidth·cycles, so the new first lap is
+// q .. q+n-1: each has issued p/n times, and is back on the ring when its
+// last issue p-n plus lat — or, still in the first lap, its due cycle — is
+// before next. A full-width cycle adds nothing to StallUnits.
+func (sm *SM) advance() {
+	c := &sm.cr
+	k := c.next - c.start
+	if k == 0 {
+		return
+	}
+	width := uint64(sm.cfg.SM.IssueWidth)
+	q, n := width*k, uint64(len(c.seq))
+	sm.stats.Cycles += k
+	sm.stats.ActiveCycles += k
+	sm.stats.Issued += q
+	sm.cruised += k
+	// Walk p = q .. q+n-1 without a division per position: p is warp seq[i]
+	// after lap issues, and for lap > 0 its last issue p-n fell in cruise
+	// cycle cyc, as the rem-th issue of that cycle.
+	i, lap := q%n, q/n
+	var cyc, rem uint64
+	if q >= n {
+		cyc, rem = (q-n)/width, (q-n)%width
+	}
+	out := c.spare[:n]
+	for j := range out {
+		cw := c.seq[i]
+		back := c.start + uint64(cw.due) // wake cycle + 1
+		if lap > 0 {
+			back = c.start + cyc + c.lat + 1
+			if rem++; rem == width {
+				cyc, rem = cyc+1, 0
+			}
+		}
+		out[j] = cruiseWarp{wi: cw.wi, left: cw.left - int(lap)}
+		if back > c.next {
+			out[j].due = uint8(back - c.next)
+		}
+		if i++; i == n {
+			i, lap = 0, lap+1
+		}
+	}
+	c.seq, c.spare = out, c.seq[:cap(c.seq)]
+	c.start = c.next
+}
+
+// crossBoundary runs cycle now, in which the cruise's first run boundary
+// issues, without leaving the cruise, when that boundary is one memory
+// instruction whose outcome is known before it issues (cleanIssue). The
+// other issues of the cycle are compute, with no effect outside the
+// rotation, so issuing the memory instruction for real and then advancing
+// the rotation by the cycle is the normal path's cycle. A load leaves the
+// rotation for memory; a store's warp is back on the ring next cycle —
+// behind the warps pushed earlier, as the wheel would wake it. It reports
+// false, with nothing changed, when the boundary is not such an instruction.
+func (sm *SM) crossBoundary(now uint64) bool {
+	c := &sm.cr
+	width, n := sm.cfg.SM.IssueWidth, len(c.seq)
+	// The cycle issues positions q .. q+width-1; the first run boundary is
+	// one of them, or the first-lap warp late for its turn that bounded the
+	// cruise.
+	q := width * int(now-c.start)
+	x, wi := -1, uint16(0)
+	for j := 0; j < width; j++ {
+		cw, lap := c.seq[(q+j)%n], (q+j)/n
+		if lap == 0 && uint64(cw.due) > now-c.start+1 {
+			return false
+		}
+		if cw.left == lap {
+			if x >= 0 {
+				return false
+			}
+			x, wi = j, cw.wi
+		}
+	}
+	if x < 0 || !sm.cleanIssue(wi) {
+		return false
+	}
+	w := &sm.warps[wi]
+	w.computeLeft = 0
+	if sm.issueWarp(int(wi), now) != issueOK {
+		panic(fmt.Sprintf("smcore: SM %d warp %d: a boundary judged clean did not issue", sm.ID, wi))
+	}
+	c.next = now + 1
+	sm.advance()
+	sm.stats.Issued-- // issueWarp counted the memory instruction
+	// The cycle's issues close seq, in position order: x is at n-width+x.
+	i := n - width + x
+	seq := append(c.seq[:i], c.seq[i+1:]...)
+	ok := true
+	if w.state == warpComputeWait { // a store: its wake is at now+1
+		sm.wheel[(now+1)%wheelSize].n = 0
+		lat := uint16(c.lat)
+		var left int
+		left, ok = sm.admit(wi, &lat)
+		if c.lat > 1 {
+			for i = 0; i < len(seq) && seq[i].due <= 1; i++ {
+			}
+		}
+		seq = append(seq[:i+1], seq[i:]...)
+		seq[i] = cruiseWarp{wi: wi, due: 1, left: left}
+	}
+	c.seq = seq
+	cycles := cruiseSpan(seq, width)
+	if !ok || len(seq) < width*int(c.lat) || cycles < cruiseMin {
+		sm.endCruise()
+		return true
+	}
+	c.end = c.start + uint64(cycles)
+	return true
+}
+
+// cleanIssue reports whether warp wi's next instruction is a memory
+// instruction that will issue in full without leaving a wake on the wheel: a
+// store with room in the outbox for every line, or a load whose lines are
+// all absent from the L1, not in flight, distinct, and fit in the free MSHRs
+// and the outbox — each line a plain miss. It decodes a copy of the stream.
+func (sm *SM) cleanIssue(wi uint16) bool {
+	stream := sm.cold[wi].stream
+	var op kernels.Op
+	if !stream.Next(&op) || !op.Mem || sm.outbox.Len()+op.NLines > outboxLimit {
+		return false
+	}
+	if op.Write {
+		return true
+	}
+	if sm.l1.MSHRsInUse()+op.NLines > sm.cfg.L1.MSHRs {
+		return false
+	}
+	for i, line := range op.Lines[:op.NLines] {
+		addr := sm.amap.LineAddr(line)
+		if sm.l1.Probe(sm.amap.CacheSet(addr, sm.l1.Sets()), addr) || sm.l1.MSHRSlot(addr) >= 0 {
+			return false
+		}
+		for _, other := range op.Lines[:i] {
+			if sm.amap.LineAddr(other) == addr {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// rejoin takes warp x, whose load has just completed, into the cruise
+// instead of ending it: re-anchored at next, the rotation is the warps back
+// on the ring, then x — where the normal path pushes it — then the rest. If
+// x cannot rotate or the rotation holds for fewer than cruiseMin cycles,
+// rejoin settles the cruise, x included.
+func (sm *SM) rejoin(x int) {
+	sm.advance()
+	c := &sm.cr
+	lat := uint16(c.lat)
+	left, ok := sm.admit(uint16(x), &lat)
+	n := len(c.seq)
+	seq := c.seq[:n+1]
+	i := 0
+	for i < n && seq[i].due == 0 {
+		i++
+	}
+	copy(seq[i+1:], seq[i:n])
+	seq[i] = cruiseWarp{wi: uint16(x), left: left}
+	c.seq = seq
+	cycles := cruiseSpan(seq, sm.cfg.SM.IssueWidth)
+	if !ok || cycles < cruiseMin {
+		sm.endCruise()
+		return
+	}
+	c.end = c.start + uint64(cycles)
 }
 
 // wakeWheel wakes warps whose timer expired at now.
@@ -413,6 +793,7 @@ func (sm *SM) wakeWheel(now uint64) {
 func (sm *SM) wake(e wheelEntry) {
 	wi := int(e >> 1)
 	if e&1 == wakeLine {
+		sm.lineWakes--
 		sm.lineArrived(wi)
 		return
 	}
@@ -445,7 +826,12 @@ func (sm *SM) issueAndAccount(now uint64, hasResident bool) {
 		}
 	}
 
-	if hasResident && issued < width {
+	if issued == width {
+		sm.fullStreak++
+		return
+	}
+	sm.fullStreak = 0
+	if hasResident {
 		// Attribute lost issue slots to memory in proportion to the warps
 		// blocked on loads vs compute latency; memory back-pressure
 		// (blocked outbox/MSHRs) is fully memory-attributable.
@@ -491,9 +877,7 @@ func (sm *SM) issueWarp(wi int, now uint64) issueResult {
 		if w.computeLeft == 0 {
 			// Run boundary: decode the next compute run in one go, or the
 			// memory instruction, barrier or stream end that follows one.
-			c := &sm.cold[wi]
-			n, lat := c.stream.ComputeRun()
-			if n == 0 {
+			if c := &sm.cold[wi]; !sm.startRun(w, c) {
 				if !c.stream.Next(&c.op) {
 					sm.retireWarp(wi)
 					return issueRetired
@@ -507,13 +891,6 @@ func (sm *SM) issueWarp(wi int, now uint64) issueResult {
 				w.pendingIdx = 0
 				return sm.issueMem(w, c, wi, now)
 			}
-			if lat == 0 {
-				lat = 1
-			}
-			if lat >= wheelSize {
-				panic(fmt.Sprintf("smcore: ComputeLat %d at or past the timing-wheel horizon %d", lat, wheelSize))
-			}
-			w.computeLeft, w.computeLat = n, uint16(lat)
 		}
 		w.computeLeft--
 		sm.stats.Issued++
@@ -531,6 +908,24 @@ func (sm *SM) issueWarp(wi int, now uint64) issueResult {
 		return issueBlocked
 	}
 	return sm.issueMem(w, &sm.cold[wi], wi, now)
+}
+
+// startRun decodes the compute run at the head of the warp's stream into
+// computeLeft and computeLat, or reports false when the next instruction is
+// not a compute instruction (and leaves the stream as it was).
+func (sm *SM) startRun(w *warp, c *warpCold) bool {
+	n, lat := c.stream.ComputeRun()
+	if n == 0 {
+		return false
+	}
+	if lat == 0 {
+		lat = 1
+	}
+	if lat >= wheelSize {
+		panic(fmt.Sprintf("smcore: ComputeLat %d at or past the timing-wheel horizon %d", lat, wheelSize))
+	}
+	w.computeLeft, w.computeLat = n, uint16(lat)
+	return true
 }
 
 // issueMem processes the lines of warp wi's pending memory op from
@@ -564,6 +959,7 @@ func (sm *SM) issueMem(w *warp, c *warpCold, wi int, now uint64) issueResult {
 		case cache.Hit:
 			sm.stats.LoadsL1Hit++
 			w.outstanding++
+			sm.lineWakes++
 			sm.pushWheel(now+sm.cfg.L1.HitLatency, wi, wakeLine)
 		case cache.Miss:
 			sm.stats.LoadsL1Miss++
@@ -588,6 +984,7 @@ func (sm *SM) issueMem(w *warp, c *warpCold, wi int, now uint64) issueResult {
 	w.pendingIdx = -1
 	if w.outstanding > 0 {
 		w.state = warpMemWait
+		sm.parked++
 		return issueOK
 	}
 	// Pure-store instruction: warp continues next cycle.
@@ -604,6 +1001,7 @@ func (sm *SM) arriveBarrier(wi int, now uint64) issueResult {
 	sm.blockAtBarrier[slot]++
 	if sm.blockAtBarrier[slot] < sm.blockWarps[slot] {
 		w.state = warpBarrierWait
+		sm.parked++
 		return issueOK
 	}
 	// Last arrival: release the whole block next cycle.
@@ -611,6 +1009,7 @@ func (sm *SM) arriveBarrier(wi int, now uint64) issueResult {
 	for i := range sm.warps {
 		o := &sm.warps[i]
 		if o.state == warpBarrierWait && o.block == slot {
+			sm.parked--
 			o.state = warpComputeWait
 			sm.pushWheel(now+1, i, wakeCompute)
 		}
@@ -627,8 +1026,13 @@ func (sm *SM) lineArrived(wi int) {
 		w.outstanding--
 	}
 	if w.outstanding == 0 && w.state == warpMemWait {
+		sm.parked--
 		w.state = warpReady
-		sm.runnable.PushBack(int32(wi))
+		if sm.cr.end != 0 {
+			sm.rejoin(wi)
+		} else {
+			sm.runnable.PushBack(int32(wi))
+		}
 	}
 }
 
@@ -671,9 +1075,11 @@ func (sm *SM) ForEachOutbox(fn func(*memreq.Request)) { sm.outbox.Do(fn) }
 //   - the timing wheel, the per-warp counters and the blocked-verdict memos
 //     agree with a from-scratch recount (checkIssueState).
 //
-// It is O(warps + MSHRs + wheel) and mutates nothing; meant for debug runs under
-// sim.WithInvariantChecks, not the per-cycle hot path.
+// It settles a cruise first (which changes how the state is held, not the
+// state), is O(warps + MSHRs + wheel) and mutates nothing else; meant for
+// debug runs under sim.WithInvariantChecks, not the per-cycle hot path.
 func (sm *SM) CheckInvariants() error {
+	sm.settle()
 	if err := sm.outbox.CheckInvariants(func(r *memreq.Request) bool { return r == nil }); err != nil {
 		return fmt.Errorf("smcore %d outbox: %w", sm.ID, err)
 	}
@@ -779,6 +1185,8 @@ func (sm *SM) CheckInvariants() error {
 //     places in the L1 waiter lists;
 //   - computeLeft is never negative, and positive only with no memory op
 //     pending;
+//   - the line-wake and parked-warp counts the compute cruise's entry check
+//     reads match a recount;
 //   - a memo is never from a later epoch than the SM's, and a warp whose
 //     memo matches the current hazardEpoch is blocked right now — judged
 //     from the outbox length, l1.Probe and the L1's MSHR views, none of
@@ -816,6 +1224,16 @@ func (sm *SM) checkIssueState() error {
 		if err := count("spill", sp.e); err != nil {
 			return err
 		}
+	}
+	nLine, nParked := 0, 0
+	for wi := range sm.warps {
+		nLine += lineWakes[wi]
+		if st := sm.warps[wi].state; st == warpMemWait || st == warpBarrierWait {
+			nParked++
+		}
+	}
+	if nLine != sm.lineWakes || nParked != sm.parked {
+		return fmt.Errorf("smcore %d: counts %d line wakes and %d parked warps, recount %d and %d", sm.ID, sm.lineWakes, sm.parked, nLine, nParked)
 	}
 	waiting := make([]int, len(sm.warps))
 	for _, ws := range sm.waiters {

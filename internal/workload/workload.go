@@ -108,8 +108,8 @@ func AloneKey(cfg config.Config, p kernels.Profile, cycles, seed uint64) string 
 // Alone returns p's alone run on all of cfg's SMs from store, simulating it
 // under AloneKey with opts on first use: the one-app shared run
 // ([p], [cfg.NumSMs]). The key does not record opts, so they must leave the
-// result unchanged, as invariant checks and dased's snapshot cap (below its
-// cycle limit) do.
+// result unchanged, as the only one passed today does: dased's invariant
+// checks (sim.WithInvariantChecks).
 func Alone(ctx context.Context, store *simcache.Memory, cfg config.Config, p kernels.Profile, cycles, seed uint64, opts ...sim.Option) (*sim.Result, error) {
 	return store.GetOrCompute(ctx, AloneKey(cfg, p, cycles, seed), func() (*sim.Result, error) {
 		return sched.Run(ctx, cfg, []kernels.Profile{p}, []int{cfg.NumSMs}, cycles, seed, nil, opts...)

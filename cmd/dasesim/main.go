@@ -128,15 +128,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *policy != "even" && *policy != "fair" {
 		return fmt.Errorf("unknown policy %q (even | fair)", *policy)
 	}
-	// Every run (and each -seeds run) is scored by workload.Evaluate: the
-	// DASE estimator after one warm-up interval, against alone runs on every
-	// SM kept in one in-memory store.
+	// Every run (and each -seeds run) is measured by workload.Evaluate
+	// against alone runs on every SM kept in one in-memory store.
 	store := simcache.NewMemory(0)
 	evaluate := func(seed uint64) (*workload.Eval, *sched.DASEFair, error) {
-		opt := workload.Options{
-			Cfg: cfg, SharedCycles: *cycles, Seed: seed, WarmupIntervals: 1,
-			Estimators: []core.Estimator{core.New(core.Options{})},
-		}
+		opt := workload.Options{Cfg: cfg, SharedCycles: *cycles, Seed: seed}
 		job := workload.Job{Combo: workload.Combo{Profiles: profiles}, Alloc: alloc}
 		var fair *sched.DASEFair
 		if *policy == "fair" {
@@ -167,7 +163,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shared, est := ev.Shared, ev.Estimates["DASE"]
+	// DASE is scored after one warm-up interval.
+	shared := ev.Shared
+	est, _ := workload.Score(core.New(core.Options{}), shared.Snapshots, ev.Actual, 1)
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)

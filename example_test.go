@@ -160,12 +160,13 @@ func Example_slowdown() {
 	aloneIPC := aloneIPCs(cfg, apps, cycles)
 
 	cases := []struct {
-		est core.Estimator
-		run *sim.Result
+		name string
+		est  core.Estimator
+		run  *sim.Result
 	}{
-		{core.New(core.Options{}), plain},
-		{baseline.NewMISE(), epochs},
-		{baseline.NewASM(), epochs},
+		{"DASE", core.New(core.Options{}), plain},
+		{"MISE", baseline.NewMISE(), epochs},
+		{"ASM", baseline.NewASM(), epochs},
 	}
 	fmt.Println("estimator  mean |error|  per app (estimate / actual)")
 	for _, c := range cases {
@@ -177,7 +178,7 @@ func Example_slowdown() {
 			sum += metrics.Error(v, actual)
 			perApp = append(perApp, fmt.Sprintf("%s %.2f/%.2f", c.run.Apps[i].Abbr, v, actual))
 		}
-		fmt.Printf("%-9s  %11.1f%%  %s\n", c.est.Name(), sum/float64(len(est))*100, strings.Join(perApp, "  "))
+		fmt.Printf("%-9s  %11.1f%%  %s\n", c.name, sum/float64(len(est))*100, strings.Join(perApp, "  "))
 	}
 	// Output:
 	// estimator  mean |error|  per app (estimate / actual)

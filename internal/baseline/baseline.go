@@ -33,9 +33,6 @@ type MISE struct {
 // NewMISE returns a MISE estimator with the standard configuration.
 func NewMISE() *MISE { return &MISE{AlphaIntensive: 0.7} }
 
-// Name implements core.Estimator.
-func (m *MISE) Name() string { return "MISE" }
-
 // Estimate implements core.Estimator.
 func (m *MISE) Estimate(snap *sim.IntervalSnapshot) []float64 {
 	out := make([]float64, len(snap.Apps))
@@ -64,9 +61,6 @@ type ASM struct {
 
 // NewASM returns an ASM estimator with the standard configuration.
 func NewASM() *ASM { return &ASM{AlphaIntensive: 0.7} }
-
-// Name implements core.Estimator.
-func (a *ASM) Name() string { return "ASM" }
 
 // Estimate implements core.Estimator.
 func (a *ASM) Estimate(snap *sim.IntervalSnapshot) []float64 {

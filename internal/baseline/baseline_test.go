@@ -100,9 +100,13 @@ func TestASMCacheCorrectionRaisesVictimEstimate(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	if NewMISE().Name() != "MISE" || NewASM().Name() != "ASM" {
-		t.Fatal("estimator names")
+// TestASMFloorsCountsAtOneRequest: contention misses beyond everything
+// served floor both the shared and the alone count at one request, so the
+// rates are equal and the estimate is 1.
+func TestASMFloorsCountsAtOneRequest(t *testing.T) {
+	a := sim.AppInterval{Alpha: 0.9, Served: 100, ELLCMiss: 500, PrioServed: 100, PrioCycles: 25_000}
+	if got := NewASM().Estimate(snap(a))[0]; got != 1 {
+		t.Fatalf("ASM with both counts floored = %v, want 1", got)
 	}
 }
 

@@ -23,9 +23,6 @@ func NewProfiled(aloneBW []float64) *Profiled {
 	return &Profiled{AloneBW: append([]float64(nil), aloneBW...)}
 }
 
-// Name implements core.Estimator.
-func (p *Profiled) Name() string { return "Profiled" }
-
 // Estimate implements core.Estimator.
 func (p *Profiled) Estimate(snap *sim.IntervalSnapshot) []float64 {
 	out := make([]float64, len(snap.Apps))

@@ -38,8 +38,8 @@ func TestProfiledClampsAndDegrades(t *testing.T) {
 	if got := p2.Estimate(s2)[0]; got != 1 {
 		t.Fatalf("missing profile must give 1, got %v", got)
 	}
-	if p2.Name() != "Profiled" {
-		t.Fatal("name")
+	if got := p.Estimate(s2)[0]; got != 1 {
+		t.Fatalf("an app that moved no data must give 1, got %v", got)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 // the MISE/ASM baselines): per interval snapshot, one estimated slowdown per
 // application, relative to running alone on all SMs.
 type Estimator interface {
-	Name() string
 	Estimate(snap *sim.IntervalSnapshot) []float64
 }
 
@@ -86,9 +85,6 @@ const (
 
 // New builds a DASE estimator with the given options.
 func New(opt Options) *DASE { return &DASE{opt: opt} }
-
-// Name implements Estimator.
-func (d *DASE) Name() string { return "DASE" }
 
 // AppEstimate is the full per-app breakdown, for diagnostics and tests.
 type AppEstimate struct {

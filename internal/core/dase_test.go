@@ -265,9 +265,3 @@ func TestHardwareCostMatchesPaper(t *testing.T) {
 		t.Fatal("cost breakdown incomplete")
 	}
 }
-
-func TestName(t *testing.T) {
-	if New(Options{}).Name() != "DASE" {
-		t.Fatal("estimator name")
-	}
-}

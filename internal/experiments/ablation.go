@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"dasesim/internal/config"
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
-	"dasesim/internal/metrics"
 	"dasesim/internal/sim"
 	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
@@ -66,18 +64,18 @@ func ExtLargeGPU(p Params, store *simcache.Memory) ([]SensitivityRow, *Table, er
 // estimator, through each snapshot, so every row is scored on one set of
 // shared runs at p.Cfg, the dynamic Requestmax (repo default) included.
 func ExtRequestMaxFactor(p Params, store *simcache.Memory) ([]SensitivityRow, *Table, error) {
-	var ests []core.Estimator
+	var cols []column
 	for _, f := range []float64{0.4, 0.5, 0.6, 0.7, 0.8} {
-		ests = append(ests, namedDASE{core.New(core.Options{StaticRequestMax: true}), fmt.Sprintf("static %.1f", f), f})
+		cols = append(cols, column{fmt.Sprintf("static %.1f", f), reqMaxFactor{core.New(core.Options{StaticRequestMax: true}), f}, false})
 	}
-	ests = append(ests, namedDASE{core.New(core.Options{}), "dynamic (default)", 0})
-	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), store)
+	cols = append(cols, column{"dynamic (default)", core.New(core.Options{}), false})
+	acc, err := accuracy(p, cols, evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), store)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows := make([]SensitivityRow, len(ests))
-	for i, e := range ests {
-		rows[i] = SensitivityRow{Label: e.Name(), MeanError: acc.MeanError[e.Name()]}
+	rows := make([]SensitivityRow, len(cols))
+	for i, c := range cols {
+		rows[i] = SensitivityRow{Label: c.name, MeanError: acc.MeanError[c.name]}
 	}
 	return rows, sensitivityTable("Ext.D — DASE error vs Requestmax factor (Eq. 20)", rows), nil
 }
@@ -111,24 +109,16 @@ var ablationOptions = []struct {
 	{"forced all-MBB classification", core.Options{ForceClass: core.ForceMBB}},
 }
 
-// namedDASE is DASE under one set of options, named after its row, so that
-// every variant is scored on the same shared runs. A non-zero factor
-// replaces each snapshot's Eq. 20 factor (Ext.D).
-type namedDASE struct {
-	*core.DASE
-	name   string
+// reqMaxFactor is DASE with each snapshot's Eq. 20 factor replaced (Ext.D).
+type reqMaxFactor struct {
+	dase   *core.DASE
 	factor float64
 }
 
-func (d namedDASE) Name() string { return d.name }
-
-func (d namedDASE) Estimate(snap *sim.IntervalSnapshot) []float64 {
-	if d.factor == 0 {
-		return d.DASE.Estimate(snap)
-	}
+func (d reqMaxFactor) Estimate(snap *sim.IntervalSnapshot) []float64 {
 	s := *snap
 	s.ReqMaxFactor = d.factor
-	return d.DASE.Estimate(&s)
+	return d.dase.Estimate(&s)
 }
 
 // Ablation measures what each design element contributes, and returns the
@@ -139,11 +129,11 @@ func (d namedDASE) Estimate(snap *sim.IntervalSnapshot) []float64 {
 // memory scheduler moves the unfairness of VA+CT (the Fig. 2 cache-victim
 // pair), and an unsampled ATD moves DASE's error on VA+CT.
 func Ablation(p Params, store *simcache.Memory) ([]AblationRow, *Table, error) {
-	ests := make([]core.Estimator, len(ablationOptions))
+	cols := make([]column, len(ablationOptions))
 	for i, v := range ablationOptions {
-		ests[i] = namedDASE{core.New(v.opt), v.label, 0}
+		cols[i] = column{v.label, core.New(v.opt), false}
 	}
-	acc, err := accuracy(p.evalOptions(ests...), evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), store)
+	acc, err := accuracy(p, cols, evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed)), store)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -183,18 +173,18 @@ func Ablation(p Params, store *simcache.Memory) ([]AblationRow, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	job := evenJobs(p.Cfg.NumSMs, combos)[0]
-	var vaCT [3]*workload.Eval
+	jobs := evenJobs(p.Cfg.NumSMs, combos)
+	var vaCT [3]*AccuracyResult
 	for i, cfg := range []config.Config{p.Cfg, rr, atd} {
 		q := p
 		q.Cfg = cfg
-		if vaCT[i], err = workload.Evaluate(context.TODO(), q.evalOptions(core.New(core.Options{})), job, store); err != nil {
+		if vaCT[i], err = accuracy(q, []column{daseColumn}, jobs, store); err != nil {
 			return nil, nil, err
 		}
 	}
 	rows = append(rows,
-		AblationRow{"app-aware RR memory scheduler", vaCTUnfairness, vaCT[1].Unfairness, vaCT[0].Unfairness},
-		AblationRow{"full (unsampled) ATD", "VA+CT DASE error", metrics.Mean(vaCT[2].Errors["DASE"]), metrics.Mean(vaCT[0].Errors["DASE"])})
+		AblationRow{"app-aware RR memory scheduler", vaCTUnfairness, vaCT[1].Evals[0].Unfairness, vaCT[0].Evals[0].Unfairness},
+		AblationRow{"full (unsampled) ATD", "VA+CT DASE error", vaCT[2].MeanError["DASE"], vaCT[0].MeanError["DASE"]})
 	return rows, renderAblation(rows), nil
 }
 

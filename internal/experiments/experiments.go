@@ -59,17 +59,10 @@ func DefaultParams() Params {
 	}
 }
 
-// evalOptions returns the evaluation options of p with the given
-// estimators on the plain shared run and no priority-epoch run. With no
-// estimators it measures slowdowns only.
-func (p Params) evalOptions(est ...core.Estimator) workload.Options {
-	return workload.Options{
-		Cfg:             p.Cfg,
-		SharedCycles:    p.SharedCycles,
-		Seed:            p.Seed,
-		WarmupIntervals: p.Warmup,
-		Estimators:      est,
-	}
+// evalOptions returns the evaluation options of p: the plain shared run
+// and its slowdowns, with no priority-epoch run.
+func (p Params) evalOptions() workload.Options {
+	return workload.Options{Cfg: p.Cfg, SharedCycles: p.SharedCycles, Seed: p.Seed}
 }
 
 // policyOptions measure slowdowns only, over the policy-study budget
@@ -117,14 +110,6 @@ func (p Params) allAlone(store *simcache.Memory) ([]*sim.Result, error) {
 		}
 	}
 	return runs, nil
-}
-
-// accuracyOptions compares DASE, MISE and ASM (Figs. 5-8): MISE and ASM are
-// evaluated on their own priority-epoch system.
-func (p Params) accuracyOptions() workload.Options {
-	opt := p.evalOptions(core.New(core.Options{}))
-	opt.EpochEstimators = []core.Estimator{baseline.NewMISE(), baseline.NewASM()}
-	return opt
 }
 
 // evenJobs gives each combo the even SM split, the paper's default.
@@ -209,38 +194,76 @@ func (t *Table) String() string {
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 
+// column is one estimator of an accuracy study, named by its row or
+// column label. It reads each eval's plain run, or with epoch set the
+// priority-epoch run, and is judged against that run's own slowdowns.
+type column struct {
+	name  string
+	est   core.Estimator
+	epoch bool
+}
+
+// errors scores c on ev, skipping warmup intervals: each app's |error|.
+func (c column) errors(ev *workload.Eval, warmup int) []float64 {
+	run, truth := ev.Shared, ev.Actual
+	if c.epoch {
+		run, truth = ev.Epoch, ev.ActualEpoch
+	}
+	_, errs := workload.Score(c.est, run.Snapshots, truth, warmup)
+	return errs
+}
+
+// daseColumn is DASE at its defaults on the plain run.
+var daseColumn = column{"DASE", core.New(core.Options{}), false}
+
+// accuracyColumns compare DASE, MISE and ASM (Figs. 5-7, Ext.B): MISE and
+// ASM are judged on their own priority-epoch system.
+var accuracyColumns = []column{daseColumn, {"MISE", baseline.NewMISE(), true}, {"ASM", baseline.NewASM(), true}}
+
 // AccuracyResult is the outcome of Fig. 5 or Fig. 6: per-workload and
 // average estimation errors per estimator.
 type AccuracyResult struct {
-	Evals     []*workload.Eval
+	Evals []*workload.Eval
+	// Errors[name][i] holds each app's |error| of column name on Evals[i].
+	Errors    map[string][][]float64
 	MeanError map[string]float64 // estimator -> mean |error| over all apps
 }
 
-func accuracy(opt workload.Options, jobs []workload.Job, store *simcache.Memory) (*AccuracyResult, error) {
+// accuracy evaluates jobs once, with the epoch run only when some column
+// reads it, and scores every column on every eval.
+func accuracy(p Params, cols []column, jobs []workload.Job, store *simcache.Memory) (*AccuracyResult, error) {
+	opt := p.evalOptions()
+	opt.Epochs = slices.ContainsFunc(cols, func(c column) bool { return c.epoch })
 	evals, err := workload.EvaluateAll(context.TODO(), opt, jobs, store)
 	if err != nil {
 		return nil, err
 	}
-	return newAccuracyResult(evals), nil
-}
-
-// newAccuracyResult folds every app's estimation error into each
-// estimator's mean.
-func newAccuracyResult(evals []*workload.Eval) *AccuracyResult {
-	res := &AccuracyResult{Evals: evals, MeanError: map[string]float64{}}
-	counts := map[string]int{}
-	for _, ev := range evals {
-		for name, errs := range ev.Errors {
-			for _, e := range errs {
-				res.MeanError[name] += e
-				counts[name]++
-			}
+	res := &AccuracyResult{Evals: evals, Errors: map[string][][]float64{}}
+	for _, c := range cols {
+		for _, ev := range evals {
+			res.Errors[c.name] = append(res.Errors[c.name], c.errors(ev, p.Warmup))
 		}
 	}
-	for name := range res.MeanError {
-		res.MeanError[name] /= float64(counts[name])
+	res.foldMeans()
+	return res, nil
+}
+
+// foldMeans sets each column's mean error over every app of every eval,
+// summed in eval order, then app order; a column without samples has none.
+func (r *AccuracyResult) foldMeans() {
+	r.MeanError = map[string]float64{}
+	for name, perEval := range r.Errors {
+		sum, n := 0.0, 0
+		for _, errs := range perEval {
+			for _, e := range errs {
+				sum += e
+				n++
+			}
+		}
+		if n > 0 {
+			r.MeanError[name] = sum / float64(n)
+		}
 	}
-	return res
 }
 
 // Fig5 evaluates all two-application workloads with the even SM split and
@@ -257,7 +280,7 @@ func Fig6(p Params, store *simcache.Memory) (*AccuracyResult, *Table, error) {
 // accuracyStudy compares the estimators of Figs. 5 and 6 on combos at the
 // even split.
 func accuracyStudy(p Params, store *simcache.Memory, combos []workload.Combo, title string) (*AccuracyResult, *Table, error) {
-	res, err := accuracy(p.accuracyOptions(), evenJobs(p.Cfg.NumSMs, combos), store)
+	res, err := accuracy(p, accuracyColumns, evenJobs(p.Cfg.NumSMs, combos), store)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,10 +291,10 @@ func accuracyStudy(p Params, store *simcache.Memory, combos []workload.Combo, ti
 // the average, the number the paper quotes).
 func (r *AccuracyResult) table(title string) *Table {
 	t := &Table{Title: title, Columns: append([]string{"workload"}, EstimatorNames...)}
-	for _, ev := range r.Evals {
+	for i, ev := range r.Evals {
 		row := []string{ev.Combo.Name()}
 		for _, name := range EstimatorNames {
-			row = append(row, meanPct(ev.Errors[name]))
+			row = append(row, meanPct(r.Errors[name][i]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -314,8 +337,8 @@ func Fig7(two, four *AccuracyResult) (*Fig7Result, *Table) {
 			if r == nil {
 				continue
 			}
-			for _, ev := range r.Evals {
-				for _, e := range ev.Errors[name] {
+			for _, errs := range r.Errors[name] {
+				for _, e := range errs {
 					h.Add(e)
 				}
 			}

@@ -8,6 +8,7 @@ import (
 
 	"dasesim/internal/core"
 	"dasesim/internal/kernels"
+	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
 
@@ -28,12 +29,10 @@ func TestTableRendering(t *testing.T) {
 
 func TestFig7Bucketing(t *testing.T) {
 	two := &AccuracyResult{
-		Evals: []*workload.Eval{
-			{Errors: map[string][]float64{
-				"DASE": {0.05, 0.15},
-				"MISE": {0.5, 0.9},
-				"ASM":  {0.25, 0.45},
-			}},
+		Errors: map[string][][]float64{
+			"DASE": {{0.05, 0.15}},
+			"MISE": {{0.5, 0.9}},
+			"ASM":  {{0.25, 0.45}},
 		},
 	}
 	r, tab := Fig7(two, nil)
@@ -58,10 +57,8 @@ func TestAccuracyRenderAverageRow(t *testing.T) {
 	sb, _ := kernels.ByAbbr("SB")
 	sd, _ := kernels.ByAbbr("SD")
 	r := &AccuracyResult{
-		Evals: []*workload.Eval{{
-			Combo:  workload.Combo{Profiles: []kernels.Profile{sb, sd}},
-			Errors: map[string][]float64{"DASE": {0.02, 0.04}, "MISE": {0.3}},
-		}},
+		Evals:     []*workload.Eval{{Combo: workload.Combo{Profiles: []kernels.Profile{sb, sd}}}},
+		Errors:    map[string][][]float64{"DASE": {{0.02, 0.04}}, "MISE": {{0.3}}, "ASM": {{}}},
 		MeanError: map[string]float64{"DASE": 0.05, "MISE": 0.3, "ASM": 0.25},
 	}
 	tab := r.table("Fig.5")
@@ -127,16 +124,56 @@ func TestCorrelation(t *testing.T) {
 }
 
 func TestAccuracyAggregation(t *testing.T) {
-	evals := []*workload.Eval{
-		{Errors: map[string][]float64{"DASE": {0.1, 0.3}, "MISE": {0.5}}},
-		{Errors: map[string][]float64{"DASE": {0.2, 0.2}}},
+	res := &AccuracyResult{
+		Evals:  make([]*workload.Eval, 2),
+		Errors: map[string][][]float64{"DASE": {{0.1, 0.3}, {0.2, 0.2}}, "MISE": {{0.5}, {}}, "ASM": {{}, {}}},
 	}
-	res := newAccuracyResult(evals)
+	res.foldMeans()
 	if res.MeanError["DASE"] != 0.2 || res.MeanError["MISE"] != 0.5 {
 		t.Fatalf("means = %v", res.MeanError)
 	}
+	if _, ok := res.MeanError["ASM"]; ok {
+		t.Fatalf("a column without samples has a mean: %v", res.MeanError)
+	}
 	if len(res.Evals) != 2 {
 		t.Fatalf("evals = %d", len(res.Evals))
+	}
+}
+
+// TestAccuracyEpochRunOnlyForEpochColumns: accuracy asks for the
+// priority-epoch run only when some column reads it, counted in the
+// store's simulations.
+func TestAccuracyEpochRunOnlyForEpochColumns(t *testing.T) {
+	p := DefaultParams()
+	p.SharedCycles = 10_000
+	p.Cfg.IntervalCycles = 5_000
+	jobs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(1, p.Seed))
+	store := simcache.NewMemory(0)
+	for _, tc := range []struct {
+		cols  []column
+		want  uint64 // runs the column list simulates
+		epoch bool
+	}{
+		{[]column{daseColumn}, 3, false}, // the static run and 2 alone runs
+		{[]column{daseColumn}, 0, false},
+		{accuracyColumns, 1, true}, // the epoch run
+	} {
+		before := store.Stats().Misses
+		res, err := accuracy(p, tc.cols, jobs, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := store.Stats().Misses - before; got != tc.want {
+			t.Errorf("%d columns: simulated %d runs, want %d", len(tc.cols), got, tc.want)
+		}
+		if epoch := res.Evals[0].Epoch != nil; epoch != tc.epoch {
+			t.Errorf("%d columns: epoch run present %v", len(tc.cols), epoch)
+		}
+		for _, c := range tc.cols {
+			if len(res.Errors[c.name]) != 1 || len(res.Errors[c.name][0]) != 2 {
+				t.Errorf("column %s: errors %v, want one eval of 2 apps", c.name, res.Errors[c.name])
+			}
+		}
 	}
 }
 

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"context"
-
 	"dasesim/internal/baseline"
-	"dasesim/internal/core"
 	"dasesim/internal/kernels"
-	"dasesim/internal/metrics"
 	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
@@ -78,32 +74,27 @@ func ExtEstimators(p Params, store *simcache.Memory) (*AccuracyResult, *Table, e
 		aloneBW[prof.Abbr] = runs[i].Apps[0].BWUtil
 	}
 	jobs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed))
-	evals, err := workload.EvaluateAll(context.TODO(), p.accuracyOptions(), jobs, store)
+	r, err := accuracy(p, accuracyColumns, jobs, store)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The profiled estimator is built per pair from its apps' alone
-	// bandwidths, so it scores each pair's shared run here.
-	for _, ev := range evals {
+	// The profiled column is built per pair from its apps' alone
+	// bandwidths.
+	for _, ev := range r.Evals {
 		bw := make([]float64, len(ev.Combo.Profiles))
 		for a, prof := range ev.Combo.Profiles {
 			bw[a] = aloneBW[prof.Abbr]
 		}
-		est := core.AverageEstimates(baseline.NewProfiled(bw), ev.Shared.Snapshots, p.Warmup)
-		errs := make([]float64, len(est))
-		for i := range est {
-			errs[i] = metrics.Error(est[i], ev.Actual[i])
-		}
-		ev.Estimates["Profiled"], ev.Errors["Profiled"] = est, errs
+		r.Errors["Profiled"] = append(r.Errors["Profiled"], column{"Profiled", baseline.NewProfiled(bw), false}.errors(ev, p.Warmup))
 	}
-	r := newAccuracyResult(evals)
+	r.foldMeans()
 	t := &Table{
 		Title:   "Ext.B — DASE vs offline-profiled bandwidth-ratio estimation",
 		Columns: []string{"workload", "DASE", "Profiled"},
 	}
-	for _, ev := range r.Evals {
+	for i, ev := range r.Evals {
 		t.Rows = append(t.Rows, []string{
-			ev.Combo.Name(), meanPct(ev.Errors["DASE"]), meanPct(ev.Errors["Profiled"]),
+			ev.Combo.Name(), meanPct(r.Errors["DASE"][i]), meanPct(r.Errors["Profiled"][i]),
 		})
 	}
 	t.Rows = append(t.Rows, []string{"AVERAGE", pct(r.MeanError["DASE"]), pct(r.MeanError["Profiled"])})

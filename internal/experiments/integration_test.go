@@ -293,7 +293,7 @@ func reducedAccuracy(t *testing.T) (fig5, fig6 *AccuracyResult) {
 		p := tinyParams()
 		store := tinyStore()
 		pairs := evenJobs(p.Cfg.NumSMs, workload.RandomPairs(p.PairSample, p.Seed))
-		if reduced.fig5, reduced.err = accuracy(p.accuracyOptions(), pairs, store); reduced.err == nil {
+		if reduced.fig5, reduced.err = accuracy(p, accuracyColumns, pairs, store); reduced.err == nil {
 			reduced.fig6, _, reduced.err = Fig6(p, store)
 		}
 	})

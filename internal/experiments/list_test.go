@@ -56,13 +56,8 @@ func TestListSession(t *testing.T) {
 		t.Errorf("fig5 on an invalid config: data %v, err %v, session result %v; want an error and nothing recorded", data, err, s.fig5)
 	}
 
-	sb, _ := kernels.ByAbbr("SB")
-	sd, _ := kernels.ByAbbr("SD")
-	ev := &workload.Eval{
-		Combo:  workload.Combo{Profiles: []kernels.Profile{sb, sd}},
-		Errors: map[string][]float64{"DASE": {0.05}, "MISE": {0.3}, "ASM": {0.5}},
-	}
-	s.fig5, s.fig6 = newAccuracyResult([]*workload.Eval{ev}), newAccuracyResult([]*workload.Eval{ev, ev})
+	s.fig5 = &AccuracyResult{Errors: map[string][][]float64{"DASE": {{0.05}}, "MISE": {{0.3}}, "ASM": {{0.5}}}}
+	s.fig6 = &AccuracyResult{Errors: map[string][][]float64{"DASE": {{0.05}, {0.05}}, "MISE": {{0.3}, {0.3}}, "ASM": {{0.5}, {0.5}}}}
 	data, tab, err = byName["fig7"].Run(s)
 	if err != nil {
 		t.Fatalf("fig7 simulated instead of reusing the session's results: %v", err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dasesim/internal/core"
 	"dasesim/internal/simcache"
 	"dasesim/internal/workload"
 )
@@ -34,7 +33,6 @@ func Fig8b(p Params, store *simcache.Memory) ([]SensitivityRow, *Table, error) {
 // allocSensitivity measures DASE's mean error on the random pair sample
 // under each allocation, labelled by label's format of the two SM counts.
 func allocSensitivity(p Params, store *simcache.Memory, title, label string, allocs [][]int) ([]SensitivityRow, *Table, error) {
-	opt := p.evalOptions(core.New(core.Options{}))
 	combos := workload.RandomPairs(p.PairSample, p.Seed)
 	rows := make([]SensitivityRow, 0, len(allocs))
 	for _, alloc := range allocs {
@@ -42,7 +40,7 @@ func allocSensitivity(p Params, store *simcache.Memory, title, label string, all
 		for i, c := range combos {
 			jobs[i] = workload.Job{Combo: c, Alloc: alloc}
 		}
-		acc, err := accuracy(opt, jobs, store)
+		acc, err := accuracy(p, []column{daseColumn}, jobs, store)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -57,7 +55,7 @@ func allocSensitivity(p Params, store *simcache.Memory, title, label string, all
 // pairError is DASE's mean error on q's random pair sample at the even
 // split, against alone baselines of q's own configuration.
 func pairError(q Params, store *simcache.Memory) (float64, error) {
-	acc, err := accuracy(q.evalOptions(core.New(core.Options{})), evenJobs(q.Cfg.NumSMs, workload.RandomPairs(q.PairSample, q.Seed)), store)
+	acc, err := accuracy(q, []column{daseColumn}, evenJobs(q.Cfg.NumSMs, workload.RandomPairs(q.PairSample, q.Seed)), store)
 	if err != nil {
 		return 0, err
 	}

@@ -192,7 +192,7 @@ func (s *Server) observeEstimation(p plan, res *sim.Result, actual []float64, tr
 		det := est.EstimateDetailed(snap)
 		for i := range det {
 			if i < len(actual) && actual[i] > 0 {
-				s.metrics.estError.Observe(abs(det[i].Slowdown-actual[i]) / actual[i])
+				s.metrics.estError.Observe(metrics.Error(det[i].Slowdown, actual[i]))
 			}
 			if emitDASE {
 				tr.Emit(telemetry.Event{
@@ -214,13 +214,6 @@ func (s *Server) observeEstimation(p plan, res *sim.Result, actual []float64, tr
 			})
 		}
 	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // simOpts builds the sim options every simulation entry point gets: the

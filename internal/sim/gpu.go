@@ -203,8 +203,8 @@ func (g *GPU) Allocation() []int {
 	return out
 }
 
-// Owners returns the current owner app of every SM (InvalidApp for idle
-// SMs still draining toward a new owner).
+// Owners returns the current owner app of every SM (InvalidApp for an SM
+// that has none).
 func (g *GPU) Owners() []memreq.AppID {
 	out := make([]memreq.AppID, len(g.sms))
 	for i, sm := range g.sms {
@@ -268,8 +268,7 @@ func (g *GPU) SetAllocation(alloc []int) error {
 
 // applyDesired drains SMs whose desired owner differs and reassigns the
 // idle ones, and notes whether any SM is still to be reassigned. An idle SM
-// that is to have no owner keeps its old one, so it counts as not yet
-// settled and is flushed again at every pass.
+// that is to have no owner is released, so no app is charged its cycles.
 func (g *GPU) applyDesired() {
 	g.reassigning = false
 	for i, sm := range g.sms {
@@ -296,7 +295,7 @@ func (g *GPU) applyDesired() {
 		}
 		g.flushSM(sm)
 		if want == memreq.InvalidApp {
-			g.reassigning = true
+			sm.Assign(memreq.InvalidApp, nil)
 			continue
 		}
 		sm.Assign(want, g.disps[want])

@@ -51,8 +51,8 @@ func TestReallocationMovesMinimalSMs(t *testing.T) {
 
 // TestReassigningOnlyWhileOutstanding: step runs the reassignment pass only
 // while some SM lacks its desired owner. SetAllocation raises the flag while
-// SMs drain; the pass that finds them all settled lowers it; an idle SM that
-// is to have no owner keeps its old one and the flag with it.
+// SMs drain; the pass that finds them all settled lowers it, also when the
+// settled SMs are to have no owner and were released.
 func TestReassigningOnlyWhileOutstanding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -79,8 +79,43 @@ func TestReassigningOnlyWhileOutstanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Run(150_000)
-	if !g.reassigning {
-		t.Fatal("four SMs want no owner and keep their old one, so the pass must keep running")
+	if g.reassigning {
+		t.Fatalf("owners %v: the four SMs that want no owner are released, yet the pass still runs", g.Owners())
+	}
+}
+
+// TestUnownedSMsAreReleased: an SM the allocation leaves without an owner is
+// released once idle, so its owner is InvalidApp and its idle cycles are no
+// app's. SB+SD at 8+8 shrunk to 8+4 leaves app 1 with four SMs' cycles per
+// interval, not eight.
+func TestUnownedSMsAreReleased(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	sb, _ := kernels.ByAbbr("SB")
+	sd, _ := kernels.ByAbbr("SD")
+	cfg := config.Default()
+	cfg.IntervalCycles = 10_000
+	g, err := New(cfg, []kernels.Profile{sb, sd}, []int{8, 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run(20_000)
+	if err := g.SetAllocation([]int{8, 4}); err != nil {
+		t.Fatal(err)
+	}
+	g.Run(400_000) // SD's four SMs take 200K-300K cycles to drain
+	counts := map[memreq.AppID]int{}
+	for _, o := range g.Owners() {
+		counts[o]++
+	}
+	if counts[0] != 8 || counts[1] != 4 || counts[memreq.InvalidApp] != 4 {
+		t.Fatalf("owners %v, want app 0 on 8 SMs, app 1 on 4 and 4 released", g.Owners())
+	}
+	snaps := g.Snapshots()
+	last := snaps[len(snaps)-1]
+	if a := last.Apps[1]; a.SMs != 4 || a.SMCycles != 4*last.IntervalCycles {
+		t.Fatalf("app 1 reads %d SMs and %d SM-cycles over a %d-cycle interval, want 4 SMs' worth", a.SMs, a.SMCycles, last.IntervalCycles)
 	}
 }
 

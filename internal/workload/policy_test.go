@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"dasesim/internal/baseline"
 	"dasesim/internal/config"
-	"dasesim/internal/core"
 	"dasesim/internal/kernels"
 	"dasesim/internal/sched"
 	"dasesim/internal/simcache"
@@ -80,7 +78,7 @@ func TestEvaluateAllPolicies(t *testing.T) {
 // cannot drive both the plain and the priority-epoch run of one job.
 func TestEvaluatePolicyRejectsEpochRun(t *testing.T) {
 	cfg := config.Default()
-	opt := Options{Cfg: cfg, SharedCycles: 10_000, Seed: 1, EpochEstimators: []core.Estimator{baseline.NewMISE()}}
+	opt := Options{Cfg: cfg, SharedCycles: 10_000, Seed: 1, Epochs: true}
 	qr, _ := kernels.ByAbbr("QR")
 	bg, _ := kernels.ByAbbr("BG")
 	job := Job{Combo: Combo{Profiles: []kernels.Profile{qr, bg}}, Alloc: []int{8, 8}, Policy: sched.NewDASEFair()}

@@ -6,42 +6,34 @@ import (
 
 	"dasesim/internal/baseline"
 	"dasesim/internal/config"
-	"dasesim/internal/core"
 	"dasesim/internal/kernels"
 	"dasesim/internal/simcache"
 )
 
-// TestEvaluateSplitRuns verifies the two-system evaluation: passive
-// estimators read the plain run, epoch estimators read the priority-epoch
-// run and are judged against its own actual slowdowns.
+// TestEvaluateSplitRuns verifies the two-system evaluation: with Epochs set
+// the priority-epoch run comes with its own actual slowdowns, which an
+// epoch estimator such as MISE is scored against.
 func TestEvaluateSplitRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	cfg := config.Default()
 	cfg.IntervalCycles = 10_000
-	opt := Options{
-		Cfg:             cfg,
-		SharedCycles:    30_000,
-		Seed:            1,
-		WarmupIntervals: 1,
-		Estimators:      []core.Estimator{core.New(core.Options{})},
-		EpochEstimators: []core.Estimator{baseline.NewMISE()},
-	}
+	opt := Options{Cfg: cfg, SharedCycles: 30_000, Seed: 1, Epochs: true}
 	a, _ := kernels.ByAbbr("SB")
 	b, _ := kernels.ByAbbr("SD")
 	ev, err := Evaluate(context.Background(), opt, Job{Combo: Combo{Profiles: []kernels.Profile{a, b}}, Alloc: []int{8, 8}}, simcache.NewMemory(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.ActualEpoch == nil {
-		t.Fatal("epoch-run actual slowdowns missing")
+	if ev.Epoch == nil || ev.ActualEpoch == nil {
+		t.Fatal("epoch run or its actual slowdowns missing")
 	}
-	if _, ok := ev.Errors["DASE"]; !ok {
-		t.Fatal("DASE errors missing")
+	if ev.Epoch == ev.Shared {
+		t.Fatal("the epoch run is the plain run")
 	}
-	if _, ok := ev.Errors["MISE"]; !ok {
-		t.Fatal("MISE errors missing")
+	if _, errs := Score(baseline.NewMISE(), ev.Epoch.Snapshots, ev.ActualEpoch, 1); len(errs) != 2 {
+		t.Fatalf("MISE scored %d apps on the epoch run, want 2", len(errs))
 	}
 	for i := range ev.Actual {
 		if ev.Actual[i] < 1 || ev.ActualEpoch[i] < 1 {
@@ -50,26 +42,21 @@ func TestEvaluateSplitRuns(t *testing.T) {
 	}
 }
 
-// TestEvaluateWithoutEpochEstimators keeps the second run off.
+// TestEvaluateWithoutEpochEstimators: without Epochs there is no second run.
 func TestEvaluateWithoutEpochEstimators(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	cfg := config.Default()
 	cfg.IntervalCycles = 10_000
-	opt := Options{
-		Cfg:          cfg,
-		SharedCycles: 20_000,
-		Seed:         1,
-		Estimators:   []core.Estimator{core.New(core.Options{})},
-	}
+	opt := Options{Cfg: cfg, SharedCycles: 20_000, Seed: 1}
 	a, _ := kernels.ByAbbr("QR")
 	b, _ := kernels.ByAbbr("BG")
 	ev, err := Evaluate(context.Background(), opt, Job{Combo: Combo{Profiles: []kernels.Profile{a, b}}, Alloc: []int{8, 8}}, simcache.NewMemory(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.ActualEpoch != nil {
-		t.Fatal("epoch run executed without epoch estimators")
+	if ev.Epoch != nil || ev.ActualEpoch != nil {
+		t.Fatal("epoch run executed without Epochs")
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"reflect"
 	"testing"
 
-	"dasesim/internal/baseline"
 	"dasesim/internal/config"
-	"dasesim/internal/core"
 	"dasesim/internal/kernels"
 	"dasesim/internal/simcache"
 )
@@ -59,7 +57,7 @@ func TestEvaluateStoreKeepsInputsApart(t *testing.T) {
 		{"alone cycles", func(o *Options) { o.AloneCycles = 12_000 }, nil, 2},
 		{"seed", func(o *Options) { o.Seed = 2 }, nil, 3},
 		{"config", func(o *Options) { o.Cfg = tfaw }, nil, 3},
-		{"epoch run", func(o *Options) { o.EpochEstimators = []core.Estimator{baseline.NewMISE()} }, nil, 1},
+		{"epoch run", func(o *Options) { o.Epochs = true }, nil, 1},
 	} {
 		opt, job := base, storeJob()
 		if tc.opt != nil {
@@ -86,7 +84,7 @@ func TestEvaluateStoreKeepsInputsApart(t *testing.T) {
 func TestEvaluateAllIdenticalJobsSimulateOnce(t *testing.T) {
 	cfg := config.Default()
 	cfg.IntervalCycles = 5_000
-	opt := Options{Cfg: cfg, SharedCycles: 10_000, Seed: 1, Estimators: []core.Estimator{core.New(core.Options{})}}
+	opt := Options{Cfg: cfg, SharedCycles: 10_000, Seed: 1}
 	jobs := []Job{storeJob(), storeJob(), storeJob(), storeJob()}
 	store := simcache.NewMemory(0)
 	evals, err := EvaluateAll(context.Background(), opt, jobs, store)
@@ -110,11 +108,7 @@ func TestEvaluateDirStoreReloads(t *testing.T) {
 	dir := t.TempDir()
 	cfg := config.Default()
 	cfg.IntervalCycles = 5_000
-	opt := Options{
-		Cfg: cfg, SharedCycles: 10_000, Seed: 1,
-		Estimators:      []core.Estimator{core.New(core.Options{})},
-		EpochEstimators: []core.Estimator{baseline.NewMISE()},
-	}
+	opt := Options{Cfg: cfg, SharedCycles: 10_000, Seed: 1, Epochs: true}
 	var evals [2]*Eval
 	var stats [2]simcache.Stats
 	for i := range evals {

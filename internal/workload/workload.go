@@ -1,7 +1,7 @@
 // Package workload enumerates multiprogrammed workload combinations,
 // runs shared and alone simulations, keeping each static, epoch and alone
-// run in a content-addressed simcache store, and computes actual slowdowns,
-// estimator outputs and estimation errors — the machinery behind every
+// run in a content-addressed simcache store, computes actual slowdowns, and
+// scores an estimator against them (Score) — the machinery behind every
 // figure of the paper's evaluation.
 //
 // Simulations are deterministic and independent, so the harness fans them
@@ -154,21 +154,22 @@ func sharedRun(ctx context.Context, store *simcache.Memory, opt Options, job Job
 	})
 }
 
-// Eval is the outcome of evaluating one workload combination.
+// Eval is the outcome of evaluating one workload combination: its runs and
+// the truths an estimator is scored against (see Score).
 type Eval struct {
 	Combo  Combo
 	Alloc  []int
 	Shared *sim.Result
+	// Epoch is the priority-epoch run (the system MISE and ASM are
+	// deployed on); nil unless Options.Epochs is set.
+	Epoch *sim.Result
 
 	AloneIPC []float64
 	Actual   []float64 // measured slowdowns (Eq. 1), plain FR-FCFS run
-	// ActualEpoch holds the slowdowns of the priority-epoch run (the
-	// system MISE/ASM are deployed on); nil when no epoch estimator ran.
+	// ActualEpoch holds the slowdowns of the epoch run; nil with it.
 	ActualEpoch []float64
-	Estimates   map[string][]float64 // estimator name -> per-app estimate
-	Errors      map[string][]float64 // estimator name -> per-app |error|
-	Unfairness  float64              // Eq. 2 on actual slowdowns
-	HSpeedup    float64              // Eq. 27 on actual slowdowns
+	Unfairness  float64 // Eq. 2 on actual slowdowns
+	HSpeedup    float64 // Eq. 27 on actual slowdowns
 }
 
 // Options configure an evaluation run.
@@ -179,16 +180,10 @@ type Options struct {
 	// AloneCycles is the alone baselines' budget; 0 means SharedCycles.
 	// A policy study runs its shared runs longer than its alone runs.
 	AloneCycles uint64
-	// WarmupIntervals are skipped when averaging estimator intervals.
-	WarmupIntervals int
-	// Estimators evaluated on the plain shared run (DASE and other
-	// passive-counter models).
-	Estimators []core.Estimator
-	// EpochEstimators evaluated on a second shared run with the rotating
-	// highest-priority memory-controller epochs enabled — the system MISE
-	// and ASM are designed around. Each estimator family is judged against
-	// the actual slowdowns of its own system.
-	EpochEstimators []core.Estimator
+	// Epochs adds a second shared run with the rotating highest-priority
+	// memory-controller epochs enabled, so that an estimator of that
+	// system can be judged against its own slowdowns.
+	Epochs bool
 }
 
 // Job is one shared run: a combo, its initial SM allocation and the policy
@@ -198,22 +193,21 @@ type Job struct {
 	Alloc []int
 	// Policy is nil for a plain static-partition run. Policies are
 	// stateful, so each job needs its own instance, and a policy job
-	// cannot also run EpochEstimators.
+	// cannot also have an epoch run.
 	Policy sched.Policy
 }
 
-// Evaluate runs one job and computes actual slowdowns and per-estimator
-// errors. When EpochEstimators are present, a second run with priority
-// epochs provides their inputs and ground truth. The static-split run
+// Evaluate runs one job and computes its actual slowdowns, and with
+// opt.Epochs those of the epoch run too. The static-split run
 // ("shared/even"), the epoch run ("shared/epochs") and the alone baselines
 // (AloneKey) are read from store and simulated on first use; a policy run
 // is always simulated, because part of its outcome, such as the policy's
 // reallocation count, is not in its sim.Result. Stored results are shared,
-// so the returned Eval's Shared must not be written. Every simulation
-// aborts once ctx is done.
+// so the returned Eval's runs must not be written. Every simulation aborts
+// once ctx is done.
 func Evaluate(ctx context.Context, opt Options, job Job, store *simcache.Memory) (*Eval, error) {
 	combo := job.Combo
-	if job.Policy != nil && len(opt.EpochEstimators) > 0 {
+	if job.Policy != nil && opt.Epochs {
 		return nil, fmt.Errorf("workload %s: policy %s cannot also drive the epoch run", combo.Name(), job.Policy.Name())
 	}
 	shared, err := sharedRun(ctx, store, opt, job, "shared/even")
@@ -225,41 +219,33 @@ func Evaluate(ctx context.Context, opt Options, job Job, store *simcache.Memory)
 		return nil, err
 	}
 	ev := &Eval{
-		Combo:     combo,
-		Alloc:     append([]int(nil), job.Alloc...),
-		Shared:    shared,
-		AloneIPC:  aloneIPC,
-		Actual:    Slowdowns(aloneIPC, shared),
-		Estimates: map[string][]float64{},
-		Errors:    map[string][]float64{},
+		Combo:    combo,
+		Alloc:    append([]int(nil), job.Alloc...),
+		Shared:   shared,
+		AloneIPC: aloneIPC,
+		Actual:   Slowdowns(aloneIPC, shared),
 	}
 	ev.Unfairness = metrics.Unfairness(ev.Actual)
 	ev.HSpeedup = metrics.HarmonicSpeedup(ev.Actual)
-
-	record := func(est core.Estimator, snaps []sim.IntervalSnapshot, actual []float64) {
-		vals := core.AverageEstimates(est, snaps, opt.WarmupIntervals)
-		ev.Estimates[est.Name()] = vals
-		errs := make([]float64, len(vals))
-		for i := range vals {
-			errs[i] = metrics.Error(vals[i], actual[i])
-		}
-		ev.Errors[est.Name()] = errs
-	}
-	for _, est := range opt.Estimators {
-		record(est, shared.Snapshots, ev.Actual)
-	}
-
-	if len(opt.EpochEstimators) > 0 {
-		epochRun, err := sharedRun(ctx, store, opt, job, "shared/epochs", sim.WithPriorityEpochs())
-		if err != nil {
+	if opt.Epochs {
+		if ev.Epoch, err = sharedRun(ctx, store, opt, job, "shared/epochs", sim.WithPriorityEpochs()); err != nil {
 			return nil, fmt.Errorf("workload %s (epochs): %w", combo.Name(), err)
 		}
-		ev.ActualEpoch = Slowdowns(aloneIPC, epochRun)
-		for _, est := range opt.EpochEstimators {
-			record(est, epochRun.Snapshots, ev.ActualEpoch)
-		}
+		ev.ActualEpoch = Slowdowns(aloneIPC, ev.Epoch)
 	}
 	return ev, nil
+}
+
+// Score averages est's per-interval estimates over snaps, skipping the
+// first warmup intervals (none when that would leave no interval), and
+// returns them with each app's relative error against truth.
+func Score(est core.Estimator, snaps []sim.IntervalSnapshot, truth []float64, warmup int) (estimates, errs []float64) {
+	estimates = core.AverageEstimates(est, snaps, warmup)
+	errs = make([]float64, len(estimates))
+	for i, v := range estimates {
+		errs[i] = metrics.Error(v, truth[i])
+	}
+	return estimates, errs
 }
 
 // EvaluateAll evaluates jobs in parallel over a GOMAXPROCS-sized worker
